@@ -7,24 +7,28 @@ seeds produce byte-identical files and stdout.
 
 Exit codes: 0 when everything passed, 1 when some check failed (a VIOLATION
 verdict, a failed lemma/oracle check, a bounds-chain failure), 2 for
-configuration or precondition errors.
+configuration or precondition errors -- among them `verify.times` that reach
+past the time at which a grid flow's solver loses smoothness (`run` instead
+ends its horizon there and reports it).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import criteria as crit_mod
 from . import verify as verify_mod
-from .config import ConfigError, build_flow, build_volume, load_config
+from .config import ConfigError, build_scenario, load_config
 from .functionals import PhiSpec, sample
-from .matvol import advect, boundary_distance
-from .solver import GridFlow
+# boundary_distance is not called here; the benchmark's tracer
+# (perfbench/spans.py) wraps this module's binding of it.
+from .matvol import advect, boundary_distance  # noqa: F401
+from .solver import GridFlow, SmoothnessLost
 
 __all__ = ["main", "entry", "CSV_HEADER"]
 
@@ -43,12 +47,11 @@ def _fmt(v):
     return str(v)
 
 
-def _emit(lines, out_path=None):
+def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(text)
 
 
 def _kv_lines(pairs):
@@ -82,21 +85,8 @@ def _criteria_pairs(cfg, inp, report):
     return pairs
 
 
-def _assemble_inputs(cfg):
-    flow = build_flow(cfg)
-    vol = build_volume(cfg, flow)
-    phi = PhiSpec.power_law(cfg.q)
-    s0 = sample(flow, vol, phi, cfg.epsilon)
-    c10 = crit_mod.condition10(vol, flow, cfg.q)
-    inp = crit_mod.CriteriaInputs(
-        q=cfg.q, gamma=cfg.gamma, n=cfg.dimension, s0=cfg.s0, m=s0.m, E=s0.E,
-        M=cfg.M, epsilon=cfg.epsilon, T=cfg.T, G0=s0.G, cond10=c10,
-        d_init=boundary_distance(vol))
-    return flow, vol, s0, inp
-
-
-def _cmd_criteria(cfg, out_dir, fmt):
-    _, _, _, inp = _assemble_inputs(cfg)
+def _cmd_criteria(scenario, out_dir, fmt):
+    cfg, inp = scenario.cfg, scenario.inp
     report = crit_mod.evaluate(inp)
     pairs = _criteria_pairs(cfg, inp, report)
     if fmt == "csv":
@@ -106,12 +96,13 @@ def _cmd_criteria(cfg, out_dir, fmt):
     else:
         lines = _kv_lines(pairs)
         suffix = "txt"
-    _emit(lines, out_dir / f"{cfg.name}_criteria.{suffix}" if out_dir else None)
+    _emit(lines, out_dir / f"{cfg.name}_criteria.{suffix}")
     return 0
 
 
-def _cmd_run(cfg, out_dir, fmt):
-    report = verify_mod.run_theorem_scenario(cfg)
+def _cmd_run(scenario, out_dir, fmt):
+    cfg = scenario.cfg
+    report = verify_mod.run_theorem_scenario(scenario)
     pairs = [
         ("report", "run"), ("name", cfg.name), ("verdict", report.verdict),
         ("hit_time", report.hit_time), ("horizon", report.horizon),
@@ -132,12 +123,9 @@ def _cmd_run(cfg, out_dir, fmt):
     else:
         lines = _kv_lines(pairs)
         suffix = "txt"
-    out = out_dir if out_dir else Path(cfg.out_dir)
-    _emit(lines, out / f"{cfg.name}_report.{suffix}")
+    _emit(lines, out_dir / f"{cfg.name}_report.{suffix}")
     series_lines = _csv_lines(CSV_HEADER, report.series)
-    series_path = out / f"{cfg.name}_series.csv"
-    series_path.parent.mkdir(parents=True, exist_ok=True)
-    series_path.write_text("\n".join(series_lines) + "\n")
+    (out_dir / f"{cfg.name}_series.csv").write_text("\n".join(series_lines) + "\n")
     failed = report.verdict == "VIOLATION" or report.bounds_failures
     return 1 if failed else 0
 
@@ -149,22 +137,25 @@ def _check_pairs(idx, rep):
             (f"{tag}.slack", rep.slack), (f"{tag}.passed", rep.passed)]
 
 
-def _cmd_verify(cfg, out_dir, fmt, seed):
-    flow = build_flow(cfg)
-    phi = PhiSpec.power_law(cfg.q)
+def _cmd_verify(scenario, out_dir, fmt, seed):
+    cfg, flow, vol, phi = scenario.cfg, scenario.flow, scenario.vol, scenario.phi
     checks = []
 
     times = [t for t in cfg.verify_times if t >= 0.0]
     if isinstance(flow, GridFlow):
-        flow.advance_to(max(times) + 2.0 * cfg.verify_h)
-    vol = build_volume(cfg, flow)
+        try:
+            flow.advance_to(max(times) + 2.0 * cfg.verify_h)
+        except SmoothnessLost as exc:
+            raise ConfigError(
+                f"key 'verify.times': the grid solver lost smoothness at "
+                f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
     for t in sorted(times):
         if t > vol.time:
             vol = advect(vol, flow, t, cfg.dt)
         checks += verify_mod.check_lemma_suite(flow, vol, phi, cfg.epsilon,
                                                h=cfg.verify_h)
 
-    run_report = verify_mod.run_theorem_scenario(cfg)
+    run_report = verify_mod.run_theorem_scenario(scenario)
     series = list(run_report.series)
     ts = [row.t for row in series]
     if len(ts) >= 2:
@@ -173,9 +164,8 @@ def _cmd_verify(cfg, out_dir, fmt, seed):
             series.pop()
             ts.pop()
     if len(series) >= 3:
-        _, _, _, inp = _assemble_inputs(cfg)
-        consts = crit_mod.constants(cfg.q, cfg.gamma, cfg.dimension, cfg.s0)
-        checks += verify_mod.check_inequality17(series, inp, consts.C)
+        checks += verify_mod.check_inequality17(series, scenario.inp,
+                                                run_report.criteria.C)
     checks += list(run_report.bounds_failures)
 
     rng = np.random.default_rng(seed)
@@ -203,23 +193,19 @@ def _cmd_verify(cfg, out_dir, fmt, seed):
     for idx, rep in enumerate(checks):
         pairs += _check_pairs(idx, rep)
     lines = _kv_lines(pairs)
-    out = out_dir if out_dir else Path(cfg.out_dir)
-    _emit(lines, out / f"{cfg.name}_verify.txt")
+    _emit(lines, out_dir / f"{cfg.name}_verify.txt")
     return 1 if failed or oracle_failed else 0
 
 
-def _cmd_sweep(cfg, out_dir, fmt):
+def _cmd_sweep(scenario, out_dir, fmt):
+    cfg, flow, vol = scenario.cfg, scenario.flow, scenario.vol
     if not cfg.sweep_q or not cfg.sweep_epsilon:
         raise ConfigError("sweep needs both 'sweep.q' and 'sweep.epsilon'")
-    bound = crit_mod.q_admissible_bound(cfg.gamma, cfg.dimension)
     for qv in cfg.sweep_q:
-        if not qv < bound - 1e-9 * max(1.0, abs(bound)):
-            raise ConfigError(f"key 'sweep.q': {qv} not admissible (needs < {bound})")
-    flow = build_flow(cfg)
-    # Build the volume once, with the smallest swept epsilon for the init check.
-    probe_cfg = dc_replace(cfg, epsilon=min(cfg.sweep_epsilon))
-    vol = build_volume(probe_cfg, flow)
-    d_init = boundary_distance(vol)
+        if not crit_mod.q_admissible(qv, cfg.gamma, cfg.dimension):
+            raise ConfigError(f"key 'sweep.q': {qv} not admissible (needs < "
+                              f"{crit_mod.q_admissible_bound(cfg.gamma, cfg.dimension)})")
+    d_init = scenario.inp.d_init
     for ev in cfg.sweep_epsilon:
         if not 0.0 < ev < d_init:
             raise ConfigError(
@@ -229,15 +215,13 @@ def _cmd_sweep(cfg, out_dir, fmt):
     rows = []
     for qv in cfg.sweep_q:
         if qv not in phi_cache:
-            s = sample(flow, vol, PhiSpec.power_law(qv), min(cfg.sweep_epsilon))
-            c10 = crit_mod.condition10(vol, flow, qv)
-            phi_cache[qv] = (s, c10)
-        s, c10 = phi_cache[qv]
+            s = sample(flow, vol, PhiSpec.power_law(qv), cfg.epsilon)
+            phi_cache[qv] = (s.G, crit_mod.condition10(vol, flow, qv))
+        g0, c10 = phi_cache[qv]
         consts = crit_mod.constants(qv, cfg.gamma, cfg.dimension, cfg.s0)
         for ev in cfg.sweep_epsilon:
-            inp = crit_mod.CriteriaInputs(
-                q=qv, gamma=cfg.gamma, n=cfg.dimension, s0=cfg.s0, m=s.m, E=s.E,
-                M=cfg.M, epsilon=ev, T=cfg.T, G0=s.G, cond10=c10, d_init=d_init)
+            # Mass, energy and d_init do not depend on q or epsilon.
+            inp = replace(scenario.inp, q=qv, epsilon=ev, G0=g0, cond10=c10)
             q0, r0 = crit_mod.q_and_r(inp, consts.C)
             case, delta = crit_mod.classify_and_delta(inp, q0, r0)
             nec_ok, _ = crit_mod.necessary_conditions(inp, q0, r0)
@@ -254,8 +238,7 @@ def _cmd_sweep(cfg, out_dir, fmt):
     else:
         lines = _csv_lines(header, rows)
         suffix = "csv"
-    out = out_dir if out_dir else Path(cfg.out_dir)
-    _emit(lines, out / f"{cfg.name}_sweep.{suffix}")
+    _emit(lines, out_dir / f"{cfg.name}_sweep.{suffix}")
     return 0
 
 
@@ -275,15 +258,16 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-        out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+        scenario = build_scenario(cfg)
+        out_dir = Path(args.out or cfg.out_dir)
         fmt = args.format or cfg.out_format
         if args.command == "criteria":
-            return _cmd_criteria(cfg, out_dir, fmt)
+            return _cmd_criteria(scenario, out_dir, fmt)
         if args.command == "run":
-            return _cmd_run(cfg, out_dir, fmt)
+            return _cmd_run(scenario, out_dir, fmt)
         if args.command == "verify":
-            return _cmd_verify(cfg, out_dir, fmt, args.seed)
-        return _cmd_sweep(cfg, out_dir, fmt)
+            return _cmd_verify(scenario, out_dir, fmt, args.seed)
+        return _cmd_sweep(scenario, out_dir, fmt)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

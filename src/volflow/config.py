@@ -9,28 +9,36 @@ the radius r, evaluated in a restricted namespace.
 All attainment preconditions (admissible q, epsilon below the initial
 boundary distance, nonnegative M) are validated at load time so a bad
 scenario fails before any computation starts.
+
+`build_scenario` is the one way to build a scenario from a config: it builds
+the flow and the volume and takes the time-zero data the threshold algebra
+reads, once, for every subcommand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .criteria import q_admissible_bound
-from .flowfield import make_analytic_flow
-from .matvol import VolumeShapeSpec, init_volume, point_in_loops
+from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
+from .flowfield import FlowField, make_analytic_flow
+from .functionals import FunctionalSample, PhiSpec, sample
+from .matvol import (MaterialVolume, VolumeShapeSpec, boundary_distance,
+                     init_volume, point_in_loops)
 from .solver import GridFlow, GridState
 
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
+    "Scenario",
     "parse_kv_text",
     "load_config",
     "build_flow",
     "build_volume",
+    "build_scenario",
     "initial_boundary_distance",
 ]
 
@@ -94,7 +102,6 @@ class ScenarioConfig:
     flow_kind: str
     flow_params: dict
     volume: VolumeShapeSpec
-    resample_every: int
     x0: tuple
     epsilon: float
     q: float
@@ -110,7 +117,6 @@ class ScenarioConfig:
     sweep_epsilon: tuple
     out_dir: str
     out_format: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _need(raw, key, kind=None):
@@ -158,9 +164,9 @@ def load_config(path):
     if epsilon <= 0.0:
         raise ConfigError("key 'epsilon' must be positive")
     qexp = float(_need(raw, "q"))
-    bound = q_admissible_bound(gamma, dimension)
-    if not qexp < bound - 1e-9 * max(1.0, abs(bound)):
-        raise ConfigError(f"key 'q' must lie strictly below {bound}, got {qexp}")
+    if not q_admissible(qexp, gamma, dimension):
+        raise ConfigError(f"key 'q' must lie strictly below "
+                          f"{q_admissible_bound(gamma, dimension)}, got {qexp}")
     horizon = float(_need(raw, "T"))
     if horizon <= 0.0:
         raise ConfigError("key 'T' must be positive")
@@ -182,10 +188,8 @@ def load_config(path):
 
     cfg = ScenarioConfig(
         name=name, dimension=dimension, gamma=gamma, flow_kind=kind,
-        flow_params=flow_params, volume=volume,
-        resample_every=int(raw.get("volume.resample_every", 0)),
-        x0=x0, epsilon=epsilon, q=qexp, T=horizon, M=reg_const, s0=s0, dt=dt,
-        sample_stride=stride,
+        flow_params=flow_params, volume=volume, x0=x0, epsilon=epsilon, q=qexp,
+        T=horizon, M=reg_const, s0=s0, dt=dt, sample_stride=stride,
         verify_times=_as_floats(raw.get("verify.times", (0.2, 0.5, 0.8)), "verify.times"),
         verify_h=float(raw.get("verify.h", 1e-4)),
         oracle_cases=int(raw.get("verify.oracle_cases", 200)),
@@ -194,7 +198,6 @@ def load_config(path):
         if raw.get("sweep.epsilon") else (),
         out_dir=str(raw.get("out.dir", "out")),
         out_format=str(raw.get("out.format", "report")),
-        raw=raw,
     )
     if cfg.out_format not in ("report", "csv"):
         raise ConfigError("key 'out.format' must be report|csv")
@@ -330,3 +333,34 @@ def build_flow(cfg):
 
 def build_volume(cfg, flow):
     return init_volume(cfg.volume, flow, np.asarray(cfg.x0), cfg.epsilon)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A built scenario: its flow and volume at time zero, the power-law
+    profile, the time-zero sample and the threshold inputs taken from them.
+
+    A grid flow is shared, not copied: advancing it for one use advances it
+    for every later use of the same scenario.
+    """
+
+    cfg: ScenarioConfig
+    flow: FlowField
+    vol: MaterialVolume
+    phi: PhiSpec
+    s0: FunctionalSample
+    inp: CriteriaInputs
+
+
+def build_scenario(cfg):
+    """Build the flow (grid flows are not yet advanced), the volume and the
+    time-zero data of a config."""
+    flow = build_flow(cfg)
+    vol = build_volume(cfg, flow)
+    phi = PhiSpec.power_law(cfg.q)
+    s0 = sample(flow, vol, phi, cfg.epsilon)
+    inp = CriteriaInputs(
+        q=cfg.q, gamma=cfg.gamma, n=cfg.dimension, s0=cfg.s0, m=s0.m, E=s0.E,
+        M=cfg.M, epsilon=cfg.epsilon, T=cfg.T, G0=s0.G,
+        cond10=condition10(vol, flow, cfg.q), d_init=boundary_distance(vol))
+    return Scenario(cfg=cfg, flow=flow, vol=vol, phi=phi, s0=s0, inp=inp)

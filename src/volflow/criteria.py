@@ -43,12 +43,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .functionals import TargetReached  # noqa: F401  (terminal event re-export)
-
 __all__ = [
     "CriteriaInputs",
     "CriteriaReport",
     "NecRecord",
+    "q_admissible",
     "constants",
     "threshold_q",
     "q_and_r",
@@ -78,6 +77,12 @@ def q_admissible_bound(gamma, n):
     return -n - 2.0 / (gamma - 1.0)
 
 
+def q_admissible(q, gamma, n):
+    """True when q lies below the admissible bound by a relative margin of 1e-9."""
+    bound = q_admissible_bound(gamma, n)
+    return q < bound - 1e-9 * max(1.0, abs(bound))
+
+
 @dataclass(frozen=True)
 class CriteriaInputs:
     """Time-zero data and scenario constants feeding the threshold algebra."""
@@ -96,11 +101,10 @@ class CriteriaInputs:
     d_init: float
 
     def __post_init__(self):
-        bound = q_admissible_bound(self.gamma, self.n)
-        margin = 1e-9 * max(1.0, abs(bound))
-        if not self.q < bound - margin:
+        if not q_admissible(self.q, self.gamma, self.n):
             raise ValueError(
-                f"q = {self.q} must lie strictly below {bound} (with margin)")
+                f"q = {self.q} must lie strictly below "
+                f"{q_admissible_bound(self.gamma, self.n)} (with margin)")
         if not 0.0 < self.epsilon < self.d_init:
             raise ValueError(
                 f"epsilon = {self.epsilon} must satisfy 0 < epsilon < d_init = {self.d_init}")
@@ -155,9 +159,9 @@ def constants(q, gamma, n, s0):
     the epsilon-ball, which converges exactly when q is admissible; C3 = e^s0
     carries the entropy floor; C = C1*C3.
     """
-    bound = q_admissible_bound(gamma, n)
-    if not q < bound - 1e-9 * max(1.0, abs(bound)):
-        raise ValueError(f"q = {q} not admissible (needs q < {bound})")
+    if not q_admissible(q, gamma, n):
+        raise ValueError(
+            f"q = {q} not admissible (needs q < {q_admissible_bound(gamma, n)})")
     if n == 2:
         sigma_n = 2.0 * math.pi
     elif n == 3:

@@ -26,7 +26,6 @@ __all__ = [
     "FunctionalSample",
     "sigma_norm2",
     "sample",
-    "generic_lemma1_rhs",
 ]
 
 # Nodes closer to x0 than this have effectively reached the target; the event
@@ -165,9 +164,3 @@ def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
     return FunctionalSample(t=float(t), m=m, E=energy, G=g_val, F=f_val,
                             I1=i1, I2=i2, I3=i3, I4=i4, reg=reg,
                             q=phi.q, epsilon=float(epsilon))
-
-
-def generic_lemma1_rhs(flow, vol, phi):
-    """First and second time derivatives of G as quadratures: (F, I1+I2+I3+I4)."""
-    s = sample(flow, vol, phi, epsilon=np.nan)
-    return s.F, s.I_sum

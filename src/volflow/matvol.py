@@ -32,7 +32,6 @@ __all__ = [
     "volume_integral_plain",
     "surface_integral",
     "boundary_distance",
-    "resample_markers",
 ]
 
 
@@ -602,25 +601,3 @@ def boundary_distance(vol):
             best = min(best, float(d.min()))
     return best
 
-
-def resample_markers(vol, count=None):
-    """Re-space 2-D marker loops by arc length (mass nodes are never touched).
-
-    Off by default in runs: resampling perturbs boundary-based invariants, so
-    it exists only for long runs whose loops bunch up.
-    """
-    if vol.dim != 2:
-        raise ValueError("marker resampling is 2-D only")
-    new_loops = []
-    for loop in vol.boundaries:
-        m = count or len(loop)
-        seg = np.roll(loop, -1, axis=0) - loop
-        length = np.linalg.norm(seg, axis=1)
-        s = np.concatenate([[0.0], np.cumsum(length)])
-        total = s[-1]
-        target = np.arange(m) * total / m
-        closed = np.vstack([loop, loop[:1]])
-        xs = np.interp(target, s, closed[:, 0])
-        ys = np.interp(target, s, closed[:, 1])
-        new_loops.append(np.column_stack([xs, ys]))
-    return replace(vol, boundaries=tuple(new_loops))

@@ -244,6 +244,12 @@ class GridFlow(FlowField):
     cached trajectory (all snapshots stay in memory, which is fine at desk
     scale).  Querying beyond the advanced time is an error: callers advance
     explicitly so that failures to integrate surface where they happen.
+
+    Off-snapshot values in the last grid interval depend on how far the
+    cache was advanced: the time stencil starts no later than
+    `len(states) - 4`, so advancing further moves it.  On `radial_inflow`,
+    pre-advancing to t = 0.3 changed G in the last series row of `run` from
+    2.3946889921718872 to 2.3946889920732484.
     """
 
     kind = "grid"

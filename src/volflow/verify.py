@@ -27,8 +27,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import criteria as crit_mod
+from .config import ScenarioConfig, build_scenario
 from .criteria import CriteriaInputs, threshold_q
-from .functionals import PhiSpec, TargetReached, sample
+from .functionals import TargetReached, sample
 from .matvol import _advect_any, boundary_distance, volume_integral_plain
 from .solver import GridFlow, SmoothnessLost
 
@@ -366,16 +367,18 @@ def _refine_hit(vol_prev, flow, t_lo, t_hi, epsilon, dt):
     return 0.5 * (t_lo + t_hi)
 
 
-def run_theorem_scenario(cfg):
-    """Advance a configured scenario to min(horizon, hit time) and report.
+def run_theorem_scenario(scenario):
+    """Advance a scenario to min(horizon, hit time) and report.
 
-    The comparison against the threshold uses time-zero data only; the run
-    itself monitors the bounds chain, the regularity flux and the energy
-    drift, and refines any boundary attainment by bisection.
+    `scenario` is a built `config.Scenario`, or a `ScenarioConfig` to build
+    one from.  The comparison against the threshold uses time-zero data only;
+    the run itself monitors the bounds chain, the regularity flux and the
+    energy drift, and refines any boundary attainment by bisection.
     """
-    from . import config as config_mod
-
-    flow = config_mod.build_flow(cfg)
+    if isinstance(scenario, ScenarioConfig):
+        scenario = build_scenario(scenario)
+    cfg, flow, vol, phi, s0, inp = (scenario.cfg, scenario.flow, scenario.vol,
+                                    scenario.phi, scenario.s0, scenario.inp)
     detail = ""
     horizon = cfg.T
     if isinstance(flow, GridFlow):
@@ -385,13 +388,6 @@ def run_theorem_scenario(cfg):
             horizon = flow.t_last
             detail = f"smoothness lost at t={exc.time}; "
 
-    vol = config_mod.build_volume(cfg, flow)
-    phi = PhiSpec.power_law(cfg.q)
-    s0 = sample(flow, vol, phi, cfg.epsilon)
-    c10 = crit_mod.condition10(vol, flow, cfg.q)
-    inp = CriteriaInputs(q=cfg.q, gamma=cfg.gamma, n=cfg.dimension, s0=cfg.s0,
-                         m=s0.m, E=s0.E, M=cfg.M, epsilon=cfg.epsilon, T=cfg.T,
-                         G0=s0.G, cond10=c10, d_init=boundary_distance(vol))
     report_c = crit_mod.evaluate(inp)
 
     def q_monitor(g):
@@ -458,7 +454,7 @@ def run_theorem_scenario(cfg):
     else:
         verdict = "VIOLATION"
 
-    return TheoremReport(criteria=report_c, cond10_value=c10,
+    return TheoremReport(criteria=report_c, cond10_value=inp.cond10,
                          cond10_holds=report_c.cond10_holds, hit_time=hit_time,
                          horizon=horizon, E_drift=e_drift, reg_max=reg_max,
                          verdict=verdict, detail=detail.strip(),

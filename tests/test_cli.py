@@ -1,9 +1,11 @@
 import math
+import types
 
 import pytest
 
 from helpers import CONFIG_DIR
 
+import volflow
 from volflow.cli import CSV_HEADER, main
 from volflow.config import ConfigError, load_config, parse_kv_text
 
@@ -155,6 +157,41 @@ def test_verify_seed_changes_output(mini_cfg, tmp_path, capsys):
           "--out", str(tmp_path / "b")])
     out2 = capsys.readouterr().out
     assert out1 != out2
+
+
+def test_verify_builds_its_flow_once(mini_cfg, tmp_path, monkeypatch):
+    original = volflow.config.build_flow
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg.name)
+        return original(cfg)
+
+    # Every module binding of build_flow is wrapped, so callers that imported
+    # it by name are counted too.
+    for mod in vars(volflow).values():
+        if isinstance(mod, types.ModuleType) and \
+                getattr(mod, "build_flow", None) is original:
+            monkeypatch.setattr(mod, "build_flow", counting)
+    rc = main(["verify", "--config", str(mini_cfg), "--seed", "3",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert calls == ["mini"]
+
+
+def test_verify_past_smooth_horizon_is_precondition_error(tmp_path, capsys):
+    # A gradient guard below the initial gradients trips on the first solver
+    # step, long before the default verify.times (0.2, 0.5, 0.8).
+    text = (CONFIG_DIR / "radial_inflow.cfg").read_text() + (
+        "\nname = rough\nflow.grid.n = 32\nflow.grid.max_grad = 1.0\n"
+        "volume.quad_order = 10\n")
+    path = tmp_path / "rough.cfg"
+    path.write_text(text)
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "verify.times" in err[0] and "t=0.005" in err[0]
 
 
 def test_sweep_subcommand(mini_cfg, tmp_path, capsys):

@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import SyntheticFlow, annulus_volume, disk_volume
 
 from volflow.flowfield import make_analytic_flow
-from volflow.functionals import (PhiSpec, TargetReached, generic_lemma1_rhs,
-                                 sample, sigma_norm2)
+from volflow.functionals import PhiSpec, TargetReached, sample, sigma_norm2
 from volflow.matvol import advect
 
 
@@ -136,9 +135,8 @@ def test_constant_profile_degenerates_to_mass():
     one = PhiSpec.generic(lambda r: np.ones_like(r),
                           lambda r: np.zeros_like(r),
                           lambda r: np.zeros_like(r))
-    d1, d2 = generic_lemma1_rhs(flow, vol, one)
-    assert d1 == 0.0 and d2 == 0.0
     s = sample(flow, vol, one, 0.5)
+    assert s.F == 0.0 and s.I_sum == 0.0
     assert s.G == pytest.approx(s.m, rel=1e-14)
 
 
@@ -148,9 +146,8 @@ def test_quadratic_profile_radial_flow():
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
     r2 = PhiSpec.generic(lambda r: r ** 2, lambda r: 2.0 * r,
                          lambda r: 2.0 * np.ones_like(r))
-    d1, _ = generic_lemma1_rhs(flow, vol, r2)
     s = sample(flow, vol, r2, 0.5)
-    assert d1 == pytest.approx(2.0 * s.G, rel=1e-12)
+    assert s.F == pytest.approx(2.0 * s.G, rel=1e-12)
 
 
 def test_first_derivative_matches_finite_difference():

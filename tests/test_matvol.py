@@ -9,7 +9,7 @@ from volflow import matvol
 from volflow.flowfield import make_analytic_flow
 from volflow.matvol import (SelfIntersection, VolumeShapeSpec, advect,
                             boundary_distance, init_volume, loop_signed_area,
-                            point_in_loops, polygon_is_simple, resample_markers,
+                            point_in_loops, polygon_is_simple,
                             surface_integral, volume_integral_mass,
                             volume_integral_plain)
 
@@ -336,13 +336,3 @@ def test_polygon_is_simple():
     assert polygon_is_simple(circle)
     bow = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     assert not polygon_is_simple(bow)
-
-
-def test_resample_markers_preserves_shape():
-    vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5, markers=128)
-    res = resample_markers(vol, 200)
-    assert len(res.boundaries[0]) == 200
-    radii = np.linalg.norm(res.boundaries[0] - [3.0, 0.0], axis=1)
-    assert np.abs(radii - 1.0).max() <= 2e-3
-    assert np.array_equal(res.nodes, vol.nodes)      # mass nodes untouched
-    assert np.array_equal(res.mass_w, vol.mass_w)
