@@ -5,6 +5,7 @@ import pytest
 
 from helpers import CONFIG_DIR, SyntheticFlow, annulus_volume, disk_volume
 
+from volflow import verify as verify_mod
 from volflow.config import load_config
 from volflow.criteria import CriteriaInputs, classify_and_delta, constants
 from volflow.flowfield import make_analytic_flow
@@ -160,6 +161,33 @@ def test_oracle_equilibrium_no_blowup():
     assert blowup_oracle(b, 1.0, inp) == (None, None)
     assert blowup_oracle(0.5 * b, 1.0, inp) == (None, None)
     assert blowup_oracle(-1.0, 0.0, inp) == (None, None)
+
+
+def test_oracle_numeric_ignores_closed_form(monkeypatch):
+    inp = oracle_inputs()
+    b = 8.0
+    escaping = [(1.0, 0.0), (0.0, -1.0)]
+    never = [(b, 1.0), (0.5 * b, 1.0), (-1.0, 0.0)]
+    before = [blowup_oracle(f0, q0, inp).numeric for f0, q0 in escaping]
+    monkeypatch.setattr(verify_mod, "_closed_form_blowup", lambda *args: 0.125)
+    after = [blowup_oracle(f0, q0, inp) for f0, q0 in escaping + never]
+    assert all(bt.closed_form == 0.125 for bt in after)
+    assert [bt.numeric for bt in after] == before + [None] * len(never)
+
+
+@pytest.mark.parametrize("f0_over_b, q0, escapes", [
+    (-100.0, -1.0, True),          # negative Q: every trajectory escapes
+    (50.0, 1.0, True),             # fast escape
+    (1e4, 1.0, True),              # escape inside the first RK4 step
+    (1.0 + 1e-6, 1.0, True),       # slow escape just above the equilibrium b
+    (-100.0, 1.0, False),          # rises towards -b and never escapes
+])
+def test_oracle_edge_cases_match_closed_form(f0_over_b, q0, escapes):
+    b = 8.0   # |q| eps^(q-1) R0 with eps = 1, R0 = 1
+    bt = blowup_oracle(f0_over_b * b, q0, oracle_inputs())
+    assert (bt.closed_form is not None, bt.numeric is not None) == (escapes, escapes)
+    if escapes:
+        assert abs(bt.numeric - bt.closed_form) <= 1e-6 * bt.closed_form
 
 
 def test_oracle_agreement_batch():
