@@ -1,15 +1,22 @@
 """Command-line front end: criteria, run, verify and sweep subcommands.
 
-Reports are flat `key: value` lines in a stable order; time series land in a
-fixed-schema CSV (`t,m,E,G,F,I1,I2,I3,I4,reg,dist,Qq`).  All floating-point
-output goes through repr() of a Python float, so identical configurations and
-seeds produce byte-identical files and stdout.
+    volflow {criteria,run,verify,sweep} --config FILE [--out DIR] [--seed N]
+
+`--out` (default `out`) is the output directory and `--seed` seeds the
+randomized oracle cases of `verify`; every other setting comes from the
+config file.  Its `out.format` key picks flat `key: value` reports (`report`)
+or one-header CSV (`csv`) for `criteria`, `run` and `sweep`; `verify` always
+writes `key: value` lines.  Time series land in a fixed-schema CSV
+(`t,m,E,G,F,I1,I2,I3,I4,reg,dist,Qq`).  All floating-point output goes
+through repr() of a Python float, so identical configurations and seeds
+produce byte-identical files and stdout.
 
 Exit codes: 0 when everything passed, 1 when some check failed (a VIOLATION
 verdict, a failed lemma/oracle check, a bounds-chain failure), 2 for
-configuration or precondition errors -- among them `verify.times` that reach
-past the time at which a grid flow's solver loses smoothness (`run` instead
-ends its horizon there and reports it).
+configuration or precondition errors -- among them a config key the loader
+does not read, and `verify.times` that start before the lemma step h on a
+grid flow or reach past the time at which its solver loses smoothness (`run`
+instead ends its horizon there and reports it).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .solver import GridFlow, SmoothnessLost
 
 __all__ = ["main", "entry", "CSV_HEADER"]
 
-CSV_HEADER = "t,m,E,G,F,I1,I2,I3,I4,reg,dist,Qq"
+CSV_HEADER = ",".join(verify_mod.SeriesRow._fields)
 
 
 def _fmt(v):
@@ -85,11 +92,11 @@ def _criteria_pairs(cfg, inp, report):
     return pairs
 
 
-def _cmd_criteria(scenario, out_dir, fmt):
+def _cmd_criteria(scenario, out_dir):
     cfg, inp = scenario.cfg, scenario.inp
     report = crit_mod.evaluate(inp)
     pairs = _criteria_pairs(cfg, inp, report)
-    if fmt == "csv":
+    if cfg.out_format == "csv":
         lines = _csv_lines(",".join(k for k, _ in pairs),
                            [[v for _, v in pairs]])
         suffix = "csv"
@@ -100,7 +107,7 @@ def _cmd_criteria(scenario, out_dir, fmt):
     return 0
 
 
-def _cmd_run(scenario, out_dir, fmt):
+def _cmd_run(scenario, out_dir):
     cfg = scenario.cfg
     report = verify_mod.run_theorem_scenario(scenario)
     pairs = [
@@ -117,7 +124,7 @@ def _cmd_run(scenario, out_dir, fmt):
         ("series_rows", len(report.series)),
         ("detail", report.detail or "none"),
     ]
-    if fmt == "csv":
+    if cfg.out_format == "csv":
         lines = _csv_lines(",".join(k for k, _ in pairs), [[v for _, v in pairs]])
         suffix = "csv"
     else:
@@ -137,23 +144,27 @@ def _check_pairs(idx, rep):
             (f"{tag}.slack", rep.slack), (f"{tag}.passed", rep.passed)]
 
 
-def _cmd_verify(scenario, out_dir, fmt, seed):
+def _cmd_verify(scenario, out_dir, seed):
     cfg, flow, vol, phi = scenario.cfg, scenario.flow, scenario.vol, scenario.phi
     checks = []
 
-    times = [t for t in cfg.verify_times if t >= 0.0]
+    times = sorted(cfg.verify_times)
+    h = verify_mod.LEMMA_H
     if isinstance(flow, GridFlow):
+        # The lemma differences reach t - h, and a grid flow starts at t = 0.
+        if times[0] < h:
+            raise ConfigError(f"key 'verify.times': {times[0]} is below the "
+                              f"lemma step h={h} a grid flow needs")
         try:
-            flow.advance_to(max(times) + 2.0 * cfg.verify_h)
+            flow.advance_to(times[-1] + 2.0 * h)
         except SmoothnessLost as exc:
             raise ConfigError(
                 f"key 'verify.times': the grid solver lost smoothness at "
                 f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
-    for t in sorted(times):
+    for t in times:
         if t > vol.time:
             vol = advect(vol, flow, t, cfg.dt)
-        checks += verify_mod.check_lemma_suite(flow, vol, phi, cfg.epsilon,
-                                               h=cfg.verify_h)
+        checks += verify_mod.check_lemma_suite(flow, vol, phi, cfg.epsilon, h=h)
 
     run_report = verify_mod.run_theorem_scenario(scenario)
     series = list(run_report.series)
@@ -169,7 +180,7 @@ def _cmd_verify(scenario, out_dir, fmt, seed):
     checks += list(run_report.bounds_failures)
 
     rng = np.random.default_rng(seed)
-    cases = verify_mod.random_oracle_cases(rng, cfg.oracle_cases)
+    cases = verify_mod.random_oracle_cases(rng, verify_mod.ORACLE_CASES)
     gaps = []
     oracle_failed = 0
     for f0, q0, oinp in cases:
@@ -197,7 +208,7 @@ def _cmd_verify(scenario, out_dir, fmt, seed):
     return 1 if failed or oracle_failed else 0
 
 
-def _cmd_sweep(scenario, out_dir, fmt):
+def _cmd_sweep(scenario, out_dir):
     cfg, flow, vol = scenario.cfg, scenario.flow, scenario.vol
     if not cfg.sweep_q or not cfg.sweep_epsilon:
         raise ConfigError("sweep needs both 'sweep.q' and 'sweep.epsilon'")
@@ -218,17 +229,15 @@ def _cmd_sweep(scenario, out_dir, fmt):
             s = sample(flow, vol, PhiSpec.power_law(qv), cfg.epsilon)
             phi_cache[qv] = (s.G, crit_mod.condition10(vol, flow, qv))
         g0, c10 = phi_cache[qv]
-        consts = crit_mod.constants(qv, cfg.gamma, cfg.dimension, cfg.s0)
         for ev in cfg.sweep_epsilon:
             # Mass, energy and d_init do not depend on q or epsilon.
-            inp = replace(scenario.inp, q=qv, epsilon=ev, G0=g0, cond10=c10)
-            q0, r0 = crit_mod.q_and_r(inp, consts.C)
-            case, delta = crit_mod.classify_and_delta(inp, q0, r0)
-            nec_ok, _ = crit_mod.necessary_conditions(inp, q0, r0)
-            rows.append((qv, ev, q0, r0, case, delta, c10, nec_ok))
+            report = crit_mod.evaluate(
+                replace(scenario.inp, q=qv, epsilon=ev, G0=g0, cond10=c10))
+            rows.append((qv, ev, report.Q0, report.R0, report.case, report.delta,
+                         c10, report.nec_ok))
 
     header = "q,epsilon,Q0,R0,case,delta,cond10,nec_ok"
-    if fmt == "report":
+    if cfg.out_format == "report":
         pairs = [("report", "sweep"), ("name", cfg.name), ("rows", len(rows))]
         for i, row in enumerate(rows):
             for key, v in zip(header.split(","), row):
@@ -250,8 +259,7 @@ def main(argv=None):
     for name in ("criteria", "run", "verify", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default=None, choices=("csv", "report"))
+        p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized checks")
     args = parser.parse_args(argv)
@@ -259,15 +267,14 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         scenario = build_scenario(cfg)
-        out_dir = Path(args.out or cfg.out_dir)
-        fmt = args.format or cfg.out_format
+        out_dir = Path(args.out)
         if args.command == "criteria":
-            return _cmd_criteria(scenario, out_dir, fmt)
+            return _cmd_criteria(scenario, out_dir)
         if args.command == "run":
-            return _cmd_run(scenario, out_dir, fmt)
+            return _cmd_run(scenario, out_dir)
         if args.command == "verify":
-            return _cmd_verify(scenario, out_dir, fmt, args.seed)
-        return _cmd_sweep(scenario, out_dir, fmt)
+            return _cmd_verify(scenario, out_dir, args.seed)
+        return _cmd_sweep(scenario, out_dir)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -6,9 +6,14 @@ semicolon-separated point lists, or plain strings -- whichever matches first.
 Grid initial fields are numpy expressions over the node coordinates x, y and
 the radius r, evaluated in a restricted namespace.
 
+Every parsed key is read or rejected: `load_config` fails naming the first
+key it did not read (a typo, a key of another flow or shape kind, or a
+removed setting), so no line of a config silently means nothing.
+
 All attainment preconditions (admissible q, epsilon below the initial
 boundary distance, nonnegative M) are validated at load time so a bad
-scenario fails before any computation starts.
+scenario fails before any computation starts; the initial boundary distance
+is the closed form of `VolumeShapeSpec.distance`.
 
 `build_scenario` is the one way to build a scenario from a config: it builds
 the flow and the volume and takes the time-zero data the threshold algebra
@@ -27,7 +32,7 @@ from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bo
 from .flowfield import FlowField, make_analytic_flow
 from .functionals import FunctionalSample, PhiSpec, sample
 from .matvol import (MaterialVolume, VolumeShapeSpec, boundary_distance,
-                     init_volume, point_in_loops)
+                     init_volume)
 from .solver import GridFlow, GridState
 
 __all__ = [
@@ -39,7 +44,6 @@ __all__ = [
     "build_flow",
     "build_volume",
     "build_scenario",
-    "initial_boundary_distance",
 ]
 
 
@@ -73,6 +77,22 @@ def _parse_value(text):
     if "," in text:
         return tuple(_parse_scalar(p.strip()) for p in text.split(",") if p.strip())
     return _parse_scalar(text)
+
+
+class _ReadKeys(dict):
+    """Parsed keys that remember which of them were read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 def parse_kv_text(text):
@@ -111,11 +131,8 @@ class ScenarioConfig:
     dt: float
     sample_stride: int
     verify_times: tuple
-    verify_h: float
-    oracle_cases: int
     sweep_q: tuple
     sweep_epsilon: tuple
-    out_dir: str
     out_format: str
 
 
@@ -143,7 +160,7 @@ def _as_floats(value, key, length=None):
 def load_config(path):
     """Read, type-check and precondition-check a scenario file."""
     path = Path(path)
-    raw = parse_kv_text(path.read_text())
+    raw = _ReadKeys(parse_kv_text(path.read_text()))
     name = str(raw.get("name", path.stem))
 
     dimension = _need(raw, "dimension")
@@ -181,26 +198,34 @@ def load_config(path):
     if stride < 1:
         raise ConfigError("key 'sample.stride' must be at least 1")
 
-    d0 = initial_boundary_distance(volume, x0)
+    try:
+        d0 = volume.distance(x0)
+    except ValueError as exc:
+        raise ConfigError(f"key 'x0': {exc}") from exc
     if epsilon >= d0:
         raise ConfigError(
             f"key 'epsilon': must be smaller than the initial boundary distance {d0}")
+
+    verify_times = _as_floats(raw.get("verify.times", (0.2, 0.5, 0.8)), "verify.times")
+    if not all(0.0 <= t < math.inf for t in verify_times):
+        raise ConfigError(f"key 'verify.times' must be finite and nonnegative, "
+                          f"got {verify_times}")
 
     cfg = ScenarioConfig(
         name=name, dimension=dimension, gamma=gamma, flow_kind=kind,
         flow_params=flow_params, volume=volume, x0=x0, epsilon=epsilon, q=qexp,
         T=horizon, M=reg_const, s0=s0, dt=dt, sample_stride=stride,
-        verify_times=_as_floats(raw.get("verify.times", (0.2, 0.5, 0.8)), "verify.times"),
-        verify_h=float(raw.get("verify.h", 1e-4)),
-        oracle_cases=int(raw.get("verify.oracle_cases", 200)),
+        verify_times=verify_times,
         sweep_q=_as_floats(raw.get("sweep.q", ()), "sweep.q") if raw.get("sweep.q") else (),
         sweep_epsilon=_as_floats(raw.get("sweep.epsilon", ()), "sweep.epsilon")
         if raw.get("sweep.epsilon") else (),
-        out_dir=str(raw.get("out.dir", "out")),
         out_format=str(raw.get("out.format", "report")),
     )
     if cfg.out_format not in ("report", "csv"):
         raise ConfigError("key 'out.format' must be report|csv")
+    unread = [key for key in raw if key not in raw.read]
+    if unread:
+        raise ConfigError(f"key {unread[0]!r} is not a setting of this scenario")
     return cfg
 
 
@@ -227,7 +252,6 @@ def _flow_params(raw, kind, dimension):
         "vx": str(_need(raw, "flow.grid.vx")),
         "vy": str(_need(raw, "flow.grid.vy")),
         "S": str(raw.get("flow.grid.S", "0.0")),
-        "filter": float(raw.get("flow.grid.filter", 0.0)),
         "max_grad": float(raw.get("flow.grid.max_grad", math.inf)),
     }
     if params["n"] < 16:
@@ -239,8 +263,6 @@ def _flow_params(raw, kind, dimension):
 
 def _volume_spec(raw, dimension):
     shape = _need(raw, "volume.shape")
-    aliases = {"ball": "disk", "shell": "annulus"}
-    shape = aliases.get(shape, shape)
     center = _as_floats(raw.get("volume.center", (0.0,) * dimension),
                         "volume.center", dimension)
     markers = int(raw.get("volume.markers", 256))
@@ -263,34 +285,6 @@ def _volume_spec(raw, dimension):
     except ValueError as exc:
         raise ConfigError(f"key 'volume.*': {exc}") from exc
     raise ConfigError(f"key 'volume.shape': unknown shape {shape!r}")
-
-
-def initial_boundary_distance(spec, x0):
-    """Closed-form dist(boundary, x0) for a shape spec (load-time check)."""
-    x0 = np.asarray(x0, dtype=float)
-    center = np.asarray(spec.center, dtype=float)
-    if spec.shape == "disk":
-        d = float(np.linalg.norm(x0 - center))
-        if d <= spec.radius:
-            raise ConfigError("key 'x0': lies inside (or on) the initial volume")
-        return d - spec.radius
-    if spec.shape == "annulus":
-        d = float(np.linalg.norm(x0 - center))
-        r1, r2 = spec.radii
-        if r1 <= d <= r2:
-            raise ConfigError("key 'x0': lies inside (or on) the initial volume")
-        return r1 - d if d < r1 else d - r2
-    verts = np.asarray(spec.vertices, dtype=float)
-    if point_in_loops(x0, [verts]):
-        raise ConfigError("key 'x0': lies inside the initial volume")
-    a = verts
-    b = np.roll(verts, -1, axis=0)
-    ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.einsum("ij,ij->i", x0 - a, ab) / np.where(denom > 0, denom, 1.0),
-                0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return float(np.linalg.norm(x0 - closest, axis=1).min())
 
 
 _EXPR_NAMES = {
@@ -327,8 +321,8 @@ def build_flow(cfg):
                       vy=_eval_field(p["vy"], x, y),
                       entropy=_eval_field(p["S"], x, y),
                       gamma=cfg.gamma, origin=(lo, lo), spacing=(h, h), time=0.0)
-    return GridFlow(state, step_dt=p["dt"], filter_strength=p["filter"],
-                    guard_threshold=p["max_grad"], entropy_floor=cfg.s0)
+    return GridFlow(state, step_dt=p["dt"], guard_threshold=p["max_grad"],
+                    entropy_floor=cfg.s0)
 
 
 def build_volume(cfg, flow):

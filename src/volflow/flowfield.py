@@ -69,8 +69,6 @@ class FlowField:
     `pts` always has shape (..., dimension).
     """
 
-    kind = "abstract"
-
     def __init__(self, dimension, gamma, entropy_floor):
         if dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {dimension}")
@@ -113,8 +111,6 @@ class FlowField:
 class ConstantFlow(FlowField):
     """Uniform state everywhere and for all time; trivially exact."""
 
-    kind = "constant"
-
     def __init__(self, dimension, gamma, rho0, vel0, p0):
         rho0 = float(rho0)
         p0 = float(p0)
@@ -154,8 +150,6 @@ class ExpansionFlow(FlowField):
     term of the governing system cancels exactly, so the flow is an exact
     smooth solution on t > -t_c.
     """
-
-    kind = "expansion"
 
     def __init__(self, dimension, gamma, rho0, s0, t_c):
         rho0 = float(rho0)

@@ -381,6 +381,24 @@ class VolumeShapeSpec:
             if self.vertices is None or len(self.vertices) < 3:
                 raise ValueError("polygon needs at least 3 vertices")
 
+    def distance(self, x0):
+        """Closed-form dist(boundary, x0) of the shape.
+
+        Raises ValueError when x0 lies inside (or on) the shape.
+        """
+        x0 = np.asarray(x0, dtype=float)
+        if self.shape == "polygon":
+            verts = np.asarray(self.vertices, dtype=float)
+            if point_in_loops(x0, [verts]):
+                raise ValueError("lies inside the initial volume")
+            return float(_point_segment_distance(
+                x0, verts, np.roll(verts, -1, axis=0)).min())
+        d = float(np.linalg.norm(x0 - np.asarray(self.center, dtype=float)))
+        r1, r2 = (0.0, self.radius) if self.shape == "disk" else self.radii
+        if r1 <= d <= r2:
+            raise ValueError("lies inside (or on) the initial volume")
+        return r1 - d if d < r1 else d - r2
+
     def build(self, dim):
         """Boundary components and (nodes, weights) quadrature for dimension dim."""
         center = np.asarray(self.center, dtype=float)
@@ -467,8 +485,7 @@ def init_volume(spec, flow, x0, epsilon, t0=0.0):
         raise ValueError(f"x0 must have dimension {dim}")
     boundary, nodes, w = spec.build(dim)
 
-    if _contains_point(spec, x0, dim):
-        raise ValueError("x0 lies inside the initial volume")
+    spec.distance(x0)                   # raises when x0 lies inside
 
     rho0 = np.asarray(flow.density(t0, nodes), dtype=float)
     vol = MaterialVolume(dim=dim, boundaries=tuple(boundary), nodes=nodes,
@@ -478,17 +495,6 @@ def init_volume(spec, flow, x0, epsilon, t0=0.0):
         raise ValueError(
             f"dist(boundary, x0) = {d} is not larger than epsilon = {epsilon}")
     return vol
-
-
-def _contains_point(spec, x0, dim):
-    center = np.asarray(spec.center, dtype=float)
-    if spec.shape == "disk":
-        return np.linalg.norm(x0 - center) <= spec.radius
-    if spec.shape == "annulus":
-        r = np.linalg.norm(x0 - center)
-        return spec.radii[0] <= r <= spec.radii[1]
-    verts = np.asarray(spec.vertices, dtype=float)
-    return point_in_loops(x0, [verts])
 
 
 def _rk4_points(flow, pts, t_from, t_to, dt):

@@ -124,21 +124,7 @@ def _rhs(rho, vx, vy, entropy, gamma, dx, dy):
     return drho, dvx, dvy, ds
 
 
-_FILTER_STENCIL = np.array([1.0, -8.0, 28.0, -56.0, 70.0, -56.0, 28.0, -8.0, 1.0]) / 256.0
-
-
-def _filter8(f, strength):
-    """Mild spectral-style 8th-order low-pass filter (binomial stencil)."""
-    out = f
-    for axis in (0, 1):
-        acc = np.zeros_like(out)
-        for k, c in enumerate(_FILTER_STENCIL):
-            acc += c * np.roll(out, k - 4, axis)
-        out = out - strength * acc
-    return out
-
-
-def step(state, dt, filter_strength=0.0):
+def step(state, dt):
     """One RK4 step of the Euler system; returns a new GridState.
 
     dt must respect the advisory CFL bound 0.4*min(dx)/max(|V|+c); the step
@@ -164,8 +150,6 @@ def step(state, dt, filter_strength=0.0):
 
     new = [f + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
            for f, a, b, c, d in zip(u0, k1, k2, k3, k4)]
-    if filter_strength > 0.0:
-        new = [_filter8(f, filter_strength) for f in new]
 
     for f in new:
         if not np.all(np.isfinite(f)):
@@ -214,8 +198,6 @@ def interpolate_fields(state, pts, fields=None):
         fields = {"rho": state.rho, "vx": state.vx, "vy": state.vy,
                   "entropy": state.entropy}
     pts = np.asarray(pts, dtype=float)
-    squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     nx, ny = state.shape
     dx, dy = state.spacing
 
@@ -232,8 +214,7 @@ def interpolate_fields(state, pts, fields=None):
     out = {}
     for name, f in fields.items():
         patch = f[gx[:, :, None], gy[:, None, :]]          # (N, 4, 4)
-        vals = np.einsum("pi,pij,pj->p", wx, patch, wy)
-        out[name] = vals[0] if squeeze else vals
+        out[name] = np.einsum("pi,pij,pj->p", wx, patch, wy)
     return out
 
 
@@ -252,16 +233,13 @@ class GridFlow(FlowField):
     2.3946889921718872 to 2.3946889920732484.
     """
 
-    kind = "grid"
-
-    def __init__(self, initial, step_dt, filter_strength=0.0,
-                 guard_threshold=np.inf, entropy_floor=None):
+    def __init__(self, initial, step_dt, guard_threshold=np.inf,
+                 entropy_floor=None):
         floor = float(initial.entropy.min()) if entropy_floor is None else entropy_floor
         super().__init__(2, initial.gamma, entropy_floor=floor)
         if step_dt <= 0.0:
             raise ValueError("step_dt must be positive")
         self.step_dt = float(step_dt)
-        self.filter_strength = float(filter_strength)
         self.guard_threshold = float(guard_threshold)
         self._states = [initial]
 
@@ -280,7 +258,7 @@ class GridFlow(FlowField):
     def advance_to(self, t):
         """Step the solver until the cache covers time t."""
         while self.t_last < t - 1e-12:
-            nxt = step(self._states[-1], self.step_dt, self.filter_strength)
+            nxt = step(self._states[-1], self.step_dt)
             if np.isfinite(self.guard_threshold):
                 report = smoothness_guard(nxt, self.guard_threshold)
                 if not report.ok:

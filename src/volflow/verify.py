@@ -39,6 +39,8 @@ __all__ = [
     "BlowupTimes",
     "TheoremReport",
     "TOLERANCES",
+    "LEMMA_H",
+    "ORACLE_CASES",
     "check_lemma_suite",
     "check_inequality17",
     "bounds_chain",
@@ -56,6 +58,11 @@ def __getattr__(name):
         return solve_ivp
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
+# Time step of the centered differences in the lemma suite, and the number of
+# seeded blow-up oracle cases `verify` runs.
+LEMMA_H = 1e-4
+ORACLE_CASES = 200
 
 # Documented per check: relative for the finite-difference identities,
 # fraction-of-scale slack floors for the inequality checks.
@@ -109,7 +116,7 @@ def _moment_value(vol, phi):
     return float(np.sum(phi.eval(r)[0] * vol.mass_w))
 
 
-def check_lemma_suite(flow, vol, phi, epsilon, h=1e-4):
+def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
     """Identity and inequality checks at the volume's current time.
 
     Centered differences of the moment G over +-h (markers re-advected by a
@@ -331,7 +338,7 @@ def _hermite_crossing(y0, y1, d0, d1, target):
             hi = s
 
 
-def random_oracle_cases(rng, count, gamma=1.4, n=2):
+def random_oracle_cases(rng, count):
     """Admissible (F0, Q0, inputs) triples cycling through the three sign cases.
 
     The inputs carry only what the oracle reads (q, epsilon, m); the rest are
@@ -342,7 +349,7 @@ def random_oracle_cases(rng, count, gamma=1.4, n=2):
         q = -(7.2 + 4.8 * rng.random())
         eps = 0.3 + 1.7 * rng.random()
         m = 0.5 + 4.5 * rng.random()
-        inp = CriteriaInputs(q=q, gamma=gamma, n=n, s0=0.0, m=m, E=1.0, M=0.0,
+        inp = CriteriaInputs(q=q, gamma=1.4, n=2, s0=0.0, m=m, E=1.0, M=0.0,
                              epsilon=eps, T=1.0, G0=0.0, cond10=0.0,
                              d_init=2.0 * eps)
         kind = i % 3

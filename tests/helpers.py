@@ -18,8 +18,6 @@ class SyntheticFlow(FlowField):
     the velocity to solve anything.
     """
 
-    kind = "synthetic"
-
     def __init__(self, dimension, velocity_fn, gamma=1.4, rho0=1.0, p0=1.0):
         s0 = math.log(p0) - gamma * math.log(rho0)
         super().__init__(dimension, gamma, entropy_floor=s0)

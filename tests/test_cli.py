@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import sys
 import types
 
 import pytest
@@ -32,11 +34,13 @@ s0 = 0.0
 dt = 5e-3
 sample.stride = 10
 verify.times = 0.05, 0.1
-verify.oracle_cases = 6
 sweep.q = -8.0, -9.0
 sweep.epsilon = 0.3, 0.5
 out.format = report
 """
+
+
+MINI_CSV = MINI_CONFIG.replace("out.format = report", "out.format = csv")
 
 
 @pytest.fixture
@@ -44,6 +48,25 @@ def mini_cfg(tmp_path):
     path = tmp_path / "mini.cfg"
     path.write_text(MINI_CONFIG)
     return path
+
+
+def _write(tmp_path, text, name="edited"):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text)
+    return path
+
+
+def _grid_config(tmp_path, extra):
+    """radial_inflow on a 32^2 grid, with extra lines appended."""
+    text = (CONFIG_DIR / "radial_inflow.cfg").read_text() + (
+        "\nname = small_grid\nflow.grid.n = 32\nvolume.quad_order = 10\n" + extra)
+    return _write(tmp_path, text, "small_grid")
+
+
+def _single_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return err[0]
 
 
 # -- config parsing -------------------------------------------------------------
@@ -194,13 +217,29 @@ def test_verify_past_smooth_horizon_is_precondition_error(tmp_path, capsys):
     assert "verify.times" in err[0] and "t=0.005" in err[0]
 
 
-def test_sweep_subcommand(mini_cfg, tmp_path, capsys):
-    rc = main(["sweep", "--config", str(mini_cfg), "--format", "csv",
-               "--out", str(tmp_path / "o")])
+def test_sweep_subcommand(tmp_path, capsys):
+    path = _write(tmp_path, MINI_CSV)
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "q,epsilon,Q0,R0,case,delta,cond10,nec_ok"
     assert len(out) == 1 + 4    # 2 q values x 2 epsilons
+    assert (tmp_path / "o" / "mini_sweep.csv").exists()
+
+
+def test_sweep_report_format_matches_csv(mini_cfg, tmp_path, capsys):
+    rc = main(["sweep", "--config", str(mini_cfg), "--out", str(tmp_path / "r")])
+    assert rc == 0
+    report = dict(line.split(": ", 1)
+                  for line in capsys.readouterr().out.strip().splitlines())
+    assert (tmp_path / "r" / "mini_sweep.txt").exists()
+    path = _write(tmp_path, MINI_CSV)
+    main(["sweep", "--config", str(path), "--out", str(tmp_path / "c")])
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert report["report"] == "sweep" and report["rows"] == "4"
+    for i, row in enumerate(rows):
+        for key, value in zip(header.split(","), row.split(",")):
+            assert report[f"row[{i}].{key}"] == value
 
 
 def test_sweep_validates_grid(tmp_path, capsys):
@@ -232,9 +271,9 @@ def test_report_format_stability(mini_cfg, tmp_path, capsys):
     assert keys[:4] == ["report", "name", "dimension", "gamma"]
 
 
-def test_csv_format_criteria(mini_cfg, tmp_path, capsys):
-    rc = main(["criteria", "--config", str(mini_cfg), "--format", "csv",
-               "--out", str(tmp_path / "o")])
+def test_csv_format_criteria(tmp_path, capsys):
+    path = _write(tmp_path, MINI_CSV)
+    rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
@@ -245,3 +284,89 @@ def test_shipped_configs_load():
     for cfg_file in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = load_config(cfg_file)
         assert cfg.dimension == 2
+
+
+def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
+    # The benchmark appends override lines to the shipped configs; each
+    # generated config must still pass the strict loader.
+    root = CONFIG_DIR.parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        workload = workloads.build(name, 1, root, tmp_path / name)
+        assert workload.configs
+        for path in workload.configs.values():
+            load_config(path)
+
+
+# -- settings that are read or rejected ---------------------------------------------
+
+@pytest.mark.parametrize("line, key", [
+    ("sample.strid = 5", "sample.strid"),              # a typo
+    ("volume.radii = 1.0, 2.0", "volume.radii"),       # a key of another shape
+])
+def test_unread_key_is_rejected(tmp_path, capsys, line, key):
+    path = _write(tmp_path, MINI_CONFIG + line + "\n")
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(path)
+    rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"'{key}'" in _single_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("verify.h = 0", "verify.h"),
+    ("verify.h = 1e-4", "verify.h"),
+    ("verify.oracle_cases = 6", "verify.oracle_cases"),
+    ("out.dir = elsewhere", "out.dir"),
+])
+def test_removed_keys_are_rejected(tmp_path, capsys, line, key):
+    path = _write(tmp_path, MINI_CONFIG + line + "\n")
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"'{key}'" in _single_error(capsys)
+
+
+def test_removed_grid_filter_key_is_rejected(tmp_path, capsys):
+    path = _grid_config(tmp_path, "flow.grid.filter = 0.0\n")
+    rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "'flow.grid.filter'" in _single_error(capsys)
+
+
+def test_format_flag_is_gone(mini_cfg, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["criteria", "--config", str(mini_cfg), "--format", "csv",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+# An infinite lemma time made verify advect forever.
+@pytest.mark.parametrize("times", ["-0.05, 0.1", "-0.05", "0.05, inf"])
+def test_bad_verify_times_rejected_on_analytic_flow(tmp_path, capsys, times):
+    path = _write(tmp_path, MINI_CONFIG + f"verify.times = {times}\n")
+    with pytest.raises(ConfigError, match="verify.times"):
+        load_config(path)
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "verify.times" in _single_error(capsys)
+
+
+def test_negative_verify_times_rejected_on_grid_flow(tmp_path, capsys):
+    path = _grid_config(tmp_path, "verify.times = -0.1\n")
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "verify.times" in _single_error(capsys)
+
+
+def test_grid_lemma_time_below_h_rejected(tmp_path, capsys):
+    path = _grid_config(tmp_path, "verify.times = 5e-5, 0.05\n")
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = _single_error(capsys)
+    assert "verify.times" in err and "5e-05" in err

@@ -336,3 +336,20 @@ def test_polygon_is_simple():
     assert polygon_is_simple(circle)
     bow = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     assert not polygon_is_simple(bow)
+
+
+def test_shape_distance_closed_form():
+    disk = VolumeShapeSpec(shape="disk", center=(3.0, 0.0), radius=1.0)
+    assert disk.distance((0.0, 0.0)) == 2.0
+    annulus = VolumeShapeSpec(shape="annulus", center=(0.0, 0.0), radii=(1.0, 2.0))
+    assert annulus.distance((0.0, 0.0)) == 1.0
+    assert annulus.distance((3.0, 0.0)) == 1.0
+    square = VolumeShapeSpec(shape="polygon",
+                             vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+    assert square.distance((2.0, 0.5)) == 1.0
+    assert square.distance((2.0, 2.0)) == pytest.approx(np.sqrt(2.0))
+    for spec, inside in ((disk, (3.0, 1.0)), (annulus, (1.5, 0.0)),
+                         (square, (0.5, 0.5))):
+        with pytest.raises(ValueError, match="lies inside"):
+            spec.distance(inside)
+

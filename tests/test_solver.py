@@ -176,22 +176,6 @@ def test_smoothness_guard_zero_threshold():
     assert not smoothness_guard(st, threshold=0.0).ok
 
 
-def test_filter_preserves_constants_and_damps_noise():
-    st = uniform_state(n=32)
-    st2 = step(st, 0.5 * st.cfl_limit(), filter_strength=1.0)
-    assert np.allclose(st2.rho, st.rho, rtol=0, atol=1e-15)
-    # checkerboard (highest mode) should be damped by the filter
-    n = 32
-    noise = 1e-3 * (-1.0) ** (np.add.outer(np.arange(n), np.arange(n)))
-    st3 = GridState(rho=1.0 + noise, vx=np.zeros((n, n)), vy=np.zeros((n, n)),
-                    entropy=np.zeros((n, n)), gamma=1.4, origin=(0.0, 0.0),
-                    spacing=(1.0 / n, 1.0 / n), time=0.0)
-    before = np.abs(st3.rho - 1.0).max()
-    st4 = step(st3, 0.25 * st3.cfl_limit(), filter_strength=1.0)
-    after = np.abs(st4.rho - 1.0).max()
-    assert after < 0.1 * before
-
-
 def test_interpolation_identity_at_nodes():
     st = gaussian_pressure_matched(32)
     xg, yg = st.node_coords()
