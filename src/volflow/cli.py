@@ -14,9 +14,10 @@ produce byte-identical files and stdout.
 Exit codes: 0 when everything passed, 1 when some check failed (a VIOLATION
 verdict, a failed lemma/oracle check, a bounds-chain failure), 2 for
 configuration or precondition errors -- among them a config key the loader
-does not read, and `verify.times` that start before the lemma step h on a
+does not read, `verify.times` that start before the lemma step h on a
 grid flow or reach past the time at which its solver loses smoothness (`run`
-instead ends its horizon there and reports it).
+instead ends its horizon there and reports it), and a boundary loop that
+crosses itself after an advection (`volume.markers` too few to resolve it).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .config import ConfigError, build_scenario, load_config
 from .functionals import PhiSpec, sample
 # boundary_distance is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps this module's binding of it.
-from .matvol import advect, boundary_distance  # noqa: F401
+from .matvol import SelfIntersection, advect, boundary_distance  # noqa: F401
 from .solver import GridFlow, SmoothnessLost
 
 __all__ = ["main", "entry", "CSV_HEADER"]
@@ -277,6 +278,10 @@ def main(argv=None):
         return _cmd_sweep(scenario, out_dir)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SelfIntersection as exc:
+        print(f"config error: key 'volume.markers': {exc}; too few markers "
+              f"to resolve the boundary", file=sys.stderr)
         return 2
 
 

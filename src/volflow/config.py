@@ -185,15 +185,15 @@ def load_config(path):
         raise ConfigError(f"key 'q' must lie strictly below "
                           f"{q_admissible_bound(gamma, dimension)}, got {qexp}")
     horizon = float(_need(raw, "T"))
-    if horizon <= 0.0:
-        raise ConfigError("key 'T' must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ConfigError(f"key 'T' must be positive and finite, got {horizon}")
     reg_const = float(_need(raw, "M"))
     if reg_const < 0.0:
         raise ConfigError("key 'M' must be nonnegative")
     s0 = float(raw.get("s0", 0.0))
     dt = float(raw.get("dt", 1e-3))
-    if dt <= 0.0:
-        raise ConfigError("key 'dt' must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"key 'dt' must be positive and finite, got {dt}")
     stride = int(raw.get("sample.stride", 10))
     if stride < 1:
         raise ConfigError("key 'sample.stride' must be at least 1")

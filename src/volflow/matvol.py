@@ -11,7 +11,10 @@ Boundaries are stored as a list of closed components (a volume may be
 disconnected, and an annulus has a two-loop boundary).  Outward orientation
 is fixed at initialization -- counterclockwise outer loops, clockwise hole
 loops -- and smooth flows preserve it; a segment-intersection sweep after
-each advection is the failure detector for under-resolved boundaries.
+each advection is the failure detector for under-resolved boundaries.  The
+sweep (`polygon_is_simple`) is vectorized: it lists the candidate pairs of an
+x-sorted interval sweep and tests them in fixed-size blocks, so its extra
+memory is bounded by the block size, not by the square of the marker count.
 """
 
 from __future__ import annotations
@@ -88,11 +91,21 @@ def _bbox_overlap(a0, a1, b0, b1):
     return np.all(amin <= bmax, axis=-1) & np.all(bmin <= amax, axis=-1)
 
 
+# Candidate pairs tested per vectorized call of `polygon_is_simple`; this
+# bounds the sweep's extra memory whatever the loop's shape.
+_PAIR_BLOCK = 1 << 14
+
+
 def polygon_is_simple(loop):
     """Check a closed loop for self-intersection by an x-interval sweep.
 
-    Adjacent segments (sharing a vertex) are skipped; any other touching or
-    crossing pair counts as an intersection.
+    Segments are sorted by their left end; each one's candidates are the
+    segments after it in that order whose left end does not pass its right
+    end.  All candidate pairs are listed by their rank in the cumulative
+    candidate counts and tested in blocks of `_PAIR_BLOCK`, one vectorized
+    call per block, stopping at the first block with a hit.  Adjacent
+    segments (sharing a vertex) are skipped; any other touching or crossing
+    pair counts as an intersection.
     """
     m = len(loop)
     if m < 3:
@@ -102,18 +115,22 @@ def polygon_is_simple(loop):
     xmin = np.minimum(a[:, 0], b[:, 0])
     xmax = np.maximum(a[:, 0], b[:, 0])
     order = np.argsort(xmin, kind="stable")
-    xmin_s = xmin[order]
-    for pos, i in enumerate(order):
-        hi = np.searchsorted(xmin_s, xmax[i], side="right")
-        cand = order[pos + 1:hi]
-        if cand.size == 0:
-            continue
-        adjacent = (cand == (i + 1) % m) | (cand == (i - 1) % m) | (cand == i)
-        cand = cand[~adjacent]
-        if cand.size == 0:
-            continue
-        hits = _segments_cross(a[i], b[i], a[cand], b[cand])
-        if np.any(hits):
+    # Sorted position p pairs with positions p+1 .. hi[p]-1.
+    hi = np.searchsorted(xmin[order], xmax[order], side="right")
+    counts = np.maximum(hi - np.arange(1, m + 1), 0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for start in range(0, total, _PAIR_BLOCK):
+        k = np.arange(start, min(start + _PAIR_BLOCK, total))
+        p = np.searchsorted(ends, k, side="right")
+        i = order[p]
+        j = order[p + 1 + k - (ends[p] - counts[p])]
+        gap = (j - i) % m
+        keep = (gap > 1) & (gap < m - 1)
+        i, j = i[keep], j[keep]
+        # take() gathers rows far faster than a[i] and yields the same values.
+        if np.any(_segments_cross(a.take(i, axis=0), b.take(i, axis=0),
+                                  a.take(j, axis=0), b.take(j, axis=0))):
             return False
     return True
 

@@ -39,10 +39,12 @@ class NonSmoothState(RuntimeError):
 
 
 class SmoothnessLost(RuntimeError):
-    """Raised when the gradient guard trips while advancing a grid flow."""
+    """Raised when advancing a grid flow leaves the smooth regime: the
+    gradient guard trips, or a step yields a non-finite field or non-positive
+    density (`NonSmoothState`, reported with max_grad = nan)."""
 
     def __init__(self, time, max_grad):
-        super().__init__(f"smoothness guard tripped at t={time} (max_grad={max_grad})")
+        super().__init__(f"smoothness lost at t={time} (max_grad={max_grad})")
         self.time = time
         self.max_grad = max_grad
 
@@ -256,9 +258,16 @@ class GridFlow(FlowField):
         return tuple(self._states)
 
     def advance_to(self, t):
-        """Step the solver until the cache covers time t."""
+        """Step the solver until the cache covers time t.
+
+        Raises SmoothnessLost when the guard trips or a step is not smooth;
+        the cache then ends at the last state before it.
+        """
         while self.t_last < t - 1e-12:
-            nxt = step(self._states[-1], self.step_dt)
+            try:
+                nxt = step(self._states[-1], self.step_dt)
+            except NonSmoothState as exc:
+                raise SmoothnessLost(self.t_last + self.step_dt, np.nan) from exc
             if np.isfinite(self.guard_threshold):
                 report = smoothness_guard(nxt, self.guard_threshold)
                 if not report.ok:

@@ -8,6 +8,7 @@ import pytest
 from helpers import CONFIG_DIR
 
 import volflow
+from volflow import matvol
 from volflow.cli import CSV_HEADER, main
 from volflow.config import ConfigError, load_config, parse_kv_text
 
@@ -370,3 +371,63 @@ def test_grid_lemma_time_below_h_rejected(tmp_path, capsys):
     assert rc == 2
     err = _single_error(capsys)
     assert "verify.times" in err and "5e-05" in err
+
+
+# T = inf died in `run` with an OverflowError traceback, dt = inf ran zero
+# steps and exited 0, and T = nan failed naming no key.
+@pytest.mark.parametrize("line, key", [("T = inf", "T"), ("T = nan", "T"),
+                                       ("dt = inf", "dt"), ("dt = nan", "dt")])
+def test_non_finite_horizon_and_step_rejected(tmp_path, capsys, line, key):
+    path = _write(tmp_path, MINI_CONFIG + line + "\n")
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        load_config(path)
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"key '{key}'" in _single_error(capsys)
+
+
+# No gradient guard: the solver itself breaks down (a non-finite field after
+# the step to t = 0.99), which used to escape `run` as a traceback.
+BLOWUP_CONFIG = """
+name = blowup
+dimension = 2
+gamma = 1.4
+flow.kind = grid
+flow.grid.n = 64
+flow.grid.box = -4.0, 4.0
+flow.grid.dt = 2.5e-3
+flow.grid.rho = 1.0
+flow.grid.vx = -6*y*exp(-r*r)
+flow.grid.vy = 6*x*exp(-r*r)
+volume.shape = disk
+volume.center = 0.9, 0.0
+volume.radius = 0.8
+volume.quad_order = 20
+x0 = 0.0, 0.0
+epsilon = 0.05
+q = -8.0
+T = 3.0
+M = 10.0
+dt = 2.5e-3
+sample.stride = 8
+"""
+
+
+def test_grid_blowup_ends_the_horizon(tmp_path, capsys):
+    path = _write(tmp_path, BLOWUP_CONFIG, "blowup")
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc in (0, 1)
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert report["verdict"] == "consistent_no_claim"
+    assert report["horizon"] == "0.9874999999999899"
+    assert report["detail"].startswith("smoothness lost at t=0.98999")
+
+
+def test_self_intersection_is_precondition_error(mini_cfg, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(matvol, "polygon_is_simple", lambda loop: False)
+    for command in ("run", "verify"):
+        rc = main([command, "--config", str(mini_cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = _single_error(capsys)
+        assert "volume.markers" in err and "self-intersects" in err

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -336,6 +338,129 @@ def test_polygon_is_simple():
     assert polygon_is_simple(circle)
     bow = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     assert not polygon_is_simple(bow)
+
+
+# -- polygon_is_simple against an all-pairs reference ------------------------
+
+def _orient(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _reference_is_simple(loop):
+    """Every pair of non-adjacent segments, one at a time, in Python floats."""
+    pts = [(float(x), float(y)) for x, y in loop]
+    m = len(pts)
+    if m < 3:
+        return False
+    segs = [(pts[k], pts[(k + 1) % m]) for k in range(m)]
+    for i in range(m):
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1:
+                continue
+            (a0, a1), (b0, b1) = segs[i], segs[j]
+            d = (_orient(b0, b1, a0), _orient(b0, b1, a1),
+                 _orient(a0, a1, b0), _orient(a0, a1, b1))
+            proper = ((d[0] > 0) != (d[1] > 0)) and ((d[2] > 0) != (d[3] > 0))
+            overlap = all(min(a0[c], a1[c]) <= max(b0[c], b1[c])
+                          and min(b0[c], b1[c]) <= max(a0[c], a1[c])
+                          for c in (0, 1))
+            if proper or (0.0 in d and overlap):
+                return False
+    return True
+
+
+def _check_against_reference(loop, block):
+    loop = np.asarray(loop, dtype=float)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matvol, "_PAIR_BLOCK", block)
+        for candidate in (loop, loop[::-1].copy()):
+            assert polygon_is_simple(candidate) == _reference_is_simple(candidate)
+
+
+# Small blocks split the candidate pairs of one segment across blocks.
+_BLOCKS = st.sampled_from([1, 2, 5, 16, matvol._PAIR_BLOCK])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    min_size=3, max_size=24),
+       block=_BLOCKS)
+def test_sweep_matches_reference_on_lattice_loops(pts, block):
+    # Lattice vertices make collinear overlaps, touching segments, shared and
+    # repeated vertices (zero-length segments) common.
+    _check_against_reference(pts, block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(3, 40),
+       noise=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+       dup=st.lists(st.integers(0, 39), max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       block=_BLOCKS)
+def test_sweep_matches_reference_on_noisy_circles(m, noise, dup, seed, block):
+    theta = 2.0 * np.pi * np.arange(m) / m
+    loop = np.column_stack([np.cos(theta), np.sin(theta)])
+    loop += noise * np.random.default_rng(seed).standard_normal(loop.shape)
+    for k in sorted({k % m for k in dup}, reverse=True):
+        loop = np.insert(loop, k, loop[k], axis=0)      # zero-length segment
+    _check_against_reference(loop, block)
+
+
+def test_sweep_triangles_and_short_loops():
+    # With m = 3 every pair of segments is adjacent, so nothing is tested.
+    for tri in ([[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 1], [2, 2]],
+                [[0, 0], [0, 0], [1, 1]]):
+        _check_against_reference(tri, matvol._PAIR_BLOCK)
+        assert polygon_is_simple(np.asarray(tri, dtype=float))
+    assert not polygon_is_simple(np.zeros((2, 2)))
+
+
+def _zigzag(n):
+    """n vertices zigzag up between x = 0 and x = 1, and the loop closes back
+    down through x = -1.  Every zigzag segment overlaps every other in x."""
+    k = np.arange(n)
+    up = np.column_stack([k % 2, k]).astype(float)
+    back = np.array([[-1.0, n - 1.0], [-1.0, 0.0]])
+    return np.vstack([up, back])
+
+
+def test_sweep_zigzag_spans_several_blocks():
+    n = 400
+    assert n * (n - 1) // 2 > 3 * matvol._PAIR_BLOCK
+    loop = _zigzag(n)
+    assert polygon_is_simple(loop) and _reference_is_simple(loop)
+    # One vertex pushed down across the segments below it: the crossing pairs
+    # rank early, in the middle or last in the x-sorted pair list.
+    for k in (3, n // 2, n - 2):
+        bad = loop.copy()
+        bad[k, 1] -= 2.5
+        assert not polygon_is_simple(bad)
+        assert not _reference_is_simple(bad)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(1, 78), shift=st.sampled_from([-2.5, -2.0, 0.5, 1.0, 2.0, 3.5]),
+       block=st.sampled_from([64, 500, 3000]))
+def test_sweep_zigzag_matches_reference(k, shift, block):
+    loop = _zigzag(80)
+    loop[k, 1] += shift
+    _check_against_reference(loop, block)
+
+
+def test_sweep_large_circle_is_fast():
+    m = 8192
+    theta = 2.0 * np.pi * np.arange(m) / m
+    circle = np.column_stack([np.cos(theta), np.sin(theta)])
+    best = np.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        assert polygon_is_simple(circle)
+        best = min(best, time.perf_counter() - t0)
+    # ~3 ms on a 2-vCPU host; a per-segment Python loop takes ~0.4 s.
+    assert best < 0.1
+    dented = circle.copy()
+    dented[m // 3] *= -1.5                  # one marker thrown across the loop
+    assert not polygon_is_simple(dented)
 
 
 def test_shape_distance_closed_form():

@@ -215,3 +215,21 @@ def test_grid_flow_guard_trips():
     flow = GridFlow(st, step_dt=1e-3, guard_threshold=1e-6)
     with pytest.raises(SmoothnessLost):
         flow.advance_to(0.01)
+
+
+def test_grid_flow_breakdown_is_lost_smoothness():
+    # A steepening sine wave without a gradient guard: the step to t = 0.145
+    # yields a non-finite field, which ends the flow's smooth horizon.
+    n = 32
+    x = np.arange(n)[:, None] / n + np.zeros((1, n))
+    st = GridState(rho=np.ones((n, n)), vx=2.0 * np.sin(2.0 * np.pi * x),
+                   vy=np.zeros((n, n)), entropy=np.zeros((n, n)), gamma=1.4,
+                   origin=(0.0, 0.0), spacing=(1.0 / n, 1.0 / n), time=0.0)
+    flow = GridFlow(st, step_dt=1e-3)
+    with pytest.raises(SmoothnessLost) as exc:
+        flow.advance_to(1.0)
+    assert isinstance(exc.value.__cause__, NonSmoothState)
+    assert exc.value.time == pytest.approx(0.145)
+    assert np.isnan(exc.value.max_grad)
+    assert flow.t_last == pytest.approx(0.144)
+    assert all(np.all(np.isfinite(s.vx)) for s in flow.states)
