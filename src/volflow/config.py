@@ -8,7 +8,10 @@ the radius r, evaluated in a restricted namespace.
 
 Every parsed key is read or rejected: `load_config` fails naming the first
 key it did not read (a typo, a key of another flow or shape kind, or a
-removed setting), so no line of a config silently means nothing.
+removed setting), so no line of a config silently means nothing.  Every
+float and float-tuple value goes through one reader, `_as_floats`, which
+rejects NaN and +-inf naming the key; only an absent `flow.grid.max_grad`
+means inf (no gradient guard).
 
 All attainment preconditions (admissible q, epsilon below the initial
 boundary distance, nonnegative M) are validated at load time so a bad
@@ -146,15 +149,27 @@ def _need(raw, key, kind=None):
 
 
 def _as_floats(value, key, length=None):
-    if np.isscalar(value):
-        value = (value,)
+    """The finite numbers of `key` as a tuple; the one reader of float values."""
     try:
-        out = tuple(float(v) for v in value)
+        out = tuple(float(v) for v in ((value,) if np.isscalar(value) else value))
     except (TypeError, ValueError):
         raise ConfigError(f"key {key!r}: expected numbers, got {value!r}") from None
     if length is not None and len(out) != length:
         raise ConfigError(f"key {key!r}: expected {length} numbers, got {len(out)}")
+    if not all(math.isfinite(v) for v in out):
+        raise ConfigError(f"key {key!r} must be finite, got {value!r}")
     return out
+
+
+def _float(raw, key, default=None):
+    """The finite number under `key`.  When a default is given, an absent key
+    returns it unchecked (`flow.grid.max_grad` defaults to inf)."""
+    if default is not None and key not in raw:
+        return default
+    value = _need(raw, key)
+    if not np.isscalar(value):
+        raise ConfigError(f"key {key!r}: expected one number, got {value!r}")
+    return _as_floats(value, key)[0]
 
 
 def load_config(path):
@@ -166,7 +181,7 @@ def load_config(path):
     dimension = _need(raw, "dimension")
     if dimension not in (2, 3):
         raise ConfigError("key 'dimension' must be 2 or 3")
-    gamma = float(_need(raw, "gamma"))
+    gamma = _float(raw, "gamma")
     if gamma <= 1.0:
         raise ConfigError("key 'gamma' must exceed 1")
 
@@ -177,22 +192,22 @@ def load_config(path):
 
     volume = _volume_spec(raw, dimension)
     x0 = _as_floats(_need(raw, "x0"), "x0", dimension)
-    epsilon = float(_need(raw, "epsilon"))
+    epsilon = _float(raw, "epsilon")
     if epsilon <= 0.0:
         raise ConfigError("key 'epsilon' must be positive")
-    qexp = float(_need(raw, "q"))
+    qexp = _float(raw, "q")
     if not q_admissible(qexp, gamma, dimension):
         raise ConfigError(f"key 'q' must lie strictly below "
                           f"{q_admissible_bound(gamma, dimension)}, got {qexp}")
-    horizon = float(_need(raw, "T"))
-    if not 0.0 < horizon < math.inf:
+    horizon = _float(raw, "T")
+    if not horizon > 0.0:
         raise ConfigError(f"key 'T' must be positive and finite, got {horizon}")
-    reg_const = float(_need(raw, "M"))
+    reg_const = _float(raw, "M")
     if reg_const < 0.0:
         raise ConfigError("key 'M' must be nonnegative")
-    s0 = float(raw.get("s0", 0.0))
-    dt = float(raw.get("dt", 1e-3))
-    if not 0.0 < dt < math.inf:
+    s0 = _float(raw, "s0", 0.0)
+    dt = _float(raw, "dt", 1e-3)
+    if not dt > 0.0:
         raise ConfigError(f"key 'dt' must be positive and finite, got {dt}")
     stride = int(raw.get("sample.stride", 10))
     if stride < 1:
@@ -207,7 +222,7 @@ def load_config(path):
             f"key 'epsilon': must be smaller than the initial boundary distance {d0}")
 
     verify_times = _as_floats(raw.get("verify.times", (0.2, 0.5, 0.8)), "verify.times")
-    if not all(0.0 <= t < math.inf for t in verify_times):
+    if not all(t >= 0.0 for t in verify_times):
         raise ConfigError(f"key 'verify.times' must be finite and nonnegative, "
                           f"got {verify_times}")
 
@@ -232,27 +247,27 @@ def load_config(path):
 def _flow_params(raw, kind, dimension):
     if kind == "constant":
         return {
-            "rho0": float(_need(raw, "flow.rho0")),
+            "rho0": _float(raw, "flow.rho0"),
             "V0": _as_floats(_need(raw, "flow.V0"), "flow.V0", dimension),
-            "P0": float(_need(raw, "flow.P0")),
+            "P0": _float(raw, "flow.P0"),
         }
     if kind == "expansion":
         return {
-            "rho0": float(_need(raw, "flow.rho0")),
-            "S0": float(raw.get("flow.S0", 0.0)),
-            "t_c": float(_need(raw, "flow.t_c")),
+            "rho0": _float(raw, "flow.rho0"),
+            "S0": _float(raw, "flow.S0", 0.0),
+            "t_c": _float(raw, "flow.t_c"),
         }
     if dimension != 2:
         raise ConfigError("key 'flow.kind': grid flows are 2-D only")
     params = {
         "n": int(_need(raw, "flow.grid.n")),
         "box": _as_floats(_need(raw, "flow.grid.box"), "flow.grid.box", 2),
-        "dt": float(_need(raw, "flow.grid.dt")),
+        "dt": _float(raw, "flow.grid.dt"),
         "rho": str(_need(raw, "flow.grid.rho")),
         "vx": str(_need(raw, "flow.grid.vx")),
         "vy": str(_need(raw, "flow.grid.vy")),
         "S": str(raw.get("flow.grid.S", "0.0")),
-        "max_grad": float(raw.get("flow.grid.max_grad", math.inf)),
+        "max_grad": _float(raw, "flow.grid.max_grad", math.inf),
     }
     if params["n"] < 16:
         raise ConfigError("key 'flow.grid.n' must be at least 16")
@@ -268,23 +283,23 @@ def _volume_spec(raw, dimension):
     markers = int(raw.get("volume.markers", 256))
     quad_order = int(raw.get("volume.quad_order", 40))
     refine = int(raw.get("volume.refine", 3))
+    if shape == "disk":
+        spec = dict(center=center, radius=_float(raw, "volume.radius"),
+                    markers=markers, quad_order=quad_order)
+    elif shape == "annulus":
+        spec = dict(center=center,
+                    radii=_as_floats(_need(raw, "volume.radii"), "volume.radii", 2),
+                    markers=markers, quad_order=quad_order)
+    elif shape == "polygon":
+        verts = _need(raw, "volume.vertices")
+        spec = dict(vertices=tuple(_as_floats(v, "volume.vertices", 2) for v in verts),
+                    markers=markers, refine=refine)
+    else:
+        raise ConfigError(f"key 'volume.shape': unknown shape {shape!r}")
     try:
-        if shape == "disk":
-            return VolumeShapeSpec(shape="disk", center=center,
-                                   radius=float(_need(raw, "volume.radius")),
-                                   markers=markers, quad_order=quad_order)
-        if shape == "annulus":
-            radii = _as_floats(_need(raw, "volume.radii"), "volume.radii", 2)
-            return VolumeShapeSpec(shape="annulus", center=center, radii=radii,
-                                   markers=markers, quad_order=quad_order)
-        if shape == "polygon":
-            verts = _need(raw, "volume.vertices")
-            vertices = tuple(_as_floats(v, "volume.vertices", 2) for v in verts)
-            return VolumeShapeSpec(shape="polygon", vertices=vertices,
-                                   markers=markers, refine=refine)
+        return VolumeShapeSpec(shape=shape, **spec)
     except ValueError as exc:
         raise ConfigError(f"key 'volume.*': {exc}") from exc
-    raise ConfigError(f"key 'volume.shape': unknown shape {shape!r}")
 
 
 _EXPR_NAMES = {

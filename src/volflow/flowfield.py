@@ -131,7 +131,9 @@ class ConstantFlow(FlowField):
 
     def velocity(self, t, pts):
         pts = self._pts(pts)
-        return np.broadcast_to(self.vel0, pts.shape).copy()
+        out = np.empty(pts.shape)
+        out[...] = self.vel0
+        return out
 
     def density(self, t, pts):
         pts = self._pts(pts)

@@ -8,10 +8,18 @@ the periodic grid, which makes the whole-box mass integral an exact invariant
 of the semi-discretization (and of every RK stage), so mass is conserved to
 rounding per step.
 
+The stepper works in reused buffers (`_Workspace`: stencil edge lines, one
+set of RK4 stage inputs, one set of stage slopes, the ten derivatives of the
+right-hand side, scratch), so with a workspace a step allocates only the
+state it returns.  Every buffered operation is the one the plain NumPy
+expression would perform, in the same order, so results are bit-for-bit
+those of the unbuffered formulas.
+
 A `GridFlow` wraps a run of the stepper as a queryable flow: snapshots are
 cached at every step and off-node/off-step queries use separable cubic
 Lagrange interpolation (bicubic in space, cubic in time), consistent with the
-scheme's order.
+scheme's order.  It creates its workspace on the first step and holds at most
+one time slice between snapshots.
 """
 
 from __future__ import annotations
@@ -55,8 +63,8 @@ class GridState:
 
     Arrays are indexed [i, j] with node coordinates
     (origin[0] + i*spacing[0], origin[1] + j*spacing[1]); the box is periodic
-    with extent n_cells * spacing per axis.  `pressure` is a cache recomputed
-    from (rho, S) at construction.
+    with extent n_cells * spacing per axis.  `pressure` caches
+    rho ** gamma * exp(S); it is computed at construction unless given.
     """
 
     rho: np.ndarray
@@ -79,8 +87,8 @@ class GridState:
         if not np.all(np.isfinite(self.rho)) or np.any(self.rho <= 0.0):
             raise NonSmoothState("non-positive or non-finite density")
         if self.pressure is None:
-            object.__setattr__(
-                self, "pressure", self.rho ** self.gamma * np.exp(self.entropy))
+            object.__setattr__(self, "pressure", _pressure_into(
+                self.rho, self.entropy, self.gamma, np.empty(shape), np.empty(shape)))
 
     @property
     def shape(self):
@@ -92,76 +100,229 @@ class GridState:
         y = self.origin[1] + self.spacing[1] * np.arange(ny)
         return x, y
 
-    def sound_speed(self):
-        return np.sqrt(self.gamma * self.pressure / self.rho)
-
-    def cfl_limit(self, number=0.4):
-        """Largest admissible dt: number * min(dx) / max(|V| + c)."""
-        speed = np.hypot(self.vx, self.vy) + self.sound_speed()
-        return number * min(self.spacing) / float(speed.max())
+    def cfl_limit(self, number=0.4, work=None):
+        """Largest admissible dt: number * min(dx) / max(|V| + c), with
+        c = sqrt(gamma P / rho); `work` is an optional `_Workspace`."""
+        if work is None:
+            a, b = np.empty(self.shape), np.empty(self.shape)
+        else:
+            a, b = work.grad[:2]
+        np.hypot(self.vx, self.vy, out=a)
+        np.multiply(self.pressure, self.gamma, out=b)
+        b /= self.rho
+        np.sqrt(b, out=b)
+        a += b
+        return number * min(self.spacing) / float(a.max())
 
     def mass(self):
         """Whole-box mass integral (fixed-order pairwise summation)."""
         return float(np.sum(self.rho)) * self.spacing[0] * self.spacing[1]
 
 
+class _Workspace:
+    """Buffers that `step`, `smoothness_guard` and `interpolate_fields`
+    reuse on one grid shape.
+
+    Per axis, the wrap-around edge lines of the field being differentiated
+    (`_d4_into`); one set of RK4 stage inputs and one of stage slopes; the
+    ten first derivatives the right-hand side reads; the stage pressure, a
+    scratch array and a boolean mask.  No snapshot ever points into these
+    buffers.  The interpolation patch arrays (`patch_buffers`) grow to the
+    largest point count seen; allocated per query, they were paged in afresh
+    on every query.
+    """
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        self.edges = (_edge_buffers(shape, 0), _edge_buffers(shape, 1))
+        self.stage = tuple(np.empty(shape) for _ in range(4))
+        self.slope = tuple(np.empty(shape) for _ in range(4))
+        self.grad = tuple(np.empty(shape) for _ in range(10))
+        self.pressure = np.empty(shape)
+        self.scratch = np.empty(shape)
+        self.mask = np.empty(shape, dtype=bool)
+        self._flat = np.empty((0, 4, 4), dtype=np.intp)
+        self._patch = np.empty((0, 4, 4))
+
+    def patch_buffers(self, n):
+        """Flat node indices and gathered values of n 4x4 patches."""
+        if len(self._flat) < n:
+            self._flat = np.empty((n, 4, 4), dtype=np.intp)
+            self._patch = np.empty((n, 4, 4))
+        return self._flat[:n], self._patch[:n]
+
+    def check(self, state):
+        if state.shape != self.shape:
+            raise ValueError(f"workspace for {self.shape} given a {state.shape} state")
+
+
+def _edge_buffers(shape, axis):
+    """The gathered edge lines of `_d4_into` along `axis`, with their
+    result and scratch arrays."""
+    lines = list(shape)
+    lines[axis] = 8
+    result = list(shape)
+    result[axis] = 4
+    return np.empty(lines), np.empty(result), np.empty(result)
+
+
+def _lines(axis, start, stop):
+    return (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
+
+
+def _d4_core(fm2, fm1, fp1, fp2, h, out, tmp):
+    """out = (8 (fp1 - fm1) - (fp2 - fm2)) / (12 h), in that order."""
+    np.subtract(fp1, fm1, out=out)
+    out *= 8.0
+    np.subtract(fp2, fm2, out=tmp)
+    out -= tmp
+    out /= 12.0 * h
+
+
+def _d4_into(f, h, axis, out, edges, tmp):
+    """Write the 4th-order centered first derivative of f along `axis` into
+    `out`: (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 h).
+
+    Lines 2 .. n-3 come from contiguous shifted slices of f; along axis 1
+    these are slices of the flattened array, whose neighbours across a row
+    end are wrong in the first and last two columns.  The lines 0, 1, n-2
+    and n-1 are then (re)done from `edges`: the lines n-4 .. n-1, 0 .. 3 of f
+    gathered into a small buffer, with its own result and scratch arrays."""
+    n = f.shape[axis]
+    src, dst, scr = (f, out, tmp) if axis == 0 else (
+        f.reshape(-1), out.reshape(-1), tmp.reshape(-1))
+    m = len(src)
+    _d4_core(src[0:m - 4], src[1:m - 3], src[3:m - 1], src[4:m], h,
+             dst[2:m - 2], scr[2:m - 2])
+    edge, e_out, e_tmp = edges
+    edge[_lines(axis, 0, 4)] = f[_lines(axis, n - 4, n)]
+    edge[_lines(axis, 4, 8)] = f[_lines(axis, 0, 4)]
+    _d4_core(*(edge[_lines(axis, k, k + 4)] for k in (0, 1, 3, 4)), h, e_out, e_tmp)
+    out[_lines(axis, n - 2, n)] = e_out[_lines(axis, 0, 2)]
+    out[_lines(axis, 0, 2)] = e_out[_lines(axis, 2, 4)]
+    return out
+
+
 def _d4(f, h, axis):
     """4th-order centered first derivative on the periodic grid."""
-    return (8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
-            - (np.roll(f, -2, axis) - np.roll(f, 2, axis))) / (12.0 * h)
+    return _d4_into(f, h, axis, np.empty(f.shape), _edge_buffers(f.shape, axis),
+                    np.empty(f.shape))
 
 
-def _rhs(rho, vx, vy, entropy, gamma, dx, dy):
-    p = rho ** gamma * np.exp(entropy)
-    rho_x, rho_y = _d4(rho, dx, 0), _d4(rho, dy, 1)
-    vx_x, vx_y = _d4(vx, dx, 0), _d4(vx, dy, 1)
-    vy_x, vy_y = _d4(vy, dx, 0), _d4(vy, dy, 1)
-    s_x, s_y = _d4(entropy, dx, 0), _d4(entropy, dy, 1)
-    p_x, p_y = _d4(p, dx, 0), _d4(p, dy, 1)
-    div = vx_x + vy_y
-    drho = -(vx * rho_x + vy * rho_y) - rho * div
-    dvx = -(vx * vx_x + vy * vx_y) - p_x / rho
-    dvy = -(vx * vy_x + vy * vy_y) - p_y / rho
-    ds = -(vx * s_x + vy * s_y)
-    return drho, dvx, dvy, ds
+def _pressure_into(rho, entropy, gamma, out, tmp):
+    """out = rho ** gamma * exp(entropy), the pressure of the state relation."""
+    out[...] = rho
+    out **= gamma               # the same power dispatch as `rho ** gamma`
+    np.exp(entropy, out=tmp)
+    out *= tmp
+    return out
 
 
-def step(state, dt):
+def _advection_into(vx, vy, fx, fy, out):
+    """out = -(vx * fx + vy * fy); overwrites fx and fy."""
+    np.multiply(vx, fx, out=fx)
+    np.multiply(vy, fy, out=fy)
+    np.add(fx, fy, out=out)
+    np.negative(out, out=out)
+
+
+def _rhs(u, p, dx, dy, out, work):
+    """Fill `out` with the time derivatives of u = (rho, vx, vy, S) whose
+    pressure is p:
+        drho = -(vx rho_x + vy rho_y) - rho (vx_x + vy_y)
+        dvx  = -(vx vx_x + vy vx_y) - p_x / rho
+        dvy  = -(vx vy_x + vy vy_y) - p_y / rho
+        dS   = -(vx S_x + vy S_y)
+    """
+    rho, vx, vy, entropy = u
+    grad, tmp = work.grad, work.scratch
+    for i, f in enumerate((rho, vx, vy, entropy, p)):
+        _d4_into(f, dx, 0, grad[2 * i], work.edges[0], tmp)
+        _d4_into(f, dy, 1, grad[2 * i + 1], work.edges[1], tmp)
+    rho_x, rho_y, vx_x, vx_y, vy_x, vy_y, s_x, s_y, p_x, p_y = grad
+    drho, dvx, dvy, ds = out
+    np.add(vx_x, vy_y, out=tmp)                 # the divergence
+    tmp *= rho
+    _advection_into(vx, vy, rho_x, rho_y, drho)
+    drho -= tmp
+    _advection_into(vx, vy, vx_x, vx_y, dvx)
+    p_x /= rho
+    dvx -= p_x
+    _advection_into(vx, vy, vy_x, vy_y, dvy)
+    p_y /= rho
+    dvy -= p_y
+    _advection_into(vx, vy, s_x, s_y, ds)
+
+
+def _stage_into(u0, k, h, out):
+    """out = u0 + h * k, field by field."""
+    for f, kf, o in zip(u0, k, out):
+        np.multiply(kf, h, out=o)
+        o += f
+
+
+def step(state, dt, work=None):
     """One RK4 step of the Euler system; returns a new GridState.
 
     dt must respect the advisory CFL bound 0.4*min(dx)/max(|V|+c); the step
     refuses to run otherwise instead of silently producing garbage.
+
+    `work` is a `_Workspace` for the state's shape; with it the step
+    allocates only the arrays of the state it returns.  Without it the step
+    uses a workspace of its own.  The slopes are summed as
+    ((k1 + 2 k2) + 2 k3) + k4 straight into the new state's arrays, stage by
+    stage, so one set of slope buffers serves k2, k3 and k4.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    limit = state.cfl_limit()
+    if work is None:
+        work = _Workspace(state.shape)
+    work.check(state)
+    limit = state.cfl_limit(work=work)
     if dt > limit * (1.0 + 1e-9):
         raise ValueError(f"CFL violated: dt={dt} exceeds limit {limit}")
 
     dx, dy = state.spacing
     gamma = state.gamma
     u0 = (state.rho, state.vx, state.vy, state.entropy)
+    u, k = work.stage, work.slope
+    new = tuple(np.empty(state.shape) for _ in range(4))
 
-    k1 = _rhs(*u0, gamma, dx, dy)
-    u1 = tuple(f + 0.5 * dt * k for f, k in zip(u0, k1))
-    k2 = _rhs(*u1, gamma, dx, dy)
-    u2 = tuple(f + 0.5 * dt * k for f, k in zip(u0, k2))
-    k3 = _rhs(*u2, gamma, dx, dy)
-    u3 = tuple(f + dt * k for f, k in zip(u0, k3))
-    k4 = _rhs(*u3, gamma, dx, dy)
+    def slope_at(fields, out):
+        p = _pressure_into(fields[0], fields[3], gamma, work.pressure, work.scratch)
+        _rhs(fields, p, dx, dy, out, work)
 
-    new = [f + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-           for f, a, b, c, d in zip(u0, k1, k2, k3, k4)]
+    # k1 goes straight into the new arrays; state.pressure is the same
+    # rho ** gamma * exp(S) that `slope_at` computes for the other stages.
+    _rhs(u0, state.pressure, dx, dy, new, work)
+    _stage_into(u0, new, 0.5 * dt, u)
+    slope_at(u, k)                                          # k2
+    _stage_into(u0, k, 0.5 * dt, u)
+    for acc, kf in zip(new, k):
+        kf *= 2.0
+        acc += kf
+    slope_at(u, k)                                          # k3
+    _stage_into(u0, k, dt, u)
+    for acc, kf in zip(new, k):
+        kf *= 2.0
+        acc += kf
+    slope_at(u, k)                                          # k4
+    for f, acc, kf in zip(u0, new, k):
+        acc += kf
+        acc *= dt / 6.0
+        acc += f
 
+    mask = work.mask
     for f in new:
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f, out=mask).all():
             raise NonSmoothState(f"non-finite field after step at t={state.time + dt}")
-    if np.any(new[0] <= 0.0):
+    if np.less_equal(new[0], 0.0, out=mask).any():
         raise NonSmoothState(f"density lost positivity at t={state.time + dt}")
 
+    pressure = _pressure_into(new[0], new[3], gamma, np.empty(state.shape), work.scratch)
     return GridState(rho=new[0], vx=new[1], vy=new[2], entropy=new[3],
                      gamma=gamma, origin=state.origin, spacing=state.spacing,
-                     time=state.time + dt)
+                     time=state.time + dt, pressure=pressure)
 
 
 class GuardReport(NamedTuple):
@@ -169,13 +330,20 @@ class GuardReport(NamedTuple):
     ok: bool
 
 
-def smoothness_guard(state, threshold=np.inf):
-    """Max discrete gradient norm over (rho, vx, vy, P) vs. a threshold."""
+def smoothness_guard(state, threshold=np.inf, work=None):
+    """Max discrete gradient norm over (rho, vx, vy, P) vs. a threshold.
+
+    `work` is an optional `_Workspace` for the state's shape."""
+    if work is None:
+        work = _Workspace(state.shape)
+    work.check(state)
     dx, dy = state.spacing
+    gx, gy = work.grad[0], work.grad[1]
     worst = 0.0
     for f in (state.rho, state.vx, state.vy, state.pressure):
-        g = np.hypot(_d4(f, dx, 0), _d4(f, dy, 1))
-        worst = max(worst, float(g.max()))
+        _d4_into(f, dx, 0, gx, work.edges[0], work.scratch)
+        _d4_into(f, dy, 1, gy, work.edges[1], work.scratch)
+        worst = max(worst, float(np.hypot(gx, gy, out=gx).max()))
     return GuardReport(max_grad=worst, ok=worst <= threshold)
 
 
@@ -190,11 +358,12 @@ def _lagrange_weights(u):
     return np.stack([wm1, w0, w1, w2], axis=-1)
 
 
-def interpolate_fields(state, pts, fields=None):
+def interpolate_fields(state, pts, fields=None, work=None):
     """Bicubic (separable cubic Lagrange) interpolation at points (N, 2).
 
     Periodic wrap in both axes; exact at grid nodes and for polynomials up to
-    cubic per axis.  Returns a dict of sampled arrays.
+    cubic per axis.  Returns a dict of sampled arrays.  `work` is an optional
+    `_Workspace` whose patch buffers are used.
     """
     if fields is None:
         fields = {"rho": state.rho, "vx": state.vx, "vy": state.vy,
@@ -209,13 +378,27 @@ def interpolate_fields(state, pts, fields=None):
     iy = np.floor(fy).astype(int)
     wx = _lagrange_weights(fx - ix)
     wy = _lagrange_weights(fy - iy)
-    offs = np.arange(-1, 3)
-    gx = (ix[:, None] + offs) % nx
-    gy = (iy[:, None] + offs) % ny
+    # Flat node index of the 4x4 patch of every point, built with one long
+    # add per patch entry: rows[a] + cols[b] is the node in patch row a,
+    # column b.  Every field is gathered into the same patch buffer.
+    offs = np.arange(-1, 3)[:, None]
+    rows = ix + offs                                        # (4, N)
+    rows %= nx
+    rows *= ny
+    cols = iy + offs
+    cols %= ny
+    n = len(pts)
+    flat, patch = (work.patch_buffers(n) if work is not None else
+                   (np.empty((n, 4, 4), dtype=np.intp), np.empty((n, 4, 4))))
+    for a in range(4):
+        for b in range(4):
+            np.add(rows[a], cols[b], out=flat[:, a, b])
 
     out = {}
     for name, f in fields.items():
-        patch = f[gx[:, :, None], gy[:, None, :]]          # (N, 4, 4)
+        # Indices are in range, so "clip" changes nothing; it lets take
+        # write into `patch` without an intermediate copy.
+        np.asarray(f, dtype=float).ravel().take(flat, out=patch, mode="clip")
         out[name] = np.einsum("pi,pij,pj->p", wx, patch, wy)
     return out
 
@@ -227,6 +410,15 @@ class GridFlow(FlowField):
     cached trajectory (all snapshots stay in memory, which is fine at desk
     scale).  Querying beyond the advanced time is an error: callers advance
     explicitly so that failures to integrate surface where they happen.
+
+    The first `advance_to` that steps creates a `_Workspace` for the grid
+    shape, which every later step, guard call and interpolation reuses, so a
+    step allocates only the state it returns.  A query between snapshots
+    builds one full-grid time slice; the flow holds at most one such slice,
+    keyed on (t, number of snapshots), so the RK4 stages of an advection step
+    that share a time, and the velocity, density and entropy queries of one
+    sample, build it once.  The held slice and the workspace make a grid
+    flow unsafe to query from several threads at once.
 
     Off-snapshot values in the last grid interval depend on how far the
     cache was advanced: the time stencil starts no later than
@@ -244,6 +436,8 @@ class GridFlow(FlowField):
         self.step_dt = float(step_dt)
         self.guard_threshold = float(guard_threshold)
         self._states = [initial]
+        self._work = None
+        self._slice = self._slice_key = None
 
     @property
     def t0(self):
@@ -264,12 +458,14 @@ class GridFlow(FlowField):
         the cache then ends at the last state before it.
         """
         while self.t_last < t - 1e-12:
+            if self._work is None:
+                self._work = _Workspace(self._states[0].shape)
             try:
-                nxt = step(self._states[-1], self.step_dt)
+                nxt = step(self._states[-1], self.step_dt, work=self._work)
             except NonSmoothState as exc:
                 raise SmoothnessLost(self.t_last + self.step_dt, np.nan) from exc
             if np.isfinite(self.guard_threshold):
-                report = smoothness_guard(nxt, self.guard_threshold)
+                report = smoothness_guard(nxt, self.guard_threshold, work=self._work)
                 if not report.ok:
                     raise SmoothnessLost(nxt.time, report.max_grad)
             self._states.append(nxt)
@@ -311,10 +507,16 @@ class GridFlow(FlowField):
         return None
 
     def _sample(self, t, pts, names):
-        snap = self._nearest_snapshot(t)
-        state = snap if snap is not None else self._time_slice(t)
+        state = self._nearest_snapshot(t)
+        if state is None:
+            key = (t, len(self._states))
+            if self._slice_key != key:
+                self._slice = self._slice_key = None    # free it before the next
+                self._slice = self._time_slice(t)
+                self._slice_key = key
+            state = self._slice
         fields = {n: getattr(state, n) for n in names}
-        return interpolate_fields(state, pts, fields)
+        return interpolate_fields(state, pts, fields, work=self._work)
 
     def velocity(self, t, pts):
         pts = self._pts(pts)

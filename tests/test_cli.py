@@ -386,6 +386,35 @@ def test_non_finite_horizon_and_step_rejected(tmp_path, capsys, line, key):
     assert f"key '{key}'" in _single_error(capsys)
 
 
+# Each of these passed `load_config` and either failed naming no key
+# ("cannot convert float NaN to integer", a bound of nan on 'q') or ran to
+# exit 0 with Q0 = +-inf; s0 = inf gave a false VIOLATION from `run`.
+@pytest.mark.parametrize("line, key", [
+    ("M = nan", "M"), ("M = inf", "M"), ("volume.radius = nan", "volume.radius"),
+    ("flow.P0 = nan", "flow.P0"), ("gamma = nan", "gamma"), ("s0 = inf", "s0"),
+    ("s0 = -inf", "s0"), ("flow.rho0 = inf", "flow.rho0"),
+    ("volume.center = nan, 0.0", "volume.center"), ("sweep.q = -8.0, nan", "sweep.q"),
+])
+def test_non_finite_floats_rejected(tmp_path, capsys, line, key):
+    path = _write(tmp_path, MINI_CONFIG + line + "\n")
+    with pytest.raises(ConfigError, match=f"key '{key}' must be finite"):
+        load_config(path)
+    for command in ("criteria", "run"):
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"key '{key}'" in _single_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_max_grad_default_is_no_guard(tmp_path):
+    text = (CONFIG_DIR / "radial_inflow.cfg").read_text()
+    path = _write(tmp_path, text.replace("flow.grid.max_grad = 50.0\n", ""))
+    assert load_config(path).flow_params["max_grad"] == math.inf
+    path = _write(tmp_path, text + "flow.grid.max_grad = nan\n")
+    with pytest.raises(ConfigError, match="key 'flow.grid.max_grad' must be finite"):
+        load_config(path)
+
+
 # No gradient guard: the solver itself breaks down (a non-finite field after
 # the step to t = 0.99), which used to escape `run` as a traceback.
 BLOWUP_CONFIG = """

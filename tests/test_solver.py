@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from volflow import solver
 from volflow.flowfield import make_analytic_flow
 from volflow.solver import (GridFlow, GridState, NonSmoothState, SmoothnessLost,
                             interpolate_fields, smoothness_guard, step)
@@ -233,3 +236,204 @@ def test_grid_flow_breakdown_is_lost_smoothness():
     assert np.isnan(exc.value.max_grad)
     assert flow.t_last == pytest.approx(0.144)
     assert all(np.all(np.isfinite(s.vx)) for s in flow.states)
+
+
+# -- bitwise references --------------------------------------------------------
+# Plain NumPy versions of the stepper and the interpolation: np.roll
+# stencils, fresh arrays for every stage, one fancy-index gather per field.
+# The buffered code performs the same operations in the same order, so it
+# must agree bit for bit.
+
+def _reference_d4(f, h, axis):
+    return (8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
+            - (np.roll(f, -2, axis) - np.roll(f, 2, axis))) / (12.0 * h)
+
+
+def _reference_rhs(rho, vx, vy, entropy, gamma, dx, dy):
+    p = rho ** gamma * np.exp(entropy)
+    rho_x, rho_y = _reference_d4(rho, dx, 0), _reference_d4(rho, dy, 1)
+    vx_x, vx_y = _reference_d4(vx, dx, 0), _reference_d4(vx, dy, 1)
+    vy_x, vy_y = _reference_d4(vy, dx, 0), _reference_d4(vy, dy, 1)
+    s_x, s_y = _reference_d4(entropy, dx, 0), _reference_d4(entropy, dy, 1)
+    p_x, p_y = _reference_d4(p, dx, 0), _reference_d4(p, dy, 1)
+    div = vx_x + vy_y
+    drho = -(vx * rho_x + vy * rho_y) - rho * div
+    dvx = -(vx * vx_x + vy * vx_y) - p_x / rho
+    dvy = -(vx * vy_x + vy * vy_y) - p_y / rho
+    ds = -(vx * s_x + vy * s_y)
+    return drho, dvx, dvy, ds
+
+
+def _reference_step(state, dt):
+    """Fields (rho, vx, vy, S, P) after one RK4 step."""
+    dx, dy = state.spacing
+    gamma = state.gamma
+    u0 = (state.rho, state.vx, state.vy, state.entropy)
+    k1 = _reference_rhs(*u0, gamma, dx, dy)
+    u1 = tuple(f + 0.5 * dt * k for f, k in zip(u0, k1))
+    k2 = _reference_rhs(*u1, gamma, dx, dy)
+    u2 = tuple(f + 0.5 * dt * k for f, k in zip(u0, k2))
+    k3 = _reference_rhs(*u2, gamma, dx, dy)
+    u3 = tuple(f + dt * k for f, k in zip(u0, k3))
+    k4 = _reference_rhs(*u3, gamma, dx, dy)
+    new = [f + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+           for f, a, b, c, d in zip(u0, k1, k2, k3, k4)]
+    return (*new, new[0] ** gamma * np.exp(new[3]))
+
+
+def _reference_cfl_limit(state):
+    c = np.sqrt(state.gamma * state.pressure / state.rho)
+    return 0.4 * min(state.spacing) / float((np.hypot(state.vx, state.vy) + c).max())
+
+
+def _reference_interpolate(state, pts, names):
+    nx, ny = state.shape
+    dx, dy = state.spacing
+    fx = (pts[:, 0] - state.origin[0]) / dx
+    fy = (pts[:, 1] - state.origin[1]) / dy
+    ix = np.floor(fx).astype(int)
+    iy = np.floor(fy).astype(int)
+    wx = solver._lagrange_weights(fx - ix)
+    wy = solver._lagrange_weights(fy - iy)
+    offs = np.arange(-1, 3)
+    gx = (ix[:, None] + offs) % nx
+    gy = (iy[:, None] + offs) % ny
+    out = {}
+    for name in names:
+        patch = getattr(state, name)[gx[:, :, None], gy[:, None, :]]
+        out[name] = np.einsum("pi,pij,pj->p", wx, patch, wy)
+    return out
+
+
+def random_smooth_state(shape, gamma, seed, spacing=None):
+    """A few random periodic Fourier modes per field; density stays positive."""
+    rng = np.random.default_rng(seed)
+    nx, ny = shape
+    x, y = np.meshgrid(np.arange(nx) / nx, np.arange(ny) / ny, indexing="ij")
+
+    def field(amp):
+        out = np.zeros(shape)
+        for kx, ky in rng.integers(-3, 4, size=(4, 2)):
+            out += amp * rng.uniform(-1, 1) * np.cos(
+                2 * np.pi * (kx * x + ky * y) + rng.uniform(0, 2 * np.pi))
+        return out
+
+    if spacing is None:
+        spacing = (1.0 / nx, 1.0 / ny)
+    return GridState(rho=1.0 + np.abs(field(0.1)), vx=field(0.3), vy=field(0.3),
+                     entropy=field(0.2), gamma=gamma, origin=(-0.3, 0.7),
+                     spacing=spacing, time=0.0)
+
+
+BITWISE_CASES = [((16, 16), None), ((32, 32), None), ((32, 48), (0.03, 0.0175))]
+
+
+@pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+@pytest.mark.parametrize("shape, spacing", BITWISE_CASES)
+def test_step_matches_reference_bitwise(shape, spacing, gamma):
+    st = random_smooth_state(shape, gamma, seed=sum(shape), spacing=spacing)
+    dx, dy = st.spacing
+    for f in (st.rho, st.vx, st.pressure):
+        assert np.array_equal(solver._d4(f, dx, 0), _reference_d4(f, dx, 0))
+        assert np.array_equal(solver._d4(f, dy, 1), _reference_d4(f, dy, 1))
+    assert st.cfl_limit() == _reference_cfl_limit(st)
+    dt = 0.5 * st.cfl_limit()
+    # Three steps through one workspace, then one without: buffers left over
+    # from an earlier step must not leak into the next.
+    work = solver._Workspace(st.shape)
+    ref = st
+    for _ in range(3):
+        want = _reference_step(ref, dt)
+        st = step(st, dt, work=work)
+        for name, w in zip(("rho", "vx", "vy", "entropy", "pressure"), want):
+            assert np.array_equal(getattr(st, name), w), name
+        ref = GridState(rho=want[0], vx=want[1], vy=want[2], entropy=want[3],
+                        gamma=gamma, origin=st.origin, spacing=st.spacing, time=st.time)
+        assert st.cfl_limit(work=work) == _reference_cfl_limit(ref)
+    fresh = step(st, dt)
+    want = _reference_step(st, dt)
+    assert all(np.array_equal(getattr(fresh, n), w)
+               for n, w in zip(("rho", "vx", "vy", "entropy", "pressure"), want))
+    guard = smoothness_guard(st, work=work)
+    assert guard.max_grad == max(
+        float(np.hypot(_reference_d4(f, dx, 0), _reference_d4(f, dy, 1)).max())
+        for f in (st.rho, st.vx, st.vy, st.pressure))
+
+
+@pytest.mark.parametrize("shape, spacing", BITWISE_CASES)
+def test_interpolation_matches_reference_bitwise(shape, spacing):
+    st = random_smooth_state(shape, 1.4, seed=7, spacing=spacing)
+    nx, ny = st.shape
+    dx, dy = st.spacing
+    rng = np.random.default_rng(3)
+    # Points inside the box and up to one period outside it on either side.
+    pts = np.column_stack([st.origin[0] + rng.uniform(-1, 2, 500) * nx * dx,
+                           st.origin[1] + rng.uniform(-1, 2, 500) * ny * dy])
+    names = ("rho", "vx", "vy", "entropy")
+    want = _reference_interpolate(st, pts, names)
+    work = solver._Workspace(st.shape)
+    # Fresh arrays, then a workspace's patch buffers: grown to 500 points,
+    # then used in part for 37.
+    for got in (interpolate_fields(st, pts), interpolate_fields(st, pts, work=work)):
+        assert all(np.array_equal(got[n], want[n]) for n in names)
+    got = interpolate_fields(st, pts[:37], work=work)
+    assert all(np.array_equal(got[n], want[n][:37]) for n in names)
+    # An integer-valued field is gathered as floats.
+    ints = np.arange(nx * ny).reshape(nx, ny) % 7
+    got = interpolate_fields(st, pts, {"k": ints}, work=work)["k"]
+    assert np.array_equal(got, interpolate_fields(st, pts, {"k": ints.astype(float)})["k"])
+
+
+def test_grid_flow_snapshots_own_their_memory():
+    flow = GridFlow(random_smooth_state((32, 32), 1.4, seed=1), step_dt=1e-3,
+                    guard_threshold=1e6)
+    flow.advance_to(3e-3)
+    a, b = flow.states[-2:]
+    buffers = [buf for group in (flow._work.stage, flow._work.slope, flow._work.grad)
+               for buf in group] + [flow._work.pressure, flow._work.scratch]
+    buffers += [buf for edges in flow._work.edges for buf in edges]
+    names = ("rho", "vx", "vy", "entropy", "pressure")
+    for x in names:
+        for y in names:
+            assert not np.shares_memory(getattr(a, x), getattr(b, y))
+            assert x == y or not np.shares_memory(getattr(b, x), getattr(b, y))
+        for buf in buffers:
+            assert not np.shares_memory(getattr(b, x), buf)
+
+
+def test_off_snapshot_query_survives_cache_growth():
+    st = random_smooth_state((32, 32), 1.4, seed=2)
+    pts = np.array([[-0.1, 0.9], [0.35, 1.2], [0.5, 1.5]])
+    flow = GridFlow(st, step_dt=2e-3)
+    flow.advance_to(0.02)
+    t = 0.0111                                # well inside the cached run
+    before = (flow.velocity(t, pts), flow.density(t, pts), flow.entropy(t, pts))
+    t_last = 0.0195                           # inside the last grid interval
+    last_before = flow.density(t_last, pts)
+    flow.advance_to(0.04)
+    # The slice held for t_last is rebuilt once the cache grows: its value is
+    # the one a flow advanced this far gives, not the one seen before.
+    last_after = flow.density(t_last, pts)
+    other = GridFlow(st, step_dt=2e-3)
+    other.advance_to(0.04)
+    assert np.array_equal(last_after, other.density(t_last, pts))
+    assert not np.array_equal(last_after, last_before)
+    after = (flow.velocity(t, pts), flow.density(t, pts), flow.entropy(t, pts))
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    slice_fields = solver.interpolate_fields(flow._time_slice(t), pts)
+    assert np.array_equal(flow.density(t, pts), slice_fields["rho"])
+
+
+def test_step_with_workspace_allocates_only_the_new_state():
+    st = random_smooth_state((64, 64), 1.4, seed=4)
+    dt = 0.5 * st.cfl_limit()
+    work = solver._Workspace(st.shape)
+    step(st, dt, work=work)                   # first touch of the buffers
+    tracemalloc.start()
+    try:
+        new = step(st, dt, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert new.rho.shape == (64, 64)
+    assert peak < 8 * st.rho.nbytes
