@@ -77,7 +77,7 @@ def _criteria_pairs(cfg, inp, report):
     pairs = [
         ("report", "criteria"), ("name", cfg.name),
         ("dimension", cfg.dimension), ("gamma", cfg.gamma), ("q", cfg.q),
-        ("epsilon", cfg.epsilon), ("T", cfg.T), ("M", cfg.M), ("s0", cfg.s0),
+        ("epsilon", cfg.epsilon), ("T", cfg.T), ("M", cfg.M), ("s0", inp.s0),
         ("m", inp.m), ("E", inp.E), ("G0", inp.G0), ("d_init", inp.d_init),
         ("sigma_n", report.sigma_n), ("C1", report.C1), ("C3", report.C3),
         ("C", report.C), ("Q0", report.Q0), ("R0", report.R0),
@@ -117,8 +117,8 @@ def _cmd_run(scenario, out_dir):
         ("T", cfg.T), ("dt", cfg.dt), ("epsilon", cfg.epsilon), ("q", cfg.q),
         ("M", cfg.M), ("case", report.criteria.case),
         ("Q0", report.criteria.Q0), ("R0", report.criteria.R0),
-        ("delta", report.criteria.delta), ("cond10", report.cond10_value),
-        ("cond10_holds", report.cond10_holds), ("nec_ok", report.criteria.nec_ok),
+        ("delta", report.criteria.delta), ("cond10", report.criteria.cond10),
+        ("cond10_holds", report.criteria.cond10_holds), ("nec_ok", report.criteria.nec_ok),
         ("E_drift", report.E_drift), ("reg_max", report.reg_max),
         ("bounds_checked", report.bounds_checked),
         ("bounds_failed", len(report.bounds_failures)),

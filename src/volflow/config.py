@@ -1,17 +1,20 @@
 """Scenario configuration: flat dotted-key text files and builders.
 
 The format is one `key = value` pair per line with `#` comments.  Values are
-parsed as booleans, integers, floats, comma-separated float tuples,
-semicolon-separated point lists, or plain strings -- whichever matches first.
-Grid initial fields are numpy expressions over the node coordinates x, y and
-the radius r, evaluated in a restricted namespace.
+parsed as integers, floats, comma-separated tuples, semicolon-separated point
+lists, or plain strings -- whichever matches first.  Grid initial fields are
+numpy expressions over the node coordinates x, y and the radius r, evaluated
+in a restricted namespace.
 
 Every parsed key is read or rejected: `load_config` fails naming the first
 key it did not read (a typo, a key of another flow or shape kind, or a
 removed setting), so no line of a config silently means nothing.  Every
 float and float-tuple value goes through one reader, `_as_floats`, which
 rejects NaN and +-inf naming the key; only an absent `flow.grid.max_grad`
-means inf (no gradient guard).
+means inf (no gradient guard).  Integer values go through `_int`, which
+rejects anything but an integer literal (2.0, 2.5, inf, nan, true) naming the
+key.  The entropy floor s0 is not a setting: it comes from the flow
+(`FlowField.entropy_floor`).
 
 All attainment preconditions (admissible q, epsilon below the initial
 boundary distance, nonnegative M) are validated at load time so a bad
@@ -55,13 +58,6 @@ class ConfigError(ValueError):
 
 
 def _parse_scalar(text):
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    if low in ("inf", "infinity"):
-        return math.inf
     try:
         return int(text)
     except ValueError:
@@ -130,7 +126,6 @@ class ScenarioConfig:
     q: float
     T: float
     M: float
-    s0: float
     dt: float
     sample_stride: int
     verify_times: tuple
@@ -172,13 +167,21 @@ def _float(raw, key, default=None):
     return _as_floats(value, key)[0]
 
 
+def _int(raw, key, default=None):
+    """The integer literal under `key`, or `default` when given and absent."""
+    value = _need(raw, key) if default is None else raw.get(key, default)
+    if type(value) is not int:
+        raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
+    return value
+
+
 def load_config(path):
     """Read, type-check and precondition-check a scenario file."""
     path = Path(path)
     raw = _ReadKeys(parse_kv_text(path.read_text()))
     name = str(raw.get("name", path.stem))
 
-    dimension = _need(raw, "dimension")
+    dimension = _int(raw, "dimension")
     if dimension not in (2, 3):
         raise ConfigError("key 'dimension' must be 2 or 3")
     gamma = _float(raw, "gamma")
@@ -205,11 +208,10 @@ def load_config(path):
     reg_const = _float(raw, "M")
     if reg_const < 0.0:
         raise ConfigError("key 'M' must be nonnegative")
-    s0 = _float(raw, "s0", 0.0)
     dt = _float(raw, "dt", 1e-3)
     if not dt > 0.0:
         raise ConfigError(f"key 'dt' must be positive and finite, got {dt}")
-    stride = int(raw.get("sample.stride", 10))
+    stride = _int(raw, "sample.stride", 10)
     if stride < 1:
         raise ConfigError("key 'sample.stride' must be at least 1")
 
@@ -229,7 +231,7 @@ def load_config(path):
     cfg = ScenarioConfig(
         name=name, dimension=dimension, gamma=gamma, flow_kind=kind,
         flow_params=flow_params, volume=volume, x0=x0, epsilon=epsilon, q=qexp,
-        T=horizon, M=reg_const, s0=s0, dt=dt, sample_stride=stride,
+        T=horizon, M=reg_const, dt=dt, sample_stride=stride,
         verify_times=verify_times,
         sweep_q=_as_floats(raw.get("sweep.q", ()), "sweep.q") if raw.get("sweep.q") else (),
         sweep_epsilon=_as_floats(raw.get("sweep.epsilon", ()), "sweep.epsilon")
@@ -260,7 +262,7 @@ def _flow_params(raw, kind, dimension):
     if dimension != 2:
         raise ConfigError("key 'flow.kind': grid flows are 2-D only")
     params = {
-        "n": int(_need(raw, "flow.grid.n")),
+        "n": _int(raw, "flow.grid.n"),
         "box": _as_floats(_need(raw, "flow.grid.box"), "flow.grid.box", 2),
         "dt": _float(raw, "flow.grid.dt"),
         "rho": str(_need(raw, "flow.grid.rho")),
@@ -280,9 +282,11 @@ def _volume_spec(raw, dimension):
     shape = _need(raw, "volume.shape")
     center = _as_floats(raw.get("volume.center", (0.0,) * dimension),
                         "volume.center", dimension)
-    markers = int(raw.get("volume.markers", 256))
-    quad_order = int(raw.get("volume.quad_order", 40))
-    refine = int(raw.get("volume.refine", 3))
+    markers = _int(raw, "volume.markers", 256)
+    quad_order = _int(raw, "volume.quad_order", 40)
+    if quad_order < 1:
+        raise ConfigError("key 'volume.quad_order' must be at least 1")
+    refine = _int(raw, "volume.refine", 3)
     if shape == "disk":
         spec = dict(center=center, radius=_float(raw, "volume.radius"),
                     markers=markers, quad_order=quad_order)
@@ -336,8 +340,7 @@ def build_flow(cfg):
                       vy=_eval_field(p["vy"], x, y),
                       entropy=_eval_field(p["S"], x, y),
                       gamma=cfg.gamma, origin=(lo, lo), spacing=(h, h), time=0.0)
-    return GridFlow(state, step_dt=p["dt"], guard_threshold=p["max_grad"],
-                    entropy_floor=cfg.s0)
+    return GridFlow(state, step_dt=p["dt"], guard_threshold=p["max_grad"])
 
 
 def build_volume(cfg, flow):
@@ -347,7 +350,8 @@ def build_volume(cfg, flow):
 @dataclass(frozen=True)
 class Scenario:
     """A built scenario: its flow and volume at time zero, the power-law
-    profile, the time-zero sample and the threshold inputs taken from them.
+    profile, the time-zero sample `sample0` and the threshold inputs taken
+    from them (the entropy floor `inp.s0` is the flow's).
 
     A grid flow is shared, not copied: advancing it for one use advances it
     for every later use of the same scenario.
@@ -357,7 +361,7 @@ class Scenario:
     flow: FlowField
     vol: MaterialVolume
     phi: PhiSpec
-    s0: FunctionalSample
+    sample0: FunctionalSample
     inp: CriteriaInputs
 
 
@@ -367,9 +371,9 @@ def build_scenario(cfg):
     flow = build_flow(cfg)
     vol = build_volume(cfg, flow)
     phi = PhiSpec.power_law(cfg.q)
-    s0 = sample(flow, vol, phi, cfg.epsilon)
+    sample0 = sample(flow, vol, phi, cfg.epsilon)
     inp = CriteriaInputs(
-        q=cfg.q, gamma=cfg.gamma, n=cfg.dimension, s0=cfg.s0, m=s0.m, E=s0.E,
-        M=cfg.M, epsilon=cfg.epsilon, T=cfg.T, G0=s0.G,
+        q=cfg.q, gamma=cfg.gamma, n=cfg.dimension, s0=flow.entropy_floor, m=sample0.m,
+        E=sample0.E, M=cfg.M, epsilon=cfg.epsilon, T=cfg.T, G0=sample0.G,
         cond10=condition10(vol, flow, cfg.q), d_init=boundary_distance(vol))
-    return Scenario(cfg=cfg, flow=flow, vol=vol, phi=phi, s0=s0, inp=inp)
+    return Scenario(cfg=cfg, flow=flow, vol=vol, phi=phi, sample0=sample0, inp=inp)

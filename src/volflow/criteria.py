@@ -1,8 +1,9 @@
 """Threshold algebra: constants, the sign quantity Q, and the delta cases.
 
-Given the time-zero data of a volume (mass m, energy E, moment G0, the
-integral cond10 of the inward mass flux moment) plus the scenario constants
-(q, epsilon, T, M, s0, gamma, n), this module classifies the sign case of
+Given the time-zero data of a scenario (the volume's mass m, energy E,
+moment G0 and the integral cond10 of the inward mass flux moment, and the
+flow's entropy floor s0) plus the scenario constants (q, epsilon, T, M,
+gamma, n), this module classifies the sign case of
 
     Q0 = 2 m E / (1 + |q|) * (1 + eps*M/(2E)
          - |q+n-2| * C * G0^gamma / (2E) * eps^(-(q*gamma + n*(gamma-1))))
@@ -175,20 +176,19 @@ def constants(q, gamma, n, s0):
     return Constants(sigma_n=sigma_n, C1=c1, C3=c3, C=c1 * c3)
 
 
-def threshold_q(q, gamma, n, c, m, energy, reg_const, epsilon, g):
-    """The sign quantity Q for a moment value g (time-zero or monitored)."""
-    aq = abs(q)
-    lead = 2.0 * m * energy / (1.0 + aq)
+def threshold_q(inp, c, g):
+    """The sign quantity Q of `inp` for a moment value g (time-zero or monitored)."""
+    q, gamma, n, epsilon, energy = inp.q, inp.gamma, inp.n, inp.epsilon, inp.E
+    lead = 2.0 * inp.m * energy / (1.0 + abs(q))
     power = epsilon ** (-(q * gamma + n * (gamma - 1.0)))
-    bracket = (1.0 + epsilon * reg_const / (2.0 * energy)
+    bracket = (1.0 + epsilon * inp.M / (2.0 * energy)
                - abs(q + n - 2.0) * c * g ** gamma / (2.0 * energy) * power)
     return lead * bracket
 
 
 def q_and_r(inp, c):
     """Q at time zero and R0 = sqrt(|Q0|)."""
-    q0 = threshold_q(inp.q, inp.gamma, inp.n, c, inp.m, inp.E, inp.M,
-                     inp.epsilon, inp.G0)
+    q0 = threshold_q(inp, c, inp.G0)
     return q0, math.sqrt(abs(q0))
 
 

@@ -76,9 +76,9 @@ class FlowField:
             raise ValueError(f"adiabatic exponent must exceed 1, got {gamma}")
         self.dimension = int(dimension)
         self.gamma = float(gamma)
-        # Floor of the initial entropy over the whole space.  This is a
-        # scenario-level datum: a finite volume cannot see the global minimum,
-        # so it is supplied, not inferred.
+        # Floor of the initial entropy over the whole space, the s0 of the
+        # threshold algebra.  A finite volume cannot see the global minimum,
+        # so each flow computes it from its own initial data.
         self.entropy_floor = float(entropy_floor)
 
     # -- evaluators ---------------------------------------------------------
@@ -127,7 +127,6 @@ class ConstantFlow(FlowField):
         self.rho0 = rho0
         self.vel0 = vel0
         self.p0 = p0
-        self.s0 = s0
 
     def velocity(self, t, pts):
         pts = self._pts(pts)
@@ -141,7 +140,7 @@ class ConstantFlow(FlowField):
 
     def entropy(self, t, pts):
         pts = self._pts(pts)
-        return np.full(pts.shape[:-1], self.s0)
+        return np.full(pts.shape[:-1], self.entropy_floor)
 
 
 class ExpansionFlow(FlowField):
@@ -160,9 +159,8 @@ class ExpansionFlow(FlowField):
             raise ValueError("rho0 must be positive")
         if t_c <= 0.0:
             raise ValueError("t_c must be positive")
-        super().__init__(dimension, gamma, entropy_floor=float(s0))
+        super().__init__(dimension, gamma, entropy_floor=s0)
         self.rho0 = rho0
-        self.s0 = float(s0)
         self.t_c = t_c
 
     def check_time(self, t):
@@ -183,7 +181,7 @@ class ExpansionFlow(FlowField):
     def entropy(self, t, pts):
         self.check_time(t)
         pts = self._pts(pts)
-        return np.full(pts.shape[:-1], self.s0)
+        return np.full(pts.shape[:-1], self.entropy_floor)
 
 
 _ANALYTIC_KINDS = ("constant", "expansion")
@@ -203,7 +201,7 @@ def make_analytic_flow(kind, dimension, gamma, parameters):
     if kind == "expansion":
         return ExpansionFlow(dimension, gamma,
                              rho0=parameters["rho0"],
-                             s0=parameters.get("S0", 0.0),
+                             s0=parameters["S0"],
                              t_c=parameters["t_c"])
     raise ValueError(f"unknown analytic flow kind {kind!r} (expected one of {_ANALYTIC_KINDS})")
 

@@ -427,10 +427,9 @@ class GridFlow(FlowField):
     2.3946889921718872 to 2.3946889920732484.
     """
 
-    def __init__(self, initial, step_dt, guard_threshold=np.inf,
-                 entropy_floor=None):
-        floor = float(initial.entropy.min()) if entropy_floor is None else entropy_floor
-        super().__init__(2, initial.gamma, entropy_floor=floor)
+    def __init__(self, initial, step_dt, guard_threshold=np.inf):
+        # The grid is the whole (periodic) space, so its minimum is the floor.
+        super().__init__(2, initial.gamma, entropy_floor=initial.entropy.min())
         if step_dt <= 0.0:
             raise ValueError("step_dt must be positive")
         self.step_dt = float(step_dt)

@@ -4,15 +4,16 @@ Three layers:
 
 * pointwise identity/inequality checks on a (flow, volume) snapshot: the
   time-derivative identities for the moment G against centered differences,
-  the Cauchy-Schwarz moment inequality (generic and sharp power-law form),
+  the Cauchy-Schwarz moment inequality (one check per profile: the sharp
+  |q|/(|q|+1) form for a power law, the generic sup-ratio form otherwise),
   and the density-moment lower bound, plus the per-sample bounds chain;
 * the comparison-ODE oracle: closed-form blow-up times for the three sign
   cases of Q against an independent fixed-step RK4 integration of the same
   ODE on the compactified angle arctan(F/c), where blow-up is the regular
   crossing of pi/2;
-* end-to-end scenarios: advance a volume to its horizon, sample everything,
-  detect boundary attainment (with bisection refinement), and classify the
-  outcome against the threshold prediction.
+* end-to-end scenarios: advance a built scenario's volume to its horizon,
+  sample everything, detect boundary attainment (with bisection refinement),
+  and classify the outcome against the threshold prediction.
 
 A scenario can only be scored a VIOLATION when the undershoot condition held,
 the regularity and energy-drift hypotheses survived the run, and no hit
@@ -28,7 +29,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import criteria as crit_mod
-from .config import ScenarioConfig, build_scenario
 from .criteria import CriteriaInputs, threshold_q
 from .functionals import TargetReached, sample
 from .matvol import _advect_any, boundary_distance, volume_integral_plain
@@ -71,7 +71,6 @@ TOLERANCES = {
     "d2G_dt2_decomposition": 1e-3,
     "moment_cauchy_schwarz": 1e-10,
     "moment_cauchy_schwarz_power": 1e-10,
-    "moment_cauchy_schwarz_printed": 1e-10,
     "density_moment_lower_bound": 1e-10,
     "f_energy_bound": 1e-10,
     "i2_energy_bound": 1e-10,
@@ -122,9 +121,10 @@ def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
     Centered differences of the moment G over +-h (markers re-advected by a
     single RK4 step each way) are compared with the quadrature values of its
     first and second derivatives; then the Cauchy-Schwarz moment inequality
-    (generic form, and for power laws the sharp |q|/(|q|+1) form together
-    with the weaker printed (|q|+1)/|q| variant) and the density-moment lower
-    bound are verified.
+    F^2 <= sup(phi'^2/(phi'' phi)) G I1 is verified once, and for power laws
+    the density-moment lower bound.  For a power law the sup ratio is
+    |q|/(|q|+1) exactly, so its check is the sharp `..._power` form; the
+    generic form, with the ratio sampled at the nodes, serves other profiles.
     """
     t = vol.time
     s = sample(flow, vol, phi, epsilon)
@@ -146,36 +146,35 @@ def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
     if np.any(p_d2 <= 0.0) or np.any(p_val <= 0.0):
         raise ValueError("Cauchy-Schwarz moment check needs phi > 0 and phi'' > 0 "
                          "at all nodes")
-    sup_ratio = float(np.max(p_d1 ** 2 / (p_d2 * p_val)))
-    reports.append(_ineq_report("moment_cauchy_schwarz",
-                                s.F ** 2, sup_ratio * s.G * s.I1, t))
+    if not phi.is_power_law:
+        sup_ratio = float(np.max(p_d1 ** 2 / (p_d2 * p_val)))
+        reports.append(_ineq_report("moment_cauchy_schwarz",
+                                    s.F ** 2, sup_ratio * s.G * s.I1, t))
+        return reports
 
-    if phi.is_power_law:
-        aq = abs(phi.q)
-        reports.append(_ineq_report("moment_cauchy_schwarz_power",
-                                    s.F ** 2, aq / (aq + 1.0) * s.G * s.I1, t))
-        reports.append(_ineq_report("moment_cauchy_schwarz_printed",
-                                    s.F ** 2, (aq + 1.0) / aq * s.G * s.I1, t))
+    aq = abs(phi.q)
+    reports.append(_ineq_report("moment_cauchy_schwarz_power",
+                                s.F ** 2, aq / (aq + 1.0) * s.G * s.I1, t))
 
-        d = boundary_distance(vol)
-        if d < epsilon:
-            raise ValueError(
-                f"density-moment bound needs dist(boundary, x0) >= epsilon "
-                f"(have {d} < {epsilon})")
-        consts = crit_mod.constants(phi.q, flow.gamma, vol.dim, flow.entropy_floor)
-        gamma = flow.gamma
-        x0 = vol.x0
+    d = boundary_distance(vol)
+    if d < epsilon:
+        raise ValueError(
+            f"density-moment bound needs dist(boundary, x0) >= epsilon "
+            f"(have {d} < {epsilon})")
+    consts = crit_mod.constants(phi.q, flow.gamma, vol.dim, flow.entropy_floor)
+    gamma = flow.gamma
+    x0 = vol.x0
 
-        def integrand(pts):
-            rr = np.linalg.norm(pts - x0, axis=1)
-            rho = np.asarray(flow.density(vol.time, pts), dtype=float)
-            return rr ** (phi.q - 2.0) * rho ** gamma
+    def integrand(pts):
+        rr = np.linalg.norm(pts - x0, axis=1)
+        rho = np.asarray(flow.density(vol.time, pts), dtype=float)
+        return rr ** (phi.q - 2.0) * rho ** gamma
 
-        lhs_int = volume_integral_plain(vol, integrand, flow)
-        expo = -((phi.q + vol.dim) * (gamma - 1.0) + 2.0)
-        bound = consts.C1 * s.G ** gamma * epsilon ** expo
-        reports.append(_ineq_report("density_moment_lower_bound",
-                                    bound, lhs_int, t))
+    lhs_int = volume_integral_plain(vol, integrand, flow)
+    expo = -((phi.q + vol.dim) * (gamma - 1.0) + 2.0)
+    bound = consts.C1 * s.G ** gamma * epsilon ** expo
+    reports.append(_ineq_report("density_moment_lower_bound",
+                                bound, lhs_int, t))
     return reports
 
 
@@ -196,6 +195,14 @@ def bounds_chain(s):
     ]
 
 
+def _comparison_coefficients(inp):
+    """a = (|q|+1)/(|q| eps^q m) and k = q^2 eps^(2q-2) of the comparison ODE
+    F' = a (F^2 - k Q)."""
+    aq = abs(inp.q)
+    return ((aq + 1.0) / (aq * inp.epsilon ** inp.q * inp.m),
+            inp.q ** 2 * inp.epsilon ** (2.0 * inp.q - 2.0))
+
+
 def check_inequality17(series, inp, c):
     """Master differential inequality along a uniformly sampled series.
 
@@ -213,17 +220,14 @@ def check_inequality17(series, inp, c):
     if not np.allclose(np.diff(ts), dt, rtol=1e-9, atol=1e-12):
         raise ValueError("samples must be uniformly spaced")
 
-    aq = abs(inp.q)
-    a_coef = (aq + 1.0) / (aq * inp.epsilon ** inp.q * inp.m)
+    a_coef, k_coef = _comparison_coefficients(inp)
     third = np.abs(np.diff(fs, n=3)) / dt ** 3 if len(fs) >= 4 else np.array([0.0])
     f3_scale = float(third.max()) if third.size else 0.0
 
     reports = []
     for i in range(1, len(series) - 1):
         fd = (fs[i + 1] - fs[i - 1]) / (2.0 * dt)
-        q_t = threshold_q(inp.q, inp.gamma, inp.n, c, inp.m, inp.E, inp.M,
-                          inp.epsilon, gs[i])
-        bound = a_coef * (fs[i] ** 2 - inp.q ** 2 * inp.epsilon ** (2.0 * inp.q - 2.0) * q_t)
+        bound = a_coef * (fs[i] ** 2 - k_coef * threshold_q(inp, c, gs[i]))
         trunc = dt ** 2 / 6.0 * f3_scale
         tol = max(2.0 * trunc, 1e-9 * max(abs(fd), abs(bound), 1.0))
         slack = fd - bound
@@ -284,9 +288,8 @@ def blowup_oracle(f0, q0, inp):
     characteristic times.  The numeric side never reads the closed form.
     Both entries are None when the trajectory never escapes.
     """
-    aq = abs(inp.q)
-    a = (aq + 1.0) / (aq * inp.epsilon ** inp.q * inp.m)
-    b2_signed = inp.q ** 2 * inp.epsilon ** (2.0 * inp.q - 2.0) * q0
+    a, k = _comparison_coefficients(inp)
+    b2_signed = k * q0
     b = math.sqrt(abs(b2_signed))
     f0 = float(f0)
     closed = _closed_form_blowup(f0, float(q0), a, b)
@@ -389,8 +392,6 @@ class TheoremReport:
     """Outcome of one scenario against the attainment prediction."""
 
     criteria: crit_mod.CriteriaReport
-    cond10_value: float
-    cond10_holds: bool
     hit_time: Optional[float]
     horizon: float
     E_drift: float
@@ -416,51 +417,45 @@ def _refine_hit(vol_prev, flow, t_lo, t_hi, epsilon, dt):
 
 
 def run_theorem_scenario(scenario):
-    """Advance a scenario to min(horizon, hit time) and report.
+    """Advance a built `config.Scenario` to min(horizon, hit time) and report.
 
-    `scenario` is a built `config.Scenario`, or a `ScenarioConfig` to build
-    one from.  The comparison against the threshold uses time-zero data only;
-    the run itself monitors the bounds chain, the regularity flux and the
-    energy drift, and refines any boundary attainment by bisection.
+    The comparison against the threshold uses time-zero data only (the
+    scenario's `inp`); the run itself monitors the bounds chain, the
+    regularity flux and the energy drift, and refines any boundary attainment
+    by bisection.
     """
-    if isinstance(scenario, ScenarioConfig):
-        scenario = build_scenario(scenario)
-    cfg, flow, vol, phi, s0, inp = (scenario.cfg, scenario.flow, scenario.vol,
-                                    scenario.phi, scenario.s0, scenario.inp)
+    cfg, flow, vol, phi = scenario.cfg, scenario.flow, scenario.vol, scenario.phi
+    sample0, inp = scenario.sample0, scenario.inp
     detail = ""
-    horizon = cfg.T
+    horizon = inp.T
     if isinstance(flow, GridFlow):
         try:
-            flow.advance_to(cfg.T)
+            flow.advance_to(inp.T)
         except SmoothnessLost as exc:
             horizon = flow.t_last
             detail = f"smoothness lost at t={exc.time}; "
 
     report_c = crit_mod.evaluate(inp)
 
-    def q_monitor(g):
-        return threshold_q(cfg.q, cfg.gamma, cfg.dimension, report_c.C,
-                           s0.m, s0.E, cfg.M, cfg.epsilon, g)
-
     def record(s, dist):
         return SeriesRow(t=s.t, m=s.m, E=s.E, G=s.G, F=s.F, I1=s.I1, I2=s.I2,
                          I3=s.I3, I4=s.I4, reg=s.reg, dist=dist,
-                         Qq=q_monitor(s.G))
+                         Qq=threshold_q(inp, report_c.C, s.G))
 
-    series = [record(s0, inp.d_init)]
+    series = [record(sample0, inp.d_init)]
     bounds_failed = []
     bounds_checked = 0
-    for rep in bounds_chain(s0):
+    for rep in bounds_chain(sample0):
         bounds_checked += 1
         if not rep.passed:
             bounds_failed.append(rep)
 
-    reg_max = abs(s0.reg)
-    e_min = e_max = s0.E
+    reg_max = abs(sample0.reg)
+    e_min = e_max = sample0.E
     hit_time = None
     dt = cfg.dt
     n_steps = int(math.ceil(horizon / dt - 1e-9))
-    stride = max(1, cfg.sample_stride)
+    stride = cfg.sample_stride
 
     # Advance one advection call per sample instant (stride steps of dt
     # inside); the boundary self-intersection detector runs per call.
@@ -470,10 +465,10 @@ def run_theorem_scenario(scenario):
             prev = vol
             vol = _advect_any(vol, flow, t_k, dt)
             dist = boundary_distance(vol)
-            if dist <= cfg.epsilon:
-                hit_time = _refine_hit(prev, flow, prev.time, t_k, cfg.epsilon, dt)
+            if dist <= inp.epsilon:
+                hit_time = _refine_hit(prev, flow, prev.time, t_k, inp.epsilon, dt)
                 break
-            s = sample(flow, vol, phi, cfg.epsilon)
+            s = sample(flow, vol, phi, inp.epsilon)
             series.append(record(s, dist))
             reg_max = max(reg_max, abs(s.reg))
             e_min, e_max = min(e_min, s.E), max(e_max, s.E)
@@ -485,16 +480,16 @@ def run_theorem_scenario(scenario):
         hit_time = vol.time
         detail += "a quadrature node reached the target radius floor; "
 
-    e_drift = max(abs(e_max - s0.E), abs(e_min - s0.E)) / s0.E
+    e_drift = max(abs(e_max - sample0.E), abs(e_min - sample0.E)) / sample0.E
 
     if hit_time is not None:
         verdict = "consistent_hit"
     elif not report_c.cond10_holds:
         verdict = "consistent_no_claim"
-    elif reg_max > cfg.M:
+    elif reg_max > inp.M:
         verdict = "consistent_no_claim"
-        detail += f"regularity flux exceeded M ({reg_max} > {cfg.M}); "
-    elif horizon < cfg.T:
+        detail += f"regularity flux exceeded M ({reg_max} > {inp.M}); "
+    elif horizon < inp.T:
         verdict = "consistent_no_claim"
     elif e_drift > 0.01:
         verdict = "inconclusive"
@@ -502,8 +497,7 @@ def run_theorem_scenario(scenario):
     else:
         verdict = "VIOLATION"
 
-    return TheoremReport(criteria=report_c, cond10_value=inp.cond10,
-                         cond10_holds=report_c.cond10_holds, hit_time=hit_time,
+    return TheoremReport(criteria=report_c, hit_time=hit_time,
                          horizon=horizon, E_drift=e_drift, reg_max=reg_max,
                          verdict=verdict, detail=detail.strip(),
                          bounds_failures=tuple(bounds_failed),

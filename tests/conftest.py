@@ -2,7 +2,7 @@ import pytest
 
 from helpers import CONFIG_DIR
 
-from volflow.config import load_config
+from volflow.config import build_scenario, load_config
 from volflow.verify import run_theorem_scenario
 
 
@@ -13,5 +13,5 @@ def shipped_runs():
     for name in ("constant_inflow", "constant_receding", "expansion_outflow",
                  "radial_inflow"):
         cfg = load_config(CONFIG_DIR / f"{name}.cfg")
-        reports[name] = run_theorem_scenario(cfg)
+        reports[name] = run_theorem_scenario(build_scenario(cfg))
     return reports

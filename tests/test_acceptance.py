@@ -11,7 +11,7 @@ import pytest
 from helpers import CONFIG_DIR, SyntheticFlow, annulus_volume, disk_volume
 
 from volflow.cli import main as cli_main
-from volflow.config import load_config
+from volflow.config import build_scenario, load_config
 from volflow.criteria import (CriteriaInputs, classify_and_delta, condition10,
                               constants, qneg_time_threshold)
 from volflow.flowfield import make_analytic_flow
@@ -234,7 +234,8 @@ def test_criterion_08_blowup_oracle():
 
 def test_criterion_09_end_to_end_scenarios(shipped_runs):
     t0 = time.perf_counter()
-    inflow = run_theorem_scenario(load_config(CONFIG_DIR / "constant_inflow.cfg"))
+    inflow = run_theorem_scenario(
+        build_scenario(load_config(CONFIG_DIR / "constant_inflow.cfg")))
     elapsed = time.perf_counter() - t0
 
     receding = shipped_runs["constant_receding"]
@@ -243,13 +244,13 @@ def test_criterion_09_end_to_end_scenarios(shipped_runs):
 
     ok = (inflow.verdict == "consistent_hit"
           and abs(inflow.hit_time - 1.5) <= 2e-3           # 2*dt at dt=1e-3
-          and inflow.cond10_value < 0.0
-          and abs(radial.cond10_value - want_c10) <= 1e-6
+          and inflow.criteria.cond10 < 0.0
+          and abs(radial.criteria.cond10 - want_c10) <= 1e-6
           and receding.verdict == "consistent_no_claim"
           and elapsed < 30.0)
     _criterion(9, ok, f"end-to-end: hit at {inflow.hit_time:.6f} (1.5 +- 2dt), "
                       f"verdict {inflow.verdict}, radial cond10 "
-                      f"{radial.cond10_value:.6f} (~{want_c10:.6f} +- 1e-6), "
+                      f"{radial.criteria.cond10:.6f} (~{want_c10:.6f} +- 1e-6), "
                       f"receding {receding.verdict}, runtime {elapsed:.1f}s < 30s")
 
 

@@ -1,7 +1,10 @@
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,7 @@ from helpers import CONFIG_DIR
 import volflow
 from volflow import matvol
 from volflow.cli import CSV_HEADER, main
-from volflow.config import ConfigError, load_config, parse_kv_text
+from volflow.config import ConfigError, build_scenario, load_config, parse_kv_text
 
 
 MINI_CONFIG = """
@@ -31,7 +34,6 @@ epsilon = 0.5
 q = -8.0
 T = 0.2
 M = 10.0
-s0 = 0.0
 dt = 5e-3
 sample.stride = 10
 verify.times = 0.05, 0.1
@@ -75,7 +77,7 @@ def _single_error(capsys):
 def test_parse_kv_values():
     d = parse_kv_text("a = 1\nb = 2.5\nc = true\nd = x, 1.0\ne = hello\n"
                       "# comment\nf = 1,2; 3,4\n")
-    assert d["a"] == 1 and d["b"] == 2.5 and d["c"] is True
+    assert d["a"] == 1 and d["b"] == 2.5 and d["c"] == "true"
     assert d["d"] == ("x", 1.0)
     assert d["e"] == "hello"
     assert d["f"] == ((1, 2), (3, 4))
@@ -325,6 +327,7 @@ def test_unread_key_is_rejected(tmp_path, capsys, line, key):
     ("verify.h = 1e-4", "verify.h"),
     ("verify.oracle_cases = 6", "verify.oracle_cases"),
     ("out.dir = elsewhere", "out.dir"),
+    ("s0 = 0.0", "s0"),
 ])
 def test_removed_keys_are_rejected(tmp_path, capsys, line, key):
     path = _write(tmp_path, MINI_CONFIG + line + "\n")
@@ -338,6 +341,76 @@ def test_removed_grid_filter_key_is_rejected(tmp_path, capsys):
     rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "'flow.grid.filter'" in _single_error(capsys)
+
+
+# The entropy floor s0 is the flow's, not a setting: ln P0 - gamma ln rho0 for
+# a constant flow (the old `s0` key defaulted to 0.0 whatever the flow).
+def test_entropy_floor_comes_from_the_flow(tmp_path, capsys):
+    path = _write(tmp_path, MINI_CONFIG.replace("flow.P0 = 1.0", "flow.P0 = 1e-3"))
+    rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert report["s0"] == "-6.907755278982137"
+    assert report["C3"] == repr(math.exp(-6.907755278982137))
+
+
+def test_grid_entropy_floor_is_the_initial_minimum(tmp_path):
+    path = _grid_config(tmp_path, "flow.grid.S = 0.1*cos(x)\n")
+    scenario = build_scenario(load_config(path))
+    floor = scenario.flow.states[0].entropy.min()
+    assert floor < -0.09
+    assert scenario.inp.s0 == floor
+
+
+# Integer keys: inf was an OverflowError traceback, 2.0 a TypeError traceback,
+# nan failed naming no key, 2.5 and 256.7 were truncated silently, true read
+# as 1, and quad_order = 0 failed naming no key.
+@pytest.mark.parametrize("line, key", [
+    ("volume.quad_order = inf", "volume.quad_order"),
+    ("volume.quad_order = 0", "volume.quad_order"),
+    ("dimension = 2.0", "dimension"),
+    ("sample.stride = 2.5", "sample.stride"),
+    ("sample.stride = nan", "sample.stride"),
+    ("volume.markers = 256.7", "volume.markers"),
+    ("volume.refine = true", "volume.refine"),
+])
+def test_non_integer_values_rejected(tmp_path, capsys, line, key):
+    path = _write(tmp_path, MINI_CONFIG + line + "\n")
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        load_config(path)
+    rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"key '{key}'" in _single_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_integer_grid_size_rejected(tmp_path, capsys):
+    path = _grid_config(tmp_path, "flow.grid.n = 32.0\n")
+    rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "key 'flow.grid.n'" in _single_error(capsys)
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m volflow` runs __main__.py, which exits through cli.entry().
+    src = str(Path(volflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def volflow_cli(config):
+        return subprocess.run(
+            [sys.executable, "-m", "volflow", "criteria", "--config", str(config),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    proc = volflow_cli(CONFIG_DIR / "sweep_annulus.cfg")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (tmp_path / "o" / "sweep_annulus_criteria.csv").read_text()
+
+    proc = volflow_cli(_write(tmp_path, MINI_CONFIG + "sample.strid = 5\n"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "config error: key 'sample.strid' is not a setting of this scenario"]
 
 
 def test_format_flag_is_gone(mini_cfg, tmp_path):
@@ -388,7 +461,9 @@ def test_non_finite_horizon_and_step_rejected(tmp_path, capsys, line, key):
 
 # Each of these passed `load_config` and either failed naming no key
 # ("cannot convert float NaN to integer", a bound of nan on 'q') or ran to
-# exit 0 with Q0 = +-inf; s0 = inf gave a false VIOLATION from `run`.
+# exit 0 with Q0 = +-inf; s0 = inf gave a false VIOLATION from `run`.  s0 is
+# no longer a setting (the entropy floor comes from the flow), so its lines
+# are rejected as such.
 @pytest.mark.parametrize("line, key", [
     ("M = nan", "M"), ("M = inf", "M"), ("volume.radius = nan", "volume.radius"),
     ("flow.P0 = nan", "flow.P0"), ("gamma = nan", "gamma"), ("s0 = inf", "s0"),
@@ -397,7 +472,8 @@ def test_non_finite_horizon_and_step_rejected(tmp_path, capsys, line, key):
 ])
 def test_non_finite_floats_rejected(tmp_path, capsys, line, key):
     path = _write(tmp_path, MINI_CONFIG + line + "\n")
-    with pytest.raises(ConfigError, match=f"key '{key}' must be finite"):
+    reason = "is not a setting" if key == "s0" else "must be finite"
+    with pytest.raises(ConfigError, match=f"key '{key}' {reason}"):
         load_config(path)
     for command in ("criteria", "run"):
         rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])

@@ -90,6 +90,27 @@ def test_reg_annulus_uniform_pressure():
     assert s.reg == pytest.approx(2.0 * np.pi, abs=1e-6)
 
 
+@pytest.mark.parametrize("shape", ["disk", "annulus"])
+def test_boundary_terms_cancel_under_uniform_pressure(shape):
+    # Uniform P: I4 = -P * flux of phi'(r) z/r = -P * integral of the
+    # divergence = -I3 by the divergence theorem (x0 outside the disk, and in
+    # the annulus's hole).  The boundary quadrature error falls like
+    # markers^-2, so each doubling must cut |I3 + I4| / |I3| at least 3.5x.
+    flow = still_flow()
+    gaps = []
+    for markers in (128, 256, 512, 1024):
+        if shape == "disk":
+            vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5, markers=markers)
+        else:
+            vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.5,
+                                 markers=markers)
+        s = sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
+        gaps.append(abs(s.I3 + s.I4) / abs(s.I3))
+    assert gaps[0] < 3e-3
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert fine * 3.5 <= coarse, gaps
+
+
 def test_sign_structure():
     # generic smooth velocity; q = -8 < 2 - n so I3 >= 0, I1 >= 0, I2 <= 0
     def swirl(t, p):
