@@ -9,6 +9,10 @@ process with `PYTHONPATH=CHECKOUT/src`.  Prints one `sha256  artifact` line
 per stdout, stderr, exit code and output file, in a fixed order, so that two
 checkouts (say, a parent commit and a change) compare with `diff`.
 `CHECKOUT` defaults to the checkout this script lives in.
+
+Exits 1, naming the calls on stderr, when any call exits with a code other
+than 0, 1 or 2 or writes a Python traceback to stderr: every failure of the
+CLI must map to its documented exit codes.
 """
 
 from __future__ import annotations
@@ -43,14 +47,18 @@ def operations(root):
     return ops
 
 
-def digest(root, work):
-    """Yield `sha256  artifact` lines for every operation of `root`."""
+def digest(root, work, crashed):
+    """Yield `sha256  artifact` lines for every operation of `root`; append
+    the label of each call that crashed to `crashed`."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for label, argv in operations(root):
         out_dir = work / label.replace("/", "_")
         proc = subprocess.run([sys.executable, "-m", "volflow", *argv,
                                "--out", str(out_dir)],
                               capture_output=True, env=env, cwd=work, timeout=600)
+        if proc.returncode not in (0, 1, 2) or b"Traceback (most recent call last)" \
+                in proc.stderr:
+            crashed.append(f"{label} (exit={proc.returncode})")
         yield f"{_sha(proc.stdout)}  {label}/stdout"
         yield f"{_sha(proc.stderr)}  {label}/stderr"
         yield f"{_sha(str(proc.returncode).encode())}  {label}/exit={proc.returncode}"
@@ -66,10 +74,13 @@ def main(argv=None):
                         help="checkout whose src/ and scripts/configs/ are run")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    crashed = []
     with tempfile.TemporaryDirectory() as tmp:
-        for line in digest(root, Path(tmp)):
+        for line in digest(root, Path(tmp), crashed):
             print(line, flush=True)
-    return 0
+    for label in crashed:
+        print(f"crashed: {label}", file=sys.stderr)
+    return 1 if crashed else 0
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from .functionals import PhiSpec, sample
 # boundary_distance is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps this module's binding of it.
 from .matvol import SelfIntersection, advect, boundary_distance  # noqa: F401
-from .solver import GridFlow, SmoothnessLost
+from .solver import SmoothnessLost
 
 __all__ = ["main", "entry", "CSV_HEADER"]
 
@@ -151,17 +151,16 @@ def _cmd_verify(scenario, out_dir, seed):
 
     times = sorted(cfg.verify_times)
     h = verify_mod.LEMMA_H
-    if isinstance(flow, GridFlow):
-        # The lemma differences reach t - h, and a grid flow starts at t = 0.
-        if times[0] < h:
-            raise ConfigError(f"key 'verify.times': {times[0]} is below the "
-                              f"lemma step h={h} a grid flow needs")
-        try:
-            flow.advance_to(times[-1] + 2.0 * h)
-        except SmoothnessLost as exc:
-            raise ConfigError(
-                f"key 'verify.times': the grid solver lost smoothness at "
-                f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
+    # The lemma differences reach t - h, and a grid flow starts at t0 = 0.
+    if times[0] - h < flow.t0:
+        raise ConfigError(f"key 'verify.times': {times[0]} is less than the "
+                          f"lemma step h={h} after the flow's start t={flow.t0}")
+    try:
+        flow.advance_to(times[-1] + 2.0 * h)
+    except SmoothnessLost as exc:
+        raise ConfigError(
+            f"key 'verify.times': the grid solver lost smoothness at "
+            f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
     for t in times:
         if t > vol.time:
             vol = advect(vol, flow, t, cfg.dt)

@@ -1,19 +1,23 @@
 """Scenario configuration: flat dotted-key text files and builders.
 
-The format is one `key = value` pair per line with `#` comments.  Values are
-parsed as integers, floats, comma-separated tuples, semicolon-separated point
-lists, or plain strings -- whichever matches first.  Grid initial fields are
-numpy expressions over the node coordinates x, y and the radius r, evaluated
-in a restricted namespace.
+The format is one `key = value` pair per line with `#` comments.  Each value
+is kept as its stripped text and parsed once, by the reader of its key (an
+absent key reads as its default text): `_float` takes one number, `_floats`
+comma-separated numbers (blank parts after a trailing comma are skipped),
+`_int` an integer literal, and `volume.vertices` is split on semicolons into
+number pairs.  Names, kinds, `out.format` and grid initial fields are read
+verbatim.  The grid fields are numpy expressions over the node coordinates
+x, y and the radius r, evaluated in a restricted namespace; an expression
+that fails or whose values are not finite real numbers (positive, for the
+density) is a config error naming its `flow.grid.<field>` key.
 
 Every parsed key is read or rejected: `load_config` fails naming the first
 key it did not read (a typo, a key of another flow or shape kind, or a
 removed setting), so no line of a config silently means nothing.  Every
-float and float-tuple value goes through one reader, `_as_floats`, which
-rejects NaN and +-inf naming the key; only an absent `flow.grid.max_grad`
-means inf (no gradient guard).  Integer values go through `_int`, which
-rejects anything but an integer literal (2.0, 2.5, inf, nan, true) naming the
-key.  The entropy floor s0 is not a setting: it comes from the flow
+number goes through `_number`, which rejects NaN and +-inf naming the key;
+only an absent `flow.grid.max_grad` means inf (no gradient guard).  `_int`
+rejects anything but an integer literal (2.0, 2.5, inf, nan, true) naming
+the key.  The entropy floor s0 is not a setting: it comes from the flow
 (`FlowField.entropy_floor`).
 
 All attainment preconditions (admissible q, epsilon below the initial
@@ -57,27 +61,6 @@ class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
 
 
-def _parse_scalar(text):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _parse_value(text):
-    text = text.strip()
-    if ";" in text:
-        return tuple(_parse_value(part) for part in text.split(";") if part.strip())
-    if "," in text:
-        return tuple(_parse_scalar(p.strip()) for p in text.split(",") if p.strip())
-    return _parse_scalar(text)
-
-
 class _ReadKeys(dict):
     """Parsed keys that remember which of them were read."""
 
@@ -89,13 +72,10 @@ class _ReadKeys(dict):
         self.read.add(key)
         return super().__getitem__(key)
 
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
 
 def parse_kv_text(text):
-    """Parse flat `key = value` lines into a dict; later keys win."""
+    """Parse flat `key = value` lines into a dict of stripped value texts;
+    later keys win."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,7 +87,7 @@ def parse_kv_text(text):
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        out[key] = _parse_value(value)
+        out[key] = value.strip()
     return out
 
 
@@ -134,52 +114,55 @@ class ScenarioConfig:
     out_format: str
 
 
-def _need(raw, key, kind=None):
-    if key not in raw:
+def _text(raw, key, default=None):
+    """The text under `key`; an absent key reads as `default` when given."""
+    if key in raw:
+        return raw[key]
+    if default is None:
         raise ConfigError(f"missing required key {key!r}")
-    value = raw[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"key {key!r} has wrong type: expected {kind}, got {value!r}")
+    return default
+
+
+def _number(text, key):
+    """The finite number `text` of `key`; the one reader of numbers."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {text!r}")
     return value
 
 
-def _as_floats(value, key, length=None):
-    """The finite numbers of `key` as a tuple; the one reader of float values."""
-    try:
-        out = tuple(float(v) for v in ((value,) if np.isscalar(value) else value))
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r}: expected numbers, got {value!r}") from None
+def _numbers(text, key, length=None):
+    """The comma-separated finite numbers of `text`; blank parts are skipped."""
+    out = tuple(_number(part, key) for part in text.split(",") if part.strip())
     if length is not None and len(out) != length:
         raise ConfigError(f"key {key!r}: expected {length} numbers, got {len(out)}")
-    if not all(math.isfinite(v) for v in out):
-        raise ConfigError(f"key {key!r} must be finite, got {value!r}")
     return out
 
 
 def _float(raw, key, default=None):
-    """The finite number under `key`.  When a default is given, an absent key
-    returns it unchecked (`flow.grid.max_grad` defaults to inf)."""
-    if default is not None and key not in raw:
-        return default
-    value = _need(raw, key)
-    if not np.isscalar(value):
-        raise ConfigError(f"key {key!r}: expected one number, got {value!r}")
-    return _as_floats(value, key)[0]
+    return _number(_text(raw, key, default), key)
+
+
+def _floats(raw, key, length=None, default=None):
+    return _numbers(_text(raw, key, default), key, length)
 
 
 def _int(raw, key, default=None):
-    """The integer literal under `key`, or `default` when given and absent."""
-    value = _need(raw, key) if default is None else raw.get(key, default)
-    if type(value) is not int:
-        raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
-    return value
+    text = _text(raw, key, default)
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: expected an integer, got {text!r}") from None
 
 
 def load_config(path):
     """Read, type-check and precondition-check a scenario file."""
     path = Path(path)
     raw = _ReadKeys(parse_kv_text(path.read_text()))
-    name = str(raw.get("name", path.stem))
+    name = _text(raw, "name", path.stem)
 
     dimension = _int(raw, "dimension")
     if dimension not in (2, 3):
@@ -188,13 +171,13 @@ def load_config(path):
     if gamma <= 1.0:
         raise ConfigError("key 'gamma' must exceed 1")
 
-    kind = _need(raw, "flow.kind")
+    kind = _text(raw, "flow.kind")
     if kind not in ("constant", "expansion", "grid"):
         raise ConfigError(f"key 'flow.kind' must be constant|expansion|grid, got {kind!r}")
     flow_params = _flow_params(raw, kind, dimension)
 
     volume = _volume_spec(raw, dimension)
-    x0 = _as_floats(_need(raw, "x0"), "x0", dimension)
+    x0 = _floats(raw, "x0", dimension)
     epsilon = _float(raw, "epsilon")
     if epsilon <= 0.0:
         raise ConfigError("key 'epsilon' must be positive")
@@ -208,10 +191,10 @@ def load_config(path):
     reg_const = _float(raw, "M")
     if reg_const < 0.0:
         raise ConfigError("key 'M' must be nonnegative")
-    dt = _float(raw, "dt", 1e-3)
+    dt = _float(raw, "dt", "1e-3")
     if not dt > 0.0:
         raise ConfigError(f"key 'dt' must be positive and finite, got {dt}")
-    stride = _int(raw, "sample.stride", 10)
+    stride = _int(raw, "sample.stride", "10")
     if stride < 1:
         raise ConfigError("key 'sample.stride' must be at least 1")
 
@@ -223,20 +206,19 @@ def load_config(path):
         raise ConfigError(
             f"key 'epsilon': must be smaller than the initial boundary distance {d0}")
 
-    verify_times = _as_floats(raw.get("verify.times", (0.2, 0.5, 0.8)), "verify.times")
-    if not all(t >= 0.0 for t in verify_times):
-        raise ConfigError(f"key 'verify.times' must be finite and nonnegative, "
-                          f"got {verify_times}")
+    verify_times = _floats(raw, "verify.times", default="0.2, 0.5, 0.8")
+    if not verify_times or min(verify_times) < 0.0:
+        raise ConfigError(f"key 'verify.times' must be one or more nonnegative "
+                          f"times, got {verify_times}")
 
     cfg = ScenarioConfig(
         name=name, dimension=dimension, gamma=gamma, flow_kind=kind,
         flow_params=flow_params, volume=volume, x0=x0, epsilon=epsilon, q=qexp,
         T=horizon, M=reg_const, dt=dt, sample_stride=stride,
         verify_times=verify_times,
-        sweep_q=_as_floats(raw.get("sweep.q", ()), "sweep.q") if raw.get("sweep.q") else (),
-        sweep_epsilon=_as_floats(raw.get("sweep.epsilon", ()), "sweep.epsilon")
-        if raw.get("sweep.epsilon") else (),
-        out_format=str(raw.get("out.format", "report")),
+        sweep_q=_floats(raw, "sweep.q", default=""),
+        sweep_epsilon=_floats(raw, "sweep.epsilon", default=""),
+        out_format=_text(raw, "out.format", "report"),
     )
     if cfg.out_format not in ("report", "csv"):
         raise ConfigError("key 'out.format' must be report|csv")
@@ -250,26 +232,28 @@ def _flow_params(raw, kind, dimension):
     if kind == "constant":
         return {
             "rho0": _float(raw, "flow.rho0"),
-            "V0": _as_floats(_need(raw, "flow.V0"), "flow.V0", dimension),
+            "V0": _floats(raw, "flow.V0", dimension),
             "P0": _float(raw, "flow.P0"),
         }
     if kind == "expansion":
         return {
             "rho0": _float(raw, "flow.rho0"),
-            "S0": _float(raw, "flow.S0", 0.0),
+            "S0": _float(raw, "flow.S0", "0.0"),
             "t_c": _float(raw, "flow.t_c"),
         }
     if dimension != 2:
         raise ConfigError("key 'flow.kind': grid flows are 2-D only")
     params = {
         "n": _int(raw, "flow.grid.n"),
-        "box": _as_floats(_need(raw, "flow.grid.box"), "flow.grid.box", 2),
+        "box": _floats(raw, "flow.grid.box", 2),
         "dt": _float(raw, "flow.grid.dt"),
-        "rho": str(_need(raw, "flow.grid.rho")),
-        "vx": str(_need(raw, "flow.grid.vx")),
-        "vy": str(_need(raw, "flow.grid.vy")),
-        "S": str(raw.get("flow.grid.S", "0.0")),
-        "max_grad": _float(raw, "flow.grid.max_grad", math.inf),
+        "rho": _text(raw, "flow.grid.rho"),
+        "vx": _text(raw, "flow.grid.vx"),
+        "vy": _text(raw, "flow.grid.vy"),
+        "S": _text(raw, "flow.grid.S", "0.0"),
+        # No gradient guard unless one is set.
+        "max_grad": _float(raw, "flow.grid.max_grad")
+        if "flow.grid.max_grad" in raw else math.inf,
     }
     if params["n"] < 16:
         raise ConfigError("key 'flow.grid.n' must be at least 16")
@@ -279,29 +263,27 @@ def _flow_params(raw, kind, dimension):
 
 
 def _volume_spec(raw, dimension):
-    shape = _need(raw, "volume.shape")
-    center = _as_floats(raw.get("volume.center", (0.0,) * dimension),
-                        "volume.center", dimension)
-    markers = _int(raw, "volume.markers", 256)
-    quad_order = _int(raw, "volume.quad_order", 40)
-    if quad_order < 1:
-        raise ConfigError("key 'volume.quad_order' must be at least 1")
-    refine = _int(raw, "volume.refine", 3)
-    if shape == "disk":
-        spec = dict(center=center, radius=_float(raw, "volume.radius"),
-                    markers=markers, quad_order=quad_order)
-    elif shape == "annulus":
-        spec = dict(center=center,
-                    radii=_as_floats(_need(raw, "volume.radii"), "volume.radii", 2),
-                    markers=markers, quad_order=quad_order)
-    elif shape == "polygon":
-        verts = _need(raw, "volume.vertices")
-        spec = dict(vertices=tuple(_as_floats(v, "volume.vertices", 2) for v in verts),
-                    markers=markers, refine=refine)
+    shape = _text(raw, "volume.shape")
+    if shape == "polygon":
+        text = _text(raw, "volume.vertices")
+        spec = dict(vertices=tuple(_numbers(part, "volume.vertices", 2)
+                                   for part in text.split(";") if part.strip()),
+                    refine=_int(raw, "volume.refine", "3"))
+    elif shape in ("disk", "annulus"):
+        spec = dict(center=_floats(raw, "volume.center", dimension,
+                                   default=",".join("0" * dimension)),
+                    quad_order=_int(raw, "volume.quad_order", "40"))
+        if spec["quad_order"] < 1:
+            raise ConfigError("key 'volume.quad_order' must be at least 1")
+        if shape == "disk":
+            spec["radius"] = _float(raw, "volume.radius")
+        else:
+            spec["radii"] = _floats(raw, "volume.radii", 2)
     else:
         raise ConfigError(f"key 'volume.shape': unknown shape {shape!r}")
     try:
-        return VolumeShapeSpec(shape=shape, **spec)
+        return VolumeShapeSpec(shape=shape, markers=_int(raw, "volume.markers", "256"),
+                               **spec)
     except ValueError as exc:
         raise ConfigError(f"key 'volume.*': {exc}") from exc
 
@@ -314,14 +296,21 @@ _EXPR_NAMES = {
 }
 
 
-def _eval_field(expr, x, y):
-    ns = dict(_EXPR_NAMES)
-    ns.update({"x": x, "y": y, "r": np.hypot(x, y)})
+def _eval_field(params, name, x, y):
+    """Grid field `name` of the flow params, evaluated at the nodes (x, y)."""
+    key, expr = f"flow.grid.{name}", params[name]
+    ns = dict(_EXPR_NAMES, x=x, y=y, r=np.hypot(x, y))
     try:
-        value = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - local config files
+        # Non-finite values are rejected below, naming the key, not warned of.
+        with np.errstate(all="ignore"):
+            value = np.asarray(eval(expr, {"__builtins__": {}}, ns))  # noqa: S307 - local files
+        # same_kind casting turns away complex, text and object values.
+        value = np.broadcast_to(value.astype(float, casting="same_kind"), x.shape).copy()
     except Exception as exc:
-        raise ConfigError(f"grid field expression {expr!r} failed: {exc}") from exc
-    return np.broadcast_to(np.asarray(value, dtype=float), x.shape).copy()
+        raise ConfigError(f"key {key!r}: expression {expr!r} failed: {exc}") from exc
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"key {key!r}: expression {expr!r} is not finite on the grid")
+    return value
 
 
 def build_flow(cfg):
@@ -335,10 +324,13 @@ def build_flow(cfg):
     h = (hi - lo) / n
     coords = lo + h * np.arange(n)
     x, y = np.meshgrid(coords, coords, indexing="ij")
-    state = GridState(rho=_eval_field(p["rho"], x, y),
-                      vx=_eval_field(p["vx"], x, y),
-                      vy=_eval_field(p["vy"], x, y),
-                      entropy=_eval_field(p["S"], x, y),
+    rho = _eval_field(p, "rho", x, y)
+    if rho.min() <= 0.0:
+        raise ConfigError(f"key 'flow.grid.rho': expression {p['rho']!r} is not "
+                          f"positive on the grid")
+    state = GridState(rho=rho, vx=_eval_field(p, "vx", x, y),
+                      vy=_eval_field(p, "vy", x, y),
+                      entropy=_eval_field(p, "S", x, y),
                       gamma=cfg.gamma, origin=(lo, lo), spacing=(h, h), time=0.0)
     return GridFlow(state, step_dt=p["dt"], guard_threshold=p["max_grad"])
 

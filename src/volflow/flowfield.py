@@ -97,6 +97,13 @@ class FlowField:
 
     # -- domain handling ----------------------------------------------------
 
+    # Start of the time window; a flow that is computed, not given in closed
+    # form, starts later and must be advanced before it is queried.
+    t0 = -math.inf
+
+    def advance_to(self, t):
+        """Make the flow queryable up to time t; a closed-form flow already is."""
+
     def check_time(self, t):
         """Raise ValueError if t lies outside the declared time window."""
 

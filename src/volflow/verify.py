@@ -32,7 +32,7 @@ from . import criteria as crit_mod
 from .criteria import CriteriaInputs, threshold_q
 from .functionals import TargetReached, sample
 from .matvol import _advect_any, boundary_distance, volume_integral_plain
-from .solver import GridFlow, SmoothnessLost
+from .solver import SmoothnessLost
 
 __all__ = [
     "CheckReport",
@@ -428,12 +428,11 @@ def run_theorem_scenario(scenario):
     sample0, inp = scenario.sample0, scenario.inp
     detail = ""
     horizon = inp.T
-    if isinstance(flow, GridFlow):
-        try:
-            flow.advance_to(inp.T)
-        except SmoothnessLost as exc:
-            horizon = flow.t_last
-            detail = f"smoothness lost at t={exc.time}; "
+    try:
+        flow.advance_to(inp.T)
+    except SmoothnessLost as exc:
+        horizon = flow.t_last
+        detail = f"smoothness lost at t={exc.time}; "
 
     report_c = crit_mod.evaluate(inp)
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -75,12 +76,11 @@ def _single_error(capsys):
 # -- config parsing -------------------------------------------------------------
 
 def test_parse_kv_values():
+    # Values stay text: the reader of each key parses it.
     d = parse_kv_text("a = 1\nb = 2.5\nc = true\nd = x, 1.0\ne = hello\n"
-                      "# comment\nf = 1,2; 3,4\n")
-    assert d["a"] == 1 and d["b"] == 2.5 and d["c"] == "true"
-    assert d["d"] == ("x", 1.0)
-    assert d["e"] == "hello"
-    assert d["f"] == ((1, 2), (3, 4))
+                      "# comment\nf = 1,2; 3,4\ng = maximum(1.0, 0.5 + 0*x)  \n")
+    assert d == {"a": "1", "b": "2.5", "c": "true", "d": "x, 1.0", "e": "hello",
+                 "f": "1,2; 3,4", "g": "maximum(1.0, 0.5 + 0*x)"}
 
 
 def test_parse_rejects_garbage():
@@ -389,6 +389,102 @@ def test_non_integer_grid_size_rejected(tmp_path, capsys):
     rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "key 'flow.grid.n'" in _single_error(capsys)
+
+
+POLYGON_CONFIG = MINI_CONFIG.replace("""volume.shape = disk
+volume.center = 3.0, 0.0
+volume.radius = 1.0
+volume.markers = 256
+volume.quad_order = 20
+""", """volume.shape = polygon
+volume.vertices = 2.0, -1.0; 4.0, -1.0; 4.0, 1.0; 2.0, 1.0
+volume.markers = 256
+volume.refine = 3
+""")
+
+
+def test_polygon_config_runs_criteria(tmp_path, capsys):
+    path = _write(tmp_path, POLYGON_CONFIG)
+    cfg = load_config(path)
+    assert cfg.volume.shape == "polygon"
+    assert cfg.volume.vertices == ((2.0, -1.0), (4.0, -1.0), (4.0, 1.0), (2.0, 1.0))
+    rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(report["m"]) == pytest.approx(4.0, rel=1e-9)
+    assert float(report["d_init"]) == pytest.approx(2.0, rel=1e-6)
+
+
+# Blank parts after a trailing ',' or ';' are skipped.
+def test_trailing_separators_load(tmp_path):
+    base = load_config(_write(tmp_path, POLYGON_CONFIG))
+    text = POLYGON_CONFIG.replace("2.0, 1.0\n", "2.0, 1.0;\n").replace(
+        "x0 = 0.0, 0.0", "x0 = 0.0, 0.0,").replace("-8.0, -9.0", "-8.0, -9.0, ")
+    assert text != POLYGON_CONFIG
+    assert load_config(_write(tmp_path, text)) == base
+
+
+# Each key is read only by the shapes that use it; the other shapes reject it.
+@pytest.mark.parametrize("base, line, message", [
+    ("constant_inflow", "volume.refine = 7",
+     "key 'volume.refine' is not a setting of this scenario"),
+    ("polygon", "volume.quad_order = 40",
+     "key 'volume.quad_order' is not a setting of this scenario"),
+    ("polygon", "volume.center = 3.0, 0.0",
+     "key 'volume.center' is not a setting of this scenario"),
+    ("polygon", "volume.refine = true", "key 'volume.refine': expected an integer"),
+])
+def test_shape_keys_are_read_only_for_their_shapes(tmp_path, capsys, base, line,
+                                                   message):
+    text = POLYGON_CONFIG if base == "polygon" else \
+        (CONFIG_DIR / f"{base}.cfg").read_text()
+    path = _write(tmp_path, text + "\n" + line + "\n")
+    rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys).startswith(f"config error: {message}")
+
+
+# A grid expression may hold commas (function arguments).
+def test_grid_expression_with_commas_matches_shipped_config(tmp_path, capsys):
+    shipped = CONFIG_DIR / "radial_inflow.cfg"
+    path = _write(tmp_path, shipped.read_text()
+                  + "flow.grid.rho = maximum(1.0, 0.5 + 0*x)\n")
+    outs = []
+    for config in (shipped, path):
+        assert main(["criteria", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_where_and_hypot_velocity_runs(tmp_path, capsys):
+    outs = []
+    for extra in ("", "flow.grid.vx = -x / (1 + exp(25*(hypot(x, y) - 3)))\n"
+                      "flow.grid.vy = where(r < 100, -y / (1 + exp(25*(r - 3))), 0.0)\n"):
+        path = _grid_config(tmp_path, "T = 0.02\n" + extra)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        outs.append(capsys.readouterr().out)
+    assert "verdict: consistent_no_claim" in outs[1]
+    assert outs[0] == outs[1]
+
+
+# A negative density escaped as a NonSmoothState traceback, a NaN velocity
+# failed naming no key, and a failing expression named no key.
+@pytest.mark.parametrize("line, message", [
+    ("flow.grid.rho = -1.0", "key 'flow.grid.rho': expression '-1.0' is not positive"),
+    ("flow.grid.vx = x / (x - x)",
+     "key 'flow.grid.vx': expression 'x / (x - x)' is not finite"),
+    ("flow.grid.rho = hello", "key 'flow.grid.rho': expression 'hello' failed"),
+    ("flow.grid.vy = sqrt", "key 'flow.grid.vy': expression 'sqrt' failed"),
+    ("flow.grid.S = sqrt(x + 0j)", "key 'flow.grid.S': expression 'sqrt(x + 0j)' failed"),
+])
+def test_bad_grid_field_is_config_error(tmp_path, capsys, line, message):
+    path = _grid_config(tmp_path, line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys).startswith(f"config error: {message}")
 
 
 def test_module_entry_point(tmp_path):

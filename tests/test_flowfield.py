@@ -93,6 +93,15 @@ def test_expansion_domain():
         euler_residual(flow, -0.99995, np.zeros(2), h=1e-3)
 
 
+# Callers advance any flow before querying it; a closed-form flow has no
+# start and nothing to advance.
+def test_closed_form_flows_need_no_advancing():
+    for flow in (constant_flow(), expansion_flow()):
+        assert flow.t0 == -np.inf
+        assert flow.advance_to(5.0) is None
+        assert eval_state(flow, 5.0, np.ones(2)).rho > 0.0
+
+
 def test_residual_requires_positive_h():
     with pytest.raises(ValueError):
         euler_residual(constant_flow(), 0.0, np.zeros(2), h=0.0)
