@@ -14,10 +14,11 @@ produce byte-identical files and stdout.
 Exit codes: 0 when everything passed, 1 when some check failed (a VIOLATION
 verdict, a failed lemma/oracle check, a bounds-chain failure), 2 for
 configuration or precondition errors -- among them a config key the loader
-does not read, `verify.times` that start before the lemma step h on a
-grid flow or reach past the time at which its solver loses smoothness (`run`
-instead ends its horizon there and reports it), and a boundary loop that
-crosses itself after an advection (`volume.markers` too few to resolve it).
+does not read, `verify.times` whose lemma differences (step h) reach
+outside the flow's time window or past the time at which a grid solver
+loses smoothness (`run` instead ends its horizon there and reports it), and
+a boundary loop that crosses itself after an advection (`volume.markers` too
+few to resolve it).
 """
 
 from __future__ import annotations
@@ -73,6 +74,18 @@ def _csv_lines(header, rows):
     return lines
 
 
+def _emit_report(cfg, pairs, out_dir, kind):
+    """Write (key, value) pairs as `key: value` lines or a one-row CSV, as
+    `out.format` asks, to `<name>_<kind>.txt` or `.csv`."""
+    if cfg.out_format == "csv":
+        lines = _csv_lines(",".join(k for k, _ in pairs), [[v for _, v in pairs]])
+        suffix = "csv"
+    else:
+        lines = _kv_lines(pairs)
+        suffix = "txt"
+    _emit(lines, out_dir / f"{cfg.name}_{kind}.{suffix}")
+
+
 def _criteria_pairs(cfg, inp, report):
     pairs = [
         ("report", "criteria"), ("name", cfg.name),
@@ -96,15 +109,7 @@ def _criteria_pairs(cfg, inp, report):
 def _cmd_criteria(scenario, out_dir):
     cfg, inp = scenario.cfg, scenario.inp
     report = crit_mod.evaluate(inp)
-    pairs = _criteria_pairs(cfg, inp, report)
-    if cfg.out_format == "csv":
-        lines = _csv_lines(",".join(k for k, _ in pairs),
-                           [[v for _, v in pairs]])
-        suffix = "csv"
-    else:
-        lines = _kv_lines(pairs)
-        suffix = "txt"
-    _emit(lines, out_dir / f"{cfg.name}_criteria.{suffix}")
+    _emit_report(cfg, _criteria_pairs(cfg, inp, report), out_dir, "criteria")
     return 0
 
 
@@ -125,13 +130,7 @@ def _cmd_run(scenario, out_dir):
         ("series_rows", len(report.series)),
         ("detail", report.detail or "none"),
     ]
-    if cfg.out_format == "csv":
-        lines = _csv_lines(",".join(k for k, _ in pairs), [[v for _, v in pairs]])
-        suffix = "csv"
-    else:
-        lines = _kv_lines(pairs)
-        suffix = "txt"
-    _emit(lines, out_dir / f"{cfg.name}_report.{suffix}")
+    _emit_report(cfg, pairs, out_dir, "report")
     series_lines = _csv_lines(CSV_HEADER, report.series)
     (out_dir / f"{cfg.name}_series.csv").write_text("\n".join(series_lines) + "\n")
     failed = report.verdict == "VIOLATION" or report.bounds_failures
@@ -151,16 +150,17 @@ def _cmd_verify(scenario, out_dir, seed):
 
     times = sorted(cfg.verify_times)
     h = verify_mod.LEMMA_H
-    # The lemma differences reach t - h, and a grid flow starts at t0 = 0.
-    if times[0] - h < flow.t0:
-        raise ConfigError(f"key 'verify.times': {times[0]} is less than the "
-                          f"lemma step h={h} after the flow's start t={flow.t0}")
     try:
         flow.advance_to(times[-1] + 2.0 * h)
+        # The lemma differences reach t - h, which must lie in the flow's
+        # time window.
+        flow.check_time(times[0] - h)
     except SmoothnessLost as exc:
         raise ConfigError(
             f"key 'verify.times': the grid solver lost smoothness at "
             f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"key 'verify.times': {exc}") from exc
     for t in times:
         if t > vol.time:
             vol = advect(vol, flow, t, cfg.dt)

@@ -346,7 +346,8 @@ class Scenario:
     from them (the entropy floor `inp.s0` is the flow's).
 
     A grid flow is shared, not copied: advancing it for one use advances it
-    for every later use of the same scenario.
+    for every later use of the same scenario, but changes no query, since a
+    grid flow's value at a time does not depend on how far it was advanced.
     """
 
     cfg: ScenarioConfig

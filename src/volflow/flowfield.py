@@ -97,10 +97,6 @@ class FlowField:
 
     # -- domain handling ----------------------------------------------------
 
-    # Start of the time window; a flow that is computed, not given in closed
-    # form, starts later and must be advanced before it is queried.
-    t0 = -math.inf
-
     def advance_to(self, t):
         """Make the flow queryable up to time t; a closed-form flow already is."""
 

@@ -460,8 +460,8 @@ class MaterialVolume:
     """Lagrangian volume snapshot at one time.
 
     boundaries: list of (M, 2) marker loops (2-D) or SurfaceMesh (3-D).
-    nodes/mass_w/rho0: interior quadrature nodes with transported mass
-    weights rho0 * w and the initial densities used for Jacobian recovery.
+    nodes/mass_w: interior quadrature nodes with transported mass weights
+    rho0 * w, rho0 the initial densities at the nodes.
     x0 is the fixed target point the threshold machinery measures against.
     """
 
@@ -469,7 +469,6 @@ class MaterialVolume:
     boundaries: tuple
     nodes: np.ndarray
     mass_w: np.ndarray
-    rho0: np.ndarray
     x0: np.ndarray
     time: float
 
@@ -506,7 +505,7 @@ def init_volume(spec, flow, x0, epsilon, t0=0.0):
 
     rho0 = np.asarray(flow.density(t0, nodes), dtype=float)
     vol = MaterialVolume(dim=dim, boundaries=tuple(boundary), nodes=nodes,
-                         mass_w=rho0 * w, rho0=rho0, x0=x0, time=float(t0))
+                         mass_w=rho0 * w, x0=x0, time=float(t0))
     d = boundary_distance(vol)
     if d <= epsilon:
         raise ValueError(

@@ -350,7 +350,7 @@ def smoothness_guard(state, threshold=np.inf, work=None):
 # -- interpolation -----------------------------------------------------------
 
 def _lagrange_weights(u):
-    """Cubic Lagrange weights for nodes at offsets (-1, 0, 1, 2), u in [0,1)."""
+    """Cubic Lagrange weights for nodes at offsets (-1, 0, 1, 2) at offset u."""
     wm1 = -u * (u - 1.0) * (u - 2.0) / 6.0
     w0 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
     w1 = -(u + 1.0) * u * (u - 2.0) / 2.0
@@ -411,20 +411,22 @@ class GridFlow(FlowField):
     scale).  Querying beyond the advanced time is an error: callers advance
     explicitly so that failures to integrate surface where they happen.
 
+    A query depends on t alone, not on how far the flow was advanced: the
+    time stencil of t is always the cubic one through the snapshot before
+    t's grid interval, its two ends and the snapshot after it (the first
+    four snapshots in the first interval).  The flow therefore keeps one
+    snapshot of look-ahead: `t_last`, the latest time it answers for, is
+    the time of the next-to-last snapshot once there are four, else `t0`,
+    and `advance_to(t)` steps one snapshot past t.
+
     The first `advance_to` that steps creates a `_Workspace` for the grid
     shape, which every later step, guard call and interpolation reuses, so a
     step allocates only the state it returns.  A query between snapshots
     builds one full-grid time slice; the flow holds at most one such slice,
-    keyed on (t, number of snapshots), so the RK4 stages of an advection step
-    that share a time, and the velocity, density and entropy queries of one
-    sample, build it once.  The held slice and the workspace make a grid
-    flow unsafe to query from several threads at once.
-
-    Off-snapshot values in the last grid interval depend on how far the
-    cache was advanced: the time stencil starts no later than
-    `len(states) - 4`, so advancing further moves it.  On `radial_inflow`,
-    pre-advancing to t = 0.3 changed G in the last series row of `run` from
-    2.3946889921718872 to 2.3946889920732484.
+    keyed on t, so the RK4 stages of an advection step that share a time,
+    and the velocity, density and entropy queries of one sample, build it
+    once.  The held slice and the workspace make a grid flow unsafe to query
+    from several threads at once.
     """
 
     def __init__(self, initial, step_dt, guard_threshold=np.inf):
@@ -444,14 +446,15 @@ class GridFlow(FlowField):
 
     @property
     def t_last(self):
-        return self._states[-1].time
+        states = self._states
+        return states[-2].time if len(states) >= 4 else states[0].time
 
     @property
     def states(self):
         return tuple(self._states)
 
     def advance_to(self, t):
-        """Step the solver until the cache covers time t.
+        """Step the solver until the cache covers time t's stencil.
 
         Raises SmoothnessLost when the guard trips or a step is not smooth;
         the cache then ends at the last state before it.
@@ -462,7 +465,8 @@ class GridFlow(FlowField):
             try:
                 nxt = step(self._states[-1], self.step_dt, work=self._work)
             except NonSmoothState as exc:
-                raise SmoothnessLost(self.t_last + self.step_dt, np.nan) from exc
+                raise SmoothnessLost(self._states[-1].time + self.step_dt,
+                                     np.nan) from exc
             if np.isfinite(self.guard_threshold):
                 report = smoothness_guard(nxt, self.guard_threshold, work=self._work)
                 if not report.ok:
@@ -476,25 +480,13 @@ class GridFlow(FlowField):
 
     def _time_slice(self, t):
         """Fields cubic-Lagrange-combined in time at t (full nodal arrays)."""
-        self.check_time(t)
-        states = self._states
-        if len(states) == 1:
-            return states[0]
-        f = (t - self.t0) / self.step_dt
-        k = int(np.floor(f))
-        k = min(max(k - 1, 0), len(states) - 4) if len(states) >= 4 else 0
-        stencil = states[k:k + 4]
-        if len(stencil) < 4:                      # short cache: linear blend
-            a, b = states[0], states[-1]
-            w = 0.0 if b.time == a.time else (t - a.time) / (b.time - a.time)
-            combo = {n: (1 - w) * getattr(a, n) + w * getattr(b, n)
-                     for n in ("rho", "vx", "vy", "entropy")}
-        else:
-            u = (t - stencil[1].time) / self.step_dt
-            w = _lagrange_weights(np.asarray(u))
-            combo = {n: sum(wi * getattr(s, n) for wi, s in zip(w, stencil))
-                     for n in ("rho", "vx", "vy", "entropy")}
-        base = states[0]
+        k = max(int(np.floor((t - self.t0) / self.step_dt)) - 1, 0)
+        stencil = self._states[k:k + 4]
+        u = (t - stencil[1].time) / self.step_dt
+        w = _lagrange_weights(np.asarray(u))
+        combo = {n: sum(wi * getattr(s, n) for wi, s in zip(w, stencil))
+                 for n in ("rho", "vx", "vy", "entropy")}
+        base = stencil[0]
         return GridState(rho=combo["rho"], vx=combo["vx"], vy=combo["vy"],
                          entropy=combo["entropy"], gamma=self.gamma,
                          origin=base.origin, spacing=base.spacing, time=t)
@@ -506,13 +498,13 @@ class GridFlow(FlowField):
         return None
 
     def _sample(self, t, pts, names):
+        self.check_time(t)
         state = self._nearest_snapshot(t)
         if state is None:
-            key = (t, len(self._states))
-            if self._slice_key != key:
+            if self._slice_key != t:
                 self._slice = self._slice_key = None    # free it before the next
                 self._slice = self._time_slice(t)
-                self._slice_key = key
+                self._slice_key = t
             state = self._slice
         fields = {n: getattr(state, n) for n in names}
         return interpolate_fields(state, pts, fields, work=self._work)

@@ -442,12 +442,7 @@ def run_theorem_scenario(scenario):
                          Qq=threshold_q(inp, report_c.C, s.G))
 
     series = [record(sample0, inp.d_init)]
-    bounds_failed = []
-    bounds_checked = 0
-    for rep in bounds_chain(sample0):
-        bounds_checked += 1
-        if not rep.passed:
-            bounds_failed.append(rep)
+    bounds = bounds_chain(sample0)
 
     reg_max = abs(sample0.reg)
     e_min = e_max = sample0.E
@@ -471,10 +466,7 @@ def run_theorem_scenario(scenario):
             series.append(record(s, dist))
             reg_max = max(reg_max, abs(s.reg))
             e_min, e_max = min(e_min, s.E), max(e_max, s.E)
-            for rep in bounds_chain(s):
-                bounds_checked += 1
-                if not rep.passed:
-                    bounds_failed.append(rep)
+            bounds += bounds_chain(s)
     except TargetReached:
         hit_time = vol.time
         detail += "a quadrature node reached the target radius floor; "
@@ -499,5 +491,5 @@ def run_theorem_scenario(scenario):
     return TheoremReport(criteria=report_c, hit_time=hit_time,
                          horizon=horizon, E_drift=e_drift, reg_max=reg_max,
                          verdict=verdict, detail=detail.strip(),
-                         bounds_failures=tuple(bounds_failed),
-                         bounds_checked=bounds_checked, series=tuple(series))
+                         bounds_failures=tuple(r for r in bounds if not r.passed),
+                         bounds_checked=len(bounds), series=tuple(series))

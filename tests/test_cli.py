@@ -542,6 +542,19 @@ def test_grid_lemma_time_below_h_rejected(tmp_path, capsys):
     assert "verify.times" in err and "5e-05" in err
 
 
+# The expansion flow lives on t > -t_c; lemma differences reaching before
+# that were rejected by the flow with a message that named no key.
+def test_expansion_lemma_time_before_window_rejected(tmp_path, capsys):
+    text = (CONFIG_DIR / "lemmas_expansion.cfg").read_text() + (
+        "flow.t_c = 1e-5\nverify.times = 0.0\n")
+    path = _write(tmp_path, text)
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == (
+        "config error: key 'verify.times': time -0.0001 outside "
+        "expansion-flow domain (t > -1e-05)")
+
+
 # T = inf died in `run` with an OverflowError traceback, dt = inf ran zero
 # steps and exited 0, and T = nan failed naming no key.
 @pytest.mark.parametrize("line, key", [("T = inf", "T"), ("T = nan", "T"),
@@ -620,7 +633,7 @@ def test_grid_blowup_ends_the_horizon(tmp_path, capsys):
     assert rc in (0, 1)
     report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert report["verdict"] == "consistent_no_claim"
-    assert report["horizon"] == "0.9874999999999899"
+    assert report["horizon"] == "0.98499999999999"
     assert report["detail"].startswith("smoothness lost at t=0.98999")
 
 

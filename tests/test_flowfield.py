@@ -97,7 +97,6 @@ def test_expansion_domain():
 # start and nothing to advance.
 def test_closed_form_flows_need_no_advancing():
     for flow in (constant_flow(), expansion_flow()):
-        assert flow.t0 == -np.inf
         assert flow.advance_to(5.0) is None
         assert eval_state(flow, 5.0, np.ones(2)).rho > 0.0
 

@@ -132,7 +132,6 @@ def test_mass_weights_ride_along():
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
     moved = advect(vol, flow, 0.7, 0.05)
     assert np.array_equal(moved.mass_w, vol.mass_w)
-    assert np.array_equal(moved.rho0, vol.rho0)
 
 
 def test_self_intersection_detected_after_advection():

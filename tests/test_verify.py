@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,3 +289,17 @@ def test_hit_refinement_beats_sampling_cadence(shipped_runs):
     # samples are 50 steps apart, yet the hit is located to well under 2*dt
     report = shipped_runs["constant_inflow"]
     assert abs(report.hit_time - 1.5) <= 2e-3
+
+
+# A grid flow answers each query from t alone, so advancing the scenario's
+# shared flow first (as `verify` does before its theorem run) changes no bit
+# of the run; at T = 0.01 the run spans only two grid steps.
+@pytest.mark.parametrize("T", [0.1, 0.01])
+def test_grid_run_does_not_depend_on_pre_advancing(T):
+    cfg = replace(load_config(CONFIG_DIR / "radial_inflow.cfg"), T=T)
+    plain = run_theorem_scenario(build_scenario(cfg))
+    scenario = build_scenario(cfg)
+    scenario.flow.advance_to(0.3)
+    advanced = run_theorem_scenario(scenario)
+    assert len(plain.series) >= 2
+    assert np.asarray(plain.series).tobytes() == np.asarray(advanced.series).tobytes()
