@@ -348,6 +348,10 @@ class Scenario:
     A grid flow is shared, not copied: advancing it for one use advances it
     for every later use of the same scenario, but changes no query, since a
     grid flow's value at a time does not depend on how far it was advanced.
+    Nor does its window of snapshots: a use that needs earlier times than
+    the last one kept calls `keep_from` with them (as `run_theorem_scenario`
+    does with the volume's time) and advances the flow, which replays the
+    same steps.
     """
 
     cfg: ScenarioConfig

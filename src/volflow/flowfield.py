@@ -100,6 +100,13 @@ class FlowField:
     def advance_to(self, t):
         """Make the flow queryable up to time t; a closed-form flow already is."""
 
+    def keep_from(self, t):
+        """Declare that the flow will not be queried before time t again, so
+        a flow that stores its past may drop what lies before; a closed-form
+        flow stores none.  Querying before t later is an error until
+        `keep_from` is called with that earlier time (and the flow advanced
+        again)."""
+
     def check_time(self, t):
         """Raise ValueError if t lies outside the declared time window."""
 

@@ -15,11 +15,14 @@ state it returns.  Every buffered operation is the one the plain NumPy
 expression would perform, in the same order, so results are bit-for-bit
 those of the unbuffered formulas.
 
-A `GridFlow` wraps a run of the stepper as a queryable flow: snapshots are
-cached at every step and off-node/off-step queries use separable cubic
-Lagrange interpolation (bicubic in space, cubic in time), consistent with the
-scheme's order.  It creates its workspace on the first step and holds at most
-one time slice between snapshots.
+A `GridFlow` wraps a run of the stepper as a queryable flow: off-node and
+off-step queries use separable cubic Lagrange interpolation (bicubic in
+space, cubic in time), consistent with the scheme's order.  It holds a
+window of snapshots, from the time stencil of the earliest time its consumer
+will still query (`keep_from`) to the latest step, so its memory grows with
+the grid and the consumer's stride, not with the horizon.  It creates its
+workspace on the first step and holds at most one time slice between
+snapshots.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "GridFlow",
     "NonSmoothState",
     "SmoothnessLost",
+    "SnapshotDropped",
     "step",
     "smoothness_guard",
     "interpolate_fields",
@@ -55,6 +59,12 @@ class SmoothnessLost(RuntimeError):
         super().__init__(f"smoothness lost at t={time} (max_grad={max_grad})")
         self.time = time
         self.max_grad = max_grad
+
+
+class SnapshotDropped(RuntimeError):
+    """Raised when a grid flow is queried at a time whose time stencil its
+    window no longer holds: the consumer declared, through `keep_from`, that
+    it would not query that early again."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +112,13 @@ class GridState:
 
     def cfl_limit(self, number=0.4, work=None):
         """Largest admissible dt: number * min(dx) / max(|V| + c), with
-        c = sqrt(gamma P / rho); `work` is an optional `_Workspace`."""
+        c = sqrt(gamma P / rho); `work` is an optional `_Workspace`, whose
+        stage inputs serve as scratch (the derivatives a guard left in its
+        `grad` slots stay)."""
         if work is None:
             a, b = np.empty(self.shape), np.empty(self.shape)
         else:
-            a, b = work.grad[:2]
+            a, b = work.stage[:2]
         np.hypot(self.vx, self.vy, out=a)
         np.multiply(self.pressure, self.gamma, out=b)
         b /= self.rho
@@ -130,6 +142,11 @@ class _Workspace:
     buffers.  The interpolation patch arrays (`patch_buffers`) grow to the
     largest point count seen; allocated per query, they were paged in afresh
     on every query.
+
+    `grad_state` is the state whose rho, vx, vy and P derivatives
+    `smoothness_guard` left in the `grad` slots that the right-hand side
+    reads for them, or None; the next `step` from that state reuses them for
+    its first slope, and `_rhs` clears it when it overwrites the slots.
     """
 
     def __init__(self, shape):
@@ -141,6 +158,7 @@ class _Workspace:
         self.pressure = np.empty(shape)
         self.scratch = np.empty(shape)
         self.mask = np.empty(shape, dtype=bool)
+        self.grad_state = None
         self._flat = np.empty((0, 4, 4), dtype=np.intp)
         self._patch = np.empty((0, 4, 4))
 
@@ -226,19 +244,29 @@ def _advection_into(vx, vy, fx, fy, out):
     np.negative(out, out=out)
 
 
-def _rhs(u, p, dx, dy, out, work):
+# Positions in (rho, vx, vy, S, p) of the fields `smoothness_guard`
+# differentiates; their derivatives go to grad[2 i] and grad[2 i + 1].
+_GUARDED = (0, 1, 2, 4)
+
+
+def _rhs(u, p, dx, dy, out, work, done=()):
     """Fill `out` with the time derivatives of u = (rho, vx, vy, S) whose
     pressure is p:
         drho = -(vx rho_x + vy rho_y) - rho (vx_x + vy_y)
         dvx  = -(vx vx_x + vy vx_y) - p_x / rho
         dvy  = -(vx vy_x + vy vy_y) - p_y / rho
         dS   = -(vx S_x + vy S_y)
+
+    `done` lists the positions in (rho, vx, vy, S, p) whose derivatives
+    `work.grad` already holds.
     """
     rho, vx, vy, entropy = u
     grad, tmp = work.grad, work.scratch
     for i, f in enumerate((rho, vx, vy, entropy, p)):
-        _d4_into(f, dx, 0, grad[2 * i], work.edges[0], tmp)
-        _d4_into(f, dy, 1, grad[2 * i + 1], work.edges[1], tmp)
+        if i not in done:
+            _d4_into(f, dx, 0, grad[2 * i], work.edges[0], tmp)
+            _d4_into(f, dy, 1, grad[2 * i + 1], work.edges[1], tmp)
+    work.grad_state = None                      # the slots are overwritten below
     rho_x, rho_y, vx_x, vx_y, vy_x, vy_y, s_x, s_y, p_x, p_y = grad
     drho, dvx, dvy, ds = out
     np.add(vx_x, vy_y, out=tmp)                 # the divergence
@@ -294,7 +322,9 @@ def step(state, dt, work=None):
 
     # k1 goes straight into the new arrays; state.pressure is the same
     # rho ** gamma * exp(S) that `slope_at` computes for the other stages.
-    _rhs(u0, state.pressure, dx, dy, new, work)
+    # A guard call on this state left four of its derivatives in `work`.
+    _rhs(u0, state.pressure, dx, dy, new, work,
+         _GUARDED if work.grad_state is state else ())
     _stage_into(u0, new, 0.5 * dt, u)
     slope_at(u, k)                                          # k2
     _stage_into(u0, k, 0.5 * dt, u)
@@ -333,17 +363,21 @@ class GuardReport(NamedTuple):
 def smoothness_guard(state, threshold=np.inf, work=None):
     """Max discrete gradient norm over (rho, vx, vy, P) vs. a threshold.
 
-    `work` is an optional `_Workspace` for the state's shape."""
+    `work` is an optional `_Workspace` for the state's shape.  The
+    derivatives stay in its `grad` slots, where the first slope of a `step`
+    from this state reads them."""
     if work is None:
         work = _Workspace(state.shape)
     work.check(state)
     dx, dy = state.spacing
-    gx, gy = work.grad[0], work.grad[1]
+    u = (state.rho, state.vx, state.vy, state.entropy, state.pressure)
     worst = 0.0
-    for f in (state.rho, state.vx, state.vy, state.pressure):
-        _d4_into(f, dx, 0, gx, work.edges[0], work.scratch)
-        _d4_into(f, dy, 1, gy, work.edges[1], work.scratch)
-        worst = max(worst, float(np.hypot(gx, gy, out=gx).max()))
+    for i in _GUARDED:
+        gx, gy = work.grad[2 * i], work.grad[2 * i + 1]
+        _d4_into(u[i], dx, 0, gx, work.edges[0], work.scratch)
+        _d4_into(u[i], dy, 1, gy, work.edges[1], work.scratch)
+        worst = max(worst, float(np.hypot(gx, gy, out=work.scratch).max()))
+    work.grad_state = state
     return GuardReport(max_grad=worst, ok=worst <= threshold)
 
 
@@ -406,9 +440,8 @@ def interpolate_fields(state, pts, fields=None, work=None):
 class GridFlow(FlowField):
     """A stepper run exposed as a FlowField.
 
-    Snapshots accumulate as the flow is advanced; queries interpolate the
-    cached trajectory (all snapshots stay in memory, which is fine at desk
-    scale).  Querying beyond the advanced time is an error: callers advance
+    Snapshots accumulate as the flow is advanced, and queries interpolate
+    them.  Querying beyond the advanced time is an error: callers advance
     explicitly so that failures to integrate surface where they happen.
 
     A query depends on t alone, not on how far the flow was advanced: the
@@ -418,6 +451,20 @@ class GridFlow(FlowField):
     snapshot of look-ahead: `t_last`, the latest time it answers for, is
     the time of the next-to-last snapshot once there are four, else `t0`,
     and `advance_to(t)` steps one snapshot past t.
+
+    The flow holds a window of snapshots, not the whole run.  A consumer
+    names the earliest time it will still query with `keep_from(t)`; from
+    then on the flow holds only the snapshots from t's time stencil on (and
+    always the last two, which `t_last` and the next step need), and drops
+    older ones as it steps.  A consumer that steps along with its queries,
+    calling `keep_from` at each of its sample times, so holds about one
+    sample stride of snapshots, whatever the horizon.  Until `keep_from` is
+    called the flow keeps everything.  A query whose stencil was dropped
+    raises `SnapshotDropped`.  `keep_from(t)` with t's stencil behind the
+    window restarts the window at the initial state, which the flow always
+    keeps; the next `advance_to` replays the same deterministic steps, so
+    every snapshot, and every answer, is bit for bit the one of the first
+    run.
 
     The first `advance_to` that steps creates a `_Workspace` for the grid
     shape, which every later step, guard call and interpolation reuses, so a
@@ -436,32 +483,60 @@ class GridFlow(FlowField):
             raise ValueError("step_dt must be positive")
         self.step_dt = float(step_dt)
         self.guard_threshold = float(guard_threshold)
+        self._initial = initial
+        # The window: snapshots number _base, _base + 1, ... of the run
+        # (number 0 is the initial state); _keep is the number of the first
+        # snapshot the consumer will still query.
         self._states = [initial]
+        self._base = self._keep = 0
         self._work = None
         self._slice = self._slice_key = None
 
     @property
     def t0(self):
-        return self._states[0].time
+        return self._initial.time
 
     @property
     def t_last(self):
         states = self._states
-        return states[-2].time if len(states) >= 4 else states[0].time
+        return states[-2].time if self._base + len(states) >= 4 else self.t0
 
     @property
     def states(self):
+        """The snapshots the window holds, oldest first."""
         return tuple(self._states)
 
+    def _stencil_start(self, t):
+        """Number of the first snapshot of t's time stencil."""
+        return max(int(np.floor((t - self.t0) / self.step_dt)) - 1, 0)
+
+    def keep_from(self, t):
+        """Hold only the snapshots that queries at time t and later need.
+
+        A t whose stencil lies behind the window restarts it at the initial
+        state; the next `advance_to` replays the steps."""
+        k = self._stencil_start(t)
+        if k < self._base:
+            self._states, self._base = [self._initial], 0
+        self._keep = k
+        self._trim()
+
+    def _trim(self):
+        drop = min(self._keep - self._base, len(self._states) - 2)
+        if drop > 0:
+            del self._states[:drop]
+            self._base += drop
+
     def advance_to(self, t):
-        """Step the solver until the cache covers time t's stencil.
+        """Step the solver until the window covers time t's stencil,
+        dropping the snapshots that `keep_from` released as it steps.
 
         Raises SmoothnessLost when the guard trips or a step is not smooth;
-        the cache then ends at the last state before it.
+        the window then ends at the last state before it.
         """
         while self.t_last < t - 1e-12:
             if self._work is None:
-                self._work = _Workspace(self._states[0].shape)
+                self._work = _Workspace(self._initial.shape)
             try:
                 nxt = step(self._states[-1], self.step_dt, work=self._work)
             except NonSmoothState as exc:
@@ -472,16 +547,25 @@ class GridFlow(FlowField):
                 if not report.ok:
                     raise SmoothnessLost(nxt.time, report.max_grad)
             self._states.append(nxt)
+            self._trim()
 
     def check_time(self, t):
         if t < self.t0 - 1e-12 or t > self.t_last + 1e-12:
             raise ValueError(
                 f"grid flow not advanced to t={t} (have [{self.t0}, {self.t_last}])")
 
+    def _held(self, k, count, t):
+        """Snapshots number k .. k + count - 1 that the window holds (fewer
+        past its end)."""
+        if k < self._base:
+            raise SnapshotDropped(
+                f"grid flow dropped the snapshots of t={t} (its window starts "
+                f"at t={self._states[0].time})")
+        return self._states[k - self._base:k - self._base + count]
+
     def _time_slice(self, t):
         """Fields cubic-Lagrange-combined in time at t (full nodal arrays)."""
-        k = max(int(np.floor((t - self.t0) / self.step_dt)) - 1, 0)
-        stencil = self._states[k:k + 4]
+        stencil = self._held(self._stencil_start(t), 4, t)
         u = (t - stencil[1].time) / self.step_dt
         w = _lagrange_weights(np.asarray(u))
         combo = {n: sum(wi * getattr(s, n) for wi, s in zip(w, stencil))
@@ -493,8 +577,10 @@ class GridFlow(FlowField):
 
     def _nearest_snapshot(self, t):
         k = int(round((t - self.t0) / self.step_dt))
-        if 0 <= k < len(self._states) and abs(self._states[k].time - t) <= 1e-12:
-            return self._states[k]
+        if 0 <= k < self._base + len(self._states):
+            (state,) = self._held(k, 1, t)
+            if abs(state.time - t) <= 1e-12:
+                return state
         return None
 
     def _sample(self, t, pts, names):

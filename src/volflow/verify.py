@@ -423,16 +423,20 @@ def run_theorem_scenario(scenario):
     scenario's `inp`); the run itself monitors the bounds chain, the
     regularity flux and the energy drift, and refines any boundary attainment
     by bisection.
+
+    The flow is advanced along with the volume, to each sample instant in
+    turn, and told after each sample that no earlier time will be queried
+    (`keep_from`), so a grid flow holds about one sample stride of
+    snapshots.  Where the flow loses smoothness the horizon ends at its last
+    smooth time.  A run that ends early (a hit, or a node at the target
+    floor) still advances the flow to T, so its horizon and detail are those
+    of a flow advanced to T before the run.
     """
     cfg, flow, vol, phi = scenario.cfg, scenario.flow, scenario.vol, scenario.phi
     sample0, inp = scenario.sample0, scenario.inp
     detail = ""
     horizon = inp.T
-    try:
-        flow.advance_to(inp.T)
-    except SmoothnessLost as exc:
-        horizon = flow.t_last
-        detail = f"smoothness lost at t={exc.time}; "
+    flow.keep_from(vol.time)
 
     report_c = crit_mod.evaluate(inp)
 
@@ -453,9 +457,17 @@ def run_theorem_scenario(scenario):
 
     # Advance one advection call per sample instant (stride steps of dt
     # inside); the boundary self-intersection detector runs per call.
+    k = stride
     try:
-        for k in range(stride, n_steps + stride, stride):
+        while k < n_steps + stride:
             t_k = min(k * dt, horizon)
+            try:
+                flow.advance_to(t_k)
+            except SmoothnessLost as exc:
+                horizon = flow.t_last
+                detail = f"smoothness lost at t={exc.time}; "
+                n_steps = int(math.ceil(horizon / dt - 1e-9))
+                continue
             prev = vol
             vol = _advect_any(vol, flow, t_k, dt)
             dist = boundary_distance(vol)
@@ -467,9 +479,19 @@ def run_theorem_scenario(scenario):
             reg_max = max(reg_max, abs(s.reg))
             e_min, e_max = min(e_min, s.E), max(e_max, s.E)
             bounds += bounds_chain(s)
+            flow.keep_from(t_k)
+            k += stride
     except TargetReached:
         hit_time = vol.time
         detail += "a quadrature node reached the target radius floor; "
+
+    if hit_time is not None and horizon == inp.T:
+        flow.keep_from(inp.T)
+        try:
+            flow.advance_to(inp.T)
+        except SmoothnessLost as exc:
+            horizon = flow.t_last
+            detail = f"smoothness lost at t={exc.time}; " + detail
 
     e_drift = max(abs(e_max - sample0.E), abs(e_min - sample0.E)) / sample0.E
 

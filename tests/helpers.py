@@ -7,6 +7,7 @@ import numpy as np
 
 from volflow.flowfield import FlowField
 from volflow.matvol import VolumeShapeSpec, init_volume
+from volflow.solver import GridFlow
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -56,3 +57,19 @@ def ones(pts):
 
 def radial_norm(pts):
     return np.linalg.norm(pts, axis=1)
+
+
+def record_snapshots_held(monkeypatch):
+    """A list that gets the number of snapshots a grid flow holds after each
+    of its `advance_to` calls (the widest its window gets)."""
+    held = []
+    advance_to = GridFlow.advance_to
+
+    def recording(self, t):
+        try:
+            advance_to(self, t)
+        finally:
+            held.append(len(self.states))
+
+    monkeypatch.setattr(GridFlow, "advance_to", recording)
+    return held

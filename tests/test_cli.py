@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CONFIG_DIR
+from helpers import CONFIG_DIR, record_snapshots_held
 
 import volflow
 from volflow import matvol
 from volflow.cli import CSV_HEADER, main
 from volflow.config import ConfigError, build_scenario, load_config, parse_kv_text
+from volflow.solver import GridFlow
 
 
 MINI_CONFIG = """
@@ -218,6 +219,25 @@ def test_verify_past_smooth_horizon_is_precondition_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "verify.times" in err[0] and "t=0.005" in err[0]
+
+
+@pytest.mark.parametrize("extra, lost_at", [
+    # The guard trips on the first step (the config of the test above).
+    ("flow.grid.n = 32\nflow.grid.max_grad = 1.0\n", "t=0.005"),
+    # Smoothness is lost after 140 steps, before the last lemma time 0.8.
+    ("flow.grid.n = 64\n", "t=0.700"),
+], ids=["first_step", "step_140"])
+def test_verify_precondition_holds_few_snapshots(tmp_path, capsys, monkeypatch,
+                                                 extra, lost_at):
+    held = record_snapshots_held(monkeypatch)
+    text = (CONFIG_DIR / "radial_inflow.cfg").read_text() + (
+        "\nname = rough\nvolume.quad_order = 10\n" + extra)
+    path = _write(tmp_path, text, "rough")
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = _single_error(capsys)
+    assert "verify.times" in err and lost_at in err
+    assert max(held) <= 4
 
 
 def test_sweep_subcommand(tmp_path, capsys):
@@ -645,3 +665,45 @@ def test_self_intersection_is_precondition_error(mini_cfg, tmp_path, capsys,
         assert rc == 2
         err = _single_error(capsys)
         assert "volume.markers" in err and "self-intersects" in err
+
+
+def _cli_bytes(argv, out_dir, capsys):
+    rc = main([*argv, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return rc, captured.out, captured.err, files
+
+
+_RADIAL = (CONFIG_DIR / "radial_inflow.cfg").read_text()
+
+# (command, config text, exit code, lines the report must hold).  A grid
+# flow that keeps every snapshot (keep_from a no-op) is the reference.
+WINDOW_CASES = {
+    "radial_inflow_run": ("run", _RADIAL, 0, ["verdict: consistent_no_claim"]),
+    # Smoothness is lost inside the sampling loop (one bounds check fails).
+    "blowup_run": ("run", BLOWUP_CONFIG, 1, [
+        "horizon: 0.98499999999999", "series_rows: 51", "bounds_checked: 204",
+        "detail: smoothness lost at t=0.9899999999999899;"]),
+    # The hit at t ~ 0.1999 comes before smoothness is lost at t = 0.685:
+    # the flow is still advanced to T for the horizon and the detail.
+    "hit_before_loss_run": ("run", _RADIAL + "\nepsilon = 0.8\nT = 0.9\n", 0, [
+        "verdict: consistent_hit", "horizon: 0.6750000000000005",
+        "detail: smoothness lost at t=0.6850000000000005;"]),
+    # A passing grid verify: the lemma phase and the theorem run share one
+    # replay of the flow.
+    "radial_inflow_verify": ("verify",
+                             _RADIAL + "\nverify.times = 0.1, 0.2, 0.3\n", 0,
+                             ["result: pass"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_snapshot_window_changes_no_output(case, tmp_path, capsys, monkeypatch):
+    command, text, code, lines = WINDOW_CASES[case]
+    argv = [command, "--config", str(_write(tmp_path, text, case))]
+    windowed = _cli_bytes(argv, tmp_path / "windowed", capsys)
+    monkeypatch.setattr(GridFlow, "keep_from", lambda self, t: None)
+    assert _cli_bytes(argv, tmp_path / "kept", capsys) == windowed
+    rc, out, _, _ = windowed
+    assert rc == code
+    assert all(line in out.splitlines() for line in lines)

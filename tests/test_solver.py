@@ -6,7 +6,8 @@ import pytest
 from volflow import solver
 from volflow.flowfield import make_analytic_flow
 from volflow.solver import (GridFlow, GridState, NonSmoothState, SmoothnessLost,
-                            interpolate_fields, smoothness_guard, step)
+                            SnapshotDropped, interpolate_fields, smoothness_guard,
+                            step)
 
 
 def uniform_state(n=32, rho=1.0, vx=0.3, vy=-0.2, s=0.0, gamma=1.4):
@@ -439,3 +440,80 @@ def test_step_with_workspace_allocates_only_the_new_state():
         tracemalloc.stop()
     assert new.rho.shape == (64, 64)
     assert peak < 8 * st.rho.nbytes
+
+
+def test_guard_derivatives_feed_the_next_step(monkeypatch):
+    # A guard call leaves the rho, vx, vy and P derivatives where the next
+    # step's first slope reads them: a guarded step makes 8 + 32 derivative
+    # calls, not 8 + 40, with the same result.  A step from another state,
+    # or a second step, differentiates all ten fields again.
+    st = random_smooth_state((32, 32), 1.4, seed=5)
+    other = random_smooth_state((32, 32), 1.4, seed=6)
+    dt = 0.5 * st.cfl_limit()
+    want = step(st, dt, work=solver._Workspace(st.shape))
+    calls = []
+    d4_into = solver._d4_into
+
+    def counting(*args):
+        calls.append(args[0])
+        return d4_into(*args)
+
+    monkeypatch.setattr(solver, "_d4_into", counting)
+    work = solver._Workspace(st.shape)
+    names = ("rho", "vx", "vy", "entropy", "pressure")
+    for guarded, expected_calls in ((st, 40), (None, 40), (other, 48)):
+        calls.clear()
+        if guarded is not None:
+            smoothness_guard(guarded, work=work)
+        got = step(st, dt, work=work)
+        assert len(calls) == expected_calls
+        assert all(np.array_equal(getattr(got, n), getattr(want, n)) for n in names)
+
+
+def test_window_replays_the_same_snapshots():
+    st = random_smooth_state((32, 32), 1.4, seed=7)
+    pts = np.array([[-0.1, 0.9], [0.35, 1.2]])
+    whole = GridFlow(st, step_dt=1e-3, guard_threshold=1e6)
+    whole.advance_to(0.02)
+    flow = GridFlow(st, step_dt=1e-3, guard_threshold=1e6)
+    flow.keep_from(0.0105)
+    flow.advance_to(0.02)
+    # The window starts at the stencil of 0.0105 (snapshot 9) and ends one
+    # snapshot past 0.02.
+    assert len(flow.states) == 13
+    assert flow.states[0].time == pytest.approx(0.009)
+    assert np.array_equal(flow.density(0.0105, pts), whole.density(0.0105, pts))
+    assert np.array_equal(flow.velocity(0.02, pts), whole.velocity(0.02, pts))
+    for t in (0.0055, 0.003):             # between snapshots, and on one
+        with pytest.raises(SnapshotDropped):
+            flow.density(t, pts)
+    flow.check_time(0.003)                # the time window itself is unchanged
+
+    flow.keep_from(0.0)                   # behind the window: start again
+    assert flow.states == (st,)
+    flow.advance_to(0.02)
+    names = ("rho", "vx", "vy", "entropy", "pressure")
+    assert len(flow.states) == len(whole.states)
+    for a, b in zip(flow.states, whole.states):
+        assert a.time == b.time
+        assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
+    assert np.array_equal(flow.entropy(0.0055, pts), whole.entropy(0.0055, pts))
+
+
+def test_window_ahead_holds_the_last_two_snapshots():
+    flow = GridFlow(random_smooth_state((32, 32), 1.4, seed=8), step_dt=1e-3)
+    flow.keep_from(0.05)
+    flow.advance_to(0.01)
+    assert len(flow.states) == 2
+    assert flow.t_last == pytest.approx(0.01)
+
+
+def test_check_time_messages():
+    flow = GridFlow(gaussian_pressure_matched(32), step_dt=2e-3)
+    flow.advance_to(0.01)
+    flow.keep_from(0.008)
+    for t in (0.5, -0.1):
+        with pytest.raises(ValueError) as exc:
+            flow.check_time(t)
+        assert str(exc.value) == (f"grid flow not advanced to t={t} "
+                                  f"(have [0.0, {flow.t_last}])")

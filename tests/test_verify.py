@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import CONFIG_DIR, SyntheticFlow, annulus_volume, disk_volume
+from helpers import (CONFIG_DIR, SyntheticFlow, annulus_volume, disk_volume,
+                     record_snapshots_held)
 
 from volflow import verify as verify_mod
 from volflow.config import build_scenario, load_config
@@ -303,3 +304,27 @@ def test_grid_run_does_not_depend_on_pre_advancing(T):
     advanced = run_theorem_scenario(scenario)
     assert len(plain.series) >= 2
     assert np.asarray(plain.series).tobytes() == np.asarray(advanced.series).tobytes()
+
+
+def test_grid_run_memory_does_not_grow_with_the_horizon(tmp_path, monkeypatch):
+    # The run advances the flow one sample stride at a time and releases
+    # what lies behind each sample, so the flow holds the same number of
+    # snapshots at T and 3T: about one stride of grid steps plus the stencil.
+    path = tmp_path / "radial_64.cfg"
+    path.write_text((CONFIG_DIR / "radial_inflow.cfg").read_text()
+                    + "\nflow.grid.n = 64\n")
+    held = record_snapshots_held(monkeypatch)
+    peaks, reports = [], []
+    for T in (0.3, 0.1):
+        scenario = build_scenario(replace(load_config(path), T=T))
+        held.clear()
+        reports.append(run_theorem_scenario(scenario))
+        assert reports[-1].horizon == T
+        peaks.append(max(held))
+    cfg, grid_dt = scenario.cfg, scenario.flow.step_dt
+    assert peaks[0] == peaks[1]
+    assert peaks[0] <= math.ceil(cfg.sample_stride * cfg.dt / grid_dt) + 5
+    # A second run on the same scenario finds the window past its start,
+    # restarts it, and replays the flow to the same series.
+    again = run_theorem_scenario(scenario)
+    assert np.asarray(again.series).tobytes() == np.asarray(reports[-1].series).tobytes()
