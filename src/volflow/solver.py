@@ -22,7 +22,14 @@ window of snapshots, from the time stencil of the earliest time its consumer
 will still query (`keep_from`) to the latest step, so its memory grows with
 the grid and the consumer's stride, not with the horizon.  It creates its
 workspace on the first step and holds at most one time slice between
-snapshots.
+snapshots, with only the fields read at its time.
+
+A homentropic state (S the same finite value, not -0.0, at every node)
+keeps its entropy exactly under the scheme, so `step` evolves only
+(rho, vx, vy) from it and its snapshots share one entropy array.  The
+gradient guard and the CFL limit take their maxima of hypot(gx, gy) exactly
+from cheap squared-sum passes plus np.hypot at the few cells that can hold
+them (`_max_hypot`).
 """
 
 from __future__ import annotations
@@ -113,18 +120,17 @@ class GridState:
     def cfl_limit(self, number=0.4, work=None):
         """Largest admissible dt: number * min(dx) / max(|V| + c), with
         c = sqrt(gamma P / rho); `work` is an optional `_Workspace`, whose
-        stage inputs serve as scratch (the derivatives a guard left in its
-        `grad` slots stay)."""
+        stage inputs and mask serve as scratch (the derivatives a guard left
+        in its `grad` slots stay)."""
         if work is None:
-            a, b = np.empty(self.shape), np.empty(self.shape)
+            c, buf, tmp, mask = np.empty(self.shape), None, None, None
         else:
-            a, b = work.stage[:2]
-        np.hypot(self.vx, self.vy, out=a)
-        np.multiply(self.pressure, self.gamma, out=b)
-        b /= self.rho
-        np.sqrt(b, out=b)
-        a += b
-        return number * min(self.spacing) / float(a.max())
+            (c, buf, tmp), mask = work.stage[:3], work.mask
+        np.multiply(self.pressure, self.gamma, out=c)
+        c /= self.rho
+        np.sqrt(c, out=c)
+        top = _max_hypot(self.vx, self.vy, c, buf, tmp, mask)
+        return number * min(self.spacing) / top
 
     def mass(self):
         """Whole-box mass integral (fixed-order pairwise summation)."""
@@ -221,10 +227,39 @@ def _d4_into(f, h, axis, out, edges, tmp):
     return out
 
 
-def _d4(f, h, axis):
-    """4th-order centered first derivative on the periodic grid."""
-    return _d4_into(f, h, axis, np.empty(f.shape), _edge_buffers(f.shape, axis),
-                    np.empty(f.shape))
+def _max_hypot(gx, gy, add=0.0, buf=None, tmp=None, mask=None):
+    """float((np.hypot(gx, gy) + add).max()), exactly, for add >= 0.
+
+    np.hypot costs several times a plain multiply or sqrt pass, so the
+    maximum is found on sqrt(gx**2 + gy**2) + add first.  Where its squares
+    neither overflow nor underflow that value is within a few ulp of
+    hypot(gx, gy) + add, so every cell that can hold the exact maximum lies
+    within 1e-12 (relative) of its maximum `top`; np.hypot runs on those
+    cells alone.  A `top` that is not finite, or below 1e-140 (squares of
+    that size lose their precision to underflow), sends the whole array to
+    np.hypot.  `buf` and `tmp` are float scratch arrays and `mask` a
+    boolean one of the fields' shape."""
+    buf = np.empty(gx.shape) if buf is None else buf
+    tmp = np.empty(gx.shape) if tmp is None else tmp
+    mask = np.empty(gx.shape, dtype=bool) if mask is None else mask
+    shifted = np.ndim(add) > 0 or add != 0.0
+    np.multiply(gx, gx, out=buf)
+    np.multiply(gy, gy, out=tmp)
+    buf += tmp
+    np.sqrt(buf, out=buf)
+    if shifted:
+        buf += add
+    top = float(buf.max())
+    if not (np.isfinite(top) and top >= 1e-140):
+        np.hypot(gx, gy, out=buf)
+        if shifted:
+            buf += add
+        return float(buf.max())
+    near = np.flatnonzero(np.greater_equal(buf, top - 1e-12 * top, out=mask))
+    exact = np.hypot(gx.reshape(-1)[near], gy.reshape(-1)[near])
+    if shifted:
+        exact += add.reshape(-1)[near] if np.ndim(add) else add
+    return float(exact.max())
 
 
 def _pressure_into(rho, entropy, gamma, out, tmp):
@@ -257,18 +292,19 @@ def _rhs(u, p, dx, dy, out, work, done=()):
         dvy  = -(vx vy_x + vy vy_y) - p_y / rho
         dS   = -(vx S_x + vy S_y)
 
-    `done` lists the positions in (rho, vx, vy, S, p) whose derivatives
-    `work.grad` already holds.
+    A frozen entropy (see `step`) is left out: u = (rho, vx, vy), and `out`
+    gets the first three derivatives only.  `done` lists the positions in
+    (rho, vx, vy, S, p) whose derivatives `work.grad` already holds.
     """
-    rho, vx, vy, entropy = u
+    rho, vx, vy = u[:3]
     grad, tmp = work.grad, work.scratch
-    for i, f in enumerate((rho, vx, vy, entropy, p)):
+    for i, f in [*enumerate(u), (4, p)]:
         if i not in done:
             _d4_into(f, dx, 0, grad[2 * i], work.edges[0], tmp)
             _d4_into(f, dy, 1, grad[2 * i + 1], work.edges[1], tmp)
     work.grad_state = None                      # the slots are overwritten below
     rho_x, rho_y, vx_x, vx_y, vy_x, vy_y, s_x, s_y, p_x, p_y = grad
-    drho, dvx, dvy, ds = out
+    drho, dvx, dvy = out[:3]
     np.add(vx_x, vy_y, out=tmp)                 # the divergence
     tmp *= rho
     _advection_into(vx, vy, rho_x, rho_y, drho)
@@ -279,7 +315,8 @@ def _rhs(u, p, dx, dy, out, work, done=()):
     _advection_into(vx, vy, vy_x, vy_y, dvy)
     p_y /= rho
     dvy -= p_y
-    _advection_into(vx, vy, s_x, s_y, ds)
+    if len(u) == 4:
+        _advection_into(vx, vy, s_x, s_y, out[3])
 
 
 def _stage_into(u0, k, h, out):
@@ -287,6 +324,17 @@ def _stage_into(u0, k, h, out):
     for f, kf, o in zip(u0, k, out):
         np.multiply(kf, h, out=o)
         o += f
+
+
+def _frozen(entropy, mask):
+    """True when every entropy value has the bits of one finite float64
+    that is not -0.0 (`mask` is a boolean scratch array of its shape)."""
+    if entropy.dtype != np.float64:
+        return False
+    first = entropy.flat[0]
+    bits = entropy.view(np.int64)
+    return bool(np.isfinite(first) and not np.signbit(first)
+                and np.equal(bits, bits.flat[0], out=mask).all())
 
 
 def step(state, dt, work=None):
@@ -300,6 +348,14 @@ def step(state, dt, work=None):
     uses a workspace of its own.  The slopes are summed as
     ((k1 + 2 k2) + 2 k3) + k4 straight into the new state's arrays, stage by
     stage, so one set of slope buffers serves k2, k3 and k4.
+
+    A homentropic state keeps its entropy: when S holds the bits of one
+    finite value other than -0.0, its centred differences are exactly +0,
+    so every dS is +-0 and every RK stage, and the new state, would carry S
+    bit for bit.  The step then evolves (rho, vx, vy) alone and the new
+    state shares the `entropy` array of this one.  (A -0.0 field, or one
+    mixing the two zeros, can turn -0.0 cells into +0.0, so it takes the
+    general path.)
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -312,31 +368,33 @@ def step(state, dt, work=None):
 
     dx, dy = state.spacing
     gamma = state.gamma
-    u0 = (state.rho, state.vx, state.vy, state.entropy)
-    u, k = work.stage, work.slope
-    new = tuple(np.empty(state.shape) for _ in range(4))
+    n = 3 if _frozen(state.entropy, work.mask) else 4
+    u0 = (state.rho, state.vx, state.vy, state.entropy)[:n]
+    u, k = work.stage[:n], work.slope[:n]
+    stage_entropy = u[3] if n == 4 else state.entropy
+    new = tuple(np.empty(state.shape) for _ in range(n))
 
-    def slope_at(fields, out):
-        p = _pressure_into(fields[0], fields[3], gamma, work.pressure, work.scratch)
-        _rhs(fields, p, dx, dy, out, work)
+    def slope_into(out):
+        p = _pressure_into(u[0], stage_entropy, gamma, work.pressure, work.scratch)
+        _rhs(u, p, dx, dy, out, work)
 
     # k1 goes straight into the new arrays; state.pressure is the same
-    # rho ** gamma * exp(S) that `slope_at` computes for the other stages.
+    # rho ** gamma * exp(S) that `slope_into` computes for the other stages.
     # A guard call on this state left four of its derivatives in `work`.
     _rhs(u0, state.pressure, dx, dy, new, work,
          _GUARDED if work.grad_state is state else ())
     _stage_into(u0, new, 0.5 * dt, u)
-    slope_at(u, k)                                          # k2
+    slope_into(k)                                           # k2
     _stage_into(u0, k, 0.5 * dt, u)
     for acc, kf in zip(new, k):
         kf *= 2.0
         acc += kf
-    slope_at(u, k)                                          # k3
+    slope_into(k)                                           # k3
     _stage_into(u0, k, dt, u)
     for acc, kf in zip(new, k):
         kf *= 2.0
         acc += kf
-    slope_at(u, k)                                          # k4
+    slope_into(k)                                           # k4
     for f, acc, kf in zip(u0, new, k):
         acc += kf
         acc *= dt / 6.0
@@ -349,8 +407,9 @@ def step(state, dt, work=None):
     if np.less_equal(new[0], 0.0, out=mask).any():
         raise NonSmoothState(f"density lost positivity at t={state.time + dt}")
 
-    pressure = _pressure_into(new[0], new[3], gamma, np.empty(state.shape), work.scratch)
-    return GridState(rho=new[0], vx=new[1], vy=new[2], entropy=new[3],
+    entropy = new[3] if n == 4 else state.entropy
+    pressure = _pressure_into(new[0], entropy, gamma, np.empty(state.shape), work.scratch)
+    return GridState(rho=new[0], vx=new[1], vy=new[2], entropy=entropy,
                      gamma=gamma, origin=state.origin, spacing=state.spacing,
                      time=state.time + dt, pressure=pressure)
 
@@ -363,20 +422,21 @@ class GuardReport(NamedTuple):
 def smoothness_guard(state, threshold=np.inf, work=None):
     """Max discrete gradient norm over (rho, vx, vy, P) vs. a threshold.
 
-    `work` is an optional `_Workspace` for the state's shape.  The
-    derivatives stay in its `grad` slots, where the first slope of a `step`
-    from this state reads them."""
+    `work` is an optional `_Workspace` for the state's shape, whose stage
+    inputs and mask serve as scratch.  The derivatives stay in its `grad`
+    slots, where the first slope of a `step` from this state reads them."""
     if work is None:
         work = _Workspace(state.shape)
     work.check(state)
     dx, dy = state.spacing
     u = (state.rho, state.vx, state.vy, state.entropy, state.pressure)
     worst = 0.0
+    buf, tmp = work.stage[:2]
     for i in _GUARDED:
         gx, gy = work.grad[2 * i], work.grad[2 * i + 1]
         _d4_into(u[i], dx, 0, gx, work.edges[0], work.scratch)
         _d4_into(u[i], dy, 1, gy, work.edges[1], work.scratch)
-        worst = max(worst, float(np.hypot(gx, gy, out=work.scratch).max()))
+        worst = max(worst, _max_hypot(gx, gy, 0.0, buf, tmp, work.mask))
     work.grad_state = state
     return GuardReport(max_grad=worst, ok=worst <= threshold)
 
@@ -469,11 +529,14 @@ class GridFlow(FlowField):
     The first `advance_to` that steps creates a `_Workspace` for the grid
     shape, which every later step, guard call and interpolation reuses, so a
     step allocates only the state it returns.  A query between snapshots
-    builds one full-grid time slice; the flow holds at most one such slice,
+    reads a full-grid time slice; the flow holds at most one such slice,
     keyed on t, so the RK4 stages of an advection step that share a time,
-    and the velocity, density and entropy queries of one sample, build it
-    once.  The held slice and the workspace make a grid flow unsafe to query
-    from several threads at once.
+    and the velocity, density and entropy queries of one sample, share it.
+    The slice combines the density when it is built (a non-positive one
+    raises `NonSmoothState`) and any other field only when it is first
+    read, so velocity queries never combine the entropy; it is let go when
+    its stencil leaves the window.  The held slice and the workspace make a
+    grid flow unsafe to query from several threads at once.
     """
 
     def __init__(self, initial, step_dt, guard_threshold=np.inf):
@@ -490,7 +553,9 @@ class GridFlow(FlowField):
         self._states = [initial]
         self._base = self._keep = 0
         self._work = None
-        self._slice = self._slice_key = None
+        # The held time slice: its t, the number of its stencil's first
+        # snapshot, the stencil, its weights and the fields combined so far.
+        self._slice = None
 
     @property
     def t0(self):
@@ -518,6 +583,7 @@ class GridFlow(FlowField):
         k = self._stencil_start(t)
         if k < self._base:
             self._states, self._base = [self._initial], 0
+            self._slice = None
         self._keep = k
         self._trim()
 
@@ -526,6 +592,8 @@ class GridFlow(FlowField):
         if drop > 0:
             del self._states[:drop]
             self._base += drop
+            if self._slice is not None and self._slice[1] < self._base:
+                self._slice = None              # its stencil left the window
 
     def advance_to(self, t):
         """Step the solver until the window covers time t's stencil,
@@ -563,17 +631,31 @@ class GridFlow(FlowField):
                 f"at t={self._states[0].time})")
         return self._states[k - self._base:k - self._base + count]
 
-    def _time_slice(self, t):
-        """Fields cubic-Lagrange-combined in time at t (full nodal arrays)."""
-        stencil = self._held(self._stencil_start(t), 4, t)
-        u = (t - stencil[1].time) / self.step_dt
-        w = _lagrange_weights(np.asarray(u))
-        combo = {n: sum(wi * getattr(s, n) for wi, s in zip(w, stencil))
-                 for n in ("rho", "vx", "vy", "entropy")}
-        base = stencil[0]
-        return GridState(rho=combo["rho"], vx=combo["vx"], vy=combo["vy"],
-                         entropy=combo["entropy"], gamma=self.gamma,
-                         origin=base.origin, spacing=base.spacing, time=t)
+    def _time_slice(self, t, names):
+        """The fields `names`, cubic-Lagrange-combined in time at t (full
+        nodal arrays).
+
+        The flow holds the slice of one t: its stencil, its weights and the
+        fields combined so far, each combined the first time it is read.
+        The density is combined, and checked finite and positive, as the
+        slice is built."""
+        def combined(name):
+            return sum(wi * getattr(s, name) for wi, s in zip(w, stencil))
+
+        if self._slice is None or self._slice[0] != t:
+            self._slice = None                  # free it before the next
+            k = self._stencil_start(t)
+            stencil = self._held(k, 4, t)
+            w = _lagrange_weights(np.asarray((t - stencil[1].time) / self.step_dt))
+            rho = combined("rho")
+            if not np.all(np.isfinite(rho)) or np.any(rho <= 0.0):
+                raise NonSmoothState("non-positive or non-finite density")
+            self._slice = (t, k, stencil, w, {"rho": rho})
+        _, _, stencil, w, fields = self._slice
+        for n in names:
+            if n not in fields:
+                fields[n] = combined(n)
+        return {n: fields[n] for n in names}
 
     def _nearest_snapshot(self, t):
         k = int(round((t - self.t0) / self.step_dt))
@@ -587,12 +669,9 @@ class GridFlow(FlowField):
         self.check_time(t)
         state = self._nearest_snapshot(t)
         if state is None:
-            if self._slice_key != t:
-                self._slice = self._slice_key = None    # free it before the next
-                self._slice = self._time_slice(t)
-                self._slice_key = t
-            state = self._slice
-        fields = {n: getattr(state, n) for n in names}
+            state, fields = self._states[-1], self._time_slice(t, names)
+        else:
+            fields = {n: getattr(state, n) for n in names}
         return interpolate_fields(state, pts, fields, work=self._work)
 
     def velocity(self, t, pts):

@@ -1,7 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import d4
 
 from volflow import solver
 from volflow.flowfield import make_analytic_flow
@@ -169,8 +171,7 @@ def test_smoothness_guard_gaussian_peak():
     report = smoothness_guard(st)
     # pressure gradient is steeper than the density one; compare density only
     dx, dy = st.spacing
-    from volflow.solver import _d4
-    grad_rho = np.hypot(_d4(st.rho, dx, 0), _d4(st.rho, dy, 1)).max()
+    grad_rho = np.hypot(d4(st.rho, dx, 0), d4(st.rho, dy, 1)).max()
     assert abs(grad_rho - analytic) <= 0.1 * analytic
     assert report.max_grad >= grad_rho
 
@@ -307,6 +308,11 @@ def _reference_interpolate(state, pts, names):
     return out
 
 
+def with_entropy(state, entropy):
+    """The state with another entropy field (and its pressure)."""
+    return dataclasses.replace(state, entropy=entropy, pressure=None)
+
+
 def random_smooth_state(shape, gamma, seed, spacing=None):
     """A few random periodic Fourier modes per field; density stays positive."""
     rng = np.random.default_rng(seed)
@@ -336,8 +342,8 @@ def test_step_matches_reference_bitwise(shape, spacing, gamma):
     st = random_smooth_state(shape, gamma, seed=sum(shape), spacing=spacing)
     dx, dy = st.spacing
     for f in (st.rho, st.vx, st.pressure):
-        assert np.array_equal(solver._d4(f, dx, 0), _reference_d4(f, dx, 0))
-        assert np.array_equal(solver._d4(f, dy, 1), _reference_d4(f, dy, 1))
+        assert np.array_equal(d4(f, dx, 0), _reference_d4(f, dx, 0))
+        assert np.array_equal(d4(f, dy, 1), _reference_d4(f, dy, 1))
     assert st.cfl_limit() == _reference_cfl_limit(st)
     dt = 0.5 * st.cfl_limit()
     # Three steps through one workspace, then one without: buffers left over
@@ -360,6 +366,81 @@ def test_step_matches_reference_bitwise(shape, spacing, gamma):
     assert guard.max_grad == max(
         float(np.hypot(_reference_d4(f, dx, 0), _reference_d4(f, dy, 1)).max())
         for f in (st.rho, st.vx, st.vy, st.pressure))
+
+
+def _hypot_cases():
+    rng = np.random.default_rng(11)
+    shape = (40, 24)
+    gx, gy = rng.normal(size=shape), rng.normal(size=shape)
+    yield "random", gx, gy
+    tie = gx.copy()
+    tie[3, 4] = tie[30, 7] = tie[11, 20] = 9.0        # exact ties at the top
+    yield "ties", tie, np.zeros(shape)
+    near = gx.copy()
+    near[3, 4] = 9.0
+    near[30, 7] = np.nextafter(9.0, 10.0)             # one ulp above
+    near[11, 20] = np.nextafter(9.0, 0.0)             # and one below
+    yield "near_ties", near, gy
+    # Two cells whose order sqrt(gx**2 + gy**2) reverses: by one ulp each
+    # way at unit scale, and by 2e-4 where the squares underflow.  Found by
+    # a random search against np.hypot; with another libm's hypot the unit
+    # case may not reverse, and it still checks exactness.
+    for name, a, b, scale in (
+            ("flip", ("0x1.ae19fff19a9f9p-1", "0x1.f0efd4c0bf340p-2"),
+             ("0x1.9b4c7b7180edbp-1", "0x1.167db28d0233dp-1"), 0.1),
+            ("underflow_flip", ("0x1.6371bd3f97315p-533", "0x1.38f92993e3b24p-532"),
+             ("0x1.14d52120626f8p-533", "0x1.4c3b7fb153441p-532"), 1e-161)):
+        fx, fy = scale * np.abs(gx), scale * np.abs(gy)
+        fx[1, 2], fy[1, 2] = map(float.fromhex, a)
+        fx[20, 9], fy[20, 9] = map(float.fromhex, b)
+        yield name, fx, fy
+    yield "zeros", np.zeros(shape), np.zeros(shape)
+    yield "underflow", 1e-160 * gx, 1e-160 * gy
+    yield "overflow", 1e200 * gx, 1e200 * gy
+    with_nan = gx.copy()
+    with_nan[7, 3] = np.nan
+    yield "nan", with_nan, gy
+    with_inf = gy.copy()
+    with_inf[2, 9] = -np.inf
+    yield "inf", gx, with_inf
+    yield "inf_and_nan", np.where(with_nan == with_nan, gx, np.inf), with_nan
+
+
+@pytest.mark.parametrize("name, gx, gy", list(_hypot_cases()),
+                         ids=[c[0] for c in _hypot_cases()])
+def test_max_hypot_is_exact(name, gx, gy):
+    rng = np.random.default_rng(5)
+    sound = rng.uniform(0.0, 2.0, gx.shape)
+    for add in (0.0, sound, 1e-160 * sound, 1e200 * sound):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            want = float((np.hypot(gx, gy) + add).max())
+            got = solver._max_hypot(gx, gy, add)
+        assert got == want or (np.isnan(got) and np.isnan(want)), (name, got, want)
+
+
+@pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+@pytest.mark.parametrize("s", [0.0, 0.7, -0.0, "mixed"])
+def test_homentropic_step_matches_reference_bitwise(s, gamma):
+    # A uniform entropy other than -0.0 is frozen: the step evolves
+    # (rho, vx, vy) alone and passes the entropy array on.  -0.0, alone or
+    # mixed with +0.0, takes the general path.  Both agree bit for bit with
+    # the full reference step.
+    st = random_smooth_state((32, 48), gamma, seed=9, spacing=(0.03, 0.0175))
+    entropy = (np.full(st.shape, s) if s != "mixed" else
+               np.where(np.indices(st.shape).sum(axis=0) % 2 == 0, 0.0, -0.0))
+    frozen = s != "mixed" and not np.signbit(s)
+    st = with_entropy(st, entropy)
+    dt = 0.5 * st.cfl_limit()
+    work = solver._Workspace(st.shape)
+    names = ("rho", "vx", "vy", "entropy", "pressure")
+    for _ in range(3):
+        want = _reference_step(st, dt)
+        new = step(st, dt, work=work)
+        for name, w in zip(names, want):
+            assert np.array_equal(getattr(new, name), w), name
+        assert np.array_equal(np.signbit(new.entropy), np.signbit(want[3]))
+        assert (new.entropy is st.entropy) == frozen
+        st = new
 
 
 @pytest.mark.parametrize("shape, spacing", BITWISE_CASES)
@@ -387,20 +468,27 @@ def test_interpolation_matches_reference_bitwise(shape, spacing):
 
 
 def test_grid_flow_snapshots_own_their_memory():
-    flow = GridFlow(random_smooth_state((32, 32), 1.4, seed=1), step_dt=1e-3,
-                    guard_threshold=1e6)
-    flow.advance_to(3e-3)
-    a, b = flow.states[-2:]
-    buffers = [buf for group in (flow._work.stage, flow._work.slope, flow._work.grad)
-               for buf in group] + [flow._work.pressure, flow._work.scratch]
-    buffers += [buf for edges in flow._work.edges for buf in edges]
-    names = ("rho", "vx", "vy", "entropy", "pressure")
-    for x in names:
-        for y in names:
-            assert not np.shares_memory(getattr(a, x), getattr(b, y))
-            assert x == y or not np.shares_memory(getattr(b, x), getattr(b, y))
-        for buf in buffers:
-            assert not np.shares_memory(getattr(b, x), buf)
+    # Successive snapshots share nothing, except the entropy of a
+    # homentropic flow; no snapshot points into the workspace.
+    st = random_smooth_state((32, 32), 1.4, seed=1)
+    uniform = with_entropy(st, np.full(st.shape, 0.7))
+    for initial, homentropic in ((st, False), (uniform, True)):
+        flow = GridFlow(initial, step_dt=1e-3, guard_threshold=1e6)
+        flow.advance_to(3e-3)
+        a, b = flow.states[-2:]
+        work = flow._work
+        buffers = [buf for group in (work.stage, work.slope, work.grad)
+                   for buf in group] + [work.pressure, work.scratch]
+        buffers += [buf for edges in work.edges for buf in edges]
+        names = ("rho", "vx", "vy", "entropy", "pressure")
+        for x in names:
+            for y in names:
+                shared = homentropic and x == y == "entropy"
+                assert np.shares_memory(getattr(a, x), getattr(b, y)) == shared
+                assert x == y or not np.shares_memory(getattr(b, x), getattr(b, y))
+            for buf in buffers:
+                assert not np.shares_memory(getattr(b, x), buf)
+        assert (b.entropy is initial.entropy) == homentropic
 
 
 def test_off_snapshot_query_survives_cache_growth():
@@ -423,8 +511,37 @@ def test_off_snapshot_query_survives_cache_growth():
     assert np.array_equal(last_after, last_before)
     after = (flow.velocity(t, pts), flow.density(t, pts), flow.entropy(t, pts))
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
-    slice_fields = solver.interpolate_fields(flow._time_slice(t), pts)
+    slice_fields = solver.interpolate_fields(st, pts, flow._time_slice(t, ("rho",)))
     assert np.array_equal(flow.density(t, pts), slice_fields["rho"])
+
+
+def test_time_slice_combines_only_the_fields_read():
+    st = random_smooth_state((32, 32), 1.4, seed=2)
+    pts = np.array([[-0.1, 0.9], [0.35, 1.2], [0.5, 1.5]])
+    flow = GridFlow(st, step_dt=2e-3)
+    flow.advance_to(0.02)
+    t = 0.0111
+    v = flow.velocity(t, pts)
+    held = flow._slice
+    assert set(held[-1]) == {"rho", "vx", "vy"}       # no entropy combined
+    rho = flow.density(t, pts)
+    assert flow._slice is held                        # built once
+    fresh = GridFlow(st, step_dt=2e-3)
+    fresh.advance_to(0.02)
+    assert np.array_equal(rho, fresh.density(t, pts))
+    assert np.array_equal(v, fresh.velocity(t, pts))
+    assert np.array_equal(flow.entropy(t, pts), fresh.entropy(t, pts))
+
+
+def test_time_slice_with_bad_density_is_not_smooth():
+    flow = GridFlow(random_smooth_state((32, 32), 1.4, seed=3), step_dt=2e-3)
+    flow.advance_to(0.02)
+    flow.states[5].rho[...] = -100.0          # in the stencil of t = 0.0111
+    pts = np.array([[0.1, 0.9]])
+    for query in (flow.velocity, flow.density, flow.velocity):
+        with pytest.raises(NonSmoothState, match="density"):
+            query(0.0111, pts)
+    assert flow._slice is None
 
 
 def test_step_with_workspace_allocates_only_the_new_state():
@@ -468,6 +585,34 @@ def test_guard_derivatives_feed_the_next_step(monkeypatch):
         got = step(st, dt, work=work)
         assert len(calls) == expected_calls
         assert all(np.array_equal(getattr(got, n), getattr(want, n)) for n in names)
+
+
+def test_homentropic_step_skips_the_entropy_derivatives(monkeypatch):
+    # A frozen entropy drops the two S derivatives of each of the four
+    # slopes: 32 derivative calls per step, guarded (8 in the guard, whose
+    # results serve k1, and 24) or not.
+    st = random_smooth_state((32, 32), 1.4, seed=5)
+    st = with_entropy(st, np.zeros(st.shape))
+    dt = 0.5 * st.cfl_limit()
+    want = step(st, dt)
+    calls = []
+    d4_into = solver._d4_into
+
+    def counting(*args):
+        calls.append(args[0])
+        return d4_into(*args)
+
+    monkeypatch.setattr(solver, "_d4_into", counting)
+    work = solver._Workspace(st.shape)
+    for guarded in (True, False):
+        calls.clear()
+        if guarded:
+            smoothness_guard(st, work=work)
+        got = step(st, dt, work=work)
+        assert len(calls) == 32
+        assert all(not np.shares_memory(f, st.entropy) for f in calls)
+        assert all(np.array_equal(getattr(got, n), getattr(want, n))
+                   for n in ("rho", "vx", "vy", "entropy", "pressure"))
 
 
 def test_window_replays_the_same_snapshots():
