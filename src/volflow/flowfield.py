@@ -1,4 +1,4 @@
-"""Pointwise fluid state, exact analytic flows, and pointwise residual probes.
+"""Pointwise fluid state and exact analytic flows.
 
 A flow here is a queryable smooth solution of the compressible Euler system
 (momentum balance, continuity, entropy transport) closed by the polytropic
@@ -24,8 +24,6 @@ __all__ = [
     "ConstantFlow",
     "ExpansionFlow",
     "make_analytic_flow",
-    "eval_state",
-    "euler_residual",
 ]
 
 
@@ -140,9 +138,9 @@ class ConstantFlow(FlowField):
 
     def velocity(self, t, pts):
         pts = self._pts(pts)
-        out = np.empty(pts.shape)
-        out[...] = self.vel0
-        return out
+        # A contiguous repeat: a broadcast fill loops over rows of d values.
+        return np.repeat(self.vel0[None, :], pts.size // self.dimension,
+                         axis=0).reshape(pts.shape)
 
     def density(self, t, pts):
         pts = self._pts(pts)
@@ -214,63 +212,3 @@ def make_analytic_flow(kind, dimension, gamma, parameters):
                              s0=parameters["S0"],
                              t_c=parameters["t_c"])
     raise ValueError(f"unknown analytic flow kind {kind!r} (expected one of {_ANALYTIC_KINDS})")
-
-
-def eval_state(flow, t, x):
-    """Evaluate the full fluid state at one space-time point."""
-    flow.check_time(t)
-    x = np.asarray(x, dtype=float)
-    rho = float(flow.density(t, x))
-    vel = np.asarray(flow.velocity(t, x), dtype=float)
-    s = float(flow.entropy(t, x))
-    return FluidState(rho, vel, s, rho ** flow.gamma * math.exp(s))
-
-
-def euler_residual(flow, t, x, h):
-    """Centered-difference residuals of the governing equations at (t, x).
-
-    Returns an (n+2,)-vector: the n momentum components
-    rho*(dV/dt + (V.grad)V) + grad P, then the continuity residual
-    d rho/dt + div(rho V), then the pressure-transport residual
-    dP/dt + (V, grad P) + gamma*P*div V.  All derivatives use centered
-    differences of step h; the caller judges the magnitude.
-    """
-    if h <= 0.0:
-        raise ValueError("finite-difference step h must be positive")
-    x = np.asarray(x, dtype=float)
-    n = flow.dimension
-    gamma = flow.gamma
-
-    def fields(tt, xx):
-        flow.check_time(tt)
-        return (np.asarray(flow.velocity(tt, xx), dtype=float),
-                float(flow.density(tt, xx)),
-                float(flow.pressure(tt, xx)))
-
-    vel, rho, pres = fields(t, x)
-
-    vp, rp, pp = fields(t + h, x)
-    vm, rm, pm = fields(t - h, x)
-    dvel_dt = (vp - vm) / (2.0 * h)
-    drho_dt = (rp - rm) / (2.0 * h)
-    dpres_dt = (pp - pm) / (2.0 * h)
-
-    grad_v = np.empty((n, n))   # grad_v[i, j] = dV_j / dx_i
-    grad_rho = np.empty(n)
-    grad_p = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        vp, rp, pp = fields(t, x + e)
-        vm, rm, pm = fields(t, x - e)
-        grad_v[i] = (vp - vm) / (2.0 * h)
-        grad_rho[i] = (rp - rm) / (2.0 * h)
-        grad_p[i] = (pp - pm) / (2.0 * h)
-
-    div_v = np.trace(grad_v)
-    advect_v = vel @ grad_v     # (V . grad) V
-
-    momentum = rho * (dvel_dt + advect_v) + grad_p
-    continuity = drho_dt + vel @ grad_rho + rho * div_v
-    transport = dpres_dt + vel @ grad_p + gamma * pres * div_v
-    return np.concatenate([momentum, [continuity], [transport]])

@@ -13,6 +13,7 @@ pressure terms recover the volume measure from the density ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,6 +23,7 @@ from .matvol import _boundary_elements
 
 __all__ = [
     "TargetReached",
+    "NonSmoothSample",
     "PhiSpec",
     "FunctionalSample",
     "sigma_norm2",
@@ -35,6 +37,13 @@ DEFAULT_RADIUS_FLOOR = 1e-9
 
 class TargetReached(RuntimeError):
     """The volume has effectively reached x0 (a node hit the radius floor)."""
+
+
+class NonSmoothSample(ValueError):
+    """The flow is not smooth where a sample reads it: the density is not
+    positive at a quadrature node or a boundary midpoint, or a functional is
+    not finite.  A ValueError, so a bad sample of the initial data is a
+    precondition error."""
 
 
 @dataclass(frozen=True)
@@ -124,8 +133,20 @@ def _radii(pts, x0, floor):
     return z, r
 
 
+def _positive_density(flow, t, pts, where):
+    """The density at pts, checked positive (and not NaN) before a pressure
+    raises it to gamma."""
+    rho = np.asarray(flow.density(t, pts), dtype=float)
+    if not np.all(rho > 0.0):
+        raise NonSmoothSample(f"flow density not positive at {where} at t={t}")
+    return rho
+
+
 def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
-    """Evaluate all functionals of (flow, vol) at the volume's current time."""
+    """Evaluate all functionals of (flow, vol) at the volume's current time.
+
+    Raises `NonSmoothSample` rather than return a functional that is not
+    finite."""
     t = vol.time
     flow.check_time(t)
     n = vol.dim
@@ -133,10 +154,8 @@ def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
 
     z, r = _radii(vol.nodes, vol.x0, radius_floor)
     vel = np.asarray(flow.velocity(t, vol.nodes), dtype=float)
-    rho = np.asarray(flow.density(t, vol.nodes), dtype=float)
+    rho = _positive_density(flow, t, vol.nodes, "a quadrature node")
     pres = np.asarray(flow.pressure(t, vol.nodes), dtype=float)
-    if np.any(rho <= 0.0):
-        raise ValueError("flow density non-positive at a quadrature node")
 
     w = vol.mass_w
     vol_w = w / rho                     # plain volume measure via rho0/rho
@@ -155,12 +174,15 @@ def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
 
     mids, normals, measures = _boundary_elements(vol)
     zb, rb = _radii(mids, vol.x0, radius_floor)
+    _positive_density(flow, t, mids, "a boundary midpoint")
     pres_b = np.asarray(flow.pressure(t, mids), dtype=float)
     zb_dot_n = np.einsum("ij,ij->i", zb, normals)
     _, pb_d1, _ = phi.eval(rb)
     i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))
     reg = float(np.sum(zb_dot_n / rb * pres_b * measures))
 
-    return FunctionalSample(t=float(t), m=m, E=energy, G=g_val, F=f_val,
-                            I1=i1, I2=i2, I3=i3, I4=i4, reg=reg,
-                            q=phi.q, epsilon=float(epsilon))
+    values = dict(m=m, E=energy, G=g_val, F=f_val, I1=i1, I2=i2, I3=i3, I4=i4, reg=reg)
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise NonSmoothSample(f"functional {', '.join(bad)} not finite at t={t}")
+    return FunctionalSample(t=float(t), q=phi.q, epsilon=float(epsilon), **values)

@@ -31,9 +31,7 @@ __all__ = [
     "MaterialVolume",
     "init_volume",
     "advect",
-    "volume_integral_mass",
     "volume_integral_plain",
-    "surface_integral",
     "boundary_distance",
 ]
 
@@ -515,18 +513,40 @@ def init_volume(spec, flow, x0, epsilon, t0=0.0):
 
 def _rk4_points(flow, pts, t_from, t_to, dt):
     """RK4 integration of dX/dt = V(t, X) for a point cloud; dt may subdivide
-    the interval in either time direction."""
+    the interval in either time direction.
+
+    Each step computes x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), the stage
+    inputs x + (h/2)*k and x + h*k3, bit for bit, in buffers allocated once
+    per call: the position `x`, the sum `acc` and two stage buffers `sa` and
+    `sb`.  A velocity may return its query array itself, so the function
+    writes only its own buffers, and never one whose slope is still read:
+    k2 is queried at `sa`, k3 at `sb`, k4 at `sa` again once k2 is spent,
+    and `x` is updated only after k4 is summed.
+    """
     t = t_from
-    x = pts.copy()
+    x = np.array(pts, dtype=float)
+    acc, sa, sb = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     direction = 1.0 if t_to >= t_from else -1.0
     h_mag = abs(dt)
     while abs(t_to - t) > 1e-14:
         h = direction * min(h_mag, abs(t_to - t))
         k1 = flow.velocity(t, x)
-        k2 = flow.velocity(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = flow.velocity(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = flow.velocity(t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.multiply(k1, 0.5 * h, out=sa)
+        sa += x
+        k2 = flow.velocity(t + 0.5 * h, sa)
+        np.multiply(k2, 2.0, out=acc)
+        acc += k1
+        np.multiply(k2, 0.5 * h, out=sb)
+        sb += x
+        k3 = flow.velocity(t + 0.5 * h, sb)
+        np.multiply(k3, 2.0, out=sa)
+        acc += sa
+        np.multiply(k3, h, out=sa)
+        sa += x
+        k4 = flow.velocity(t + h, sa)
+        acc += k4
+        acc *= h / 6.0
+        x += acc
         t = t + h
     return x
 
@@ -552,11 +572,6 @@ def _advect_any(vol, flow, t_to, dt, check_boundary=True):
                 raise SelfIntersection(
                     f"boundary self-intersects after advection to t={t_to}")
     return out
-
-
-def volume_integral_mass(vol, f):
-    """Integral of f against the transported mass measure: sum f(X) rho0 w."""
-    return float(np.sum(np.asarray(f(vol.nodes), dtype=float) * vol.mass_w))
 
 
 def volume_integral_plain(vol, g, flow):
@@ -598,13 +613,6 @@ def _boundary_elements(vol):
             normals.append(cross / norm[:, None])
             measures.append(0.5 * norm)
     return np.vstack(mids), np.vstack(normals), np.concatenate(measures)
-
-
-def surface_integral(vol, h):
-    """Boundary integral of h(point, outward unit normal) over all components."""
-    mids, normals, measures = _boundary_elements(vol)
-    vals = np.asarray(h(mids, normals), dtype=float)
-    return float(np.sum(vals * measures))
 
 
 def boundary_distance(vol):

@@ -34,7 +34,7 @@ them (`_max_hypot`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import NamedTuple
 
 import numpy as np
@@ -106,6 +106,18 @@ class GridState:
         if self.pressure is None:
             object.__setattr__(self, "pressure", _pressure_into(
                 self.rho, self.entropy, self.gamma, np.empty(shape), np.empty(shape)))
+
+    @classmethod
+    def _checked(cls, **values):
+        """A state built without `__post_init__` from fields its maker has
+        already checked (equal shapes of at least 16 cells per axis, finite
+        fields, a positive density): `step` checks its new fields in one
+        pass, which `__post_init__` would repeat.  Every field must be
+        given, the pressure included."""
+        state = object.__new__(cls)
+        for f in dataclass_fields(cls):
+            object.__setattr__(state, f.name, values[f.name])
+        return state
 
     @property
     def shape(self):
@@ -409,9 +421,10 @@ def step(state, dt, work=None):
 
     entropy = new[3] if n == 4 else state.entropy
     pressure = _pressure_into(new[0], entropy, gamma, np.empty(state.shape), work.scratch)
-    return GridState(rho=new[0], vx=new[1], vy=new[2], entropy=entropy,
-                     gamma=gamma, origin=state.origin, spacing=state.spacing,
-                     time=state.time + dt, pressure=pressure)
+    return GridState._checked(rho=new[0], vx=new[1], vy=new[2], entropy=entropy,
+                              gamma=gamma, origin=state.origin,
+                              spacing=state.spacing, time=state.time + dt,
+                              pressure=pressure)
 
 
 class GuardReport(NamedTuple):

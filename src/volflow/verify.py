@@ -30,7 +30,7 @@ import numpy as np
 
 from . import criteria as crit_mod
 from .criteria import CriteriaInputs, threshold_q
-from .functionals import TargetReached, sample
+from .functionals import NonSmoothSample, TargetReached, sample
 from .matvol import _advect_any, boundary_distance, volume_integral_plain
 from .solver import SmoothnessLost
 
@@ -428,7 +428,8 @@ def run_theorem_scenario(scenario):
     turn, and told after each sample that no earlier time will be queried
     (`keep_from`), so a grid flow holds about one sample stride of
     snapshots.  Where the flow loses smoothness the horizon ends at its last
-    smooth time.  A run that ends early (a hit, or a node at the target
+    smooth time; where a sample finds it not smooth (`NonSmoothSample`), at
+    the sample before.  A run that ends early (a hit, or a node at the target
     floor) still advances the flow to T, so its horizon and detail are those
     of a flow advanced to T before the run.
     """
@@ -474,7 +475,12 @@ def run_theorem_scenario(scenario):
             if dist <= inp.epsilon:
                 hit_time = _refine_hit(prev, flow, prev.time, t_k, inp.epsilon, dt)
                 break
-            s = sample(flow, vol, phi, inp.epsilon)
+            try:
+                s = sample(flow, vol, phi, inp.epsilon)
+            except NonSmoothSample as exc:
+                horizon = prev.time
+                detail += f"{exc}; "
+                break
             series.append(record(s, dist))
             reg_max = max(reg_max, abs(s.reg))
             e_min, e_max = min(e_min, s.E), max(e_max, s.E)

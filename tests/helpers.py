@@ -1,4 +1,5 @@
-"""Shared test utilities: synthetic flows and quick volume builders."""
+"""Shared test utilities: synthetic flows, quick volume builders, and the
+pointwise probes and reference computations that only tests use."""
 
 import math
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import numpy as np
 
 from volflow import solver
-from volflow.flowfield import FlowField
-from volflow.matvol import VolumeShapeSpec, init_volume
+from volflow.flowfield import FlowField, FluidState
+from volflow.matvol import VolumeShapeSpec, _boundary_elements, init_volume
 from volflow.solver import GridFlow
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -81,3 +82,92 @@ def d4(f, h, axis):
     in fresh arrays."""
     return solver._d4_into(f, h, axis, np.empty(f.shape),
                            solver._edge_buffers(f.shape, axis), np.empty(f.shape))
+
+
+def eval_state(flow, t, x):
+    """Evaluate the full fluid state at one space-time point."""
+    flow.check_time(t)
+    x = np.asarray(x, dtype=float)
+    rho = float(flow.density(t, x))
+    vel = np.asarray(flow.velocity(t, x), dtype=float)
+    s = float(flow.entropy(t, x))
+    return FluidState(rho, vel, s, rho ** flow.gamma * math.exp(s))
+
+
+def euler_residual(flow, t, x, h):
+    """Centered-difference residuals of the governing equations at (t, x).
+
+    Returns an (n+2,)-vector: the n momentum components
+    rho*(dV/dt + (V.grad)V) + grad P, then the continuity residual
+    d rho/dt + div(rho V), then the pressure-transport residual
+    dP/dt + (V, grad P) + gamma*P*div V.  All derivatives use centered
+    differences of step h; the caller judges the magnitude.
+    """
+    if h <= 0.0:
+        raise ValueError("finite-difference step h must be positive")
+    x = np.asarray(x, dtype=float)
+    n = flow.dimension
+    gamma = flow.gamma
+
+    def fields(tt, xx):
+        flow.check_time(tt)
+        return (np.asarray(flow.velocity(tt, xx), dtype=float),
+                float(flow.density(tt, xx)),
+                float(flow.pressure(tt, xx)))
+
+    vel, rho, pres = fields(t, x)
+
+    vp, rp, pp = fields(t + h, x)
+    vm, rm, pm = fields(t - h, x)
+    dvel_dt = (vp - vm) / (2.0 * h)
+    drho_dt = (rp - rm) / (2.0 * h)
+    dpres_dt = (pp - pm) / (2.0 * h)
+
+    grad_v = np.empty((n, n))   # grad_v[i, j] = dV_j / dx_i
+    grad_rho = np.empty(n)
+    grad_p = np.empty(n)
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        vp, rp, pp = fields(t, x + e)
+        vm, rm, pm = fields(t, x - e)
+        grad_v[i] = (vp - vm) / (2.0 * h)
+        grad_rho[i] = (rp - rm) / (2.0 * h)
+        grad_p[i] = (pp - pm) / (2.0 * h)
+
+    div_v = np.trace(grad_v)
+    advect_v = vel @ grad_v     # (V . grad) V
+
+    momentum = rho * (dvel_dt + advect_v) + grad_p
+    continuity = drho_dt + vel @ grad_rho + rho * div_v
+    transport = dpres_dt + vel @ grad_p + gamma * pres * div_v
+    return np.concatenate([momentum, [continuity], [transport]])
+
+
+def volume_integral_mass(vol, f):
+    """Integral of f against the transported mass measure: sum f(X) rho0 w."""
+    return float(np.sum(np.asarray(f(vol.nodes), dtype=float) * vol.mass_w))
+
+
+def surface_integral(vol, h):
+    """Boundary integral of h(point, outward unit normal) over all components."""
+    mids, normals, measures = _boundary_elements(vol)
+    vals = np.asarray(h(mids, normals), dtype=float)
+    return float(np.sum(vals * measures))
+
+
+def rk4_points_reference(flow, pts, t_from, t_to, dt):
+    """The allocating RK4 loop `matvol._rk4_points` must match bit for bit."""
+    t = t_from
+    x = pts.copy()
+    direction = 1.0 if t_to >= t_from else -1.0
+    h_mag = abs(dt)
+    while abs(t_to - t) > 1e-14:
+        h = direction * min(h_mag, abs(t_to - t))
+        k1 = flow.velocity(t, x)
+        k2 = flow.velocity(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = flow.velocity(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = flow.velocity(t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h
+    return x

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import euler_residual, eval_state
+
 from volflow.flowfield import (ConstantFlow, ExpansionFlow, FluidState,
-                               eval_state, euler_residual, make_analytic_flow)
+                               make_analytic_flow)
 
 
 def constant_flow():
@@ -152,3 +154,20 @@ def test_residual_detects_inconsistent_field():
 def test_entropy_floor_is_scenario_datum():
     flow = ConstantFlow(2, 1.4, rho0=2.0, vel0=np.zeros(2), p0=1.0)
     assert flow.entropy_floor == pytest.approx(-1.4 * np.log(2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("dim, shape", [(2, (2,)), (2, (7, 2)), (2, (3, 5, 2)),
+                                        (2, (0, 2)), (3, (3,)), (3, (6, 3)),
+                                        (3, (2, 4, 3))])
+def test_constant_velocity_is_a_fresh_filled_array(dim, shape):
+    vel0 = np.array([-1.25, 0.5, 2.0][:dim])
+    flow = ConstantFlow(dim, 1.4, rho0=1.0, vel0=vel0, p0=1.0)
+    pts = np.random.default_rng(dim).normal(size=shape)
+    a, b = flow.velocity(0.3, pts), flow.velocity(0.3, pts)
+    want = np.broadcast_to(vel0, pts.shape)
+    assert a.shape == pts.shape and a.dtype == np.float64 and a.flags.writeable
+    assert np.array_equal(a, want) and np.array_equal(b, want)
+    for other in (b, pts, flow.vel0):
+        assert not np.shares_memory(a, other)
+    a[...] = 7.0
+    assert np.array_equal(b, want) and np.array_equal(flow.vel0, vel0)

@@ -6,8 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import SyntheticFlow, annulus_volume, disk_volume
 
-from volflow.flowfield import make_analytic_flow
-from volflow.functionals import PhiSpec, TargetReached, sample, sigma_norm2
+from volflow.flowfield import ConstantFlow, make_analytic_flow
+from volflow.functionals import (NonSmoothSample, PhiSpec, TargetReached, sample,
+                                 sigma_norm2)
 from volflow.matvol import advect
 
 
@@ -206,3 +207,43 @@ def test_bounds_chain_expansion(t):
     assert abs(s.I2) <= 2.0 * aq * eps ** (q - 2.0) * s.E * (1 + 1e-12)
     assert abs(s.I4) <= aq * eps ** (q - 1.0) * abs(s.reg) * (1 + 1e-12)
     assert s.G <= eps ** q * s.m * (1 + 1e-12)
+
+
+# -- samples where the flow is not smooth ------------------------------------
+
+class _DensityFlow(ConstantFlow):
+    """A still flow whose density is the given function of the points."""
+
+    def __init__(self, rho):
+        super().__init__(2, 1.4, rho0=1.0, vel0=(0.0, 0.0), p0=1.0)
+        self._rho = rho
+
+    def density(self, t, pts):
+        return self._rho(self._pts(pts))
+
+
+def _dip(radius, value):
+    """Density 1 inside `radius` of (3, 0) and `value` beyond it."""
+    return lambda p: np.where(np.hypot(p[..., 0] - 3.0, p[..., 1]) < radius, 1.0, value)
+
+
+@pytest.mark.parametrize("value", [-0.5, 0.0, np.nan])
+def test_sample_rejects_a_bad_density_at_a_boundary_midpoint(value):
+    # Chord midpoints of the unit disk sit at radius cos(pi/64) ~ 0.9988;
+    # the outermost Gauss node of order 10 at ~0.987.
+    vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5,
+                      markers=64, order=10)
+    with pytest.raises(NonSmoothSample, match="boundary midpoint at t=0.0"):
+        sample(_DensityFlow(_dip(0.995, value)), vol, PhiSpec.power_law(-8.0), 0.5)
+    with pytest.raises(NonSmoothSample, match="quadrature node at t=0.0"):
+        sample(_DensityFlow(_dip(0.5, value)), vol, PhiSpec.power_law(-8.0), 0.5)
+    sample(_DensityFlow(_dip(1.5, value)), vol, PhiSpec.power_law(-8.0), 0.5)
+
+
+def test_sample_rejects_a_functional_that_is_not_finite():
+    vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5,
+                      markers=64, order=10)
+    phi = PhiSpec.generic(lambda r: np.full_like(r, np.nan), lambda r: 0.0 * r,
+                          lambda r: 0.0 * r)
+    with pytest.raises(NonSmoothSample, match="functional G not finite at t=0.0"):
+        sample(still_flow(), vol, phi, 0.5)

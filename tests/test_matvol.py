@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -5,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SyntheticFlow, annulus_volume, disk_volume, ones, radial_norm
+from helpers import (SyntheticFlow, annulus_volume, disk_volume, ones, radial_norm,
+                     rk4_points_reference, surface_integral, volume_integral_mass)
 
 from volflow import matvol
 from volflow.flowfield import make_analytic_flow
 from volflow.matvol import (SelfIntersection, VolumeShapeSpec, advect,
                             boundary_distance, init_volume, loop_signed_area,
                             point_in_loops, polygon_is_simple,
-                            surface_integral, volume_integral_mass,
                             volume_integral_plain)
+from volflow.solver import GridFlow, GridState
 
 
 def still_flow(dim=2, rho0=1.0, p0=1.0):
@@ -477,3 +479,68 @@ def test_shape_distance_closed_form():
         with pytest.raises(ValueError, match="lies inside"):
             spec.distance(inside)
 
+
+
+# -- the buffered RK4 loop against the allocating reference --------------------
+
+def _read_only(fn):
+    def velocity(t, p):
+        v = np.array(fn(t, p))
+        v.setflags(write=False)
+        return v
+    return velocity
+
+
+def _grid_flow(n=64):
+    h = 2.0 / n
+    c = -1.0 + h * np.arange(n)
+    x, y = np.meshgrid(c, c, indexing="ij")
+    state = GridState(rho=1.0 + 0.2 * np.sin(np.pi * x) * np.cos(np.pi * y),
+                      vx=0.4 * np.sin(np.pi * y), vy=-0.3 * np.cos(np.pi * x),
+                      entropy=0.1 * np.cos(np.pi * (x + y)), gamma=1.4,
+                      origin=(-1.0, -1.0), spacing=(h, h), time=0.0)
+    flow = GridFlow(state, step_dt=0.005)
+    flow.advance_to(0.1)
+    return flow
+
+
+RK4_CASES = {
+    # (flow, dimension, t_from, t_to, dt); the spans leave partial last steps.
+    "constant": (lambda: make_analytic_flow(
+        "constant", 2, 1.4, {"rho0": 1.0, "V0": (-1.3, 0.7), "P0": 1.0}), 2, 0.0, 0.37, 0.05),
+    "constant_3d": (lambda: make_analytic_flow(
+        "constant", 3, 1.4, {"rho0": 1.0, "V0": (0.3, -1.1, 0.2), "P0": 1.0}), 3, 0.1, 0.5, 0.03),
+    "expansion_forward": (expansion, 2, 0.0, 0.37, 0.05),
+    "expansion_backward": (expansion, 2, 0.5, 0.1, 0.05),
+    "expansion_partial": (expansion, 2, 0.2, 0.2 + 0.013, 0.005),
+    "grid_64": (_grid_flow, 2, 0.0, 0.083, 0.01),
+    "identity": (lambda: SyntheticFlow(2, lambda t, p: p), 2, 0.0, 0.3, 0.04),
+    "read_only": (lambda: SyntheticFlow(2, _read_only(
+        lambda t, p: np.column_stack([-p[:, 1], p[:, 0]]) * (1.0 + t))), 2, 0.0, 0.45, 0.1),
+    "read_only_broadcast": (lambda: SyntheticFlow(2, lambda t, p: np.broadcast_to(
+        np.array([0.3 * t, -0.2]), p.shape)), 2, 0.0, 0.25, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RK4_CASES))
+def test_rk4_matches_allocating_reference_bitwise(case):
+    make, dim, t_from, t_to, dt = RK4_CASES[case]
+    flow = make()
+    pts = np.random.default_rng(len(case)).uniform(-0.8, 0.8, size=(301, dim))
+    before = pts.copy()
+    calls = []
+    velocity = flow.velocity
+
+    def counting(t, p):
+        calls.append(t)
+        return velocity(t, p)
+
+    flow.velocity = counting
+    got = matvol._rk4_points(flow, pts, t_from, t_to, dt)
+    steps = len(calls) // 4
+    flow.velocity = velocity
+    want = rk4_points_reference(flow, pts, t_from, t_to, dt)
+    assert np.array_equal(pts, before)
+    assert got.shape == pts.shape and not np.shares_memory(got, pts)
+    assert np.array_equal(got, want)
+    assert len(calls) == 4 * steps and steps == math.ceil(abs(t_to - t_from) / dt - 1e-9)

@@ -662,3 +662,30 @@ def test_check_time_messages():
             flow.check_time(t)
         assert str(exc.value) == (f"grid flow not advanced to t={t} "
                                   f"(have [0.0, {flow.t_last}])")
+
+
+def test_step_checks_the_new_density_once(monkeypatch):
+    # `step` checks its new fields itself; the state it returns does not run
+    # `__post_init__` (a second pass over the density), yet equals one built
+    # through it.  States built by hand are still checked.
+    st = random_smooth_state((32, 32), 1.4, seed=7)
+    dt = 0.5 * st.cfl_limit()
+    checks = []
+    post_init = GridState.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GridState, "__post_init__", counting)
+    new = step(st, dt, work=solver._Workspace(st.shape))
+    assert checks == []
+    again = GridState(**{f.name: getattr(new, f.name) for f in dataclasses.fields(new)})
+    assert len(checks) == 1
+    for f in dataclasses.fields(new):
+        assert np.array_equal(getattr(new, f.name), getattr(again, f.name))
+    bad = new.rho.copy()
+    bad[3, 4] = 0.0
+    with pytest.raises(NonSmoothState, match="density"):
+        dataclasses.replace(new, rho=bad)
+

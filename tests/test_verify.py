@@ -11,7 +11,7 @@ from volflow import verify as verify_mod
 from volflow.config import build_scenario, load_config
 from volflow.criteria import CriteriaInputs, classify_and_delta, constants
 from volflow.flowfield import make_analytic_flow
-from volflow.functionals import FunctionalSample, PhiSpec
+from volflow.functionals import FunctionalSample, NonSmoothSample, PhiSpec
 from volflow.matvol import advect
 from volflow.verify import (blowup_oracle, bounds_chain, check_inequality17,
                             check_lemma_suite, random_oracle_cases,
@@ -328,3 +328,27 @@ def test_grid_run_memory_does_not_grow_with_the_horizon(tmp_path, monkeypatch):
     # restarts it, and replays the flow to the same series.
     again = run_theorem_scenario(scenario)
     assert np.asarray(again.series).tobytes() == np.asarray(reports[-1].series).tobytes()
+
+
+def test_non_smooth_sample_ends_the_horizon_at_the_sample_before(monkeypatch):
+    scenario = build_scenario(load_config(CONFIG_DIR / "constant_receding.cfg"))
+    times = []
+    real = verify_mod.sample
+
+    def third_fails(flow, vol, phi, epsilon):
+        times.append(vol.time)
+        if len(times) == 3:
+            raise NonSmoothSample(f"flow density not positive at a boundary "
+                                  f"midpoint at t={vol.time}")
+        return real(flow, vol, phi, epsilon)
+
+    monkeypatch.setattr(verify_mod, "sample", third_fails)
+    report = run_theorem_scenario(scenario)
+    assert [row.t for row in report.series] == [0.0] + times[:2]
+    assert report.horizon == times[1] < scenario.inp.T
+    assert report.detail == (f"flow density not positive at a boundary "
+                             f"midpoint at t={times[2]};")
+    assert report.bounds_checked == 3 * len(bounds_chain(scenario.sample0))
+    assert report.verdict == "consistent_no_claim"
+    assert report.hit_time is None
+
