@@ -33,7 +33,7 @@ import numpy as np
 from . import criteria as crit_mod
 from . import verify as verify_mod
 from .config import ConfigError, build_scenario, load_config
-from .functionals import PhiSpec, sample
+from .functionals import NonSmoothSample, PhiSpec, sample
 # boundary_distance is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps this module's binding of it.
 from .matvol import SelfIntersection, advect, boundary_distance  # noqa: F401
@@ -170,7 +170,10 @@ def _cmd_verify(scenario, out_dir, seed):
     for t in times:
         if t > vol.time:
             vol = advect(vol, flow, t, cfg.dt)
-        checks += verify_mod.check_lemma_suite(flow, vol, phi, cfg.epsilon, h=h)
+        try:
+            checks += verify_mod.check_lemma_suite(flow, vol, phi, cfg.epsilon, h=h)
+        except NonSmoothSample as exc:
+            raise ConfigError(f"key 'verify.times': {exc}") from exc
 
     run_report = verify_mod.run_theorem_scenario(scenario)
     series = list(run_report.series)

@@ -19,12 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DensityNotPositive",
     "FluidState",
     "FlowField",
     "ConstantFlow",
     "ExpansionFlow",
     "make_analytic_flow",
 ]
+
+
+class DensityNotPositive(ValueError):
+    """A pressure was asked of a density that is not positive (or is NaN)."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,10 @@ class FlowField:
         raise NotImplementedError
 
     def pressure(self, t, pts):
-        return self.density(t, pts) ** self.gamma * np.exp(self.entropy(t, pts))
+        rho = self.density(t, pts)
+        if not np.all(rho > 0.0):
+            raise DensityNotPositive(f"flow density not positive at t={t}")
+        return rho ** self.gamma * np.exp(self.entropy(t, pts))
 
     # -- domain handling ----------------------------------------------------
 

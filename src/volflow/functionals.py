@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .flowfield import DensityNotPositive
 from .matvol import _boundary_elements
 
 __all__ = [
@@ -133,13 +134,14 @@ def _radii(pts, x0, floor):
     return z, r
 
 
-def _positive_density(flow, t, pts, where):
-    """The density at pts, checked positive (and not NaN) before a pressure
-    raises it to gamma."""
-    rho = np.asarray(flow.density(t, pts), dtype=float)
-    if not np.all(rho > 0.0):
-        raise NonSmoothSample(f"flow density not positive at {where} at t={t}")
-    return rho
+def _pressure(flow, t, pts, where):
+    """The pressure at pts; a density that is not positive there (the
+    flow's pressure refuses to raise it to gamma) makes the sample not
+    smooth."""
+    try:
+        return np.asarray(flow.pressure(t, pts), dtype=float)
+    except DensityNotPositive as exc:
+        raise NonSmoothSample(f"flow density not positive at {where} at t={t}") from exc
 
 
 def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
@@ -154,8 +156,8 @@ def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
 
     z, r = _radii(vol.nodes, vol.x0, radius_floor)
     vel = np.asarray(flow.velocity(t, vol.nodes), dtype=float)
-    rho = _positive_density(flow, t, vol.nodes, "a quadrature node")
-    pres = np.asarray(flow.pressure(t, vol.nodes), dtype=float)
+    rho = np.asarray(flow.density(t, vol.nodes), dtype=float)
+    pres = _pressure(flow, t, vol.nodes, "a quadrature node")
 
     w = vol.mass_w
     vol_w = w / rho                     # plain volume measure via rho0/rho
@@ -174,8 +176,7 @@ def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
 
     mids, normals, measures = _boundary_elements(vol)
     zb, rb = _radii(mids, vol.x0, radius_floor)
-    _positive_density(flow, t, mids, "a boundary midpoint")
-    pres_b = np.asarray(flow.pressure(t, mids), dtype=float)
+    pres_b = _pressure(flow, t, mids, "a boundary midpoint")
     zb_dot_n = np.einsum("ij,ij->i", zb, normals)
     _, pb_d1, _ = phi.eval(rb)
     i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))

@@ -11,9 +11,9 @@ rounding per step.
 The stepper works in reused buffers (`_Workspace`: stencil edge lines, one
 set of RK4 stage inputs, one set of stage slopes, the ten derivatives of the
 right-hand side, scratch), so with a workspace a step allocates only the
-state it returns.  Every buffered operation is the one the plain NumPy
-expression would perform, in the same order, so results are bit-for-bit
-those of the unbuffered formulas.
+state it returns (and the scratch of its pressure).  Every buffered
+operation is the one the plain NumPy expression would perform, in the same
+order, so results are bit-for-bit those of the unbuffered formulas.
 
 A `GridFlow` wraps a run of the stepper as a queryable flow: off-node and
 off-step queries use separable cubic Lagrange interpolation (bicubic in
@@ -34,7 +34,7 @@ them (`_max_hypot`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -106,18 +106,6 @@ class GridState:
         if self.pressure is None:
             object.__setattr__(self, "pressure", _pressure_into(
                 self.rho, self.entropy, self.gamma, np.empty(shape), np.empty(shape)))
-
-    @classmethod
-    def _checked(cls, **values):
-        """A state built without `__post_init__` from fields its maker has
-        already checked (equal shapes of at least 16 cells per axis, finite
-        fields, a positive density): `step` checks its new fields in one
-        pass, which `__post_init__` would repeat.  Every field must be
-        given, the pressure included."""
-        state = object.__new__(cls)
-        for f in dataclass_fields(cls):
-            object.__setattr__(state, f.name, values[f.name])
-        return state
 
     @property
     def shape(self):
@@ -356,10 +344,11 @@ def step(state, dt, work=None):
     refuses to run otherwise instead of silently producing garbage.
 
     `work` is a `_Workspace` for the state's shape; with it the step
-    allocates only the arrays of the state it returns.  Without it the step
-    uses a workspace of its own.  The slopes are summed as
-    ((k1 + 2 k2) + 2 k3) + k4 straight into the new state's arrays, stage by
-    stage, so one set of slope buffers serves k2, k3 and k4.
+    allocates only the arrays of the state it returns and the scratch of
+    its pressure.  Without it the step uses a workspace of its own.  The
+    slopes are summed as ((k1 + 2 k2) + 2 k3) + k4 straight into the new
+    state's arrays, stage by stage, so one set of slope buffers serves k2,
+    k3 and k4.
 
     A homentropic state keeps its entropy: when S holds the bits of one
     finite value other than -0.0, its centred differences are exactly +0,
@@ -412,19 +401,14 @@ def step(state, dt, work=None):
         acc *= dt / 6.0
         acc += f
 
-    mask = work.mask
-    for f in new:
-        if not np.isfinite(f, out=mask).all():
+    # The new GridState checks its density before it takes the pressure.
+    for f in new[1:]:
+        if not np.isfinite(f, out=work.mask).all():
             raise NonSmoothState(f"non-finite field after step at t={state.time + dt}")
-    if np.less_equal(new[0], 0.0, out=mask).any():
-        raise NonSmoothState(f"density lost positivity at t={state.time + dt}")
-
     entropy = new[3] if n == 4 else state.entropy
-    pressure = _pressure_into(new[0], entropy, gamma, np.empty(state.shape), work.scratch)
-    return GridState._checked(rho=new[0], vx=new[1], vy=new[2], entropy=entropy,
-                              gamma=gamma, origin=state.origin,
-                              spacing=state.spacing, time=state.time + dt,
-                              pressure=pressure)
+    return GridState(rho=new[0], vx=new[1], vy=new[2], entropy=entropy,
+                     gamma=gamma, origin=state.origin, spacing=state.spacing,
+                     time=state.time + dt)
 
 
 class GuardReport(NamedTuple):

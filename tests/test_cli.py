@@ -666,6 +666,17 @@ def test_grid_blowup_ends_the_horizon(tmp_path, capsys):
     assert all("nan" not in p.read_text() for p in files)
 
 
+def test_grid_blowup_lemma_time_not_smooth_names_verify_times(tmp_path, capsys):
+    # The flow is still smooth at t = 0.982 + 2h, but its density is not
+    # positive at a boundary midpoint of the lemma sample there.
+    path = _write(tmp_path, BLOWUP_CONFIG + "verify.times = 0.982\n", "blowup")
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == (
+        "config error: key 'verify.times': flow density not positive at a "
+        "boundary midpoint at t=0.982")
+
+
 def test_self_intersection_is_precondition_error(mini_cfg, tmp_path, capsys,
                                                  monkeypatch):
     monkeypatch.setattr(matvol, "polygon_is_simple", lambda loop: False)

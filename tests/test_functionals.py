@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import SyntheticFlow, annulus_volume, disk_volume
 
-from volflow.flowfield import ConstantFlow, make_analytic_flow
+from volflow.flowfield import ConstantFlow, DensityNotPositive, make_analytic_flow
 from volflow.functionals import (NonSmoothSample, PhiSpec, TargetReached, sample,
                                  sigma_norm2)
 from volflow.matvol import advect
@@ -238,6 +238,23 @@ def test_sample_rejects_a_bad_density_at_a_boundary_midpoint(value):
     with pytest.raises(NonSmoothSample, match="quadrature node at t=0.0"):
         sample(_DensityFlow(_dip(0.5, value)), vol, PhiSpec.power_law(-8.0), 0.5)
     sample(_DensityFlow(_dip(1.5, value)), vol, PhiSpec.power_law(-8.0), 0.5)
+
+
+def test_pressure_checks_the_density_it_reads():
+    # The flow's pressure refuses a density that is not positive, so a
+    # sample reads the density twice at the nodes (for the measure and the
+    # pressure) and once at the boundary midpoints.
+    pts = np.array([[3.0, 0.0], [4.5, 0.0]])
+    for value in (-0.5, 0.0, np.nan):
+        with pytest.raises(DensityNotPositive, match="t=0.25"):
+            _DensityFlow(_dip(1.0, value)).pressure(0.25, pts)
+    reads = []
+    flow = _DensityFlow(lambda p: reads.append(len(p)) or np.ones(len(p)))
+    vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5,
+                      markers=64, order=10)
+    sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
+    nodes = len(vol.nodes)
+    assert sorted(reads) == sorted([nodes, nodes, 64])
 
 
 def test_sample_rejects_a_functional_that_is_not_finite():
