@@ -7,8 +7,10 @@ solutions -- a constant flow and a self-similar expansion -- that double as
 test oracles: their residuals vanish identically, so anything a finite
 difference probe measures is the probe's own truncation error.
 
-All evaluators are pure and vectorized over trailing point axes; flow objects
-are immutable after construction and safe to share across threads.
+All evaluators are pure and vectorized over trailing point axes, and flow
+objects are safe to share across threads.  A `ConstantFlow` holds one
+read-only velocity array per query shape and returns it on every query of
+that shape; the other evaluators return fresh arrays.
 """
 
 from __future__ import annotations
@@ -143,12 +145,20 @@ class ConstantFlow(FlowField):
         self.rho0 = rho0
         self.vel0 = vel0
         self.p0 = p0
+        self._velocities = {}
 
     def velocity(self, t, pts):
+        """V0 at every point: one held, read-only array per query shape, so
+        the queries of an RK4 loop fill nothing."""
         pts = self._pts(pts)
-        # A contiguous repeat: a broadcast fill loops over rows of d values.
-        return np.repeat(self.vel0[None, :], pts.size // self.dimension,
-                         axis=0).reshape(pts.shape)
+        vel = self._velocities.get(pts.shape)
+        if vel is None:
+            # A contiguous repeat: a broadcast fill loops over rows of d values.
+            vel = np.repeat(self.vel0[None, :], pts.size // self.dimension,
+                            axis=0).reshape(pts.shape)
+            vel.flags.writeable = False
+            self._velocities[pts.shape] = vel
+        return vel
 
     def density(self, t, pts):
         pts = self._pts(pts)

@@ -145,9 +145,15 @@ class _Workspace:
     (`_d4_into`); one set of RK4 stage inputs and one of stage slopes; the
     ten first derivatives the right-hand side reads; the stage pressure, a
     scratch array and a boolean mask.  No snapshot ever points into these
-    buffers.  The interpolation patch arrays (`patch_buffers`) grow to the
-    largest point count seen; allocated per query, they were paged in afresh
-    on every query.
+    buffers.
+
+    `interpolate_fields` gathers its 4x4 patches entry-major
+    (`patch_buffers`): entry (a, b) of every point's patch is one contiguous
+    row of N values, so the weights and the sum over the patch run as whole
+    row passes.  Those buffers grow to the largest point count seen;
+    allocated per query, they were paged in afresh on every query.  A
+    `GridFlow` combines its time slice in one held full-grid buffer per
+    field (`slice_buffer`), with `scratch` as the term buffer.
 
     `grad_state` is the state whose rho, vx, vy and P derivatives
     `smoothness_guard` left in the `grad` slots that the right-hand side
@@ -165,15 +171,25 @@ class _Workspace:
         self.scratch = np.empty(shape)
         self.mask = np.empty(shape, dtype=bool)
         self.grad_state = None
-        self._flat = np.empty((0, 4, 4), dtype=np.intp)
-        self._patch = np.empty((0, 4, 4))
+        self._flat = np.empty(0, dtype=np.intp)
+        self._patch = np.empty(0)
+        self._slice = {}
 
     def patch_buffers(self, n):
-        """Flat node indices and gathered values of n 4x4 patches."""
-        if len(self._flat) < n:
-            self._flat = np.empty((n, 4, 4), dtype=np.intp)
-            self._patch = np.empty((n, 4, 4))
-        return self._flat[:n], self._patch[:n]
+        """Flat node indices and gathered values of n 4x4 patches, as
+        contiguous (4, 4, n) arrays."""
+        if self._flat.size < 16 * n:
+            self._flat = np.empty(16 * n, dtype=np.intp)
+            self._patch = np.empty(16 * n)
+        return (self._flat[:16 * n].reshape(4, 4, n),
+                self._patch[:16 * n].reshape(4, 4, n))
+
+    def slice_buffer(self, name):
+        """The held full-grid buffer of time-slice field `name`."""
+        buf = self._slice.get(name)
+        if buf is None:
+            buf = self._slice[name] = np.empty(self.shape)
+        return buf
 
     def check(self, state):
         if state.shape != self.shape:
@@ -341,7 +357,9 @@ def step(state, dt, work=None):
     """One RK4 step of the Euler system; returns a new GridState.
 
     dt must respect the advisory CFL bound 0.4*min(dx)/max(|V|+c); the step
-    refuses to run otherwise instead of silently producing garbage.
+    refuses to run otherwise instead of silently producing garbage.  A stage
+    density that goes negative, or a non-finite new field, raises
+    `NonSmoothState`.
 
     `work` is a `_Workspace` for the state's shape; with it the step
     allocates only the arrays of the state it returns and the scratch of
@@ -376,7 +394,15 @@ def step(state, dt, work=None):
     new = tuple(np.empty(state.shape) for _ in range(n))
 
     def slope_into(out):
-        p = _pressure_into(u[0], stage_entropy, gamma, work.pressure, work.scratch)
+        # A stage density below zero has no pressure: stop at it rather
+        # than run the remaining stages on NaN.
+        try:
+            with np.errstate(invalid="raise"):
+                p = _pressure_into(u[0], stage_entropy, gamma, work.pressure,
+                                   work.scratch)
+        except FloatingPointError as exc:
+            raise NonSmoothState(
+                f"stage pressure not defined in the step from t={state.time}") from exc
         _rhs(u, p, dx, dy, out, work)
 
     # k1 goes straight into the new arrays; state.pressure is the same
@@ -441,20 +467,54 @@ def smoothness_guard(state, threshold=np.inf, work=None):
 # -- interpolation -----------------------------------------------------------
 
 def _lagrange_weights(u):
-    """Cubic Lagrange weights for nodes at offsets (-1, 0, 1, 2) at offset u."""
-    wm1 = -u * (u - 1.0) * (u - 2.0) / 6.0
-    w0 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
-    w1 = -(u + 1.0) * u * (u - 2.0) / 2.0
-    w2 = (u + 1.0) * u * (u - 1.0) / 6.0
-    return np.stack([wm1, w0, w1, w2], axis=-1)
+    """Cubic Lagrange weights for nodes at offsets (-1, 0, 1, 2) at offset u,
+    stacked on a leading axis of length 4:
+        -u (u - 1) (u - 2) / 6,  (u + 1) (u - 1) (u - 2) / 2,
+        -(u + 1) u (u - 2) / 2,  (u + 1) u (u - 1) / 6,
+    each multiplied left to right, in place."""
+    u = np.asarray(u, dtype=float)
+    up1, um1, um2 = u + 1.0, u - 1.0, u - 2.0
+    w = np.empty((4, *u.shape))
+    for k, (first, second, third, div) in enumerate((
+            (-u, um1, um2, 6.0), (up1, um1, um2, 2.0),
+            (-up1, u, um2, 2.0), (up1, u, um1, 6.0))):
+        row = w[k, ...]
+        np.multiply(first, second, out=row)
+        row *= third
+        row /= div
+    return w
 
 
-def interpolate_fields(state, pts, fields=None, work=None):
+def _sum_rows(rows, out=None):
+    """0 + rows[0] + rows[1] + ..., added left to right, a whole row at a time.
+
+    np.add.reduce along the first axis of a (k, n) array adds the rows in
+    that order, except on a single column (n == 1), which it sums pairwise;
+    that column takes the explicit loop."""
+    if rows.shape[1] != 1:
+        return np.add.reduce(rows, axis=0, out=out, initial=0.0)
+    out = np.empty(1) if out is None else out
+    out[...] = 0.0
+    for row in rows:
+        out += row
+    return out
+
+
+def interpolate_fields(state, pts, fields=None, work=None, out=None):
     """Bicubic (separable cubic Lagrange) interpolation at points (N, 2).
 
     Periodic wrap in both axes; exact at grid nodes and for polynomials up to
     cubic per axis.  Returns a dict of sampled arrays.  `work` is an optional
-    `_Workspace` whose patch buffers are used.
+    `_Workspace` whose patch buffers are used; `out` is an optional
+    (len(fields), N) array whose rows receive the fields, in order.
+
+    The value at a point is the sum over its 4x4 patch f[a, b] of
+    (wx[a] f[a, b]) wy[b], added from 0 in patch order:
+    ((0 + (wx[0] f[0, 0]) wy[0]) + (wx[0] f[0, 1]) wy[1]) + ...  These are
+    the products and the order of np.einsum("pi,pij,pj->p", wx, patch, wy),
+    so the result is einsum's bit for bit (a sum of -0.0 terms is +0.0).
+    The patches are gathered entry-major, (4, 4, N), so the two weightings
+    and the sum are whole-row passes.
     """
     if fields is None:
         fields = {"rho": state.rho, "vx": state.vx, "vy": state.vy,
@@ -467,11 +527,14 @@ def interpolate_fields(state, pts, fields=None, work=None):
     fy = (pts[:, 1] - state.origin[1]) / dy
     ix = np.floor(fx).astype(int)
     iy = np.floor(fy).astype(int)
-    wx = _lagrange_weights(fx - ix)
-    wy = _lagrange_weights(fy - iy)
-    # Flat node index of the 4x4 patch of every point, built with one long
-    # add per patch entry: rows[a] + cols[b] is the node in patch row a,
-    # column b.  Every field is gathered into the same patch buffer.
+    # The weights of both axes in one pass: (4, 2, N).
+    u = np.empty((2, len(pts)))
+    np.subtract(fx, ix, out=u[0])
+    np.subtract(fy, iy, out=u[1])
+    wx, wy = _lagrange_weights(u).transpose(1, 0, 2)        # each (4, N)
+    # Flat node index of the 4x4 patch of every point: rows[a] + cols[b] is
+    # the node in patch row a, column b.  Every field is gathered into the
+    # same patch buffer.
     offs = np.arange(-1, 3)[:, None]
     rows = ix + offs                                        # (4, N)
     rows %= nx
@@ -480,18 +543,18 @@ def interpolate_fields(state, pts, fields=None, work=None):
     cols %= ny
     n = len(pts)
     flat, patch = (work.patch_buffers(n) if work is not None else
-                   (np.empty((n, 4, 4), dtype=np.intp), np.empty((n, 4, 4))))
-    for a in range(4):
-        for b in range(4):
-            np.add(rows[a], cols[b], out=flat[:, a, b])
+                   (np.empty((4, 4, n), dtype=np.intp), np.empty((4, 4, n))))
+    np.add(rows[:, None], cols, out=flat)
 
-    out = {}
-    for name, f in fields.items():
+    result = {}
+    for i, (name, f) in enumerate(fields.items()):
         # Indices are in range, so "clip" changes nothing; it lets take
         # write into `patch` without an intermediate copy.
         np.asarray(f, dtype=float).ravel().take(flat, out=patch, mode="clip")
-        out[name] = np.einsum("pi,pij,pj->p", wx, patch, wy)
-    return out
+        patch *= wx[:, None]
+        patch *= wy
+        result[name] = _sum_rows(patch.reshape(16, n), None if out is None else out[i])
+    return result
 
 
 class GridFlow(FlowField):
@@ -532,8 +595,11 @@ class GridFlow(FlowField):
     The slice combines the density when it is built (a non-positive one
     raises `NonSmoothState`) and any other field only when it is first
     read, so velocity queries never combine the entropy; it is let go when
-    its stencil leaves the window.  The held slice and the workspace make a
-    grid flow unsafe to query from several threads at once.
+    its stencil leaves the window.  Its fields live in the workspace's
+    slice buffers, one per field, which the next slice overwrites; a query
+    returns fresh arrays, never a view of them.  The held slice and the
+    workspace make a grid flow unsafe to query from several threads at
+    once.
     """
 
     def __init__(self, initial, step_dt, guard_threshold=np.inf):
@@ -600,10 +666,8 @@ class GridFlow(FlowField):
         the window then ends at the last state before it.
         """
         while self.t_last < t - 1e-12:
-            if self._work is None:
-                self._work = _Workspace(self._initial.shape)
             try:
-                nxt = step(self._states[-1], self.step_dt, work=self._work)
+                nxt = step(self._states[-1], self.step_dt, work=self._workspace())
             except NonSmoothState as exc:
                 raise SmoothnessLost(self._states[-1].time + self.step_dt,
                                      np.nan) from exc
@@ -613,6 +677,11 @@ class GridFlow(FlowField):
                     raise SmoothnessLost(nxt.time, report.max_grad)
             self._states.append(nxt)
             self._trim()
+
+    def _workspace(self):
+        if self._work is None:
+            self._work = _Workspace(self._initial.shape)
+        return self._work
 
     def check_time(self, t):
         if t < self.t0 - 1e-12 or t > self.t_last + 1e-12:
@@ -633,17 +702,27 @@ class GridFlow(FlowField):
         nodal arrays).
 
         The flow holds the slice of one t: its stencil, its weights and the
-        fields combined so far, each combined the first time it is read.
-        The density is combined, and checked finite and positive, as the
-        slice is built."""
+        fields combined so far, each combined the first time it is read,
+        into the workspace's buffer of that field.  The density is combined,
+        and checked finite and positive, as the slice is built."""
         def combined(name):
-            return sum(wi * getattr(s, name) for wi, s in zip(w, stencil))
+            # sum(wi * f_i): (((0 + w0 f0) + w1 f1) + w2 f2) + w3 f3.  The
+            # leading 0 + only turns a -0.0 sum into +0.0, so it comes last.
+            work = self._workspace()
+            acc, term = work.slice_buffer(name), work.scratch
+            fs = [getattr(s, name) for s in stencil]
+            np.multiply(fs[0], w[0], out=acc)
+            for wi, f in zip(w[1:], fs[1:]):
+                np.multiply(f, wi, out=term)
+                acc += term
+            acc += 0.0
+            return acc
 
         if self._slice is None or self._slice[0] != t:
             self._slice = None                  # free it before the next
             k = self._stencil_start(t)
             stencil = self._held(k, 4, t)
-            w = _lagrange_weights(np.asarray((t - stencil[1].time) / self.step_dt))
+            w = _lagrange_weights((t - stencil[1].time) / self.step_dt)
             rho = combined("rho")
             if not np.all(np.isfinite(rho)) or np.any(rho <= 0.0):
                 raise NonSmoothState("non-positive or non-finite density")
@@ -662,20 +741,20 @@ class GridFlow(FlowField):
                 return state
         return None
 
-    def _sample(self, t, pts, names):
+    def _sample(self, t, pts, names, out=None):
         self.check_time(t)
         state = self._nearest_snapshot(t)
         if state is None:
             state, fields = self._states[-1], self._time_slice(t, names)
         else:
             fields = {n: getattr(state, n) for n in names}
-        return interpolate_fields(state, pts, fields, work=self._work)
+        return interpolate_fields(state, pts, fields, work=self._work, out=out)
 
     def velocity(self, t, pts):
         pts = self._pts(pts)
         flat = pts.reshape(-1, 2)
-        s = self._sample(t, flat, ("vx", "vy"))
-        out = np.stack([s["vx"], s["vy"]], axis=-1)
+        out = np.empty(flat.shape)
+        self._sample(t, flat, ("vx", "vy"), out=out.T)
         return out.reshape(pts.shape)
 
     def density(self, t, pts):

@@ -84,6 +84,17 @@ def d4(f, h, axis):
                            solver._edge_buffers(f.shape, axis), np.empty(f.shape))
 
 
+def lagrange_weights(u):
+    """Cubic Lagrange weights for nodes at offsets (-1, 0, 1, 2) at offset u,
+    stacked on a trailing axis: the solver's interpolation weights, computed
+    apart from its code for the reference computations."""
+    wm1 = -u * (u - 1.0) * (u - 2.0) / 6.0
+    w0 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
+    w1 = -(u + 1.0) * u * (u - 2.0) / 2.0
+    w2 = (u + 1.0) * u * (u - 1.0) / 6.0
+    return np.stack([wm1, w0, w1, w2], axis=-1)
+
+
 def eval_state(flow, t, x):
     """Evaluate the full fluid state at one space-time point."""
     flow.check_time(t)

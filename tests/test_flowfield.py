@@ -159,15 +159,24 @@ def test_entropy_floor_is_scenario_datum():
 @pytest.mark.parametrize("dim, shape", [(2, (2,)), (2, (7, 2)), (2, (3, 5, 2)),
                                         (2, (0, 2)), (3, (3,)), (3, (6, 3)),
                                         (3, (2, 4, 3))])
-def test_constant_velocity_is_a_fresh_filled_array(dim, shape):
+def test_constant_velocity_is_held_and_read_only(dim, shape):
     vel0 = np.array([-1.25, 0.5, 2.0][:dim])
     flow = ConstantFlow(dim, 1.4, rho0=1.0, vel0=vel0, p0=1.0)
     pts = np.random.default_rng(dim).normal(size=shape)
-    a, b = flow.velocity(0.3, pts), flow.velocity(0.3, pts)
+    pts_before = pts.copy()
+    other = np.zeros((5, dim))
     want = np.broadcast_to(vel0, pts.shape)
-    assert a.shape == pts.shape and a.dtype == np.float64 and a.flags.writeable
-    assert np.array_equal(a, want) and np.array_equal(b, want)
-    for other in (b, pts, flow.vel0):
-        assert not np.shares_memory(a, other)
-    a[...] = 7.0
-    assert np.array_equal(b, want) and np.array_equal(flow.vel0, vel0)
+    a = flow.velocity(0.3, pts)
+    assert a.shape == pts.shape and a.dtype == np.float64
+    assert np.array_equal(a, want)
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 7.0
+    # Alternating two query shapes: each gets its own array, with V0 in it.
+    for _ in range(2):
+        b = flow.velocity(0.7, other)
+        assert b.shape == other.shape
+        assert np.array_equal(b, np.broadcast_to(vel0, other.shape))
+        assert np.array_equal(flow.velocity(0.1, pts), want)
+    for x in (pts, flow.vel0):
+        assert not np.shares_memory(a, x)
+    assert np.array_equal(pts, pts_before) and np.array_equal(flow.vel0, vel0)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import d4
+from helpers import d4, lagrange_weights
 
 from volflow import solver
 from volflow.flowfield import make_analytic_flow
@@ -289,21 +289,25 @@ def _reference_cfl_limit(state):
     return 0.4 * min(state.spacing) / float((np.hypot(state.vx, state.vy) + c).max())
 
 
-def _reference_interpolate(state, pts, names):
+def _reference_interpolate(state, pts, names, fields=None):
+    """The einsum interpolation `interpolate_fields` must match bit for bit;
+    `fields` maps names to nodal arrays (default: the state's own)."""
+    if fields is None:
+        fields = {name: getattr(state, name) for name in names}
     nx, ny = state.shape
     dx, dy = state.spacing
     fx = (pts[:, 0] - state.origin[0]) / dx
     fy = (pts[:, 1] - state.origin[1]) / dy
     ix = np.floor(fx).astype(int)
     iy = np.floor(fy).astype(int)
-    wx = solver._lagrange_weights(fx - ix)
-    wy = solver._lagrange_weights(fy - iy)
+    wx = lagrange_weights(fx - ix)
+    wy = lagrange_weights(fy - iy)
     offs = np.arange(-1, 3)
     gx = (ix[:, None] + offs) % nx
     gy = (iy[:, None] + offs) % ny
     out = {}
     for name in names:
-        patch = getattr(state, name)[gx[:, :, None], gy[:, None, :]]
+        patch = np.asarray(fields[name], dtype=float)[gx[:, :, None], gy[:, None, :]]
         out[name] = np.einsum("pi,pij,pj->p", wx, patch, wy)
     return out
 
@@ -459,8 +463,24 @@ def test_interpolation_matches_reference_bitwise(shape, spacing):
     # then used in part for 37.
     for got in (interpolate_fields(st, pts), interpolate_fields(st, pts, work=work)):
         assert all(np.array_equal(got[n], want[n]) for n in names)
-    got = interpolate_fields(st, pts[:37], work=work)
-    assert all(np.array_equal(got[n], want[n][:37]) for n in names)
+    for m in (37, 2, 1):
+        got = interpolate_fields(st, pts[:m], work=work)
+        assert all(np.array_equal(got[n], want[n][:m]) for n in names)
+    # Fields of signed zeros: the sum starts from +0.0, as einsum's does.
+    zeros = {"pos": np.zeros(st.shape), "neg": np.full(st.shape, -0.0)}
+    for m in (500, 2, 1):
+        want = _reference_interpolate(st, pts[:m], tuple(zeros), zeros)
+        got = interpolate_fields(st, pts[:m], zeros, work=work)
+        for n in zeros:
+            assert np.array_equal(np.signbit(got[n]), np.signbit(want[n])), n
+            assert np.array_equal(got[n], want[n]), n
+    # Rows of a given array receive the fields, in order.
+    out = np.empty((2, 500))
+    got = interpolate_fields(st, pts, {"vx": st.vx, "vy": st.vy}, work=work, out=out)
+    want = _reference_interpolate(st, pts, ("vx", "vy"))
+    for i, n in enumerate(("vx", "vy")):
+        assert got[n] is out[i] or np.shares_memory(got[n], out[i])
+        assert np.array_equal(out[i], want[n])
     # An integer-valued field is gathered as floats.
     ints = np.arange(nx * ny).reshape(nx, ny) % 7
     got = interpolate_fields(st, pts, {"k": ints}, work=work)["k"]
@@ -531,6 +551,53 @@ def test_time_slice_combines_only_the_fields_read():
     assert np.array_equal(rho, fresh.density(t, pts))
     assert np.array_equal(v, fresh.velocity(t, pts))
     assert np.array_equal(flow.entropy(t, pts), fresh.entropy(t, pts))
+
+
+def _reference_slice(flow, t, names):
+    """sum(w_i f_i) over the time stencil of t, in fresh arrays."""
+    k = flow._stencil_start(t)
+    stencil = flow.states[k:k + 4]            # a flow that kept everything
+    w = lagrange_weights(np.asarray((t - stencil[1].time) / flow.step_dt))
+    return {n: sum(wi * getattr(s, n) for wi, s in zip(w, stencil)) for n in names}
+
+
+def test_off_snapshot_velocity_matches_reference():
+    st = random_smooth_state((32, 32), 1.4, seed=5)
+    flow = GridFlow(st, step_dt=2e-3)
+    flow.advance_to(0.02)
+    t = 0.0111
+    pts = np.random.default_rng(6).uniform(-0.5, 1.5, size=(300, 2))
+    want = _reference_interpolate(st, pts, ("vx", "vy"),
+                                  _reference_slice(flow, t, ("vx", "vy")))
+    work = flow._work
+    for m in (300, 1):
+        v = flow.velocity(t, pts[:m])
+        assert v.shape == (m, 2) and v.flags.c_contiguous and v.flags.writeable
+        assert np.array_equal(v[:, 0], want["vx"][:m])
+        assert np.array_equal(v[:, 1], want["vy"][:m])
+        held = [work._flat, work._patch, work.scratch, *work._slice.values()]
+        assert not any(np.shares_memory(v, buf) for buf in held)
+    assert np.array_equal(flow.velocity(t, pts[0]), v[0])
+
+
+def test_time_slice_sign_of_zero_matches_the_sum():
+    # Products that are all -0.0 sum to +0.0 in sum(w_i f_i), which starts
+    # from 0; the held-buffer combination must give the same bits.
+    st = random_smooth_state((32, 32), 1.4, seed=5)
+    flow = GridFlow(st, step_dt=2e-3)
+    flow.advance_to(0.02)
+    t = 0.0111
+    k = flow._stencil_start(t)
+    w = lagrange_weights(np.asarray((t - flow.states[k + 1].time) / flow.step_dt))
+    for wi, s in zip(w, flow.states[k:k + 4]):
+        s.vx[...] = -0.0 if wi > 0.0 else 0.0
+        s.vy[...] = -0.0
+    want = _reference_slice(flow, t, ("vx", "vy"))
+    got = flow._time_slice(t, ("vx", "vy"))
+    for n in ("vx", "vy"):
+        assert np.array_equal(np.signbit(got[n]), np.signbit(want[n])), n
+        assert np.array_equal(got[n], want[n]), n
+    assert not np.signbit(got["vx"]).any()
 
 
 def test_time_slice_with_bad_density_is_not_smooth():
