@@ -89,7 +89,7 @@ def _emit_report(cfg, pairs, out_dir, kind):
 def _criteria_pairs(cfg, inp, report):
     pairs = [
         ("report", "criteria"), ("name", cfg.name),
-        ("dimension", cfg.dimension), ("gamma", cfg.gamma), ("q", cfg.q),
+        ("dimension", inp.n), ("gamma", cfg.gamma), ("q", cfg.q),
         ("epsilon", cfg.epsilon), ("T", cfg.T), ("M", cfg.M), ("s0", inp.s0),
         ("m", inp.m), ("E", inp.E), ("G0", inp.G0), ("d_init", inp.d_init),
         ("sigma_n", report.sigma_n), ("C1", report.C1), ("C3", report.C3),
@@ -222,9 +222,9 @@ def _cmd_sweep(scenario, out_dir):
     if not cfg.sweep_q or not cfg.sweep_epsilon:
         raise ConfigError("sweep needs both 'sweep.q' and 'sweep.epsilon'")
     for qv in cfg.sweep_q:
-        if not crit_mod.q_admissible(qv, cfg.gamma, cfg.dimension):
-            raise ConfigError(f"key 'sweep.q': {qv} not admissible (needs < "
-                              f"{crit_mod.q_admissible_bound(cfg.gamma, cfg.dimension)})")
+        if not crit_mod.q_admissible(qv, cfg.gamma, flow.dimension):
+            bound = crit_mod.q_admissible_bound(cfg.gamma, flow.dimension)
+            raise ConfigError(f"key 'sweep.q': {qv} not admissible (needs < {bound})")
     d_init = scenario.inp.d_init
     for ev in cfg.sweep_epsilon:
         if not 0.0 < ev < d_init:

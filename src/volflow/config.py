@@ -96,7 +96,6 @@ class ScenarioConfig:
     """Typed view of one scenario file."""
 
     name: str
-    dimension: int
     gamma: float
     flow_kind: str
     flow_params: dict
@@ -164,9 +163,6 @@ def load_config(path):
     raw = _ReadKeys(parse_kv_text(path.read_text()))
     name = _text(raw, "name", path.stem)
 
-    dimension = _int(raw, "dimension")
-    if dimension not in (2, 3):
-        raise ConfigError("key 'dimension' must be 2 or 3")
     gamma = _float(raw, "gamma")
     if gamma <= 1.0:
         raise ConfigError("key 'gamma' must exceed 1")
@@ -174,17 +170,17 @@ def load_config(path):
     kind = _text(raw, "flow.kind")
     if kind not in ("constant", "expansion", "grid"):
         raise ConfigError(f"key 'flow.kind' must be constant|expansion|grid, got {kind!r}")
-    flow_params = _flow_params(raw, kind, dimension)
+    flow_params = _flow_params(raw, kind)
 
-    volume = _volume_spec(raw, dimension)
-    x0 = _floats(raw, "x0", dimension)
+    volume = _volume_spec(raw)
+    x0 = _floats(raw, "x0", FlowField.dimension)
     epsilon = _float(raw, "epsilon")
     if epsilon <= 0.0:
         raise ConfigError("key 'epsilon' must be positive")
     qexp = _float(raw, "q")
-    if not q_admissible(qexp, gamma, dimension):
+    if not q_admissible(qexp, gamma, FlowField.dimension):
         raise ConfigError(f"key 'q' must lie strictly below "
-                          f"{q_admissible_bound(gamma, dimension)}, got {qexp}")
+                          f"{q_admissible_bound(gamma, FlowField.dimension)}, got {qexp}")
     horizon = _float(raw, "T")
     if not horizon > 0.0:
         raise ConfigError(f"key 'T' must be positive and finite, got {horizon}")
@@ -212,7 +208,7 @@ def load_config(path):
                           f"times, got {verify_times}")
 
     cfg = ScenarioConfig(
-        name=name, dimension=dimension, gamma=gamma, flow_kind=kind,
+        name=name, gamma=gamma, flow_kind=kind,
         flow_params=flow_params, volume=volume, x0=x0, epsilon=epsilon, q=qexp,
         T=horizon, M=reg_const, dt=dt, sample_stride=stride,
         verify_times=verify_times,
@@ -228,11 +224,11 @@ def load_config(path):
     return cfg
 
 
-def _flow_params(raw, kind, dimension):
+def _flow_params(raw, kind):
     if kind == "constant":
         return {
             "rho0": _float(raw, "flow.rho0"),
-            "V0": _floats(raw, "flow.V0", dimension),
+            "V0": _floats(raw, "flow.V0", FlowField.dimension),
             "P0": _float(raw, "flow.P0"),
         }
     if kind == "expansion":
@@ -241,8 +237,6 @@ def _flow_params(raw, kind, dimension):
             "S0": _float(raw, "flow.S0", "0.0"),
             "t_c": _float(raw, "flow.t_c"),
         }
-    if dimension != 2:
-        raise ConfigError("key 'flow.kind': grid flows are 2-D only")
     params = {
         "n": _int(raw, "flow.grid.n"),
         "box": _floats(raw, "flow.grid.box", 2),
@@ -262,7 +256,7 @@ def _flow_params(raw, kind, dimension):
     return params
 
 
-def _volume_spec(raw, dimension):
+def _volume_spec(raw):
     shape = _text(raw, "volume.shape")
     if shape == "polygon":
         text = _text(raw, "volume.vertices")
@@ -270,8 +264,8 @@ def _volume_spec(raw, dimension):
                                    for part in text.split(";") if part.strip()),
                     refine=_int(raw, "volume.refine", "3"))
     elif shape in ("disk", "annulus"):
-        spec = dict(center=_floats(raw, "volume.center", dimension,
-                                   default=",".join("0" * dimension)),
+        spec = dict(center=_floats(raw, "volume.center", FlowField.dimension,
+                                   default="0, 0"),
                     quad_order=_int(raw, "volume.quad_order", "40"))
         if spec["quad_order"] < 1:
             raise ConfigError("key 'volume.quad_order' must be at least 1")
@@ -316,8 +310,7 @@ def _eval_field(params, name, x, y):
 def build_flow(cfg):
     """Instantiate the configured flow (grid flows are not yet advanced)."""
     if cfg.flow_kind in ("constant", "expansion"):
-        return make_analytic_flow(cfg.flow_kind, cfg.dimension, cfg.gamma,
-                                  cfg.flow_params)
+        return make_analytic_flow(cfg.flow_kind, cfg.gamma, cfg.flow_params)
     p = cfg.flow_params
     n = p["n"]
     lo, hi = p["box"]
@@ -370,7 +363,7 @@ def build_scenario(cfg):
     phi = PhiSpec.power_law(cfg.q)
     sample0 = sample(flow, vol, phi, cfg.epsilon)
     inp = CriteriaInputs(
-        q=cfg.q, gamma=cfg.gamma, n=cfg.dimension, s0=flow.entropy_floor, m=sample0.m,
+        q=cfg.q, gamma=cfg.gamma, n=flow.dimension, s0=flow.entropy_floor, m=sample0.m,
         E=sample0.E, M=cfg.M, epsilon=cfg.epsilon, T=cfg.T, G0=sample0.G,
         cond10=condition10(vol, flow, cfg.q), d_init=boundary_distance(vol))
     return Scenario(cfg=cfg, flow=flow, vol=vol, phi=phi, sample0=sample0, inp=inp)

@@ -163,6 +163,7 @@ def constants(q, gamma, n, s0):
     if not q_admissible(q, gamma, n):
         raise ValueError(
             f"q = {q} not admissible (needs q < {q_admissible_bound(gamma, n)})")
+    # Flows are planar; n = 3 stays because acceptance criterion 06 pins sigma_3.
     if n == 2:
         sigma_n = 2.0 * math.pi
     elif n == 3:

@@ -1,4 +1,4 @@
-"""Pointwise fluid state and exact analytic flows.
+"""Queryable flows and the exact analytic ones.
 
 A flow here is a queryable smooth solution of the compressible Euler system
 (momentum balance, continuity, entropy transport) closed by the polytropic
@@ -16,13 +16,11 @@ that shape; the other evaluators return fresh arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DensityNotPositive",
-    "FluidState",
     "FlowField",
     "ConstantFlow",
     "ExpansionFlow",
@@ -34,52 +32,20 @@ class DensityNotPositive(ValueError):
     """A pressure was asked of a density that is not positive (or is NaN)."""
 
 
-@dataclass(frozen=True)
-class FluidState:
-    """Primitive state at one point: density, velocity, entropy, pressure."""
-
-    rho: float
-    vel: np.ndarray
-    entropy: float
-    pressure: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "vel", np.array(self.vel, dtype=float))
-        object.__setattr__(self, "entropy", float(self.entropy))
-        object.__setattr__(self, "pressure", float(self.pressure))
-        if self.rho <= 0.0:
-            raise ValueError("density must be positive")
-        if self.pressure <= 0.0:
-            raise ValueError("pressure must be positive")
-
-    @classmethod
-    def from_primitives(cls, rho, vel, entropy, gamma):
-        """Build a state with the pressure closed from (rho, S, gamma)."""
-        rho = float(rho)
-        entropy = float(entropy)
-        return cls(rho, np.asarray(vel, dtype=float), entropy,
-                   rho ** gamma * math.exp(entropy))
-
-    def state_equation_gap(self, gamma):
-        """Relative gap |P - rho^gamma e^S| / P; 0 for a consistent state."""
-        return abs(self.pressure - self.rho ** gamma * math.exp(self.entropy)) / self.pressure
-
-
 class FlowField:
     """Base class for queryable smooth flows over a time window.
 
     Subclasses provide `velocity`, `density` and `entropy`; pressure is
     derived through the state relation so consistency holds by construction.
-    `pts` always has shape (..., dimension).
+    `pts` always has shape (..., 2): every flow is planar, and `dimension`
+    is the one statement of the program's dimension.
     """
 
-    def __init__(self, dimension, gamma, entropy_floor):
-        if dimension not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {dimension}")
+    dimension = 2
+
+    def __init__(self, gamma, entropy_floor):
         if not gamma > 1.0:
             raise ValueError(f"adiabatic exponent must exceed 1, got {gamma}")
-        self.dimension = int(dimension)
         self.gamma = float(gamma)
         # Floor of the initial entropy over the whole space, the s0 of the
         # threshold algebra.  A finite volume cannot see the global minimum,
@@ -129,7 +95,7 @@ class FlowField:
 class ConstantFlow(FlowField):
     """Uniform state everywhere and for all time; trivially exact."""
 
-    def __init__(self, dimension, gamma, rho0, vel0, p0):
+    def __init__(self, gamma, rho0, vel0, p0):
         rho0 = float(rho0)
         p0 = float(p0)
         if rho0 <= 0.0:
@@ -137,11 +103,11 @@ class ConstantFlow(FlowField):
         if p0 <= 0.0:
             raise ValueError("P0 must be positive")
         vel0 = np.asarray(vel0, dtype=float)
-        if vel0.shape != (dimension,):
+        if vel0.shape != (self.dimension,):
             raise ValueError("V0 must be a velocity vector of the flow dimension")
         # Entropy chosen so the state relation holds exactly.
         s0 = math.log(p0) - gamma * math.log(rho0)
-        super().__init__(dimension, gamma, entropy_floor=s0)
+        super().__init__(gamma, entropy_floor=s0)
         self.rho0 = rho0
         self.vel0 = vel0
         self.p0 = p0
@@ -178,14 +144,14 @@ class ExpansionFlow(FlowField):
     smooth solution on t > -t_c.
     """
 
-    def __init__(self, dimension, gamma, rho0, s0, t_c):
+    def __init__(self, gamma, rho0, s0, t_c):
         rho0 = float(rho0)
         t_c = float(t_c)
         if rho0 <= 0.0:
             raise ValueError("rho0 must be positive")
         if t_c <= 0.0:
             raise ValueError("t_c must be positive")
-        super().__init__(dimension, gamma, entropy_floor=s0)
+        super().__init__(gamma, entropy_floor=s0)
         self.rho0 = rho0
         self.t_c = t_c
 
@@ -213,19 +179,19 @@ class ExpansionFlow(FlowField):
 _ANALYTIC_KINDS = ("constant", "expansion")
 
 
-def make_analytic_flow(kind, dimension, gamma, parameters):
+def make_analytic_flow(kind, gamma, parameters):
     """Build a flow from the analytic catalog.
 
     Parameters are kind-specific: constant wants (rho0, V0, P0), expansion
     wants (rho0, S0, t_c).
     """
     if kind == "constant":
-        return ConstantFlow(dimension, gamma,
+        return ConstantFlow(gamma,
                             rho0=parameters["rho0"],
                             vel0=parameters["V0"],
                             p0=parameters["P0"])
     if kind == "expansion":
-        return ExpansionFlow(dimension, gamma,
+        return ExpansionFlow(gamma,
                              rho0=parameters["rho0"],
                              s0=parameters["S0"],
                              t_c=parameters["t_c"])

@@ -105,25 +105,20 @@ class FunctionalSample:
 
 
 def sigma_norm2(vel, x):
-    """Squared angular-momentum magnitude |sigma|^2 = sum (V_i x_j - V_j x_i)^2
-    over index pairs i > j (one component in 2-D, three in 3-D).
+    """Squared angular-momentum magnitude |sigma|^2 = (V_2 x_1 - V_1 x_2)^2 of
+    planar vectors.
 
-    Vectorized: vel and x may carry leading point axes.
+    Vectorized: vel and x may carry leading point axes; their last axis must
+    have length 2.
     """
     vel = np.asarray(vel, dtype=float)
     x = np.asarray(x, dtype=float)
     if vel.shape != x.shape:
         raise ValueError("velocity and position shapes differ")
-    n = vel.shape[-1]
-    if n == 2:
-        s = vel[..., 1] * x[..., 0] - vel[..., 0] * x[..., 1]
-        return s * s
-    if n == 3:
-        s21 = vel[..., 1] * x[..., 0] - vel[..., 0] * x[..., 1]
-        s31 = vel[..., 2] * x[..., 0] - vel[..., 0] * x[..., 2]
-        s32 = vel[..., 2] * x[..., 1] - vel[..., 1] * x[..., 2]
-        return s21 * s21 + s31 * s31 + s32 * s32
-    raise ValueError(f"dimension must be 2 or 3, got {n}")
+    if vel.shape[-1] != 2:
+        raise ValueError(f"vectors must have 2 components, got {vel.shape[-1]}")
+    s = vel[..., 1] * x[..., 0] - vel[..., 0] * x[..., 1]
+    return s * s
 
 
 def _radii(pts, x0, floor):
@@ -151,7 +146,7 @@ def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
     finite."""
     t = vol.time
     flow.check_time(t)
-    n = vol.dim
+    n = flow.dimension
     gamma = flow.gamma
 
     z, r = _radii(vol.nodes, vol.x0, radius_floor)

@@ -1,8 +1,8 @@
 """Moving material volume: advected markers, quadrature nodes, integrals.
 
-The volume is carried by the flow as a set of Lagrangian samples: boundary
-markers (closed polygon loops in 2-D, triangulated closed meshes in 3-D) and
-interior quadrature nodes.  Each interior node carries a fixed mass weight
+The volume is a region of the plane, carried by the flow as a set of
+Lagrangian samples: boundary markers (closed polygon loops) and interior
+quadrature nodes.  Each interior node carries a fixed mass weight
 rho0(y)*w(y); because the mass measure is transported exactly by the flow,
 rho-weighted integrals need no Jacobian at all, and unweighted integrals
 recover the Jacobian from the density ratio rho0/rho(t, X).
@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "SelfIntersection",
-    "SurfaceMesh",
     "VolumeShapeSpec",
     "MaterialVolume",
     "init_volume",
@@ -41,7 +40,7 @@ class SelfIntersection(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Geometry helpers (2-D loops)
+# Geometry helpers (closed loops)
 # ---------------------------------------------------------------------------
 
 def loop_signed_area(loop):
@@ -143,40 +142,9 @@ def _point_segment_distance(p, a, b):
     return np.linalg.norm(p - closest, axis=1)
 
 
-def _point_triangle_distance(p, v0, v1, v2):
-    """Distances from point p to triangles (v0, v1, v2), vectorized."""
-    n = np.cross(v1 - v0, v2 - v0)
-    nn = np.einsum("ij,ij->i", n, n)
-    w = p - v0
-    # Projection onto the triangle plane, in barycentric coordinates.
-    d00 = np.einsum("ij,ij->i", v1 - v0, v1 - v0)
-    d01 = np.einsum("ij,ij->i", v1 - v0, v2 - v0)
-    d11 = np.einsum("ij,ij->i", v2 - v0, v2 - v0)
-    d20 = np.einsum("ij,ij->i", w, v1 - v0)
-    d21 = np.einsum("ij,ij->i", w, v2 - v0)
-    denom = d00 * d11 - d01 * d01
-    denom = np.where(denom > 0, denom, 1.0)
-    s = (d11 * d20 - d01 * d21) / denom
-    t = (d00 * d21 - d01 * d20) / denom
-    inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
-    plane = np.abs(np.einsum("ij,ij->i", w, n)) / np.sqrt(np.where(nn > 0, nn, 1.0))
-    best = np.where(inside, plane, np.inf)
-    for e0, e1 in ((v0, v1), (v1, v2), (v2, v0)):
-        best = np.minimum(best, _point_segment_distance(p, e0, e1))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Shape construction
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SurfaceMesh:
-    """Closed triangulated surface with consistent outward winding."""
-
-    verts: np.ndarray   # (M, 3)
-    faces: np.ndarray   # (F, 3) int indices
-
 
 def _gauss(a, b, order):
     x, w = np.polynomial.legendre.leggauss(order)
@@ -191,7 +159,7 @@ def _circle_markers(center, radius, count, clockwise=False):
                             center[1] + radius * np.sin(theta)])
 
 
-def _radial_nodes_2d(center, r_lo, r_hi, order):
+def _radial_nodes(center, r_lo, r_hi, order):
     """Tensor rule on an annular region: Gauss in r, midpoint-uniform in theta."""
     r, wr = _gauss(r_lo, r_hi, order)
     m = 2 * order
@@ -202,72 +170,6 @@ def _radial_nodes_2d(center, r_lo, r_hi, order):
                              (center[1] + rr * np.sin(tt)).ravel()])
     weights = (wr * r)[:, None].repeat(m, axis=1).ravel() * wt
     return nodes, weights
-
-
-def _radial_nodes_3d(center, r_lo, r_hi, order):
-    """Gauss in r (weight r^2) x Gauss in cos(polar) x uniform azimuth."""
-    r, wr = _gauss(r_lo, r_hi, order)
-    mu, wmu = np.polynomial.legendre.leggauss(order)
-    m = 2 * order
-    phi = (np.arange(m) + 0.5) * 2.0 * np.pi / m
-    wphi = 2.0 * np.pi / m
-    R, MU, PH = np.meshgrid(r, mu, phi, indexing="ij")
-    sin_pol = np.sqrt(1.0 - MU ** 2)
-    nodes = np.column_stack([
-        (center[0] + R * sin_pol * np.cos(PH)).ravel(),
-        (center[1] + R * sin_pol * np.sin(PH)).ravel(),
-        (center[2] + R * MU).ravel(),
-    ])
-    W = (wr * r ** 2)[:, None, None] * wmu[None, :, None] * wphi
-    return nodes, np.broadcast_to(W, R.shape).ravel().copy()
-
-
-_ICO_T = (1.0 + math.sqrt(5.0)) / 2.0
-_ICO_VERTS = np.array([
-    [-1, _ICO_T, 0], [1, _ICO_T, 0], [-1, -_ICO_T, 0], [1, -_ICO_T, 0],
-    [0, -1, _ICO_T], [0, 1, _ICO_T], [0, -1, -_ICO_T], [0, 1, -_ICO_T],
-    [_ICO_T, 0, -1], [_ICO_T, 0, 1], [-_ICO_T, 0, -1], [-_ICO_T, 0, 1],
-], dtype=float)
-_ICO_FACES = np.array([
-    [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
-    [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
-    [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
-    [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
-], dtype=int)
-
-
-def icosphere(subdivisions):
-    """Unit icosphere: 10*4^k + 2 vertices with outward-wound faces."""
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = [tuple(f) for f in _ICO_FACES]
-    for _ in range(subdivisions):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                v = verts[i] + verts[j]
-                verts.append(v / np.linalg.norm(v))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_faces = []
-        for i, j, k in faces:
-            a, b, c = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
-        faces = new_faces
-    return np.array(verts), np.array(faces, dtype=int)
-
-
-def _sphere_mesh(center, radius, markers, flip=False):
-    subdiv = 0
-    while 10 * 4 ** subdiv + 2 < markers:
-        subdiv += 1
-    verts, faces = icosphere(subdiv)
-    verts = center + radius * verts
-    if flip:
-        faces = faces[:, ::-1]
-    return SurfaceMesh(verts=verts, faces=faces)
 
 
 def _polygon_markers(vertices, count):
@@ -364,9 +266,9 @@ def _polygon_nodes(vertices, refine):
 class VolumeShapeSpec:
     """Initial shape and discretization of a material volume.
 
-    shape is one of 'disk' (a ball in 3-D), 'annulus' (a spherical shell in
-    3-D) or 'polygon' (2-D only).  quad_order controls the tensor-Gauss rule
-    for radial shapes; refine controls triangulation depth for polygons.
+    shape is one of 'disk', 'annulus' or 'polygon'.  quad_order controls the
+    tensor-Gauss rule for radial shapes; refine controls triangulation depth
+    for polygons.
     """
 
     shape: str
@@ -414,31 +316,18 @@ class VolumeShapeSpec:
             raise ValueError("lies inside (or on) the initial volume")
         return r1 - d if d < r1 else d - r2
 
-    def build(self, dim):
-        """Boundary components and (nodes, weights) quadrature for dimension dim."""
+    def build(self):
+        """Boundary loops and (nodes, weights) quadrature of the shape."""
         center = np.asarray(self.center, dtype=float)
-        if center.shape != (dim,):
-            raise ValueError(f"center must have dimension {dim}")
         if self.shape == "disk":
-            if dim == 2:
-                boundary = [_circle_markers(center, self.radius, self.markers)]
-                nodes, w = _radial_nodes_2d(center, 0.0, self.radius, self.quad_order)
-            else:
-                boundary = [_sphere_mesh(center, self.radius, self.markers)]
-                nodes, w = _radial_nodes_3d(center, 0.0, self.radius, self.quad_order)
+            boundary = [_circle_markers(center, self.radius, self.markers)]
+            nodes, w = _radial_nodes(center, 0.0, self.radius, self.quad_order)
         elif self.shape == "annulus":
             r1, r2 = self.radii
-            if dim == 2:
-                boundary = [_circle_markers(center, r2, self.markers),
-                            _circle_markers(center, r1, self.markers, clockwise=True)]
-                nodes, w = _radial_nodes_2d(center, r1, r2, self.quad_order)
-            else:
-                boundary = [_sphere_mesh(center, r2, self.markers),
-                            _sphere_mesh(center, r1, self.markers, flip=True)]
-                nodes, w = _radial_nodes_3d(center, r1, r2, self.quad_order)
+            boundary = [_circle_markers(center, r2, self.markers),
+                        _circle_markers(center, r1, self.markers, clockwise=True)]
+            nodes, w = _radial_nodes(center, r1, r2, self.quad_order)
         else:
-            if dim != 2:
-                raise ValueError("polygon volumes are 2-D only")
             verts = np.asarray(self.vertices, dtype=float)
             if loop_signed_area(verts) < 0:
                 verts = verts[::-1]
@@ -457,13 +346,12 @@ class VolumeShapeSpec:
 class MaterialVolume:
     """Lagrangian volume snapshot at one time.
 
-    boundaries: list of (M, 2) marker loops (2-D) or SurfaceMesh (3-D).
+    boundaries: tuple of (M, 2) closed marker loops.
     nodes/mass_w: interior quadrature nodes with transported mass weights
     rho0 * w, rho0 the initial densities at the nodes.
     x0 is the fixed target point the threshold machinery measures against.
     """
 
-    dim: int
     boundaries: tuple
     nodes: np.ndarray
     mass_w: np.ndarray
@@ -471,18 +359,14 @@ class MaterialVolume:
     time: float
 
     def boundary_points(self):
-        if self.dim == 2:
-            return np.vstack(self.boundaries)
-        return np.vstack([m.verts for m in self.boundaries])
+        return np.vstack(self.boundaries)
 
     def _with_boundary_points(self, pts):
         out = []
         k = 0
-        for comp in self.boundaries:
-            m = len(comp) if self.dim == 2 else len(comp.verts)
-            chunk = pts[k:k + m]
-            k += m
-            out.append(chunk if self.dim == 2 else replace(comp, verts=chunk))
+        for loop in self.boundaries:
+            out.append(pts[k:k + len(loop)])
+            k += len(loop)
         return tuple(out)
 
 
@@ -495,14 +379,15 @@ def init_volume(spec, flow, x0, epsilon, t0=0.0):
     """
     dim = flow.dimension
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (dim,):
-        raise ValueError(f"x0 must have dimension {dim}")
-    boundary, nodes, w = spec.build(dim)
+    for name, point in (("x0", x0), ("center", np.asarray(spec.center))):
+        if point.shape != (dim,):
+            raise ValueError(f"{name} must have dimension {dim}")
+    boundary, nodes, w = spec.build()
 
     spec.distance(x0)                   # raises when x0 lies inside
 
     rho0 = np.asarray(flow.density(t0, nodes), dtype=float)
-    vol = MaterialVolume(dim=dim, boundaries=tuple(boundary), nodes=nodes,
+    vol = MaterialVolume(boundaries=tuple(boundary), nodes=nodes,
                          mass_w=rho0 * w, x0=x0, time=float(t0))
     d = boundary_distance(vol)
     if d <= epsilon:
@@ -566,7 +451,7 @@ def _advect_any(vol, flow, t_to, dt, check_boundary=True):
     new_boundaries = vol._with_boundary_points(moved[:count_b])
     out = replace(vol, boundaries=new_boundaries, nodes=moved[count_b:],
                   time=float(t_to))
-    if check_boundary and vol.dim == 2:
+    if check_boundary:
         for loop in out.boundaries:
             if not polygon_is_simple(loop):
                 raise SelfIntersection(
@@ -585,49 +470,28 @@ def volume_integral_plain(vol, g, flow):
 def _boundary_elements(vol):
     """Midpoints, outward unit normals and measures of all boundary elements."""
     mids, normals, measures = [], [], []
-    if vol.dim == 2:
-        for loop in vol.boundaries:
-            a = loop
-            b = np.roll(loop, -1, axis=0)
-            seg = b - a
-            length = np.linalg.norm(seg, axis=1)
-            if np.any(length == 0.0):
-                raise ValueError("degenerate boundary segment (zero length)")
-            tangent = seg / length[:, None]
-            # Outward for CCW loops; hole loops are stored CW so the same
-            # formula points out of the material region.
-            normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
-            mids.append(0.5 * (a + b))
-            normals.append(normal)
-            measures.append(length)
-    else:
-        for mesh in vol.boundaries:
-            v0 = mesh.verts[mesh.faces[:, 0]]
-            v1 = mesh.verts[mesh.faces[:, 1]]
-            v2 = mesh.verts[mesh.faces[:, 2]]
-            cross = np.cross(v1 - v0, v2 - v0)
-            norm = np.linalg.norm(cross, axis=1)
-            if np.any(norm == 0.0):
-                raise ValueError("degenerate boundary triangle (zero area)")
-            mids.append((v0 + v1 + v2) / 3.0)
-            normals.append(cross / norm[:, None])
-            measures.append(0.5 * norm)
+    for loop in vol.boundaries:
+        a = loop
+        b = np.roll(loop, -1, axis=0)
+        seg = b - a
+        length = np.linalg.norm(seg, axis=1)
+        if np.any(length == 0.0):
+            raise ValueError("degenerate boundary segment (zero length)")
+        tangent = seg / length[:, None]
+        # Outward for CCW loops; hole loops are stored CW so the same
+        # formula points out of the material region.
+        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+        mids.append(0.5 * (a + b))
+        normals.append(normal)
+        measures.append(length)
     return np.vstack(mids), np.vstack(normals), np.concatenate(measures)
 
 
 def boundary_distance(vol):
     """Distance from the boundary to the target point x0."""
     best = np.inf
-    if vol.dim == 2:
-        for loop in vol.boundaries:
-            d = _point_segment_distance(vol.x0, loop, np.roll(loop, -1, axis=0))
-            best = min(best, float(d.min()))
-    else:
-        for mesh in vol.boundaries:
-            d = _point_triangle_distance(vol.x0,
-                                         mesh.verts[mesh.faces[:, 0]],
-                                         mesh.verts[mesh.faces[:, 1]],
-                                         mesh.verts[mesh.faces[:, 2]])
-            best = min(best, float(d.min()))
+    for loop in vol.boundaries:
+        d = _point_segment_distance(vol.x0, loop, np.roll(loop, -1, axis=0))
+        best = min(best, float(d.min()))
     return best
 

@@ -111,12 +111,6 @@ class GridState:
     def shape(self):
         return self.rho.shape
 
-    def node_coords(self):
-        nx, ny = self.shape
-        x = self.origin[0] + self.spacing[0] * np.arange(nx)
-        y = self.origin[1] + self.spacing[1] * np.arange(ny)
-        return x, y
-
     def cfl_limit(self, number=0.4, work=None):
         """Largest admissible dt: number * min(dx) / max(|V| + c), with
         c = sqrt(gamma P / rho); `work` is an optional `_Workspace`, whose
@@ -604,7 +598,7 @@ class GridFlow(FlowField):
 
     def __init__(self, initial, step_dt, guard_threshold=np.inf):
         # The grid is the whole (periodic) space, so its minimum is the floor.
-        super().__init__(2, initial.gamma, entropy_floor=initial.entropy.min())
+        super().__init__(initial.gamma, entropy_floor=initial.entropy.min())
         if step_dt <= 0.0:
             raise ValueError("step_dt must be positive")
         self.step_dt = float(step_dt)

@@ -161,7 +161,7 @@ def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
         raise ValueError(
             f"density-moment bound needs dist(boundary, x0) >= epsilon "
             f"(have {d} < {epsilon})")
-    consts = crit_mod.constants(phi.q, flow.gamma, vol.dim, flow.entropy_floor)
+    consts = crit_mod.constants(phi.q, flow.gamma, flow.dimension, flow.entropy_floor)
     gamma = flow.gamma
     x0 = vol.x0
 
@@ -171,7 +171,7 @@ def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
         return rr ** (phi.q - 2.0) * rho ** gamma
 
     lhs_int = volume_integral_plain(vol, integrand, flow)
-    expo = -((phi.q + vol.dim) * (gamma - 1.0) + 2.0)
+    expo = -((phi.q + flow.dimension) * (gamma - 1.0) + 2.0)
     bound = consts.C1 * s.G ** gamma * epsilon ** expo
     reports.append(_ineq_report("density_moment_lower_bound",
                                 bound, lhs_int, t))

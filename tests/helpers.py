@@ -2,12 +2,13 @@
 pointwise probes and reference computations that only tests use."""
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from volflow import solver
-from volflow.flowfield import FlowField, FluidState
+from volflow.flowfield import FlowField
 from volflow.matvol import VolumeShapeSpec, _boundary_elements, init_volume
 from volflow.solver import GridFlow
 
@@ -21,9 +22,9 @@ class SyntheticFlow(FlowField):
     the velocity to solve anything.
     """
 
-    def __init__(self, dimension, velocity_fn, gamma=1.4, rho0=1.0, p0=1.0):
+    def __init__(self, velocity_fn, gamma=1.4, rho0=1.0, p0=1.0):
         s0 = math.log(p0) - gamma * math.log(rho0)
-        super().__init__(dimension, gamma, entropy_floor=s0)
+        super().__init__(gamma, entropy_floor=s0)
         self._velocity_fn = velocity_fn
         self.rho0 = float(rho0)
         self.s0 = s0
@@ -93,6 +94,38 @@ def lagrange_weights(u):
     w1 = -(u + 1.0) * u * (u - 2.0) / 2.0
     w2 = (u + 1.0) * u * (u - 1.0) / 6.0
     return np.stack([wm1, w0, w1, w2], axis=-1)
+
+
+@dataclass(frozen=True)
+class FluidState:
+    """Primitive state at one point: density, velocity, entropy, pressure."""
+
+    rho: float
+    vel: np.ndarray
+    entropy: float
+    pressure: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "vel", np.array(self.vel, dtype=float))
+        object.__setattr__(self, "entropy", float(self.entropy))
+        object.__setattr__(self, "pressure", float(self.pressure))
+        if self.rho <= 0.0:
+            raise ValueError("density must be positive")
+        if self.pressure <= 0.0:
+            raise ValueError("pressure must be positive")
+
+    @classmethod
+    def from_primitives(cls, rho, vel, entropy, gamma):
+        """Build a state with the pressure closed from (rho, S, gamma)."""
+        rho = float(rho)
+        entropy = float(entropy)
+        return cls(rho, np.asarray(vel, dtype=float), entropy,
+                   rho ** gamma * math.exp(entropy))
+
+    def state_equation_gap(self, gamma):
+        """Relative gap |P - rho^gamma e^S| / P; 0 for a consistent state."""
+        return abs(self.pressure - self.rho ** gamma * math.exp(self.entropy)) / self.pressure
 
 
 def eval_state(flow, t, x):

@@ -29,7 +29,7 @@ def _criterion(num, ok, text):
 
 
 def _expansion():
-    return make_analytic_flow("expansion", 2, 1.4,
+    return make_analytic_flow("expansion", 1.4,
                               {"rho0": 1.0, "S0": 0.0, "t_c": 1.0})
 
 
@@ -85,7 +85,7 @@ def test_criterion_03_cauchy_schwarz_randomized():
                                      np.cos(p[..., 1] * kvec[1])], axis=-1)
             return p @ amat.T + bvec + ripple
 
-        flow = SyntheticFlow(2, vel, rho0=rng.uniform(0.5, 2.0),
+        flow = SyntheticFlow(vel, rho0=rng.uniform(0.5, 2.0),
                              p0=rng.uniform(0.5, 2.0))
         if i % 2 == 0:
             ang = rng.uniform(0.0, 2.0 * np.pi)
@@ -135,7 +135,7 @@ def test_criterion_03_cauchy_schwarz_randomized():
 
 def test_criterion_04_density_moment_closed_form():
     q, gamma, eps = -8.0, 1.4, 0.9
-    flow = make_analytic_flow("constant", 2, gamma,
+    flow = make_analytic_flow("constant", gamma,
                               {"rho0": 1.0, "V0": (0.0, 0.0), "P0": 1.0})
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), eps,
                          markers=512, order=60)

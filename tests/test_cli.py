@@ -20,7 +20,6 @@ from volflow.solver import GridFlow
 
 MINI_CONFIG = """
 name = mini
-dimension = 2
 gamma = 1.4
 flow.kind = constant
 flow.rho0 = 1.0
@@ -92,14 +91,12 @@ def test_parse_rejects_garbage():
 def test_load_config_types(mini_cfg):
     cfg = load_config(mini_cfg)
     assert cfg.name == "mini"
-    assert cfg.dimension == 2
     assert cfg.flow_kind == "constant"
     assert cfg.x0 == (0.0, 0.0)
     assert cfg.sweep_q == (-8.0, -9.0)
 
 
 @pytest.mark.parametrize("mutation, key", [
-    ("dimension = 5", "dimension"),
     ("gamma = 0.8", "gamma"),
     ("flow.kind = vortex", "flow.kind"),
     ("q = -6.0", "q"),
@@ -119,7 +116,7 @@ def test_precondition_violations_name_the_key(tmp_path, mutation, key):
 
 def test_missing_key_reported(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("dimension = 2\ngamma = 1.4\n")
+    path.write_text("gamma = 1.4\n")
     with pytest.raises(ConfigError, match="flow.kind"):
         load_config(path)
 
@@ -277,7 +274,7 @@ def test_sweep_validates_grid(tmp_path, capsys):
 
 def test_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.cfg"
-    path.write_text("dimension = 2\n")
+    path.write_text("gamma = 1.4\n")
     rc = main(["criteria", "--config", str(path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -303,10 +300,16 @@ def test_csv_format_criteria(tmp_path, capsys):
     assert lines[0].split(",")[0] == "report"
 
 
-def test_shipped_configs_load():
+def test_shipped_configs_load(tmp_path, capsys):
     for cfg_file in sorted(CONFIG_DIR.glob("*.cfg")):
-        cfg = load_config(cfg_file)
-        assert cfg.dimension == 2
+        rc = main(["criteria", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        if load_config(cfg_file).out_format == "csv":
+            report = dict(zip(lines[0].split(","), lines[1].split(",")))
+        else:
+            report = dict(line.split(": ", 1) for line in lines)
+        assert report["dimension"] == "2"
 
 
 def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
@@ -348,6 +351,7 @@ def test_unread_key_is_rejected(tmp_path, capsys, line, key):
     ("verify.oracle_cases = 6", "verify.oracle_cases"),
     ("out.dir = elsewhere", "out.dir"),
     ("s0 = 0.0", "s0"),
+    ("dimension = 2", "dimension"),
 ])
 def test_removed_keys_are_rejected(tmp_path, capsys, line, key):
     path = _write(tmp_path, MINI_CONFIG + line + "\n")
@@ -382,13 +386,12 @@ def test_grid_entropy_floor_is_the_initial_minimum(tmp_path):
     assert scenario.inp.s0 == floor
 
 
-# Integer keys: inf was an OverflowError traceback, 2.0 a TypeError traceback,
-# nan failed naming no key, 2.5 and 256.7 were truncated silently, true read
-# as 1, and quad_order = 0 failed naming no key.
+# Integer keys: inf was an OverflowError traceback, nan failed naming no key,
+# 2.5 and 256.7 were truncated silently, true read as 1, and quad_order = 0
+# failed naming no key.
 @pytest.mark.parametrize("line, key", [
     ("volume.quad_order = inf", "volume.quad_order"),
     ("volume.quad_order = 0", "volume.quad_order"),
-    ("dimension = 2.0", "dimension"),
     ("sample.stride = 2.5", "sample.stride"),
     ("sample.stride = nan", "sample.stride"),
     ("volume.markers = 256.7", "volume.markers"),
@@ -624,7 +627,6 @@ def test_grid_max_grad_default_is_no_guard(tmp_path):
 # the step to t = 0.99), which used to escape `run` as a traceback.
 BLOWUP_CONFIG = """
 name = blowup
-dimension = 2
 gamma = 1.4
 flow.kind = grid
 flow.grid.n = 64

@@ -160,7 +160,7 @@ def test_delta_nonpositive_everywhere(q, eps, t, m, e, q0):
 # -- condition (10) -----------------------------------------------------------
 
 def radial_inflow():
-    return SyntheticFlow(2, lambda t, p: -p)
+    return SyntheticFlow(lambda t, p: -p)
 
 
 def test_condition10_radial_inflow_annulus():
@@ -172,7 +172,7 @@ def test_condition10_radial_inflow_annulus():
 
 
 def test_condition10_outflow_sign_flip():
-    flow = SyntheticFlow(2, lambda t, p: p)
+    flow = SyntheticFlow(lambda t, p: p)
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.5)
     got = condition10(vol, flow, -8.0)
     assert got == pytest.approx(2.0 * math.pi * (1.0 - 2.0 ** -6) / 6.0, rel=1e-9)
@@ -180,7 +180,7 @@ def test_condition10_outflow_sign_flip():
 
 
 def test_condition10_rotation_is_zero():
-    flow = SyntheticFlow(2, lambda t, p: np.stack([-p[..., 1], p[..., 0]], axis=-1))
+    flow = SyntheticFlow(lambda t, p: np.stack([-p[..., 1], p[..., 0]], axis=-1))
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.5)
     assert condition10(vol, flow, -8.0) == pytest.approx(0.0, abs=1e-12)
 

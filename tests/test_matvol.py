@@ -18,18 +18,18 @@ from volflow.matvol import (SelfIntersection, VolumeShapeSpec, advect,
 from volflow.solver import GridFlow, GridState
 
 
-def still_flow(dim=2, rho0=1.0, p0=1.0):
-    return make_analytic_flow("constant", dim, 1.4,
-                              {"rho0": rho0, "V0": (0.0,) * dim, "P0": p0})
+def still_flow(rho0=1.0, p0=1.0):
+    return make_analytic_flow("constant", 1.4,
+                              {"rho0": rho0, "V0": (0.0, 0.0), "P0": p0})
 
 
 def left_flow():
-    return make_analytic_flow("constant", 2, 1.4,
+    return make_analytic_flow("constant", 1.4,
                               {"rho0": 1.0, "V0": (-1.0, 0.0), "P0": 1.0})
 
 
 def expansion():
-    return make_analytic_flow("expansion", 2, 1.4,
+    return make_analytic_flow("expansion", 1.4,
                               {"rho0": 1.0, "S0": 0.0, "t_c": 1.0})
 
 
@@ -46,13 +46,6 @@ def test_square_polygon_mass():
     spec = VolumeShapeSpec(shape="polygon", vertices=verts, markers=64, refine=2)
     vol = init_volume(spec, still_flow(), np.zeros(2), 1.0)
     assert volume_integral_mass(vol, ones) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_ball_mass_3d():
-    vol = disk_volume(still_flow(dim=3, rho0=2.0), (3.0, 0.0, 0.0), 1.0,
-                      (0.0, 0.0, 0.0), 0.5, markers=256, order=24)
-    assert volume_integral_mass(vol, ones) == pytest.approx(2.0 * 4.0 / 3.0 * np.pi,
-                                                            rel=1e-10)
 
 
 def test_annulus_epsilon_gate():
@@ -83,12 +76,19 @@ def test_shape_spec_validation():
         VolumeShapeSpec(shape="polygon", vertices=((0, 0), (1, 0)))
 
 
+def test_points_off_the_plane_rejected():
+    with pytest.raises(ValueError, match="x0 must have dimension 2"):
+        disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0, 0.0), 0.5)
+    with pytest.raises(ValueError, match="center must have dimension 2"):
+        disk_volume(still_flow(), (3.0, 0.0, 0.0), 1.0, (0.0, 0.0), 0.5)
+
+
 def test_bowtie_polygon_rejected():
     spec = VolumeShapeSpec(shape="polygon",
                            vertices=((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)),
                            markers=64)
     with pytest.raises(ValueError, match="self-intersect"):
-        spec.build(2)
+        spec.build()
 
 
 # -- advection ---------------------------------------------------------------
@@ -119,8 +119,8 @@ def test_rk4_order_on_curved_trajectories():
     # rotation field: exact trajectories are circles, so the integrator error
     # is measurable; halving dt should shrink it ~16x
     omega = 1.0
-    rot = SyntheticFlow(2, lambda t, p: omega * np.stack([-p[..., 1], p[..., 0]],
-                                                         axis=-1))
+    rot = SyntheticFlow(lambda t, p: omega * np.stack([-p[..., 1], p[..., 0]],
+                                                      axis=-1))
     vol = disk_volume(rot, (3.0, 0.0), 1.0, (10.0, 0.0), 1.0, markers=64, order=10)
     c, s = np.cos(omega), np.sin(omega)
     exact = vol.nodes @ np.array([[c, -s], [s, c]]).T
@@ -139,7 +139,7 @@ def test_mass_weights_ride_along():
 def test_self_intersection_detected_after_advection():
     # a localized kick drags one marker across the loop; the per-call
     # detector must refuse the result
-    flow0 = SyntheticFlow(2, lambda t, p: np.zeros_like(p))
+    flow0 = SyntheticFlow(lambda t, p: np.zeros_like(p))
     vol = disk_volume(flow0, (0.0, 0.0), 1.0, (5.0, 0.0), 0.5, markers=128, order=10)
     target = vol.boundaries[0][0].copy()
 
@@ -148,7 +148,7 @@ def test_self_intersection_detected_after_advection():
         return np.stack([-30.0 * w, np.zeros(p.shape[:-1])], axis=-1)
 
     with pytest.raises(SelfIntersection):
-        advect(vol, SyntheticFlow(2, kick), 1.0, 1.0)
+        advect(vol, SyntheticFlow(kick), 1.0, 1.0)
 
 
 # -- integrals ---------------------------------------------------------------
@@ -193,13 +193,6 @@ def test_constant_vector_flux_vanishes():
     assert abs(got) <= 1e-8
 
 
-def test_constant_vector_flux_vanishes_3d():
-    vol = disk_volume(still_flow(dim=3), (3.0, 0.0, 0.0), 1.0,
-                      (0.0, 0.0, 0.0), 0.5, markers=256, order=16)
-    got = surface_integral(vol, lambda p, n: n @ np.array([1.0, 2.0, -0.5]))
-    assert abs(got) <= 1e-8
-
-
 def test_radial_flux_annulus():
     vol = annulus_volume(still_flow(), (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.5,
                          markers=8192)
@@ -234,25 +227,6 @@ def test_divergence_consistency_2d():
     assert got == pytest.approx(want, rel=1e-4)
 
 
-def test_divergence_consistency_3d():
-    # needs a fine sphere: flat facets bias the flux at O(h^2)
-    flow = still_flow(dim=3)
-    vol = disk_volume(flow, (3.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), 0.5,
-                      markers=100_000, order=16)
-    got = surface_integral(vol, lambda p, n: np.einsum("ij,ij->i", p, n))
-    want = volume_integral_plain(vol, lambda p: 3.0 * np.ones(len(p)), flow)
-    assert got == pytest.approx(want, rel=1e-4)
-
-
-def test_shell_radial_flux_3d():
-    vol = annulus_volume(still_flow(dim=3), (0.0, 0.0, 0.0), (1.0, 2.0),
-                         (0.0, 0.0, 0.0), 0.5, markers=40_000, order=16)
-    got = surface_integral(
-        vol, lambda p, n: np.einsum("ij,ij->i",
-                                    p / np.linalg.norm(p, axis=1, keepdims=True), n))
-    assert got == pytest.approx(4.0 * np.pi * (4.0 - 1.0), rel=1e-4)
-
-
 def test_degenerate_segment_rejected():
     vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
     loop = vol.boundaries[0].copy()
@@ -275,12 +249,6 @@ def test_boundary_distance_cases():
     assert boundary_distance(moved) == pytest.approx(1.0, abs=1e-4)
 
 
-def test_boundary_distance_3d():
-    vol = disk_volume(still_flow(dim=3), (3.0, 0.0, 0.0), 1.0,
-                      (0.0, 0.0, 0.0), 0.5, markers=2562, order=12)
-    assert boundary_distance(vol) == pytest.approx(2.0, abs=1e-3)
-
-
 def test_distance_lipschitz_along_advection():
     vol = disk_volume(left_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
     d_prev, t_prev = boundary_distance(vol), 0.0
@@ -296,7 +264,7 @@ def test_distance_lipschitz_along_advection():
 @settings(max_examples=15, deadline=None)
 @given(t_to=st.floats(0.1, 1.5), vx=st.floats(-1.0, 1.0), vy=st.floats(-1.0, 1.0))
 def test_mass_invariant_under_advection(t_to, vx, vy):
-    flow = make_analytic_flow("constant", 2, 1.4,
+    flow = make_analytic_flow("constant", 1.4,
                               {"rho0": 1.3, "V0": (vx, vy), "P0": 0.7})
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (-5.0, 0.0), 0.5, markers=64, order=10)
     m0 = volume_integral_mass(vol, ones)
@@ -505,28 +473,26 @@ def _grid_flow(n=64):
 
 
 RK4_CASES = {
-    # (flow, dimension, t_from, t_to, dt); the spans leave partial last steps.
+    # (flow, t_from, t_to, dt); the spans leave partial last steps.
     "constant": (lambda: make_analytic_flow(
-        "constant", 2, 1.4, {"rho0": 1.0, "V0": (-1.3, 0.7), "P0": 1.0}), 2, 0.0, 0.37, 0.05),
-    "constant_3d": (lambda: make_analytic_flow(
-        "constant", 3, 1.4, {"rho0": 1.0, "V0": (0.3, -1.1, 0.2), "P0": 1.0}), 3, 0.1, 0.5, 0.03),
-    "expansion_forward": (expansion, 2, 0.0, 0.37, 0.05),
-    "expansion_backward": (expansion, 2, 0.5, 0.1, 0.05),
-    "expansion_partial": (expansion, 2, 0.2, 0.2 + 0.013, 0.005),
-    "grid_64": (_grid_flow, 2, 0.0, 0.083, 0.01),
-    "identity": (lambda: SyntheticFlow(2, lambda t, p: p), 2, 0.0, 0.3, 0.04),
-    "read_only": (lambda: SyntheticFlow(2, _read_only(
-        lambda t, p: np.column_stack([-p[:, 1], p[:, 0]]) * (1.0 + t))), 2, 0.0, 0.45, 0.1),
-    "read_only_broadcast": (lambda: SyntheticFlow(2, lambda t, p: np.broadcast_to(
-        np.array([0.3 * t, -0.2]), p.shape)), 2, 0.0, 0.25, 0.1),
+        "constant", 1.4, {"rho0": 1.0, "V0": (-1.3, 0.7), "P0": 1.0}), 0.0, 0.37, 0.05),
+    "expansion_forward": (expansion, 0.0, 0.37, 0.05),
+    "expansion_backward": (expansion, 0.5, 0.1, 0.05),
+    "expansion_partial": (expansion, 0.2, 0.2 + 0.013, 0.005),
+    "grid_64": (_grid_flow, 0.0, 0.083, 0.01),
+    "identity": (lambda: SyntheticFlow(lambda t, p: p), 0.0, 0.3, 0.04),
+    "read_only": (lambda: SyntheticFlow(_read_only(
+        lambda t, p: np.column_stack([-p[:, 1], p[:, 0]]) * (1.0 + t))), 0.0, 0.45, 0.1),
+    "read_only_broadcast": (lambda: SyntheticFlow(lambda t, p: np.broadcast_to(
+        np.array([0.3 * t, -0.2]), p.shape)), 0.0, 0.25, 0.1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RK4_CASES))
 def test_rk4_matches_allocating_reference_bitwise(case):
-    make, dim, t_from, t_to, dt = RK4_CASES[case]
+    make, t_from, t_to, dt = RK4_CASES[case]
     flow = make()
-    pts = np.random.default_rng(len(case)).uniform(-0.8, 0.8, size=(301, dim))
+    pts = np.random.default_rng(len(case)).uniform(-0.8, 0.8, size=(301, 2))
     before = pts.copy()
     calls = []
     velocity = flow.velocity

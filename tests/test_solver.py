@@ -125,7 +125,7 @@ def test_expansion_window_convergence():
         u = np.clip(u, 0.0, 1.0)
         return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
 
-    flow = make_analytic_flow("expansion", 2, 1.4,
+    flow = make_analytic_flow("expansion", 1.4,
                               {"rho0": 1.0, "S0": 0.0, "t_c": 1.0})
     t_final = 0.1
     errs = []
@@ -183,7 +183,9 @@ def test_smoothness_guard_zero_threshold():
 
 def test_interpolation_identity_at_nodes():
     st = gaussian_pressure_matched(32)
-    xg, yg = st.node_coords()
+    nx, ny = st.shape
+    xg = st.origin[0] + st.spacing[0] * np.arange(nx)
+    yg = st.origin[1] + st.spacing[1] * np.arange(ny)
     pts = np.stack(np.meshgrid(xg, yg, indexing="ij"), axis=-1).reshape(-1, 2)
     vals = interpolate_fields(st, pts)["rho"].reshape(st.shape)
     assert np.array_equal(vals, st.rho)

@@ -19,7 +19,7 @@ from volflow.verify import (blowup_oracle, bounds_chain, check_inequality17,
 
 
 def expansion():
-    return make_analytic_flow("expansion", 2, 1.4,
+    return make_analytic_flow("expansion", 1.4,
                               {"rho0": 1.0, "S0": 0.0, "t_c": 1.0})
 
 
@@ -46,7 +46,7 @@ def test_lemma_suite_expansion_passes():
 
 def test_lemma_suite_radial_identity():
     # V = x: first-derivative check reduces to the exact F = qG identity
-    flow = SyntheticFlow(2, lambda t, p: p)
+    flow = SyntheticFlow(lambda t, p: p)
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
     reports = check_lemma_suite(flow, vol, PhiSpec.power_law(-8.0), epsilon=0.5)
     first = next(r for r in reports if r.name == "dG_dt_identity")
@@ -77,7 +77,7 @@ def test_lemma_suite_rejects_concave_profile():
 
 def test_lemma3_closed_form_annulus():
     # rho == 1 annulus: both sides of the density-moment bound in closed form
-    flow = make_analytic_flow("constant", 2, 1.4,
+    flow = make_analytic_flow("constant", 1.4,
                               {"rho0": 1.0, "V0": (0.0, 0.0), "P0": 1.0})
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.9,
                          markers=512, order=60)
