@@ -41,8 +41,7 @@ import numpy as np
 from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
 from .flowfield import FlowField, make_analytic_flow
 from .functionals import FunctionalSample, PhiSpec, sample
-from .matvol import (MaterialVolume, VolumeShapeSpec, boundary_distance,
-                     init_volume)
+from .matvol import MaterialVolume, VolumeShapeSpec, init_volume
 from .solver import GridFlow, GridState
 
 __all__ = [
@@ -359,11 +358,11 @@ def build_scenario(cfg):
     """Build the flow (grid flows are not yet advanced), the volume and the
     time-zero data of a config."""
     flow = build_flow(cfg)
-    vol = build_volume(cfg, flow)
+    vol, d_init = build_volume(cfg, flow)
     phi = PhiSpec.power_law(cfg.q)
     sample0 = sample(flow, vol, phi, cfg.epsilon)
     inp = CriteriaInputs(
         q=cfg.q, gamma=cfg.gamma, n=flow.dimension, s0=flow.entropy_floor, m=sample0.m,
         E=sample0.E, M=cfg.M, epsilon=cfg.epsilon, T=cfg.T, G0=sample0.G,
-        cond10=condition10(vol, flow, cfg.q), d_init=boundary_distance(vol))
+        cond10=condition10(vol, flow, cfg.q), d_init=d_init)
     return Scenario(cfg=cfg, flow=flow, vol=vol, phi=phi, sample0=sample0, inp=inp)

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "DensityNotPositive",
     "FlowField",
     "ConstantFlow",
     "ExpansionFlow",
@@ -28,17 +27,14 @@ __all__ = [
 ]
 
 
-class DensityNotPositive(ValueError):
-    """A pressure was asked of a density that is not positive (or is NaN)."""
-
-
 class FlowField:
     """Base class for queryable smooth flows over a time window.
 
-    Subclasses provide `velocity`, `density` and `entropy`; pressure is
-    derived through the state relation so consistency holds by construction.
-    `pts` always has shape (..., 2): every flow is planar, and `dimension`
-    is the one statement of the program's dimension.
+    Subclasses provide `velocity`, `density` and `entropy`.  The state
+    relation at sample points lives in `functionals`, which takes the
+    pressure from the density it has already read.  `pts` always has shape
+    (..., 2): every flow is planar, and `dimension` is the one statement of
+    the program's dimension.
     """
 
     dimension = 2
@@ -62,12 +58,6 @@ class FlowField:
 
     def entropy(self, t, pts):
         raise NotImplementedError
-
-    def pressure(self, t, pts):
-        rho = self.density(t, pts)
-        if not np.all(rho > 0.0):
-            raise DensityNotPositive(f"flow density not positive at t={t}")
-        return rho ** self.gamma * np.exp(self.entropy(t, pts))
 
     # -- domain handling ----------------------------------------------------
 

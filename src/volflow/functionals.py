@@ -8,7 +8,8 @@ the regularity constant M is supposed to dominate.
 
 All radial profiles are evaluated in coordinates translated by -x0.  The
 density-weighted terms use the transported mass measure directly; the
-pressure terms recover the volume measure from the density ratio.
+pressure terms take P = rho^gamma * exp(S) (here and nowhere else) and the
+volume measure rho0 w/rho from one positive density read per point set.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .flowfield import DensityNotPositive
 from .matvol import _boundary_elements
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 
 # Nodes closer to x0 than this have effectively reached the target; the event
 # is terminal for a scenario, not a numerical failure.
-DEFAULT_RADIUS_FLOOR = 1e-9
+RADIUS_FLOOR = 1e-9
 
 
 class TargetReached(RuntimeError):
@@ -121,38 +121,37 @@ def sigma_norm2(vel, x):
     return s * s
 
 
-def _radii(pts, x0, floor):
+def _radii(pts, x0):
     z = pts - x0
     r = np.linalg.norm(z, axis=-1)
-    if np.any(r < floor):
-        raise TargetReached(f"a node came within {floor} of x0")
+    if np.any(r < RADIUS_FLOOR):
+        raise TargetReached(f"a node came within {RADIUS_FLOOR} of x0")
     return z, r
 
 
-def _pressure(flow, t, pts, where):
-    """The pressure at pts; a density that is not positive there (the
-    flow's pressure refuses to raise it to gamma) makes the sample not
+def _pressure(flow, t, pts, rho, where):
+    """The pressure rho^gamma * exp(S) at pts from the density rho read
+    there; a density that is not positive (or is NaN) makes the sample not
     smooth."""
-    try:
-        return np.asarray(flow.pressure(t, pts), dtype=float)
-    except DensityNotPositive as exc:
-        raise NonSmoothSample(f"flow density not positive at {where} at t={t}") from exc
+    if not np.all(rho > 0.0):
+        raise NonSmoothSample(f"flow density not positive at {where} at t={t}")
+    return rho ** flow.gamma * np.exp(flow.entropy(t, pts))
 
 
-def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
+def sample(flow, vol, phi, epsilon):
     """Evaluate all functionals of (flow, vol) at the volume's current time.
 
-    Raises `NonSmoothSample` rather than return a functional that is not
-    finite."""
+    Raises `TargetReached` within `RADIUS_FLOOR` of x0, and
+    `NonSmoothSample` rather than return a functional that is not finite."""
     t = vol.time
     flow.check_time(t)
     n = flow.dimension
     gamma = flow.gamma
 
-    z, r = _radii(vol.nodes, vol.x0, radius_floor)
+    z, r = _radii(vol.nodes, vol.x0)
     vel = np.asarray(flow.velocity(t, vol.nodes), dtype=float)
     rho = np.asarray(flow.density(t, vol.nodes), dtype=float)
-    pres = _pressure(flow, t, vol.nodes, "a quadrature node")
+    pres = _pressure(flow, t, vol.nodes, rho, "a quadrature node")
 
     w = vol.mass_w
     vol_w = w / rho                     # plain volume measure via rho0/rho
@@ -170,8 +169,9 @@ def sample(flow, vol, phi, epsilon, radius_floor=DEFAULT_RADIUS_FLOOR):
     i3 = float(np.sum((p_d2 + (n - 1.0) * p_d1 / r) * pres * vol_w))
 
     mids, normals, measures = _boundary_elements(vol)
-    zb, rb = _radii(mids, vol.x0, radius_floor)
-    pres_b = _pressure(flow, t, mids, "a boundary midpoint")
+    zb, rb = _radii(mids, vol.x0)
+    rho_b = np.asarray(flow.density(t, mids), dtype=float)
+    pres_b = _pressure(flow, t, mids, rho_b, "a boundary midpoint")
     zb_dot_n = np.einsum("ij,ij->i", zb, normals)
     _, pb_d1, _ = phi.eval(rb)
     i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))

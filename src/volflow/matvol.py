@@ -30,7 +30,6 @@ __all__ = [
     "MaterialVolume",
     "init_volume",
     "advect",
-    "volume_integral_plain",
     "boundary_distance",
 ]
 
@@ -371,7 +370,7 @@ class MaterialVolume:
 
 
 def init_volume(spec, flow, x0, epsilon, t0=0.0):
-    """Build a MaterialVolume from a shape spec and a flow's initial data.
+    """Build (volume, dist(boundary, x0)) from a shape spec and a flow at t0.
 
     Rejects configurations that violate the threshold preconditions: the
     target x0 must lie strictly outside the volume and farther than epsilon
@@ -393,7 +392,7 @@ def init_volume(spec, flow, x0, epsilon, t0=0.0):
     if d <= epsilon:
         raise ValueError(
             f"dist(boundary, x0) = {d} is not larger than epsilon = {epsilon}")
-    return vol
+    return vol, d
 
 
 def _rk4_points(flow, pts, t_from, t_to, dt):
@@ -457,14 +456,6 @@ def _advect_any(vol, flow, t_to, dt, check_boundary=True):
                 raise SelfIntersection(
                     f"boundary self-intersects after advection to t={t_to}")
     return out
-
-
-def volume_integral_plain(vol, g, flow):
-    """Plain volume integral of g via the density-ratio Jacobian rho0/rho."""
-    rho = np.asarray(flow.density(vol.time, vol.nodes), dtype=float)
-    if np.any(rho <= 0.0):
-        raise ValueError("flow density non-positive at a quadrature node")
-    return float(np.sum(np.asarray(g(vol.nodes), dtype=float) * vol.mass_w / rho))
 
 
 def _boundary_elements(vol):

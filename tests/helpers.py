@@ -45,13 +45,15 @@ class SyntheticFlow(FlowField):
 def disk_volume(flow, center, radius, x0, epsilon, markers=256, order=40):
     spec = VolumeShapeSpec(shape="disk", center=tuple(center), radius=radius,
                            markers=markers, quad_order=order)
-    return init_volume(spec, flow, np.asarray(x0, dtype=float), epsilon)
+    vol, _ = init_volume(spec, flow, np.asarray(x0, dtype=float), epsilon)
+    return vol
 
 
 def annulus_volume(flow, center, radii, x0, epsilon, markers=256, order=40):
     spec = VolumeShapeSpec(shape="annulus", center=tuple(center), radii=tuple(radii),
                            markers=markers, quad_order=order)
-    return init_volume(spec, flow, np.asarray(x0, dtype=float), epsilon)
+    vol, _ = init_volume(spec, flow, np.asarray(x0, dtype=float), epsilon)
+    return vol
 
 
 def ones(pts):
@@ -155,9 +157,9 @@ def euler_residual(flow, t, x, h):
 
     def fields(tt, xx):
         flow.check_time(tt)
-        return (np.asarray(flow.velocity(tt, xx), dtype=float),
-                float(flow.density(tt, xx)),
-                float(flow.pressure(tt, xx)))
+        rho = flow.density(tt, xx)
+        return (np.asarray(flow.velocity(tt, xx), dtype=float), float(rho),
+                float(rho ** gamma * np.exp(flow.entropy(tt, xx))))
 
     vel, rho, pres = fields(t, x)
 
@@ -186,6 +188,14 @@ def euler_residual(flow, t, x, h):
     continuity = drho_dt + vel @ grad_rho + rho * div_v
     transport = dpres_dt + vel @ grad_p + gamma * pres * div_v
     return np.concatenate([momentum, [continuity], [transport]])
+
+
+def volume_integral_plain(vol, g, flow):
+    """Plain volume integral of g via the density-ratio Jacobian rho0/rho."""
+    rho = np.asarray(flow.density(vol.time, vol.nodes), dtype=float)
+    if np.any(rho <= 0.0):
+        raise ValueError("flow density non-positive at a quadrature node")
+    return float(np.sum(np.asarray(g(vol.nodes), dtype=float) * vol.mass_w / rho))
 
 
 def volume_integral_mass(vol, f):

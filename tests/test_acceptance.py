@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (CONFIG_DIR, SyntheticFlow, annulus_volume, disk_volume,
-                     volume_integral_mass)
+                     volume_integral_mass, volume_integral_plain)
 
 from volflow.cli import main as cli_main
 from volflow.config import build_scenario, load_config
@@ -17,7 +17,7 @@ from volflow.criteria import (CriteriaInputs, classify_and_delta, condition10,
                               constants, qneg_time_threshold)
 from volflow.flowfield import make_analytic_flow
 from volflow.functionals import PhiSpec, sample
-from volflow.matvol import advect, volume_integral_plain
+from volflow.matvol import advect
 from volflow.solver import GridState, step
 from volflow.verify import (blowup_oracle, check_lemma_suite,
                             random_oracle_cases, run_theorem_scenario)

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (SyntheticFlow, annulus_volume, disk_volume, ones, radial_norm,
-                     rk4_points_reference, surface_integral, volume_integral_mass)
+                     rk4_points_reference, surface_integral, volume_integral_mass,
+                     volume_integral_plain)
 
 from volflow import matvol
 from volflow.flowfield import make_analytic_flow
 from volflow.matvol import (SelfIntersection, VolumeShapeSpec, advect,
                             boundary_distance, init_volume, loop_signed_area,
-                            point_in_loops, polygon_is_simple,
-                            volume_integral_plain)
+                            point_in_loops, polygon_is_simple)
 from volflow.solver import GridFlow, GridState
 
 
@@ -44,8 +44,10 @@ def test_disk_mass_weight():
 def test_square_polygon_mass():
     verts = ((4.5, 4.5), (5.5, 4.5), (5.5, 5.5), (4.5, 5.5))
     spec = VolumeShapeSpec(shape="polygon", vertices=verts, markers=64, refine=2)
-    vol = init_volume(spec, still_flow(), np.zeros(2), 1.0)
+    vol, d = init_volume(spec, still_flow(), np.zeros(2), 1.0)
     assert volume_integral_mass(vol, ones) == pytest.approx(1.0, rel=1e-10)
+    # The distance the epsilon gate measured comes back with the volume.
+    assert d == boundary_distance(vol) == pytest.approx(4.5 * math.sqrt(2.0))
 
 
 def test_annulus_epsilon_gate():
@@ -179,7 +181,7 @@ def test_plain_integral_constant_pressure_square():
     verts = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
     spec = VolumeShapeSpec(shape="polygon", vertices=verts, markers=64, refine=2)
     flow = still_flow()
-    vol = init_volume(spec, flow, np.array([3.0, 3.0]), 1.0)
+    vol, _ = init_volume(spec, flow, np.array([3.0, 3.0]), 1.0)
     got = volume_integral_plain(vol, lambda p: np.ones(len(p)), flow)
     assert got == pytest.approx(1.0, rel=1e-10)
 

@@ -44,6 +44,26 @@ def test_lemma_suite_expansion_passes():
         assert r.passed, r
 
 
+def test_lemma_suite_reads_the_density_once_per_point_set(monkeypatch):
+    # The sample reads the nodes and the boundary midpoints; the
+    # density-moment bound reads the nodes once more.
+    flow = expansion()
+    vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5, markers=64,
+                      order=10)
+    reads = []
+    density = flow.density
+
+    def counting(t, pts):
+        reads.append(len(pts))
+        return density(t, pts)
+
+    monkeypatch.setattr(flow, "density", counting)
+    reports = check_lemma_suite(flow, vol, PhiSpec.power_law(-8.0), epsilon=0.5)
+    assert reports[-1].name == "density_moment_lower_bound"
+    nodes = len(vol.nodes)
+    assert reads == [nodes, 64, nodes]
+
+
 def test_lemma_suite_radial_identity():
     # V = x: first-derivative check reduces to the exact F = qG identity
     flow = SyntheticFlow(lambda t, p: p)
