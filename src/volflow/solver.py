@@ -10,19 +10,22 @@ rounding per step.
 
 The stepper works in reused buffers (`_Workspace`: stencil edge lines, one
 set of RK4 stage inputs, one set of stage slopes, the ten derivatives of the
-right-hand side, scratch), so with a workspace a step allocates only the
-state it returns (and the scratch of its pressure).  Every buffered
-operation is the one the plain NumPy expression would perform, in the same
-order, so results are bit-for-bit those of the unbuffered formulas.
+right-hand side, one pressure, scratch), so with a workspace a step
+allocates only the state it returns.  The workspace's pressure is that of
+one state or stage at a time, keyed by the state it belongs to; a state
+itself holds no pressure.  Every buffered operation is the one the plain
+NumPy expression would perform, in the same order, so results are
+bit-for-bit those of the unbuffered formulas.
 
 A `GridFlow` wraps a run of the stepper as a queryable flow: off-node and
 off-step queries use separable cubic Lagrange interpolation (bicubic in
 space, cubic in time), consistent with the scheme's order.  It holds a
 window of snapshots, from the time stencil of the earliest time its consumer
 will still query (`keep_from`) to the latest step, so its memory grows with
-the grid and the consumer's stride, not with the horizon.  It creates its
-workspace on the first step and holds at most one time slice between
-snapshots, with only the fields read at its time.
+the grid and the consumer's stride, not with the horizon.  A snapshot holds
+rho, vx and vy and its entropy array.  The flow creates its workspace on the
+first step and holds at most one time slice between snapshots, with only the
+fields read at its time.
 
 A homentropic state (S the same finite value, not -0.0, at every node)
 keeps its entropy exactly under the scheme, so `step` evolves only
@@ -34,6 +37,7 @@ them (`_max_hypot`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,8 +84,10 @@ class GridState:
 
     Arrays are indexed [i, j] with node coordinates
     (origin[0] + i*spacing[0], origin[1] + j*spacing[1]); the box is periodic
-    with extent n_cells * spacing per axis.  `pressure` caches
-    rho ** gamma * exp(S); it is computed at construction unless given.
+    with extent n_cells * spacing per axis.  A state holds only the fields
+    that queries read; its pressure rho ** gamma * exp(S) is computed on
+    demand (`pressure`), and a step takes it from its `_Workspace`, which
+    holds the pressure of one state at a time.
     """
 
     rho: np.ndarray
@@ -92,7 +98,6 @@ class GridState:
     origin: tuple
     spacing: tuple
     time: float
-    pressure: np.ndarray = None
 
     def __post_init__(self):
         shape = self.rho.shape
@@ -103,24 +108,30 @@ class GridState:
             raise ValueError(f"need at least 16 cells per axis, got {shape}")
         if not np.all(np.isfinite(self.rho)) or np.any(self.rho <= 0.0):
             raise NonSmoothState("non-positive or non-finite density")
-        if self.pressure is None:
-            object.__setattr__(self, "pressure", _pressure_into(
-                self.rho, self.entropy, self.gamma, np.empty(shape), np.empty(shape)))
 
     @property
     def shape(self):
         return self.rho.shape
 
+    @property
+    def pressure(self):
+        """rho ** gamma * exp(S), in fresh arrays on each access."""
+        return _pressure_into(self.rho, self.entropy, self.gamma,
+                              np.empty(self.shape), np.empty(self.shape))
+
     def cfl_limit(self, number=0.4, work=None):
         """Largest admissible dt: number * min(dx) / max(|V| + c), with
-        c = sqrt(gamma P / rho); `work` is an optional `_Workspace`, whose
-        stage inputs and mask serve as scratch (the derivatives a guard left
-        in its `grad` slots stay)."""
+        c = sqrt(gamma P / rho); `work` is an optional `_Workspace`, which
+        supplies the pressure (`state_pressure`) and whose stage inputs and
+        mask serve as scratch (the derivatives a guard left in its `grad`
+        slots stay)."""
         if work is None:
-            c, buf, tmp, mask = np.empty(self.shape), None, None, None
+            p = c = self.pressure           # a fresh pressure, so c may reuse it
+            buf, tmp, mask = None, None, None
         else:
+            p = work.state_pressure(self)
             (c, buf, tmp), mask = work.stage[:3], work.mask
-        np.multiply(self.pressure, self.gamma, out=c)
+        np.multiply(p, self.gamma, out=c)
         c /= self.rho
         np.sqrt(c, out=c)
         top = _max_hypot(self.vx, self.vy, c, buf, tmp, mask)
@@ -137,9 +148,14 @@ class _Workspace:
 
     Per axis, the wrap-around edge lines of the field being differentiated
     (`_d4_into`); one set of RK4 stage inputs and one of stage slopes; the
-    ten first derivatives the right-hand side reads; the stage pressure, a
-    scratch array and a boolean mask.  No snapshot ever points into these
-    buffers.
+    ten first derivatives the right-hand side reads; one pressure, a scratch
+    array and a boolean mask.  No snapshot ever points into these buffers.
+
+    `pressure` holds the pressure of one state at a time: of
+    `pressure_state`, filled by `state_pressure`, or of an RK4 stage
+    (`pressure_state` None).  In a `GridFlow` with a guard, the guard fills
+    it for the new state, the next step's CFL limit and first slope read it,
+    and the stages overwrite it; without a guard, the CFL limit fills it.
 
     `interpolate_fields` gathers its 4x4 patches entry-major
     (`patch_buffers`): entry (a, b) of every point's patch is one contiguous
@@ -165,9 +181,19 @@ class _Workspace:
         self.scratch = np.empty(shape)
         self.mask = np.empty(shape, dtype=bool)
         self.grad_state = None
+        self.pressure_state = None
         self._flat = np.empty(0, dtype=np.intp)
         self._patch = np.empty(0)
         self._slice = {}
+
+    def state_pressure(self, state):
+        """`pressure`, holding the pressure of `state`: computed into it,
+        with `scratch` as the temporary, unless it holds that already."""
+        if self.pressure_state is not state:
+            _pressure_into(state.rho, state.entropy, state.gamma, self.pressure,
+                           self.scratch)
+            self.pressure_state = state
+        return self.pressure
 
     def patch_buffers(self, n):
         """Flat node indices and gathered values of n 4x4 patches, as
@@ -356,11 +382,13 @@ def step(state, dt, work=None):
     `NonSmoothState`.
 
     `work` is a `_Workspace` for the state's shape; with it the step
-    allocates only the arrays of the state it returns and the scratch of
-    its pressure.  Without it the step uses a workspace of its own.  The
-    slopes are summed as ((k1 + 2 k2) + 2 k3) + k4 straight into the new
-    state's arrays, stage by stage, so one set of slope buffers serves k2,
-    k3 and k4.
+    allocates only the arrays of the state it returns.  Without it the step
+    uses a workspace of its own.  The pressure of `state` comes from
+    `work.state_pressure` (computed there unless a guard or CFL call on this
+    state left it), and each later stage computes its own into the same
+    buffer.  The slopes are summed as ((k1 + 2 k2) + 2 k3) + k4 straight
+    into the new state's arrays, stage by stage, so one set of slope buffers
+    serves k2, k3 and k4.
 
     A homentropic state keeps its entropy: when S holds the bits of one
     finite value other than -0.0, its centred differences are exactly +0,
@@ -390,6 +418,7 @@ def step(state, dt, work=None):
     def slope_into(out):
         # A stage density below zero has no pressure: stop at it rather
         # than run the remaining stages on NaN.
+        work.pressure_state = None              # the buffer takes a stage's
         try:
             with np.errstate(invalid="raise"):
                 p = _pressure_into(u[0], stage_entropy, gamma, work.pressure,
@@ -399,10 +428,11 @@ def step(state, dt, work=None):
                 f"stage pressure not defined in the step from t={state.time}") from exc
         _rhs(u, p, dx, dy, out, work)
 
-    # k1 goes straight into the new arrays; state.pressure is the same
-    # rho ** gamma * exp(S) that `slope_into` computes for the other stages.
-    # A guard call on this state left four of its derivatives in `work`.
-    _rhs(u0, state.pressure, dx, dy, new, work,
+    # k1 goes straight into the new arrays; the state's pressure, which
+    # `cfl_limit` left in `work`, is the same rho ** gamma * exp(S) that
+    # `slope_into` computes for the other stages.  A guard call on this
+    # state left four of its derivatives in `work`.
+    _rhs(u0, work.state_pressure(state), dx, dy, new, work,
          _GUARDED if work.grad_state is state else ())
     _stage_into(u0, new, 0.5 * dt, u)
     slope_into(k)                                           # k2
@@ -421,7 +451,7 @@ def step(state, dt, work=None):
         acc *= dt / 6.0
         acc += f
 
-    # The new GridState checks its density before it takes the pressure.
+    # The new GridState checks the density.
     for f in new[1:]:
         if not np.isfinite(f, out=work.mask).all():
             raise NonSmoothState(f"non-finite field after step at t={state.time + dt}")
@@ -440,13 +470,14 @@ def smoothness_guard(state, threshold=np.inf, work=None):
     """Max discrete gradient norm over (rho, vx, vy, P) vs. a threshold.
 
     `work` is an optional `_Workspace` for the state's shape, whose stage
-    inputs and mask serve as scratch.  The derivatives stay in its `grad`
-    slots, where the first slope of a `step` from this state reads them."""
+    inputs and mask serve as scratch.  The state's pressure stays in its
+    `pressure` buffer and the derivatives in its `grad` slots, where the
+    next `step` from this state reads them."""
     if work is None:
         work = _Workspace(state.shape)
     work.check(state)
     dx, dy = state.spacing
-    u = (state.rho, state.vx, state.vy, state.entropy, state.pressure)
+    u = (state.rho, state.vx, state.vy, state.entropy, work.state_pressure(state))
     worst = 0.0
     buf, tmp = work.stage[:2]
     for i in _GUARDED:
@@ -494,6 +525,16 @@ def _sum_rows(rows, out=None):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _patch_offsets(nx, ny):
+    """(a - 1) * ny + (b - 1) for the 4x4 patch entries (a, b), as a
+    read-only (4, 4, 1) array."""
+    offs = np.arange(-1, 3)
+    out = (offs[:, None] * ny + offs)[:, :, None].astype(np.intp)
+    out.setflags(write=False)
+    return out
+
+
 def interpolate_fields(state, pts, fields=None, work=None, out=None):
     """Bicubic (separable cubic Lagrange) interpolation at points (N, 2).
 
@@ -526,19 +567,29 @@ def interpolate_fields(state, pts, fields=None, work=None, out=None):
     np.subtract(fx, ix, out=u[0])
     np.subtract(fy, iy, out=u[1])
     wx, wy = _lagrange_weights(u).transpose(1, 0, 2)        # each (4, N)
-    # Flat node index of the 4x4 patch of every point: rows[a] + cols[b] is
-    # the node in patch row a, column b.  Every field is gathered into the
-    # same patch buffer.
-    offs = np.arange(-1, 3)[:, None]
-    rows = ix + offs                                        # (4, N)
-    rows %= nx
-    rows *= ny
-    cols = iy + offs
-    cols %= ny
+    # Flat node index of the 4x4 patch of every point: entry (a, b) is node
+    # ((ix + a - 1) % nx) * ny + (iy + b - 1) % ny.  With ix and iy wrapped
+    # into the box that is base + (a - 1) * ny + (b - 1) wherever the
+    # stencil does not cross an edge; the points whose stencil does are
+    # redone with the modulo.  Every field is gathered into the same patch
+    # buffer.
+    ix %= nx
+    iy %= ny
     n = len(pts)
     flat, patch = (work.patch_buffers(n) if work is not None else
                    (np.empty((4, 4, n), dtype=np.intp), np.empty((4, 4, n))))
-    np.add(rows[:, None], cols, out=flat)
+    base = ix * ny
+    base += iy
+    np.add(base, _patch_offsets(nx, ny), out=flat)
+    edge = np.flatnonzero((ix < 1) | (ix > nx - 3) | (iy < 1) | (iy > ny - 3))
+    if edge.size:
+        offs = np.arange(-1, 3)[:, None]
+        rows = ix[edge] + offs                              # (4, E)
+        rows %= nx
+        rows *= ny
+        cols = iy[edge] + offs
+        cols %= ny
+        flat[:, :, edge] = rows[:, None] + cols
 
     result = {}
     for i, (name, f) in enumerate(fields.items()):
@@ -582,10 +633,14 @@ class GridFlow(FlowField):
 
     The first `advance_to` that steps creates a `_Workspace` for the grid
     shape, which every later step, guard call and interpolation reuses, so a
-    step allocates only the state it returns.  A query between snapshots
-    reads a full-grid time slice; the flow holds at most one such slice,
-    keyed on t, so the RK4 stages of an advection step that share a time,
-    and the velocity, density and entropy queries of one sample, share it.
+    step allocates only the state it returns.  A snapshot holds three arrays
+    of its own (rho, vx, vy) and its entropy, which all snapshots of a
+    homentropic flow share; no snapshot holds a pressure.  The guard leaves
+    the pressure of the newest snapshot in the workspace, where the next
+    step reads it.  A query between snapshots reads a full-grid time slice;
+    the flow holds at most one such slice, keyed on t, so the RK4 stages of
+    an advection step that share a time, and the velocity, density and
+    entropy queries of one sample, share it.
     The slice combines the density when it is built (a non-positive one
     raises `NonSmoothState`) and any other field only when it is first
     read, so velocity queries never combine the entropy; it is let go when

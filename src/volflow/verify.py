@@ -23,7 +23,7 @@ occurred -- anything else is consistent with (or outside) the prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from . import criteria as crit_mod
 from .criteria import CriteriaInputs, threshold_q
 from .functionals import NonSmoothSample, TargetReached, sample
-from .matvol import _advect_any, boundary_distance
+from .matvol import _advect_any, _rk4_points, boundary_distance
 from .solver import SmoothnessLost
 
 __all__ = [
@@ -118,9 +118,9 @@ def _moment_value(vol, phi):
 def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
     """Identity and inequality checks at the volume's current time.
 
-    Centered differences of the moment G over +-h (markers re-advected by a
-    single RK4 step each way, G at t taken from the sample) are compared with
-    the quadrature values of its first and second derivatives; then the
+    Centered differences of the moment G over +-h (the nodes re-advected by
+    a single RK4 step each way, G at t taken from the sample) are compared
+    with the quadrature values of its first and second derivatives; then the
     Cauchy-Schwarz moment inequality F^2 <= sup(phi'^2/(phi'' phi)) G I1 is
     verified once, and for power laws the density-moment lower bound, from
     one density read at the nodes.  For a power law the sup ratio is
@@ -129,8 +129,8 @@ def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
     """
     t = vol.time
     s = sample(flow, vol, phi, epsilon)
-    vol_p = _advect_any(vol, flow, t + h, h, check_boundary=False)
-    vol_m = _advect_any(vol, flow, t - h, h, check_boundary=False)
+    vol_p = replace(vol, nodes=_rk4_points(flow, vol.nodes, t, t + h, h))
+    vol_m = replace(vol, nodes=_rk4_points(flow, vol.nodes, t, t - h, h))
     g0 = s.G
     gp = _moment_value(vol_p, phi)
     gm = _moment_value(vol_m, phi)
@@ -402,9 +402,11 @@ class TheoremReport:
 def _refine_hit(vol_prev, flow, t_lo, t_hi, epsilon, dt):
     """Bisect the attainment time between two step instants to dt/100."""
     tol = dt / 100.0
+    markers = vol_prev.boundary_points()    # only the boundary is measured
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
-        trial = _advect_any(vol_prev, flow, mid, dt, check_boundary=False)
+        moved = _rk4_points(flow, markers, vol_prev.time, mid, dt)
+        trial = replace(vol_prev, boundaries=vol_prev._with_boundary_points(moved))
         if boundary_distance(trial) <= epsilon:
             t_hi = mid
         else:

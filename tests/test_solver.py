@@ -315,8 +315,8 @@ def _reference_interpolate(state, pts, names, fields=None):
 
 
 def with_entropy(state, entropy):
-    """The state with another entropy field (and its pressure)."""
-    return dataclasses.replace(state, entropy=entropy, pressure=None)
+    """The state with another entropy field."""
+    return dataclasses.replace(state, entropy=entropy)
 
 
 def random_smooth_state(shape, gamma, seed, spacing=None):
@@ -489,9 +489,38 @@ def test_interpolation_matches_reference_bitwise(shape, spacing):
     assert np.array_equal(got, interpolate_fields(st, pts, {"k": ints.astype(float)})["k"])
 
 
+@pytest.mark.parametrize("shape", [(16, 16), (20, 17)])
+def test_patch_indices_match_the_modulo_formula(shape):
+    # The in-box shortcut base + offset, and the modulo redo of the points
+    # whose stencil crosses an edge: node cells in every edge and corner
+    # band, and in the interior, inside the box and whole periods outside.
+    st = random_smooth_state(shape, 1.4, seed=3, spacing=(0.05, 0.03))
+    nx, ny = shape
+    bx, by = ([0, 1, 2, m // 2, m - 4, m - 3, m - 2, m - 1] for m in shape)
+    rng = np.random.default_rng(8)
+    cells = np.array([(i, j) for i in bx for j in by], dtype=float)
+    cells = np.vstack([cells, cells + rng.uniform(0, 1, cells.shape)])
+    pts = np.vstack([(cells + (kx * nx, ky * ny)) * st.spacing + st.origin
+                     for kx in (-2, -1, 0, 1, 3) for ky in (-1, 0, 2)])
+    work = solver._Workspace(shape)
+    got = interpolate_fields(st, pts, work=work)
+    flat = work.patch_buffers(len(pts))[0]
+    ix = np.floor((pts[:, 0] - st.origin[0]) / st.spacing[0]).astype(int)
+    iy = np.floor((pts[:, 1] - st.origin[1]) / st.spacing[1]).astype(int)
+    offs = np.arange(-1, 3)
+    gx = (ix[:, None] + offs) % nx
+    gy = (iy[:, None] + offs) % ny
+    want = (gx[:, :, None] * ny + gy[:, None, :]).transpose(1, 2, 0)
+    assert np.array_equal(flat, want)
+    names = ("rho", "vx", "vy", "entropy")
+    ref = _reference_interpolate(st, pts, names)
+    assert all(np.array_equal(got[n], ref[n]) for n in names)
+
+
 def test_grid_flow_snapshots_own_their_memory():
     # Successive snapshots share nothing, except the entropy of a
-    # homentropic flow; no snapshot points into the workspace.
+    # homentropic flow; no snapshot points into the workspace.  A snapshot
+    # holds no pressure.
     st = random_smooth_state((32, 32), 1.4, seed=1)
     uniform = with_entropy(st, np.full(st.shape, 0.7))
     for initial, homentropic in ((st, False), (uniform, True)):
@@ -502,7 +531,9 @@ def test_grid_flow_snapshots_own_their_memory():
         buffers = [buf for group in (work.stage, work.slope, work.grad)
                    for buf in group] + [work.pressure, work.scratch]
         buffers += [buf for edges in work.edges for buf in edges]
-        names = ("rho", "vx", "vy", "entropy", "pressure")
+        names = ("rho", "vx", "vy", "entropy")
+        assert [f.name for f in dataclasses.fields(b)
+                if isinstance(getattr(b, f.name), np.ndarray)] == list(names)
         for x in names:
             for y in names:
                 shared = homentropic and x == y == "entropy"
@@ -511,6 +542,55 @@ def test_grid_flow_snapshots_own_their_memory():
             for buf in buffers:
                 assert not np.shares_memory(getattr(b, x), buf)
         assert (b.entropy is initial.entropy) == homentropic
+
+
+def test_homentropic_window_holds_three_arrays_per_snapshot():
+    # rho, vx and vy of each snapshot, plus the entropy that they all share.
+    st = random_smooth_state((32, 32), 1.4, seed=1)
+    flow = GridFlow(with_entropy(st, np.full(st.shape, 0.7)), step_dt=1e-3,
+                    guard_threshold=1e6)
+    flow.keep_from(4e-3)
+    flow.advance_to(1e-2)
+    assert len(flow.states) > 4 and flow.states[0] is not flow._initial
+    held = {id(v) for s in flow.states for v in vars(s).values()
+            if isinstance(v, np.ndarray)}
+    assert len(held) == 3 * len(flow.states) + 1
+
+
+@pytest.mark.parametrize("guard", [1e6, np.inf])
+def test_grid_flow_computes_the_pressure_four_times_per_step(monkeypatch, guard):
+    # One pressure for the new state (the guard's, or the next CFL limit's)
+    # and one for each of the stages k2, k3 and k4.
+    flow = GridFlow(random_smooth_state((32, 32), 1.4, seed=2), step_dt=1e-3,
+                    guard_threshold=guard)
+    flow.advance_to(2e-3)
+    calls = []
+    pressure_into = solver._pressure_into
+
+    def counting(*args):
+        calls.append(args[0])
+        return pressure_into(*args)
+
+    monkeypatch.setattr(solver, "_pressure_into", counting)
+    before = len(flow.states)
+    flow.advance_to(7e-3)
+    assert len(flow.states) - before == 5
+    assert len(calls) == 4 * 5
+
+
+def test_state_pressure_matches_the_workspace_bitwise():
+    st = random_smooth_state((32, 48), 5.0 / 3.0, seed=4, spacing=(0.03, 0.0175))
+    flow = GridFlow(st, step_dt=0.25 * st.cfl_limit(), guard_threshold=1e6)
+    flow.advance_to(3 * flow.step_dt)
+    work, last = flow._work, flow.states[-1]
+    assert work.pressure_state is last             # the guard's, kept for the next step
+    assert np.array_equal(last.pressure, work.pressure)
+    assert last.pressure is not last.pressure       # fresh arrays on each access
+    for s in flow.states[:-1]:
+        held = work.state_pressure(s)
+        assert held is work.pressure and work.pressure_state is s
+        assert np.array_equal(s.pressure, held)
+        assert np.array_equal(s.pressure, s.rho ** s.gamma * np.exp(s.entropy))
 
 
 def test_off_snapshot_query_survives_cache_growth():

@@ -12,7 +12,8 @@ from volflow.config import build_scenario, load_config
 from volflow.criteria import CriteriaInputs, classify_and_delta, constants
 from volflow.flowfield import make_analytic_flow
 from volflow.functionals import FunctionalSample, NonSmoothSample, PhiSpec
-from volflow.matvol import advect
+from volflow.matvol import _advect_any, advect, boundary_distance
+from volflow.solver import GridFlow, GridState
 from volflow.verify import (blowup_oracle, bounds_chain, check_inequality17,
                             check_lemma_suite, random_oracle_cases,
                             run_theorem_scenario)
@@ -310,6 +311,51 @@ def test_hit_refinement_beats_sampling_cadence(shipped_runs):
     # samples are 50 steps apart, yet the hit is located to well under 2*dt
     report = shipped_runs["constant_inflow"]
     assert abs(report.hit_time - 1.5) <= 2e-3
+
+
+def _refine_hit_all_points(vol_prev, flow, t_lo, t_hi, epsilon, dt):
+    """The bisection with every trial advecting markers and nodes alike."""
+    while t_hi - t_lo > dt / 100.0:
+        mid = 0.5 * (t_lo + t_hi)
+        trial = _advect_any(vol_prev, flow, mid, dt, check_boundary=False)
+        if boundary_distance(trial) <= epsilon:
+            t_hi = mid
+        else:
+            t_lo = mid
+    return 0.5 * (t_lo + t_hi)
+
+
+def _wavy_grid_flow(n=32):
+    """A smooth periodic stream on the unit box, mostly along +x."""
+    x, y = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
+    st = GridState(rho=np.ones((n, n)), vx=0.5 + 0.1 * np.sin(2 * np.pi * y),
+                   vy=0.1 * np.cos(2 * np.pi * x), entropy=np.zeros((n, n)),
+                   gamma=1.4, origin=(0.0, 0.0), spacing=(1.0 / n, 1.0 / n),
+                   time=0.0)
+    return GridFlow(st, step_dt=5e-3)
+
+
+@pytest.mark.parametrize("kind", ["constant", "grid"])
+def test_hit_refinement_moves_only_the_markers(kind):
+    # Each point moves on its own, so advecting the markers alone gives the
+    # bisection the same trial boundaries, and the same hit time, bit for bit.
+    if kind == "constant":
+        flow = make_analytic_flow("constant", 1.4,
+                                  {"rho0": 1.0, "V0": (-1.0, 0.0), "P0": 1.0})
+        vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
+        t_lo, dt, epsilon = 1.46, 0.05, 0.5
+    else:
+        flow = _wavy_grid_flow()
+        flow.advance_to(0.2)
+        vol = disk_volume(flow, (0.4, 0.5), 0.15, (0.8, 0.5), 0.1, order=10)
+        t_lo, dt = 0.08, 0.04
+        epsilon = 0.5 * (boundary_distance(advect(vol, flow, t_lo, dt)) +
+                         boundary_distance(advect(vol, flow, t_lo + dt, dt)))
+    vol = advect(vol, flow, t_lo, dt)
+    got = verify_mod._refine_hit(vol, flow, t_lo, t_lo + dt, epsilon, dt)
+    want = _refine_hit_all_points(vol, flow, t_lo, t_lo + dt, epsilon, dt)
+    assert repr(got) == repr(want)
+    assert t_lo < got < t_lo + dt
 
 
 # A grid flow answers each query from t alone, so advancing the scenario's
