@@ -7,10 +7,12 @@ solutions -- a constant flow and a self-similar expansion -- that double as
 test oracles: their residuals vanish identically, so anything a finite
 difference probe measures is the probe's own truncation error.
 
-All evaluators are pure and vectorized over trailing point axes, and flow
-objects are safe to share across threads.  A `ConstantFlow` holds one
+Every flow answers `velocity(t, pts)`, the advection right-hand side, and
+`fields(t, pts, names)`, one read of any of the velocity, density and entropy
+at a point set.  Both are pure and vectorized over leading point axes, and
+analytic flows are safe to share across threads.  A `ConstantFlow` holds one
 read-only velocity array per query shape and returns it on every query of
-that shape; the other evaluators return fresh arrays.
+that shape; every other array returned is fresh.
 """
 
 from __future__ import annotations
@@ -24,15 +26,16 @@ __all__ = [
     "ConstantFlow",
     "ExpansionFlow",
     "make_analytic_flow",
+    "uniform_fields",
 ]
 
 
 class FlowField:
     """Base class for queryable smooth flows over a time window.
 
-    Subclasses provide `velocity`, `density` and `entropy`.  The state
-    relation at sample points lives in `functionals`, which takes the
-    pressure from the density it has already read.  `pts` always has shape
+    Subclasses provide `velocity` and `fields`.  The state relation at
+    sample points lives in `functionals`, which takes the pressure from the
+    density and entropy of one `fields` read.  `pts` always has shape
     (..., 2): every flow is planar, and `dimension` is the one statement of
     the program's dimension.
     """
@@ -53,10 +56,10 @@ class FlowField:
     def velocity(self, t, pts):
         raise NotImplementedError
 
-    def density(self, t, pts):
-        raise NotImplementedError
-
-    def entropy(self, t, pts):
+    def fields(self, t, pts, names):
+        """The fields `names` ("velocity", "rho", "entropy") at pts, as a dict:
+        the velocity has shape pts.shape and is bit for bit `velocity(t, pts)`,
+        the scalar fields have shape pts.shape[:-1]."""
         raise NotImplementedError
 
     # -- domain handling ----------------------------------------------------
@@ -116,13 +119,8 @@ class ConstantFlow(FlowField):
             self._velocities[pts.shape] = vel
         return vel
 
-    def density(self, t, pts):
-        pts = self._pts(pts)
-        return np.full(pts.shape[:-1], self.rho0)
-
-    def entropy(self, t, pts):
-        pts = self._pts(pts)
-        return np.full(pts.shape[:-1], self.entropy_floor)
+    def fields(self, t, pts, names):
+        return uniform_fields(self, t, pts, names, self.rho0)
 
 
 class ExpansionFlow(FlowField):
@@ -154,16 +152,18 @@ class ExpansionFlow(FlowField):
         pts = self._pts(pts)
         return pts / (t + self.t_c)
 
-    def density(self, t, pts):
+    def fields(self, t, pts, names):
         self.check_time(t)
-        pts = self._pts(pts)
         rho = self.rho0 * (self.t_c / (t + self.t_c)) ** self.dimension
-        return np.full(pts.shape[:-1], rho)
+        return uniform_fields(self, t, pts, names, rho)
 
-    def entropy(self, t, pts):
-        self.check_time(t)
-        pts = self._pts(pts)
-        return np.full(pts.shape[:-1], self.entropy_floor)
+
+def uniform_fields(flow, t, pts, names, rho):
+    """`fields` of a flow with density rho at t and its entropy floor everywhere."""
+    pts = flow._pts(pts)
+    uniform = {"rho": rho, "entropy": flow.entropy_floor}
+    return {name: flow.velocity(t, pts) if name == "velocity"
+            else np.full(pts.shape[:-1], uniform[name]) for name in names}
 
 
 _ANALYTIC_KINDS = ("constant", "expansion")

@@ -9,7 +9,8 @@ the regularity constant M is supposed to dominate.
 All radial profiles are evaluated in coordinates translated by -x0.  The
 density-weighted terms use the transported mass measure directly; the
 pressure terms take P = rho^gamma * exp(S) (here and nowhere else) and the
-volume measure rho0 w/rho from one positive density read per point set.
+volume measure rho0 w/rho, from one `fields` read of the flow per point set
+(the quadrature nodes, then the boundary midpoints).
 """
 
 from __future__ import annotations
@@ -129,13 +130,13 @@ def _radii(pts, x0):
     return z, r
 
 
-def _pressure(flow, t, pts, rho, where):
-    """The pressure rho^gamma * exp(S) at pts from the density rho read
-    there; a density that is not positive (or is NaN) makes the sample not
-    smooth."""
-    if not np.all(rho > 0.0):
+def _pressure(flow, t, read, where):
+    """The pressure rho^gamma * exp(S) from the density and entropy of one
+    `fields` read; a density that is not positive (or is NaN) makes the
+    sample not smooth."""
+    if not np.all(read["rho"] > 0.0):
         raise NonSmoothSample(f"flow density not positive at {where} at t={t}")
-    return rho ** flow.gamma * np.exp(flow.entropy(t, pts))
+    return read["rho"] ** flow.gamma * np.exp(read["entropy"])
 
 
 def sample(flow, vol, phi, epsilon):
@@ -149,9 +150,9 @@ def sample(flow, vol, phi, epsilon):
     gamma = flow.gamma
 
     z, r = _radii(vol.nodes, vol.x0)
-    vel = np.asarray(flow.velocity(t, vol.nodes), dtype=float)
-    rho = np.asarray(flow.density(t, vol.nodes), dtype=float)
-    pres = _pressure(flow, t, vol.nodes, rho, "a quadrature node")
+    at_nodes = flow.fields(t, vol.nodes, ("velocity", "rho", "entropy"))
+    vel, rho = at_nodes["velocity"], at_nodes["rho"]
+    pres = _pressure(flow, t, at_nodes, "a quadrature node")
 
     w = vol.mass_w
     vol_w = w / rho                     # plain volume measure via rho0/rho
@@ -170,8 +171,8 @@ def sample(flow, vol, phi, epsilon):
 
     mids, normals, measures = _boundary_elements(vol)
     zb, rb = _radii(mids, vol.x0)
-    rho_b = np.asarray(flow.density(t, mids), dtype=float)
-    pres_b = _pressure(flow, t, mids, rho_b, "a boundary midpoint")
+    at_mids = flow.fields(t, mids, ("rho", "entropy"))
+    pres_b = _pressure(flow, t, at_mids, "a boundary midpoint")
     zb_dot_n = np.einsum("ij,ij->i", zb, normals)
     _, pb_d1, _ = phi.eval(rb)
     i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))

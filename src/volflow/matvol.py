@@ -385,7 +385,7 @@ def init_volume(spec, flow, x0, epsilon, t0=0.0):
 
     spec.distance(x0)                   # raises when x0 lies inside
 
-    rho0 = np.asarray(flow.density(t0, nodes), dtype=float)
+    rho0 = flow.fields(t0, nodes, ("rho",))["rho"]
     vol = MaterialVolume(boundaries=tuple(boundary), nodes=nodes,
                          mass_w=rho0 * w, x0=x0, time=float(t0))
     d = boundary_distance(vol)

@@ -540,8 +540,9 @@ def interpolate_fields(state, pts, fields=None, work=None, out=None):
 
     Periodic wrap in both axes; exact at grid nodes and for polynomials up to
     cubic per axis.  Returns a dict of sampled arrays.  `work` is an optional
-    `_Workspace` whose patch buffers are used; `out` is an optional
-    (len(fields), N) array whose rows receive the fields, in order.
+    `_Workspace` whose patch buffers are used; `out` is an optional sequence
+    of len(fields) arrays of N values (or None, for a fresh one) that receive
+    the fields, in order: a (len(fields), N) array will do.
 
     The value at a point is the sum over its 4x4 patch f[a, b] of
     (wx[a] f[a, b]) wy[b], added from 0 in patch order:
@@ -639,8 +640,9 @@ class GridFlow(FlowField):
     the pressure of the newest snapshot in the workspace, where the next
     step reads it.  A query between snapshots reads a full-grid time slice;
     the flow holds at most one such slice, keyed on t, so the RK4 stages of
-    an advection step that share a time, and the velocity, density and
-    entropy queries of one sample, share it.
+    an advection step that share a time, and the two `fields` queries of one
+    sample (nodes, then boundary midpoints), share it.  A `fields` query
+    interpolates all the fields it names in one `interpolate_fields` call.
     The slice combines the density when it is built (a non-positive one
     raises `NonSmoothState`) and any other field only when it is first
     read, so velocity queries never combine the entropy; it is let go when
@@ -790,30 +792,25 @@ class GridFlow(FlowField):
                 return state
         return None
 
-    def _sample(self, t, pts, names, out=None):
+    def fields(self, t, pts, names):
+        """One interpolation of every field named: "velocity" is read as vx
+        and vy, straight into the columns of its array."""
+        pts = self._pts(pts)
+        flat = pts.reshape(-1, 2)
         self.check_time(t)
+        vel = np.empty(flat.shape)
+        parts = {"velocity": (("vx", vel[:, 0]), ("vy", vel[:, 1]))}
+        read = [p for n in names for p in parts.get(n, ((n, None),))]
         state = self._nearest_snapshot(t)
         if state is None:
-            state, fields = self._states[-1], self._time_slice(t, names)
+            state, grid = self._states[-1], self._time_slice(t, [g for g, _ in read])
         else:
-            fields = {n: getattr(state, n) for n in names}
-        return interpolate_fields(state, pts, fields, work=self._work, out=out)
+            grid = {g: getattr(state, g) for g, _ in read}
+        got = interpolate_fields(state, flat, grid, work=self._work,
+                                 out=[o for _, o in read])
+        got["velocity"] = vel
+        return {n: got[n].reshape(pts.shape if n == "velocity" else pts.shape[:-1])
+                for n in names}
 
     def velocity(self, t, pts):
-        pts = self._pts(pts)
-        flat = pts.reshape(-1, 2)
-        out = np.empty(flat.shape)
-        self._sample(t, flat, ("vx", "vy"), out=out.T)
-        return out.reshape(pts.shape)
-
-    def density(self, t, pts):
-        pts = self._pts(pts)
-        flat = pts.reshape(-1, 2)
-        rho = self._sample(t, flat, ("rho",))["rho"]
-        return rho.reshape(pts.shape[:-1])
-
-    def entropy(self, t, pts):
-        pts = self._pts(pts)
-        flat = pts.reshape(-1, 2)
-        s = self._sample(t, flat, ("entropy",))["entropy"]
-        return s.reshape(pts.shape[:-1])
+        return self.fields(t, pts, ("velocity",))["velocity"]

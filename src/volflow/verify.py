@@ -123,8 +123,8 @@ def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
     with the quadrature values of its first and second derivatives; then the
     Cauchy-Schwarz moment inequality F^2 <= sup(phi'^2/(phi'' phi)) G I1 is
     verified once, and for power laws the density-moment lower bound, from
-    one density read at the nodes.  For a power law the sup ratio is
-    |q|/(|q|+1) exactly, so its check is the sharp `..._power` form; the
+    one `fields` read of the nodes' density.  For a power law the sup ratio
+    is |q|/(|q|+1) exactly, so its check is the sharp `..._power` form; the
     generic form, with the ratio sampled at the nodes, serves other profiles.
     """
     t = vol.time
@@ -165,7 +165,7 @@ def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
     consts = crit_mod.constants(phi.q, flow.gamma, flow.dimension, flow.entropy_floor)
     gamma = flow.gamma
     # The sample above has refused a density that is not positive here.
-    rho = np.asarray(flow.density(t, vol.nodes), dtype=float)
+    rho = flow.fields(t, vol.nodes, ("rho",))["rho"]
     lhs_int = float(np.sum(r ** (phi.q - 2.0) * rho ** gamma * vol.mass_w / rho))
     expo = -((phi.q + flow.dimension) * (gamma - 1.0) + 2.0)
     bound = consts.C1 * s.G ** gamma * epsilon ** expo

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from volflow import solver
-from volflow.flowfield import FlowField
+from volflow.flowfield import FlowField, uniform_fields
 from volflow.matvol import VolumeShapeSpec, _boundary_elements, init_volume
 from volflow.solver import GridFlow
 
@@ -27,19 +27,30 @@ class SyntheticFlow(FlowField):
         super().__init__(gamma, entropy_floor=s0)
         self._velocity_fn = velocity_fn
         self.rho0 = float(rho0)
-        self.s0 = s0
 
     def velocity(self, t, pts):
         pts = self._pts(pts)
         return np.asarray(self._velocity_fn(t, pts), dtype=float)
 
-    def density(self, t, pts):
-        pts = self._pts(pts)
-        return np.full(pts.shape[:-1], self.rho0)
+    def fields(self, t, pts, names):
+        return uniform_fields(self, t, pts, names, self.rho0)
 
-    def entropy(self, t, pts):
-        pts = self._pts(pts)
-        return np.full(pts.shape[:-1], self.s0)
+
+def small_grid_flow():
+    """A 32^2 grid flow on [-1, 1)^2 with smooth non-uniform rho, vx, vy and
+    S, with snapshots every 2e-3, advanced to t = 0.01."""
+    n = 32
+    h = 2.0 / n
+    c = -1.0 + h * np.arange(n)
+    x, y = np.meshgrid(c, c, indexing="ij")
+    k = np.pi
+    st = solver.GridState(rho=1.0 + 0.2 * np.sin(k * x) * np.cos(k * y),
+                          vx=0.3 * np.cos(k * y), vy=-0.2 * np.sin(k * x),
+                          entropy=0.1 * np.cos(k * (x + y)), gamma=1.4,
+                          origin=(-1.0, -1.0), spacing=(h, h), time=0.0)
+    flow = GridFlow(st, step_dt=2e-3)
+    flow.advance_to(0.01)
+    return flow
 
 
 def disk_volume(flow, center, radius, x0, epsilon, markers=256, order=40):
@@ -133,11 +144,9 @@ class FluidState:
 def eval_state(flow, t, x):
     """Evaluate the full fluid state at one space-time point."""
     flow.check_time(t)
-    x = np.asarray(x, dtype=float)
-    rho = float(flow.density(t, x))
-    vel = np.asarray(flow.velocity(t, x), dtype=float)
-    s = float(flow.entropy(t, x))
-    return FluidState(rho, vel, s, rho ** flow.gamma * math.exp(s))
+    f = flow.fields(t, np.asarray(x, dtype=float), ("velocity", "rho", "entropy"))
+    rho, s = float(f["rho"]), float(f["entropy"])
+    return FluidState(rho, f["velocity"], s, rho ** flow.gamma * math.exp(s))
 
 
 def euler_residual(flow, t, x, h):
@@ -157,9 +166,9 @@ def euler_residual(flow, t, x, h):
 
     def fields(tt, xx):
         flow.check_time(tt)
-        rho = flow.density(tt, xx)
-        return (np.asarray(flow.velocity(tt, xx), dtype=float), float(rho),
-                float(rho ** gamma * np.exp(flow.entropy(tt, xx))))
+        f = flow.fields(tt, xx, ("velocity", "rho", "entropy"))
+        return (f["velocity"], float(f["rho"]),
+                float(f["rho"] ** gamma * np.exp(f["entropy"])))
 
     vel, rho, pres = fields(t, x)
 
@@ -192,7 +201,7 @@ def euler_residual(flow, t, x, h):
 
 def volume_integral_plain(vol, g, flow):
     """Plain volume integral of g via the density-ratio Jacobian rho0/rho."""
-    rho = np.asarray(flow.density(vol.time, vol.nodes), dtype=float)
+    rho = flow.fields(vol.time, vol.nodes, ("rho",))["rho"]
     if np.any(rho <= 0.0):
         raise ValueError("flow density non-positive at a quadrature node")
     return float(np.sum(np.asarray(g(vol.nodes), dtype=float) * vol.mass_w / rho))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from volflow.criteria import (CASE_QNEG_LONG, CASE_QNEG_SHORT, CASE_QPOS,
                               qneg_time_threshold)
 from volflow.flowfield import make_analytic_flow
 from volflow.functionals import PhiSpec, sample
+from volflow.verify import _closed_form_blowup, _comparison_coefficients
 
 
 def make_inputs(**kw):
@@ -291,3 +293,56 @@ def test_report_case_matches_q0_sign(q, eps, g0, m, e, big_m):
     else:
         thr = qneg_time_threshold(inp, rep.R0)
         assert rep.case == (CASE_QNEG_LONG if inp.T >= thr else CASE_QNEG_SHORT)
+
+
+# -- cross-check against the comparison ODE's blow-up time ---------------------
+
+def _blowup_draw(rng):
+    """Inputs whose Q0 comes from q_and_r, drawn so that every sign case
+    occurs: G0 makes the moment term u times the rest of the bracket
+    (u < 1 gives Q0 > 0), T spans the comparison ODE's time scale and F0 =
+    q*cond10 spans its velocity scale b, on both sides of zero."""
+    q = -(7.2 + 4.8 * rng.random())
+    eps = 0.3 + 1.7 * rng.random()
+    m = 0.5 + 4.5 * rng.random()
+    energy = 0.2 + 4.8 * rng.random()
+    big_m = 10.0 * rng.random()
+    c = constants(q, 1.4, 2, 0.0).C
+    moment_term = (2.0 * rng.random() * (1.0 + eps * big_m / (2.0 * energy))
+                   * 2.0 * energy / (abs(q) * c * eps ** (-(q * 1.4 + 2 * 0.4))))
+    inp = make_inputs(q=q, epsilon=eps, m=m, E=energy, M=big_m,
+                      G0=moment_term ** (1.0 / 1.4), d_init=2.0 * eps)
+    q0, r0 = q_and_r(inp, c)
+    a, k = _comparison_coefficients(inp)
+    b = math.sqrt(k * abs(q0))
+    t_scale = eps * m / ((abs(q) + 1.0) * r0)           # 1 / (a b)
+    inp = dataclasses.replace(inp, T=t_scale * (1e-9 + 3.0 * rng.random()),
+                              cond10=b / q * 3.0 * (2.0 * rng.random() - 0.5))
+    return inp, q0, r0, a, b
+
+
+def test_condition10_agrees_with_the_closed_form_blowup_time():
+    # cond10 < delta says F(0) = q*cond10 drives the comparison ODE
+    # F' = a (F^2 - b^2 sign Q0) to blow up before T; t* is its exact
+    # blow-up time.  In Qneg_longT, delta = 0 is a sufficient sign condition
+    # only: a trajectory from F(0) <= 0 can still escape before a long T.
+    rng = np.random.default_rng(17)
+    seen = {}
+    for _ in range(3000):
+        inp, q0, r0, a, b = _blowup_draw(rng)
+        case, delta = classify_and_delta(inp, q0, r0)
+        if case == CASE_QZERO:
+            continue
+        t_star = _closed_form_blowup(inp.q * inp.cond10, q0, a, b)
+        hit = t_star is not None and t_star < inp.T
+        holds = inp.cond10 < delta
+        if case == CASE_QNEG_LONG:
+            assert hit or not holds, (inp, q0)
+        else:
+            assert hit == holds, (case, inp, q0)
+        seen[case, holds, hit] = seen.get((case, holds, hit), 0) + 1
+    assert set(seen) == {
+        (CASE_QPOS, True, True), (CASE_QPOS, False, False),
+        (CASE_QNEG_SHORT, True, True), (CASE_QNEG_SHORT, False, False),
+        (CASE_QNEG_LONG, True, True), (CASE_QNEG_LONG, False, True),
+        (CASE_QNEG_LONG, False, False)}

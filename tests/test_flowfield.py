@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FluidState, euler_residual, eval_state
+from helpers import FluidState, euler_residual, eval_state, small_grid_flow
 
 from volflow.flowfield import ConstantFlow, ExpansionFlow, make_analytic_flow
+from volflow.solver import interpolate_fields
 
 
 def constant_flow():
@@ -90,6 +91,8 @@ def test_expansion_domain():
     flow = expansion_flow()
     with pytest.raises(ValueError):
         eval_state(flow, -1.5, np.zeros(2))
+    with pytest.raises(ValueError, match="domain"):
+        flow.fields(-1.5, np.zeros(2), ("rho",))
     with pytest.raises(ValueError):
         euler_residual(flow, -0.99995, np.zeros(2), h=1e-3)
 
@@ -136,7 +139,7 @@ def test_residual_detects_inconsistent_field():
     flow = ScaledVelocity(1.4, rho0=1.0, s0=0.0, t_c=1.0)
     t, x = 0.5, np.array([1.0, 1.0])
     res = euler_residual(flow, t, x, h=1e-4)
-    rho = float(flow.density(t, x))
+    rho = float(flow.fields(t, x, ("rho",))["rho"])
     expected = 0.1 * 2 * rho / (t + 1.0)
     assert res[2] == pytest.approx(expected, rel=1e-6)
     assert abs(res[2]) > 1e-3
@@ -171,3 +174,44 @@ def test_constant_velocity_is_held_and_read_only(shape):
     for x in (pts, flow.vel0):
         assert not np.shares_memory(a, x)
     assert np.array_equal(pts, pts_before) and np.array_equal(flow.vel0, vel0)
+
+
+# -- the one query of several fields ------------------------------------------
+
+_FLOWS = {
+    "constant": lambda: (constant_flow(), 0.3),
+    "expansion": lambda: (expansion_flow(), 0.3),
+    "grid-snapshot": lambda: (small_grid_flow(), 0.004),
+    "grid-between": lambda: (small_grid_flow(), 0.005),
+}
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 4, 2)], ids=["point", "batch"])
+@pytest.mark.parametrize("kind", list(_FLOWS))
+def test_fields_contract(kind, shape):
+    flow, t = _FLOWS[kind]()
+    pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=shape)
+    names = ("velocity", "rho", "entropy")
+    got = flow.fields(t, pts, names)
+    assert tuple(got) == names
+    assert got["velocity"].shape == pts.shape
+    assert np.array_equal(got["velocity"], flow.velocity(t, pts))
+    for name in ("rho", "entropy"):
+        assert got[name].shape == pts.shape[:-1]
+        # Each field reads the same alone, in another order or with others.
+        assert np.array_equal(got[name], flow.fields(t, pts, (name,))[name])
+        assert np.array_equal(got[name], flow.fields(t, pts, names[::-1])[name])
+    assert np.all(got["rho"] > 0.0)
+    with pytest.raises(ValueError, match="dimension"):
+        flow.fields(t, np.zeros(shape[:-1] + (3,)), names)
+
+
+def test_grid_fields_match_the_snapshot_interpolation():
+    flow = small_grid_flow()
+    (state,) = [s for s in flow.states if abs(s.time - 0.004) <= 1e-12]
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(50, 2))
+    got = flow.fields(0.004, pts, ("velocity", "rho", "entropy"))
+    want = interpolate_fields(state, pts)
+    assert np.array_equal(got["velocity"], np.stack([want["vx"], want["vy"]], axis=-1))
+    assert np.array_equal(got["rho"], want["rho"])
+    assert np.array_equal(got["entropy"], want["entropy"])

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import SyntheticFlow, annulus_volume, disk_volume
+from helpers import SyntheticFlow, annulus_volume, disk_volume, small_grid_flow
 
+from volflow import solver
 from volflow.flowfield import ConstantFlow, make_analytic_flow
 from volflow.functionals import (NonSmoothSample, PhiSpec, TargetReached, sample,
                                  sigma_norm2)
@@ -224,8 +225,11 @@ class _DensityFlow(ConstantFlow):
         super().__init__(1.4, rho0=1.0, vel0=(0.0, 0.0), p0=1.0)
         self._rho = rho
 
-    def density(self, t, pts):
-        return self._rho(self._pts(pts))
+    def fields(self, t, pts, names):
+        read = super().fields(t, pts, names)
+        if "rho" in read:
+            read["rho"] = self._rho(self._pts(pts))
+        return read
 
 
 def _dip(radius, value):
@@ -247,15 +251,42 @@ def test_sample_rejects_a_bad_density_at_a_boundary_midpoint(value):
 
 
 def test_sample_reads_the_density_once_per_point_set():
-    # The measure and the pressure at the nodes share one read; the
-    # boundary midpoints get one more.
+    # The velocity, the measure and the pressure at the nodes share one
+    # read; the boundary midpoints get one more.
     reads = []
-    flow = _DensityFlow(lambda p: reads.append(len(p)) or np.ones(len(p)))
+
+    class Counting(_DensityFlow):
+        def fields(self, t, pts, names):
+            reads.append((len(pts), tuple(names)))
+            return super().fields(t, pts, names)
+
+    flow = Counting(lambda p: np.ones(len(p)))
     vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5,
                       markers=64, order=10)
     sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
     nodes = len(vol.nodes)
-    assert reads == [nodes, 64]
+    assert reads == [(nodes, ("velocity", "rho", "entropy")), (64, ("rho", "entropy"))]
+
+
+def test_grid_sample_interpolates_once_per_point_set(monkeypatch):
+    # Velocity, density and entropy at the nodes in one interpolation, density
+    # and entropy at the boundary midpoints in one more; at a snapshot time
+    # and between snapshots.
+    flow = small_grid_flow()                  # snapshots every 2e-3
+    vol = disk_volume(flow, (0.5, 0.0), 0.2, (0.0, 0.0), 0.1, markers=64,
+                      order=10)
+    interpolate = solver.interpolate_fields
+    calls = []
+
+    def counting(state, pts, *args, **kwargs):
+        calls.append(len(pts))
+        return interpolate(state, pts, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "interpolate_fields", counting)
+    for t in (0.004, 0.005):
+        calls.clear()
+        sample(flow, dataclasses.replace(vol, time=t), PhiSpec.power_law(-2.0), 0.1)
+        assert calls == [len(vol.nodes), 64]
 
 
 def test_sample_rejects_a_functional_that_is_not_finite():

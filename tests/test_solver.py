@@ -37,6 +37,14 @@ def gaussian_pressure_matched(n, amp=0.3, width=0.07, vx=1.0, gamma=1.4):
                      spacing=(h, h), time=0.0)
 
 
+def rho_at(flow, t, pts):
+    return flow.fields(t, pts, ("rho",))["rho"]
+
+
+def read_all(flow, t, pts):
+    return flow.fields(t, pts, ("velocity", "rho", "entropy"))
+
+
 def run_to(state, t_final):
     drift = 0.0
     m_prev = state.mass()
@@ -135,17 +143,19 @@ def test_expansion_window_convergence():
         x, y = np.meshgrid(c, c, indexing="ij")
         pts = np.stack([x, y], axis=-1)
         taper = smoothstep_down((np.hypot(x, y) - 1.8) / 1.8)
-        vel = flow.velocity(0.0, pts)
-        st = GridState(rho=flow.density(0.0, pts), vx=vel[..., 0] * taper,
-                       vy=vel[..., 1] * taper, entropy=flow.entropy(0.0, pts),
+        f = flow.fields(0.0, pts, ("velocity", "rho", "entropy"))
+        vel = f["velocity"]
+        st = GridState(rho=f["rho"], vx=vel[..., 0] * taper,
+                       vy=vel[..., 1] * taper, entropy=f["entropy"],
                        gamma=1.4, origin=(-4.0, -4.0), spacing=(h, h), time=0.0)
         steps = int(round(t_final / (0.12 * h)))
         dt = t_final / steps
         for _ in range(steps):
             st = step(st, dt)
         window = (np.abs(x) <= 0.4) & (np.abs(y) <= 0.4)
-        err = max(np.abs(st.rho - flow.density(t_final, pts))[window].max(),
-                  np.abs(st.vx - flow.velocity(t_final, pts)[..., 0])[window].max())
+        f = flow.fields(t_final, pts, ("velocity", "rho"))
+        err = max(np.abs(st.rho - f["rho"])[window].max(),
+                  np.abs(st.vx - f["velocity"][..., 0])[window].max())
         errs.append(err)
     assert np.log2(errs[0] / errs[1]) >= 1.9
     assert np.log2(errs[1] / errs[2]) >= 1.9
@@ -214,7 +224,7 @@ def test_grid_flow_advance_and_domain():
     v = flow.velocity(0.011, np.array([0.5, 0.5]))
     assert v.shape == (2,)
     with pytest.raises(ValueError, match="not advanced"):
-        flow.density(0.5, np.array([0.5, 0.5]))
+        flow.fields(0.5, np.array([0.5, 0.5]), ("rho",))
 
 
 def test_grid_flow_guard_trips():
@@ -599,22 +609,22 @@ def test_off_snapshot_query_survives_cache_growth():
     flow = GridFlow(st, step_dt=2e-3)
     flow.advance_to(0.02)
     t = 0.0111                                # well inside the cached run
-    before = (flow.velocity(t, pts), flow.density(t, pts), flow.entropy(t, pts))
+    before = read_all(flow, t, pts)
     t_last = 0.0195                           # in the last interval answered
-    last_before = flow.density(t_last, pts)
+    last_before = rho_at(flow, t_last, pts)
     flow.advance_to(0.04)
     # The time stencil of t_last does not move as the cache grows: the value
     # seen before equals the one after, and the one of a flow advanced this
     # far at once.
-    last_after = flow.density(t_last, pts)
+    last_after = rho_at(flow, t_last, pts)
     other = GridFlow(st, step_dt=2e-3)
     other.advance_to(0.04)
-    assert np.array_equal(last_after, other.density(t_last, pts))
+    assert np.array_equal(last_after, rho_at(other, t_last, pts))
     assert np.array_equal(last_after, last_before)
-    after = (flow.velocity(t, pts), flow.density(t, pts), flow.entropy(t, pts))
-    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    after = read_all(flow, t, pts)
+    assert all(np.array_equal(before[n], after[n]) for n in before)
     slice_fields = solver.interpolate_fields(st, pts, flow._time_slice(t, ("rho",)))
-    assert np.array_equal(flow.density(t, pts), slice_fields["rho"])
+    assert np.array_equal(rho_at(flow, t, pts), slice_fields["rho"])
 
 
 def test_time_slice_combines_only_the_fields_read():
@@ -626,13 +636,14 @@ def test_time_slice_combines_only_the_fields_read():
     v = flow.velocity(t, pts)
     held = flow._slice
     assert set(held[-1]) == {"rho", "vx", "vy"}       # no entropy combined
-    rho = flow.density(t, pts)
+    rho = rho_at(flow, t, pts)
     assert flow._slice is held                        # built once
     fresh = GridFlow(st, step_dt=2e-3)
     fresh.advance_to(0.02)
-    assert np.array_equal(rho, fresh.density(t, pts))
+    assert np.array_equal(rho, rho_at(fresh, t, pts))
     assert np.array_equal(v, fresh.velocity(t, pts))
-    assert np.array_equal(flow.entropy(t, pts), fresh.entropy(t, pts))
+    assert np.array_equal(flow.fields(t, pts, ("entropy",))["entropy"],
+                          fresh.fields(t, pts, ("entropy",))["entropy"])
 
 
 def _reference_slice(flow, t, names):
@@ -687,9 +698,11 @@ def test_time_slice_with_bad_density_is_not_smooth():
     flow.advance_to(0.02)
     flow.states[5].rho[...] = -100.0          # in the stencil of t = 0.0111
     pts = np.array([[0.1, 0.9]])
-    for query in (flow.velocity, flow.density, flow.velocity):
+    for names in (("velocity",), ("rho",), ("velocity", "rho", "entropy")):
         with pytest.raises(NonSmoothState, match="density"):
-            query(0.0111, pts)
+            flow.fields(0.0111, pts, names)
+    with pytest.raises(NonSmoothState, match="density"):
+        flow.velocity(0.0111, pts)
     assert flow._slice is None
 
 
@@ -776,11 +789,11 @@ def test_window_replays_the_same_snapshots():
     # snapshot past 0.02.
     assert len(flow.states) == 13
     assert flow.states[0].time == pytest.approx(0.009)
-    assert np.array_equal(flow.density(0.0105, pts), whole.density(0.0105, pts))
+    assert np.array_equal(rho_at(flow, 0.0105, pts), rho_at(whole, 0.0105, pts))
     assert np.array_equal(flow.velocity(0.02, pts), whole.velocity(0.02, pts))
     for t in (0.0055, 0.003):             # between snapshots, and on one
         with pytest.raises(SnapshotDropped):
-            flow.density(t, pts)
+            flow.fields(t, pts, ("rho",))
     flow.check_time(0.003)                # the time window itself is unchanged
 
     flow.keep_from(0.0)                   # behind the window: start again
@@ -791,7 +804,8 @@ def test_window_replays_the_same_snapshots():
     for a, b in zip(flow.states, whole.states):
         assert a.time == b.time
         assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
-    assert np.array_equal(flow.entropy(0.0055, pts), whole.entropy(0.0055, pts))
+    after, want = read_all(flow, 0.0055, pts), read_all(whole, 0.0055, pts)
+    assert all(np.array_equal(after[n], want[n]) for n in want)
 
 
 def test_window_ahead_holds_the_last_two_snapshots():

@@ -52,13 +52,14 @@ def test_lemma_suite_reads_the_density_once_per_point_set(monkeypatch):
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5, markers=64,
                       order=10)
     reads = []
-    density = flow.density
+    fields = flow.fields
 
-    def counting(t, pts):
-        reads.append(len(pts))
-        return density(t, pts)
+    def counting(t, pts, names):
+        if "rho" in names:
+            reads.append(len(pts))
+        return fields(t, pts, names)
 
-    monkeypatch.setattr(flow, "density", counting)
+    monkeypatch.setattr(flow, "fields", counting)
     reports = check_lemma_suite(flow, vol, PhiSpec.power_law(-8.0), epsilon=0.5)
     assert reports[-1].name == "density_moment_lower_bound"
     nodes = len(vol.nodes)
