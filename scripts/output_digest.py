@@ -4,8 +4,9 @@
 
 Runs `criteria`, `run` and `sweep` on every config in
 `CHECKOUT/scripts/configs`, and `verify --seed 7` on lemmas_expansion,
-expansion_outflow and radial_inflow, each as `python -m volflow` in a fresh
-process with `PYTHONPATH=CHECKOUT/src`.  Prints one `sha256  artifact` line
+expansion_outflow, radial_inflow and arc_live (those of them the checkout
+ships), each as `python -m volflow` in a fresh process with
+`PYTHONPATH=CHECKOUT/src`.  Prints one `sha256  artifact` line
 per stdout, stderr, exit code and output file, in a fixed order, so that two
 checkouts (say, a parent commit and a change) compare with `diff`.
 `CHECKOUT` defaults to the checkout this script lives in.
@@ -25,7 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-VERIFY_CONFIGS = ("lemmas_expansion", "expansion_outflow", "radial_inflow")
+VERIFY_CONFIGS = ("lemmas_expansion", "expansion_outflow", "radial_inflow",
+                  "arc_live")
 VERIFY_SEED = "7"
 
 
@@ -42,6 +44,8 @@ def operations(root):
             ops.append((f"{command}/{path.stem}", [command, "--config", str(path)]))
     for name in VERIFY_CONFIGS:
         path = root / "scripts" / "configs" / f"{name}.cfg"
+        if not path.exists():           # an older checkout
+            continue
         ops.append((f"verify/{name}",
                     ["verify", "--config", str(path), "--seed", VERIFY_SEED]))
     return ops

@@ -15,10 +15,11 @@ Exit codes: 0 when everything passed, 1 when some check failed (a VIOLATION
 verdict, a failed lemma/oracle check, a bounds-chain failure), 2 for
 configuration or precondition errors -- among them a config key the loader
 does not read, `verify.times` whose lemma differences (step h) reach
-outside the flow's time window or past the time at which a grid solver
-loses smoothness (`run` instead ends its horizon there and reports it), and
-a boundary loop that crosses itself after an advection (`volume.markers` too
-few to resolve it).
+outside the flow's time window, past the time at which a grid solver loses
+smoothness, or to a flow that is not smooth where they read it (`run`
+instead ends its horizon there and reports it), and a boundary loop that
+crosses itself or another loop after an advection (`volume.markers` too few
+to resolve it).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .functionals import NonSmoothSample, PhiSpec, sample
 # boundary_distance is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps this module's binding of it.
 from .matvol import SelfIntersection, advect, boundary_distance  # noqa: F401
-from .solver import SmoothnessLost
+from .solver import NonSmoothState, SmoothnessLost
 
 __all__ = ["main", "entry", "CSV_HEADER"]
 
@@ -168,11 +169,11 @@ def _cmd_verify(scenario, out_dir, seed):
     except ValueError as exc:
         raise ConfigError(f"key 'verify.times': {exc}") from exc
     for t in times:
-        if t > vol.time:
-            vol = advect(vol, flow, t, cfg.dt)
         try:
+            if t > vol.time:
+                vol = advect(vol, flow, t, cfg.dt)
             checks += verify_mod.check_lemma_suite(flow, vol, phi, cfg.epsilon, h=h)
-        except NonSmoothSample as exc:
+        except (NonSmoothSample, NonSmoothState) as exc:
             raise ConfigError(f"key 'verify.times': {exc}") from exc
 
     run_report = verify_mod.run_theorem_scenario(scenario)

@@ -3,8 +3,8 @@
 Everything here reduces to quadrature over the transported volume: mass and
 total energy, the radial moment G = integral of rho * phi(|x - x0|), its
 exact first time derivative F, the four-term decomposition of the second
-derivative (I1..I4), and the boundary pressure-flux integral whose magnitude
-the regularity constant M is supposed to dominate.
+derivative (I1..I4), and the boundary pressure-flux integral, signed and
+unsigned; the regularity constant M must dominate the unsigned one.
 
 All radial profiles are evaluated in coordinates translated by -x0.  The
 density-weighted terms use the transported mass measure directly; the
@@ -97,6 +97,7 @@ class FunctionalSample:
     I3: float
     I4: float
     reg: float          # signed boundary flux of (x/|x|, N) P
+    reg_abs: float      # unsigned boundary flux of |(x/|x|, N) P|
     q: Optional[float]
     epsilon: float
 
@@ -176,9 +177,12 @@ def sample(flow, vol, phi, epsilon):
     zb_dot_n = np.einsum("ij,ij->i", zb, normals)
     _, pb_d1, _ = phi.eval(rb)
     i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))
-    reg = float(np.sum(zb_dot_n / rb * pres_b * measures))
+    flux = zb_dot_n / rb * pres_b * measures
+    reg = float(np.sum(flux))
+    reg_abs = float(np.sum(np.abs(flux)))
 
-    values = dict(m=m, E=energy, G=g_val, F=f_val, I1=i1, I2=i2, I3=i3, I4=i4, reg=reg)
+    values = dict(m=m, E=energy, G=g_val, F=f_val, I1=i1, I2=i2, I3=i3, I4=i4,
+                  reg=reg, reg_abs=reg_abs)
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
         raise NonSmoothSample(f"functional {', '.join(bad)} not finite at t={t}")

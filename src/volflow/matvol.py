@@ -1,26 +1,34 @@
 """Moving material volume: advected markers, quadrature nodes, integrals.
 
 The volume is a region of the plane, carried by the flow as a set of
-Lagrangian samples: boundary markers (closed polygon loops) and interior
-quadrature nodes.  Each interior node carries a fixed mass weight
-rho0(y)*w(y); because the mass measure is transported exactly by the flow,
-rho-weighted integrals need no Jacobian at all, and unweighted integrals
-recover the Jacobian from the density ratio rho0/rho(t, X).
+Lagrangian samples held in one (M + N, 2) array `points`: the M boundary
+markers, closed polygon loops stored one after another, then the N interior
+quadrature nodes.  `loop_ends` gives the end of each loop in it, and
+`markers` and `nodes` are views of it, so an advection integrates the whole
+array at once and nothing is stacked or split around it.  Each interior node
+carries a fixed mass weight rho0(y)*w(y); because the mass measure is
+transported exactly by the flow, rho-weighted integrals need no Jacobian at
+all, and unweighted integrals recover the Jacobian from the density ratio
+rho0/rho(t, X).
 
-Boundaries are stored as a list of closed components (a volume may be
-disconnected, and an annulus has a two-loop boundary).  Outward orientation
-is fixed at initialization -- counterclockwise outer loops, clockwise hole
-loops -- and smooth flows preserve it; a segment-intersection sweep after
-each advection is the failure detector for under-resolved boundaries.  The
-sweep (`polygon_is_simple`) is vectorized: it lists the candidate pairs of an
-x-sorted interval sweep and tests them in fixed-size blocks, so its extra
-memory is bounded by the block size, not by the square of the marker count.
+A volume may be disconnected, and an annulus has a two-loop boundary.
+Outward orientation is fixed at initialization -- counterclockwise outer
+loops, clockwise hole loops -- and smooth flows preserve it.  One successor
+table (each marker's next vertex in its loop) gives the boundary segments to
+the element geometry, the distance to x0 and the crossing sweep.  The sweep
+(`polygon_is_simple`) runs once after each advection over the segments of
+every loop together, so it catches a loop that crosses itself or another
+loop; it is the failure detector for under-resolved boundaries.  It is
+vectorized: it lists the candidate pairs of an x-sorted interval sweep and
+tests them in fixed-size blocks, so its extra memory is bounded by the block
+size, not by the square of the marker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +43,8 @@ __all__ = [
 
 
 class SelfIntersection(RuntimeError):
-    """Boundary loop crossed itself -- marker resolution has failed."""
+    """A boundary loop crossed itself or another loop -- marker resolution
+    has failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +58,28 @@ def loop_signed_area(loop):
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
-def point_in_loops(point, loops):
-    """Even-odd containment test of a point against a set of closed loops."""
+def _successors(markers, loop_ends=None):
+    """Index of each marker's next vertex in its loop.
+
+    The loops lie one after another in `markers`, loop k ending before index
+    loop_ends[k]; by default all the markers make one loop."""
+    ends = np.array((len(markers),) if loop_ends is None else loop_ends)
+    nxt = np.arange(1, len(markers) + 1)
+    nxt[ends - 1] = np.concatenate(([0], ends[:-1]))
+    return nxt
+
+
+def point_in_loops(point, markers, loop_ends=None):
+    """Even-odd containment test of a point against closed loops, laid out as
+    `polygon_is_simple` takes them."""
     px, py = float(point[0]), float(point[1])
-    crossings = 0
-    for loop in loops:
-        a = loop
-        b = np.roll(loop, -1, axis=0)
-        cond = (a[:, 1] > py) != (b[:, 1] > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (py - a[:, 1]) / (b[:, 1] - a[:, 1])
-        xs = a[:, 0] + t * (b[:, 0] - a[:, 0])
-        crossings += int(np.count_nonzero(cond & (px < xs)))
-    return crossings % 2 == 1
+    a = markers
+    b = markers.take(_successors(markers, loop_ends), axis=0)
+    cond = (a[:, 1] > py) != (b[:, 1] > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (py - a[:, 1]) / (b[:, 1] - a[:, 1])
+    xs = a[:, 0] + t * (b[:, 0] - a[:, 0])
+    return int(np.count_nonzero(cond & (px < xs))) % 2 == 1
 
 
 def _segments_cross(a0, a1, b0, b1):
@@ -92,22 +110,29 @@ def _bbox_overlap(a0, a1, b0, b1):
 _PAIR_BLOCK = 1 << 14
 
 
-def polygon_is_simple(loop):
-    """Check a closed loop for self-intersection by an x-interval sweep.
+def polygon_is_simple(markers, loop_ends=None):
+    """Check closed loops for a loop that crosses itself or another loop, by
+    one x-interval sweep over the segments of all of them.
+
+    The loops lie one after another in `markers`, loop k ending before index
+    loop_ends[k]; by default all the markers make one loop.
 
     Segments are sorted by their left end; each one's candidates are the
     segments after it in that order whose left end does not pass its right
     end.  All candidate pairs are listed by their rank in the cumulative
     candidate counts and tested in blocks of `_PAIR_BLOCK`, one vectorized
-    call per block, stopping at the first block with a hit.  Adjacent
-    segments (sharing a vertex) are skipped; any other touching or crossing
-    pair counts as an intersection.
+    call per block, stopping at the first block with a hit.  Segments
+    adjacent in a loop (sharing a vertex) are skipped; any other touching or
+    crossing pair counts as an intersection.  A loop of fewer than 3
+    markers is not simple.
     """
-    m = len(loop)
-    if m < 3:
+    m = len(markers)
+    loop_ends = (m,) if loop_ends is None else loop_ends
+    if np.min(np.diff(loop_ends, prepend=0)) < 3:
         return False
-    a = loop
-    b = np.roll(loop, -1, axis=0)
+    nxt = _successors(markers, loop_ends)
+    a = markers
+    b = markers.take(nxt, axis=0)
     xmin = np.minimum(a[:, 0], b[:, 0])
     xmax = np.maximum(a[:, 0], b[:, 0])
     order = np.argsort(xmin, kind="stable")
@@ -121,8 +146,7 @@ def polygon_is_simple(loop):
         p = np.searchsorted(ends, k, side="right")
         i = order[p]
         j = order[p + 1 + k - (ends[p] - counts[p])]
-        gap = (j - i) % m
-        keep = (gap > 1) & (gap < m - 1)
+        keep = (nxt[i] != j) & (nxt[j] != i)
         i, j = i[keep], j[keep]
         # take() gathers rows far faster than a[i] and yields the same values.
         if np.any(_segments_cross(a.take(i, axis=0), b.take(i, axis=0),
@@ -305,7 +329,7 @@ class VolumeShapeSpec:
         x0 = np.asarray(x0, dtype=float)
         if self.shape == "polygon":
             verts = np.asarray(self.vertices, dtype=float)
-            if point_in_loops(x0, [verts]):
+            if point_in_loops(x0, verts):
                 raise ValueError("lies inside the initial volume")
             return float(_point_segment_distance(
                 x0, verts, np.roll(verts, -1, axis=0)).min())
@@ -316,7 +340,8 @@ class VolumeShapeSpec:
         return r1 - d if d < r1 else d - r2
 
     def build(self):
-        """Boundary loops and (nodes, weights) quadrature of the shape."""
+        """Boundary loops (a list of marker arrays) and (nodes, weights)
+        quadrature of the shape."""
         center = np.asarray(self.center, dtype=float)
         if self.shape == "disk":
             boundary = [_circle_markers(center, self.radius, self.markers)]
@@ -345,28 +370,27 @@ class VolumeShapeSpec:
 class MaterialVolume:
     """Lagrangian volume snapshot at one time.
 
-    boundaries: tuple of (M, 2) closed marker loops.
-    nodes/mass_w: interior quadrature nodes with transported mass weights
-    rho0 * w, rho0 the initial densities at the nodes.
+    points: (M + N, 2) array of the M boundary markers -- closed loops one
+    after another, loop k ending before index loop_ends[k] -- then the N
+    interior quadrature nodes; `markers` and `nodes` are views of it.
+    mass_w: the nodes' transported mass weights rho0 * w, rho0 the initial
+    densities at the nodes.
     x0 is the fixed target point the threshold machinery measures against.
     """
 
-    boundaries: tuple
-    nodes: np.ndarray
+    points: np.ndarray
+    loop_ends: tuple
     mass_w: np.ndarray
     x0: np.ndarray
     time: float
 
-    def boundary_points(self):
-        return np.vstack(self.boundaries)
+    @property
+    def markers(self):
+        return self.points[:self.loop_ends[-1]]
 
-    def _with_boundary_points(self, pts):
-        out = []
-        k = 0
-        for loop in self.boundaries:
-            out.append(pts[k:k + len(loop)])
-            k += len(loop)
-        return tuple(out)
+    @property
+    def nodes(self):
+        return self.points[self.loop_ends[-1]:]
 
 
 def init_volume(spec, flow, x0, epsilon, t0=0.0):
@@ -381,12 +405,13 @@ def init_volume(spec, flow, x0, epsilon, t0=0.0):
     for name, point in (("x0", x0), ("center", np.asarray(spec.center))):
         if point.shape != (dim,):
             raise ValueError(f"{name} must have dimension {dim}")
-    boundary, nodes, w = spec.build()
+    loops, nodes, w = spec.build()
 
     spec.distance(x0)                   # raises when x0 lies inside
 
     rho0 = flow.fields(t0, nodes, ("rho",))["rho"]
-    vol = MaterialVolume(boundaries=tuple(boundary), nodes=nodes,
+    vol = MaterialVolume(points=np.vstack([*loops, nodes]),
+                         loop_ends=tuple(accumulate(len(loop) for loop in loops)),
                          mass_w=rho0 * w, x0=x0, time=float(t0))
     d = boundary_distance(vol)
     if d <= epsilon:
@@ -436,53 +461,43 @@ def _rk4_points(flow, pts, t_from, t_to, dt):
 
 
 def advect(vol, flow, t_to, dt, check_boundary=True):
-    """Advect markers and interior nodes to time t_to; weights ride along."""
+    """Advect markers and interior nodes to time t_to; weights ride along.
+
+    The points are integrated in one `_rk4_points` call, and the loops are
+    then swept once for crossings (`SelfIntersection`)."""
     if t_to <= vol.time:
         raise ValueError(f"t_to = {t_to} must exceed current time {vol.time}")
     return _advect_any(vol, flow, t_to, dt, check_boundary)
 
 
 def _advect_any(vol, flow, t_to, dt, check_boundary=True):
-    bpts = vol.boundary_points()
-    count_b = len(bpts)
-    allpts = np.vstack([bpts, vol.nodes])
-    moved = _rk4_points(flow, allpts, vol.time, t_to, dt)
-    new_boundaries = vol._with_boundary_points(moved[:count_b])
-    out = replace(vol, boundaries=new_boundaries, nodes=moved[count_b:],
+    out = replace(vol, points=_rk4_points(flow, vol.points, vol.time, t_to, dt),
                   time=float(t_to))
-    if check_boundary:
-        for loop in out.boundaries:
-            if not polygon_is_simple(loop):
-                raise SelfIntersection(
-                    f"boundary self-intersects after advection to t={t_to}")
+    if check_boundary and not polygon_is_simple(out.markers, out.loop_ends):
+        raise SelfIntersection(
+            f"boundary self-intersects after advection to t={t_to}")
     return out
 
 
 def _boundary_elements(vol):
     """Midpoints, outward unit normals and measures of all boundary elements."""
-    mids, normals, measures = [], [], []
-    for loop in vol.boundaries:
-        a = loop
-        b = np.roll(loop, -1, axis=0)
-        seg = b - a
-        length = np.linalg.norm(seg, axis=1)
-        if np.any(length == 0.0):
-            raise ValueError("degenerate boundary segment (zero length)")
-        tangent = seg / length[:, None]
-        # Outward for CCW loops; hole loops are stored CW so the same
-        # formula points out of the material region.
-        normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
-        mids.append(0.5 * (a + b))
-        normals.append(normal)
-        measures.append(length)
-    return np.vstack(mids), np.vstack(normals), np.concatenate(measures)
+    a = vol.markers
+    b = a.take(_successors(a, vol.loop_ends), axis=0)
+    seg = b - a
+    length = np.linalg.norm(seg, axis=1)
+    if np.any(length == 0.0):
+        raise ValueError("degenerate boundary segment (zero length)")
+    tangent = seg / length[:, None]
+    # Outward for CCW loops; hole loops are stored CW so the same formula
+    # points out of the material region.
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    return 0.5 * (a + b), normal, length
 
 
-def boundary_distance(vol):
-    """Distance from the boundary to the target point x0."""
-    best = np.inf
-    for loop in vol.boundaries:
-        d = _point_segment_distance(vol.x0, loop, np.roll(loop, -1, axis=0))
-        best = min(best, float(d.min()))
-    return best
+def boundary_distance(vol, markers=None):
+    """Distance from the boundary to the target point x0, with the markers
+    moved to `markers` when given (the loops of `vol` at another time)."""
+    a = vol.markers if markers is None else markers
+    b = a.take(_successors(a, vol.loop_ends), axis=0)
+    return float(_point_segment_distance(vol.x0, a, b).min())
 

@@ -776,7 +776,8 @@ class GridFlow(FlowField):
             w = _lagrange_weights((t - stencil[1].time) / self.step_dt)
             rho = combined("rho")
             if not np.all(np.isfinite(rho)) or np.any(rho <= 0.0):
-                raise NonSmoothState("non-positive or non-finite density")
+                raise NonSmoothState(
+                    f"non-positive or non-finite density in the time slice at t={t}")
             self._slice = (t, k, stencil, w, {"rho": rho})
         _, _, stencil, w, fields = self._slice
         for n in names:

@@ -7,12 +7,13 @@ import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import CONFIG_DIR, record_snapshots_held
 
 import volflow
-from volflow import matvol
+from volflow import matvol, solver, verify
 from volflow.cli import CSV_HEADER, main
 from volflow.config import ConfigError, build_scenario, load_config, parse_kv_text
 from volflow.solver import GridFlow
@@ -679,9 +680,78 @@ def test_grid_blowup_lemma_time_not_smooth_names_verify_times(tmp_path, capsys):
         "boundary midpoint at t=0.982")
 
 
+def _spoil_mid_step_slices(monkeypatch):
+    """Make every grid time slice halfway between two snapshots carry a
+    negative density (spatial weights are left alone)."""
+    weights = solver._lagrange_weights
+
+    def spoiled(u):
+        w = weights(u)
+        if np.ndim(u) == 0 and 0.4 < u < 0.6:
+            w[0] -= 50.0
+        return w
+
+    monkeypatch.setattr(solver, "_lagrange_weights", spoiled)
+
+
+def test_time_slice_not_smooth_ends_run_horizon(tmp_path, capsys, monkeypatch):
+    # A time slice raised NonSmoothState from inside a query, and it escaped
+    # `main` as a traceback.
+    _spoil_mid_step_slices(monkeypatch)
+    rc = main(["run", "--config", str(_grid_config(tmp_path, "")),
+               "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "verdict: consistent_no_claim" in out and "horizon: 0.0\n" in out
+    assert ("detail: non-positive or non-finite density in the time slice at "
+            "t=0.0075;") in out
+
+
+def test_time_slice_not_smooth_at_lemma_time_is_config_error(tmp_path, capsys,
+                                                             monkeypatch):
+    _spoil_mid_step_slices(monkeypatch)
+    path = _grid_config(tmp_path, "verify.times = 0.02, 0.05\n")
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == (
+        "config error: key 'verify.times': non-positive or non-finite density "
+        "in the time slice at t=0.0075")
+
+
+# -- the live estimate chain ----------------------------------------------------
+
+_ARC_LIVE = CONFIG_DIR / "arc_live.cfg"
+
+
+def test_arc_live_chain_passes(tmp_path, capsys):
+    # Condition (10) holds, so the bounds chain is checked where it can fail;
+    # the signed flux in the I4 bound failed 10 of its 40 bounds.
+    rc = main(["run", "--config", str(_ARC_LIVE), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    for line in ("verdict: consistent_hit", "cond10_holds: true",
+                 "bounds_checked: 40", "bounds_failed: 0"):
+        assert line + "\n" in out
+    rc = main(["verify", "--config", str(_ARC_LIVE), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "result: pass\n" in capsys.readouterr().out
+
+
+def test_arc_live_missed_hit_is_violation(tmp_path, capsys, monkeypatch):
+    # The hit broken on purpose: the run never sees the boundary within
+    # epsilon, so the verdict path must fire.
+    distance = verify.boundary_distance
+    monkeypatch.setattr(verify, "boundary_distance",
+                        lambda *args: distance(*args) + 1.0)
+    rc = main(["run", "--config", str(_ARC_LIVE), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "verdict: VIOLATION\n" in out and "hit_time: none\n" in out
+
+
 def test_self_intersection_is_precondition_error(mini_cfg, tmp_path, capsys,
                                                  monkeypatch):
-    monkeypatch.setattr(matvol, "polygon_is_simple", lambda loop: False)
+    monkeypatch.setattr(matvol, "polygon_is_simple", lambda *loops: False)
     for command in ("run", "verify"):
         rc = main([command, "--config", str(mini_cfg), "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -94,6 +94,8 @@ def test_reg_annulus_uniform_pressure():
                          markers=8192)
     s = sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
     assert s.reg == pytest.approx(2.0 * np.pi, abs=1e-6)
+    # The hole loop's flux is -2 pi: the unsigned flux adds it back.
+    assert s.reg_abs == pytest.approx(6.0 * np.pi, abs=1e-6)
 
 
 @pytest.mark.parametrize("shape", ["disk", "annulus"])
@@ -151,7 +153,8 @@ def test_x0_translation_used():
     q = -8.0
     sa = sample(flow_a, vol_a, PhiSpec.power_law(q), 0.5)
     sb = sample(flow_b, vol_b, PhiSpec.power_law(q), 0.5)
-    for name in ("m", "G", "F", "I1", "I2", "I3", "I4", "reg"):
+    for name in ("m", "G", "F", "I1", "I2", "I3", "I4", "reg",
+                 "reg_abs"):
         assert getattr(sa, name) == pytest.approx(getattr(sb, name), rel=1e-10,
                                                   abs=1e-12)
 

@@ -99,8 +99,7 @@ def test_constant_flow_translation():
     vol = disk_volume(left_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
     moved = advect(vol, left_flow(), 2.0, 1e-2)
     assert np.allclose(moved.nodes, vol.nodes + [-2.0, 0.0], atol=1e-13)
-    assert np.allclose(moved.boundaries[0], vol.boundaries[0] + [-2.0, 0.0],
-                       atol=1e-13)
+    assert np.allclose(moved.markers, vol.markers + [-2.0, 0.0], atol=1e-13)
     assert moved.time == 2.0
 
 
@@ -143,7 +142,7 @@ def test_self_intersection_detected_after_advection():
     # detector must refuse the result
     flow0 = SyntheticFlow(lambda t, p: np.zeros_like(p))
     vol = disk_volume(flow0, (0.0, 0.0), 1.0, (5.0, 0.0), 0.5, markers=128, order=10)
-    target = vol.boundaries[0][0].copy()
+    target = vol.markers[0].copy()
 
     def kick(t, p):
         w = np.exp(-((p - target) ** 2).sum(axis=-1) / 1e-4)
@@ -151,6 +150,38 @@ def test_self_intersection_detected_after_advection():
 
     with pytest.raises(SelfIntersection):
         advect(vol, SyntheticFlow(kick), 1.0, 1.0)
+
+
+def test_loop_crossing_another_detected_after_advection():
+    # The outer loop is pulled onto r = 1 and turned a little: each loop
+    # stays simple, but the outer loop's chords cut inside r = 1, across the
+    # hole loop's vertices there.
+    def pull_and_swirl(t, p):
+        r = np.linalg.norm(p, axis=-1)
+        excess = np.maximum(r - 1.0, 0.0)[..., None]
+        radial = p / r[..., None]
+        swirl = np.stack([-radial[..., 1], radial[..., 0]], axis=-1)
+        return excess * (-8.0 * radial + 2.0 * swirl)
+
+    flow = SyntheticFlow(pull_and_swirl)
+    vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (6.0, 0.0), 0.5,
+                         markers=64, order=10)
+    moved = advect(vol, flow, 1.0, 1e-3, check_boundary=False)
+    outer, hole = np.split(moved.markers, moved.loop_ends[:-1])
+    assert polygon_is_simple(outer) and polygon_is_simple(hole)
+    with pytest.raises(SelfIntersection):
+        advect(vol, flow, 1.0, 1e-3)
+
+
+def test_one_crossing_sweep_per_advection(monkeypatch):
+    vol = annulus_volume(still_flow(), (0.0, 0.0), (1.0, 2.0), (6.0, 0.0), 0.5,
+                         markers=64, order=10)
+    calls = []
+    sweep = matvol.polygon_is_simple
+    monkeypatch.setattr(matvol, "polygon_is_simple",
+                        lambda *args: calls.append(len(args[0])) or sweep(*args))
+    advect(vol, still_flow(), 0.5, 0.1)
+    assert calls == [128]
 
 
 # -- integrals ---------------------------------------------------------------
@@ -231,10 +262,10 @@ def test_divergence_consistency_2d():
 
 def test_degenerate_segment_rejected():
     vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
-    loop = vol.boundaries[0].copy()
-    loop[1] = loop[0]
+    points = vol.points.copy()
+    points[1] = points[0]
     from dataclasses import replace
-    bad = replace(vol, boundaries=(loop,))
+    bad = replace(vol, points=points)
     with pytest.raises(ValueError, match="degenerate"):
         surface_integral(bad, lambda p, n: np.ones(len(p)))
 
@@ -288,7 +319,7 @@ def test_transport_consistency_expansion(t_to):
 
 def test_loop_orientation_conventions():
     vol = annulus_volume(still_flow(), (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.5)
-    outer, inner = vol.boundaries
+    outer, inner = np.split(vol.markers, vol.loop_ends[:-1])
     assert loop_signed_area(outer) > 0      # CCW
     assert loop_signed_area(inner) < 0      # hole loop stored CW
     # outward normals: flux of (x - c) equals n * measure > 0
@@ -298,9 +329,10 @@ def test_loop_orientation_conventions():
 
 def test_point_in_loops_even_odd():
     vol = annulus_volume(still_flow(), (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.5)
-    assert point_in_loops(np.array([1.5, 0.0]), vol.boundaries)
-    assert not point_in_loops(np.array([0.0, 0.0]), vol.boundaries)   # in hole
-    assert not point_in_loops(np.array([3.0, 0.0]), vol.boundaries)
+    loops = (vol.markers, vol.loop_ends)
+    assert point_in_loops(np.array([1.5, 0.0]), *loops)
+    assert not point_in_loops(np.array([0.0, 0.0]), *loops)   # in hole
+    assert not point_in_loops(np.array([3.0, 0.0]), *loops)
 
 
 def test_polygon_is_simple():
