@@ -13,10 +13,11 @@ produce byte-identical files and stdout.
 
 Exit codes: 0 when everything passed, 1 when some check failed (a VIOLATION
 verdict, a failed lemma/oracle check, a bounds-chain failure), 2 for
-configuration or precondition errors -- among them a config key the loader
-does not read, `verify.times` whose lemma differences (step h) reach
-outside the flow's time window, past the time at which a grid solver loses
-smoothness, or to a flow that is not smooth where they read it (`run`
+configuration or precondition errors -- among them a config file that
+cannot be read, an output directory that cannot be created, a config key
+the loader does not read, `verify.times` whose lemma differences (step h)
+reach outside the flow's time window, past the time at which a grid solver
+loses smoothness, or to a flow that is not smooth where they read it (`run`
 instead ends its horizon there and reports it), and a boundary loop that
 crosses itself or another loop after an advection (`volume.markers` too few
 to resolve it).
@@ -60,7 +61,6 @@ def _fmt(v):
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(text)
 
 
@@ -278,6 +278,12 @@ def main(argv=None):
         cfg = load_config(args.config)
         scenario = build_scenario(cfg)
         out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"output error: cannot create the output directory '{out_dir}': "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
         if args.command == "criteria":
             return _cmd_criteria(scenario, out_dir)
         if args.command == "run":

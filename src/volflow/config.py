@@ -159,7 +159,12 @@ def _int(raw, key, default=None):
 def load_config(path):
     """Read, type-check and precondition-check a scenario file."""
     path = Path(path)
-    raw = _ReadKeys(parse_kv_text(path.read_text()))
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file '{path}': "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
+    raw = _ReadKeys(parse_kv_text(text))
     name = _text(raw, "name", path.stem)
 
     gamma = _float(raw, "gamma")

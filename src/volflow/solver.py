@@ -8,14 +8,14 @@ the periodic grid, which makes the whole-box mass integral an exact invariant
 of the semi-discretization (and of every RK stage), so mass is conserved to
 rounding per step.
 
-The stepper works in reused buffers (`_Workspace`: stencil edge lines, one
-set of RK4 stage inputs, one set of stage slopes, the ten derivatives of the
-right-hand side, one pressure, scratch), so with a workspace a step
-allocates only the state it returns.  The workspace's pressure is that of
-one state or stage at a time, keyed by the state it belongs to; a state
-itself holds no pressure.  Every buffered operation is the one the plain
-NumPy expression would perform, in the same order, so results are
-bit-for-bit those of the unbuffered formulas.
+The stepper works in reused buffers (`_Workspace`: stencil edge lines and
+their views, one set of RK4 stage inputs, one set of stage slopes, the ten
+derivatives of the right-hand side, one pressure, scratch), so with a
+workspace a step allocates only the state it returns.  The workspace's
+pressure is that of one state or stage at a time, keyed by the state it
+belongs to; a state itself holds no pressure.  Every buffered operation is
+the one the plain NumPy expression would perform, in the same order, so
+results are bit-for-bit those of the unbuffered formulas.
 
 A `GridFlow` wraps a run of the stepper as a queryable flow: off-node and
 off-step queries use separable cubic Lagrange interpolation (bicubic in
@@ -25,14 +25,18 @@ will still query (`keep_from`) to the latest step, so its memory grows with
 the grid and the consumer's stride, not with the horizon.  A snapshot holds
 rho, vx and vy and its entropy array.  The flow creates its workspace on the
 first step and holds at most one time slice between snapshots, with only the
-fields read at its time.
+fields read at its time, in the workspace's stage-slope buffers; a step
+drops it.
 
 A homentropic state (S the same finite value, not -0.0, at every node)
 keeps its entropy exactly under the scheme, so `step` evolves only
 (rho, vx, vy) from it and its snapshots share one entropy array.  The
-gradient guard and the CFL limit take their maxima of hypot(gx, gy) exactly
-from cheap squared-sum passes plus np.hypot at the few cells that can hold
-them (`_max_hypot`).
+workspace works out once per entropy array whether it is frozen so, and
+its exp(S), which every pressure of those states then takes as one factor.
+The CFL limit takes its maximum of hypot(gx, gy) exactly from cheap
+squared-sum passes plus np.hypot at the few cells that can hold it
+(`_max_hypot`); the gradient guard compares the fields on their squares
+first and refines only the fields that can hold its maximum.
 """
 
 from __future__ import annotations
@@ -116,8 +120,8 @@ class GridState:
     @property
     def pressure(self):
         """rho ** gamma * exp(S), in fresh arrays on each access."""
-        return _pressure_into(self.rho, self.entropy, self.gamma,
-                              np.empty(self.shape), np.empty(self.shape))
+        return _pressure_into(self.rho, np.exp(self.entropy), self.gamma,
+                              np.empty(self.shape))
 
     def cfl_limit(self, number=0.4, work=None):
         """Largest admissible dt: number * min(dx) / max(|V| + c), with
@@ -147,9 +151,10 @@ class _Workspace:
     reuse on one grid shape.
 
     Per axis, the wrap-around edge lines of the field being differentiated
-    (`_d4_into`); one set of RK4 stage inputs and one of stage slopes; the
-    ten first derivatives the right-hand side reads; one pressure, a scratch
-    array and a boolean mask.  No snapshot ever points into these buffers.
+    and the views and slices `_d4_into` reads them through (`_Edges`); one
+    set of RK4 stage inputs and one of stage slopes; the ten first
+    derivatives the right-hand side reads; one pressure, a scratch array and
+    a boolean mask.  No snapshot ever points into these buffers.
 
     `pressure` holds the pressure of one state at a time: of
     `pressure_state`, filled by `state_pressure`, or of an RK4 stage
@@ -157,13 +162,21 @@ class _Workspace:
     it for the new state, the next step's CFL limit and first slope read it,
     and the stages overwrite it; without a guard, the CFL limit fills it.
 
+    `frozen_exp` tells whether an entropy array is frozen (see `step`) and
+    gives its exp(S) as one float, worked out once for the last entropy
+    array seen: all snapshots of a homentropic flow share theirs, so the
+    steps and pressures of the flow scan it and take its np.exp once.  A
+    state's arrays are never written after it is built, so the array
+    object stands for its values.
+
     `interpolate_fields` gathers its 4x4 patches entry-major
     (`patch_buffers`): entry (a, b) of every point's patch is one contiguous
     row of N values, so the weights and the sum over the patch run as whole
     row passes.  Those buffers grow to the largest point count seen;
     allocated per query, they were paged in afresh on every query.  A
-    `GridFlow` combines its time slice in one held full-grid buffer per
-    field (`slice_buffer`), with `scratch` as the term buffer.
+    `GridFlow` combines its time slice in the `slope` buffers, which nothing
+    reads between steps, with `scratch` as the term buffer; it drops the
+    slice before it steps.
 
     `grad_state` is the state whose rho, vx, vy and P derivatives
     `smoothness_guard` left in the `grad` slots that the right-hand side
@@ -182,16 +195,35 @@ class _Workspace:
         self.mask = np.empty(shape, dtype=bool)
         self.grad_state = None
         self.pressure_state = None
+        self._entropy = (None, None)        # an entropy array, its frozen_exp
         self._flat = np.empty(0, dtype=np.intp)
         self._patch = np.empty(0)
-        self._slice = {}
+
+    def frozen_exp(self, entropy):
+        """exp(S) as one float if the entropy array is frozen, else None.
+
+        Frozen means that `_frozen` holds and that np.exp of the array, the
+        call a pressure makes, gives one value at every node.  A pressure
+        may then multiply by that float: x * e is the same whether e is a
+        float or an array of e.  `scratch` and `mask` serve as scratch."""
+        if self._entropy[0] is not entropy:
+            factor = None
+            if _frozen(entropy, self.mask):
+                e = np.exp(entropy, out=self.scratch)
+                if np.equal(e, e.flat[0], out=self.mask).all():
+                    factor = float(e.flat[0])
+            self._entropy = (entropy, factor)
+        return self._entropy[1]
 
     def state_pressure(self, state):
-        """`pressure`, holding the pressure of `state`: computed into it,
-        with `scratch` as the temporary, unless it holds that already."""
+        """`pressure`, holding the pressure of `state`.  Unless it holds
+        that already, the pressure is computed into it, with `scratch`
+        taking exp(S) where S is not frozen."""
         if self.pressure_state is not state:
-            _pressure_into(state.rho, state.entropy, state.gamma, self.pressure,
-                           self.scratch)
+            factor = self.frozen_exp(state.entropy)
+            exp_s = (np.exp(state.entropy, out=self.scratch) if factor is None
+                     else factor)
+            _pressure_into(state.rho, exp_s, state.gamma, self.pressure)
             self.pressure_state = state
         return self.pressure
 
@@ -204,30 +236,51 @@ class _Workspace:
         return (self._flat[:16 * n].reshape(4, 4, n),
                 self._patch[:16 * n].reshape(4, 4, n))
 
-    def slice_buffer(self, name):
-        """The held full-grid buffer of time-slice field `name`."""
-        buf = self._slice.get(name)
-        if buf is None:
-            buf = self._slice[name] = np.empty(self.shape)
-        return buf
-
     def check(self, state):
         if state.shape != self.shape:
             raise ValueError(f"workspace for {self.shape} given a {state.shape} state")
 
 
+class _Edges(NamedTuple):
+    """The indices and edge buffers of `_d4_into` along one axis of one grid
+    shape: the slices of a field's lines, and the gathered wrap-around edge
+    lines with their result and scratch arrays, and views of them."""
+    inner: tuple        # slices at i-2, i-1, i+1, i+2 of the field (flattened
+                        # along axis 1), for the lines i = 2 .. n-3
+    mid: slice          # the lines 2 .. n-3 of the result, likewise
+    last4: tuple        # index of the lines n-4 .. n-1 of a field
+    first4: tuple       # of the lines 0 .. 3
+    last2: tuple        # of the lines n-2 and n-1
+    first2: tuple       # of the lines 0 and 1
+    lead: np.ndarray    # gathered lines 0 .. 3, which take lines n-4 .. n-1
+    trail: np.ndarray   # gathered lines 4 .. 7, which take lines 0 .. 3
+    shifted: tuple      # gathered lines k .. k+3 for k = 0, 1, 3, 4
+    result: np.ndarray  # their derivative, the lines n-2, n-1, 0, 1
+    tmp: np.ndarray
+    result_last: np.ndarray     # result lines 0, 1: lines n-2 and n-1
+    result_first: np.ndarray    # result lines 2, 3: lines 0 and 1
+
+
 def _edge_buffers(shape, axis):
-    """The gathered edge lines of `_d4_into` along `axis`, with their
-    result and scratch arrays."""
-    lines = list(shape)
-    lines[axis] = 8
-    result = list(shape)
-    result[axis] = 4
-    return np.empty(lines), np.empty(result), np.empty(result)
+    """The `_Edges` of `_d4_into` along `axis` for fields of `shape`."""
+    def lines(start, stop):
+        return (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
 
-
-def _lines(axis, start, stop):
-    return (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
+    n = shape[axis]
+    m = shape[0] if axis == 0 else shape[0] * shape[1]
+    gathered = list(shape)
+    gathered[axis] = 8
+    edge = np.empty(gathered)
+    derived = list(shape)
+    derived[axis] = 4
+    result = np.empty(derived)
+    return _Edges(
+        inner=tuple(slice(k, m - 4 + k) for k in (0, 1, 3, 4)), mid=slice(2, m - 2),
+        last4=lines(n - 4, n), first4=lines(0, 4), last2=lines(n - 2, n),
+        first2=lines(0, 2), lead=edge[lines(0, 4)], trail=edge[lines(4, 8)],
+        shifted=tuple(edge[lines(k, k + 4)] for k in (0, 1, 3, 4)), result=result,
+        tmp=np.empty(derived), result_last=result[lines(0, 2)],
+        result_first=result[lines(2, 4)])
 
 
 def _d4_core(fm2, fm1, fp1, fp2, h, out, tmp):
@@ -246,20 +299,19 @@ def _d4_into(f, h, axis, out, edges, tmp):
     Lines 2 .. n-3 come from contiguous shifted slices of f; along axis 1
     these are slices of the flattened array, whose neighbours across a row
     end are wrong in the first and last two columns.  The lines 0, 1, n-2
-    and n-1 are then (re)done from `edges`: the lines n-4 .. n-1, 0 .. 3 of f
-    gathered into a small buffer, with its own result and scratch arrays."""
-    n = f.shape[axis]
+    and n-1 are then (re)done from `edges` (`_Edges`, built once per
+    workspace): the lines n-4 .. n-1, 0 .. 3 of f gathered into a small
+    buffer, with its own result and scratch arrays."""
     src, dst, scr = (f, out, tmp) if axis == 0 else (
         f.reshape(-1), out.reshape(-1), tmp.reshape(-1))
-    m = len(src)
-    _d4_core(src[0:m - 4], src[1:m - 3], src[3:m - 1], src[4:m], h,
-             dst[2:m - 2], scr[2:m - 2])
-    edge, e_out, e_tmp = edges
-    edge[_lines(axis, 0, 4)] = f[_lines(axis, n - 4, n)]
-    edge[_lines(axis, 4, 8)] = f[_lines(axis, 0, 4)]
-    _d4_core(*(edge[_lines(axis, k, k + 4)] for k in (0, 1, 3, 4)), h, e_out, e_tmp)
-    out[_lines(axis, n - 2, n)] = e_out[_lines(axis, 0, 2)]
-    out[_lines(axis, 0, 2)] = e_out[_lines(axis, 2, 4)]
+    fm2, fm1, fp1, fp2 = edges.inner
+    _d4_core(src[fm2], src[fm1], src[fp1], src[fp2], h, dst[edges.mid],
+             scr[edges.mid])
+    edges.lead[...] = f[edges.last4]
+    edges.trail[...] = f[edges.first4]
+    _d4_core(*edges.shifted, h, edges.result, edges.tmp)
+    out[edges.last2] = edges.result_last
+    out[edges.first2] = edges.result_first
     return out
 
 
@@ -298,12 +350,14 @@ def _max_hypot(gx, gy, add=0.0, buf=None, tmp=None, mask=None):
     return float(exact.max())
 
 
-def _pressure_into(rho, entropy, gamma, out, tmp):
-    """out = rho ** gamma * exp(entropy), the pressure of the state relation."""
+def _pressure_into(rho, exp_s, gamma, out):
+    """out = rho ** gamma * exp(S), the pressure of the state relation;
+    `exp_s` is exp(S), an array or the one float of a frozen S.  A factor of
+    exactly 1.0 is skipped, since x * 1.0 is x."""
     out[...] = rho
     out **= gamma               # the same power dispatch as `rho ** gamma`
-    np.exp(entropy, out=tmp)
-    out *= tmp
+    if np.ndim(exp_s) or exp_s != 1.0:
+        out *= exp_s
     return out
 
 
@@ -383,9 +437,10 @@ def step(state, dt, work=None):
 
     `work` is a `_Workspace` for the state's shape; with it the step
     allocates only the arrays of the state it returns.  Without it the step
-    uses a workspace of its own.  The pressure of `state` comes from
-    `work.state_pressure` (computed there unless a guard or CFL call on this
-    state left it), and each later stage computes its own into the same
+    uses a workspace of its own.  It overwrites the workspace's stage,
+    slope, derivative and pressure buffers.  The pressure of `state` comes
+    from `work.state_pressure` (computed there unless a guard or CFL call on
+    this state left it), and each later stage computes its own into the same
     buffer.  The slopes are summed as ((k1 + 2 k2) + 2 k3) + k4 straight
     into the new state's arrays, stage by stage, so one set of slope buffers
     serves k2, k3 and k4.
@@ -394,9 +449,11 @@ def step(state, dt, work=None):
     finite value other than -0.0, its centred differences are exactly +0,
     so every dS is +-0 and every RK stage, and the new state, would carry S
     bit for bit.  The step then evolves (rho, vx, vy) alone and the new
-    state shares the `entropy` array of this one.  (A -0.0 field, or one
-    mixing the two zeros, can turn -0.0 cells into +0.0, so it takes the
-    general path.)
+    state shares the `entropy` array of this one; every stage pressure
+    takes the exp(S) that `work.frozen_exp` worked out once for that array.
+    (A -0.0 field, or one mixing the two zeros, can turn -0.0 cells into
+    +0.0, so it takes the general path, where each stage takes np.exp of
+    its own entropy.)
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -409,10 +466,10 @@ def step(state, dt, work=None):
 
     dx, dy = state.spacing
     gamma = state.gamma
-    n = 3 if _frozen(state.entropy, work.mask) else 4
+    factor = work.frozen_exp(state.entropy)
+    n = 4 if factor is None else 3
     u0 = (state.rho, state.vx, state.vy, state.entropy)[:n]
     u, k = work.stage[:n], work.slope[:n]
-    stage_entropy = u[3] if n == 4 else state.entropy
     new = tuple(np.empty(state.shape) for _ in range(n))
 
     def slope_into(out):
@@ -421,8 +478,8 @@ def step(state, dt, work=None):
         work.pressure_state = None              # the buffer takes a stage's
         try:
             with np.errstate(invalid="raise"):
-                p = _pressure_into(u[0], stage_entropy, gamma, work.pressure,
-                                   work.scratch)
+                exp_s = factor if n == 3 else np.exp(u[3], out=work.scratch)
+                p = _pressure_into(u[0], exp_s, gamma, work.pressure)
         except FloatingPointError as exc:
             raise NonSmoothState(
                 f"stage pressure not defined in the step from t={state.time}") from exc
@@ -469,6 +526,16 @@ class GuardReport(NamedTuple):
 def smoothness_guard(state, threshold=np.inf, work=None):
     """Max discrete gradient norm over (rho, vx, vy, P) vs. a threshold.
 
+    max_grad is bit for bit max(0.0, m_rho, m_vx, m_vy, m_P), taken left to
+    right, where m_f is `_max_hypot` of f's derivatives.  Each field's
+    largest gx**2 + gy**2 is taken first, in one square buffer.  Where those
+    are all finite and the largest, `top`, is at least 1e-280 (the square
+    of `_max_hypot`'s underflow floor), a square is within a few ulp of
+    hypot(gx, gy)**2, so a field whose largest square is below
+    top (1 - 1e-11) cannot hold the maximum: only the fields at or above
+    that go to `_max_hypot`.  Otherwise (an overflow, an underflow, a NaN)
+    every field does.
+
     `work` is an optional `_Workspace` for the state's shape, whose stage
     inputs and mask serve as scratch.  The state's pressure stays in its
     `pressure` buffer and the derivatives in its `grad` slots, where the
@@ -478,14 +545,24 @@ def smoothness_guard(state, threshold=np.inf, work=None):
     work.check(state)
     dx, dy = state.spacing
     u = (state.rho, state.vx, state.vy, state.entropy, work.state_pressure(state))
-    worst = 0.0
-    buf, tmp = work.stage[:2]
+    square, tmp = work.stage[:2]
+    tops = []
     for i in _GUARDED:
         gx, gy = work.grad[2 * i], work.grad[2 * i + 1]
         _d4_into(u[i], dx, 0, gx, work.edges[0], work.scratch)
         _d4_into(u[i], dy, 1, gy, work.edges[1], work.scratch)
-        worst = max(worst, _max_hypot(gx, gy, 0.0, buf, tmp, work.mask))
+        np.multiply(gx, gx, out=square)
+        np.multiply(gy, gy, out=tmp)
+        square += tmp
+        tops.append(float(square.max()))
     work.grad_state = state
+    top = max(tops)
+    exact = bool(np.isfinite(tops).all()) and top >= 1e-280
+    worst = 0.0
+    for i, field_top in zip(_GUARDED, tops):
+        if not exact or field_top >= top - 1e-11 * top:
+            worst = max(worst, _max_hypot(work.grad[2 * i], work.grad[2 * i + 1],
+                                          0.0, square, tmp, work.mask))
     return GuardReport(max_grad=worst, ok=worst <= threshold)
 
 
@@ -603,6 +680,11 @@ def interpolate_fields(state, pts, fields=None, work=None, out=None):
     return result
 
 
+# The fields a time slice combines, in the order of the slope buffers that
+# hold them.
+_SLICE_FIELDS = ("rho", "vx", "vy", "entropy")
+
+
 class GridFlow(FlowField):
     """A stepper run exposed as a FlowField.
 
@@ -646,11 +728,11 @@ class GridFlow(FlowField):
     The slice combines the density when it is built (a non-positive one
     raises `NonSmoothState`) and any other field only when it is first
     read, so velocity queries never combine the entropy; it is let go when
-    its stencil leaves the window.  Its fields live in the workspace's
-    slice buffers, one per field, which the next slice overwrites; a query
-    returns fresh arrays, never a view of them.  The held slice and the
-    workspace make a grid flow unsafe to query from several threads at
-    once.
+    its stencil leaves the window, and before each step.  Its fields live in
+    the workspace's stage-slope buffers, one per field, which only a step or
+    the next slice overwrites; a query returns fresh arrays, never a view of
+    them.  The held slice and the workspace make a grid flow unsafe to query
+    from several threads at once.
     """
 
     def __init__(self, initial, step_dt, guard_threshold=np.inf):
@@ -717,6 +799,7 @@ class GridFlow(FlowField):
         the window then ends at the last state before it.
         """
         while self.t_last < t - 1e-12:
+            self._slice = None                  # the step overwrites its buffers
             try:
                 nxt = step(self._states[-1], self.step_dt, work=self._workspace())
             except NonSmoothState as exc:
@@ -754,13 +837,14 @@ class GridFlow(FlowField):
 
         The flow holds the slice of one t: its stencil, its weights and the
         fields combined so far, each combined the first time it is read,
-        into the workspace's buffer of that field.  The density is combined,
-        and checked finite and positive, as the slice is built."""
+        into the workspace's slope buffer of that field (`_SLICE_FIELDS`).
+        The density is combined, and checked finite and positive, as the
+        slice is built."""
         def combined(name):
             # sum(wi * f_i): (((0 + w0 f0) + w1 f1) + w2 f2) + w3 f3.  The
             # leading 0 + only turns a -0.0 sum into +0.0, so it comes last.
             work = self._workspace()
-            acc, term = work.slice_buffer(name), work.scratch
+            acc, term = work.slope[_SLICE_FIELDS.index(name)], work.scratch
             fs = [getattr(s, name) for s in stencil]
             np.multiply(fs[0], w[0], out=acc)
             for wi, f in zip(w[1:], fs[1:]):

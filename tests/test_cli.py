@@ -282,6 +282,27 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("case", ["missing config", "directory as config",
+                                  "file as output directory"])
+def test_unreadable_inputs_are_input_errors(mini_cfg, tmp_path, capsys, case):
+    # A config that cannot be read, or an output directory that cannot be
+    # created, exits 2 with one line naming the path, not with a traceback.
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    command, config, out, named = {
+        "missing config": ("run", tmp_path / "missing.cfg", tmp_path / "o",
+                           tmp_path / "missing.cfg"),
+        "directory as config": ("run", tmp_path, tmp_path / "o", tmp_path),
+        "file as output directory": ("criteria", mini_cfg, blocker, blocker),
+    }[case]
+    rc = main([command, "--config", str(config), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"'{named}'" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_format_stability(mini_cfg, tmp_path, capsys):
     main(["criteria", "--config", str(mini_cfg), "--out", str(tmp_path / "a")])
     out1 = capsys.readouterr().out

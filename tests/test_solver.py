@@ -352,7 +352,7 @@ def random_smooth_state(shape, gamma, seed, spacing=None):
 BITWISE_CASES = [((16, 16), None), ((32, 32), None), ((32, 48), (0.03, 0.0175))]
 
 
-@pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+@pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0, 2.0])
 @pytest.mark.parametrize("shape, spacing", BITWISE_CASES)
 def test_step_matches_reference_bitwise(shape, spacing, gamma):
     st = random_smooth_state(shape, gamma, seed=sum(shape), spacing=spacing)
@@ -432,6 +432,74 @@ def test_max_hypot_is_exact(name, gx, gy):
             want = float((np.hypot(gx, gy) + add).max())
             got = solver._max_hypot(gx, gy, add)
         assert got == want or (np.isnan(got) and np.isnan(want)), (name, got, want)
+
+
+def _guard_cases():
+    """(name, four (gx, gy) pairs) in the guard's field order rho, vx, vy, P:
+    each `_hypot_cases` input in each field in turn, the others small; then
+    all zero, one field whose hypot overflows, all below 1e-140 (with normal
+    squares, and with subnormal ones), and the `flip` cells split over two
+    fields.  In the last two the larger square is the smaller hypot."""
+    rng = np.random.default_rng(12)
+    cases = list(_hypot_cases())
+    shape = cases[0][1].shape
+
+    def small(scale=1e-3):
+        return scale * rng.normal(size=shape), scale * rng.normal(size=shape)
+
+    for name, gx, gy in cases:
+        for field in range(4):
+            pairs = [small() for _ in range(4)]
+            pairs[field] = (gx, gy)
+            yield f"{name}-in-{field}", pairs
+    yield "all_zero", [(np.zeros(shape), np.zeros(shape))] * 4
+    huge = np.zeros(shape)
+    huge[5, 6] = 1.5e308                              # hypot(huge, huge) = inf
+    yield "hypot_overflow", [small(), (huge, huge), small(), small()]
+    yield "all_below_1e-140", [small(1e-150) for _ in range(4)]
+    # Squares that round to subnormals reverse two fields: rho's square
+    # rounds to 2001 ulp of the smallest subnormal, vy's two to 1000 each,
+    # yet vy's hypot is the larger.
+    pairs = [(np.zeros(shape), np.zeros(shape)) for _ in range(4)]
+    pairs[0][0][3, 3] = float.fromhex("0x1.65d314ec3ed61p-532")
+    pairs[2][0][7, 7] = pairs[2][1][7, 7] = float.fromhex("0x1.fa169f8798df3p-533")
+    yield "subnormal_squares", pairs
+    _, fx, fy = next(c for c in cases if c[0] == "flip")
+    for cells in (((1, 2), (20, 9)), ((20, 9), (1, 2))):
+        pairs = [small() for _ in range(4)]
+        for field, cell in zip((1, 3), cells):
+            gx, gy = pairs[field]
+            gx[cell], gy[cell] = fx[cell], fy[cell]
+        yield f"flip_across_fields-{cells[0][0]}", pairs
+
+
+@pytest.mark.parametrize("name, pairs", list(_guard_cases()),
+                         ids=[c[0] for c in _guard_cases()])
+def test_guard_matches_the_largest_max_hypot(monkeypatch, name, pairs):
+    # The guard's max_grad is, bit for bit, max(0.0, m_rho, m_vx, m_vy, m_P)
+    # taken left to right over the four `_max_hypot` values, whichever
+    # fields its squared maxima send to `_max_hypot`.
+    shape = pairs[0][0].shape
+    st = GridState(rho=np.ones(shape), vx=np.zeros(shape), vy=np.zeros(shape),
+                   entropy=np.zeros(shape), gamma=1.4, origin=(0.0, 0.0),
+                   spacing=(0.1, 0.1), time=0.0)
+    work = solver._Workspace(shape)
+    fields = [st.rho, st.vx, st.vy, work.pressure]
+
+    def injected(f, h, axis, out, edges, tmp):
+        (i,) = [i for i, g in enumerate(fields) if g is f]
+        out[...] = pairs[i][axis]
+        return out
+
+    monkeypatch.setattr(solver, "_d4_into", injected)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = 0.0
+        for gx, gy in pairs:
+            want = max(want, solver._max_hypot(gx, gy))
+        for threshold in (np.inf, 1.0):
+            got = smoothness_guard(st, threshold, work=work)
+            assert np.float64(got.max_grad).tobytes() == np.float64(want).tobytes()
+            assert got == (want, want <= threshold) or np.isnan(want)
 
 
 @pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
@@ -668,7 +736,7 @@ def test_off_snapshot_velocity_matches_reference():
         assert v.shape == (m, 2) and v.flags.c_contiguous and v.flags.writeable
         assert np.array_equal(v[:, 0], want["vx"][:m])
         assert np.array_equal(v[:, 1], want["vy"][:m])
-        held = [work._flat, work._patch, work.scratch, *work._slice.values()]
+        held = [work._flat, work._patch, work.scratch, *work.slope]
         assert not any(np.shares_memory(v, buf) for buf in held)
     assert np.array_equal(flow.velocity(t, pts[0]), v[0])
 
@@ -691,6 +759,60 @@ def test_time_slice_sign_of_zero_matches_the_sum():
         assert np.array_equal(np.signbit(got[n]), np.signbit(want[n])), n
         assert np.array_equal(got[n], want[n]), n
     assert not np.signbit(got["vx"]).any()
+
+
+def test_step_drops_the_time_slice():
+    # The slice lives in the step's slope buffers: a step drops it, and the
+    # query after the step combines it afresh, bit for bit the values of a
+    # flow that never held it.
+    st = random_smooth_state((32, 32), 1.4, seed=5)
+    pts = np.random.default_rng(9).uniform(-0.5, 1.5, size=(50, 2))
+    t = 0.0111
+    flow = GridFlow(st, step_dt=2e-3, guard_threshold=1e6)
+    flow.advance_to(0.02)
+    before = read_all(flow, t, pts)
+    assert flow._slice is not None
+    flow.advance_to(0.022)                    # one step
+    assert flow._slice is None
+    fresh = GridFlow(st, step_dt=2e-3, guard_threshold=1e6)
+    fresh.advance_to(0.022)
+    after, want = read_all(flow, t, pts), read_all(fresh, t, pts)
+    assert all(np.array_equal(after[n], want[n]) for n in want)
+    assert all(np.array_equal(after[n], before[n]) for n in want)
+
+
+@pytest.mark.parametrize("homentropic", [True, False])
+def test_exp_of_a_shared_entropy_is_taken_once(monkeypatch, homentropic):
+    # A homentropic flow's snapshots share one entropy array: its np.exp is
+    # taken once over three steps, and no stage takes one.  Otherwise every
+    # state's pressure and every stage k2, k3, k4 takes np.exp of its own
+    # entropy.
+    st = random_smooth_state((32, 32), 1.4, seed=2)
+    if homentropic:
+        st = with_entropy(st, np.full(st.shape, 0.7))
+    flow = GridFlow(st, step_dt=1e-3, guard_threshold=1e6)
+    calls = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        calls.append(x)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    flow.advance_to(2e-3)                     # three steps: t_last 2e-3 needs 4 snapshots
+    monkeypatch.undo()
+    assert len(flow.states) == 4
+    if homentropic:
+        assert len(calls) == 1 and calls[0] is st.entropy
+        assert all(s.entropy is st.entropy for s in flow.states)
+    else:
+        stages = [x for x in calls if x is flow._work.stage[3]]
+        states = [x for x in calls if x is not flow._work.stage[3]]
+        assert len(stages) == 3 * 3
+        assert [id(x) for x in states] == [id(s.entropy) for s in flow.states]
+    last = flow.states[-1]
+    assert flow._work.pressure_state is last           # the guard's
+    assert np.array_equal(flow._work.pressure, last.rho ** 1.4 * np.exp(last.entropy))
 
 
 def test_time_slice_with_bad_density_is_not_smooth():
