@@ -424,6 +424,11 @@ def _rk4_points(flow, pts, t_from, t_to, dt):
     """RK4 integration of dX/dt = V(t, X) for a point cloud; dt may subdivide
     the interval in either time direction.
 
+    Before each step the flow is advanced to the step's end
+    (`FlowField.advance_to`, a no-op on a closed-form flow and on a grid
+    flow already advanced that far), so a grid flow steps along with the
+    points and need only hold the time stencil of the current step.
+
     Each step computes x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), the stage
     inputs x + (h/2)*k and x + h*k3, bit for bit, in buffers allocated once
     per call: the position `x`, the sum `acc` and two stage buffers `sa` and
@@ -439,6 +444,7 @@ def _rk4_points(flow, pts, t_from, t_to, dt):
     h_mag = abs(dt)
     while abs(t_to - t) > 1e-14:
         h = direction * min(h_mag, abs(t_to - t))
+        flow.advance_to(t + h)
         k1 = flow.velocity(t, x)
         np.multiply(k1, 0.5 * h, out=sa)
         sa += x

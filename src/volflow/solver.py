@@ -19,14 +19,16 @@ results are bit-for-bit those of the unbuffered formulas.
 
 A `GridFlow` wraps a run of the stepper as a queryable flow: off-node and
 off-step queries use separable cubic Lagrange interpolation (bicubic in
-space, cubic in time), consistent with the scheme's order.  It holds a
-window of snapshots, from the time stencil of the earliest time its consumer
-will still query (`keep_from`) to the latest step, so its memory grows with
-the grid and the consumer's stride, not with the horizon.  A snapshot holds
-rho, vx and vy and its entropy array.  The flow creates its workspace on the
-first step and holds at most one time slice between snapshots, with only the
-fields read at its time, in the workspace's stage-slope buffers; a step
-drops it.
+space, cubic in time), consistent with the scheme's order.  It holds an
+anchor, the first snapshot of the earliest time its consumer will still
+query (`keep_from`), and a window from the time stencil of the latest query
+to the latest step; a consumer that advances it one RK step at a time so
+holds one step's stencil, and its memory grows with the grid, not with the
+horizon or the sample stride.  What it let go it re-steps from the anchor
+when a query goes back.  A snapshot holds rho, vx and vy and its entropy
+array.  The flow creates its workspace on the first step and holds at most
+one time slice between snapshots, with only the fields read at its time, in
+the workspace's stage-slope buffers; a step drops it.
 
 A homentropic state (S the same finite value, not -0.0, at every node)
 keeps its entropy exactly under the scheme, so `step` evolves only
@@ -128,7 +130,8 @@ class GridState:
         c = sqrt(gamma P / rho); `work` is an optional `_Workspace`, which
         supplies the pressure (`state_pressure`) and whose stage inputs and
         mask serve as scratch (the derivatives a guard left in its `grad`
-        slots stay)."""
+        slots stay).  A top speed that is not finite (an overflowing
+        pressure) raises `NonSmoothState`: the state admits no step."""
         if work is None:
             p = c = self.pressure           # a fresh pressure, so c may reuse it
             buf, tmp, mask = None, None, None
@@ -139,6 +142,8 @@ class GridState:
         c /= self.rho
         np.sqrt(c, out=c)
         top = _max_hypot(self.vx, self.vy, c, buf, tmp, mask)
+        if not np.isfinite(top):
+            raise NonSmoothState(f"top wave speed {top} at t={self.time}")
         return number * min(self.spacing) / top
 
     def mass(self):
@@ -534,7 +539,8 @@ def smoothness_guard(state, threshold=np.inf, work=None):
     hypot(gx, gy)**2, so a field whose largest square is below
     top (1 - 1e-11) cannot hold the maximum: only the fields at or above
     that go to `_max_hypot`.  Otherwise (an overflow, an underflow, a NaN)
-    every field does.
+    every field does.  A NaN field maximum makes max_grad NaN (Python's max
+    would drop it), and a max_grad that is not finite is never ok.
 
     `work` is an optional `_Workspace` for the state's shape, whose stage
     inputs and mask serve as scratch.  The state's pressure stays in its
@@ -561,9 +567,10 @@ def smoothness_guard(state, threshold=np.inf, work=None):
     worst = 0.0
     for i, field_top in zip(_GUARDED, tops):
         if not exact or field_top >= top - 1e-11 * top:
-            worst = max(worst, _max_hypot(work.grad[2 * i], work.grad[2 * i + 1],
-                                          0.0, square, tmp, work.mask))
-    return GuardReport(max_grad=worst, ok=worst <= threshold)
+            m = _max_hypot(work.grad[2 * i], work.grad[2 * i + 1], 0.0, square,
+                           tmp, work.mask)
+            worst = m if np.isnan(m) else max(worst, m)
+    return GuardReport(max_grad=worst, ok=bool(np.isfinite(worst)) and worst <= threshold)
 
 
 # -- interpolation -----------------------------------------------------------
@@ -700,35 +707,47 @@ class GridFlow(FlowField):
     the time of the next-to-last snapshot once there are four, else `t0`,
     and `advance_to(t)` steps one snapshot past t.
 
-    The flow holds a window of snapshots, not the whole run.  A consumer
-    names the earliest time it will still query with `keep_from(t)`; from
-    then on the flow holds only the snapshots from t's time stencil on (and
-    always the last two, which `t_last` and the next step need), and drops
-    older ones as it steps.  A consumer that steps along with its queries,
-    calling `keep_from` at each of its sample times, so holds about one
-    sample stride of snapshots, whatever the horizon.  Until `keep_from` is
-    called the flow keeps everything.  A query whose stencil was dropped
-    raises `SnapshotDropped`.  `keep_from(t)` with t's stencil behind the
-    window restarts the window at the initial state, which the flow always
-    keeps; the next `advance_to` replays the same deterministic steps, so
-    every snapshot, and every answer, is bit for bit the one of the first
-    run.
+    The flow holds an anchor and a window of snapshots, not the whole run.
+    A consumer names the earliest time it will still query with
+    `keep_from(t)`; the first snapshot of t's stencil is the anchor.  As the
+    flow steps, the window keeps the snapshots from the stencil of the
+    latest query on (never from before the anchor, and always the last two,
+    which `t_last` and the next step need), and the anchor is held apart
+    once the window has moved past it.  A consumer that advances the flow
+    from inside its integrator, one RK step ahead of its queries (as
+    `matvol._rk4_points` does), and calls `keep_from` at each of its sample
+    times, so holds the anchor and about one RK step's stencil, whatever the
+    horizon and the sample stride.  Until `keep_from` is called the flow
+    keeps everything.  A query whose stencil starts before the anchor, at a
+    snapshot no longer held, raises `SnapshotDropped`.
 
-    The first `advance_to` that steps creates a `_Workspace` for the grid
-    shape, which every later step, guard call and interpolation reuses, so a
-    step allocates only the state it returns.  A snapshot holds three arrays
-    of its own (rho, vx, vy) and its entropy, which all snapshots of a
-    homentropic flow share; no snapshot holds a pressure.  The guard leaves
-    the pressure of the newest snapshot in the workspace, where the next
-    step reads it.  A query between snapshots reads a full-grid time slice;
-    the flow holds at most one such slice, keyed on t, so the RK4 stages of
-    an advection step that share a time, and the two `fields` queries of one
-    sample (nodes, then boundary midpoints), share it.  A `fields` query
-    interpolates all the fields it names in one `interpolate_fields` call.
-    The slice combines the density when it is built (a non-positive one
-    raises `NonSmoothState`) and any other field only when it is first
-    read, so velocity queries never combine the entropy; it is let go when
-    its stencil leaves the window, and before each step.  Its fields live in
+    One replay rule re-steps what the flow let go: the window restarts at
+    the latest snapshot held at or before the time needed, that is the
+    anchor, or the initial state, which the flow always keeps as the anchor
+    of last resort.  A query whose stencil lies between the anchor and the
+    window re-steps that gap from the anchor, once, and keeps the window
+    after it, so later queries there (a bisection) find the gap held.
+    `keep_from(t)` with t's stencil behind the window restarts the window
+    and drops the rest; the next `advance_to` re-steps it.  The steps are
+    deterministic, so every snapshot, and every answer, is bit for bit the
+    one of the first run; a re-step runs no guard, which passed the first
+    time.
+
+    The first step creates a `_Workspace` for the grid shape, which every
+    later step, guard call and interpolation reuses, so a step allocates
+    only the state it returns.  A snapshot holds three arrays of its own
+    (rho, vx, vy) and its entropy, which all snapshots of a homentropic flow
+    share; no snapshot holds a pressure.  The guard leaves the pressure of
+    the newest snapshot in the workspace, where the next step reads it.  A
+    query between snapshots reads a full-grid time slice; the flow holds at
+    most one such slice, keyed on t, so the RK4 stages of an advection step
+    that share a time, and the two `fields` queries of one sample (nodes,
+    then boundary midpoints), share it.  A `fields` query interpolates all
+    the fields it names in one `interpolate_fields` call.  The slice
+    combines the density when it is built (a non-positive one raises
+    `NonSmoothState`) and any other field only when it is first read, so
+    velocity queries never combine the entropy; it is let go when its
+    stencil leaves the window, and before each step.  Its fields live in
     the workspace's stage-slope buffers, one per field, which only a step or
     the next slice overwrites; a query returns fresh arrays, never a view of
     them.  The held slice and the workspace make a grid flow unsafe to query
@@ -745,9 +764,13 @@ class GridFlow(FlowField):
         self._initial = initial
         # The window: snapshots number _base, _base + 1, ... of the run
         # (number 0 is the initial state); _keep is the number of the first
-        # snapshot the consumer will still query.
+        # snapshot the consumer will still query, the anchor, held apart in
+        # _anchor while the window starts after it (else None); _query is
+        # the first snapshot number of the latest query's stencil, None
+        # until the first keep_from.
         self._states = [initial]
         self._base = self._keep = 0
+        self._anchor = self._query = None
         self._work = None
         # The held time slice: its t, the number of its stencil's first
         # snapshot, the stencil, its weights and the fields combined so far.
@@ -764,8 +787,10 @@ class GridFlow(FlowField):
 
     @property
     def states(self):
-        """The snapshots the window holds, oldest first."""
-        return tuple(self._states)
+        """The snapshots the flow holds, oldest first: the anchor while the
+        window starts after it, then the window."""
+        window = tuple(self._states)
+        return window if self._anchor is None else (self._anchor,) + window
 
     def _stencil_start(self, t):
         """Number of the first snapshot of t's time stencil."""
@@ -774,18 +799,34 @@ class GridFlow(FlowField):
     def keep_from(self, t):
         """Hold only the snapshots that queries at time t and later need.
 
-        A t whose stencil lies behind the window restarts it at the initial
-        state; the next `advance_to` replays the steps."""
+        A t whose stencil lies behind the window restarts it (`_restart`);
+        the next `advance_to` re-steps the rest."""
         k = self._stencil_start(t)
         if k < self._base:
-            self._states, self._base = [self._initial], 0
-            self._slice = None
-        self._keep = k
+            self._restart(k)
+        self._keep = self._query = k
+        self._anchor = None                 # at or ahead of the window start
         self._trim()
 
+    def _restart(self, k):
+        """Restart the window at the latest snapshot held at or before
+        number k: the anchor, or else the initial state."""
+        if self._anchor is not None and self._keep <= k:
+            self._states, self._base = [self._anchor], self._keep
+        else:
+            self._states, self._base = [self._initial], 0
+        self._anchor = None
+        self._slice = None                  # re-steps overwrite its buffers
+
     def _trim(self):
-        drop = min(self._keep - self._base, len(self._states) - 2)
+        """Drop the window's snapshots before both the anchor and the
+        stencil of the latest query, except the last two; the anchor is
+        held apart once the window starts after it."""
+        lo = self._keep if self._query is None else max(self._keep, self._query)
+        drop = min(lo - self._base, len(self._states) - 2)
         if drop > 0:
+            if self._base <= self._keep < self._base + drop:
+                self._anchor = self._states[self._keep - self._base]
             del self._states[:drop]
             self._base += drop
             if self._slice is not None and self._slice[1] < self._base:
@@ -793,7 +834,8 @@ class GridFlow(FlowField):
 
     def advance_to(self, t):
         """Step the solver until the window covers time t's stencil,
-        dropping the snapshots that `keep_from` released as it steps.
+        dropping the snapshots that the latest query and `keep_from`
+        released as it steps.
 
         Raises SmoothnessLost when the guard trips or a step is not smooth;
         the window then ends at the last state before it.
@@ -823,12 +865,20 @@ class GridFlow(FlowField):
                 f"grid flow not advanced to t={t} (have [{self.t0}, {self.t_last}])")
 
     def _held(self, k, count, t):
-        """Snapshots number k .. k + count - 1 that the window holds (fewer
-        past its end)."""
+        """Snapshots number k .. k + count - 1 (fewer past the window's end).
+        Between the anchor and the window, the gap is re-stepped from the
+        anchor first."""
         if k < self._base:
-            raise SnapshotDropped(
-                f"grid flow dropped the snapshots of t={t} (its window starts "
-                f"at t={self._states[0].time})")
+            if k < self._keep:
+                raise SnapshotDropped(
+                    f"grid flow dropped the snapshots of t={t} (it holds them "
+                    f"from t={self.states[0].time})")
+            window, start = self._states, self._base
+            self._restart(k)
+            while self._base + len(self._states) < start:
+                self._states.append(step(self._states[-1], self.step_dt,
+                                         work=self._workspace()))
+            self._states += window
         return self._states[k - self._base:k - self._base + count]
 
     def _time_slice(self, t, names):
@@ -870,12 +920,14 @@ class GridFlow(FlowField):
         return {n: fields[n] for n in names}
 
     def _nearest_snapshot(self, t):
+        """The number of the snapshot nearest t, and that snapshot if it is
+        at t (else None)."""
         k = int(round((t - self.t0) / self.step_dt))
         if 0 <= k < self._base + len(self._states):
             (state,) = self._held(k, 1, t)
             if abs(state.time - t) <= 1e-12:
-                return state
-        return None
+                return k, state
+        return k, None
 
     def fields(self, t, pts, names):
         """One interpolation of every field named: "velocity" is read as vx
@@ -886,11 +938,15 @@ class GridFlow(FlowField):
         vel = np.empty(flat.shape)
         parts = {"velocity": (("vx", vel[:, 0]), ("vy", vel[:, 1]))}
         read = [p for n in names for p in parts.get(n, ((n, None),))]
-        state = self._nearest_snapshot(t)
+        k, state = self._nearest_snapshot(t)
         if state is None:
-            state, grid = self._states[-1], self._time_slice(t, [g for g, _ in read])
+            grid = self._time_slice(t, [g for g, _ in read])
+            state, first = self._states[-1], self._slice[1]
         else:
             grid = {g: getattr(state, g) for g, _ in read}
+            first = max(k - 1, 0)       # the stencil start of any later time
+        if self._query is not None:
+            self._query = first
         got = interpolate_fields(state, flat, grid, work=self._work,
                                  out=[o for _, o in read])
         got["velocity"] = vel

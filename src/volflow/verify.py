@@ -430,11 +430,14 @@ def run_theorem_scenario(scenario):
     regularity flux and the energy drift, and refines any boundary attainment
     by bisection.
 
-    The flow is advanced along with the volume, to each sample instant in
-    turn, and told after each sample that no earlier time will be queried
-    (`keep_from`), so a grid flow holds about one sample stride of
-    snapshots.  Where the flow loses smoothness the horizon ends at its last
-    smooth time; where a sample finds it not smooth (`NonSmoothSample`), or
+    The advection advances the flow one RK step ahead of the volume
+    (`matvol._rk4_points`), and the flow is told after each sample that no
+    earlier time will be queried (`keep_from`), so a grid flow holds the
+    sample's anchor snapshot and one RK step's time stencil, whatever the
+    sample stride; a hit's bisection re-steps the stride behind the window
+    once.  Where the flow loses smoothness the horizon ends at its last
+    smooth time, and the advection is retried from the same sample to it;
+    where a sample finds it not smooth (`NonSmoothSample`), or
     an advection or a sample reads a grid time slice whose density is not
     positive (`NonSmoothState`), at the sample before.  A run that ends
     early (a hit, or a node at the target floor) still advances the flow to
@@ -464,19 +467,12 @@ def run_theorem_scenario(scenario):
     n_steps = int(math.ceil(horizon / dt - 1e-9))
     stride = cfg.sample_stride
 
-    # Advance one advection call per sample instant (stride steps of dt
-    # inside); the boundary self-intersection detector runs per call.
+    # One advection call per sample instant (stride steps of dt inside);
+    # the boundary self-intersection detector runs per call.
     k = stride
     try:
         while k < n_steps + stride:
             t_k = min(k * dt, horizon)
-            try:
-                flow.advance_to(t_k)
-            except SmoothnessLost as exc:
-                horizon = flow.t_last
-                detail = f"smoothness lost at t={exc.time}; "
-                n_steps = int(math.ceil(horizon / dt - 1e-9))
-                continue
             prev = vol
             try:
                 vol = _advect_any(vol, flow, t_k, dt)
@@ -485,6 +481,12 @@ def run_theorem_scenario(scenario):
                     hit_time = _refine_hit(prev, flow, prev.time, t_k, inp.epsilon, dt)
                     break
                 s = sample(flow, vol, phi, inp.epsilon)
+            except SmoothnessLost as exc:
+                # Only the advection steps the flow, so vol is still prev.
+                horizon = flow.t_last
+                detail = f"smoothness lost at t={exc.time}; "
+                n_steps = int(math.ceil(horizon / dt - 1e-9))
+                continue
             except (NonSmoothSample, NonSmoothState) as exc:
                 horizon = prev.time
                 detail += f"{exc}; "

@@ -161,6 +161,57 @@ def test_expansion_window_convergence():
     assert np.log2(errs[1] / errs[2]) >= 1.9
 
 
+def isentropic_vortex(pts, t, u_inf, beta=5.0, gamma=1.4, extent=20.0):
+    """The isentropic vortex (Yee, Sandham & Djomehri, J. Comput. Phys. 150,
+    1999) of strength beta centred at (u_inf t, 0) in the periodic box
+    [-extent/2, extent/2)^2: rho, vx and vy at pts (..., 2), with S = 0.
+    Its pressure gradient balances the centripetal acceleration, so it
+    checks the -grad P / rho term; its periodic images are below e^-50."""
+    x = (pts[..., 0] - u_inf * t + 0.5 * extent) % extent - 0.5 * extent
+    y = pts[..., 1]
+    e = np.exp(0.5 * (1.0 - (x * x + y * y)))
+    temp = 1.0 - (gamma - 1.0) * beta ** 2 / (8.0 * gamma * np.pi ** 2) * e * e
+    swirl = beta / (2.0 * np.pi) * e
+    return temp ** (1.0 / (gamma - 1.0)), u_inf - swirl * y, swirl * x
+
+
+@pytest.mark.parametrize("u_inf, node_err, query_err", [
+    (0.0, 3.5e-4, 3.0e-4),          # measured 1.75e-4 and 1.49e-4 at 128^2
+    (1.0, 1.4e-3, 1.5e-3),          # measured 6.82e-4 and 7.28e-4
+], ids=["stationary", "convected"])
+def test_isentropic_vortex_order(u_inf, node_err, query_err):
+    # The solver against an exact solution with a pressure gradient, to
+    # t = 2 at dt = 0.5 CFL, on 32^2, 64^2 and 128^2: the max error over
+    # rho, vx and vy at the nodes, and read through GridFlow.fields at
+    # points off the nodes at a time between steps (bicubic in space, cubic
+    # in time).  Measured orders 3.4-4.1; with p_x / rho and p_y / rho
+    # scaled by 0.9 the node error stalls near 3e-2.
+    t_final, t_query = 2.0, 1.913
+    pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(200, 2))
+    nodes, queries = [], []
+    for n in (32, 64, 128):
+        h = 20.0 / n
+        c = -10.0 + h * np.arange(n)
+        grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
+        rho, vx, vy = isentropic_vortex(grid, 0.0, u_inf)
+        st = GridState(rho=rho, vx=vx, vy=vy, entropy=np.zeros((n, n)), gamma=1.4,
+                       origin=(-10.0, -10.0), spacing=(h, h), time=0.0)
+        flow = GridFlow(st, step_dt=t_final / np.ceil(t_final / (0.5 * st.cfl_limit())))
+        flow.keep_from(t_query)
+        flow.advance_to(t_final)
+        (last,) = [s for s in flow.states if abs(s.time - t_final) <= 1e-12]
+        want = isentropic_vortex(grid, t_final, u_inf)
+        nodes.append(max(np.abs(getattr(last, f) - w).max()
+                         for f, w in zip(("rho", "vx", "vy"), want)))
+        got = flow.fields(t_query, pts, ("rho", "velocity"))
+        want = isentropic_vortex(pts, t_query, u_inf)
+        queries.append(max(np.abs(g - w).max() for g, w in zip(
+            (got["rho"], got["velocity"][:, 0], got["velocity"][:, 1]), want)))
+    for errs, bound in ((nodes, node_err), (queries, query_err)):
+        assert min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])) >= 3.0
+        assert errs[2] <= bound
+
+
 def test_smoothness_guard_constant():
     report = smoothness_guard(uniform_state(), threshold=1e-9)
     assert report.max_grad == 0.0
@@ -251,6 +302,29 @@ def test_grid_flow_breakdown_is_lost_smoothness():
     assert np.isnan(exc.value.max_grad)
     assert flow.t_last == pytest.approx(0.143)
     assert all(np.all(np.isfinite(s.vx)) for s in flow.states)
+
+
+def test_overflowing_pressure_is_lost_smoothness():
+    # exp(800) overflows, so the pressure is inf on the block, its
+    # derivatives hold NaN and the sound speed is inf.  The guard used to
+    # fold the NaN away (max_grad 0.0, ok) and the step to refuse a CFL
+    # limit of 0.0 with a ValueError, which the CLI reports as a config
+    # error.
+    n = 32
+    entropy = np.zeros((n, n))
+    entropy[8:16, 8:16] = 800.0
+    st = with_entropy(uniform_state(n, vx=0.0, vy=0.0), entropy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = smoothness_guard(st, threshold=50.0)
+        assert np.isnan(report.max_grad) and not report.ok
+        with pytest.raises(NonSmoothState, match="top wave speed inf"):
+            st.cfl_limit()
+        flow = GridFlow(st, step_dt=1e-3, guard_threshold=50.0)
+        with pytest.raises(SmoothnessLost) as exc:
+            flow.advance_to(0.01)
+    assert isinstance(exc.value.__cause__, NonSmoothState)
+    assert exc.value.time == pytest.approx(1e-3)
+    assert flow.t_last == 0.0
 
 
 # -- bitwise references --------------------------------------------------------
@@ -478,7 +552,9 @@ def _guard_cases():
 def test_guard_matches_the_largest_max_hypot(monkeypatch, name, pairs):
     # The guard's max_grad is, bit for bit, max(0.0, m_rho, m_vx, m_vy, m_P)
     # taken left to right over the four `_max_hypot` values, whichever
-    # fields its squared maxima send to `_max_hypot`.
+    # fields its squared maxima send to `_max_hypot`; but a NaN m_f, which
+    # Python's max would drop, makes it NaN.  One that is not finite is
+    # never ok, whatever the threshold.
     shape = pairs[0][0].shape
     st = GridState(rho=np.ones(shape), vx=np.zeros(shape), vy=np.zeros(shape),
                    entropy=np.zeros(shape), gamma=1.4, origin=(0.0, 0.0),
@@ -493,13 +569,15 @@ def test_guard_matches_the_largest_max_hypot(monkeypatch, name, pairs):
 
     monkeypatch.setattr(solver, "_d4_into", injected)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        want = 0.0
-        for gx, gy in pairs:
-            want = max(want, solver._max_hypot(gx, gy))
+        maxima = [solver._max_hypot(gx, gy) for gx, gy in pairs]
+        want = max(0.0, *maxima)
         for threshold in (np.inf, 1.0):
             got = smoothness_guard(st, threshold, work=work)
+            if np.isnan(maxima).any():
+                assert np.isnan(got.max_grad) and not got.ok
+                continue
             assert np.float64(got.max_grad).tobytes() == np.float64(want).tobytes()
-            assert got == (want, want <= threshold) or np.isnan(want)
+            assert got.ok == (np.isfinite(want) and want <= threshold)
 
 
 @pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
@@ -928,6 +1006,52 @@ def test_window_replays_the_same_snapshots():
         assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
     after, want = read_all(flow, 0.0055, pts), read_all(whole, 0.0055, pts)
     assert all(np.array_equal(after[n], want[n]) for n in want)
+
+
+def test_query_behind_the_window_re_steps_the_gap_once(monkeypatch):
+    # A consumer that advances the flow one step ahead of its queries holds
+    # the anchor (the first snapshot of the keep_from time's stencil) and
+    # the stencil of its latest query.  A query back at the keep_from time
+    # re-steps the snapshots between the anchor and the window from the
+    # anchor, once, and answers bit for bit as a flow that keeps everything.
+    st = random_smooth_state((32, 32), 1.4, seed=7)
+    pts = np.array([[-0.1, 0.9], [0.35, 1.2]])
+    whole = GridFlow(st, step_dt=1e-3, guard_threshold=1e6)
+    whole.advance_to(0.02)
+    flow = GridFlow(st, step_dt=1e-3, guard_threshold=1e6)
+    steps = []
+    real_step = solver.step
+
+    def counting(state, *args, **kwargs):
+        steps.append(state.time)
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counting)
+    flow.keep_from(0.0045)                      # the anchor is snapshot 3
+    h = 5e-4
+    for t in 0.0045 + h * np.arange(21):        # RK4 steps, as _rk4_points
+        flow.advance_to(t + h)
+        for s in (t, t + 0.5 * h, t + h):
+            read_all(flow, s, pts)
+        assert len(flow.states) <= 6
+    anchor = flow.states[0]
+    assert [s.time for s in flow.states] == [whole.states[k].time
+                                             for k in (3, 13, 14, 15, 16)]
+    assert len(steps) == 16
+    for t in (0.0045, 0.0098, 0.0061, 0.0149):   # back to the keep_from time
+        got, want = read_all(flow, t, pts), read_all(whole, t, pts)
+        assert all(np.array_equal(got[n], want[n]) for n in want)
+    assert steps[16:] == [s.time for s in whole.states[3:12]]   # 4 .. 12, once
+    assert flow.states[0] is anchor and len(flow.states) == 14
+    names = ("rho", "vx", "vy", "entropy")
+    for a, b in zip(flow.states, whole.states[3:]):
+        assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
+    for t in (0.0035, 0.002):                   # before the keep_from stencil
+        with pytest.raises(SnapshotDropped):
+            flow.fields(t, pts, ("rho",))
+    flow.advance_to(0.0165)       # the gap goes as the flow steps past 0.0149
+    assert [s.time for s in flow.states] == [whole.states[k].time
+                                             for k in (3, *range(13, 19))]
 
 
 def test_window_ahead_holds_the_last_two_snapshots():
