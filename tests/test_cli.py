@@ -690,6 +690,20 @@ def test_grid_blowup_ends_the_horizon(tmp_path, capsys):
     assert all("nan" not in p.read_text() for p in files)
 
 
+def test_overflowing_pressure_ends_the_horizon(tmp_path, capsys):
+    # exp(800) overflows on a block outside the volume, so the first step
+    # has no finite CFL limit: the smooth horizon ends at t = 0.  This was
+    # a config error (exit 2): "CFL violated: ... exceeds limit 0.0".
+    path = _grid_config(tmp_path, "flow.grid.S = where((x > 2) & (x < 3) & "
+                                  "(y > 2) & (y < 3), 800.0, 0.0)\n")
+    with np.errstate(over="ignore"):
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert report["horizon"] == "0.0" and report["series_rows"] == "1"
+    assert report["detail"] == "smoothness lost at t=0.005;"
+
+
 def test_grid_blowup_lemma_time_not_smooth_names_verify_times(tmp_path, capsys):
     # The flow is still smooth at t = 0.982 + 2h, but its density is not
     # positive at a boundary midpoint of the lemma sample there.
@@ -803,7 +817,7 @@ WINDOW_CASES = {
         "positive at a boundary midpoint at t=0.98499999999999;"], 8),
     # The hit at t ~ 0.1999 comes before smoothness is lost at t = 0.685:
     # the flow is still advanced to T for the horizon and the detail.  The
-    # bisection re-steps at most the stride behind the window, of 4 steps.
+    # bisection may re-step at most one stride (4 steps).
     "hit_before_loss_run": ("run", _RADIAL + "\nepsilon = 0.8\nT = 0.9\n", 0, [
         "verdict: consistent_hit", "horizon: 0.6750000000000005",
         "detail: smoothness lost at t=0.6850000000000005;"], 4),
