@@ -70,9 +70,8 @@ class FlowField:
     def keep_from(self, t):
         """Declare that the flow will not be queried before time t again, so
         a flow that stores its past may drop what lies before; a closed-form
-        flow stores none.  Querying before t later is an error until
-        `keep_from` is called with that earlier time (and the flow advanced
-        again)."""
+        flow stores none.  Querying before t later is an error, unless
+        `keep_from` is first called with that earlier time."""
 
     def check_time(self, t):
         """Raise ValueError if t lies outside the declared time window."""

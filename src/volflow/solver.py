@@ -17,18 +17,11 @@ belongs to; a state itself holds no pressure.  Every buffered operation is
 the one the plain NumPy expression would perform, in the same order, so
 results are bit-for-bit those of the unbuffered formulas.
 
-A `GridFlow` wraps a run of the stepper as a queryable flow: off-node and
-off-step queries use separable cubic Lagrange interpolation (bicubic in
-space, cubic in time), consistent with the scheme's order.  It holds an
-anchor, the first snapshot of the earliest time its consumer will still
-query (`keep_from`), and a window from the time stencil of the latest query
-to the latest step; a consumer that advances it one RK step at a time so
-holds one step's stencil, and its memory grows with the grid, not with the
-horizon or the sample stride.  What it let go it re-steps from the anchor
-when a query goes back.  A snapshot holds rho, vx and vy and its entropy
-array.  The flow creates its workspace on the first step and holds at most
-one time slice between snapshots, with only the fields read at its time, in
-the workspace's stage-slope buffers; a step drops it.
+A `GridFlow` wraps a run of the stepper as a queryable flow, bicubic in
+space and cubic in time, consistent with the scheme's order.  It holds the
+snapshots from the earliest time its consumer will still query, so its
+memory grows with the grid, not with the horizon, and re-steps any that a
+query needs again.
 
 A homentropic state (S the same finite value, not -0.0, at every node)
 keeps its entropy exactly under the scheme, so `step` evolves only
@@ -79,9 +72,9 @@ class SmoothnessLost(RuntimeError):
 
 
 class SnapshotDropped(RuntimeError):
-    """Raised when a grid flow is queried at a time whose time stencil its
-    window no longer holds: the consumer declared, through `keep_from`, that
-    it would not query that early again."""
+    """Raised when a grid flow is queried at a time whose time stencil it no
+    longer holds: the consumer declared, through `keep_from`, that it would
+    not query that early again."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +114,11 @@ class GridState:
 
     @property
     def pressure(self):
-        """rho ** gamma * exp(S), in fresh arrays on each access."""
-        return _pressure_into(self.rho, np.exp(self.entropy), self.gamma,
-                              np.empty(self.shape))
+        """rho ** gamma * exp(S), in fresh arrays on each access; an exp(S)
+        that overflows is left infinite, for `cfl_limit` to reject."""
+        with np.errstate(over="ignore"):
+            exp_s = np.exp(self.entropy)
+        return _pressure_into(self.rho, exp_s, self.gamma, np.empty(self.shape))
 
     def cfl_limit(self, number=0.4, work=None):
         """Largest admissible dt: number * min(dx) / max(|V| + c), with
@@ -214,7 +209,8 @@ class _Workspace:
         if self._entropy[0] is not entropy:
             factor = None
             if _frozen(entropy, self.mask):
-                e = np.exp(entropy, out=self.scratch)
+                with np.errstate(over="ignore"):
+                    e = np.exp(entropy, out=self.scratch)
                 if np.equal(e, e.flat[0], out=self.mask).all():
                     factor = float(e.flat[0])
             self._entropy = (entropy, factor)
@@ -223,11 +219,13 @@ class _Workspace:
     def state_pressure(self, state):
         """`pressure`, holding the pressure of `state`.  Unless it holds
         that already, the pressure is computed into it, with `scratch`
-        taking exp(S) where S is not frozen."""
+        taking exp(S) where S is not frozen; an exp(S) that overflows is
+        left infinite, as in `GridState.pressure`."""
         if self.pressure_state is not state:
-            factor = self.frozen_exp(state.entropy)
-            exp_s = (np.exp(state.entropy, out=self.scratch) if factor is None
-                     else factor)
+            exp_s = self.frozen_exp(state.entropy)
+            if exp_s is None:
+                with np.errstate(over="ignore"):
+                    exp_s = np.exp(state.entropy, out=self.scratch)
             _pressure_into(state.rho, exp_s, state.gamma, self.pressure)
             self.pressure_state = state
         return self.pressure
@@ -696,62 +694,44 @@ class GridFlow(FlowField):
     """A stepper run exposed as a FlowField.
 
     Snapshots accumulate as the flow is advanced, and queries interpolate
-    them.  Querying beyond the advanced time is an error: callers advance
-    explicitly so that failures to integrate surface where they happen.
-
-    A query depends on t alone, not on how far the flow was advanced: the
-    time stencil of t is always the cubic one through the snapshot before
+    them; querying beyond the advanced time is an error, so failures to
+    integrate surface where the caller advances.  A query depends on t
+    alone: its time stencil is the cubic one through the snapshot before
     t's grid interval, its two ends and the snapshot after it (the first
-    four snapshots in the first interval).  The flow therefore keeps one
-    snapshot of look-ahead: `t_last`, the latest time it answers for, is
-    the time of the next-to-last snapshot once there are four, else `t0`,
-    and `advance_to(t)` steps one snapshot past t.
+    four in the first interval).  So `t_last` is the time of the
+    next-to-last snapshot once there are four, else `t0`, and
+    `advance_to(t)` steps one snapshot past t.
 
-    The flow holds an anchor and a window of snapshots, not the whole run.
-    A consumer names the earliest time it will still query with
-    `keep_from(t)`; the first snapshot of t's stencil is the anchor.  As the
-    flow steps, the window keeps the snapshots from the stencil of the
-    latest query on (never from before the anchor, and always the last two,
-    which `t_last` and the next step need), and the anchor is held apart
-    once the window has moved past it.  A consumer that advances the flow
-    from inside its integrator, one RK step ahead of its queries (as
-    `matvol._rk4_points` does), and calls `keep_from` at each of its sample
-    times, so holds the anchor and about one RK step's stencil, whatever the
-    horizon and the sample stride.  Until `keep_from` is called the flow
-    keeps everything.  A query whose stencil starts before the anchor, at a
-    snapshot no longer held, raises `SnapshotDropped`.
+    Snapshots are held by step number.  `keep_from(t)` names the earliest
+    time the consumer will still query; the first snapshot of t's stencil
+    is the anchor.  The flow drops the snapshots before both the anchor and
+    the stencil of the latest query, except the last two and the one the
+    anchor would be re-stepped from; until `keep_from` it keeps everything.
+    A consumer that advances it one RK step ahead of its queries (as
+    `matvol._rk4_points` does) and calls `keep_from` at each sample so
+    holds about one RK step's stencil, whatever the horizon and stride.
 
-    One replay rule re-steps what the flow let go: the window restarts at
-    the latest snapshot held at or before the time needed, that is the
-    anchor, or the initial state, which the flow always keeps as the anchor
-    of last resort.  A query whose stencil lies between the anchor and the
-    window re-steps that gap from the anchor, once, and keeps the window
-    after it, so later queries there (a bisection) find the gap held.
-    `keep_from(t)` with t's stencil behind the window restarts the window
-    and drops the rest; the next `advance_to` re-steps it.  The steps are
-    deterministic, so every snapshot, and every answer, is bit for bit the
-    one of the first run; a re-step runs no guard, which passed the first
-    time.
+    One rule re-steps what the flow let go: a query whose stencil needs a
+    snapshot that is not held re-steps its gap, from the latest snapshot
+    held before it (at worst the initial state, which is always kept) up to
+    the next one held, runs no guard (it passed the first time) and keeps
+    what it re-stepped.  The steps are deterministic, so every answer is bit
+    for bit that of the first run.  A snapshot before the anchor that is not
+    held raises `SnapshotDropped`.
 
-    The first step creates a `_Workspace` for the grid shape, which every
-    later step, guard call and interpolation reuses, so a step allocates
-    only the state it returns.  A snapshot holds three arrays of its own
-    (rho, vx, vy) and its entropy, which all snapshots of a homentropic flow
-    share; no snapshot holds a pressure.  The guard leaves the pressure of
-    the newest snapshot in the workspace, where the next step reads it.  A
-    query between snapshots reads a full-grid time slice; the flow holds at
-    most one such slice, keyed on t, so the RK4 stages of an advection step
-    that share a time, and the two `fields` queries of one sample (nodes,
-    then boundary midpoints), share it.  A `fields` query interpolates all
-    the fields it names in one `interpolate_fields` call.  The slice
-    combines the density when it is built (a non-positive one raises
-    `NonSmoothState`) and any other field only when it is first read, so
-    velocity queries never combine the entropy; it is let go when its
-    stencil leaves the window, and before each step.  Its fields live in
-    the workspace's stage-slope buffers, one per field, which only a step or
-    the next slice overwrites; a query returns fresh arrays, never a view of
-    them.  The held slice and the workspace make a grid flow unsafe to query
-    from several threads at once.
+    The first step creates a `_Workspace`, which every later step, guard
+    call and interpolation reuses.  A snapshot holds rho, vx, vy and its
+    entropy, which the snapshots of a homentropic flow share, and no
+    pressure; the guard leaves the newest one's pressure in the workspace
+    for the next step.  A query between snapshots reads a full-grid time
+    slice, held for one t in the workspace's stage-slope buffers, so the RK4
+    stages that share a time and the two `fields` queries of a sample share
+    it.  The slice combines the density as it is built (a non-positive one
+    raises `NonSmoothState`) and another field when it is first read, and
+    is let go before a step or re-step and when its stencil loses a
+    snapshot.  A `fields` query interpolates all the fields it names in one
+    `interpolate_fields` call and returns fresh arrays.  The held slice and
+    the workspace make a grid flow unsafe to query from several threads.
     """
 
     def __init__(self, initial, step_dt, guard_threshold=np.inf):
@@ -762,15 +742,14 @@ class GridFlow(FlowField):
         self.step_dt = float(step_dt)
         self.guard_threshold = float(guard_threshold)
         self._initial = initial
-        # The window: snapshots number _base, _base + 1, ... of the run
-        # (number 0 is the initial state); _keep is the number of the first
-        # snapshot the consumer will still query, the anchor, held apart in
-        # _anchor while the window starts after it (else None); _query is
-        # the first snapshot number of the latest query's stencil, None
-        # until the first keep_from.
-        self._states = [initial]
-        self._base = self._keep = 0
-        self._anchor = self._query = None
+        # The held snapshots by step number (number 0 is the initial state)
+        # and the newest number; _keep is the number of the first snapshot
+        # the consumer will still query, the anchor, and _query the first
+        # number of the latest query's stencil, None until the first
+        # keep_from.
+        self._held = {0: initial}
+        self._newest = self._keep = 0
+        self._query = None
         self._work = None
         # The held time slice: its t, the number of its stencil's first
         # snapshot, the stencil, its weights and the fields combined so far.
@@ -782,76 +761,58 @@ class GridFlow(FlowField):
 
     @property
     def t_last(self):
-        states = self._states
-        return states[-2].time if self._base + len(states) >= 4 else self.t0
+        n = self._newest
+        return self._held[n - 1].time if n >= 3 else self.t0
 
     @property
     def states(self):
-        """The snapshots the flow holds, oldest first: the anchor while the
-        window starts after it, then the window."""
-        window = tuple(self._states)
-        return window if self._anchor is None else (self._anchor,) + window
+        """The snapshots the flow holds, oldest first."""
+        return tuple(self._held[n] for n in sorted(self._held))
 
     def _stencil_start(self, t):
         """Number of the first snapshot of t's time stencil."""
         return max(int(np.floor((t - self.t0) / self.step_dt)) - 1, 0)
 
     def keep_from(self, t):
-        """Hold only the snapshots that queries at time t and later need.
-
-        A t whose stencil lies behind the window restarts it (`_restart`);
-        the next `advance_to` re-steps the rest."""
-        k = self._stencil_start(t)
-        if k < self._base:
-            self._restart(k)
-        self._keep = self._query = k
-        self._anchor = None                 # at or ahead of the window start
+        """Hold only the snapshots that queries at time t and later need."""
+        self._keep = self._query = self._stencil_start(t)
         self._trim()
 
-    def _restart(self, k):
-        """Restart the window at the latest snapshot held at or before
-        number k: the anchor, or else the initial state."""
-        if self._anchor is not None and self._keep <= k:
-            self._states, self._base = [self._anchor], self._keep
-        else:
-            self._states, self._base = [self._initial], 0
-        self._anchor = None
-        self._slice = None                  # re-steps overwrite its buffers
-
     def _trim(self):
-        """Drop the window's snapshots before both the anchor and the
-        stencil of the latest query, except the last two; the anchor is
-        held apart once the window starts after it."""
+        """Drop the snapshots before both the anchor and the stencil of the
+        latest query, except the last two and the one the anchor would be
+        re-stepped from; let the time slice go once its stencil loses one."""
         lo = self._keep if self._query is None else max(self._keep, self._query)
-        drop = min(lo - self._base, len(self._states) - 2)
-        if drop > 0:
-            if self._base <= self._keep < self._base + drop:
-                self._anchor = self._states[self._keep - self._base]
-            del self._states[:drop]
-            self._base += drop
-            if self._slice is not None and self._slice[1] < self._base:
-                self._slice = None              # its stencil left the window
+        source = max((n for n in self._held if n <= self._keep), default=None)
+        for n in [n for n in self._held
+                  if n < min(lo, self._newest - 1) and n != source]:
+            del self._held[n]
+        if self._slice is not None and any(
+                self._held.get(n) is not s
+                for n, s in enumerate(self._slice[2], self._slice[1])):
+            self._slice = None
 
     def advance_to(self, t):
-        """Step the solver until the window covers time t's stencil,
-        dropping the snapshots that the latest query and `keep_from`
-        released as it steps.
+        """Step the solver until the flow holds time t's stencil, dropping
+        the snapshots that the latest query and `keep_from` released as it
+        steps.
 
         Raises SmoothnessLost when the guard trips or a step is not smooth;
-        the window then ends at the last state before it.
+        the flow then ends at the last state before it.
         """
         while self.t_last < t - 1e-12:
             self._slice = None                  # the step overwrites its buffers
+            last = self._held[self._newest]
             try:
-                nxt = step(self._states[-1], self.step_dt, work=self._workspace())
+                nxt = step(last, self.step_dt, work=self._workspace())
             except NonSmoothState as exc:
-                raise SmoothnessLost(self._states[-1].time + self.step_dt,
-                                     np.nan) from exc
+                raise SmoothnessLost(last.time + self.step_dt, np.nan) from exc
             if np.isfinite(self.guard_threshold):
                 report = smoothness_guard(nxt, self.guard_threshold, work=self._work)
                 if not report.ok:
                     raise SmoothnessLost(nxt.time, report.max_grad)
-            self._states.append(nxt)
+            self._newest += 1
+            self._held[self._newest] = nxt
             self._trim()
 
     def _workspace(self):
@@ -864,22 +825,26 @@ class GridFlow(FlowField):
             raise ValueError(
                 f"grid flow not advanced to t={t} (have [{self.t0}, {self.t_last}])")
 
-    def _held(self, k, count, t):
-        """Snapshots number k .. k + count - 1 (fewer past the window's end).
-        Between the anchor and the window, the gap is re-stepped from the
-        anchor first."""
-        if k < self._base:
-            if k < self._keep:
+    def _snapshots(self, k, count, t):
+        """Snapshots number k .. k + count - 1 (fewer past the newest); a
+        number not held is re-stepped with the rest of its gap, from the
+        latest snapshot held before it up to the next one held."""
+        numbers = range(k, min(k + count, self._newest + 1))
+        for n in numbers:
+            if n in self._held:
+                continue
+            if n < self._keep:
                 raise SnapshotDropped(
                     f"grid flow dropped the snapshots of t={t} (it holds them "
                     f"from t={self.states[0].time})")
-            window, start = self._states, self._base
-            self._restart(k)
-            while self._base + len(self._states) < start:
-                self._states.append(step(self._states[-1], self.step_dt,
-                                         work=self._workspace()))
-            self._states += window
-        return self._states[k - self._base:k - self._base + count]
+            m = max((m for m in self._held if m < n), default=0)
+            state = self._held.setdefault(m, self._initial)
+            self._slice = None                  # the steps overwrite its buffers
+            while m + 1 not in self._held:
+                m += 1
+                state = self._held[m] = step(state, self.step_dt,
+                                             work=self._workspace())
+        return [self._held[n] for n in numbers]
 
     def _time_slice(self, t, names):
         """The fields `names`, cubic-Lagrange-combined in time at t (full
@@ -906,7 +871,7 @@ class GridFlow(FlowField):
         if self._slice is None or self._slice[0] != t:
             self._slice = None                  # free it before the next
             k = self._stencil_start(t)
-            stencil = self._held(k, 4, t)
+            stencil = self._snapshots(k, 4, t)
             w = _lagrange_weights((t - stencil[1].time) / self.step_dt)
             rho = combined("rho")
             if not np.all(np.isfinite(rho)) or np.any(rho <= 0.0):
@@ -923,8 +888,8 @@ class GridFlow(FlowField):
         """The number of the snapshot nearest t, and that snapshot if it is
         at t (else None)."""
         k = int(round((t - self.t0) / self.step_dt))
-        if 0 <= k < self._base + len(self._states):
-            (state,) = self._held(k, 1, t)
+        if 0 <= k <= self._newest:
+            (state,) = self._snapshots(k, 1, t)
             if abs(state.time - t) <= 1e-12:
                 return k, state
         return k, None
@@ -941,7 +906,7 @@ class GridFlow(FlowField):
         k, state = self._nearest_snapshot(t)
         if state is None:
             grid = self._time_slice(t, [g for g, _ in read])
-            state, first = self._states[-1], self._slice[1]
+            state, first = self._initial, self._slice[1]
         else:
             grid = {g: getattr(state, g) for g, _ in read}
             first = max(k - 1, 0)       # the stencil start of any later time

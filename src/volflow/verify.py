@@ -114,22 +114,23 @@ def _moment_value(vol, phi, nodes):
     return float(np.sum(phi.eval(r)[0] * vol.mass_w))
 
 
-def check_lemma_suite(flow, vol, phi, epsilon, h=LEMMA_H):
+def check_lemma_suite(flow, vol, phi, epsilon):
     """Identity and inequality checks at the volume's current time, for a
     power-law profile phi = r^q (any other profile is a ValueError, as in
     `bounds_chain`).
 
-    Centered differences of the moment G over +-h (the nodes re-advected by
-    a single RK4 step each way, G at t taken from the sample) are compared
-    with the quadrature values of its first and second derivatives; then the
-    Cauchy-Schwarz moment inequality F^2 <= sup(phi'^2/(phi'' phi)) G I1,
-    whose sup ratio is |q|/(|q|+1) exactly, and the density-moment lower
-    bound, from one `fields` read of the nodes' density.
+    Centered differences of the moment G over +-LEMMA_H (the nodes
+    re-advected by a single RK4 step each way, G at t taken from the sample)
+    are compared with the quadrature values of its first and second
+    derivatives; then the Cauchy-Schwarz moment inequality
+    F^2 <= sup(phi'^2/(phi'' phi)) G I1, whose sup ratio is |q|/(|q|+1)
+    exactly, and the density-moment lower bound, from one `fields` read of
+    the nodes' density.
     """
     if not phi.is_power_law:
         raise ValueError(
             "the lemma suite is defined for power-law profiles phi = r^q")
-    t = vol.time
+    t, h = vol.time, LEMMA_H
     s = sample(flow, vol, phi, epsilon)
     g0 = s.G
     gp = _moment_value(vol, phi, _rk4_points(flow, vol.nodes, t, t + h, h))
@@ -430,19 +431,27 @@ def run_theorem_scenario(scenario):
     regularity flux and the energy drift, and refines any boundary attainment
     by bisection.
 
+    Why a hit must come: at fixed energy E, `threshold_q` decreases in the
+    moment G (its bracket loses |q+n-2| C G^gamma eps^-(q gamma + n(gamma-1))
+    / (2E)), so G(t) >= G0 gives Q(t) <= Q0.  While dist >= epsilon and the
+    regularity flux stays at most M, the master inequality then gives
+    F' >= a (F^2 - k Q(t)) >= a (F^2 - k Q0) (`_comparison_coefficients`),
+    and F stays above the comparison solution from F(0), which escapes at
+    t* = `_closed_form_blowup`(F(0), Q0, a, sqrt(k |Q0|)).  G(t) >= G0 is
+    not yet checked on the samples.
+
     The advection advances the flow one RK step ahead of the volume
     (`matvol._rk4_points`), and the flow is told after each sample that no
     earlier time will be queried (`keep_from`), so a grid flow holds the
     sample's anchor snapshot and one RK step's time stencil, whatever the
-    sample stride; a hit's bisection re-steps the stride behind the window
-    once.  Where the flow loses smoothness the horizon ends at its last
-    smooth time, and the advection is retried from the same sample to it;
-    where a sample finds it not smooth (`NonSmoothSample`), or
-    an advection or a sample reads a grid time slice whose density is not
-    positive (`NonSmoothState`), at the sample before.  A run that ends
-    early (a hit, or a node at the target floor) still advances the flow to
-    T, so its horizon and detail are those of a flow advanced to T before
-    the run.
+    sample stride; a hit's bisection re-steps the stride it let go once.
+    Where the flow loses smoothness the horizon ends at its last smooth
+    time, and the advection is retried from the same sample to it; where a
+    sample finds it not smooth (`NonSmoothSample`), or an advection or a
+    sample reads a grid time slice whose density is not positive
+    (`NonSmoothState`), at the sample before.  A run that ends early (a
+    hit, or a node at the target floor) still advances the flow to T, so its
+    horizon and detail are those of a flow advanced to T before the run.
     """
     cfg, flow, vol, phi = scenario.cfg, scenario.flow, scenario.vol, scenario.phi
     sample0, inp = scenario.sample0, scenario.inp

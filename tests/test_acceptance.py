@@ -46,7 +46,7 @@ def lemma_sweep():
     t_prev = 0.0
     for t in np.linspace(0.1, 1.0, 10):
         vol = advect(vol, flow, float(t), 0.02, check_boundary=False)
-        reports.append(check_lemma_suite(flow, vol, phi, epsilon=0.5, h=1e-4))
+        reports.append(check_lemma_suite(flow, vol, phi, epsilon=0.5))
         t_prev = t
     elapsed = time.perf_counter() - t0
     return reports, elapsed, n_nodes

@@ -693,15 +693,21 @@ def test_grid_blowup_ends_the_horizon(tmp_path, capsys):
 def test_overflowing_pressure_ends_the_horizon(tmp_path, capsys):
     # exp(800) overflows on a block outside the volume, so the first step
     # has no finite CFL limit: the smooth horizon ends at t = 0.  This was
-    # a config error (exit 2): "CFL violated: ... exceeds limit 0.0".
+    # a config error (exit 2): "CFL violated: ... exceeds limit 0.0".  The
+    # overflow itself prints no RuntimeWarning.
     path = _grid_config(tmp_path, "flow.grid.S = where((x > 2) & (x < 3) & "
                                   "(y > 2) & (y < 3), 800.0, 0.0)\n")
-    with np.errstate(over="ignore"):
-        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
-    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = dict(line.split(": ", 1) for line in captured.out.splitlines())
     assert report["horizon"] == "0.0" and report["series_rows"] == "1"
     assert report["detail"] == "smoothness lost at t=0.005;"
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = _single_error(capsys)
+    assert "verify.times" in err and "t=0.005" in err
 
 
 def test_grid_blowup_lemma_time_not_smooth_names_verify_times(tmp_path, capsys):
@@ -821,12 +827,12 @@ WINDOW_CASES = {
     "hit_before_loss_run": ("run", _RADIAL + "\nepsilon = 0.8\nT = 0.9\n", 0, [
         "verdict: consistent_hit", "horizon: 0.6750000000000005",
         "detail: smoothness lost at t=0.6850000000000005;"], 4),
-    # A passing grid verify: the lemma phase and the theorem run share one
-    # replay of the flow's 62 steps, which the reference, keeping
-    # everything, skips.
+    # A passing grid verify: its precondition pass holds the last few of
+    # the flow's 62 steps, and the lemma phase re-steps the 58 before them
+    # once, which the reference, keeping everything, skips.
     "radial_inflow_verify": ("verify",
                              _RADIAL + "\nverify.times = 0.1, 0.2, 0.3\n", 0,
-                             ["result: pass"], 62),
+                             ["result: pass"], 58),
 }
 
 
@@ -850,3 +856,27 @@ def test_snapshot_window_changes_no_output(case, tmp_path, capsys, monkeypatch):
     rc, out, _, _ = windowed
     assert rc == code
     assert all(line in out.splitlines() for line in lines)
+
+
+def test_a_re_step_runs_no_guard(tmp_path, capsys, monkeypatch):
+    # The guard runs once per step forward, never on a re-step, which
+    # passed it the first time.
+    command, text, *_ = WINDOW_CASES["radial_inflow_verify"]
+    steps, guards = [], []
+    real_step, real_guard = solver.step, solver.smoothness_guard
+
+    def counting_step(state, *args, **kwargs):
+        steps.append(state.time)
+        return real_step(state, *args, **kwargs)
+
+    def counting_guard(state, *args, **kwargs):
+        guards.append(state.time)
+        return real_guard(state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counting_step)
+    monkeypatch.setattr(solver, "smoothness_guard", counting_guard)
+    path = _write(tmp_path, text, "radial_inflow_verify")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert len(guards) == len(set(steps)) == 62
+    assert len(steps) == 120

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SyntheticFlow, annulus_volume
+from helpers import CONFIG_DIR, SyntheticFlow, annulus_volume
 
+from volflow.config import build_scenario, load_config
 from volflow.criteria import (CASE_QNEG_LONG, CASE_QNEG_SHORT, CASE_QPOS,
                               CASE_QZERO, CriteriaInputs, classify_and_delta,
                               condition10, constants, evaluate,
@@ -346,3 +347,17 @@ def test_condition10_agrees_with_the_closed_form_blowup_time():
         (CASE_QNEG_SHORT, True, True), (CASE_QNEG_SHORT, False, False),
         (CASE_QNEG_LONG, True, True), (CASE_QNEG_LONG, False, True),
         (CASE_QNEG_LONG, False, False)}
+    # The shipped configs, from their time-zero data: all are Qpos, and
+    # only arc_live's comparison solution escapes before T.
+    escapes = set()
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        inp = build_scenario(load_config(path)).inp
+        report = evaluate(inp)
+        a, k = _comparison_coefficients(inp)
+        t_star = _closed_form_blowup(inp.q * inp.cond10, report.Q0, a,
+                                     math.sqrt(k * abs(report.Q0)))
+        hit = t_star is not None and t_star < inp.T
+        assert report.case == CASE_QPOS and hit == report.cond10_holds, path.stem
+        if hit:
+            escapes.add(path.stem)
+    assert escapes == {"arc_live"}

@@ -977,7 +977,7 @@ def test_homentropic_step_skips_the_entropy_derivatives(monkeypatch):
                    for n in ("rho", "vx", "vy", "entropy", "pressure"))
 
 
-def test_window_replays_the_same_snapshots():
+def test_window_replays_the_same_snapshots(monkeypatch):
     st = random_smooth_state((32, 32), 1.4, seed=7)
     pts = np.array([[-0.1, 0.9], [0.35, 1.2]])
     whole = GridFlow(st, step_dt=1e-3, guard_threshold=1e6)
@@ -996,15 +996,36 @@ def test_window_replays_the_same_snapshots():
             flow.fields(t, pts, ("rho",))
     flow.check_time(0.003)                # the time window itself is unchanged
 
-    flow.keep_from(0.0)                   # behind the window: start again
-    assert flow.states == (st,)
-    flow.advance_to(0.02)
+    # keep_from behind the held snapshots drops nothing and steps nothing;
+    # a query there re-steps the gap from the initial state up to the first
+    # snapshot held (1 .. 8), with no guard, and keeps it.
+    flow.keep_from(0.0)
+    assert len(flow.states) == 13
+    steps, guards = [], []
+    real_step, real_guard = solver.step, solver.smoothness_guard
+
+    def counting_step(state, *args, **kwargs):
+        steps.append(state.time)
+        return real_step(state, *args, **kwargs)
+
+    def counting_guard(state, *args, **kwargs):
+        guards.append(state.time)
+        return real_guard(state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counting_step)
+    monkeypatch.setattr(solver, "smoothness_guard", counting_guard)
+    after, want = read_all(flow, 0.0055, pts), read_all(whole, 0.0055, pts)
+    assert all(np.array_equal(after[n], want[n]) for n in want)
+    assert steps == [s.time for s in whole.states[:8]] and guards == []
     names = ("rho", "vx", "vy", "entropy", "pressure")
     assert len(flow.states) == len(whole.states)
     for a, b in zip(flow.states, whole.states):
         assert a.time == b.time
         assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
-    after, want = read_all(flow, 0.0055, pts), read_all(whole, 0.0055, pts)
+    assert flow.states[0] is st
+    after = read_all(flow, 0.003, pts)          # held now: no more steps
+    assert len(steps) == 8
+    want = read_all(whole, 0.003, pts)
     assert all(np.array_equal(after[n], want[n]) for n in want)
 
 
