@@ -1,0 +1,65 @@
+"""Count the code lines of each `src/volflow` module and their total.
+
+    python3 scripts/code_lines.py [--root CHECKOUT]
+
+A code line is a source line that holds a token of code: blank lines,
+comment lines and the lines of docstrings (the leading string of a module,
+class or function body) do not count.  Prints one `lines  module` row per
+module of `CHECKOUT/src/volflow`, sorted by name, then `lines  total`.
+`CHECKOUT` defaults to the checkout this script lives in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def _docstring_lines(tree):
+    """The line numbers that docstrings span in a parsed module."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(text):
+    """The number of code lines of Python source `text`."""
+    docstrings = _docstring_lines(ast.parse(text))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(n for n in range(tok.start[0], tok.end[0] + 1)
+                         if n not in docstrings)
+    return len(lines)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/volflow modules are counted")
+    args = parser.parse_args(argv)
+    total = 0
+    for path in sorted((args.root / "src" / "volflow").glob("*.py")):
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{count:6d}  {path.name}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

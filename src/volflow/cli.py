@@ -1,26 +1,29 @@
 """Command-line front end: criteria, run, verify and sweep subcommands.
 
-    volflow {criteria,run,verify,sweep} --config FILE [--out DIR] [--seed N]
+    volflow {criteria,run,sweep} --config FILE [--out DIR]
+    volflow verify --config FILE [--out DIR] [--seed N]
 
-`--out` (default `out`) is the output directory and `--seed` seeds the
-randomized oracle cases of `verify`; every other setting comes from the
-config file.  Its `out.format` key picks flat `key: value` reports (`report`)
-or one-header CSV (`csv`) for `criteria`, `run` and `sweep`; `verify` always
-writes `key: value` lines.  Time series land in a fixed-schema CSV
-(`t,m,E,G,F,I1,I2,I3,I4,reg,dist,Qq`).  All floating-point output goes
-through repr() of a Python float, so identical configurations and seeds
-produce byte-identical files and stdout.
+`--out` (default `out`) is the output directory and `--seed` (default 0, a
+non-negative integer) seeds the randomized oracle cases of `verify`; every
+other setting comes from the config file.  Its `out.format` key picks flat
+`key: value` reports (`report`) or one-header CSV (`csv`) for `criteria`,
+`run` and `sweep`; `verify` always writes `key: value` lines.  Time series
+land in a fixed-schema CSV (`t,m,E,G,F,I1,I2,I3,I4,reg,dist,Qq`).  All
+floating-point output goes through repr() of a Python float, so identical
+configurations and seeds produce byte-identical files and stdout.
 
 Exit codes: 0 when everything passed, 1 when some check failed (a VIOLATION
 verdict, a failed lemma/oracle check, a bounds-chain failure), 2 for
-configuration or precondition errors -- among them a config file that
-cannot be read, an output directory that cannot be created, a config key
-the loader does not read, `verify.times` whose lemma differences (step h)
-reach outside the flow's time window, past the time at which a grid solver
-loses smoothness, or to a flow that is not smooth where they read it (`run`
-instead ends its horizon there and reports it), and a boundary loop that
-crosses itself or another loop after an advection (`volume.markers` too few
-to resolve it).
+configuration, precondition or output errors -- among them a config file
+that cannot be read, a command-line argument argparse rejects (such as a
+negative `--seed`), an output directory that cannot be created or an output
+file that cannot be written (one `output error:` line on stderr), a config
+key the loader does not read, `verify.times` whose lemma differences (step
+h) reach outside the flow's time window, past the time at which a grid
+solver loses smoothness, or to a flow that is not smooth where they read it
+(`run` instead ends its horizon there and reports it), and a boundary loop
+that crosses itself or another loop after an advection (`volume.markers`
+too few to resolve it).
 """
 
 from __future__ import annotations
@@ -58,10 +61,24 @@ def _fmt(v):
     return str(v)
 
 
-def _emit(lines, out_path):
+class _OutputError(Exception):
+    """An output directory or file that cannot be created or written."""
+
+
+def _write(path, lines):
+    """Write `lines` to `path`, one per line, and return the text: the one
+    writer of output files."""
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    out_path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write '{path}': {exc.strerror or exc}") from exc
+    return text
+
+
+def _emit(lines, out_path):
+    """Write `lines` to `out_path`, then to stdout."""
+    sys.stdout.write(_write(out_path, lines))
 
 
 def _kv_lines(pairs):
@@ -69,10 +86,7 @@ def _kv_lines(pairs):
 
 
 def _csv_lines(header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return lines
+    return [header, *(",".join(_fmt(v) for v in row) for row in rows)]
 
 
 def _emit_report(cfg, pairs, out_dir, kind):
@@ -131,9 +145,9 @@ def _cmd_run(scenario, out_dir):
         ("series_rows", len(report.series)),
         ("detail", report.detail or "none"),
     ]
+    # The series first, so that an output error leaves stdout empty.
+    _write(out_dir / f"{cfg.name}_series.csv", _csv_lines(CSV_HEADER, report.series))
     _emit_report(cfg, pairs, out_dir, "report")
-    series_lines = _csv_lines(CSV_HEADER, report.series)
-    (out_dir / f"{cfg.name}_series.csv").write_text("\n".join(series_lines) + "\n")
     failed = report.verdict == "VIOLATION" or report.bounds_failures
     return 1 if failed else 0
 
@@ -199,7 +213,7 @@ def _cmd_verify(scenario, out_dir, seed):
             continue
         gap = abs(times_pair.numeric - times_pair.closed_form) / times_pair.closed_form
         gaps.append(gap)
-        oracle_failed += int(gap > 1e-6)
+        oracle_failed += int(gap > verify_mod.ORACLE_REL_GAP)
 
     failed = [c for c in checks if not c.passed]
     pairs = [
@@ -260,6 +274,13 @@ def _cmd_sweep(scenario, out_dir):
     return 0
 
 
+def _seed(text):
+    """The `--seed` value: a non-negative integer, in decimal digits."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="volflow",
@@ -269,8 +290,9 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks")
+        if name == "verify":
+            p.add_argument("--seed", type=_seed, default=0,
+                           help="seed of the randomized oracle cases")
     args = parser.parse_args(argv)
 
     try:
@@ -280,9 +302,8 @@ def main(argv=None):
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            print(f"output error: cannot create the output directory '{out_dir}': "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 2
+            raise _OutputError(f"cannot create the output directory '{out_dir}': "
+                               f"{exc.strerror or exc}") from exc
         if args.command == "criteria":
             return _cmd_criteria(scenario, out_dir)
         if args.command == "run":
@@ -292,6 +313,9 @@ def main(argv=None):
         return _cmd_sweep(scenario, out_dir)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except SelfIntersection as exc:
         print(f"config error: key 'volume.markers': {exc}; too few markers "

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
-from .flowfield import FlowField, make_analytic_flow
+from .flowfield import ConstantFlow, ExpansionFlow, FlowField
 from .functionals import FunctionalSample, PhiSpec, sample
 from .matvol import MaterialVolume, VolumeShapeSpec, init_volume
 from .solver import GridFlow, GridState
@@ -313,9 +313,11 @@ def _eval_field(params, name, x, y):
 
 def build_flow(cfg):
     """Instantiate the configured flow (grid flows are not yet advanced)."""
-    if cfg.flow_kind in ("constant", "expansion"):
-        return make_analytic_flow(cfg.flow_kind, cfg.gamma, cfg.flow_params)
     p = cfg.flow_params
+    if cfg.flow_kind == "constant":
+        return ConstantFlow(cfg.gamma, rho0=p["rho0"], vel0=p["V0"], p0=p["P0"])
+    if cfg.flow_kind == "expansion":
+        return ExpansionFlow(cfg.gamma, rho0=p["rho0"], s0=p["S0"], t_c=p["t_c"])
     n = p["n"]
     lo, hi = p["box"]
     h = (hi - lo) / n

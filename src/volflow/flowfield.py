@@ -2,10 +2,12 @@
 
 A flow here is a queryable smooth solution of the compressible Euler system
 (momentum balance, continuity, entropy transport) closed by the polytropic
-relation P = rho^gamma * exp(S).  The analytic catalog holds two exact
-solutions -- a constant flow and a self-similar expansion -- that double as
-test oracles: their residuals vanish identically, so anything a finite
-difference probe measures is the probe's own truncation error.
+relation P = rho^gamma * exp(S).  The analytic flows are two exact
+solutions, `ConstantFlow` (a uniform state) and `ExpansionFlow` (a
+self-similar expansion), which `config.build_flow` constructs directly for
+`flow.kind = constant` and `expansion`.  They double as test oracles: their
+residuals vanish identically, so anything a finite difference probe
+measures is the probe's own truncation error.
 
 Every flow answers `velocity(t, pts)`, the advection right-hand side, and
 `fields(t, pts, names)`, one read of any of the velocity, density and entropy
@@ -25,7 +27,6 @@ __all__ = [
     "FlowField",
     "ConstantFlow",
     "ExpansionFlow",
-    "make_analytic_flow",
     "uniform_fields",
 ]
 
@@ -164,24 +165,3 @@ def uniform_fields(flow, t, pts, names, rho):
     return {name: flow.velocity(t, pts) if name == "velocity"
             else np.full(pts.shape[:-1], uniform[name]) for name in names}
 
-
-_ANALYTIC_KINDS = ("constant", "expansion")
-
-
-def make_analytic_flow(kind, gamma, parameters):
-    """Build a flow from the analytic catalog.
-
-    Parameters are kind-specific: constant wants (rho0, V0, P0), expansion
-    wants (rho0, S0, t_c).
-    """
-    if kind == "constant":
-        return ConstantFlow(gamma,
-                            rho0=parameters["rho0"],
-                            vel0=parameters["V0"],
-                            p0=parameters["P0"])
-    if kind == "expansion":
-        return ExpansionFlow(gamma,
-                             rho0=parameters["rho0"],
-                             s0=parameters["S0"],
-                             t_c=parameters["t_c"])
-    raise ValueError(f"unknown analytic flow kind {kind!r} (expected one of {_ANALYTIC_KINDS})")

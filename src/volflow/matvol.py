@@ -393,8 +393,9 @@ class MaterialVolume:
         return self.points[self.loop_ends[-1]:]
 
 
-def init_volume(spec, flow, x0, epsilon, t0=0.0):
-    """Build (volume, dist(boundary, x0)) from a shape spec and a flow at t0.
+def init_volume(spec, flow, x0, epsilon):
+    """Build (volume, dist(boundary, x0)) from a shape spec and a flow at
+    time zero.
 
     Rejects configurations that violate the threshold preconditions: the
     target x0 must lie strictly outside the volume and farther than epsilon
@@ -409,10 +410,10 @@ def init_volume(spec, flow, x0, epsilon, t0=0.0):
 
     spec.distance(x0)                   # raises when x0 lies inside
 
-    rho0 = flow.fields(t0, nodes, ("rho",))["rho"]
+    rho0 = flow.fields(0.0, nodes, ("rho",))["rho"]
     vol = MaterialVolume(points=np.vstack([*loops, nodes]),
                          loop_ends=tuple(accumulate(len(loop) for loop in loops)),
-                         mass_w=rho0 * w, x0=x0, time=float(t0))
+                         mass_w=rho0 * w, x0=x0, time=0.0)
     d = boundary_distance(vol)
     if d <= epsilon:
         raise ValueError(
@@ -466,20 +467,20 @@ def _rk4_points(flow, pts, t_from, t_to, dt):
     return x
 
 
-def advect(vol, flow, t_to, dt, check_boundary=True):
+def advect(vol, flow, t_to, dt):
     """Advect markers and interior nodes to time t_to; weights ride along.
 
     The points are integrated in one `_rk4_points` call, and the loops are
     then swept once for crossings (`SelfIntersection`)."""
     if t_to <= vol.time:
         raise ValueError(f"t_to = {t_to} must exceed current time {vol.time}")
-    return _advect_any(vol, flow, t_to, dt, check_boundary)
+    return _advect_any(vol, flow, t_to, dt)
 
 
-def _advect_any(vol, flow, t_to, dt, check_boundary=True):
+def _advect_any(vol, flow, t_to, dt):
     out = replace(vol, points=_rk4_points(flow, vol.points, vol.time, t_to, dt),
                   time=float(t_to))
-    if check_boundary and not polygon_is_simple(out.markers, out.loop_ends):
+    if not polygon_is_simple(out.markers, out.loop_ends):
         raise SelfIntersection(
             f"boundary self-intersects after advection to t={t_to}")
     return out

@@ -114,36 +114,30 @@ class GridState:
 
     @property
     def pressure(self):
-        """rho ** gamma * exp(S), in fresh arrays on each access; an exp(S)
-        that overflows is left infinite, for `cfl_limit` to reject."""
+        """rho ** gamma * exp(S), in fresh arrays on each access: the values
+        `_Workspace.state_pressure` computes."""
         with np.errstate(over="ignore"):
             exp_s = np.exp(self.entropy)
         return _pressure_into(self.rho, exp_s, self.gamma, np.empty(self.shape))
 
-    def cfl_limit(self, number=0.4, work=None):
-        """Largest admissible dt: number * min(dx) / max(|V| + c), with
-        c = sqrt(gamma P / rho); `work` is an optional `_Workspace`, which
+    def cfl_limit(self, work=None):
+        """Largest admissible dt: 0.4 * min(dx) / max(|V| + c), the fixed
+        CFL number 0.4, with c = sqrt(gamma P / rho).  `work` is a
+        `_Workspace` for the state's shape (a fresh one when None), which
         supplies the pressure (`state_pressure`) and whose stage inputs and
         mask serve as scratch (the derivatives a guard left in its `grad`
         slots stay).  A top speed that is not finite (an overflowing
         pressure) raises `NonSmoothState`: the state admits no step."""
         if work is None:
-            p = c = self.pressure           # a fresh pressure, so c may reuse it
-            buf, tmp, mask = None, None, None
-        else:
-            p = work.state_pressure(self)
-            (c, buf, tmp), mask = work.stage[:3], work.mask
-        np.multiply(p, self.gamma, out=c)
+            work = _Workspace(self.shape)
+        (c, buf, tmp), mask = work.stage[:3], work.mask
+        np.multiply(work.state_pressure(self), self.gamma, out=c)
         c /= self.rho
         np.sqrt(c, out=c)
         top = _max_hypot(self.vx, self.vy, c, buf, tmp, mask)
         if not np.isfinite(top):
             raise NonSmoothState(f"top wave speed {top} at t={self.time}")
-        return number * min(self.spacing) / top
-
-    def mass(self):
-        """Whole-box mass integral (fixed-order pairwise summation)."""
-        return float(np.sum(self.rho)) * self.spacing[0] * self.spacing[1]
+        return 0.4 * min(self.spacing) / top
 
 
 class _Workspace:
@@ -220,7 +214,7 @@ class _Workspace:
         """`pressure`, holding the pressure of `state`.  Unless it holds
         that already, the pressure is computed into it, with `scratch`
         taking exp(S) where S is not frozen; an exp(S) that overflows is
-        left infinite, as in `GridState.pressure`."""
+        left infinite, for `GridState.cfl_limit` to reject."""
         if self.pressure_state is not state:
             exp_s = self.frozen_exp(state.entropy)
             if exp_s is None:
@@ -318,7 +312,7 @@ def _d4_into(f, h, axis, out, edges, tmp):
     return out
 
 
-def _max_hypot(gx, gy, add=0.0, buf=None, tmp=None, mask=None):
+def _max_hypot(gx, gy, add, buf, tmp, mask):
     """float((np.hypot(gx, gy) + add).max()), exactly, for add >= 0.
 
     np.hypot costs several times a plain multiply or sqrt pass, so the
@@ -330,9 +324,6 @@ def _max_hypot(gx, gy, add=0.0, buf=None, tmp=None, mask=None):
     that size lose their precision to underflow), sends the whole array to
     np.hypot.  `buf` and `tmp` are float scratch arrays and `mask` a
     boolean one of the fields' shape."""
-    buf = np.empty(gx.shape) if buf is None else buf
-    tmp = np.empty(gx.shape) if tmp is None else tmp
-    mask = np.empty(gx.shape, dtype=bool) if mask is None else mask
     shifted = np.ndim(add) > 0 or add != 0.0
     np.multiply(gx, gx, out=buf)
     np.multiply(gy, gy, out=tmp)
@@ -433,10 +424,10 @@ def _frozen(entropy, mask):
 def step(state, dt, work=None):
     """One RK4 step of the Euler system; returns a new GridState.
 
-    dt must respect the advisory CFL bound 0.4*min(dx)/max(|V|+c); the step
-    refuses to run otherwise instead of silently producing garbage.  A stage
-    density that goes negative, or a non-finite new field, raises
-    `NonSmoothState`.
+    dt must respect the CFL bound `state.cfl_limit`, 0.4*min(dx)/max(|V|+c)
+    with its fixed CFL number 0.4; the step refuses to run otherwise instead
+    of silently producing garbage.  A stage density that goes negative, or a
+    non-finite new field, raises `NonSmoothState`.
 
     `work` is a `_Workspace` for the state's shape; with it the step
     allocates only the arrays of the state it returns.  Without it the step
@@ -617,14 +608,15 @@ def _patch_offsets(nx, ny):
     return out
 
 
-def interpolate_fields(state, pts, fields=None, work=None, out=None):
+def interpolate_fields(state, pts, fields, work=None, out=None):
     """Bicubic (separable cubic Lagrange) interpolation at points (N, 2).
 
-    Periodic wrap in both axes; exact at grid nodes and for polynomials up to
-    cubic per axis.  Returns a dict of sampled arrays.  `work` is an optional
-    `_Workspace` whose patch buffers are used; `out` is an optional sequence
-    of len(fields) arrays of N values (or None, for a fresh one) that receive
-    the fields, in order: a (len(fields), N) array will do.
+    `fields` maps names to nodal arrays on the grid of `state`.  Periodic
+    wrap in both axes; exact at grid nodes and for polynomials up to cubic
+    per axis.  Returns a dict of the sampled arrays by name.  `work` is an
+    optional `_Workspace` whose patch buffers are used; `out` is an optional
+    sequence of len(fields) arrays of N values (or None, for a fresh one)
+    that receive the fields, in order: a (len(fields), N) array will do.
 
     The value at a point is the sum over its 4x4 patch f[a, b] of
     (wx[a] f[a, b]) wy[b], added from 0 in patch order:
@@ -634,9 +626,6 @@ def interpolate_fields(state, pts, fields=None, work=None, out=None):
     The patches are gathered entry-major, (4, 4, N), so the two weightings
     and the sum are whole-row passes.
     """
-    if fields is None:
-        fields = {"rho": state.rho, "vx": state.vx, "vy": state.vy,
-                  "entropy": state.entropy}
     pts = np.asarray(pts, dtype=float)
     nx, ny = state.shape
     dx, dy = state.spacing

@@ -41,6 +41,7 @@ __all__ = [
     "TOLERANCES",
     "LEMMA_H",
     "ORACLE_CASES",
+    "ORACLE_REL_GAP",
     "check_lemma_suite",
     "check_inequality17",
     "bounds_chain",
@@ -59,10 +60,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Time step of the centered differences in the lemma suite, and the number of
-# seeded blow-up oracle cases `verify` runs.
+# Time step of the centered differences in the lemma suite, the number of
+# seeded blow-up oracle cases `verify` runs, and the largest relative gap
+# |numeric - closed form| / closed form of a blow-up time that passes.
 LEMMA_H = 1e-4
 ORACLE_CASES = 200
+ORACLE_REL_GAP = 1e-6
 
 # Documented per check: relative for the finite-difference identities,
 # fraction-of-scale slack floors for the inequality checks.

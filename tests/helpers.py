@@ -2,14 +2,14 @@
 pointwise probes and reference computations that only tests use."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from volflow import solver
 from volflow.flowfield import FlowField, uniform_fields
-from volflow.matvol import VolumeShapeSpec, _boundary_elements, init_volume
+from volflow.matvol import VolumeShapeSpec, _boundary_elements, _rk4_points, init_volume
 from volflow.solver import GridFlow
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -65,6 +65,25 @@ def annulus_volume(flow, center, radii, x0, epsilon, markers=256, order=40):
                            markers=markers, quad_order=order)
     vol, _ = init_volume(spec, flow, np.asarray(x0, dtype=float), epsilon)
     return vol
+
+
+def advect_unchecked(vol, flow, t_to, dt):
+    """The volume advected to t_to in either time direction, as
+    `matvol.advect` does but without its crossing sweep."""
+    return replace(vol, points=_rk4_points(flow, vol.points, vol.time, t_to, dt),
+                   time=float(t_to))
+
+
+def grid_mass(state):
+    """Whole-box mass integral of a grid state (fixed-order pairwise
+    summation)."""
+    return float(np.sum(state.rho)) * state.spacing[0] * state.spacing[1]
+
+
+def state_fields(state):
+    """The nodal fields of a grid state by name, as `interpolate_fields`
+    takes them."""
+    return {"rho": state.rho, "vx": state.vx, "vy": state.vy, "entropy": state.entropy}
 
 
 def ones(pts):

@@ -561,6 +561,57 @@ def test_format_flag_is_gone(mini_cfg, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["criteria", "run", "sweep"])
+def test_seed_is_a_verify_flag_only(mini_cfg, tmp_path, capsys, command):
+    # Only verify has randomized checks; the other subcommands refuse --seed
+    # rather than parse a value nothing reads.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(mini_cfg), "--seed", "3",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    rc = main(["verify", "--config", str(mini_cfg), "--seed", "3",
+               "--out", str(tmp_path / "v")])
+    assert rc == 0
+    assert "seed: 3\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])
+def test_bad_seed_is_rejected_naming_the_flag(mini_cfg, tmp_path, capsys, seed):
+    # A seed that is not a non-negative integer is an argument error (exit
+    # 2) that names --seed, raised before any work; -1 used to reach numpy
+    # and come back as a config error that named neither flag nor key.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(mini_cfg), "--seed", seed,
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"volflow verify: error: argument --seed: expected a non-negative "
+        f"integer, got '{seed}'")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("run", "mini_series.csv"), ("run", "mini_report.txt"),
+    ("criteria", "mini_criteria.txt"), ("sweep", "mini_sweep.txt"),
+    ("verify", "mini_verify.txt")])
+def test_unwritable_output_file_is_output_error(mini_cfg, tmp_path, capsys, command,
+                                                blocked):
+    # A directory where an output file goes: one stderr line naming the
+    # file, exit 2 and nothing on stdout, not a traceback with exit 1.
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    rc = main([command, "--config", str(mini_cfg), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"output error: cannot write '{out / blocked}': ")
+
+
 # An infinite lemma time made verify advect forever.
 @pytest.mark.parametrize("times", ["-0.05, 0.1", "-0.05", "0.05, inf"])
 def test_bad_verify_times_rejected_on_analytic_flow(tmp_path, capsys, times):

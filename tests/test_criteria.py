@@ -14,7 +14,6 @@ from volflow.criteria import (CASE_QNEG_LONG, CASE_QNEG_SHORT, CASE_QPOS,
                               condition10, constants, evaluate,
                               necessary_conditions, q_admissible_bound, q_and_r,
                               qneg_time_threshold)
-from volflow.flowfield import make_analytic_flow
 from volflow.functionals import PhiSpec, sample
 from volflow.verify import _closed_form_blowup, _comparison_coefficients
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (SyntheticFlow, annulus_volume, disk_volume, ones, radial_norm,
-                     rk4_points_reference, surface_integral, volume_integral_mass,
-                     volume_integral_plain)
+from helpers import (SyntheticFlow, advect_unchecked, annulus_volume, disk_volume, ones,
+                     radial_norm, rk4_points_reference, surface_integral,
+                     volume_integral_mass, volume_integral_plain)
 
 from volflow import matvol
-from volflow.flowfield import make_analytic_flow
+from volflow.flowfield import ConstantFlow, ExpansionFlow
 from volflow.matvol import (SelfIntersection, VolumeShapeSpec, advect,
                             boundary_distance, init_volume, loop_signed_area,
                             point_in_loops, polygon_is_simple)
@@ -19,18 +19,15 @@ from volflow.solver import GridFlow, GridState
 
 
 def still_flow(rho0=1.0, p0=1.0):
-    return make_analytic_flow("constant", 1.4,
-                              {"rho0": rho0, "V0": (0.0, 0.0), "P0": p0})
+    return ConstantFlow(1.4, rho0=rho0, vel0=(0.0, 0.0), p0=p0)
 
 
 def left_flow():
-    return make_analytic_flow("constant", 1.4,
-                              {"rho0": 1.0, "V0": (-1.0, 0.0), "P0": 1.0})
+    return ConstantFlow(1.4, rho0=1.0, vel0=(-1.0, 0.0), p0=1.0)
 
 
 def expansion():
-    return make_analytic_flow("expansion", 1.4,
-                              {"rho0": 1.0, "S0": 0.0, "t_c": 1.0})
+    return ExpansionFlow(1.4, rho0=1.0, s0=0.0, t_c=1.0)
 
 
 # -- initialization ----------------------------------------------------------
@@ -125,7 +122,7 @@ def test_rk4_order_on_curved_trajectories():
     vol = disk_volume(rot, (3.0, 0.0), 1.0, (10.0, 0.0), 1.0, markers=64, order=10)
     c, s = np.cos(omega), np.sin(omega)
     exact = vol.nodes @ np.array([[c, -s], [s, c]]).T
-    errs = [np.abs(advect(vol, rot, 1.0, dt, check_boundary=False).nodes - exact).max()
+    errs = [np.abs(advect_unchecked(vol, rot, 1.0, dt).nodes - exact).max()
             for dt in (0.1, 0.05)]
     assert 10.0 <= errs[0] / errs[1] <= 25.0
 
@@ -166,7 +163,7 @@ def test_loop_crossing_another_detected_after_advection():
     flow = SyntheticFlow(pull_and_swirl)
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (6.0, 0.0), 0.5,
                          markers=64, order=10)
-    moved = advect(vol, flow, 1.0, 1e-3, check_boundary=False)
+    moved = advect_unchecked(vol, flow, 1.0, 1e-3)
     outer, hole = np.split(moved.markers, moved.loop_ends[:-1])
     assert polygon_is_simple(outer) and polygon_is_simple(hole)
     with pytest.raises(SelfIntersection):
@@ -297,11 +294,10 @@ def test_distance_lipschitz_along_advection():
 @settings(max_examples=15, deadline=None)
 @given(t_to=st.floats(0.1, 1.5), vx=st.floats(-1.0, 1.0), vy=st.floats(-1.0, 1.0))
 def test_mass_invariant_under_advection(t_to, vx, vy):
-    flow = make_analytic_flow("constant", 1.4,
-                              {"rho0": 1.3, "V0": (vx, vy), "P0": 0.7})
+    flow = ConstantFlow(1.4, rho0=1.3, vel0=(vx, vy), p0=0.7)
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (-5.0, 0.0), 0.5, markers=64, order=10)
     m0 = volume_integral_mass(vol, ones)
-    moved = advect(vol, flow, t_to, 0.05, check_boundary=False)
+    moved = advect_unchecked(vol, flow, t_to, 0.05)
     assert volume_integral_mass(moved, ones) == pytest.approx(m0, rel=1e-10)
 
 
@@ -310,7 +306,7 @@ def test_mass_invariant_under_advection(t_to, vx, vy):
 def test_transport_consistency_expansion(t_to):
     flow = expansion()
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5, markers=64, order=20)
-    moved = advect(vol, flow, t_to, 0.02, check_boundary=False)
+    moved = advect_unchecked(vol, flow, t_to, 0.02)
     want = (1.0 + t_to) ** 2 * np.pi
     assert volume_integral_plain(moved, ones, flow) == pytest.approx(want, rel=1e-6)
 
@@ -508,8 +504,8 @@ def _grid_flow(n=64):
 
 RK4_CASES = {
     # (flow, t_from, t_to, dt); the spans leave partial last steps.
-    "constant": (lambda: make_analytic_flow(
-        "constant", 1.4, {"rho0": 1.0, "V0": (-1.3, 0.7), "P0": 1.0}), 0.0, 0.37, 0.05),
+    "constant": (lambda: ConstantFlow(1.4, rho0=1.0, vel0=(-1.3, 0.7), p0=1.0),
+                 0.0, 0.37, 0.05),
     "expansion_forward": (expansion, 0.0, 0.37, 0.05),
     "expansion_backward": (expansion, 0.5, 0.1, 0.05),
     "expansion_partial": (expansion, 0.2, 0.2 + 0.013, 0.005),

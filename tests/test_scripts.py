@@ -1,0 +1,51 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment counts as code
+
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    x = (1,
+         2)
+
+
+def f(a):
+    """Function docstring.
+
+    More of it.
+    """
+    text = """a string
+that is not a docstring"""
+    return math.sqrt(a)
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    # Code lines: the import, `class A:`, the two lines of x, `def f(a):`,
+    # the two lines of the string assignment and the return.
+    assert _load("code_lines").code_lines(SAMPLE) == 8
+
+
+def test_code_lines_prints_each_module_and_the_total(capsys):
+    code_lines = _load("code_lines")
+    assert code_lines.main([]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    modules = sorted(p.name for p in (SCRIPTS.parent / "src" / "volflow").glob("*.py"))
+    assert [name for _, name in rows] == modules + ["total"]
+    assert sum(int(count) for count, _ in rows[:-1]) == int(rows[-1][0])

@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import d4, lagrange_weights
+from helpers import d4, grid_mass, lagrange_weights, state_fields
 
 from volflow import solver
-from volflow.flowfield import make_analytic_flow
+from volflow.flowfield import ExpansionFlow
 from volflow.solver import (GridFlow, GridState, NonSmoothState, SmoothnessLost,
                             SnapshotDropped, interpolate_fields, smoothness_guard,
                             step)
@@ -47,12 +47,12 @@ def read_all(flow, t, pts):
 
 def run_to(state, t_final):
     drift = 0.0
-    m_prev = state.mass()
+    m_prev = grid_mass(state)
     steps = int(np.ceil(t_final / (0.9 * state.cfl_limit())))
     dt = t_final / steps
     for _ in range(steps):
         state = step(state, dt)
-        m = state.mass()
+        m = grid_mass(state)
         drift = max(drift, abs(m - m_prev) / m_prev)
         m_prev = m
     return state, drift
@@ -133,8 +133,7 @@ def test_expansion_window_convergence():
         u = np.clip(u, 0.0, 1.0)
         return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
 
-    flow = make_analytic_flow("expansion", 1.4,
-                              {"rho0": 1.0, "S0": 0.0, "t_c": 1.0})
+    flow = ExpansionFlow(1.4, rho0=1.0, s0=0.0, t_c=1.0)
     t_final = 0.1
     errs = []
     for n in (48, 96, 192):
@@ -248,7 +247,7 @@ def test_interpolation_identity_at_nodes():
     xg = st.origin[0] + st.spacing[0] * np.arange(nx)
     yg = st.origin[1] + st.spacing[1] * np.arange(ny)
     pts = np.stack(np.meshgrid(xg, yg, indexing="ij"), axis=-1).reshape(-1, 2)
-    vals = interpolate_fields(st, pts)["rho"].reshape(st.shape)
+    vals = interpolate_fields(st, pts, state_fields(st))["rho"].reshape(st.shape)
     assert np.array_equal(vals, st.rho)
 
 
@@ -262,7 +261,7 @@ def test_interpolation_reproduces_cubics():
     st = GridState(rho=2.0 + 0 * f, vx=f, vy=0 * f, entropy=0 * f, gamma=1.4,
                    origin=(0.0, 0.0), spacing=(h, h), time=0.0)
     pts = np.array([[0.412, 0.333], [0.5, 0.51], [0.1234, 0.789]])
-    got = interpolate_fields(st, pts)["vx"]
+    got = interpolate_fields(st, pts, state_fields(st))["vx"]
     want = 1.0 + 0.3 * (pts[:, 0] - 0.4) ** 3 + 0.1 * (pts[:, 1] - 0.6) ** 2
     assert np.allclose(got, want, rtol=0, atol=1e-13)
 
@@ -496,6 +495,12 @@ def _hypot_cases():
     yield "inf_and_nan", np.where(with_nan == with_nan, gx, np.inf), with_nan
 
 
+def max_hypot(gx, gy, add=0.0):
+    """`solver._max_hypot` with scratch buffers of its own."""
+    return solver._max_hypot(gx, gy, add, np.empty(gx.shape), np.empty(gx.shape),
+                             np.empty(gx.shape, dtype=bool))
+
+
 @pytest.mark.parametrize("name, gx, gy", list(_hypot_cases()),
                          ids=[c[0] for c in _hypot_cases()])
 def test_max_hypot_is_exact(name, gx, gy):
@@ -504,7 +509,7 @@ def test_max_hypot_is_exact(name, gx, gy):
     for add in (0.0, sound, 1e-160 * sound, 1e200 * sound):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             want = float((np.hypot(gx, gy) + add).max())
-            got = solver._max_hypot(gx, gy, add)
+            got = max_hypot(gx, gy, add)
         assert got == want or (np.isnan(got) and np.isnan(want)), (name, got, want)
 
 
@@ -569,7 +574,7 @@ def test_guard_matches_the_largest_max_hypot(monkeypatch, name, pairs):
 
     monkeypatch.setattr(solver, "_d4_into", injected)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        maxima = [solver._max_hypot(gx, gy) for gx, gy in pairs]
+        maxima = [max_hypot(gx, gy) for gx, gy in pairs]
         want = max(0.0, *maxima)
         for threshold in (np.inf, 1.0):
             got = smoothness_guard(st, threshold, work=work)
@@ -619,10 +624,12 @@ def test_interpolation_matches_reference_bitwise(shape, spacing):
     work = solver._Workspace(st.shape)
     # Fresh arrays, then a workspace's patch buffers: grown to 500 points,
     # then used in part for 37.
-    for got in (interpolate_fields(st, pts), interpolate_fields(st, pts, work=work)):
+    fields = state_fields(st)
+    for got in (interpolate_fields(st, pts, fields),
+                interpolate_fields(st, pts, fields, work=work)):
         assert all(np.array_equal(got[n], want[n]) for n in names)
     for m in (37, 2, 1):
-        got = interpolate_fields(st, pts[:m], work=work)
+        got = interpolate_fields(st, pts[:m], fields, work=work)
         assert all(np.array_equal(got[n], want[n][:m]) for n in names)
     # Fields of signed zeros: the sum starts from +0.0, as einsum's does.
     zeros = {"pos": np.zeros(st.shape), "neg": np.full(st.shape, -0.0)}
@@ -659,7 +666,7 @@ def test_patch_indices_match_the_modulo_formula(shape):
     pts = np.vstack([(cells + (kx * nx, ky * ny)) * st.spacing + st.origin
                      for kx in (-2, -1, 0, 1, 3) for ky in (-1, 0, 2)])
     work = solver._Workspace(shape)
-    got = interpolate_fields(st, pts, work=work)
+    got = interpolate_fields(st, pts, state_fields(st), work=work)
     flat = work.patch_buffers(len(pts))[0]
     ix = np.floor((pts[:, 0] - st.origin[0]) / st.spacing[0]).astype(int)
     iy = np.floor((pts[:, 1] - st.origin[1]) / st.spacing[1]).astype(int)

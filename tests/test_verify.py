@@ -4,15 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (CONFIG_DIR, SyntheticFlow, annulus_volume, disk_volume,
-                     record_snapshots_held)
+from helpers import (CONFIG_DIR, SyntheticFlow, advect_unchecked, annulus_volume,
+                     disk_volume, record_snapshots_held)
 
 from volflow import verify as verify_mod
 from volflow.config import build_scenario, load_config
 from volflow.criteria import CriteriaInputs, classify_and_delta, constants
-from volflow.flowfield import make_analytic_flow
+from volflow.flowfield import ConstantFlow, ExpansionFlow
 from volflow.functionals import FunctionalSample, NonSmoothSample, PhiSpec
-from volflow.matvol import _advect_any, advect, boundary_distance
+from volflow.matvol import advect, boundary_distance
 from volflow.solver import GridFlow, GridState
 from volflow.verify import (blowup_oracle, bounds_chain, check_inequality17,
                             check_lemma_suite, random_oracle_cases,
@@ -20,8 +20,7 @@ from volflow.verify import (blowup_oracle, bounds_chain, check_inequality17,
 
 
 def expansion():
-    return make_analytic_flow("expansion", 1.4,
-                              {"rho0": 1.0, "S0": 0.0, "t_c": 1.0})
+    return ExpansionFlow(1.4, rho0=1.0, s0=0.0, t_c=1.0)
 
 
 def oracle_inputs(q=-8.0, eps=1.0, m=1.0):
@@ -87,8 +86,7 @@ def test_lemma_suite_rejects_concave_profile():
 
 def test_lemma3_closed_form_annulus():
     # rho == 1 annulus: both sides of the density-moment bound in closed form
-    flow = make_analytic_flow("constant", 1.4,
-                              {"rho0": 1.0, "V0": (0.0, 0.0), "P0": 1.0})
+    flow = ConstantFlow(1.4, rho0=1.0, vel0=(0.0, 0.0), p0=1.0)
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.9,
                          markers=512, order=60)
     q, gamma, eps = -8.0, 1.4, 0.9
@@ -307,7 +305,7 @@ def _refine_hit_all_points(vol_prev, flow, t_lo, t_hi, epsilon, dt):
     """The bisection with every trial advecting markers and nodes alike."""
     while t_hi - t_lo > dt / 100.0:
         mid = 0.5 * (t_lo + t_hi)
-        trial = _advect_any(vol_prev, flow, mid, dt, check_boundary=False)
+        trial = advect_unchecked(vol_prev, flow, mid, dt)
         if boundary_distance(trial) <= epsilon:
             t_hi = mid
         else:
@@ -330,8 +328,7 @@ def test_hit_refinement_moves_only_the_markers(kind):
     # Each point moves on its own, so advecting the markers alone gives the
     # bisection the same trial boundaries, and the same hit time, bit for bit.
     if kind == "constant":
-        flow = make_analytic_flow("constant", 1.4,
-                                  {"rho0": 1.0, "V0": (-1.0, 0.0), "P0": 1.0})
+        flow = ConstantFlow(1.4, rho0=1.0, vel0=(-1.0, 0.0), p0=1.0)
         vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
         t_lo, dt, epsilon = 1.46, 0.05, 0.5
     else:
