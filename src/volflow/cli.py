@@ -18,10 +18,12 @@ configuration, precondition or output errors -- among them a config file
 that cannot be read, a command-line argument argparse rejects (such as a
 negative `--seed`), an output directory that cannot be created or an output
 file that cannot be written (one `output error:` line on stderr), a config
-key the loader does not read, `verify.times` whose lemma differences (step
-h) reach outside the flow's time window, past the time at which a grid
-solver loses smoothness, or to a flow that is not smooth where they read it
-(`run` instead ends its horizon there and reports it), and a boundary loop
+key the loader does not read, a `flow.grid.dt` above the grid solver's CFL
+limit at some step, `verify.times` whose lemma differences (step h) reach
+outside the flow's time window, past the time at which a grid solver loses
+smoothness, or to a flow that is not smooth where they read it (`run`
+instead ends its horizon there and reports it), or that put the boundary
+within epsilon of x0 at a lemma time, and a boundary loop
 that crosses itself or another loop after an advection (`volume.markers`
 too few to resolve it).
 """
@@ -38,11 +40,11 @@ import numpy as np
 from . import criteria as crit_mod
 from . import verify as verify_mod
 from .config import ConfigError, build_scenario, load_config
-from .functionals import NonSmoothSample, PhiSpec, sample
+from .functionals import PhiSpec, sample
 # boundary_distance is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps this module's binding of it.
 from .matvol import SelfIntersection, advect, boundary_distance  # noqa: F401
-from .solver import NonSmoothState, SmoothnessLost
+from .solver import CFLViolation, NonSmoothState, SmoothnessLost
 
 __all__ = ["main", "entry", "CSV_HEADER"]
 
@@ -175,19 +177,20 @@ def _cmd_verify(scenario, out_dir, seed):
         flow.advance_to(times[-1] + 2.0 * h)
         flow.check_time(times[0] - h)
         flow.keep_from(vol.time)
+        for t in times:
+            if t > vol.time:
+                vol = advect(vol, flow, t, cfg.dt)
+            checks += verify_mod.check_lemma_suite(flow, vol, phi, cfg.epsilon)
     except SmoothnessLost as exc:
         raise ConfigError(
             f"key 'verify.times': the grid solver lost smoothness at "
             f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
-    except ValueError as exc:
+    except CFLViolation:
+        raise                                   # main names flow.grid.dt
+    except (ValueError, NonSmoothState) as exc:
+        # NonSmoothSample is a ValueError; so is a boundary within epsilon
+        # of x0 at a lemma time, which the density-moment bound refuses.
         raise ConfigError(f"key 'verify.times': {exc}") from exc
-    for t in times:
-        try:
-            if t > vol.time:
-                vol = advect(vol, flow, t, cfg.dt)
-            checks += verify_mod.check_lemma_suite(flow, vol, phi, cfg.epsilon)
-        except (NonSmoothSample, NonSmoothState) as exc:
-            raise ConfigError(f"key 'verify.times': {exc}") from exc
 
     run_report = verify_mod.run_theorem_scenario(scenario)
     series = list(run_report.series)
@@ -311,6 +314,9 @@ def main(argv=None):
         if args.command == "verify":
             return _cmd_verify(scenario, out_dir, args.seed)
         return _cmd_sweep(scenario, out_dir)
+    except CFLViolation as exc:
+        print(f"config error: key 'flow.grid.dt': {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

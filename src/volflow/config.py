@@ -15,7 +15,9 @@ Every parsed key is read or rejected: `load_config` fails naming the first
 key it did not read (a typo, a key of another flow or shape kind, or a
 removed setting), so no line of a config silently means nothing.  Every
 number goes through `_number`, which rejects NaN and +-inf naming the key;
-only an absent `flow.grid.max_grad` means inf (no gradient guard).  `_int`
+only an absent `flow.grid.max_grad` means inf (no gradient guard).
+`_positive` also rejects zero and negative values of the keys that must be
+positive (epsilon, T, dt, flow.rho0, flow.P0, flow.t_c, flow.grid.dt).  `_int`
 rejects anything but an integer literal (2.0, 2.5, inf, nan, true) naming
 the key.  The entropy floor s0 is not a setting: it comes from the flow
 (`FlowField.entropy_floor`).
@@ -148,6 +150,13 @@ def _floats(raw, key, length=None, default=None):
     return _numbers(_text(raw, key, default), key, length)
 
 
+def _positive(raw, key, default=None):
+    value = _float(raw, key, default)
+    if value <= 0.0:
+        raise ConfigError(f"key {key!r} must be positive, got {value}")
+    return value
+
+
 def _int(raw, key, default=None):
     text = _text(raw, key, default)
     try:
@@ -178,22 +187,16 @@ def load_config(path):
 
     volume = _volume_spec(raw)
     x0 = _floats(raw, "x0", FlowField.dimension)
-    epsilon = _float(raw, "epsilon")
-    if epsilon <= 0.0:
-        raise ConfigError("key 'epsilon' must be positive")
+    epsilon = _positive(raw, "epsilon")
     qexp = _float(raw, "q")
     if not q_admissible(qexp, gamma, FlowField.dimension):
         raise ConfigError(f"key 'q' must lie strictly below "
                           f"{q_admissible_bound(gamma, FlowField.dimension)}, got {qexp}")
-    horizon = _float(raw, "T")
-    if not horizon > 0.0:
-        raise ConfigError(f"key 'T' must be positive and finite, got {horizon}")
+    horizon = _positive(raw, "T")
     reg_const = _float(raw, "M")
     if reg_const < 0.0:
         raise ConfigError("key 'M' must be nonnegative")
-    dt = _float(raw, "dt", "1e-3")
-    if not dt > 0.0:
-        raise ConfigError(f"key 'dt' must be positive and finite, got {dt}")
+    dt = _positive(raw, "dt", "1e-3")
     stride = _int(raw, "sample.stride", "10")
     if stride < 1:
         raise ConfigError("key 'sample.stride' must be at least 1")
@@ -231,20 +234,20 @@ def load_config(path):
 def _flow_params(raw, kind):
     if kind == "constant":
         return {
-            "rho0": _float(raw, "flow.rho0"),
+            "rho0": _positive(raw, "flow.rho0"),
             "V0": _floats(raw, "flow.V0", FlowField.dimension),
-            "P0": _float(raw, "flow.P0"),
+            "P0": _positive(raw, "flow.P0"),
         }
     if kind == "expansion":
         return {
-            "rho0": _float(raw, "flow.rho0"),
+            "rho0": _positive(raw, "flow.rho0"),
             "S0": _float(raw, "flow.S0", "0.0"),
-            "t_c": _float(raw, "flow.t_c"),
+            "t_c": _positive(raw, "flow.t_c"),
         }
     params = {
         "n": _int(raw, "flow.grid.n"),
         "box": _floats(raw, "flow.grid.box", 2),
-        "dt": _float(raw, "flow.grid.dt"),
+        "dt": _positive(raw, "flow.grid.dt"),
         "rho": _text(raw, "flow.grid.rho"),
         "vx": _text(raw, "flow.grid.vx"),
         "vy": _text(raw, "flow.grid.vy"),

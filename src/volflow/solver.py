@@ -28,10 +28,10 @@ keeps its entropy exactly under the scheme, so `step` evolves only
 (rho, vx, vy) from it and its snapshots share one entropy array.  The
 workspace works out once per entropy array whether it is frozen so, and
 its exp(S), which every pressure of those states then takes as one factor.
-The CFL limit takes its maximum of hypot(gx, gy) exactly from cheap
-squared-sum passes plus np.hypot at the few cells that can hold it
-(`_max_hypot`); the gradient guard compares the fields on their squares
-first and refines only the fields that can hold its maximum.
+The CFL limit takes the plain maximum of sqrt(vx * vx + vy * vy) + c, and
+the gradient guard the sqrt of the largest gx * gx + gy * gy: squares that
+overflow read inf, so an infinite top speed admits no step and an
+overflowing gradient trips any finite threshold.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import numpy as np
 from .flowfield import FlowField
 
 __all__ = [
+    "CFLViolation",
     "GridState",
     "GridFlow",
     "NonSmoothState",
@@ -54,6 +55,10 @@ __all__ = [
     "smoothness_guard",
     "interpolate_fields",
 ]
+
+
+class CFLViolation(ValueError):
+    """Raised when a step's dt exceeds the state's CFL limit."""
 
 
 class NonSmoothState(RuntimeError):
@@ -122,31 +127,39 @@ class GridState:
 
     def cfl_limit(self, work=None):
         """Largest admissible dt: 0.4 * min(dx) / max(|V| + c), the fixed
-        CFL number 0.4, with c = sqrt(gamma P / rho).  `work` is a
-        `_Workspace` for the state's shape (a fresh one when None), which
-        supplies the pressure (`state_pressure`) and whose stage inputs and
-        mask serve as scratch (the derivatives a guard left in its `grad`
-        slots stay).  A top speed that is not finite (an overflowing
-        pressure) raises `NonSmoothState`: the state admits no step."""
+        CFL number 0.4, with c = sqrt(gamma P / rho) and |V| =
+        sqrt(vx * vx + vy * vy).  `work` is a `_Workspace` for the state's
+        shape (a fresh one when None), which supplies the pressure
+        (`state_pressure`) and whose stage inputs serve as scratch (the
+        derivatives a guard left in its `grad` slots stay).  A top speed
+        that is not finite (an overflowing pressure, or a speed whose square
+        overflows) raises `NonSmoothState`: the state admits no step."""
         if work is None:
             work = _Workspace(self.shape)
-        (c, buf, tmp), mask = work.stage[:3], work.mask
+        c, speed, tmp = work.stage[:3]
         np.multiply(work.state_pressure(self), self.gamma, out=c)
         c /= self.rho
         np.sqrt(c, out=c)
-        top = _max_hypot(self.vx, self.vy, c, buf, tmp, mask)
+        with np.errstate(over="ignore"):
+            np.multiply(self.vx, self.vx, out=speed)
+            np.multiply(self.vy, self.vy, out=tmp)
+        speed += tmp
+        np.sqrt(speed, out=speed)
+        speed += c
+        top = float(speed.max())
         if not np.isfinite(top):
             raise NonSmoothState(f"top wave speed {top} at t={self.time}")
         return 0.4 * min(self.spacing) / top
 
 
 class _Workspace:
-    """Buffers that `step`, `smoothness_guard` and `interpolate_fields`
-    reuse on one grid shape.
+    """Buffers that `step`, `GridState.cfl_limit`, `smoothness_guard` and
+    `interpolate_fields` reuse on one grid shape.
 
     Per axis, the wrap-around edge lines of the field being differentiated
     and the views and slices `_d4_into` reads them through (`_Edges`); one
-    set of RK4 stage inputs and one of stage slopes; the ten first
+    set of RK4 stage inputs, which the CFL limit and the guard also take as
+    the scratch of their squares, and one of stage slopes; the ten first
     derivatives the right-hand side reads; one pressure, a scratch array and
     a boolean mask.  No snapshot ever points into these buffers.
 
@@ -312,38 +325,6 @@ def _d4_into(f, h, axis, out, edges, tmp):
     return out
 
 
-def _max_hypot(gx, gy, add, buf, tmp, mask):
-    """float((np.hypot(gx, gy) + add).max()), exactly, for add >= 0.
-
-    np.hypot costs several times a plain multiply or sqrt pass, so the
-    maximum is found on sqrt(gx**2 + gy**2) + add first.  Where its squares
-    neither overflow nor underflow that value is within a few ulp of
-    hypot(gx, gy) + add, so every cell that can hold the exact maximum lies
-    within 1e-12 (relative) of its maximum `top`; np.hypot runs on those
-    cells alone.  A `top` that is not finite, or below 1e-140 (squares of
-    that size lose their precision to underflow), sends the whole array to
-    np.hypot.  `buf` and `tmp` are float scratch arrays and `mask` a
-    boolean one of the fields' shape."""
-    shifted = np.ndim(add) > 0 or add != 0.0
-    np.multiply(gx, gx, out=buf)
-    np.multiply(gy, gy, out=tmp)
-    buf += tmp
-    np.sqrt(buf, out=buf)
-    if shifted:
-        buf += add
-    top = float(buf.max())
-    if not (np.isfinite(top) and top >= 1e-140):
-        np.hypot(gx, gy, out=buf)
-        if shifted:
-            buf += add
-        return float(buf.max())
-    near = np.flatnonzero(np.greater_equal(buf, top - 1e-12 * top, out=mask))
-    exact = np.hypot(gx.reshape(-1)[near], gy.reshape(-1)[near])
-    if shifted:
-        exact += add.reshape(-1)[near] if np.ndim(add) else add
-    return float(exact.max())
-
-
 def _pressure_into(rho, exp_s, gamma, out):
     """out = rho ** gamma * exp(S), the pressure of the state relation;
     `exp_s` is exp(S), an array or the one float of a frozen S.  A factor of
@@ -425,9 +406,9 @@ def step(state, dt, work=None):
     """One RK4 step of the Euler system; returns a new GridState.
 
     dt must respect the CFL bound `state.cfl_limit`, 0.4*min(dx)/max(|V|+c)
-    with its fixed CFL number 0.4; the step refuses to run otherwise instead
-    of silently producing garbage.  A stage density that goes negative, or a
-    non-finite new field, raises `NonSmoothState`.
+    with its fixed CFL number 0.4; the step refuses to run otherwise
+    (`CFLViolation`) instead of silently producing garbage.  A stage density
+    that goes negative, or a non-finite new field, raises `NonSmoothState`.
 
     `work` is a `_Workspace` for the state's shape; with it the step
     allocates only the arrays of the state it returns.  Without it the step
@@ -456,7 +437,7 @@ def step(state, dt, work=None):
     work.check(state)
     limit = state.cfl_limit(work=work)
     if dt > limit * (1.0 + 1e-9):
-        raise ValueError(f"CFL violated: dt={dt} exceeds limit {limit}")
+        raise CFLViolation(f"CFL violated: dt={dt} exceeds limit {limit}")
 
     dx, dy = state.spacing
     gamma = state.gamma
@@ -520,21 +501,16 @@ class GuardReport(NamedTuple):
 def smoothness_guard(state, threshold=np.inf, work=None):
     """Max discrete gradient norm over (rho, vx, vy, P) vs. a threshold.
 
-    max_grad is bit for bit max(0.0, m_rho, m_vx, m_vy, m_P), taken left to
-    right, where m_f is `_max_hypot` of f's derivatives.  Each field's
-    largest gx**2 + gy**2 is taken first, in one square buffer.  Where those
-    are all finite and the largest, `top`, is at least 1e-280 (the square
-    of `_max_hypot`'s underflow floor), a square is within a few ulp of
-    hypot(gx, gy)**2, so a field whose largest square is below
-    top (1 - 1e-11) cannot hold the maximum: only the fields at or above
-    that go to `_max_hypot`.  Otherwise (an overflow, an underflow, a NaN)
-    every field does.  A NaN field maximum makes max_grad NaN (Python's max
-    would drop it), and a max_grad that is not finite is never ok.
+    max_grad is the sqrt of the largest gx * gx + gy * gy over the four
+    fields, which is bit for bit the largest sqrt(gx * gx + gy * gy): sqrt
+    is correctly rounded and monotone.  A NaN in any field makes max_grad
+    NaN, a square that overflows makes it inf, and a max_grad that is not
+    finite is never ok.
 
     `work` is an optional `_Workspace` for the state's shape, whose stage
-    inputs and mask serve as scratch.  The state's pressure stays in its
-    `pressure` buffer and the derivatives in its `grad` slots, where the
-    next `step` from this state reads them."""
+    inputs serve as scratch.  The state's pressure stays in its `pressure`
+    buffer and the derivatives in its `grad` slots, where the next `step`
+    from this state reads them."""
     if work is None:
         work = _Workspace(state.shape)
     work.check(state)
@@ -549,16 +525,9 @@ def smoothness_guard(state, threshold=np.inf, work=None):
         np.multiply(gx, gx, out=square)
         np.multiply(gy, gy, out=tmp)
         square += tmp
-        tops.append(float(square.max()))
+        tops.append(square.max())
     work.grad_state = state
-    top = max(tops)
-    exact = bool(np.isfinite(tops).all()) and top >= 1e-280
-    worst = 0.0
-    for i, field_top in zip(_GUARDED, tops):
-        if not exact or field_top >= top - 1e-11 * top:
-            m = _max_hypot(work.grad[2 * i], work.grad[2 * i + 1], 0.0, square,
-                           tmp, work.mask)
-            worst = m if np.isnan(m) else max(worst, m)
+    worst = float(np.sqrt(np.max(tops)))        # np.max keeps a NaN
     return GuardReport(max_grad=worst, ok=bool(np.isfinite(worst)) and worst <= threshold)
 
 

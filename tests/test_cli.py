@@ -122,6 +122,50 @@ def test_missing_key_reported(tmp_path):
         load_config(path)
 
 
+def _shipped_with(tmp_path, name, extra):
+    """The shipped config `name` with `extra` lines appended."""
+    return _write(tmp_path, (CONFIG_DIR / f"{name}.cfg").read_text() + "\n" + extra, name)
+
+
+@pytest.mark.parametrize("name, line", [
+    ("expansion_outflow", "flow.t_c = -1.0"),
+    ("constant_inflow", "flow.P0 = -1.0"),
+    ("constant_inflow", "flow.rho0 = 0.0"),
+    ("radial_inflow", "flow.grid.dt = 0.0"),
+])
+def test_flow_parameter_not_positive_names_its_key(tmp_path, capsys, name, line):
+    # Rejected at load time, naming the key, before a flow constructor or
+    # GridFlow sees the value.
+    key, value = (part.strip() for part in line.split("="))
+    path = _shipped_with(tmp_path, name, line + "\n")
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == (
+        f"config error: key '{key}' must be positive, got {float(value)}")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cfl_violation_names_flow_grid_dt(tmp_path, capsys, command):
+    # The step dt is flow.grid.dt, whichever command steps the grid, and
+    # verify's lemma-time checks must not take the blame.
+    path = _grid_config(tmp_path, "flow.grid.dt = 0.5\n")
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys).startswith(
+        "config error: key 'flow.grid.dt': CFL violated: dt=0.5 exceeds limit ")
+
+
+def test_lemma_time_with_boundary_near_x0_names_verify_times(tmp_path, capsys):
+    # At t = 1.8 the inflowing boundary is within epsilon of x0, which the
+    # density-moment bound of the lemma suite refuses.
+    path = _shipped_with(tmp_path, "constant_inflow", "verify.times = 0.5, 1.8\n")
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys).startswith(
+        "config error: key 'verify.times': density-moment bound needs "
+        "dist(boundary, x0) >= epsilon (have ")
+
+
 # -- subcommands ------------------------------------------------------------------
 
 def test_criteria_subcommand(mini_cfg, tmp_path, capsys):

@@ -49,3 +49,28 @@ def test_code_lines_prints_each_module_and_the_total(capsys):
     modules = sorted(p.name for p in (SCRIPTS.parent / "src" / "volflow").glob("*.py"))
     assert [name for _, name in rows] == modules + ["total"]
     assert sum(int(count) for count, _ in rows[:-1]) == int(rows[-1][0])
+
+
+def test_output_digest_lists_every_shipped_config_and_the_verify_ones():
+    digest = _load("output_digest")
+    stems = sorted(p.stem for p in (SCRIPTS / "configs").glob("*.cfg"))
+    labels = [label for label, _ in digest.operations(SCRIPTS.parent)]
+    assert labels == ([f"{command}/{stem}" for command in ("criteria", "run", "sweep")
+                       for stem in stems]
+                      + [f"verify/{name}" for name in digest.VERIFY_CONFIGS])
+    assert set(digest.VERIFY_CONFIGS) <= set(stems) and len(digest.VERIFY_CONFIGS) == 4
+
+
+def test_output_digest_names_a_crashing_call_and_exits_1(tmp_path, capsys):
+    # A checkout whose CLI raises: every call writes a traceback and exits 1.
+    package = tmp_path / "src" / "volflow"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text("raise RuntimeError('broken entry point')\n")
+    (tmp_path / "scripts" / "configs").mkdir(parents=True)
+    (tmp_path / "scripts" / "configs" / "demo.cfg").write_text("name = demo\n")
+    assert _load("output_digest").main(["--root", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"crashed: {command}/demo (exit=1)"
+                                         for command in ("criteria", "run", "sweep")]
+    assert len(captured.out.splitlines()) == 9     # stdout, stderr, exit per call

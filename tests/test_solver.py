@@ -326,6 +326,15 @@ def test_overflowing_pressure_is_lost_smoothness():
     assert flow.t_last == 0.0
 
 
+def test_overflowing_speed_admits_no_step():
+    # |V| = 1e155 squares to inf, so the top wave speed is inf: the state
+    # admits no step, as with an overflowing pressure, and no overflow
+    # warning escapes.
+    st = uniform_state(32, vx=1e155, vy=0.0)
+    with pytest.raises(NonSmoothState, match="top wave speed inf"):
+        st.cfl_limit()
+
+
 # -- bitwise references --------------------------------------------------------
 # Plain NumPy versions of the stepper and the interpolation: np.roll
 # stencils, fresh arrays for every stage, one fancy-index gather per field.
@@ -371,7 +380,8 @@ def _reference_step(state, dt):
 
 def _reference_cfl_limit(state):
     c = np.sqrt(state.gamma * state.pressure / state.rho)
-    return 0.4 * min(state.spacing) / float((np.hypot(state.vx, state.vy) + c).max())
+    speed = np.sqrt(state.vx * state.vx + state.vy * state.vy)
+    return 0.4 * min(state.spacing) / float((speed + c).max())
 
 
 def _reference_interpolate(state, pts, names, fields=None):
@@ -453,8 +463,9 @@ def test_step_matches_reference_bitwise(shape, spacing, gamma):
                for n, w in zip(("rho", "vx", "vy", "entropy", "pressure"), want))
     guard = smoothness_guard(st, work=work)
     assert guard.max_grad == max(
-        float(np.hypot(_reference_d4(f, dx, 0), _reference_d4(f, dy, 1)).max())
-        for f in (st.rho, st.vx, st.vy, st.pressure))
+        float(np.sqrt(gx * gx + gy * gy).max())
+        for gx, gy in ((_reference_d4(f, dx, 0), _reference_d4(f, dy, 1))
+                       for f in (st.rho, st.vx, st.vy, st.pressure)))
 
 
 def _hypot_cases():
@@ -495,30 +506,13 @@ def _hypot_cases():
     yield "inf_and_nan", np.where(with_nan == with_nan, gx, np.inf), with_nan
 
 
-def max_hypot(gx, gy, add=0.0):
-    """`solver._max_hypot` with scratch buffers of its own."""
-    return solver._max_hypot(gx, gy, add, np.empty(gx.shape), np.empty(gx.shape),
-                             np.empty(gx.shape, dtype=bool))
-
-
-@pytest.mark.parametrize("name, gx, gy", list(_hypot_cases()),
-                         ids=[c[0] for c in _hypot_cases()])
-def test_max_hypot_is_exact(name, gx, gy):
-    rng = np.random.default_rng(5)
-    sound = rng.uniform(0.0, 2.0, gx.shape)
-    for add in (0.0, sound, 1e-160 * sound, 1e200 * sound):
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            want = float((np.hypot(gx, gy) + add).max())
-            got = max_hypot(gx, gy, add)
-        assert got == want or (np.isnan(got) and np.isnan(want)), (name, got, want)
-
-
 def _guard_cases():
     """(name, four (gx, gy) pairs) in the guard's field order rho, vx, vy, P:
     each `_hypot_cases` input in each field in turn, the others small; then
-    all zero, one field whose hypot overflows, all below 1e-140 (with normal
-    squares, and with subnormal ones), and the `flip` cells split over two
-    fields.  In the last two the larger square is the smaller hypot."""
+    all zero, one field whose squares overflow, all below 1e-140 (with
+    normal squares, and with subnormal ones), and the `flip` cells split
+    over two fields.  In the last two the larger square is the smaller
+    hypot, so the guard must follow the squares."""
     rng = np.random.default_rng(12)
     cases = list(_hypot_cases())
     shape = cases[0][1].shape
@@ -555,11 +549,11 @@ def _guard_cases():
 @pytest.mark.parametrize("name, pairs", list(_guard_cases()),
                          ids=[c[0] for c in _guard_cases()])
 def test_guard_matches_the_largest_max_hypot(monkeypatch, name, pairs):
-    # The guard's max_grad is, bit for bit, max(0.0, m_rho, m_vx, m_vy, m_P)
-    # taken left to right over the four `_max_hypot` values, whichever
-    # fields its squared maxima send to `_max_hypot`; but a NaN m_f, which
-    # Python's max would drop, makes it NaN.  One that is not finite is
-    # never ok, whatever the threshold.
+    # The guard's max_grad is, bit for bit, the sqrt of the largest
+    # gx * gx + gy * gy over the four fields (the name is from the exact
+    # np.hypot maximum it matched before).  A NaN field makes it NaN, a
+    # field whose squares overflow makes it inf, and one that is not finite
+    # is never ok, whatever the threshold.
     shape = pairs[0][0].shape
     st = GridState(rho=np.ones(shape), vx=np.zeros(shape), vy=np.zeros(shape),
                    entropy=np.zeros(shape), gamma=1.4, origin=(0.0, 0.0),
@@ -574,15 +568,17 @@ def test_guard_matches_the_largest_max_hypot(monkeypatch, name, pairs):
 
     monkeypatch.setattr(solver, "_d4_into", injected)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        maxima = [max_hypot(gx, gy) for gx, gy in pairs]
-        want = max(0.0, *maxima)
+        squares = [float((gx * gx + gy * gy).max()) for gx, gy in pairs]
         for threshold in (np.inf, 1.0):
             got = smoothness_guard(st, threshold, work=work)
-            if np.isnan(maxima).any():
+            if np.isnan(squares).any():
                 assert np.isnan(got.max_grad) and not got.ok
                 continue
+            want = np.sqrt(max(squares))
             assert np.float64(got.max_grad).tobytes() == np.float64(want).tobytes()
             assert got.ok == (np.isfinite(want) and want <= threshold)
+            if np.isinf(squares).any():
+                assert got.max_grad == np.inf and not got.ok
 
 
 @pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
