@@ -1,11 +1,14 @@
-"""Count the code lines of each `src/volflow` module and their total.
+"""Count the code lines and the defaulted parameters of each `src/volflow`
+module and their totals.
 
     python3 scripts/code_lines.py [--root CHECKOUT]
 
 A code line is a source line that holds a token of code: blank lines,
 comment lines and the lines of docstrings (the leading string of a module,
-class or function body) do not count.  Prints one `lines  module` row per
-module of `CHECKOUT/src/volflow`, sorted by name, then `lines  total`.
+class or function body) do not count.  A defaulted parameter is a parameter
+of a function or lambda that has a default value: a value a caller may
+leave unset.  Prints one `lines  defaults  module` row per module of
+`CHECKOUT/src/volflow`, sorted by name, then `lines  defaults  total`.
 `CHECKOUT` defaults to the checkout this script lives in.
 """
 
@@ -46,18 +49,29 @@ def code_lines(text):
     return len(lines)
 
 
+def defaulted_params(text):
+    """The number of function and lambda parameters with a default value in
+    Python source `text`."""
+    return sum(len(node.args.defaults)
+               + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/volflow modules are counted")
     args = parser.parse_args(argv)
-    total = 0
+    total = defaults_total = 0
     for path in sorted((args.root / "src" / "volflow").glob("*.py")):
-        count = code_lines(path.read_text())
+        text = path.read_text()
+        count, defaults = code_lines(text), defaulted_params(text)
         total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        defaults_total += defaults
+        print(f"{count:6d}  {defaults:4d}  {path.name}")
+    print(f"{total:6d}  {defaults_total:4d}  total")
     return 0
 
 

@@ -23,9 +23,11 @@ limit at some step, `verify.times` whose lemma differences (step h) reach
 outside the flow's time window, past the time at which a grid solver loses
 smoothness, or to a flow that is not smooth where they read it (`run`
 instead ends its horizon there and reports it), or that put the boundary
-within epsilon of x0 at a lemma time, and a boundary loop
-that crosses itself or another loop after an advection (`volume.markers`
-too few to resolve it).
+within epsilon of x0, or x0 inside the volume, at a lemma time, a `q` that
+puts a power of epsilon in the threshold algebra out of float range
+(`sweep.q` for `sweep`), `volume.vertices` that do not make a simple
+polygon of nonzero area, and a boundary loop that crosses itself or another
+loop after an advection (`volume.markers` too few to resolve it).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from . import criteria as crit_mod
 from . import verify as verify_mod
 from .config import ConfigError, build_scenario, load_config
-from .functionals import PhiSpec, sample
+from .functionals import PhiSpec, TargetReached, sample
 # boundary_distance is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps this module's binding of it.
 from .matvol import SelfIntersection, advect, boundary_distance  # noqa: F401
@@ -187,9 +189,10 @@ def _cmd_verify(scenario, out_dir, seed):
             f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
     except CFLViolation:
         raise                                   # main names flow.grid.dt
-    except (ValueError, NonSmoothState) as exc:
-        # NonSmoothSample is a ValueError; so is a boundary within epsilon
-        # of x0 at a lemma time, which the density-moment bound refuses.
+    except (ValueError, NonSmoothState, TargetReached) as exc:
+        # NonSmoothSample is a ValueError; so are x0 inside the volume and a
+        # boundary within epsilon of x0 at a lemma time, which the lemmas
+        # refuse.
         raise ConfigError(f"key 'verify.times': {exc}") from exc
 
     run_report = verify_mod.run_theorem_scenario(scenario)
@@ -316,6 +319,12 @@ def main(argv=None):
         return _cmd_sweep(scenario, out_dir)
     except CFLViolation as exc:
         print(f"config error: key 'flow.grid.dt': {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # Python float powers raise it: in the threshold algebra and its
+        # checks, the powers of epsilon whose exponents are made of q.
+        key = "sweep.q" if args.command == "sweep" else "q"
+        print(f"config error: key '{key}': a power of epsilon overflows", file=sys.stderr)
         return 2
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

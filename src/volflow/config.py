@@ -43,7 +43,7 @@ import numpy as np
 from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
 from .flowfield import ConstantFlow, ExpansionFlow, FlowField
 from .functionals import FunctionalSample, PhiSpec, sample
-from .matvol import MaterialVolume, VolumeShapeSpec, init_volume
+from .matvol import MaterialVolume, ShapeError, VolumeShapeSpec, init_volume
 from .solver import GridFlow, GridState
 
 __all__ = [
@@ -285,8 +285,8 @@ def _volume_spec(raw):
     try:
         return VolumeShapeSpec(shape=shape, markers=_int(raw, "volume.markers", "256"),
                                **spec)
-    except ValueError as exc:
-        raise ConfigError(f"key 'volume.*': {exc}") from exc
+    except ShapeError as exc:
+        raise ConfigError(f"key 'volume.{exc.field}': {exc}") from exc
 
 
 _EXPR_NAMES = {

@@ -34,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "SelfIntersection",
+    "ShapeError",
     "VolumeShapeSpec",
     "MaterialVolume",
     "init_volume",
@@ -45,6 +46,15 @@ __all__ = [
 class SelfIntersection(RuntimeError):
     """A boundary loop crossed itself or another loop -- marker resolution
     has failed."""
+
+
+class ShapeError(ValueError):
+    """A `VolumeShapeSpec` that makes no volume; `field` names the setting
+    at fault."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +301,8 @@ class VolumeShapeSpec:
 
     shape is one of 'disk', 'annulus' or 'polygon'.  quad_order controls the
     tensor-Gauss rule for radial shapes; refine controls triangulation depth
-    for polygons.
+    for polygons.  A polygon's vertices must make a simple loop of nonzero
+    area.  A spec that makes no volume raises `ShapeError`.
     """
 
     shape: str
@@ -305,21 +316,26 @@ class VolumeShapeSpec:
 
     def __post_init__(self):
         if self.shape not in ("disk", "annulus", "polygon"):
-            raise ValueError(f"unknown shape {self.shape!r}")
+            raise ShapeError("shape", f"unknown shape {self.shape!r}")
         if self.markers < 64:
-            raise ValueError("need at least 64 boundary markers")
+            raise ShapeError("markers", "need at least 64 boundary markers")
         if self.shape == "disk":
             if self.radius is None or self.radius <= 0:
-                raise ValueError("disk needs a positive radius")
+                raise ShapeError("radius", "disk needs a positive radius")
         elif self.shape == "annulus":
             if self.radii is None or len(self.radii) != 2:
-                raise ValueError("annulus needs radii = (inner, outer)")
+                raise ShapeError("radii", "annulus needs radii = (inner, outer)")
             r1, r2 = self.radii
             if not 0 < r1 < r2:
-                raise ValueError("annulus radii must satisfy 0 < inner < outer")
+                raise ShapeError("radii", "annulus radii must satisfy 0 < inner < outer")
         else:
             if self.vertices is None or len(self.vertices) < 3:
-                raise ValueError("polygon needs at least 3 vertices")
+                raise ShapeError("vertices", "polygon needs at least 3 vertices")
+            verts = np.asarray(self.vertices, dtype=float)
+            if not polygon_is_simple(verts):
+                raise ShapeError("vertices", "polygon boundary is self-intersecting")
+            if loop_signed_area(verts) == 0.0:
+                raise ShapeError("vertices", "polygon has zero area")
 
     def distance(self, x0):
         """Closed-form dist(boundary, x0) of the shape.
@@ -355,8 +371,6 @@ class VolumeShapeSpec:
             verts = np.asarray(self.vertices, dtype=float)
             if loop_signed_area(verts) < 0:
                 verts = verts[::-1]
-            if not polygon_is_simple(verts):
-                raise ValueError("polygon boundary is self-intersecting")
             boundary = [_polygon_markers(verts, self.markers)]
             nodes, w = _polygon_nodes(verts, self.refine)
         return boundary, nodes, w

@@ -10,8 +10,8 @@ rounding per step.
 
 The stepper works in reused buffers (`_Workspace`: stencil edge lines and
 their views, one set of RK4 stage inputs, one set of stage slopes, the ten
-derivatives of the right-hand side, one pressure, scratch), so with a
-workspace a step allocates only the state it returns.  The workspace's
+derivatives of the right-hand side, one pressure, scratch), which the caller
+passes in, so a step allocates only the state it returns.  The workspace's
 pressure is that of one state or stage at a time, keyed by the state it
 belongs to; a state itself holds no pressure.  Every buffered operation is
 the one the plain NumPy expression would perform, in the same order, so
@@ -125,17 +125,15 @@ class GridState:
             exp_s = np.exp(self.entropy)
         return _pressure_into(self.rho, exp_s, self.gamma, np.empty(self.shape))
 
-    def cfl_limit(self, work=None):
+    def cfl_limit(self, work):
         """Largest admissible dt: 0.4 * min(dx) / max(|V| + c), the fixed
         CFL number 0.4, with c = sqrt(gamma P / rho) and |V| =
         sqrt(vx * vx + vy * vy).  `work` is a `_Workspace` for the state's
-        shape (a fresh one when None), which supplies the pressure
-        (`state_pressure`) and whose stage inputs serve as scratch (the
-        derivatives a guard left in its `grad` slots stay).  A top speed
-        that is not finite (an overflowing pressure, or a speed whose square
-        overflows) raises `NonSmoothState`: the state admits no step."""
-        if work is None:
-            work = _Workspace(self.shape)
+        shape, which supplies the pressure (`state_pressure`) and whose
+        stage inputs serve as scratch (the derivatives a guard left in its
+        `grad` slots stay).  A top speed that is not finite (an overflowing
+        pressure, or a speed whose square overflows) raises
+        `NonSmoothState`: the state admits no step."""
         c, speed, tmp = work.stage[:3]
         np.multiply(work.state_pressure(self), self.gamma, out=c)
         c /= self.rho
@@ -402,7 +400,7 @@ def _frozen(entropy, mask):
                 and np.equal(bits, bits.flat[0], out=mask).all())
 
 
-def step(state, dt, work=None):
+def step(state, dt, work):
     """One RK4 step of the Euler system; returns a new GridState.
 
     dt must respect the CFL bound `state.cfl_limit`, 0.4*min(dx)/max(|V|+c)
@@ -410,15 +408,14 @@ def step(state, dt, work=None):
     (`CFLViolation`) instead of silently producing garbage.  A stage density
     that goes negative, or a non-finite new field, raises `NonSmoothState`.
 
-    `work` is a `_Workspace` for the state's shape; with it the step
-    allocates only the arrays of the state it returns.  Without it the step
-    uses a workspace of its own.  It overwrites the workspace's stage,
-    slope, derivative and pressure buffers.  The pressure of `state` comes
-    from `work.state_pressure` (computed there unless a guard or CFL call on
-    this state left it), and each later stage computes its own into the same
-    buffer.  The slopes are summed as ((k1 + 2 k2) + 2 k3) + k4 straight
-    into the new state's arrays, stage by stage, so one set of slope buffers
-    serves k2, k3 and k4.
+    `work` is a `_Workspace` for the state's shape; the step allocates only
+    the arrays of the state it returns.  It overwrites the workspace's
+    stage, slope, derivative and pressure buffers.  The pressure of `state`
+    comes from `work.state_pressure` (computed there unless a guard or CFL
+    call on this state left it), and each later stage computes its own into
+    the same buffer.  The slopes are summed as ((k1 + 2 k2) + 2 k3) + k4
+    straight into the new state's arrays, stage by stage, so one set of
+    slope buffers serves k2, k3 and k4.
 
     A homentropic state keeps its entropy: when S holds the bits of one
     finite value other than -0.0, its centred differences are exactly +0,
@@ -432,10 +429,8 @@ def step(state, dt, work=None):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if work is None:
-        work = _Workspace(state.shape)
     work.check(state)
-    limit = state.cfl_limit(work=work)
+    limit = state.cfl_limit(work)
     if dt > limit * (1.0 + 1e-9):
         raise CFLViolation(f"CFL violated: dt={dt} exceeds limit {limit}")
 
@@ -498,7 +493,7 @@ class GuardReport(NamedTuple):
     ok: bool
 
 
-def smoothness_guard(state, threshold=np.inf, work=None):
+def smoothness_guard(state, threshold, work):
     """Max discrete gradient norm over (rho, vx, vy, P) vs. a threshold.
 
     max_grad is the sqrt of the largest gx * gx + gy * gy over the four
@@ -507,12 +502,11 @@ def smoothness_guard(state, threshold=np.inf, work=None):
     NaN, a square that overflows makes it inf, and a max_grad that is not
     finite is never ok.
 
-    `work` is an optional `_Workspace` for the state's shape, whose stage
+    `threshold` is the largest max_grad that is ok (np.inf: any finite
+    one).  `work` is a `_Workspace` for the state's shape, whose stage
     inputs serve as scratch.  The state's pressure stays in its `pressure`
     buffer and the derivatives in its `grad` slots, where the next `step`
     from this state reads them."""
-    if work is None:
-        work = _Workspace(state.shape)
     work.check(state)
     dx, dy = state.spacing
     u = (state.rho, state.vx, state.vy, state.entropy, work.state_pressure(state))
@@ -552,15 +546,15 @@ def _lagrange_weights(u):
     return w
 
 
-def _sum_rows(rows, out=None):
-    """0 + rows[0] + rows[1] + ..., added left to right, a whole row at a time.
+def _sum_rows(rows, out):
+    """0 + rows[0] + rows[1] + ..., added left to right, a whole row at a
+    time, into `out`.
 
     np.add.reduce along the first axis of a (k, n) array adds the rows in
     that order, except on a single column (n == 1), which it sums pairwise;
     that column takes the explicit loop."""
     if rows.shape[1] != 1:
         return np.add.reduce(rows, axis=0, out=out, initial=0.0)
-    out = np.empty(1) if out is None else out
     out[...] = 0.0
     for row in rows:
         out += row
@@ -577,15 +571,15 @@ def _patch_offsets(nx, ny):
     return out
 
 
-def interpolate_fields(state, pts, fields, work=None, out=None):
+def interpolate_fields(state, pts, fields, work, out):
     """Bicubic (separable cubic Lagrange) interpolation at points (N, 2).
 
     `fields` maps names to nodal arrays on the grid of `state`.  Periodic
     wrap in both axes; exact at grid nodes and for polynomials up to cubic
-    per axis.  Returns a dict of the sampled arrays by name.  `work` is an
-    optional `_Workspace` whose patch buffers are used; `out` is an optional
-    sequence of len(fields) arrays of N values (or None, for a fresh one)
-    that receive the fields, in order: a (len(fields), N) array will do.
+    per axis.  `work` is a `_Workspace` whose patch buffers are used; `out`
+    is a sequence of len(fields) arrays of N values that receive the fields,
+    in order: a (len(fields), N) array will do.  Returns a dict of those
+    arrays by name.
 
     The value at a point is the sum over its 4x4 patch f[a, b] of
     (wx[a] f[a, b]) wy[b], added from 0 in patch order:
@@ -617,8 +611,7 @@ def interpolate_fields(state, pts, fields, work=None, out=None):
     ix %= nx
     iy %= ny
     n = len(pts)
-    flat, patch = (work.patch_buffers(n) if work is not None else
-                   (np.empty((4, 4, n), dtype=np.intp), np.empty((4, 4, n))))
+    flat, patch = work.patch_buffers(n)
     base = ix * ny
     base += iy
     np.add(base, _patch_offsets(nx, ny), out=flat)
@@ -639,7 +632,7 @@ def interpolate_fields(state, pts, fields, work=None, out=None):
         np.asarray(f, dtype=float).ravel().take(flat, out=patch, mode="clip")
         patch *= wx[:, None]
         patch *= wy
-        result[name] = _sum_rows(patch.reshape(16, n), None if out is None else out[i])
+        result[name] = _sum_rows(patch.reshape(16, n), out[i])
     return result
 
 
@@ -677,22 +670,26 @@ class GridFlow(FlowField):
     for bit that of the first run.  A snapshot before the anchor that is not
     held raises `SnapshotDropped`.
 
-    The first step creates a `_Workspace`, which every later step, guard
-    call and interpolation reuses.  A snapshot holds rho, vx, vy and its
-    entropy, which the snapshots of a homentropic flow share, and no
-    pressure; the guard leaves the newest one's pressure in the workspace
-    for the next step.  A query between snapshots reads a full-grid time
-    slice, held for one t in the workspace's stage-slope buffers, so the RK4
-    stages that share a time and the two `fields` queries of a sample share
-    it.  The slice combines the density as it is built (a non-positive one
-    raises `NonSmoothState`) and another field when it is first read, and
-    is let go before a step or re-step and when its stencil loses a
-    snapshot.  A `fields` query interpolates all the fields it names in one
-    `interpolate_fields` call and returns fresh arrays.  The held slice and
-    the workspace make a grid flow unsafe to query from several threads.
+    After each first-time step, the gradient guard checks the new snapshot
+    against `guard_threshold`; np.inf runs no guard.  The flow builds its
+    `_Workspace` when it is made, and every step, guard call and
+    interpolation, the queries at t0 included, works in it; its buffers are
+    allocated empty, so their pages are first touched where they are first
+    written.  A snapshot holds rho, vx, vy and its entropy, which the
+    snapshots of a homentropic flow share, and no pressure; the guard leaves
+    the newest one's pressure in the workspace for the next step.  A query
+    between snapshots reads a full-grid time slice, held for one t in the
+    workspace's stage-slope buffers, so the RK4 stages that share a time and
+    the two `fields` queries of a sample share it.  The slice combines the
+    density as it is built (a non-positive one raises `NonSmoothState`) and
+    another field when it is first read, and is let go before a step or
+    re-step and when its stencil loses a snapshot.  A `fields` query
+    interpolates all the fields it names in one `interpolate_fields` call
+    and returns fresh arrays.  The held slice and the workspace make a grid
+    flow unsafe to query from several threads.
     """
 
-    def __init__(self, initial, step_dt, guard_threshold=np.inf):
+    def __init__(self, initial, step_dt, guard_threshold):
         # The grid is the whole (periodic) space, so its minimum is the floor.
         super().__init__(initial.gamma, entropy_floor=initial.entropy.min())
         if step_dt <= 0.0:
@@ -708,7 +705,7 @@ class GridFlow(FlowField):
         self._held = {0: initial}
         self._newest = self._keep = 0
         self._query = None
-        self._work = None
+        self._work = _Workspace(initial.shape)
         # The held time slice: its t, the number of its stencil's first
         # snapshot, the stencil, its weights and the fields combined so far.
         self._slice = None
@@ -762,21 +759,16 @@ class GridFlow(FlowField):
             self._slice = None                  # the step overwrites its buffers
             last = self._held[self._newest]
             try:
-                nxt = step(last, self.step_dt, work=self._workspace())
+                nxt = step(last, self.step_dt, self._work)
             except NonSmoothState as exc:
                 raise SmoothnessLost(last.time + self.step_dt, np.nan) from exc
             if np.isfinite(self.guard_threshold):
-                report = smoothness_guard(nxt, self.guard_threshold, work=self._work)
+                report = smoothness_guard(nxt, self.guard_threshold, self._work)
                 if not report.ok:
                     raise SmoothnessLost(nxt.time, report.max_grad)
             self._newest += 1
             self._held[self._newest] = nxt
             self._trim()
-
-    def _workspace(self):
-        if self._work is None:
-            self._work = _Workspace(self._initial.shape)
-        return self._work
 
     def check_time(self, t):
         if t < self.t0 - 1e-12 or t > self.t_last + 1e-12:
@@ -800,8 +792,7 @@ class GridFlow(FlowField):
             self._slice = None                  # the steps overwrite its buffers
             while m + 1 not in self._held:
                 m += 1
-                state = self._held[m] = step(state, self.step_dt,
-                                             work=self._workspace())
+                state = self._held[m] = step(state, self.step_dt, self._work)
         return [self._held[n] for n in numbers]
 
     def _time_slice(self, t, names):
@@ -816,8 +807,7 @@ class GridFlow(FlowField):
         def combined(name):
             # sum(wi * f_i): (((0 + w0 f0) + w1 f1) + w2 f2) + w3 f3.  The
             # leading 0 + only turns a -0.0 sum into +0.0, so it comes last.
-            work = self._workspace()
-            acc, term = work.slope[_SLICE_FIELDS.index(name)], work.scratch
+            acc, term = self._work.slope[_SLICE_FIELDS.index(name)], self._work.scratch
             fs = [getattr(s, name) for s in stencil]
             np.multiply(fs[0], w[0], out=acc)
             for wi, f in zip(w[1:], fs[1:]):
@@ -853,14 +843,15 @@ class GridFlow(FlowField):
         return k, None
 
     def fields(self, t, pts, names):
-        """One interpolation of every field named: "velocity" is read as vx
-        and vy, straight into the columns of its array."""
+        """One interpolation of every field named, each into a fresh array:
+        "velocity" is read as vx and vy, straight into the columns of its
+        array."""
         pts = self._pts(pts)
         flat = pts.reshape(-1, 2)
         self.check_time(t)
         vel = np.empty(flat.shape)
         parts = {"velocity": (("vx", vel[:, 0]), ("vy", vel[:, 1]))}
-        read = [p for n in names for p in parts.get(n, ((n, None),))]
+        read = [p for n in names for p in parts.get(n) or ((n, np.empty(len(flat))),)]
         k, state = self._nearest_snapshot(t)
         if state is None:
             grid = self._time_slice(t, [g for g, _ in read])
@@ -870,8 +861,7 @@ class GridFlow(FlowField):
             first = max(k - 1, 0)       # the stencil start of any later time
         if self._query is not None:
             self._query = first
-        got = interpolate_fields(state, flat, grid, work=self._work,
-                                 out=[o for _, o in read])
+        got = interpolate_fields(state, flat, grid, self._work, [o for _, o in read])
         got["velocity"] = vel
         return {n: got[n].reshape(pts.shape if n == "velocity" else pts.shape[:-1])
                 for n in names}

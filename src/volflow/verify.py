@@ -31,7 +31,7 @@ import numpy as np
 from . import criteria as crit_mod
 from .criteria import CriteriaInputs, threshold_q
 from .functionals import NonSmoothSample, TargetReached, sample
-from .matvol import _advect_any, _rk4_points, boundary_distance
+from .matvol import _advect_any, _rk4_points, boundary_distance, point_in_loops
 from .solver import NonSmoothState, SmoothnessLost
 
 __all__ = [
@@ -129,10 +129,15 @@ def check_lemma_suite(flow, vol, phi, epsilon):
     F^2 <= sup(phi'^2/(phi'' phi)) G I1, whose sup ratio is |q|/(|q|+1)
     exactly, and the density-moment lower bound, from one `fields` read of
     the nodes' density.
+
+    The lemmas hold for a volume that x0 lies outside of, as at time zero;
+    a volume whose loops contain x0 is a ValueError.
     """
     if not phi.is_power_law:
         raise ValueError(
             "the lemma suite is defined for power-law profiles phi = r^q")
+    if point_in_loops(vol.x0, vol.markers, vol.loop_ends):
+        raise ValueError(f"x0 lies inside the volume at t={vol.time}")
     t, h = vol.time, LEMMA_H
     s = sample(flow, vol, phi, epsilon)
     g0 = s.G

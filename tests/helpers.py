@@ -48,7 +48,7 @@ def small_grid_flow():
                           vx=0.3 * np.cos(k * y), vy=-0.2 * np.sin(k * x),
                           entropy=0.1 * np.cos(k * (x + y)), gamma=1.4,
                           origin=(-1.0, -1.0), spacing=(h, h), time=0.0)
-    flow = GridFlow(st, step_dt=2e-3)
+    flow = GridFlow(st, step_dt=2e-3, guard_threshold=np.inf)
     flow.advance_to(0.01)
     return flow
 

@@ -17,7 +17,7 @@ from volflow.criteria import (CriteriaInputs, classify_and_delta, condition10,
                               constants, qneg_time_threshold)
 from volflow.flowfield import ConstantFlow, ExpansionFlow
 from volflow.functionals import PhiSpec, sample
-from volflow.solver import GridState, step
+from volflow.solver import GridState, _Workspace, step
 from volflow.verify import (blowup_oracle, check_lemma_suite,
                             random_oracle_cases, run_theorem_scenario)
 
@@ -259,7 +259,8 @@ def test_criterion_10_solver():
     st = GridState(rho=ones.copy(), vx=0.4 * ones, vy=-0.1 * ones,
                    entropy=0.2 * ones, gamma=1.4, origin=(0.0, 0.0),
                    spacing=(1.0 / n, 1.0 / n), time=0.0)
-    st2 = step(st, 0.5 * st.cfl_limit())
+    work = _Workspace(st.shape)
+    st2 = step(st, 0.5 * st.cfl_limit(work), work)
     ok_fixed = all(np.array_equal(getattr(st, f), getattr(st2, f))
                    for f in ("rho", "vx", "vy", "entropy"))
 
@@ -277,11 +278,12 @@ def test_criterion_10_solver():
                           entropy=-gamma * np.log(rho), gamma=gamma,
                           origin=(0.0, 0.0), spacing=(h, h), time=0.0)
         rho0 = state.rho.copy()
-        steps = int(np.ceil(t_final / (0.9 * state.cfl_limit())))
+        work = _Workspace(state.shape)
+        steps = int(np.ceil(t_final / (0.9 * state.cfl_limit(work))))
         dt = t_final / steps
         m_prev = grid_mass(state)
         for _ in range(steps):
-            state = step(state, dt)
+            state = step(state, dt, work)
             mass = grid_mass(state)
             worst_drift = max(worst_drift, abs(mass - m_prev) / m_prev)
             m_prev = mass

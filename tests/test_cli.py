@@ -166,6 +166,67 @@ def test_lemma_time_with_boundary_near_x0_names_verify_times(tmp_path, capsys):
         "dist(boundary, x0) >= epsilon (have ")
 
 
+# A triangle that the leftward stream carries over x0: at t = 3.0 its
+# centroid quadrature node sits on x0, and at t = 2.9 x0 lies inside it.
+TRIANGLE_CONFIG = """
+gamma = 1.4
+flow.kind = constant
+flow.rho0 = 1.0
+flow.V0 = -1.0, 0.0
+flow.P0 = 1.0
+volume.shape = polygon
+volume.vertices = 2, -1; 4, -1; 3, 2
+volume.refine = 0
+volume.markers = 64
+x0 = 0.0, 0.0
+epsilon = 0.1
+q = -8.0
+T = 4.0
+M = 10.0
+dt = 1e-3
+"""
+
+
+@pytest.mark.parametrize("time", ["3.0", "2.9"], ids=["node_on_x0", "x0_inside"])
+def test_lemma_time_with_x0_inside_the_volume_names_verify_times(tmp_path, capsys,
+                                                                  time):
+    # The lemmas hold for x0 outside the volume, as load_config demands at
+    # t = 0; inside it they failed three checks, and a node on x0 raised.
+    path = _write(tmp_path, TRIANGLE_CONFIG + f"verify.times = {time}\n", "tri")
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == (
+        f"config error: key 'verify.times': x0 lies inside the volume at t={time}")
+
+
+@pytest.mark.parametrize("command, q", [
+    ("criteria", -1100.0), ("run", -1100.0), ("verify", -600.0)])
+def test_overflowing_power_of_epsilon_names_q(tmp_path, capsys, command, q):
+    # epsilon = 0.5: epsilon ** (q - 1) overflows at q = -1100, and verify's
+    # epsilon ** (2 q - 2) at q = -600, where criteria and run still pass.
+    path = _shipped_with(tmp_path, "constant_inflow", f"q = {q}\nT = 0.5\n")
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == "config error: key 'q': a power of epsilon overflows"
+    if command == "verify":
+        for other in ("criteria", "run"):
+            assert main([other, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+            assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ("2, -1; 4, 1; 4, -1; 2, 1", "polygon boundary is self-intersecting"),
+    ("2, 0; 3, 0; 4, 0", "polygon has zero area"),
+], ids=["bow_tie", "collinear"])
+def test_bad_polygon_vertices_name_the_key(tmp_path, capsys, vertices, message):
+    path = _write(tmp_path, TRIANGLE_CONFIG.replace("2, -1; 4, -1; 3, 2", vertices))
+    with pytest.raises(ConfigError, match="volume.vertices"):
+        load_config(path)
+    for command in ("criteria", "run"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert _single_error(capsys) == f"config error: key 'volume.vertices': {message}"
+
+
 # -- subcommands ------------------------------------------------------------------
 
 def test_criteria_subcommand(mini_cfg, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from helpers import FluidState, euler_residual, eval_state, small_grid_flow, state_fields
 
 from volflow.flowfield import ConstantFlow, ExpansionFlow
-from volflow.solver import interpolate_fields
+from volflow.solver import _Workspace, interpolate_fields
 
 
 def constant_flow():
@@ -203,7 +203,9 @@ def test_grid_fields_match_the_snapshot_interpolation():
     (state,) = [s for s in flow.states if abs(s.time - 0.004) <= 1e-12]
     pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(50, 2))
     got = flow.fields(0.004, pts, ("velocity", "rho", "entropy"))
-    want = interpolate_fields(state, pts, state_fields(state))
+    fields = state_fields(state)
+    want = interpolate_fields(state, pts, fields, _Workspace(state.shape),
+                              np.empty((len(fields), len(pts))))
     assert np.array_equal(got["velocity"], np.stack([want["vx"], want["vy"]], axis=-1))
     assert np.array_equal(got["rho"], want["rho"])
     assert np.array_equal(got["entropy"], want["entropy"])

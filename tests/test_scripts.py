@@ -47,8 +47,20 @@ def test_code_lines_prints_each_module_and_the_total(capsys):
     assert code_lines.main([]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     modules = sorted(p.name for p in (SCRIPTS.parent / "src" / "volflow").glob("*.py"))
-    assert [name for _, name in rows] == modules + ["total"]
-    assert sum(int(count) for count, _ in rows[:-1]) == int(rows[-1][0])
+    assert [name for _, _, name in rows] == modules + ["total"]
+    for column in (0, 1):           # code lines, defaulted parameters
+        assert sum(int(row[column]) for row in rows[:-1]) == int(rows[-1][column])
+
+
+def test_defaulted_params_count_every_parameter_with_a_default():
+    # b, d (keyword-only), y (a lambda's), e (an async function's) and k (a
+    # method's); c is keyword-only without a default.
+    text = ("def f(a, b=1, *, c, d=2):\n    return lambda x, y=0: x\n\n\n"
+            "async def g(e=None):\n    pass\n\n\n"
+            "class A:\n    def m(self, k=3):\n        return k\n")
+    code_lines = _load("code_lines")
+    assert code_lines.defaulted_params(text) == 5
+    assert code_lines.defaulted_params(SAMPLE) == 0
 
 
 def test_output_digest_lists_every_shipped_config_and_the_verify_ones():

@@ -48,10 +48,11 @@ def read_all(flow, t, pts):
 def run_to(state, t_final):
     drift = 0.0
     m_prev = grid_mass(state)
-    steps = int(np.ceil(t_final / (0.9 * state.cfl_limit())))
+    work = solver._Workspace(state.shape)
+    steps = int(np.ceil(t_final / (0.9 * state.cfl_limit(work))))
     dt = t_final / steps
     for _ in range(steps):
-        state = step(state, dt)
+        state = step(state, dt, work)
         m = grid_mass(state)
         drift = max(drift, abs(m - m_prev) / m_prev)
         m_prev = m
@@ -60,26 +61,28 @@ def run_to(state, t_final):
 
 def test_constant_state_is_exact_fixed_point():
     st = uniform_state()
-    st2 = step(st, 0.5 * st.cfl_limit())
+    work = solver._Workspace(st.shape)
+    st2 = step(st, 0.5 * st.cfl_limit(work), work)
     for name in ("rho", "vx", "vy", "entropy"):
         assert np.array_equal(getattr(st, name), getattr(st2, name))
 
 
 def test_step_is_deterministic():
     st = gaussian_pressure_matched(64)
-    dt = 0.5 * st.cfl_limit()
-    a = step(st, dt)
-    b = step(st, dt)
+    dt = 0.5 * st.cfl_limit(solver._Workspace(st.shape))
+    a = step(st, dt, solver._Workspace(st.shape))
+    b = step(st, dt, solver._Workspace(st.shape))
     for name in ("rho", "vx", "vy", "entropy"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_cfl_violation_rejected():
     st = uniform_state()
+    work = solver._Workspace(st.shape)
     with pytest.raises(ValueError, match="CFL"):
-        step(st, 10.0 * st.cfl_limit())
+        step(st, 10.0 * st.cfl_limit(work), work)
     with pytest.raises(ValueError):
-        step(st, -1e-3)
+        step(st, -1e-3, work)
 
 
 def test_grid_needs_16_cells():
@@ -149,8 +152,9 @@ def test_expansion_window_convergence():
                        gamma=1.4, origin=(-4.0, -4.0), spacing=(h, h), time=0.0)
         steps = int(round(t_final / (0.12 * h)))
         dt = t_final / steps
+        work = solver._Workspace(st.shape)
         for _ in range(steps):
-            st = step(st, dt)
+            st = step(st, dt, work)
         window = (np.abs(x) <= 0.4) & (np.abs(y) <= 0.4)
         f = flow.fields(t_final, pts, ("velocity", "rho"))
         err = max(np.abs(st.rho - f["rho"])[window].max(),
@@ -195,7 +199,9 @@ def test_isentropic_vortex_order(u_inf, node_err, query_err):
         rho, vx, vy = isentropic_vortex(grid, 0.0, u_inf)
         st = GridState(rho=rho, vx=vx, vy=vy, entropy=np.zeros((n, n)), gamma=1.4,
                        origin=(-10.0, -10.0), spacing=(h, h), time=0.0)
-        flow = GridFlow(st, step_dt=t_final / np.ceil(t_final / (0.5 * st.cfl_limit())))
+        flow = GridFlow(st, step_dt=t_final / np.ceil(
+            t_final / (0.5 * st.cfl_limit(solver._Workspace(st.shape)))),
+            guard_threshold=np.inf)
         flow.keep_from(t_query)
         flow.advance_to(t_final)
         (last,) = [s for s in flow.states if abs(s.time - t_final) <= 1e-12]
@@ -212,7 +218,8 @@ def test_isentropic_vortex_order(u_inf, node_err, query_err):
 
 
 def test_smoothness_guard_constant():
-    report = smoothness_guard(uniform_state(), threshold=1e-9)
+    report = smoothness_guard(uniform_state(), threshold=1e-9,
+                              work=solver._Workspace((32, 32)))
     assert report.max_grad == 0.0
     assert report.ok
 
@@ -228,7 +235,7 @@ def test_smoothness_guard_gaussian_peak():
                    entropy=np.zeros((n, n)), gamma=1.4, origin=(0.0, 0.0),
                    spacing=(h, h), time=0.0)
     analytic = amp * np.exp(-0.5) / width
-    report = smoothness_guard(st)
+    report = smoothness_guard(st, np.inf, solver._Workspace(st.shape))
     # pressure gradient is steeper than the density one; compare density only
     dx, dy = st.spacing
     grad_rho = np.hypot(d4(st.rho, dx, 0), d4(st.rho, dy, 1)).max()
@@ -238,7 +245,7 @@ def test_smoothness_guard_gaussian_peak():
 
 def test_smoothness_guard_zero_threshold():
     st = gaussian_pressure_matched(32)
-    assert not smoothness_guard(st, threshold=0.0).ok
+    assert not smoothness_guard(st, threshold=0.0, work=solver._Workspace(st.shape)).ok
 
 
 def test_interpolation_identity_at_nodes():
@@ -247,7 +254,9 @@ def test_interpolation_identity_at_nodes():
     xg = st.origin[0] + st.spacing[0] * np.arange(nx)
     yg = st.origin[1] + st.spacing[1] * np.arange(ny)
     pts = np.stack(np.meshgrid(xg, yg, indexing="ij"), axis=-1).reshape(-1, 2)
-    vals = interpolate_fields(st, pts, state_fields(st))["rho"].reshape(st.shape)
+    fields = state_fields(st)
+    vals = interpolate_fields(st, pts, fields, solver._Workspace(st.shape),
+                              np.empty((len(fields), len(pts))))["rho"].reshape(st.shape)
     assert np.array_equal(vals, st.rho)
 
 
@@ -261,14 +270,16 @@ def test_interpolation_reproduces_cubics():
     st = GridState(rho=2.0 + 0 * f, vx=f, vy=0 * f, entropy=0 * f, gamma=1.4,
                    origin=(0.0, 0.0), spacing=(h, h), time=0.0)
     pts = np.array([[0.412, 0.333], [0.5, 0.51], [0.1234, 0.789]])
-    got = interpolate_fields(st, pts, state_fields(st))["vx"]
+    fields = state_fields(st)
+    got = interpolate_fields(st, pts, fields, solver._Workspace(st.shape),
+                             np.empty((len(fields), len(pts))))["vx"]
     want = 1.0 + 0.3 * (pts[:, 0] - 0.4) ** 3 + 0.1 * (pts[:, 1] - 0.6) ** 2
     assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_grid_flow_advance_and_domain():
     st = gaussian_pressure_matched(32)
-    flow = GridFlow(st, step_dt=2e-3)
+    flow = GridFlow(st, step_dt=2e-3, guard_threshold=np.inf)
     flow.advance_to(0.02)
     assert flow.t_last >= 0.02 - 1e-12
     v = flow.velocity(0.011, np.array([0.5, 0.5]))
@@ -293,7 +304,7 @@ def test_grid_flow_breakdown_is_lost_smoothness():
     st = GridState(rho=np.ones((n, n)), vx=2.0 * np.sin(2.0 * np.pi * x),
                    vy=np.zeros((n, n)), entropy=np.zeros((n, n)), gamma=1.4,
                    origin=(0.0, 0.0), spacing=(1.0 / n, 1.0 / n), time=0.0)
-    flow = GridFlow(st, step_dt=1e-3)
+    flow = GridFlow(st, step_dt=1e-3, guard_threshold=np.inf)
     with pytest.raises(SmoothnessLost) as exc:
         flow.advance_to(1.0)
     assert isinstance(exc.value.__cause__, NonSmoothState)
@@ -314,10 +325,10 @@ def test_overflowing_pressure_is_lost_smoothness():
     entropy[8:16, 8:16] = 800.0
     st = with_entropy(uniform_state(n, vx=0.0, vy=0.0), entropy)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = smoothness_guard(st, threshold=50.0)
+        report = smoothness_guard(st, threshold=50.0, work=solver._Workspace(st.shape))
         assert np.isnan(report.max_grad) and not report.ok
         with pytest.raises(NonSmoothState, match="top wave speed inf"):
-            st.cfl_limit()
+            st.cfl_limit(solver._Workspace(st.shape))
         flow = GridFlow(st, step_dt=1e-3, guard_threshold=50.0)
         with pytest.raises(SmoothnessLost) as exc:
             flow.advance_to(0.01)
@@ -332,7 +343,7 @@ def test_overflowing_speed_admits_no_step():
     # warning escapes.
     st = uniform_state(32, vx=1e155, vy=0.0)
     with pytest.raises(NonSmoothState, match="top wave speed inf"):
-        st.cfl_limit()
+        st.cfl_limit(solver._Workspace(st.shape))
 
 
 # -- bitwise references --------------------------------------------------------
@@ -443,10 +454,10 @@ def test_step_matches_reference_bitwise(shape, spacing, gamma):
     for f in (st.rho, st.vx, st.pressure):
         assert np.array_equal(d4(f, dx, 0), _reference_d4(f, dx, 0))
         assert np.array_equal(d4(f, dy, 1), _reference_d4(f, dy, 1))
-    assert st.cfl_limit() == _reference_cfl_limit(st)
-    dt = 0.5 * st.cfl_limit()
-    # Three steps through one workspace, then one without: buffers left over
-    # from an earlier step must not leak into the next.
+    assert st.cfl_limit(solver._Workspace(st.shape)) == _reference_cfl_limit(st)
+    dt = 0.5 * st.cfl_limit(solver._Workspace(st.shape))
+    # Three steps through one workspace, then one through a fresh one:
+    # buffers left over from an earlier step must not leak into the next.
     work = solver._Workspace(st.shape)
     ref = st
     for _ in range(3):
@@ -457,11 +468,11 @@ def test_step_matches_reference_bitwise(shape, spacing, gamma):
         ref = GridState(rho=want[0], vx=want[1], vy=want[2], entropy=want[3],
                         gamma=gamma, origin=st.origin, spacing=st.spacing, time=st.time)
         assert st.cfl_limit(work=work) == _reference_cfl_limit(ref)
-    fresh = step(st, dt)
+    fresh = step(st, dt, solver._Workspace(st.shape))
     want = _reference_step(st, dt)
     assert all(np.array_equal(getattr(fresh, n), w)
                for n, w in zip(("rho", "vx", "vy", "entropy", "pressure"), want))
-    guard = smoothness_guard(st, work=work)
+    guard = smoothness_guard(st, np.inf, work=work)
     assert guard.max_grad == max(
         float(np.sqrt(gx * gx + gy * gy).max())
         for gx, gy in ((_reference_d4(f, dx, 0), _reference_d4(f, dy, 1))
@@ -593,7 +604,7 @@ def test_homentropic_step_matches_reference_bitwise(s, gamma):
                np.where(np.indices(st.shape).sum(axis=0) % 2 == 0, 0.0, -0.0))
     frozen = s != "mixed" and not np.signbit(s)
     st = with_entropy(st, entropy)
-    dt = 0.5 * st.cfl_limit()
+    dt = 0.5 * st.cfl_limit(solver._Workspace(st.shape))
     work = solver._Workspace(st.shape)
     names = ("rho", "vx", "vy", "entropy", "pressure")
     for _ in range(3):
@@ -618,20 +629,21 @@ def test_interpolation_matches_reference_bitwise(shape, spacing):
     names = ("rho", "vx", "vy", "entropy")
     want = _reference_interpolate(st, pts, names)
     work = solver._Workspace(st.shape)
-    # Fresh arrays, then a workspace's patch buffers: grown to 500 points,
-    # then used in part for 37.
+    # A fresh workspace, then a reused one's patch buffers: grown to 500
+    # points, then used in part for 37.
     fields = state_fields(st)
-    for got in (interpolate_fields(st, pts, fields),
-                interpolate_fields(st, pts, fields, work=work)):
+    for got in (interpolate_fields(st, pts, fields, solver._Workspace(st.shape),
+                                   np.empty((4, 500))),
+                interpolate_fields(st, pts, fields, work=work, out=np.empty((4, 500)))):
         assert all(np.array_equal(got[n], want[n]) for n in names)
     for m in (37, 2, 1):
-        got = interpolate_fields(st, pts[:m], fields, work=work)
+        got = interpolate_fields(st, pts[:m], fields, work=work, out=np.empty((4, m)))
         assert all(np.array_equal(got[n], want[n][:m]) for n in names)
     # Fields of signed zeros: the sum starts from +0.0, as einsum's does.
     zeros = {"pos": np.zeros(st.shape), "neg": np.full(st.shape, -0.0)}
     for m in (500, 2, 1):
         want = _reference_interpolate(st, pts[:m], tuple(zeros), zeros)
-        got = interpolate_fields(st, pts[:m], zeros, work=work)
+        got = interpolate_fields(st, pts[:m], zeros, work=work, out=np.empty((2, m)))
         for n in zeros:
             assert np.array_equal(np.signbit(got[n]), np.signbit(want[n])), n
             assert np.array_equal(got[n], want[n]), n
@@ -644,8 +656,10 @@ def test_interpolation_matches_reference_bitwise(shape, spacing):
         assert np.array_equal(out[i], want[n])
     # An integer-valued field is gathered as floats.
     ints = np.arange(nx * ny).reshape(nx, ny) % 7
-    got = interpolate_fields(st, pts, {"k": ints}, work=work)["k"]
-    assert np.array_equal(got, interpolate_fields(st, pts, {"k": ints.astype(float)})["k"])
+    got = interpolate_fields(st, pts, {"k": ints}, work=work, out=np.empty((1, 500)))["k"]
+    assert np.array_equal(got, interpolate_fields(
+        st, pts, {"k": ints.astype(float)}, solver._Workspace(st.shape),
+        np.empty((1, 500)))["k"])
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (20, 17)])
@@ -662,7 +676,8 @@ def test_patch_indices_match_the_modulo_formula(shape):
     pts = np.vstack([(cells + (kx * nx, ky * ny)) * st.spacing + st.origin
                      for kx in (-2, -1, 0, 1, 3) for ky in (-1, 0, 2)])
     work = solver._Workspace(shape)
-    got = interpolate_fields(st, pts, state_fields(st), work=work)
+    got = interpolate_fields(st, pts, state_fields(st), work=work,
+                             out=np.empty((4, len(pts))))
     flat = work.patch_buffers(len(pts))[0]
     ix = np.floor((pts[:, 0] - st.origin[0]) / st.spacing[0]).astype(int)
     iy = np.floor((pts[:, 1] - st.origin[1]) / st.spacing[1]).astype(int)
@@ -739,7 +754,8 @@ def test_grid_flow_computes_the_pressure_four_times_per_step(monkeypatch, guard)
 
 def test_state_pressure_matches_the_workspace_bitwise():
     st = random_smooth_state((32, 48), 5.0 / 3.0, seed=4, spacing=(0.03, 0.0175))
-    flow = GridFlow(st, step_dt=0.25 * st.cfl_limit(), guard_threshold=1e6)
+    flow = GridFlow(st, step_dt=0.25 * st.cfl_limit(solver._Workspace(st.shape)),
+                    guard_threshold=1e6)
     flow.advance_to(3 * flow.step_dt)
     work, last = flow._work, flow.states[-1]
     assert work.pressure_state is last             # the guard's, kept for the next step
@@ -755,7 +771,7 @@ def test_state_pressure_matches_the_workspace_bitwise():
 def test_off_snapshot_query_survives_cache_growth():
     st = random_smooth_state((32, 32), 1.4, seed=2)
     pts = np.array([[-0.1, 0.9], [0.35, 1.2], [0.5, 1.5]])
-    flow = GridFlow(st, step_dt=2e-3)
+    flow = GridFlow(st, step_dt=2e-3, guard_threshold=np.inf)
     flow.advance_to(0.02)
     t = 0.0111                                # well inside the cached run
     before = read_all(flow, t, pts)
@@ -766,20 +782,22 @@ def test_off_snapshot_query_survives_cache_growth():
     # seen before equals the one after, and the one of a flow advanced this
     # far at once.
     last_after = rho_at(flow, t_last, pts)
-    other = GridFlow(st, step_dt=2e-3)
+    other = GridFlow(st, step_dt=2e-3, guard_threshold=np.inf)
     other.advance_to(0.04)
     assert np.array_equal(last_after, rho_at(other, t_last, pts))
     assert np.array_equal(last_after, last_before)
     after = read_all(flow, t, pts)
     assert all(np.array_equal(before[n], after[n]) for n in before)
-    slice_fields = solver.interpolate_fields(st, pts, flow._time_slice(t, ("rho",)))
+    slice_fields = solver.interpolate_fields(st, pts, flow._time_slice(t, ("rho",)),
+                                             solver._Workspace(st.shape),
+                                             np.empty((1, len(pts))))
     assert np.array_equal(rho_at(flow, t, pts), slice_fields["rho"])
 
 
 def test_time_slice_combines_only_the_fields_read():
     st = random_smooth_state((32, 32), 1.4, seed=2)
     pts = np.array([[-0.1, 0.9], [0.35, 1.2], [0.5, 1.5]])
-    flow = GridFlow(st, step_dt=2e-3)
+    flow = GridFlow(st, step_dt=2e-3, guard_threshold=np.inf)
     flow.advance_to(0.02)
     t = 0.0111
     v = flow.velocity(t, pts)
@@ -787,7 +805,7 @@ def test_time_slice_combines_only_the_fields_read():
     assert set(held[-1]) == {"rho", "vx", "vy"}       # no entropy combined
     rho = rho_at(flow, t, pts)
     assert flow._slice is held                        # built once
-    fresh = GridFlow(st, step_dt=2e-3)
+    fresh = GridFlow(st, step_dt=2e-3, guard_threshold=np.inf)
     fresh.advance_to(0.02)
     assert np.array_equal(rho, rho_at(fresh, t, pts))
     assert np.array_equal(v, fresh.velocity(t, pts))
@@ -805,7 +823,7 @@ def _reference_slice(flow, t, names):
 
 def test_off_snapshot_velocity_matches_reference():
     st = random_smooth_state((32, 32), 1.4, seed=5)
-    flow = GridFlow(st, step_dt=2e-3)
+    flow = GridFlow(st, step_dt=2e-3, guard_threshold=np.inf)
     flow.advance_to(0.02)
     t = 0.0111
     pts = np.random.default_rng(6).uniform(-0.5, 1.5, size=(300, 2))
@@ -826,7 +844,7 @@ def test_time_slice_sign_of_zero_matches_the_sum():
     # Products that are all -0.0 sum to +0.0 in sum(w_i f_i), which starts
     # from 0; the held-buffer combination must give the same bits.
     st = random_smooth_state((32, 32), 1.4, seed=5)
-    flow = GridFlow(st, step_dt=2e-3)
+    flow = GridFlow(st, step_dt=2e-3, guard_threshold=np.inf)
     flow.advance_to(0.02)
     t = 0.0111
     k = flow._stencil_start(t)
@@ -897,7 +915,7 @@ def test_exp_of_a_shared_entropy_is_taken_once(monkeypatch, homentropic):
 
 
 def test_time_slice_with_bad_density_is_not_smooth():
-    flow = GridFlow(random_smooth_state((32, 32), 1.4, seed=3), step_dt=2e-3)
+    flow = GridFlow(random_smooth_state((32, 32), 1.4, seed=3), step_dt=2e-3, guard_threshold=np.inf)
     flow.advance_to(0.02)
     flow.states[5].rho[...] = -100.0          # in the stencil of t = 0.0111
     pts = np.array([[0.1, 0.9]])
@@ -911,7 +929,7 @@ def test_time_slice_with_bad_density_is_not_smooth():
 
 def test_step_with_workspace_allocates_only_the_new_state():
     st = random_smooth_state((64, 64), 1.4, seed=4)
-    dt = 0.5 * st.cfl_limit()
+    dt = 0.5 * st.cfl_limit(solver._Workspace(st.shape))
     work = solver._Workspace(st.shape)
     step(st, dt, work=work)                   # first touch of the buffers
     tracemalloc.start()
@@ -931,7 +949,7 @@ def test_guard_derivatives_feed_the_next_step(monkeypatch):
     # or a second step, differentiates all ten fields again.
     st = random_smooth_state((32, 32), 1.4, seed=5)
     other = random_smooth_state((32, 32), 1.4, seed=6)
-    dt = 0.5 * st.cfl_limit()
+    dt = 0.5 * st.cfl_limit(solver._Workspace(st.shape))
     want = step(st, dt, work=solver._Workspace(st.shape))
     calls = []
     d4_into = solver._d4_into
@@ -946,7 +964,7 @@ def test_guard_derivatives_feed_the_next_step(monkeypatch):
     for guarded, expected_calls in ((st, 40), (None, 40), (other, 48)):
         calls.clear()
         if guarded is not None:
-            smoothness_guard(guarded, work=work)
+            smoothness_guard(guarded, np.inf, work=work)
         got = step(st, dt, work=work)
         assert len(calls) == expected_calls
         assert all(np.array_equal(getattr(got, n), getattr(want, n)) for n in names)
@@ -958,8 +976,8 @@ def test_homentropic_step_skips_the_entropy_derivatives(monkeypatch):
     # results serve k1, and 24) or not.
     st = random_smooth_state((32, 32), 1.4, seed=5)
     st = with_entropy(st, np.zeros(st.shape))
-    dt = 0.5 * st.cfl_limit()
-    want = step(st, dt)
+    dt = 0.5 * st.cfl_limit(solver._Workspace(st.shape))
+    want = step(st, dt, solver._Workspace(st.shape))
     calls = []
     d4_into = solver._d4_into
 
@@ -972,7 +990,7 @@ def test_homentropic_step_skips_the_entropy_derivatives(monkeypatch):
     for guarded in (True, False):
         calls.clear()
         if guarded:
-            smoothness_guard(st, work=work)
+            smoothness_guard(st, np.inf, work=work)
         got = step(st, dt, work=work)
         assert len(calls) == 32
         assert all(not np.shares_memory(f, st.entropy) for f in calls)
@@ -1079,7 +1097,7 @@ def test_query_behind_the_window_re_steps_the_gap_once(monkeypatch):
 
 
 def test_window_ahead_holds_the_last_two_snapshots():
-    flow = GridFlow(random_smooth_state((32, 32), 1.4, seed=8), step_dt=1e-3)
+    flow = GridFlow(random_smooth_state((32, 32), 1.4, seed=8), step_dt=1e-3, guard_threshold=np.inf)
     flow.keep_from(0.05)
     flow.advance_to(0.01)
     assert len(flow.states) == 2
@@ -1087,7 +1105,7 @@ def test_window_ahead_holds_the_last_two_snapshots():
 
 
 def test_check_time_messages():
-    flow = GridFlow(gaussian_pressure_matched(32), step_dt=2e-3)
+    flow = GridFlow(gaussian_pressure_matched(32), step_dt=2e-3, guard_threshold=np.inf)
     flow.advance_to(0.01)
     flow.keep_from(0.008)
     for t in (0.5, -0.1):
@@ -1101,7 +1119,7 @@ def test_step_rejects_a_density_that_is_not_positive(monkeypatch):
     # `step` checks vx, vy and S itself and leaves the density to the
     # GridState it builds, which checks it before it takes the pressure.
     st = random_smooth_state((32, 32), 1.4, seed=7)
-    dt = 0.5 * st.cfl_limit()
+    dt = 0.5 * st.cfl_limit(solver._Workspace(st.shape))
     rhs = solver._rhs
     calls = []
 
@@ -1113,4 +1131,4 @@ def test_step_rejects_a_density_that_is_not_positive(monkeypatch):
 
     monkeypatch.setattr(solver, "_rhs", draining)
     with pytest.raises(NonSmoothState, match="density"):
-        step(st, dt)
+        step(st, dt, solver._Workspace(st.shape))

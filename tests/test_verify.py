@@ -320,7 +320,7 @@ def _wavy_grid_flow(n=32):
                    vy=0.1 * np.cos(2 * np.pi * x), entropy=np.zeros((n, n)),
                    gamma=1.4, origin=(0.0, 0.0), spacing=(1.0 / n, 1.0 / n),
                    time=0.0)
-    return GridFlow(st, step_dt=5e-3)
+    return GridFlow(st, step_dt=5e-3, guard_threshold=np.inf)
 
 
 @pytest.mark.parametrize("kind", ["constant", "grid"])
