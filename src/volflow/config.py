@@ -43,7 +43,8 @@ import numpy as np
 from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
 from .flowfield import ConstantFlow, ExpansionFlow, FlowField
 from .functionals import FunctionalSample, PhiSpec, sample
-from .matvol import MaterialVolume, ShapeError, VolumeShapeSpec, init_volume
+from .matvol import (MaterialVolume, ShapeError, VolumeShapeSpec, WithinEpsilon,
+                     init_volume)
 from .solver import GridFlow, GridState
 
 __all__ = [
@@ -338,7 +339,13 @@ def build_flow(cfg):
 
 
 def build_volume(cfg, flow):
-    return init_volume(cfg.volume, flow, np.asarray(cfg.x0), cfg.epsilon)
+    """The volume and its boundary's distance to x0.  The marker chords of a
+    loop curved around x0 lie closer to it than the closed form that
+    `load_config` checked epsilon against, so a marker check can still fail."""
+    try:
+        return init_volume(cfg.volume, flow, np.asarray(cfg.x0), cfg.epsilon)
+    except WithinEpsilon as exc:
+        raise ConfigError(f"key 'epsilon': {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,9 @@ class FlowField:
     """
 
     dimension = 2
+    # The last time the flow is known smooth; a closed-form flow is smooth
+    # for all time, and a flow that is stepped overrides it.
+    t_last = math.inf
 
     def __init__(self, gamma, entropy_floor):
         if not gamma > 1.0:

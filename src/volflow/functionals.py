@@ -131,55 +131,67 @@ def _radii(pts, x0):
     return z, r
 
 
-def _pressure(flow, t, read, where):
-    """The pressure rho^gamma * exp(S) from the density and entropy of one
-    `fields` read; a density that is not positive (or is NaN) makes the
-    sample not smooth."""
+def _read(flow, t, pts, names, where):
+    """One `fields` read of `names` at pts; a density that is not positive
+    (or is NaN) there makes the sample not smooth."""
+    read = flow.fields(t, pts, names)
     if not np.all(read["rho"] > 0.0):
         raise NonSmoothSample(f"flow density not positive at {where} at t={t}")
-    return read["rho"] ** flow.gamma * np.exp(read["entropy"])
+    return read
+
+
+def _pressure(gamma, read):
+    """The pressure rho^gamma * exp(S) from the density and entropy of one
+    `fields` read."""
+    return read["rho"] ** gamma * np.exp(read["entropy"])
 
 
 def sample(flow, vol, phi, epsilon):
     """Evaluate all functionals of (flow, vol) at the volume's current time.
 
     Raises `TargetReached` within `RADIUS_FLOOR` of x0, and
-    `NonSmoothSample` rather than return a functional that is not finite."""
+    `NonSmoothSample` rather than return a functional that is not finite.
+    The flow is read and checked first; the arithmetic after it warns of no
+    overflow or invalid value, since a functional it makes not finite is
+    refused by name."""
     t = vol.time
     flow.check_time(t)
     n = flow.dimension
     gamma = flow.gamma
 
     z, r = _radii(vol.nodes, vol.x0)
-    at_nodes = flow.fields(t, vol.nodes, ("velocity", "rho", "entropy"))
-    vel, rho = at_nodes["velocity"], at_nodes["rho"]
-    pres = _pressure(flow, t, at_nodes, "a quadrature node")
-
-    w = vol.mass_w
-    vol_w = w / rho                     # plain volume measure via rho0/rho
-
-    p_val, p_d1, p_d2 = phi.eval(r)
-    vz = np.einsum("ij,ij->i", vel, z)
-    speed2 = np.einsum("ij,ij->i", vel, vel)
-
-    m = float(np.sum(w))
-    energy = float(np.sum(0.5 * speed2 * w) + np.sum(pres / (gamma - 1.0) * vol_w))
-    g_val = float(np.sum(p_val * w))
-    f_val = float(np.sum(p_d1 / r * vz * w))
-    i1 = float(np.sum(p_d2 / r ** 2 * vz ** 2 * w))
-    i2 = float(np.sum(p_d1 / r ** 3 * sigma_norm2(vel, z) * w))
-    i3 = float(np.sum((p_d2 + (n - 1.0) * p_d1 / r) * pres * vol_w))
-
+    at_nodes = _read(flow, t, vol.nodes, ("velocity", "rho", "entropy"),
+                     "a quadrature node")
     mids, normals, measures = _boundary_elements(vol)
     zb, rb = _radii(mids, vol.x0)
-    at_mids = flow.fields(t, mids, ("rho", "entropy"))
-    pres_b = _pressure(flow, t, at_mids, "a boundary midpoint")
-    zb_dot_n = np.einsum("ij,ij->i", zb, normals)
-    _, pb_d1, _ = phi.eval(rb)
-    i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))
-    flux = zb_dot_n / rb * pres_b * measures
-    reg = float(np.sum(flux))
-    reg_abs = float(np.sum(np.abs(flux)))
+    at_mids = _read(flow, t, mids, ("rho", "entropy"), "a boundary midpoint")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        vel, rho = at_nodes["velocity"], at_nodes["rho"]
+        pres = _pressure(gamma, at_nodes)
+
+        w = vol.mass_w
+        vol_w = w / rho                     # plain volume measure via rho0/rho
+
+        p_val, p_d1, p_d2 = phi.eval(r)
+        vz = np.einsum("ij,ij->i", vel, z)
+        speed2 = np.einsum("ij,ij->i", vel, vel)
+
+        m = float(np.sum(w))
+        energy = float(np.sum(0.5 * speed2 * w) + np.sum(pres / (gamma - 1.0) * vol_w))
+        g_val = float(np.sum(p_val * w))
+        f_val = float(np.sum(p_d1 / r * vz * w))
+        i1 = float(np.sum(p_d2 / r ** 2 * vz ** 2 * w))
+        i2 = float(np.sum(p_d1 / r ** 3 * sigma_norm2(vel, z) * w))
+        i3 = float(np.sum((p_d2 + (n - 1.0) * p_d1 / r) * pres * vol_w))
+
+        pres_b = _pressure(gamma, at_mids)
+        zb_dot_n = np.einsum("ij,ij->i", zb, normals)
+        _, pb_d1, _ = phi.eval(rb)
+        i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))
+        flux = zb_dot_n / rb * pres_b * measures
+        reg = float(np.sum(flux))
+        reg_abs = float(np.sum(np.abs(flux)))
 
     values = dict(m=m, E=energy, G=g_val, F=f_val, I1=i1, I2=i2, I3=i3, I4=i4,
                   reg=reg, reg_abs=reg_abs)

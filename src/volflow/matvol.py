@@ -35,6 +35,7 @@ import numpy as np
 __all__ = [
     "SelfIntersection",
     "ShapeError",
+    "WithinEpsilon",
     "VolumeShapeSpec",
     "MaterialVolume",
     "init_volume",
@@ -55,6 +56,10 @@ class ShapeError(ValueError):
     def __init__(self, field, message):
         super().__init__(message)
         self.field = field
+
+
+class WithinEpsilon(ValueError):
+    """The boundary markers lie within epsilon of x0 at time zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +227,8 @@ def _ear_clip(vertices):
     """Triangulate a simple polygon (CCW) by ear clipping."""
     idx = list(range(len(vertices)))
     tris = []
-    guard = 0
+    # Each pass clips one ear or raises.
     while len(idx) > 3:
-        guard += 1
-        if guard > 10 * len(vertices) ** 2:
-            raise ValueError("polygon triangulation failed (not simple?)")
-        ear_found = False
         for pos in range(len(idx)):
             i0, i1, i2 = (idx[pos - 1], idx[pos], idx[(pos + 1) % len(idx)])
             a, b, c = vertices[i0], vertices[i1], vertices[i2]
@@ -239,9 +240,8 @@ def _ear_clip(vertices):
                 continue
             tris.append((i0, i1, i2))
             idx.pop(pos)
-            ear_found = True
             break
-        if not ear_found:
+        else:
             raise ValueError("polygon triangulation failed (not simple?)")
     tris.append(tuple(idx))
     return tris
@@ -430,7 +430,7 @@ def init_volume(spec, flow, x0, epsilon):
                          mass_w=rho0 * w, x0=x0, time=0.0)
     d = boundary_distance(vol)
     if d <= epsilon:
-        raise ValueError(
+        raise WithinEpsilon(
             f"dist(boundary, x0) = {d} is not larger than epsilon = {epsilon}")
     return vol, d
 

@@ -235,8 +235,7 @@ def check_inequality17(series, inp, c):
         raise ValueError("samples must be uniformly spaced")
 
     a_coef, k_coef = _comparison_coefficients(inp)
-    third = np.abs(np.diff(fs, n=3)) / dt ** 3 if len(fs) >= 4 else np.array([0.0])
-    f3_scale = float(third.max()) if third.size else 0.0
+    f3_scale = float(np.abs(np.diff(fs, n=3)).max() / dt ** 3) if len(fs) >= 4 else 0.0
 
     reports = []
     for i in range(1, len(series) - 1):
@@ -403,7 +402,11 @@ class SeriesRow(NamedTuple):
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Outcome of one scenario against the attainment prediction."""
+    """Outcome of one scenario against the attainment prediction.
+
+    `horizon` is the time up to which the run knows the flow to be smooth:
+    T, or earlier where it lost smoothness; after a hit, at most the flow's
+    `t_last`, which is inf on a closed-form flow."""
 
     criteria: crit_mod.CriteriaReport
     hit_time: Optional[float]
@@ -457,9 +460,10 @@ def run_theorem_scenario(scenario):
     time, and the advection is retried from the same sample to it; where a
     sample finds it not smooth (`NonSmoothSample`), or an advection or a
     sample reads a grid time slice whose density is not positive
-    (`NonSmoothState`), at the sample before.  A run that ends early (a
-    hit, or a node at the target floor) still advances the flow to T, so its
-    horizon and detail are those of a flow advanced to T before the run.
+    (`NonSmoothState`), at the sample before.  A hit, or a node at the
+    target floor, ends the run; its horizon is then the last time up to
+    which the run knows the flow to be smooth (`FlowField.t_last`, at most
+    T): T on a closed-form flow, the last stepped time on a grid flow.
     """
     cfg, flow, vol, phi = scenario.cfg, scenario.flow, scenario.vol, scenario.phi
     sample0, inp = scenario.sample0, scenario.inp
@@ -487,48 +491,41 @@ def run_theorem_scenario(scenario):
     # One advection call per sample instant (stride steps of dt inside);
     # the boundary self-intersection detector runs per call.
     k = stride
-    try:
-        while k < n_steps + stride:
-            t_k = min(k * dt, horizon)
-            prev = vol
-            try:
-                vol = _advect_any(vol, flow, t_k, dt)
-                dist = boundary_distance(vol)
-                if dist <= inp.epsilon:
-                    hit_time = _refine_hit(prev, flow, prev.time, t_k, inp.epsilon, dt)
-                    break
-                s = sample(flow, vol, phi, inp.epsilon)
-            except SmoothnessLost as exc:
-                # Only the advection steps the flow, so vol is still prev.
-                horizon = flow.t_last
-                detail = f"smoothness lost at t={exc.time}; "
-                n_steps = int(math.ceil(horizon / dt - 1e-9))
-                continue
-            except (NonSmoothSample, NonSmoothState) as exc:
-                horizon = prev.time
-                detail += f"{exc}; "
-                break
-            series.append(record(s, dist))
-            reg_max = max(reg_max, s.reg_abs)
-            e_min, e_max = min(e_min, s.E), max(e_max, s.E)
-            bounds += bounds_chain(s)
-            flow.keep_from(t_k)
-            k += stride
-    except TargetReached:
-        hit_time = vol.time
-        detail += "a quadrature node reached the target radius floor; "
-
-    if hit_time is not None and horizon == inp.T:
-        flow.keep_from(inp.T)
+    while k < n_steps + stride:
+        t_k = min(k * dt, horizon)
+        prev = vol
         try:
-            flow.advance_to(inp.T)
+            vol = _advect_any(vol, flow, t_k, dt)
+            dist = boundary_distance(vol)
+            if dist <= inp.epsilon:
+                hit_time = _refine_hit(prev, flow, prev.time, t_k, inp.epsilon, dt)
+                break
+            s = sample(flow, vol, phi, inp.epsilon)
         except SmoothnessLost as exc:
+            # Only the advection steps the flow, so vol is still prev.
             horizon = flow.t_last
-            detail = f"smoothness lost at t={exc.time}; " + detail
+            detail = f"smoothness lost at t={exc.time}; "
+            n_steps = int(math.ceil(horizon / dt - 1e-9))
+            continue
+        except (NonSmoothSample, NonSmoothState) as exc:
+            horizon = prev.time
+            detail += f"{exc}; "
+            break
+        except TargetReached:
+            hit_time = vol.time
+            detail += "a quadrature node reached the target radius floor; "
+            break
+        series.append(record(s, dist))
+        reg_max = max(reg_max, s.reg_abs)
+        e_min, e_max = min(e_min, s.E), max(e_max, s.E)
+        bounds += bounds_chain(s)
+        flow.keep_from(t_k)
+        k += stride
 
     e_drift = max(abs(e_max - sample0.E), abs(e_min - sample0.E)) / sample0.E
 
     if hit_time is not None:
+        horizon = min(horizon, flow.t_last)
         verdict = "consistent_hit"
     elif not report_c.cond10_holds:
         verdict = "consistent_no_claim"

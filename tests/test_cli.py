@@ -637,26 +637,61 @@ def test_bad_grid_field_is_config_error(tmp_path, capsys, line, message):
     assert _single_error(capsys).startswith(f"config error: {message}")
 
 
-def test_module_entry_point(tmp_path):
-    # `python -m volflow` runs __main__.py, which exits through cli.entry().
+def _volflow_criteria(config, out_dir):
+    """`python -m volflow criteria` on `config` in a fresh process, which
+    runs __main__.py and exits through cli.entry()."""
     src = str(Path(volflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-m", "volflow", "criteria", "--config", str(config),
+         "--out", str(out_dir)],
+        env=env, capture_output=True, text=True, timeout=120)
 
-    def volflow_cli(config):
-        return subprocess.run(
-            [sys.executable, "-m", "volflow", "criteria", "--config", str(config),
-             "--out", str(tmp_path / "o")],
-            env=env, capture_output=True, text=True, timeout=120)
 
-    proc = volflow_cli(CONFIG_DIR / "sweep_annulus.cfg")
+def test_module_entry_point(tmp_path):
+    proc = _volflow_criteria(CONFIG_DIR / "sweep_annulus.cfg", tmp_path / "o")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (tmp_path / "o" / "sweep_annulus_criteria.csv").read_text()
 
-    proc = volflow_cli(_write(tmp_path, MINI_CONFIG + "sample.strid = 5\n"))
+    proc = _volflow_criteria(_write(tmp_path, MINI_CONFIG + "sample.strid = 5\n"),
+                             tmp_path / "o")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [
         "config error: key 'sample.strid' is not a setting of this scenario"]
+
+
+# A time-zero sample whose pressure overflows printed numpy RuntimeWarnings
+# before its exit-2 line: the sample refuses the functionals by name, so the
+# arithmetic that makes them not finite warns of nothing.
+@pytest.mark.parametrize("base, line", [
+    ("expansion_outflow", "flow.S0 = 800"),
+    ("arc_live", "flow.rho0 = 1e300"),
+])
+def test_overflowing_time_zero_sample_prints_one_line(tmp_path, base, line):
+    text = (CONFIG_DIR / f"{base}.cfg").read_text()
+    path = _write(tmp_path, f"{text}\n{line}\n")
+    proc = _volflow_criteria(path, tmp_path / "o")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "config error: functional E, I3, I4, reg, reg_abs not finite at t=0.0"]
+
+
+# The loader checks epsilon against the closed-form boundary distance; the
+# marker chords of a loop curved around x0 lie closer to it, and that second
+# check failed naming no key.
+@pytest.mark.parametrize("base, lines", [
+    ("radial_inflow", "epsilon = 0.99995"),
+    ("sweep_annulus", "x0 = 3.0, 0.0\nepsilon = 0.99995"),
+])
+def test_epsilon_within_the_marker_distance_names_its_key(tmp_path, capsys, base,
+                                                          lines):
+    text = (CONFIG_DIR / f"{base}.cfg").read_text()
+    path = _write(tmp_path, f"{text}\n{lines}\n")
+    rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys).startswith(
+        "config error: key 'epsilon': dist(boundary, x0) = 0.99992")
 
 
 def test_format_flag_is_gone(mini_cfg, tmp_path):
@@ -977,12 +1012,13 @@ WINDOW_CASES = {
         "horizon: 0.98", "series_rows: 50", "bounds_checked: 200",
         "detail: smoothness lost at t=0.9899999999999899; flow density not "
         "positive at a boundary midpoint at t=0.98499999999999;"], 8),
-    # The hit at t ~ 0.1999 comes before smoothness is lost at t = 0.685:
-    # the flow is still advanced to T for the horizon and the detail.  The
-    # bisection may re-step at most one stride (4 steps).
+    # The hit at t ~ 0.1999 comes long before smoothness would be lost at
+    # t = 0.685, and ends the run: its horizon is the last time the flow
+    # was stepped to, and nothing is stepped past it.  The bisection may
+    # re-step at most one stride (4 steps).
     "hit_before_loss_run": ("run", _RADIAL + "\nepsilon = 0.8\nT = 0.9\n", 0, [
-        "verdict: consistent_hit", "horizon: 0.6750000000000005",
-        "detail: smoothness lost at t=0.6850000000000005;"], 4),
+        "verdict: consistent_hit", "hit_time: 0.19993164062500002",
+        "horizon: 0.2000000000000001", "detail: none"], 4),
     # A passing grid verify: its precondition pass holds the last few of
     # the flow's 62 steps, and the lemma phase re-steps the 58 before them
     # once, which the reference, keeping everything, skips.
@@ -1012,6 +1048,10 @@ def test_snapshot_window_changes_no_output(case, tmp_path, capsys, monkeypatch):
     rc, out, _, _ = windowed
     assert rc == code
     assert all(line in out.splitlines() for line in lines)
+    report = dict(line.split(": ", 1) for line in out.splitlines())
+    if report.get("verdict") == "consistent_hit":
+        # A hit ends the run: no solver step starts past its horizon.
+        assert max(steps) <= float(report["horizon"])
 
 
 def test_a_re_step_runs_no_guard(tmp_path, capsys, monkeypatch):

@@ -241,11 +241,35 @@ def test_necessary_qneg_long_vacuous():
 
 
 def test_necessary_qneg_short():
+    # lhs = cot((|q|+1) R0 T/(eps m)) against rhs = 2 m E/R0 = 6.667, both
+    # ways: at half the time threshold the cot is 1, at 1e-3 of it 636.6,
+    # and the failed bound fails nec_ok.
     r0 = 0.3
-    inp = make_inputs(T=0.5 * qneg_time_threshold(make_inputs(T=1.0), r0))
-    ok, detail = necessary_conditions(inp, -(r0 ** 2), r0)
-    assert detail[0].name == "cot_bound"
-    assert ok == detail[0].ok
+    threshold = qneg_time_threshold(make_inputs(T=1.0), r0)
+    for fraction, cot, ok in ((0.5, 1.0, True), (1e-3, 636.6192487687196, False)):
+        inp = make_inputs(T=fraction * threshold)
+        assert classify_and_delta(inp, -(r0 ** 2), r0)[0] == CASE_QNEG_SHORT
+        nec_ok, (rec,) = necessary_conditions(inp, -(r0 ** 2), r0)
+        assert rec.name == "cot_bound"
+        # (|q|+1)/(eps m) = 9/0.5
+        assert rec.lhs == pytest.approx(1.0 / math.tan(18.0 * r0 * inp.T), rel=1e-12)
+        assert rec.lhs == pytest.approx(cot, rel=1e-9)
+        assert rec.rhs == pytest.approx(2.0 / r0, rel=1e-12)
+        assert (rec.ok, nec_ok) == (ok, ok)
+
+
+def test_necessary_qpos_small_r0_bound_is_informational():
+    # lhs = R0 against rhs = sqrt(2 m E) - 2 eps m/((|q|+1) T), both ways;
+    # the bound is reported but does not enter nec_ok.
+    inp = make_inputs()
+    rhs = math.sqrt(2.0) - 2.0 * 0.5 / (9.0 * 10.0)
+    for r0, ok in ((0.510696, True), (1.41, False)):
+        nec_ok, (coth, rec) = necessary_conditions(inp, r0 ** 2, r0)
+        assert (rec.name, rec.informational) == ("small_r0_bound", True)
+        assert rec.lhs == r0
+        assert rec.rhs == pytest.approx(rhs, rel=1e-12)
+        assert rec.ok == ok
+        assert coth.ok and nec_ok
 
 
 # -- input validation and report ----------------------------------------------
