@@ -346,6 +346,8 @@ def build_volume(cfg, flow):
         return init_volume(cfg.volume, flow, np.asarray(cfg.x0), cfg.epsilon)
     except WithinEpsilon as exc:
         raise ConfigError(f"key 'epsilon': {exc}") from exc
+    except ShapeError as exc:
+        raise ConfigError(f"key 'volume.{exc.field}': {exc}") from exc
 
 
 @dataclass(frozen=True)

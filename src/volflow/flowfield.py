@@ -14,7 +14,10 @@ Every flow answers `velocity(t, pts)`, the advection right-hand side, and
 at a point set.  Both are pure and vectorized over leading point axes, and
 analytic flows are safe to share across threads.  A `ConstantFlow` holds one
 read-only velocity array per query shape and returns it on every query of
-that shape; every other array returned is fresh.
+that shape; every other array returned is fresh.  A flow whose velocity at
+each time is the same at every point says so with `uniform_velocity`, which
+only `ConstantFlow` sets: RK4 advection then computes one point's increment
+and adds it to every point.
 """
 
 from __future__ import annotations
@@ -38,13 +41,17 @@ class FlowField:
     sample points lives in `functionals`, which takes the pressure from the
     density and entropy of one `fields` read.  `pts` always has shape
     (..., 2): every flow is planar, and `dimension` is the one statement of
-    the program's dimension.
+    the program's dimension.  A subclass whose velocity at each time is the
+    same at every point sets `uniform_velocity`: a query at one point then
+    gives the velocity of every point.
     """
 
     dimension = 2
     # The last time the flow is known smooth; a closed-form flow is smooth
     # for all time, and a flow that is stepped overrides it.
     t_last = math.inf
+    # The velocity at each time is the same at every point.
+    uniform_velocity = False
 
     def __init__(self, gamma, entropy_floor):
         if not gamma > 1.0:
@@ -89,7 +96,12 @@ class FlowField:
 
 
 class ConstantFlow(FlowField):
-    """Uniform state everywhere and for all time; trivially exact."""
+    """Uniform state everywhere and for all time; trivially exact.
+
+    It is the one flow with `uniform_velocity` set, so an RK4 step queries
+    it at one point per stage (`matvol._rk4_points`)."""
+
+    uniform_velocity = True
 
     def __init__(self, gamma, rho0, vel0, p0):
         rho0 = float(rho0)

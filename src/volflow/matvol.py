@@ -413,7 +413,9 @@ def init_volume(spec, flow, x0, epsilon):
 
     Rejects configurations that violate the threshold preconditions: the
     target x0 must lie strictly outside the volume and farther than epsilon
-    from its boundary.
+    from its boundary.  Raises `ShapeError`, naming the shape's size field,
+    when the built markers do not make simple loops, as when the shape is
+    too small for the float spacing at its position.
     """
     dim = flow.dimension
     x0 = np.asarray(x0, dtype=float)
@@ -421,12 +423,18 @@ def init_volume(spec, flow, x0, epsilon):
         if point.shape != (dim,):
             raise ValueError(f"{name} must have dimension {dim}")
     loops, nodes, w = spec.build()
+    points = np.vstack([*loops, nodes])
+    loop_ends = tuple(accumulate(len(loop) for loop in loops))
+    if not polygon_is_simple(points[:loop_ends[-1]], loop_ends):
+        raise ShapeError(
+            {"disk": "radius", "annulus": "radii", "polygon": "vertices"}[spec.shape],
+            "the boundary markers do not make simple loops: the shape is too "
+            "small for the float spacing at its position")
 
     spec.distance(x0)                   # raises when x0 lies inside
 
     rho0 = flow.fields(0.0, nodes, ("rho",))["rho"]
-    vol = MaterialVolume(points=np.vstack([*loops, nodes]),
-                         loop_ends=tuple(accumulate(len(loop) for loop in loops)),
+    vol = MaterialVolume(points=points, loop_ends=loop_ends,
                          mass_w=rho0 * w, x0=x0, time=0.0)
     d = boundary_distance(vol)
     if d <= epsilon:
@@ -445,38 +453,49 @@ def _rk4_points(flow, pts, t_from, t_to, dt):
     points and need only hold the time stencil of the current step.
 
     Each step computes x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), the stage
-    inputs x + (h/2)*k and x + h*k3, bit for bit, in buffers allocated once
-    per call: the position `x`, the sum `acc` and two stage buffers `sa` and
-    `sb`.  A velocity may return its query array itself, so the function
-    writes only its own buffers, and never one whose slope is still read:
-    k2 is queried at `sa`, k3 at `sb`, k4 at `sa` again once k2 is spent,
-    and `x` is updated only after k4 is summed.
+    inputs y + (h/2)*k and y + h*k3, bit for bit, in buffers allocated once
+    per call: the position `x`, and the sum `acc` and two stage buffers `sa`
+    and `sb` shaped like the staged points `y`.  A velocity may return its
+    query array itself, so the function writes only its own buffers, and
+    never one whose slope is still read: k2 is queried at `sa`, k3 at `sb`,
+    k4 at `sa` again once k2 is spent, and `x` is updated only after k4 is
+    summed.
+
+    On a flow with `uniform_velocity` every point has the same slopes, so
+    the stages run on the first point alone (`y = x[:1]`; otherwise `y` is
+    all of `x`), `acc`, `sa` and `sb` have one row, and the one-row
+    increment is added to every point: the same IEEE additions as at every
+    point, so the same bits.  Each step repeats the increment into a fresh
+    contiguous array of all the points before the add, since a broadcast add
+    of one row loops over rows of d values and costs as much as the stages
+    it saves.
     """
     t = t_from
     x = np.array(pts, dtype=float)
-    acc, sa, sb = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    y = x[:1] if flow.uniform_velocity else x
+    acc, sa, sb = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     direction = 1.0 if t_to >= t_from else -1.0
     h_mag = abs(dt)
     while abs(t_to - t) > 1e-14:
         h = direction * min(h_mag, abs(t_to - t))
         flow.advance_to(t + h)
-        k1 = flow.velocity(t, x)
+        k1 = flow.velocity(t, y)
         np.multiply(k1, 0.5 * h, out=sa)
-        sa += x
+        sa += y
         k2 = flow.velocity(t + 0.5 * h, sa)
         np.multiply(k2, 2.0, out=acc)
         acc += k1
         np.multiply(k2, 0.5 * h, out=sb)
-        sb += x
+        sb += y
         k3 = flow.velocity(t + 0.5 * h, sb)
         np.multiply(k3, 2.0, out=sa)
         acc += sa
         np.multiply(k3, h, out=sa)
-        sa += x
+        sa += y
         k4 = flow.velocity(t + h, sa)
         acc += k4
         acc *= h / 6.0
-        x += acc
+        x += acc if y is x else np.repeat(acc, len(x), axis=0)
         t = t + h
     return x
 

@@ -421,7 +421,8 @@ class TheoremReport:
 
 
 def _refine_hit(vol_prev, flow, t_lo, t_hi, epsilon, dt):
-    """Bisect the attainment time between two step instants to dt/100."""
+    """Bisect the attainment time between two sample instants (a stride apart)
+    to dt/100."""
     tol = dt / 100.0
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)

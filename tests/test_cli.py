@@ -827,6 +827,24 @@ def test_non_finite_floats_rejected(tmp_path, capsys, line, key):
     assert not (tmp_path / "o").exists()
 
 
+# Marker loops that are not simple at time zero: a centre so far out that
+# the float spacing there exceeds the marker spacing, or a radius below it.
+# `criteria` accepted the first (all 512 markers on one x), and the others
+# failed as "degenerate boundary segment (zero length)", naming no key, or as
+# a self-intersection after the first advection, naming 'volume.markers'.
+@pytest.mark.parametrize("command", ["criteria", "run"])
+@pytest.mark.parametrize("line", [
+    "volume.center = 1e20, 0.0", "volume.center = 1e20, 1e20", "volume.radius = 1e-300",
+])
+def test_markers_not_simple_at_time_zero_name_the_size_key(tmp_path, capsys, command, line):
+    text = (CONFIG_DIR / "constant_inflow.cfg").read_text() + "\n" + line + "\n"
+    path = _write(tmp_path, text)
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = _single_error(capsys)
+    assert "key 'volume.radius'" in err and "too small for the float spacing" in err
+
+
 def test_grid_max_grad_default_is_no_guard(tmp_path):
     text = (CONFIG_DIR / "radial_inflow.cfg").read_text()
     path = _write(tmp_path, text.replace("flow.grid.max_grad = 50.0\n", ""))
@@ -983,8 +1001,12 @@ def test_arc_live_missed_hit_is_violation(tmp_path, capsys, monkeypatch):
 
 def test_self_intersection_is_precondition_error(mini_cfg, tmp_path, capsys,
                                                  monkeypatch):
-    monkeypatch.setattr(matvol, "polygon_is_simple", lambda *loops: False)
     for command in ("run", "verify"):
+        # The time-zero check of the built markers passes; every sweep after
+        # an advection finds a crossing.
+        sweeps = []
+        monkeypatch.setattr(matvol, "polygon_is_simple",
+                            lambda *loops: sweeps.append(loops) or len(sweeps) == 1)
         rc = main([command, "--config", str(mini_cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = _single_error(capsys)

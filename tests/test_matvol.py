@@ -11,8 +11,8 @@ from helpers import (SyntheticFlow, advect_unchecked, annulus_volume, disk_volum
                      volume_integral_mass, volume_integral_plain)
 
 from volflow import matvol
-from volflow.flowfield import ConstantFlow, ExpansionFlow
-from volflow.matvol import (SelfIntersection, VolumeShapeSpec, advect,
+from volflow.flowfield import ConstantFlow, ExpansionFlow, FlowField
+from volflow.matvol import (SelfIntersection, ShapeError, VolumeShapeSpec, advect,
                             boundary_distance, init_volume, loop_signed_area,
                             point_in_loops, polygon_is_simple)
 from volflow.solver import GridFlow, GridState
@@ -54,6 +54,20 @@ def test_annulus_epsilon_gate():
         annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 1.0)
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.9)
     assert boundary_distance(vol) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("spec, field", [
+    (VolumeShapeSpec(shape="disk", center=(1e20, 0.0), radius=1.0), "radius"),
+    (VolumeShapeSpec(shape="disk", center=(3.0, 0.0), radius=1e-300), "radius"),
+    (VolumeShapeSpec(shape="annulus", center=(1e20, 0.0), radii=(1.0, 2.0)), "radii"),
+    (VolumeShapeSpec(shape="polygon", markers=64,
+                     vertices=((1e20, 0.0), (1e20 + 1e5, 0.0), (1e20, 1e5))), "vertices"),
+], ids=["far_disk", "tiny_disk", "far_annulus", "far_polygon"])
+def test_markers_not_simple_at_time_zero_name_the_size_field(spec, field):
+    # The float spacing at the shape's position exceeds its marker spacing.
+    with pytest.raises(ShapeError, match="too small for the float spacing") as err:
+        init_volume(spec, still_flow(), np.full(2, 5.0), 0.5)
+    assert err.value.field == field
 
 
 def test_x0_inside_rejected():
@@ -505,6 +519,12 @@ RK4_CASES = {
     # (flow, t_from, t_to, dt); the spans leave partial last steps.
     "constant": (lambda: ConstantFlow(1.4, rho0=1.0, vel0=(-1.3, 0.7), p0=1.0),
                  0.0, 0.37, 0.05),
+    "constant_backward": (lambda: ConstantFlow(1.4, rho0=1.0, vel0=(0.9, -2.1), p0=1.0),
+                          0.41, 0.02, 0.06),
+    "constant_one_point": (lambda: ConstantFlow(1.4, rho0=1.0, vel0=(-1.3, 0.7), p0=1.0),
+                           0.0, 0.37, 0.05),
+    "constant_no_points": (lambda: ConstantFlow(1.4, rho0=1.0, vel0=(-1.3, 0.7), p0=1.0),
+                           0.0, 0.37, 0.05),
     "expansion_forward": (expansion, 0.0, 0.37, 0.05),
     "expansion_backward": (expansion, 0.5, 0.1, 0.05),
     "expansion_partial": (expansion, 0.2, 0.2 + 0.013, 0.005),
@@ -515,19 +535,21 @@ RK4_CASES = {
     "read_only_broadcast": (lambda: SyntheticFlow(lambda t, p: np.broadcast_to(
         np.array([0.3 * t, -0.2]), p.shape)), 0.0, 0.25, 0.1),
 }
+RK4_POINTS = {"constant_one_point": 1, "constant_no_points": 0}
 
 
 @pytest.mark.parametrize("case", sorted(RK4_CASES))
 def test_rk4_matches_allocating_reference_bitwise(case):
     make, t_from, t_to, dt = RK4_CASES[case]
     flow = make()
-    pts = np.random.default_rng(len(case)).uniform(-0.8, 0.8, size=(301, 2))
+    n = RK4_POINTS.get(case, 301)
+    pts = np.random.default_rng(len(case)).uniform(-0.8, 0.8, size=(n, 2))
     before = pts.copy()
     calls = []
     velocity = flow.velocity
 
     def counting(t, p):
-        calls.append(t)
+        calls.append(len(p))
         return velocity(t, p)
 
     flow.velocity = counting
@@ -539,3 +561,11 @@ def test_rk4_matches_allocating_reference_bitwise(case):
     assert got.shape == pts.shape and not np.shares_memory(got, pts)
     assert np.array_equal(got, want)
     assert len(calls) == 4 * steps and steps == math.ceil(abs(t_to - t_from) / dt - 1e-9)
+    # A uniform flow is queried at one point per stage, every other at all.
+    assert set(calls) == {min(n, 1) if isinstance(flow, ConstantFlow) else n}
+
+
+def test_only_a_constant_flow_has_uniform_velocity():
+    assert ConstantFlow.uniform_velocity is True
+    for cls in (FlowField, ExpansionFlow, GridFlow, SyntheticFlow):
+        assert cls.uniform_velocity is False
