@@ -23,11 +23,12 @@ limit at some step, `verify.times` whose lemma differences (step h) reach
 outside the flow's time window, past the time at which a grid solver loses
 smoothness, or to a flow that is not smooth where they read it (`run`
 instead ends its horizon there and reports it), or that put the boundary
-within epsilon of x0, or x0 inside the volume, at a lemma time, a `q` that
-puts a power of epsilon in the threshold algebra out of float range
-(`sweep.q` for `sweep`), `volume.vertices` that do not make a simple
-polygon of nonzero area, and a boundary loop that crosses itself or another
-loop after an advection (`volume.markers` too few to resolve it).
+within epsilon of x0, or x0 inside the volume, at a lemma time, a `q` and
+an `epsilon` that put a power of epsilon in the threshold algebra out of
+float range (`sweep.q` and `sweep.epsilon` for `sweep`), `volume.vertices`
+that do not make a simple polygon of nonzero area, and a boundary loop that
+crosses itself or another loop after an advection (`volume.markers` too few
+to resolve it).
 """
 
 from __future__ import annotations
@@ -196,37 +197,17 @@ def _cmd_verify(scenario, out_dir, seed):
         raise ConfigError(f"key 'verify.times': {exc}") from exc
 
     run_report = verify_mod.run_theorem_scenario(scenario)
-    series = list(run_report.series)
-    ts = [row.t for row in series]
-    if len(ts) >= 2:
-        step = ts[1] - ts[0]
-        while len(ts) >= 3 and abs((ts[-1] - ts[-2]) - step) > 1e-9 * max(step, 1.0):
-            series.pop()
-            ts.pop()
-    if len(series) >= 3:
-        checks += verify_mod.check_inequality17(series, scenario.inp,
-                                                run_report.criteria.C)
-    checks += list(run_report.bounds_failures)
-
-    rng = np.random.default_rng(seed)
-    cases = verify_mod.random_oracle_cases(rng, verify_mod.ORACLE_CASES)
-    gaps = []
-    oracle_failed = 0
-    for f0, q0, oinp in cases:
-        times_pair = verify_mod.blowup_oracle(f0, q0, oinp)
-        if times_pair.closed_form is None or times_pair.numeric is None:
-            oracle_failed += int(times_pair.closed_form != times_pair.numeric)
-            continue
-        gap = abs(times_pair.numeric - times_pair.closed_form) / times_pair.closed_form
-        gaps.append(gap)
-        oracle_failed += int(gap > verify_mod.ORACLE_REL_GAP)
+    checks += verify_mod.check_inequality17(run_report.series, scenario.inp,
+                                            run_report.criteria.C)
+    checks += run_report.bounds_failures
+    oracle_cases, oracle_failed, max_gap = verify_mod.score_oracle(seed)
 
     failed = [c for c in checks if not c.passed]
     pairs = [
         ("report", "verify"), ("name", cfg.name), ("seed", seed),
         ("checks_total", len(checks)), ("checks_failed", len(failed)),
-        ("oracle_cases", len(cases)), ("oracle_failed", oracle_failed),
-        ("oracle_max_rel_gap", max(gaps) if gaps else 0.0),
+        ("oracle_cases", oracle_cases), ("oracle_failed", oracle_failed),
+        ("oracle_max_rel_gap", max_gap),
         ("run_verdict", run_report.verdict),
         ("result", "pass" if not failed and not oracle_failed else "fail"),
     ]
@@ -323,8 +304,9 @@ def main(argv=None):
     except OverflowError:
         # Python float powers raise it: in the threshold algebra and its
         # checks, the powers of epsilon whose exponents are made of q.
-        key = "sweep.q" if args.command == "sweep" else "q"
-        print(f"config error: key '{key}': a power of epsilon overflows", file=sys.stderr)
+        keys = ("'sweep.q' or 'sweep.epsilon'" if args.command == "sweep"
+                else "'q' or 'epsilon'")
+        print(f"config error: key {keys}: a power of epsilon overflows", file=sys.stderr)
         return 2
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

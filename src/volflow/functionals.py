@@ -151,11 +151,11 @@ def sample(flow, vol, phi, epsilon):
 
     Raises `TargetReached` within `RADIUS_FLOOR` of x0, and
     `NonSmoothSample` rather than return a functional that is not finite.
-    The flow is read and checked first; the arithmetic after it warns of no
+    The flow is read and checked first (each flow's `fields` refuses a time
+    outside its window); the arithmetic after it warns of no
     overflow or invalid value, since a functional it makes not finite is
     refused by name."""
     t = vol.time
-    flow.check_time(t)
     n = flow.dimension
     gamma = flow.gamma
 

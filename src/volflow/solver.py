@@ -177,8 +177,7 @@ class _Workspace:
     `interpolate_fields` gathers its 4x4 patches entry-major
     (`patch_buffers`): entry (a, b) of every point's patch is one contiguous
     row of N values, so the weights and the sum over the patch run as whole
-    row passes.  Those buffers grow to the largest point count seen;
-    allocated per query, they were paged in afresh on every query.  A
+    row passes.  Those buffers grow to the largest point count seen.  A
     `GridFlow` combines its time slice in the `slope` buffers, which nothing
     reads between steps, with `scratch` as the term buffer; it drops the
     slice before it steps.

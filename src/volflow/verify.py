@@ -46,6 +46,8 @@ __all__ = [
     "check_inequality17",
     "bounds_chain",
     "blowup_oracle",
+    "score_oracle",
+    "verdict_rule",
     "run_theorem_scenario",
 ]
 
@@ -218,16 +220,25 @@ def _comparison_coefficients(inp):
 
 
 def check_inequality17(series, inp, c):
-    """Master differential inequality along a uniformly sampled series.
+    """Master differential inequality along a run's series.
 
-    At each interior sample the centered difference of F must dominate
+    The trailing rows whose spacing differs from the first spacing by more
+    than 1e-9 max(step, 1) are dropped (a run's last sample can land short of
+    the stride, at its horizon); fewer than 3 rows left give no reports, and
+    uneven spacing among the rows kept is a ValueError.  At each interior
+    sample the centered difference of F must dominate
     (|q|+1)/(|q| eps^q m) * (F^2 - q^2 eps^(2q-2) Q(t)), with Q(t) evaluated
     from the current moment G(t).  The pass tolerance absorbs the centered-
     difference truncation, estimated from third differences of F.
     """
-    if len(series) < 3:
-        raise ValueError("need at least 3 samples")
-    ts = np.array([s.t for s in series])
+    ts = [s.t for s in series]
+    step = ts[1] - ts[0] if len(ts) >= 2 else 0.0
+    while len(ts) >= 3 and abs((ts[-1] - ts[-2]) - step) > 1e-9 * max(step, 1.0):
+        ts.pop()
+    if len(ts) < 3:
+        return []
+    series = series[:len(ts)]
+    ts = np.array(ts)
     fs = np.array([s.F for s in series])
     gs = np.array([s.G for s in series])
     dt = ts[1] - ts[0]
@@ -354,6 +365,25 @@ def _hermite_crossing(y0, y1, d0, d1, target):
             hi = s
 
 
+def score_oracle(seed):
+    """Run `blowup_oracle` on ORACLE_CASES cases drawn from `seed` and score
+    them: a case passes when neither time exists, or when both do and their
+    gap relative to the closed form is at most ORACLE_REL_GAP.  Returns the
+    number of cases, the number failed and the largest relative gap (0.0
+    when no case has both times)."""
+    cases = random_oracle_cases(np.random.default_rng(seed), ORACLE_CASES)
+    gaps = []
+    failed = 0
+    for f0, q0, inp in cases:
+        closed, numeric = blowup_oracle(f0, q0, inp)
+        if closed is None or numeric is None:
+            failed += int(closed != numeric)
+            continue
+        gaps.append(abs(numeric - closed) / closed)
+        failed += int(gaps[-1] > ORACLE_REL_GAP)
+    return len(cases), failed, max(gaps, default=0.0)
+
+
 def random_oracle_cases(rng, count):
     """Admissible (F0, Q0, inputs) triples cycling through the three sign cases.
 
@@ -420,10 +450,10 @@ class TheoremReport:
     series: tuple = ()
 
 
-def _refine_hit(vol_prev, flow, t_lo, t_hi, epsilon, dt):
-    """Bisect the attainment time between two sample instants (a stride apart)
-    to dt/100."""
-    tol = dt / 100.0
+def _refine_hit(vol_prev, flow, t_hi, epsilon, dt):
+    """Bisect the attainment time between the sample instant of `vol_prev`
+    and t_hi (a stride later) to dt/100."""
+    t_lo, tol = vol_prev.time, dt / 100.0
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
         # Only the boundary is measured, so only the markers are moved.
@@ -433,6 +463,24 @@ def _refine_hit(vol_prev, flow, t_lo, t_hi, epsilon, dt):
         else:
             t_lo = mid
     return 0.5 * (t_lo + t_hi)
+
+
+def verdict_rule(hit, cond10_holds, reg_max, horizon, e_drift, inp):
+    """The verdict of a run against the attainment prediction, and the
+    detail it adds: a hit is consistent; without one, the run is a
+    VIOLATION only when condition (10) held, the regularity flux stayed at
+    most M, the run reached T and the energy drift stayed at most 1%."""
+    if hit:
+        return "consistent_hit", ""
+    if not cond10_holds:
+        return "consistent_no_claim", ""
+    if reg_max > inp.M:
+        return "consistent_no_claim", f"regularity flux exceeded M ({reg_max} > {inp.M}); "
+    if horizon < inp.T:
+        return "consistent_no_claim", ""
+    if e_drift > 0.01:
+        return "inconclusive", f"energy drift {e_drift:.3%} exceeds 1%; "
+    return "VIOLATION", ""
 
 
 def run_theorem_scenario(scenario):
@@ -483,30 +531,28 @@ def run_theorem_scenario(scenario):
     bounds = bounds_chain(sample0)
 
     reg_max = sample0.reg_abs
-    e_min = e_max = sample0.E
     hit_time = None
     dt = cfg.dt
-    n_steps = int(math.ceil(horizon / dt - 1e-9))
     stride = cfg.sample_stride
 
-    # One advection call per sample instant (stride steps of dt inside);
+    # One advection call per sample instant (stride steps of dt inside), up
+    # to the first one at or past the horizon, ceil(horizon/dt - 1e-9) steps;
     # the boundary self-intersection detector runs per call.
     k = stride
-    while k < n_steps + stride:
+    while k - stride < horizon / dt - 1e-9:
         t_k = min(k * dt, horizon)
         prev = vol
         try:
             vol = _advect_any(vol, flow, t_k, dt)
             dist = boundary_distance(vol)
             if dist <= inp.epsilon:
-                hit_time = _refine_hit(prev, flow, prev.time, t_k, inp.epsilon, dt)
+                hit_time = _refine_hit(prev, flow, t_k, inp.epsilon, dt)
                 break
             s = sample(flow, vol, phi, inp.epsilon)
         except SmoothnessLost as exc:
             # Only the advection steps the flow, so vol is still prev.
             horizon = flow.t_last
             detail = f"smoothness lost at t={exc.time}; "
-            n_steps = int(math.ceil(horizon / dt - 1e-9))
             continue
         except (NonSmoothSample, NonSmoothState) as exc:
             horizon = prev.time
@@ -518,28 +564,16 @@ def run_theorem_scenario(scenario):
             break
         series.append(record(s, dist))
         reg_max = max(reg_max, s.reg_abs)
-        e_min, e_max = min(e_min, s.E), max(e_max, s.E)
         bounds += bounds_chain(s)
         flow.keep_from(t_k)
         k += stride
 
-    e_drift = max(abs(e_max - sample0.E), abs(e_min - sample0.E)) / sample0.E
-
+    e_drift = max(abs(row.E - sample0.E) for row in series) / sample0.E
     if hit_time is not None:
         horizon = min(horizon, flow.t_last)
-        verdict = "consistent_hit"
-    elif not report_c.cond10_holds:
-        verdict = "consistent_no_claim"
-    elif reg_max > inp.M:
-        verdict = "consistent_no_claim"
-        detail += f"regularity flux exceeded M ({reg_max} > {inp.M}); "
-    elif horizon < inp.T:
-        verdict = "consistent_no_claim"
-    elif e_drift > 0.01:
-        verdict = "inconclusive"
-        detail += f"energy drift {e_drift:.3%} exceeds 1%; "
-    else:
-        verdict = "VIOLATION"
+    verdict, why = verdict_rule(hit_time is not None, report_c.cond10_holds,
+                                reg_max, horizon, e_drift, inp)
+    detail += why
 
     return TheoremReport(criteria=report_c, hit_time=hit_time,
                          horizon=horizon, E_drift=e_drift, reg_max=reg_max,

@@ -207,11 +207,27 @@ def test_overflowing_power_of_epsilon_names_q(tmp_path, capsys, command, q):
     path = _shipped_with(tmp_path, "constant_inflow", f"q = {q}\nT = 0.5\n")
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert _single_error(capsys) == "config error: key 'q': a power of epsilon overflows"
+    assert _single_error(capsys) == (
+        "config error: key 'q' or 'epsilon': a power of epsilon overflows")
     if command == "verify":
         for other in ("criteria", "run"):
             assert main([other, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
             assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, command, line, keys", [
+    ("constant_inflow", "criteria", "epsilon = 1e-40", "'q' or 'epsilon'"),
+    ("sweep_annulus", "sweep", "sweep.epsilon = 1e-300", "'sweep.q' or 'sweep.epsilon'"),
+], ids=["epsilon", "sweep_epsilon"])
+def test_overflowing_power_of_a_small_epsilon_names_epsilon_too(tmp_path, capsys, name,
+                                                                 command, line, keys):
+    # The shipped q = -8.0 with a tiny epsilon overflows as surely as a huge
+    # |q| does, so the line names both keys.
+    path = _shipped_with(tmp_path, name, line + "\n")
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == (
+        f"config error: key {keys}: a power of epsilon overflows")
 
 
 @pytest.mark.parametrize("vertices, message", [

@@ -143,6 +143,14 @@ def test_target_reached_floor():
         sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
 
 
+def test_sample_outside_the_flow_window_is_refused():
+    # The flow's own `fields` checks the time window.
+    flow = small_grid_flow()
+    vol = disk_volume(flow, (0.3, 0.0), 0.2, (-0.5, 0.0), 0.1, markers=64, order=6)
+    with pytest.raises(ValueError, match="grid flow not advanced to t=0.05"):
+        sample(flow, dataclasses.replace(vol, time=0.05), PhiSpec.power_law(-8.0), 0.1)
+
+
 def test_x0_translation_used():
     # same geometry expressed in two frames must give identical functionals
     flow_a = SyntheticFlow(lambda t, p: p)

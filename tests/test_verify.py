@@ -9,7 +9,7 @@ from helpers import (CONFIG_DIR, SyntheticFlow, advect_unchecked, annulus_volume
 
 from volflow import verify as verify_mod
 from volflow.config import build_scenario, load_config
-from volflow.criteria import CriteriaInputs, classify_and_delta, constants
+from volflow.criteria import CriteriaInputs, classify_and_delta, constants, threshold_q
 from volflow.flowfield import ConstantFlow, ExpansionFlow
 from volflow.functionals import FunctionalSample, NonSmoothSample, PhiSpec
 from volflow.matvol import advect, boundary_distance
@@ -129,14 +129,66 @@ def test_inequality17_jitter_detected():
 
 
 def test_inequality17_needs_uniform_series():
+    # Uneven spacing among the rows kept (the last spacing matches the
+    # first, so no row is dropped) is an error.
     inp = oracle_inputs(eps=0.5)
     c = constants(-8.0, 1.4, 2, 0.0).C
     series = synthetic_series([0.0] * 5)
-    bad = series[:2] + [series[4]]
-    with pytest.raises(ValueError):
+    bad = series[:2] + series[3:]
+    with pytest.raises(ValueError, match="uniformly spaced"):
         check_inequality17(bad, inp, c)
-    with pytest.raises(ValueError):
-        check_inequality17(series[:2], inp, c)
+
+
+def test_inequality17_drops_a_short_trailing_row():
+    # A run's last sample can land short of the stride, at its horizon: a
+    # trailing row spaced unlike the first two is dropped, and fewer than 3
+    # rows left give no reports.
+    inp = oracle_inputs(eps=0.5)
+    c = constants(-8.0, 1.4, 2, 0.0).C
+    series = synthetic_series([0.0, 1.0, 3.0, 2.0, 0.5])
+    short = series + [replace(series[-1], t=series[-1].t + 0.004, F=-900.0)]
+    assert check_inequality17(short, inp, c) == check_inequality17(series, inp, c)
+    assert len(check_inequality17(series, inp, c)) == 3
+    assert check_inequality17(series[:2] + [series[4]], inp, c) == []
+    for rows in (series[:2], series[:1], []):
+        assert check_inequality17(rows, inp, c) == []
+
+
+@pytest.mark.parametrize("undershoot, passed", [(2e-10, True), (5e-9, False)])
+def test_inequality17_slack_floor(undershoot, passed):
+    # Three samples have no third difference, so only the 1e-9 floor,
+    # relative to the larger side, lets the centred difference fall short.
+    inp = oracle_inputs(eps=0.5)
+    c = constants(-8.0, 1.4, 2, 0.0).C
+    dt = 0.01
+    (trial,) = check_inequality17(synthetic_series([0.0, 3000.0, 0.0], dt), inp, c)
+    bound = trial.lhs
+    assert bound > 1.0
+    f2 = 2.0 * dt * bound * (1.0 - undershoot)
+    (rep,) = check_inequality17(synthetic_series([0.0, 3000.0, f2], dt), inp, c)
+    assert rep.lhs == bound
+    assert -rep.slack / bound == pytest.approx(undershoot, rel=1e-3)
+    assert rep.passed is passed
+
+
+def test_inequality17_truncation_allowance():
+    # F = -b tanh(ab (t - t0)) solves F' = a (F^2 - k Q) with b^2 = k Q, so
+    # the bound is the exact derivative.  Where 3 tanh^2 > 1, F''' < 0 and
+    # the centred difference falls short of it by about dt^2/6 |F'''|, far
+    # past the 1e-9 floor; only the allowance from third differences covers
+    # it.
+    inp = oracle_inputs(eps=0.5)
+    c = constants(-8.0, 1.4, 2, 0.0).C
+    g = 1e-3
+    a, k = verify_mod._comparison_coefficients(inp)
+    b = math.sqrt(k * threshold_q(inp, c, g))
+    dt = 0.005
+    f = [-b * math.tanh(1.0 + a * b * i * dt) for i in range(6)]
+    reports = check_inequality17(synthetic_series(f, dt, g), inp, c)
+    assert len(reports) == 4
+    for rep in reports:
+        assert rep.slack < -1e-5 * abs(rep.lhs)
+        assert rep.passed, rep
 
 
 def test_inequality17_holds_on_expansion_run():
@@ -200,6 +252,52 @@ def test_oracle_edge_cases_match_closed_form(f0_over_b, q0, escapes):
     assert (bt.closed_form is not None, bt.numeric is not None) == (escapes, escapes)
     if escapes:
         assert abs(bt.numeric - bt.closed_form) <= 1e-6 * bt.closed_form
+
+
+@pytest.mark.parametrize("closed, numeric, failed, max_gap", [
+    (1.0, 1.0 + 5e-7, 0, 5e-7),
+    (1.0, 1.0 + 2e-6, 1, 2e-6),
+    (2.0, 2.0 - 4e-6, 1, 2e-6),
+    (None, None, 0, 0.0),
+    (None, 1.0, 1, 0.0),
+    (1.0, None, 1, 0.0),
+])
+def test_score_oracle_pass_test(monkeypatch, closed, numeric, failed, max_gap):
+    # Every case gets the same pair: a relative gap above ORACLE_REL_GAP
+    # (1e-6) fails, and so does a time on one side only.
+    seen = []
+
+    def fake(f0, q0, inp):
+        seen.append((f0, q0, inp))
+        return verify_mod.BlowupTimes(closed_form=closed, numeric=numeric)
+
+    monkeypatch.setattr(verify_mod, "blowup_oracle", fake)
+    cases, n_failed, gap = verify_mod.score_oracle(5)
+    assert cases == len(seen) == verify_mod.ORACLE_CASES
+    assert seen == random_oracle_cases(np.random.default_rng(5), cases)
+    assert n_failed == failed * cases
+    assert gap == pytest.approx(max_gap, rel=1e-6)
+
+
+# -- verdict rule ------------------------------------------------------------------
+
+@pytest.mark.parametrize("hit, cond10, reg_max, horizon, e_drift, verdict, detail", [
+    (True, False, 1.0, 0.5, 0.5, "consistent_hit", ""),
+    (False, False, 1.0, 0.5, 0.5, "consistent_no_claim", ""),
+    (False, True, 0.02, 0.5, 0.5, "consistent_no_claim",
+     "regularity flux exceeded M (0.02 > 0.01); "),
+    (False, True, 0.01, 0.5, 0.5, "consistent_no_claim", ""),
+    (False, True, 0.01, 1.0, 0.02, "inconclusive", "energy drift 2.000% exceeds 1%; "),
+    (False, True, 0.01, 1.0, 0.005, "VIOLATION", ""),
+    (False, True, 0.0, 1.0, 0.0, "VIOLATION", ""),
+], ids=["hit", "no_cond10", "reg_over_M", "short_horizon", "energy_drift",
+        "violation", "violation_no_drift"])
+def test_verdict_rule(hit, cond10, reg_max, horizon, e_drift, verdict, detail):
+    # A reg_max equal to M does not exceed it, and a horizon equal to T
+    # reaches it; a VIOLATION needs every hypothesis to survive.
+    inp = replace(oracle_inputs(), M=0.01, T=1.0)
+    assert verify_mod.verdict_rule(hit, cond10, reg_max, horizon, e_drift, inp) == (
+        verdict, detail)
 
 
 def test_oracle_agreement_batch():
@@ -339,7 +437,7 @@ def test_hit_refinement_moves_only_the_markers(kind):
         epsilon = 0.5 * (boundary_distance(advect(vol, flow, t_lo, dt)) +
                          boundary_distance(advect(vol, flow, t_lo + dt, dt)))
     vol = advect(vol, flow, t_lo, dt)
-    got = verify_mod._refine_hit(vol, flow, t_lo, t_lo + dt, epsilon, dt)
+    got = verify_mod._refine_hit(vol, flow, t_lo + dt, epsilon, dt)
     want = _refine_hit_all_points(vol, flow, t_lo, t_lo + dt, epsilon, dt)
     assert repr(got) == repr(want)
     assert t_lo < got < t_lo + dt
