@@ -6,8 +6,9 @@ module and their totals.
 A code line is a source line that holds a token of code: blank lines,
 comment lines and the lines of docstrings (the leading string of a module,
 class or function body) do not count.  A defaulted parameter is a parameter
-of a function or lambda that has a default value: a value a caller may
-leave unset.  Prints one `lines  defaults  module` row per module of
+of a function or lambda that has a default value, or an annotated class
+field with one (`name: type = value` in a class body, a dataclass or
+NamedTuple constructor parameter): a value a caller may leave unset.  Prints one `lines  defaults  module` row per module of
 `CHECKOUT/src/volflow`, sorted by name, then `lines  defaults  total`.
 `CHECKOUT` defaults to the checkout this script lives in.
 """
@@ -50,12 +51,17 @@ def code_lines(text):
 
 
 def defaulted_params(text):
-    """The number of function and lambda parameters with a default value in
-    Python source `text`."""
-    return sum(len(node.args.defaults)
-               + sum(d is not None for d in node.args.kw_defaults)
-               for node in ast.walk(ast.parse(text))
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+    """The number of function and lambda parameters and of annotated class
+    fields with a default value in Python source `text`."""
+    count = 0
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += (len(node.args.defaults)
+                      + sum(d is not None for d in node.args.kw_defaults))
+        elif isinstance(node, ast.ClassDef):
+            count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                         for stmt in node.body)
+    return count
 
 
 def main(argv=None):

@@ -25,10 +25,10 @@ smoothness, or to a flow that is not smooth where they read it (`run`
 instead ends its horizon there and reports it), or that put the boundary
 within epsilon of x0, or x0 inside the volume, at a lemma time, a `q` and
 an `epsilon` that put a power of epsilon in the threshold algebra out of
-float range (`sweep.q` and `sweep.epsilon` for `sweep`), `volume.vertices`
-that do not make a simple polygon of nonzero area, and a boundary loop that
-crosses itself or another loop after an advection (`volume.markers` too few
-to resolve it).
+float range (`sweep.q` and `sweep.epsilon` for `sweep`), a `sweep.q` whose
+time-zero sample is not finite, `volume.vertices` that do not make a simple
+polygon of nonzero area, and a boundary loop that crosses itself or another
+loop after an advection (`volume.markers` too few to resolve it).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from . import criteria as crit_mod
 from . import verify as verify_mod
 from .config import ConfigError, build_scenario, load_config
-from .functionals import PhiSpec, TargetReached, sample
+from .functionals import NonSmoothSample, TargetReached, sample
 # boundary_distance is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps this module's binding of it.
 from .matvol import SelfIntersection, advect, boundary_distance  # noqa: F401
@@ -165,7 +165,7 @@ def _check_pairs(idx, rep):
 
 
 def _cmd_verify(scenario, out_dir, seed):
-    cfg, flow, vol, phi = scenario.cfg, scenario.flow, scenario.vol, scenario.phi
+    cfg, flow, vol = scenario.cfg, scenario.flow, scenario.vol
     checks = []
 
     times = sorted(cfg.verify_times)
@@ -183,7 +183,7 @@ def _cmd_verify(scenario, out_dir, seed):
         for t in times:
             if t > vol.time:
                 vol = advect(vol, flow, t, cfg.dt)
-            checks += verify_mod.check_lemma_suite(flow, vol, phi, cfg.epsilon)
+            checks += verify_mod.check_lemma_suite(flow, vol, cfg.q, cfg.epsilon)
     except SmoothnessLost as exc:
         raise ConfigError(
             f"key 'verify.times': the grid solver lost smoothness at "
@@ -232,13 +232,16 @@ def _cmd_sweep(scenario, out_dir):
             raise ConfigError(
                 f"key 'sweep.epsilon': {ev} must satisfy 0 < epsilon < {d_init}")
 
-    phi_cache = {}
+    per_q = {}
     rows = []
     for qv in cfg.sweep_q:
-        if qv not in phi_cache:
-            s = sample(flow, vol, PhiSpec.power_law(qv), cfg.epsilon)
-            phi_cache[qv] = (s.G, crit_mod.condition10(vol, flow, qv))
-        g0, c10 = phi_cache[qv]
+        if qv not in per_q:
+            try:
+                s = sample(flow, vol, qv)
+            except NonSmoothSample as exc:
+                raise ConfigError(f"key 'sweep.q': {qv}: {exc}") from exc
+            per_q[qv] = (s.G, crit_mod.condition10(vol, flow, qv))
+        g0, c10 = per_q[qv]
         for ev in cfg.sweep_epsilon:
             # Mass, energy and d_init do not depend on q or epsilon.
             report = crit_mod.evaluate(

@@ -42,7 +42,7 @@ import numpy as np
 
 from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
 from .flowfield import ConstantFlow, ExpansionFlow, FlowField
-from .functionals import FunctionalSample, PhiSpec, sample
+from .functionals import FunctionalSample, sample
 from .matvol import (MaterialVolume, ShapeError, VolumeShapeSpec, WithinEpsilon,
                      init_volume)
 from .solver import GridFlow, GridState
@@ -352,9 +352,10 @@ def build_volume(cfg, flow):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A built scenario: its flow and volume at time zero, the power-law
-    profile, the time-zero sample `sample0` and the threshold inputs taken
-    from them (the entropy floor `inp.s0` is the flow's).
+    """A built scenario: its flow and volume at time zero, the time-zero
+    sample `sample0` of the profile r^q (q is `cfg.q`, as is `inp.q`) and the
+    threshold inputs taken from them (the entropy floor `inp.s0` is the
+    flow's).
 
     A grid flow is shared, not copied: advancing it for one use advances it
     for every later use of the same scenario, but changes no query, since a
@@ -367,7 +368,6 @@ class Scenario:
     cfg: ScenarioConfig
     flow: FlowField
     vol: MaterialVolume
-    phi: PhiSpec
     sample0: FunctionalSample
     inp: CriteriaInputs
 
@@ -377,10 +377,9 @@ def build_scenario(cfg):
     time-zero data of a config."""
     flow = build_flow(cfg)
     vol, d_init = build_volume(cfg, flow)
-    phi = PhiSpec.power_law(cfg.q)
-    sample0 = sample(flow, vol, phi, cfg.epsilon)
+    sample0 = sample(flow, vol, cfg.q)
     inp = CriteriaInputs(
         q=cfg.q, gamma=cfg.gamma, n=flow.dimension, s0=flow.entropy_floor, m=sample0.m,
         E=sample0.E, M=cfg.M, epsilon=cfg.epsilon, T=cfg.T, G0=sample0.G,
         cond10=condition10(vol, flow, cfg.q), d_init=d_init)
-    return Scenario(cfg=cfg, flow=flow, vol=vol, phi=phi, sample0=sample0, inp=inp)
+    return Scenario(cfg=cfg, flow=flow, vol=vol, sample0=sample0, inp=inp)

@@ -1,12 +1,13 @@
 """Scalar functionals of a (flow, volume) pair at one instant.
 
 Everything here reduces to quadrature over the transported volume: mass and
-total energy, the radial moment G = integral of rho * phi(|x - x0|), its
-exact first time derivative F, the four-term decomposition of the second
-derivative (I1..I4), and the boundary pressure-flux integral, signed and
-unsigned; the regularity constant M must dominate the unsigned one.
+total energy, the radial moment G = integral of rho * phi(|x - x0|) of the
+power-law profile phi(r) = r^q, its exact first time derivative F, the
+four-term decomposition of the second derivative (I1..I4), and the boundary
+pressure-flux integral, signed and unsigned; the regularity constant M must
+dominate the unsigned one.
 
-All radial profiles are evaluated in coordinates translated by -x0.  The
+The profile is evaluated in coordinates translated by -x0.  The
 density-weighted terms use the transported mass measure directly; the
 pressure terms take P = rho^gamma * exp(S) (here and nowhere else) and the
 volume measure rho0 w/rho, from one `fields` read of the flow per point set
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .matvol import _boundary_elements
 __all__ = [
     "TargetReached",
     "NonSmoothSample",
-    "PhiSpec",
     "FunctionalSample",
     "sigma_norm2",
     "sample",
@@ -49,41 +48,6 @@ class NonSmoothSample(ValueError):
 
 
 @dataclass(frozen=True)
-class PhiSpec:
-    """Radial weight profile: a power law |x|^q (q < 0) or a generic C^2 triple."""
-
-    q: Optional[float] = None
-    phi: Optional[Callable] = None
-    dphi: Optional[Callable] = None
-    d2phi: Optional[Callable] = None
-
-    @classmethod
-    def power_law(cls, q):
-        q = float(q)
-        if q >= 0.0:
-            raise ValueError("power-law exponent must be negative")
-        return cls(q=q)
-
-    @classmethod
-    def generic(cls, phi, dphi, d2phi):
-        return cls(q=None, phi=phi, dphi=dphi, d2phi=d2phi)
-
-    @property
-    def is_power_law(self):
-        return self.q is not None
-
-    def eval(self, r):
-        """Return (phi, phi', phi'') at radii r."""
-        r = np.asarray(r, dtype=float)
-        if self.is_power_law:
-            q = self.q
-            return r ** q, q * r ** (q - 1.0), q * (q - 1.0) * r ** (q - 2.0)
-        return (np.asarray(self.phi(r), dtype=float),
-                np.asarray(self.dphi(r), dtype=float),
-                np.asarray(self.d2phi(r), dtype=float))
-
-
-@dataclass(frozen=True)
 class FunctionalSample:
     """One time slice of every scalar functional."""
 
@@ -98,8 +62,6 @@ class FunctionalSample:
     I4: float
     reg: float          # signed boundary flux of (x/|x|, N) P
     reg_abs: float      # unsigned boundary flux of |(x/|x|, N) P|
-    q: Optional[float]
-    epsilon: float
 
     @property
     def I_sum(self):
@@ -140,14 +102,20 @@ def _read(flow, t, pts, names, where):
     return read
 
 
+def _profile(r, q):
+    """The profile r^q and its first two derivatives at radii r."""
+    return r ** q, q * r ** (q - 1.0), q * (q - 1.0) * r ** (q - 2.0)
+
+
 def _pressure(gamma, read):
     """The pressure rho^gamma * exp(S) from the density and entropy of one
     `fields` read."""
     return read["rho"] ** gamma * np.exp(read["entropy"])
 
 
-def sample(flow, vol, phi, epsilon):
-    """Evaluate all functionals of (flow, vol) at the volume's current time.
+def sample(flow, vol, q):
+    """Evaluate all functionals of (flow, vol) at the volume's current time,
+    for the moment profile phi = r^q.
 
     Raises `TargetReached` within `RADIUS_FLOOR` of x0, and
     `NonSmoothSample` rather than return a functional that is not finite.
@@ -173,7 +141,7 @@ def sample(flow, vol, phi, epsilon):
         w = vol.mass_w
         vol_w = w / rho                     # plain volume measure via rho0/rho
 
-        p_val, p_d1, p_d2 = phi.eval(r)
+        p_val, p_d1, p_d2 = _profile(r, q)
         vz = np.einsum("ij,ij->i", vel, z)
         speed2 = np.einsum("ij,ij->i", vel, vel)
 
@@ -187,7 +155,7 @@ def sample(flow, vol, phi, epsilon):
 
         pres_b = _pressure(gamma, at_mids)
         zb_dot_n = np.einsum("ij,ij->i", zb, normals)
-        _, pb_d1, _ = phi.eval(rb)
+        _, pb_d1, _ = _profile(rb, q)
         i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))
         flux = zb_dot_n / rb * pres_b * measures
         reg = float(np.sum(flux))
@@ -198,4 +166,4 @@ def sample(flow, vol, phi, epsilon):
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
         raise NonSmoothSample(f"functional {', '.join(bad)} not finite at t={t}")
-    return FunctionalSample(t=float(t), q=phi.q, epsilon=float(epsilon), **values)
+    return FunctionalSample(t=float(t), **values)

@@ -2,9 +2,8 @@
 
 Three layers:
 
-* pointwise identity/inequality checks on a (flow, volume) snapshot, for
-  power-law profiles only: the time-derivative identities for the moment G
-  against centered differences, the Cauchy-Schwarz moment inequality in its
+* pointwise identity/inequality checks on a (flow, volume) snapshot: the
+  time-derivative identities for the moment G against centered differences, the Cauchy-Schwarz moment inequality in its
   sharp |q|/(|q|+1) form, and the density-moment lower bound, plus the
   per-sample bounds chain;
 * the comparison-ODE oracle: closed-form blow-up times for the three sign
@@ -113,16 +112,15 @@ def _identity_report(name, measured, expected, t):
                        slack=float(tol - gap), passed=bool(gap <= tol), t=float(t))
 
 
-def _moment_value(vol, phi, nodes):
+def _moment_value(vol, q, nodes):
     """The moment G of `vol` with its nodes moved to `nodes`."""
     r = np.linalg.norm(nodes - vol.x0, axis=1)
-    return float(np.sum(phi.eval(r)[0] * vol.mass_w))
+    return float(np.sum(r ** q * vol.mass_w))
 
 
-def check_lemma_suite(flow, vol, phi, epsilon):
-    """Identity and inequality checks at the volume's current time, for a
-    power-law profile phi = r^q (any other profile is a ValueError, as in
-    `bounds_chain`).
+def check_lemma_suite(flow, vol, q, epsilon):
+    """Identity and inequality checks at the volume's current time, for the
+    profile phi = r^q.
 
     Centered differences of the moment G over +-LEMMA_H (the nodes
     re-advected by a single RK4 step each way, G at t taken from the sample)
@@ -135,18 +133,15 @@ def check_lemma_suite(flow, vol, phi, epsilon):
     The lemmas hold for a volume that x0 lies outside of, as at time zero;
     a volume whose loops contain x0 is a ValueError.
     """
-    if not phi.is_power_law:
-        raise ValueError(
-            "the lemma suite is defined for power-law profiles phi = r^q")
     if point_in_loops(vol.x0, vol.markers, vol.loop_ends):
         raise ValueError(f"x0 lies inside the volume at t={vol.time}")
     t, h = vol.time, LEMMA_H
-    s = sample(flow, vol, phi, epsilon)
+    s = sample(flow, vol, q)
     g0 = s.G
-    gp = _moment_value(vol, phi, _rk4_points(flow, vol.nodes, t, t + h, h))
-    gm = _moment_value(vol, phi, _rk4_points(flow, vol.nodes, t, t - h, h))
+    gp = _moment_value(vol, q, _rk4_points(flow, vol.nodes, t, t + h, h))
+    gm = _moment_value(vol, q, _rk4_points(flow, vol.nodes, t, t - h, h))
 
-    aq = abs(phi.q)
+    aq = abs(q)
     reports = [
         _identity_report("dG_dt_identity", (gp - gm) / (2.0 * h), s.F, t),
         _identity_report("d2G_dt2_decomposition",
@@ -160,21 +155,22 @@ def check_lemma_suite(flow, vol, phi, epsilon):
         raise ValueError(
             f"density-moment bound needs dist(boundary, x0) >= epsilon "
             f"(have {d} < {epsilon})")
-    consts = crit_mod.constants(phi.q, flow.gamma, flow.dimension, flow.entropy_floor)
+    consts = crit_mod.constants(q, flow.gamma, flow.dimension, flow.entropy_floor)
     gamma = flow.gamma
     # The sample above has refused a density that is not positive here.
     rho = flow.fields(t, vol.nodes, ("rho",))["rho"]
     r = np.linalg.norm(vol.nodes - vol.x0, axis=1)
-    lhs_int = float(np.sum(r ** (phi.q - 2.0) * rho ** gamma * vol.mass_w / rho))
-    expo = -((phi.q + flow.dimension) * (gamma - 1.0) + 2.0)
+    lhs_int = float(np.sum(r ** (q - 2.0) * rho ** gamma * vol.mass_w / rho))
+    expo = -((q + flow.dimension) * (gamma - 1.0) + 2.0)
     bound = consts.C1 * s.G ** gamma * epsilon ** expo
     reports.append(_ineq_report("density_moment_lower_bound",
                                 bound, lhs_int, t))
     return reports
 
 
-def bounds_chain(s):
-    """Per-sample bounds that must hold while dist(boundary, x0) >= epsilon.
+def bounds_chain(s, inp):
+    """Per-sample bounds on sample `s` that must hold while
+    dist(boundary, x0) >= epsilon, for the scenario's q and epsilon (`inp`).
 
     The flux bound takes the unsigned flux.  With phi = r^q and z = x - x0,
 
@@ -196,18 +192,16 @@ def bounds_chain(s):
     element by element, since every element midpoint lies at distance
     >= dist, so the check holds to rounding.
     """
-    if s.q is None:
-        raise ValueError("bounds chain is defined for power-law profiles")
-    aq = abs(s.q)
-    eps = s.epsilon
+    q, eps = inp.q, inp.epsilon
+    aq = abs(q)
     return [
         _ineq_report("f_energy_bound", abs(s.F),
-                     aq * eps ** (s.q - 1.0) * math.sqrt(2.0 * s.m * s.E), s.t),
+                     aq * eps ** (q - 1.0) * math.sqrt(2.0 * s.m * s.E), s.t),
         _ineq_report("i2_energy_bound", abs(s.I2),
-                     2.0 * aq * eps ** (s.q - 2.0) * s.E, s.t),
+                     2.0 * aq * eps ** (q - 2.0) * s.E, s.t),
         _ineq_report("i4_flux_bound", abs(s.I4),
-                     aq * eps ** (s.q - 1.0) * s.reg_abs, s.t),
-        _ineq_report("g_mass_bound", s.G, eps ** s.q * s.m, s.t),
+                     aq * eps ** (q - 1.0) * s.reg_abs, s.t),
+        _ineq_report("g_mass_bound", s.G, eps ** q * s.m, s.t),
     ]
 
 
@@ -444,10 +438,10 @@ class TheoremReport:
     E_drift: float
     reg_max: float
     verdict: str
-    detail: str = ""
-    bounds_failures: tuple = ()
-    bounds_checked: int = 0
-    series: tuple = ()
+    detail: str
+    bounds_failures: tuple
+    bounds_checked: int
+    series: tuple
 
 
 def _refine_hit(vol_prev, flow, t_hi, epsilon, dt):
@@ -514,7 +508,7 @@ def run_theorem_scenario(scenario):
     which the run knows the flow to be smooth (`FlowField.t_last`, at most
     T): T on a closed-form flow, the last stepped time on a grid flow.
     """
-    cfg, flow, vol, phi = scenario.cfg, scenario.flow, scenario.vol, scenario.phi
+    cfg, flow, vol = scenario.cfg, scenario.flow, scenario.vol
     sample0, inp = scenario.sample0, scenario.inp
     detail = ""
     horizon = inp.T
@@ -528,7 +522,7 @@ def run_theorem_scenario(scenario):
                          Qq=threshold_q(inp, report_c.C, s.G))
 
     series = [record(sample0, inp.d_init)]
-    bounds = bounds_chain(sample0)
+    bounds = bounds_chain(sample0, inp)
 
     reg_max = sample0.reg_abs
     hit_time = None
@@ -548,7 +542,7 @@ def run_theorem_scenario(scenario):
             if dist <= inp.epsilon:
                 hit_time = _refine_hit(prev, flow, t_k, inp.epsilon, dt)
                 break
-            s = sample(flow, vol, phi, inp.epsilon)
+            s = sample(flow, vol, inp.q)
         except SmoothnessLost as exc:
             # Only the advection steps the flow, so vol is still prev.
             horizon = flow.t_last
@@ -564,7 +558,7 @@ def run_theorem_scenario(scenario):
             break
         series.append(record(s, dist))
         reg_max = max(reg_max, s.reg_abs)
-        bounds += bounds_chain(s)
+        bounds += bounds_chain(s, inp)
         flow.keep_from(t_k)
         k += stride
 

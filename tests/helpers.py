@@ -231,6 +231,19 @@ def volume_integral_mass(vol, f):
     return float(np.sum(np.asarray(f(vol.nodes), dtype=float) * vol.mass_w))
 
 
+def profile_moments(flow, vol, phi, dphi, d2phi):
+    """(G, F, I1) of a radial profile phi with derivatives dphi, d2phi, by
+    the node quadrature `functionals.sample` uses for r^q."""
+    z = vol.nodes - vol.x0
+    r = np.linalg.norm(z, axis=-1)
+    vel = flow.fields(vol.time, vol.nodes, ("velocity",))["velocity"]
+    w = vol.mass_w
+    vz = np.einsum("ij,ij->i", vel, z)
+    return (float(np.sum(phi(r) * w)),
+            float(np.sum(dphi(r) / r * vz * w)),
+            float(np.sum(d2phi(r) / r ** 2 * vz ** 2 * w)))
+
+
 def surface_integral(vol, h):
     """Boundary integral of h(point, outward unit normal) over all components."""
     mids, normals, measures = _boundary_elements(vol)

@@ -230,6 +230,18 @@ def test_overflowing_power_of_a_small_epsilon_names_epsilon_too(tmp_path, capsys
         f"config error: key {keys}: a power of epsilon overflows")
 
 
+def test_sweep_exponent_whose_sample_is_not_finite_names_sweep_q(tmp_path, capsys):
+    # x0 sits 0.5 from the annulus: the scenario's own q = -8 samples, while
+    # r^-2000 overflows at every node of the time-zero sample.
+    path = _shipped_with(tmp_path, "sweep_annulus", "x0 = 0.5, 0.0\n"
+                         "sweep.q = -8.0, -2000.0\nsweep.epsilon = 0.2, 0.4\n")
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == (
+        "config error: key 'sweep.q': -2000.0: functional G, F, I1, I2, I3, I4 "
+        "not finite at t=0.0")
+
+
 @pytest.mark.parametrize("vertices, message", [
     ("2, -1; 4, 1; 4, -1; 2, 1", "polygon boundary is self-intersecting"),
     ("2, 0; 3, 0; 4, 0", "polygon has zero area"),

@@ -14,7 +14,7 @@ from volflow.criteria import (CASE_QNEG_LONG, CASE_QNEG_SHORT, CASE_QPOS,
                               condition10, constants, evaluate,
                               necessary_conditions, q_admissible_bound, q_and_r,
                               qneg_time_threshold)
-from volflow.functionals import PhiSpec, sample
+from volflow.functionals import sample
 from volflow.verify import _closed_form_blowup, _comparison_coefficients
 
 
@@ -192,7 +192,7 @@ def test_f_equals_q_times_condition10():
     flow = radial_inflow()
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.5)
     q = -8.0
-    s = sample(flow, vol, PhiSpec.power_law(q), 0.5)
+    s = sample(flow, vol, q)
     assert s.F == pytest.approx(q * condition10(vol, flow, q), rel=1e-12)
 
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (SyntheticFlow, advect_unchecked, annulus_volume, disk_volume,
-                     small_grid_flow)
+                     profile_moments, small_grid_flow)
 
 from volflow import solver
 from volflow.flowfield import ConstantFlow, ExpansionFlow
-from volflow.functionals import (NonSmoothSample, PhiSpec, TargetReached, sample,
+from volflow.functionals import (NonSmoothSample, TargetReached, _profile, sample,
                                  sigma_norm2)
 from volflow.matvol import advect
 
@@ -50,17 +50,11 @@ def test_sigma_lagrange_identity(v, x):
     assert sigma_norm2(v, x) == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
-# -- phi profiles ------------------------------------------------------------
-
-def test_power_law_requires_negative_exponent():
-    with pytest.raises(ValueError):
-        PhiSpec.power_law(0.5)
-
+# -- the profile r^q -----------------------------------------------------------
 
 def test_power_law_eval():
-    phi = PhiSpec.power_law(-8.0)
     r = np.array([1.0, 2.0])
-    p, d1, d2 = phi.eval(r)
+    p, d1, d2 = _profile(r, -8.0)
     assert np.allclose(p, r ** -8.0)
     assert np.allclose(d1, -8.0 * r ** -9.0)
     assert np.allclose(d2, 72.0 * r ** -10.0)
@@ -73,7 +67,7 @@ def test_radial_velocity_identities():
     flow = SyntheticFlow(lambda t, p: p)
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
     q = -8.0
-    s = sample(flow, vol, PhiSpec.power_law(q), 0.5)
+    s = sample(flow, vol, q)
     assert s.F == pytest.approx(q * s.G, rel=1e-8)
     assert s.I1 == pytest.approx(q * (q - 1.0) * s.G, rel=1e-8)
     assert s.I2 == pytest.approx(0.0, abs=1e-12 * abs(s.I1))  # radial: sigma = 0
@@ -82,7 +76,7 @@ def test_radial_velocity_identities():
 def test_mass_and_energy_constants():
     flow = still_flow(rho0=2.0, p0=1.0)
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
-    s = sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
+    s = sample(flow, vol, -8.0)
     assert s.m == pytest.approx(2.0 * np.pi, rel=1e-10)
     assert s.E == pytest.approx(np.pi / 0.4, rel=1e-10)
 
@@ -91,7 +85,7 @@ def test_reg_annulus_uniform_pressure():
     flow = still_flow()
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.5,
                          markers=8192)
-    s = sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
+    s = sample(flow, vol, -8.0)
     assert s.reg == pytest.approx(2.0 * np.pi, abs=1e-6)
     # The hole loop's flux is -2 pi: the unsigned flux adds it back.
     assert s.reg_abs == pytest.approx(6.0 * np.pi, abs=1e-6)
@@ -111,7 +105,7 @@ def test_boundary_terms_cancel_under_uniform_pressure(shape):
         else:
             vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.5,
                                  markers=markers)
-        s = sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
+        s = sample(flow, vol, -8.0)
         gaps.append(abs(s.I3 + s.I4) / abs(s.I3))
     assert gaps[0] < 3e-3
     for coarse, fine in zip(gaps, gaps[1:]):
@@ -126,7 +120,7 @@ def test_sign_structure():
 
     flow = SyntheticFlow(swirl)
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
-    s = sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
+    s = sample(flow, vol, -8.0)
     assert s.G >= 0.0
     assert s.I1 >= 0.0
     assert s.I2 <= 0.0
@@ -140,7 +134,7 @@ def test_target_reached_floor():
     # A node sitting on x0 lies within the radius floor.
     vol = dataclasses.replace(vol, x0=vol.nodes[0])
     with pytest.raises(TargetReached):
-        sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
+        sample(flow, vol, -8.0)
 
 
 def test_sample_outside_the_flow_window_is_refused():
@@ -148,7 +142,7 @@ def test_sample_outside_the_flow_window_is_refused():
     flow = small_grid_flow()
     vol = disk_volume(flow, (0.3, 0.0), 0.2, (-0.5, 0.0), 0.1, markers=64, order=6)
     with pytest.raises(ValueError, match="grid flow not advanced to t=0.05"):
-        sample(flow, dataclasses.replace(vol, time=0.05), PhiSpec.power_law(-8.0), 0.1)
+        sample(flow, dataclasses.replace(vol, time=0.05), -8.0)
 
 
 def test_x0_translation_used():
@@ -158,8 +152,8 @@ def test_x0_translation_used():
     flow_b = SyntheticFlow(lambda t, p: p - np.array([10.0, 0.0]))
     vol_b = disk_volume(flow_b, (13.0, 0.0), 1.0, (10.0, 0.0), 0.5)
     q = -8.0
-    sa = sample(flow_a, vol_a, PhiSpec.power_law(q), 0.5)
-    sb = sample(flow_b, vol_b, PhiSpec.power_law(q), 0.5)
+    sa = sample(flow_a, vol_a, q)
+    sb = sample(flow_b, vol_b, q)
     for name in ("m", "G", "F", "I1", "I2", "I3", "I4", "reg",
                  "reg_abs"):
         assert getattr(sa, name) == pytest.approx(getattr(sb, name), rel=1e-10,
@@ -168,32 +162,35 @@ def test_x0_translation_used():
 
 # -- lemma-1 right-hand sides -------------------------------------------------
 
-def test_constant_profile_degenerates_to_mass():
-    flow = expansion()
-    vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
-    one = PhiSpec.generic(lambda r: np.ones_like(r),
-                          lambda r: np.zeros_like(r),
-                          lambda r: np.zeros_like(r))
-    s = sample(flow, vol, one, 0.5)
-    assert s.F == 0.0 and s.I_sum == 0.0
-    assert s.G == pytest.approx(s.m, rel=1e-14)
-
-
 def test_quadratic_profile_radial_flow():
-    # phi = r^2 with V = x: dG/dt = 2 * integral(|x|^2 rho) = 2 G
+    # phi = r^q with V = x: dG/dt = q * integral(|x|^q rho) = q G, for the
+    # quadratic r^2 as for the paper's q < 0
     flow = SyntheticFlow(lambda t, p: p)
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
-    r2 = PhiSpec.generic(lambda r: r ** 2, lambda r: 2.0 * r,
-                         lambda r: 2.0 * np.ones_like(r))
-    s = sample(flow, vol, r2, 0.5)
-    assert s.F == pytest.approx(2.0 * s.G, rel=1e-12)
+    for q in (2.0, -8.0):
+        s = sample(flow, vol, q)
+        assert s.F == pytest.approx(q * s.G, rel=1e-12)
+
+
+@pytest.mark.parametrize("flow", [
+    expansion(),
+    SyntheticFlow(lambda t, p: np.stack([0.7 * p[..., 1], 0.2 * p[..., 0]], axis=-1)),
+], ids=["expansion", "sheared"])
+def test_profile_moments_match_sample_on_the_power_law(flow):
+    # The reference quadrature of acceptance criterion 3's cosh and exp
+    # profiles reads r^q to the same bits as `sample`.
+    vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
+    vol = advect_unchecked(vol, flow, 0.3, 0.05)
+    q = -8.0
+    s = sample(flow, vol, q)
+    assert profile_moments(flow, vol, lambda r: r ** q, lambda r: q * r ** (q - 1.0),
+                           lambda r: q * (q - 1.0) * r ** (q - 2.0)) == (s.G, s.F, s.I1)
 
 
 def test_first_derivative_matches_finite_difference():
     flow = expansion()
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
     vol = advect(vol, flow, 0.4, 0.02)
-    phi = PhiSpec.power_law(-8.0)
     h = 1e-4
 
     def g_at(v):
@@ -202,7 +199,7 @@ def test_first_derivative_matches_finite_difference():
 
     gp = g_at(advect_unchecked(vol, flow, 0.4 + h, h))
     gm = g_at(advect_unchecked(vol, flow, 0.4 - h, h))
-    s = sample(flow, vol, phi, 0.5)
+    s = sample(flow, vol, -8.0)
     assert (gp - gm) / (2.0 * h) == pytest.approx(s.F, rel=1e-6)
 
 
@@ -217,7 +214,7 @@ def test_bounds_chain_expansion(t):
     if t > 0:
         vol = advect_unchecked(vol, flow, t, 0.05)
     q, eps = -8.0, 0.5
-    s = sample(flow, vol, PhiSpec.power_law(q), eps)
+    s = sample(flow, vol, q)
     aq = abs(q)
     assert abs(s.F) <= aq * eps ** (q - 1.0) * np.sqrt(2.0 * s.m * s.E) * (1 + 1e-12)
     assert abs(s.I2) <= 2.0 * aq * eps ** (q - 2.0) * s.E * (1 + 1e-12)
@@ -253,10 +250,10 @@ def test_sample_rejects_a_bad_density_at_a_boundary_midpoint(value):
     vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5,
                       markers=64, order=10)
     with pytest.raises(NonSmoothSample, match="boundary midpoint at t=0.0"):
-        sample(_DensityFlow(_dip(0.995, value)), vol, PhiSpec.power_law(-8.0), 0.5)
+        sample(_DensityFlow(_dip(0.995, value)), vol, -8.0)
     with pytest.raises(NonSmoothSample, match="quadrature node at t=0.0"):
-        sample(_DensityFlow(_dip(0.5, value)), vol, PhiSpec.power_law(-8.0), 0.5)
-    sample(_DensityFlow(_dip(1.5, value)), vol, PhiSpec.power_law(-8.0), 0.5)
+        sample(_DensityFlow(_dip(0.5, value)), vol, -8.0)
+    sample(_DensityFlow(_dip(1.5, value)), vol, -8.0)
 
 
 def test_sample_reads_the_density_once_per_point_set():
@@ -272,7 +269,7 @@ def test_sample_reads_the_density_once_per_point_set():
     flow = Counting(lambda p: np.ones(len(p)))
     vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5,
                       markers=64, order=10)
-    sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
+    sample(flow, vol, -8.0)
     nodes = len(vol.nodes)
     assert reads == [(nodes, ("velocity", "rho", "entropy")), (64, ("rho", "entropy"))]
 
@@ -294,14 +291,17 @@ def test_grid_sample_interpolates_once_per_point_set(monkeypatch):
     monkeypatch.setattr(solver, "interpolate_fields", counting)
     for t in (0.004, 0.005):
         calls.clear()
-        sample(flow, dataclasses.replace(vol, time=t), PhiSpec.power_law(-2.0), 0.1)
+        sample(flow, dataclasses.replace(vol, time=t), -2.0)
         assert calls == [len(vol.nodes), 64]
 
 
 def test_sample_rejects_a_functional_that_is_not_finite():
-    vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5,
+    # x0 sits 0.6 from the disk: r^q overflows at every node and boundary
+    # midpoint for q = -3000, and only in the boundary term I4 for q = -1500.
+    vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (1.4, 0.0), 0.5,
                       markers=64, order=10)
-    phi = PhiSpec.generic(lambda r: np.full_like(r, np.nan), lambda r: 0.0 * r,
-                          lambda r: 0.0 * r)
-    with pytest.raises(NonSmoothSample, match="functional G not finite at t=0.0"):
-        sample(still_flow(), vol, phi, 0.5)
+    with pytest.raises(NonSmoothSample,
+                       match="functional G, F, I1, I2, I3, I4 not finite at t=0.0"):
+        sample(still_flow(), vol, -3000.0)
+    with pytest.raises(NonSmoothSample, match="functional I4 not finite at t=0.0"):
+        sample(still_flow(), vol, -1500.0)

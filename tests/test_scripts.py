@@ -63,6 +63,17 @@ def test_defaulted_params_count_every_parameter_with_a_default():
     assert code_lines.defaulted_params(SAMPLE) == 0
 
 
+def test_defaulted_params_count_class_fields_with_a_default():
+    # b and c are dataclass fields with a default, y a NamedTuple's; a has
+    # none, and neither the plain assignment k nor the method body's
+    # annotated local z is a field.
+    text = ("@dataclass\nclass A:\n    a: int\n    b: int = 1\n"
+            "    c: tuple = ()\n    k = 2\n\n"
+            "    def m(self):\n        z: int = 0\n        return z\n\n\n"
+            "class P(NamedTuple):\n    x: float\n    y: float = 0.0\n")
+    assert _load("code_lines").defaulted_params(text) == 3
+
+
 def test_output_digest_lists_every_shipped_config_and_the_verify_ones():
     digest = _load("output_digest")
     stems = sorted(p.stem for p in (SCRIPTS / "configs").glob("*.cfg"))

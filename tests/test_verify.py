@@ -11,7 +11,7 @@ from volflow import verify as verify_mod
 from volflow.config import build_scenario, load_config
 from volflow.criteria import CriteriaInputs, classify_and_delta, constants, threshold_q
 from volflow.flowfield import ConstantFlow, ExpansionFlow
-from volflow.functionals import FunctionalSample, NonSmoothSample, PhiSpec
+from volflow.functionals import FunctionalSample, NonSmoothSample
 from volflow.matvol import advect, boundary_distance
 from volflow.solver import GridFlow, GridState
 from volflow.verify import (blowup_oracle, bounds_chain, check_inequality17,
@@ -36,7 +36,7 @@ def test_lemma_suite_expansion_passes():
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5, markers=512,
                       order=50)
     vol = advect(vol, flow, 0.5, 0.02)
-    reports = check_lemma_suite(flow, vol, PhiSpec.power_law(-8.0), epsilon=0.5)
+    reports = check_lemma_suite(flow, vol, -8.0, epsilon=0.5)
     names = {r.name for r in reports}
     assert names == {"dG_dt_identity", "d2G_dt2_decomposition",
                      "moment_cauchy_schwarz_power", "density_moment_lower_bound"}
@@ -59,7 +59,7 @@ def test_lemma_suite_reads_the_density_once_per_point_set(monkeypatch):
         return fields(t, pts, names)
 
     monkeypatch.setattr(flow, "fields", counting)
-    reports = check_lemma_suite(flow, vol, PhiSpec.power_law(-8.0), epsilon=0.5)
+    reports = check_lemma_suite(flow, vol, -8.0, epsilon=0.5)
     assert reports[-1].name == "density_moment_lower_bound"
     nodes = len(vol.nodes)
     assert reads == [nodes, 64, nodes]
@@ -69,19 +69,10 @@ def test_lemma_suite_radial_identity():
     # V = x: first-derivative check reduces to the exact F = qG identity
     flow = SyntheticFlow(lambda t, p: p)
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
-    reports = check_lemma_suite(flow, vol, PhiSpec.power_law(-8.0), epsilon=0.5)
+    reports = check_lemma_suite(flow, vol, -8.0, epsilon=0.5)
     first = next(r for r in reports if r.name == "dG_dt_identity")
     assert first.passed
     assert first.lhs <= 1e-6      # relative gap far below tolerance
-
-
-def test_lemma_suite_rejects_concave_profile():
-    flow = expansion()
-    vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
-    bad = PhiSpec.generic(lambda r: r, lambda r: np.ones_like(r),
-                          lambda r: np.zeros_like(r))
-    with pytest.raises(ValueError, match="phi"):
-        check_lemma_suite(flow, vol, bad, epsilon=0.5)
 
 
 def test_lemma3_closed_form_annulus():
@@ -90,7 +81,7 @@ def test_lemma3_closed_form_annulus():
     vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.9,
                          markers=512, order=60)
     q, gamma, eps = -8.0, 1.4, 0.9
-    reports = check_lemma_suite(flow, vol, PhiSpec.power_law(q), epsilon=eps)
+    reports = check_lemma_suite(flow, vol, q, epsilon=eps)
     rep = next(r for r in reports if r.name == "density_moment_lower_bound")
     lhs_closed = 2.0 * math.pi * (1.0 - 2.0 ** q) / 8.0           # int r^(q-1)
     g_closed = 2.0 * math.pi * (1.0 - 2.0 ** -6) / 6.0            # int r^(q+1)
@@ -105,8 +96,7 @@ def test_lemma3_closed_form_annulus():
 
 def synthetic_series(f_values, dt=0.01, g=1e-3, m=1.0, e=1.0):
     return [FunctionalSample(t=i * dt, m=m, E=e, G=g, F=f, I1=0.0, I2=0.0,
-                             I3=0.0, I4=0.0, reg=0.0, reg_abs=0.0, q=-8.0,
-                             epsilon=0.5)
+                             I3=0.0, I4=0.0, reg=0.0, reg_abs=0.0)
             for i, f in enumerate(f_values)]
 
 
@@ -327,20 +317,11 @@ def test_bounds_chain_reports():
     flow = expansion()
     vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
     from volflow.functionals import sample
-    s = sample(flow, vol, PhiSpec.power_law(-8.0), 0.5)
-    reports = bounds_chain(s)
+    s = sample(flow, vol, -8.0)
+    reports = bounds_chain(s, oracle_inputs(eps=0.5))
     assert [r.name for r in reports] == ["f_energy_bound", "i2_energy_bound",
                                          "i4_flux_bound", "g_mass_bound"]
     assert all(r.passed for r in reports)
-
-
-def test_bounds_chain_needs_power_law():
-    flow = expansion()
-    vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
-    from volflow.functionals import sample
-    s = sample(flow, vol, PhiSpec.generic(np.cosh, np.sinh, np.cosh), 0.5)
-    with pytest.raises(ValueError):
-        bounds_chain(s)
 
 
 # -- scenarios -------------------------------------------------------------------
@@ -489,12 +470,12 @@ def test_non_smooth_sample_ends_the_horizon_at_the_sample_before(monkeypatch):
     times = []
     real = verify_mod.sample
 
-    def third_fails(flow, vol, phi, epsilon):
+    def third_fails(flow, vol, q):
         times.append(vol.time)
         if len(times) == 3:
             raise NonSmoothSample(f"flow density not positive at a boundary "
                                   f"midpoint at t={vol.time}")
-        return real(flow, vol, phi, epsilon)
+        return real(flow, vol, q)
 
     monkeypatch.setattr(verify_mod, "sample", third_fails)
     report = run_theorem_scenario(scenario)
@@ -502,7 +483,7 @@ def test_non_smooth_sample_ends_the_horizon_at_the_sample_before(monkeypatch):
     assert report.horizon == times[1] < scenario.inp.T
     assert report.detail == (f"flow density not positive at a boundary "
                              f"midpoint at t={times[2]};")
-    assert report.bounds_checked == 3 * len(bounds_chain(scenario.sample0))
+    assert report.bounds_checked == 3 * len(bounds_chain(scenario.sample0, scenario.inp))
     assert report.verdict == "consistent_no_claim"
     assert report.hit_time is None
 
