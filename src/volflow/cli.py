@@ -26,9 +26,11 @@ instead ends its horizon there and reports it), or that put the boundary
 within epsilon of x0, or x0 inside the volume, at a lemma time, a `q` and
 an `epsilon` that put a power of epsilon in the threshold algebra out of
 float range (`sweep.q` and `sweep.epsilon` for `sweep`), a `sweep.q` whose
-time-zero sample is not finite, `volume.vertices` that do not make a simple
-polygon of nonzero area, and a boundary loop that crosses itself or another
-loop after an advection (`volume.markers` too few to resolve it).
+time-zero sample is not finite, an `x0` so far from `volume.center` (or
+`volume.vertices`) that their distance overflows, `volume.vertices` that do
+not make a simple polygon of nonzero area, and a boundary loop that crosses
+itself or another loop after an advection (`volume.markers` too few to
+resolve it).
 """
 
 from __future__ import annotations
@@ -181,8 +183,7 @@ def _cmd_verify(scenario, out_dir, seed):
         flow.check_time(times[0] - h)
         flow.keep_from(vol.time)
         for t in times:
-            if t > vol.time:
-                vol = advect(vol, flow, t, cfg.dt)
+            vol = advect(vol, flow, t, cfg.dt)
             checks += verify_mod.check_lemma_suite(flow, vol, cfg.q, cfg.epsilon)
     except SmoothnessLost as exc:
         raise ConfigError(

@@ -24,8 +24,12 @@ the key.  The entropy floor s0 is not a setting: it comes from the flow
 
 All attainment preconditions (admissible q, epsilon below the initial
 boundary distance, nonnegative M) are validated at load time so a bad
-scenario fails before any computation starts; the initial boundary distance
-is the closed form of `VolumeShapeSpec.distance`.
+scenario fails before any computation starts.  The theorem's initial
+boundary distance is checked against epsilon twice, both times here: at load
+in the closed form of `VolumeShapeSpec.distance` (which must be finite: an
+x0 or a shape position near the float limit overflows it), and at build on
+the markers that `matvol.init_volume` reports, whose chords lie closer to
+x0 around a loop curved about it.
 
 `build_scenario` is the one way to build a scenario from a config: it builds
 the flow and the volume and takes the time-zero data the threshold algebra
@@ -43,8 +47,7 @@ import numpy as np
 from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
 from .flowfield import ConstantFlow, ExpansionFlow, FlowField
 from .functionals import FunctionalSample, sample
-from .matvol import (MaterialVolume, ShapeError, VolumeShapeSpec, WithinEpsilon,
-                     init_volume)
+from .matvol import MaterialVolume, ShapeError, VolumeShapeSpec, init_volume
 from .solver import GridFlow, GridState
 
 __all__ = [
@@ -182,8 +185,8 @@ def load_config(path):
         raise ConfigError("key 'gamma' must exceed 1")
 
     kind = _text(raw, "flow.kind")
-    if kind not in ("constant", "expansion", "grid"):
-        raise ConfigError(f"key 'flow.kind' must be constant|expansion|grid, got {kind!r}")
+    if kind not in _FLOWS:
+        raise ConfigError(f"key 'flow.kind' must be {'|'.join(_FLOWS)}, got {kind!r}")
     flow_params = _flow_params(raw, kind)
 
     volume = _volume_spec(raw)
@@ -203,9 +206,15 @@ def load_config(path):
         raise ConfigError("key 'sample.stride' must be at least 1")
 
     try:
-        d0 = volume.distance(x0)
+        # A distance that overflows is refused below, naming its keys.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d0 = volume.distance(x0)
     except ValueError as exc:
         raise ConfigError(f"key 'x0': {exc}") from exc
+    if not math.isfinite(d0):
+        where = "vertices" if volume.shape == "polygon" else "center"
+        raise ConfigError(f"key 'x0' or 'volume.{where}': dist(boundary, x0) = "
+                          f"{d0} is not finite")
     if epsilon >= d0:
         raise ConfigError(
             f"key 'epsilon': must be smaller than the initial boundary distance {d0}")
@@ -233,16 +242,17 @@ def load_config(path):
 
 
 def _flow_params(raw, kind):
+    """The keyword arguments of the constructor `_FLOWS[kind]`, after gamma."""
     if kind == "constant":
         return {
             "rho0": _positive(raw, "flow.rho0"),
-            "V0": _floats(raw, "flow.V0", FlowField.dimension),
-            "P0": _positive(raw, "flow.P0"),
+            "vel0": _floats(raw, "flow.V0", FlowField.dimension),
+            "p0": _positive(raw, "flow.P0"),
         }
     if kind == "expansion":
         return {
             "rho0": _positive(raw, "flow.rho0"),
-            "S0": _float(raw, "flow.S0", "0.0"),
+            "s0": _float(raw, "flow.S0", "0.0"),
             "t_c": _positive(raw, "flow.t_c"),
         }
     params = {
@@ -298,9 +308,10 @@ _EXPR_NAMES = {
 }
 
 
-def _eval_field(params, name, x, y):
-    """Grid field `name` of the flow params, evaluated at the nodes (x, y)."""
-    key, expr = f"flow.grid.{name}", params[name]
+def _eval_field(exprs, name, x, y):
+    """Grid field `name` of the expressions `exprs`, evaluated at the nodes
+    (x, y)."""
+    key, expr = f"flow.grid.{name}", exprs[name]
     ns = dict(_EXPR_NAMES, x=x, y=y, r=np.hypot(x, y))
     try:
         # Non-finite values are rejected below, naming the key, not warned of.
@@ -315,39 +326,48 @@ def _eval_field(params, name, x, y):
     return value
 
 
-def build_flow(cfg):
-    """Instantiate the configured flow (grid flows are not yet advanced)."""
-    p = cfg.flow_params
-    if cfg.flow_kind == "constant":
-        return ConstantFlow(cfg.gamma, rho0=p["rho0"], vel0=p["V0"], p0=p["P0"])
-    if cfg.flow_kind == "expansion":
-        return ExpansionFlow(cfg.gamma, rho0=p["rho0"], s0=p["S0"], t_c=p["t_c"])
-    n = p["n"]
-    lo, hi = p["box"]
+def _grid_flow(gamma, n, box, dt, max_grad, **exprs):
+    """A grid flow on the n^2 nodes of the square `box`, its initial fields
+    the expressions `exprs` (rho, vx, vy and S)."""
+    lo, hi = box
     h = (hi - lo) / n
     coords = lo + h * np.arange(n)
     x, y = np.meshgrid(coords, coords, indexing="ij")
-    rho = _eval_field(p, "rho", x, y)
+    rho = _eval_field(exprs, "rho", x, y)
     if rho.min() <= 0.0:
-        raise ConfigError(f"key 'flow.grid.rho': expression {p['rho']!r} is not "
+        raise ConfigError(f"key 'flow.grid.rho': expression {exprs['rho']!r} is not "
                           f"positive on the grid")
-    state = GridState(rho=rho, vx=_eval_field(p, "vx", x, y),
-                      vy=_eval_field(p, "vy", x, y),
-                      entropy=_eval_field(p, "S", x, y),
-                      gamma=cfg.gamma, origin=(lo, lo), spacing=(h, h), time=0.0)
-    return GridFlow(state, step_dt=p["dt"], guard_threshold=p["max_grad"])
+    state = GridState(rho=rho, vx=_eval_field(exprs, "vx", x, y),
+                      vy=_eval_field(exprs, "vy", x, y),
+                      entropy=_eval_field(exprs, "S", x, y),
+                      gamma=gamma, origin=(lo, lo), spacing=(h, h), time=0.0)
+    return GridFlow(state, step_dt=dt, guard_threshold=max_grad)
+
+
+# The constructor of each `flow.kind`, called with gamma and the keyword
+# arguments that `_flow_params` reads.
+_FLOWS = {"constant": ConstantFlow, "expansion": ExpansionFlow, "grid": _grid_flow}
+
+
+def build_flow(cfg):
+    """Instantiate the configured flow (grid flows are not yet advanced)."""
+    return _FLOWS[cfg.flow_kind](cfg.gamma, **cfg.flow_params)
 
 
 def build_volume(cfg, flow):
-    """The volume and its boundary's distance to x0.  The marker chords of a
-    loop curved around x0 lie closer to it than the closed form that
-    `load_config` checked epsilon against, so a marker check can still fail."""
+    """The volume and its boundary's distance to x0, refused (`ConfigError`)
+    when that distance is not larger than epsilon.  This is the time-zero
+    epsilon gate on the markers: their chords of a loop curved around x0
+    lie closer to it than the closed form that `load_config` checked
+    epsilon against, so it can fail where the load check passed."""
     try:
-        return init_volume(cfg.volume, flow, np.asarray(cfg.x0), cfg.epsilon)
-    except WithinEpsilon as exc:
-        raise ConfigError(f"key 'epsilon': {exc}") from exc
+        vol, dist = init_volume(cfg.volume, flow, np.asarray(cfg.x0))
     except ShapeError as exc:
         raise ConfigError(f"key 'volume.{exc.field}': {exc}") from exc
+    if dist <= cfg.epsilon:
+        raise ConfigError(f"key 'epsilon': dist(boundary, x0) = {dist} is not "
+                          f"larger than epsilon = {cfg.epsilon}")
+    return vol, dist
 
 
 @dataclass(frozen=True)

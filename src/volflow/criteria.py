@@ -12,6 +12,12 @@ and produces the nonpositive threshold delta that cond10 must undershoot for
 the boundary-attainment conclusion to kick in, together with the necessary
 conditions that tell when such an undershoot is possible at all.
 
+Remark 1's second route to the undershoot, a large velocity and density
+inside the volume, does not reach it on a uniform flow: cond10 and delta
+both scale as rho0*|V0|, so cond10/delta stays near 0.0063 (a disk 0.6 from
+x0, P0 = 1e-3) for |V0| and rho0 from 1 to 1e4, and only the distribution
+of the velocity, which cond10 weights by r^(q-2), could help.
+
 A consistency note on the epsilon power.  The pressure-moment lower bound
 scales as G^gamma * eps^(-((q+n)(gamma-1)+2)); after normalizing the master
 differential inequality by (|q|+1)/(|q| eps^q m), its Q-term needs the power

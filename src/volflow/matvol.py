@@ -22,6 +22,11 @@ loop; it is the failure detector for under-resolved boundaries.  It is
 vectorized: it lists the candidate pairs of an x-sorted interval sweep and
 tests them in fixed-size blocks, so its extra memory is bounded by the block
 size, not by the square of the marker count.
+
+This module builds and moves volumes: `init_volume` builds one at time zero
+and reports its boundary's distance to x0, and `advect` carries it to
+another time, forward or back.  Whether a volume may start a scenario is
+decided by `config`.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import numpy as np
 __all__ = [
     "SelfIntersection",
     "ShapeError",
-    "WithinEpsilon",
     "VolumeShapeSpec",
     "MaterialVolume",
     "init_volume",
@@ -56,10 +60,6 @@ class ShapeError(ValueError):
     def __init__(self, field, message):
         super().__init__(message)
         self.field = field
-
-
-class WithinEpsilon(ValueError):
-    """The boundary markers lie within epsilon of x0 at time zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +407,15 @@ class MaterialVolume:
         return self.points[self.loop_ends[-1]:]
 
 
-def init_volume(spec, flow, x0, epsilon):
+def init_volume(spec, flow, x0):
     """Build (volume, dist(boundary, x0)) from a shape spec and a flow at
     time zero.
 
-    Rejects configurations that violate the threshold preconditions: the
-    target x0 must lie strictly outside the volume and farther than epsilon
-    from its boundary.  Raises `ShapeError`, naming the shape's size field,
-    when the built markers do not make simple loops, as when the shape is
-    too small for the float spacing at its position.
+    Checks the geometry only: the target x0 must lie strictly outside the
+    volume (ValueError), and the built markers must make simple loops
+    (`ShapeError`, naming the shape's size field), which they do not when
+    the shape is too small for the float spacing at its position.  Whether
+    the distance is large enough for a scenario is the caller's decision.
     """
     dim = flow.dimension
     x0 = np.asarray(x0, dtype=float)
@@ -436,11 +436,7 @@ def init_volume(spec, flow, x0, epsilon):
     rho0 = flow.fields(0.0, nodes, ("rho",))["rho"]
     vol = MaterialVolume(points=points, loop_ends=loop_ends,
                          mass_w=rho0 * w, x0=x0, time=0.0)
-    d = boundary_distance(vol)
-    if d <= epsilon:
-        raise WithinEpsilon(
-            f"dist(boundary, x0) = {d} is not larger than epsilon = {epsilon}")
-    return vol, d
+    return vol, boundary_distance(vol)
 
 
 def _rk4_points(flow, pts, t_from, t_to, dt):
@@ -501,16 +497,12 @@ def _rk4_points(flow, pts, t_from, t_to, dt):
 
 
 def advect(vol, flow, t_to, dt):
-    """Advect markers and interior nodes to time t_to; weights ride along.
+    """Advect markers and interior nodes to time t_to, forward or back;
+    weights ride along.
 
     The points are integrated in one `_rk4_points` call, and the loops are
-    then swept once for crossings (`SelfIntersection`)."""
-    if t_to <= vol.time:
-        raise ValueError(f"t_to = {t_to} must exceed current time {vol.time}")
-    return _advect_any(vol, flow, t_to, dt)
-
-
-def _advect_any(vol, flow, t_to, dt):
+    then swept once for crossings (`SelfIntersection`).  An advection to the
+    volume's own time moves nothing and still sweeps the loops."""
     out = replace(vol, points=_rk4_points(flow, vol.points, vol.time, t_to, dt),
                   time=float(t_to))
     if not polygon_is_simple(out.markers, out.loop_ends):

@@ -53,18 +53,26 @@ def small_grid_flow():
     return flow
 
 
+def _gated_volume(spec, flow, x0, epsilon):
+    """The volume of `spec`, refused (ValueError) when its boundary lies
+    within epsilon of x0, as `config.build_volume` refuses a scenario's."""
+    vol, dist = init_volume(spec, flow, np.asarray(x0, dtype=float))
+    if dist <= epsilon:
+        raise ValueError(f"dist(boundary, x0) = {dist} is not larger than "
+                         f"epsilon = {epsilon}")
+    return vol
+
+
 def disk_volume(flow, center, radius, x0, epsilon, markers=256, order=40):
     spec = VolumeShapeSpec(shape="disk", center=tuple(center), radius=radius,
                            markers=markers, quad_order=order)
-    vol, _ = init_volume(spec, flow, np.asarray(x0, dtype=float), epsilon)
-    return vol
+    return _gated_volume(spec, flow, x0, epsilon)
 
 
 def annulus_volume(flow, center, radii, x0, epsilon, markers=256, order=40):
     spec = VolumeShapeSpec(shape="annulus", center=tuple(center), radii=tuple(radii),
                            markers=markers, quad_order=order)
-    vol, _ = init_volume(spec, flow, np.asarray(x0, dtype=float), epsilon)
-    return vol
+    return _gated_volume(spec, flow, x0, epsilon)
 
 
 def advect_unchecked(vol, flow, t_to, dt):

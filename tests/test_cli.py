@@ -705,6 +705,24 @@ def test_overflowing_time_zero_sample_prints_one_line(tmp_path, base, line):
         "config error: functional E, I3, I4, reg, reg_abs not finite at t=0.0"]
 
 
+# An x0 or a shape position near the float limit overflowed the closed-form
+# boundary distance: numpy RuntimeWarnings, then an exit-2 line naming the
+# wrong key or none.
+@pytest.mark.parametrize("base, line, where", [
+    ("constant_inflow", "volume.center = 1e300, 1e300", "center"),
+    ("lemmas_expansion", "x0 = -1e300, -1e300", "center"),
+    ("arc_live", "x0 = 1e300, 1e300", "vertices"),
+])
+def test_overflowing_initial_distance_names_its_keys(tmp_path, base, line, where):
+    text = (CONFIG_DIR / f"{base}.cfg").read_text()
+    path = _write(tmp_path, f"{text}\n{line}\n")
+    proc = _volflow_criteria(path, tmp_path / "o")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"config error: key 'x0' or 'volume.{where}': dist(boundary, x0) = inf "
+        f"is not finite"]
+
+
 # The loader checks epsilon against the closed-form boundary distance; the
 # marker chords of a loop curved around x0 lie closer to it, and that second
 # check failed naming no key.

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (SyntheticFlow, advect_unchecked, annulus_volume, disk_volume, ones,
-                     radial_norm, rk4_points_reference, surface_integral,
-                     volume_integral_mass, volume_integral_plain)
+from helpers import (CONFIG_DIR, SyntheticFlow, advect_unchecked, annulus_volume,
+                     disk_volume, ones, radial_norm, rk4_points_reference,
+                     surface_integral, volume_integral_mass, volume_integral_plain)
 
 from volflow import matvol
+from volflow.config import ConfigError, build_flow, build_volume, load_config
 from volflow.flowfield import ConstantFlow, ExpansionFlow, FlowField
 from volflow.matvol import (SelfIntersection, ShapeError, VolumeShapeSpec, advect,
                             boundary_distance, init_volume, loop_signed_area,
@@ -41,19 +42,25 @@ def test_disk_mass_weight():
 def test_square_polygon_mass():
     verts = ((4.5, 4.5), (5.5, 4.5), (5.5, 5.5), (4.5, 5.5))
     spec = VolumeShapeSpec(shape="polygon", vertices=verts, markers=64, refine=2)
-    vol, d = init_volume(spec, still_flow(), np.zeros(2), 1.0)
+    vol, d = init_volume(spec, still_flow(), np.zeros(2))
     assert volume_integral_mass(vol, ones) == pytest.approx(1.0, rel=1e-10)
-    # The distance the epsilon gate measured comes back with the volume.
+    # The volume comes back with its boundary's distance to x0, the one the
+    # epsilon gate of `config.build_volume` reads.
     assert d == boundary_distance(vol) == pytest.approx(4.5 * math.sqrt(2.0))
 
 
-def test_annulus_epsilon_gate():
-    flow = still_flow()
+def test_annulus_epsilon_gate(tmp_path):
     # dist(boundary, 0) = 1 for the annulus 1..2 about the origin
-    with pytest.raises(ValueError):
-        annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 1.0)
-    vol = annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.9)
+    vol = annulus_volume(still_flow(), (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), 0.9)
     assert boundary_distance(vol) == pytest.approx(1.0, abs=1e-3)
+    # The markers' chords lie closer to x0 than the closed form that the
+    # loader checks epsilon against; the build refuses them by key.
+    text = (CONFIG_DIR / "radial_inflow.cfg").read_text() + "\nepsilon = 0.99995\n"
+    path = tmp_path / "radial_inflow.cfg"
+    path.write_text(text)
+    cfg = load_config(path)
+    with pytest.raises(ConfigError, match="key 'epsilon': dist"):
+        build_volume(cfg, build_flow(cfg))
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -66,7 +73,7 @@ def test_annulus_epsilon_gate():
 def test_markers_not_simple_at_time_zero_name_the_size_field(spec, field):
     # The float spacing at the shape's position exceeds its marker spacing.
     with pytest.raises(ShapeError, match="too small for the float spacing") as err:
-        init_volume(spec, still_flow(), np.full(2, 5.0), 0.5)
+        init_volume(spec, still_flow(), np.full(2, 5.0))
     assert err.value.field == field
 
 
@@ -120,10 +127,15 @@ def test_expansion_doubles_positions():
     assert np.allclose(moved.nodes, 2.0 * vol.nodes, rtol=1e-12)
 
 
-def test_advect_requires_forward_time():
-    vol = disk_volume(left_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
-    with pytest.raises(ValueError):
-        advect(vol, left_flow(), 0.0, 1e-2)
+def test_advect_to_its_own_time_and_back():
+    flow = left_flow()
+    vol = disk_volume(flow, (3.0, 0.0), 1.0, (0.0, 0.0), 0.5)
+    still = advect(vol, flow, 0.0, 1e-2)
+    assert np.array_equal(still.points, vol.points) and still.time == 0.0
+    there = advect(vol, flow, 0.5, 1e-2)
+    back = advect(there, flow, 0.0, 1e-2)
+    assert np.allclose(back.points, vol.points, rtol=0.0, atol=1e-12)
+    assert back.time == 0.0
 
 
 def test_rk4_order_on_curved_trajectories():
@@ -222,7 +234,7 @@ def test_plain_integral_constant_pressure_square():
     verts = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
     spec = VolumeShapeSpec(shape="polygon", vertices=verts, markers=64, refine=2)
     flow = still_flow()
-    vol, _ = init_volume(spec, flow, np.array([3.0, 3.0]), 1.0)
+    vol, _ = init_volume(spec, flow, np.array([3.0, 3.0]))
     got = volume_integral_plain(vol, lambda p: np.ones(len(p)), flow)
     assert got == pytest.approx(1.0, rel=1e-10)
 

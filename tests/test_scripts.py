@@ -97,3 +97,16 @@ def test_output_digest_names_a_crashing_call_and_exits_1(tmp_path, capsys):
     assert captured.err.splitlines() == [f"crashed: {command}/demo (exit=1)"
                                          for command in ("criteria", "run", "sweep")]
     assert len(captured.out.splitlines()) == 9     # stdout, stderr, exit per call
+
+
+def test_exit_codes_table_on_one_config(tmp_path):
+    exit_codes = _load("exit_codes")
+    counts, crashed = exit_codes.table([SCRIPTS / "configs" / "constant_inflow.cfg"],
+                                       tmp_path)
+    # 15 numeric keys, each with every bad value.
+    assert (counts["calls"], crashed, counts["warned"]) == (150, [], 0)
+    assert sum(counts["exit"].values()) == 150 and set(counts["exit"]) == {0, 2}
+    # Only the time-zero sample still refuses a value without naming a key.
+    assert counts["no_key"] and all(
+        message.startswith("config error: functional ")
+        and message.endswith(" not finite at t=0.0") for message in counts["no_key"])
