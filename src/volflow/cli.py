@@ -18,15 +18,16 @@ configuration, precondition or output errors -- among them a config file
 that cannot be read, a command-line argument argparse rejects (such as a
 negative `--seed`), an output directory that cannot be created or an output
 file that cannot be written (one `output error:` line on stderr), a config
-key the loader does not read, a `flow.grid.dt` above the grid solver's CFL
-limit at some step, `verify.times` whose lemma differences (step h) reach
-outside the flow's time window, past the time at which a grid solver loses
-smoothness, or to a flow that is not smooth where they read it (`run`
-instead ends its horizon there and reports it), or that put the boundary
-within epsilon of x0, or x0 inside the volume, at a lemma time, a `q` and
-an `epsilon` that put a power of epsilon in the threshold algebra out of
-float range (`sweep.q` and `sweep.epsilon` for `sweep`), a `sweep.q` whose
-time-zero sample is not finite, an `x0` so far from `volume.center` (or
+key the loader does not read, a negative `volume.refine`, a
+`flow.grid.dt` above the grid solver's CFL limit at some step,
+`verify.times` whose lemma differences (step h) reach outside the flow's
+time window, past the time at which a grid solver loses smoothness, or to
+a flow that is not smooth where they read it (`run` instead ends its
+horizon there and reports it), or that put the boundary within epsilon of
+x0, or x0 inside the volume, at a lemma time, a `q` and an `epsilon` that
+put a power of epsilon in the threshold algebra out of float range
+(`sweep.q` and `sweep.epsilon` for `sweep`), a `sweep.q` whose time-zero
+sample is not finite, an `x0` so far from `volume.center` (or
 `volume.vertices`) that their distance overflows, `volume.vertices` that do
 not make a simple polygon of nonzero area, and a boundary loop that crosses
 itself or another loop after an advection (`volume.markers` too few to

@@ -281,6 +281,8 @@ def _volume_spec(raw):
         spec = dict(vertices=tuple(_numbers(part, "volume.vertices", 2)
                                    for part in text.split(";") if part.strip()),
                     refine=_int(raw, "volume.refine", "3"))
+        if spec["refine"] < 0:
+            raise ConfigError("key 'volume.refine' must be at least 0")
     elif shape in ("disk", "annulus"):
         spec = dict(center=_floats(raw, "volume.center", FlowField.dimension,
                                    default="0, 0"),
@@ -337,10 +339,10 @@ def _grid_flow(gamma, n, box, dt, max_grad, **exprs):
     if rho.min() <= 0.0:
         raise ConfigError(f"key 'flow.grid.rho': expression {exprs['rho']!r} is not "
                           f"positive on the grid")
-    state = GridState(rho=rho, vx=_eval_field(exprs, "vx", x, y),
-                      vy=_eval_field(exprs, "vy", x, y),
-                      entropy=_eval_field(exprs, "S", x, y),
-                      gamma=gamma, origin=(lo, lo), spacing=(h, h), time=0.0)
+    state = GridState.from_nodes(rho=rho, vx=_eval_field(exprs, "vx", x, y),
+                                 vy=_eval_field(exprs, "vy", x, y),
+                                 entropy=_eval_field(exprs, "S", x, y),
+                                 gamma=gamma, origin=(lo, lo), spacing=(h, h), time=0.0)
     return GridFlow(state, step_dt=dt, guard_threshold=max_grad)
 
 

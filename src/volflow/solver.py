@@ -8,14 +8,24 @@ the periodic grid, which makes the whole-box mass integral an exact invariant
 of the semi-discretization (and of every RK stage), so mass is conserved to
 rounding per step.
 
-The stepper works in reused buffers (`_Workspace`: stencil edge lines and
-their views, one set of RK4 stage inputs, one set of stage slopes, the ten
-derivatives of the right-hand side, one pressure, scratch), which the caller
-passes in, so a step allocates only the state it returns.  The workspace's
-pressure is that of one state or stage at a time, keyed by the state it
-belongs to; a state itself holds no pressure.  Every buffered operation is
-the one the plain NumPy expression would perform, in the same order, so
-results are bit-for-bit those of the unbuffered formulas.
+Every array the solver holds, differentiates or interpolates has one
+layout: the (n0, n1) nodes sit at [2:-2, 2:-2] of an (n0 + 4, n1 + 4)
+array, and the two ghost lines on each side hold periodic copies of the
+nodes (ghost cells; LeVeque, Finite Volume Methods for Hyperbolic
+Problems, 2002, 7.1).  So a centred difference and a bicubic patch read
+their periodic neighbours straight from the array, with no wrap-around
+code.  A state's arrays are built padded (`GridState.from_nodes`), and a
+step refills the halo of every stage and of the new state before anything
+reads it.
+
+The stepper works in reused buffers (`_Workspace`: one set of RK4 stage
+inputs, one set of stage slopes, the ten derivatives of the right-hand
+side, one pressure, scratch), which the caller passes in, so a step
+allocates only the state it returns.  The workspace's pressure is that of
+one state or stage at a time, keyed by the state it belongs to; a state
+itself holds no pressure.  Every buffered operation is the one the plain
+NumPy expression would perform on the nodes, in the same order, so results
+are bit-for-bit those of the unbuffered formulas.
 
 A `GridFlow` wraps a run of the stepper as a queryable flow, bicubic in
 space and cubic in time, consistent with the scheme's order.  It holds the
@@ -82,16 +92,32 @@ class SnapshotDropped(RuntimeError):
     not query that early again."""
 
 
+# The node rows of a padded array, ghost columns included; the nodes are
+# [_BAND, _BAND].
+_BAND = slice(2, -2)
+
+
+def _fill_halo(f):
+    """Copy the nodes' periodic images into the two ghost lines on each side
+    of the padded array f: rows first, then whole columns, so that the
+    corners are right too."""
+    f[:2] = f[-4:-2]
+    f[-2:] = f[2:4]
+    f[:, :2] = f[:, -4:-2]
+    f[:, -2:] = f[:, 2:4]
+
+
 @dataclass(frozen=True, eq=False)
 class GridState:
-    """Nodal primitive fields on a periodic box.
+    """Primitive fields on a periodic box, in padded arrays.
 
-    Arrays are indexed [i, j] with node coordinates
-    (origin[0] + i*spacing[0], origin[1] + j*spacing[1]); the box is periodic
-    with extent n_cells * spacing per axis.  A state holds only the fields
-    that queries read; its pressure rho ** gamma * exp(S) is computed on
-    demand (`pressure`), and a step takes it from its `_Workspace`, which
-    holds the pressure of one state at a time.
+    Node (i, j), at (origin[0] + i*spacing[0], origin[1] + j*spacing[1]),
+    is element [i + 2, j + 2] of each array, and the ghost lines hold its
+    periodic copies; the box is periodic with extent `shape` * spacing per
+    axis.  `from_nodes` builds a state from nodal arrays.  A state holds only
+    the fields that queries read; its pressure rho ** gamma * exp(S) is
+    computed on demand (`pressure`), and a step takes it from its
+    `_Workspace`, which holds the pressure of one state at a time.
     """
 
     rho: np.ndarray
@@ -108,22 +134,32 @@ class GridState:
         for name in ("vx", "vy", "entropy"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"field {name} shape {getattr(self, name).shape} != {shape}")
-        if min(shape) < 16:
-            raise ValueError(f"need at least 16 cells per axis, got {shape}")
+        if min(self.shape) < 16:
+            raise ValueError(f"need at least 16 cells per axis, got {self.shape}")
         if not np.all(np.isfinite(self.rho)) or np.any(self.rho <= 0.0):
             raise NonSmoothState("non-positive or non-finite density")
 
+    @classmethod
+    def from_nodes(cls, rho, vx, vy, entropy, gamma, origin, spacing, time):
+        """The state whose nodal fields are the (n0, n1) arrays given: each
+        is copied into a padded array with its halo filled."""
+        def padded(f):
+            return np.pad(np.asarray(f, dtype=float), 2, mode="wrap")
+        return cls(padded(rho), padded(vx), padded(vy), padded(entropy), gamma,
+                   origin, spacing, time)
+
     @property
     def shape(self):
-        return self.rho.shape
+        """The node shape (n0, n1)."""
+        return tuple(n - 4 for n in self.rho.shape)
 
     @property
     def pressure(self):
-        """rho ** gamma * exp(S), in fresh arrays on each access: the values
-        `_Workspace.state_pressure` computes."""
+        """rho ** gamma * exp(S), in a fresh padded array on each access:
+        the values `_Workspace.state_pressure` computes."""
         with np.errstate(over="ignore"):
             exp_s = np.exp(self.entropy)
-        return _pressure_into(self.rho, exp_s, self.gamma, np.empty(self.shape))
+        return _pressure_into(self.rho, exp_s, self.gamma, np.empty(self.rho.shape))
 
     def cfl_limit(self, work):
         """Largest admissible dt: 0.4 * min(dx) / max(|V| + c), the fixed
@@ -133,7 +169,9 @@ class GridState:
         stage inputs serve as scratch (the derivatives a guard left in its
         `grad` slots stay).  A top speed that is not finite (an overflowing
         pressure, or a speed whose square overflows) raises
-        `NonSmoothState`: the state admits no step."""
+        `NonSmoothState`: the state admits no step.  It reads the whole
+        padded arrays: the halo holds copies, so their maximum is the
+        nodes'."""
         c, speed, tmp = work.stage[:3]
         np.multiply(work.state_pressure(self), self.gamma, out=c)
         c /= self.rho
@@ -152,14 +190,16 @@ class GridState:
 
 class _Workspace:
     """Buffers that `step`, `GridState.cfl_limit`, `smoothness_guard` and
-    `interpolate_fields` reuse on one grid shape.
+    `interpolate_fields` reuse on one grid shape (`shape`, the node shape).
 
-    Per axis, the wrap-around edge lines of the field being differentiated
-    and the views and slices `_d4_into` reads them through (`_Edges`); one
-    set of RK4 stage inputs, which the CFL limit and the guard also take as
-    the scratch of their squares, and one of stage slopes; the ten first
+    One set of RK4 stage inputs, which the CFL limit and the guard also take
+    as the scratch of their squares, and one of stage slopes; the ten first
     derivatives the right-hand side reads; one pressure, a scratch array and
-    a boolean mask.  No snapshot ever points into these buffers.
+    a boolean mask.  Each is a padded array, like a state's fields.  A stage
+    input and the pressure have their halo filled before anything reads
+    them; the derivatives and slopes are written on the node rows, and only
+    their nodes are read as results.  No snapshot ever points into these
+    buffers.
 
     `pressure` holds the pressure of one state at a time: of
     `pressure_state`, filled by `state_pressure`, or of an RK4 stage
@@ -190,13 +230,13 @@ class _Workspace:
 
     def __init__(self, shape):
         self.shape = tuple(shape)
-        self.edges = (_edge_buffers(shape, 0), _edge_buffers(shape, 1))
-        self.stage = tuple(np.empty(shape) for _ in range(4))
-        self.slope = tuple(np.empty(shape) for _ in range(4))
-        self.grad = tuple(np.empty(shape) for _ in range(10))
-        self.pressure = np.empty(shape)
-        self.scratch = np.empty(shape)
-        self.mask = np.empty(shape, dtype=bool)
+        padded = tuple(n + 4 for n in shape)
+        self.stage = tuple(np.empty(padded) for _ in range(4))
+        self.slope = tuple(np.empty(padded) for _ in range(4))
+        self.grad = tuple(np.empty(padded) for _ in range(10))
+        self.pressure = np.empty(padded)
+        self.scratch = np.empty(padded)
+        self.mask = np.empty(padded, dtype=bool)
         self.grad_state = None
         self.pressure_state = None
         self._entropy = (None, None)        # an entropy array, its frozen_exp
@@ -248,48 +288,6 @@ class _Workspace:
             raise ValueError(f"workspace for {self.shape} given a {state.shape} state")
 
 
-class _Edges(NamedTuple):
-    """The indices and edge buffers of `_d4_into` along one axis of one grid
-    shape: the slices of a field's lines, and the gathered wrap-around edge
-    lines with their result and scratch arrays, and views of them."""
-    inner: tuple        # slices at i-2, i-1, i+1, i+2 of the field (flattened
-                        # along axis 1), for the lines i = 2 .. n-3
-    mid: slice          # the lines 2 .. n-3 of the result, likewise
-    last4: tuple        # index of the lines n-4 .. n-1 of a field
-    first4: tuple       # of the lines 0 .. 3
-    last2: tuple        # of the lines n-2 and n-1
-    first2: tuple       # of the lines 0 and 1
-    lead: np.ndarray    # gathered lines 0 .. 3, which take lines n-4 .. n-1
-    trail: np.ndarray   # gathered lines 4 .. 7, which take lines 0 .. 3
-    shifted: tuple      # gathered lines k .. k+3 for k = 0, 1, 3, 4
-    result: np.ndarray  # their derivative, the lines n-2, n-1, 0, 1
-    tmp: np.ndarray
-    result_last: np.ndarray     # result lines 0, 1: lines n-2 and n-1
-    result_first: np.ndarray    # result lines 2, 3: lines 0 and 1
-
-
-def _edge_buffers(shape, axis):
-    """The `_Edges` of `_d4_into` along `axis` for fields of `shape`."""
-    def lines(start, stop):
-        return (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
-
-    n = shape[axis]
-    m = shape[0] if axis == 0 else shape[0] * shape[1]
-    gathered = list(shape)
-    gathered[axis] = 8
-    edge = np.empty(gathered)
-    derived = list(shape)
-    derived[axis] = 4
-    result = np.empty(derived)
-    return _Edges(
-        inner=tuple(slice(k, m - 4 + k) for k in (0, 1, 3, 4)), mid=slice(2, m - 2),
-        last4=lines(n - 4, n), first4=lines(0, 4), last2=lines(n - 2, n),
-        first2=lines(0, 2), lead=edge[lines(0, 4)], trail=edge[lines(4, 8)],
-        shifted=tuple(edge[lines(k, k + 4)] for k in (0, 1, 3, 4)), result=result,
-        tmp=np.empty(derived), result_last=result[lines(0, 2)],
-        result_first=result[lines(2, 4)])
-
-
 def _d4_core(fm2, fm1, fp1, fp2, h, out, tmp):
     """out = (8 (fp1 - fm1) - (fp2 - fm2)) / (12 h), in that order."""
     np.subtract(fp1, fm1, out=out)
@@ -299,26 +297,23 @@ def _d4_core(fm2, fm1, fp1, fp2, h, out, tmp):
     out /= 12.0 * h
 
 
-def _d4_into(f, h, axis, out, edges, tmp):
-    """Write the 4th-order centered first derivative of f along `axis` into
-    `out`: (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 h).
+def _d4_into(f, h, axis, out, tmp):
+    """Write the 4th-order centered first derivative of the padded field f
+    along `axis` into the node rows of `out`:
+    (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 h).
 
-    Lines 2 .. n-3 come from contiguous shifted slices of f; along axis 1
-    these are slices of the flattened array, whose neighbours across a row
-    end are wrong in the first and last two columns.  The lines 0, 1, n-2
-    and n-1 are then (re)done from `edges` (`_Edges`, built once per
-    workspace): the lines n-4 .. n-1, 0 .. 3 of f gathered into a small
-    buffer, with its own result and scratch arrays."""
-    src, dst, scr = (f, out, tmp) if axis == 0 else (
-        f.reshape(-1), out.reshape(-1), tmp.reshape(-1))
-    fm2, fm1, fp1, fp2 = edges.inner
-    _d4_core(src[fm2], src[fm1], src[fp1], src[fp2], h, dst[edges.mid],
-             scr[edges.mid])
-    edges.lead[...] = f[edges.last4]
-    edges.trail[...] = f[edges.first4]
-    _d4_core(*edges.shifted, h, edges.result, edges.tmp)
-    out[edges.last2] = edges.result_last
-    out[edges.first2] = edges.result_first
+    In the flattened padded array, i +- 1 and i +- 2 are the shifts +-s
+    and +-2s, with s the row width along axis 0 and 1 along axis 1, and the
+    halo makes them right at every node: the node rows are one pass over
+    four contiguous slices.  Their ghost columns get values that are not
+    the derivative (along axis 1 the shifts cross a row end there), and the
+    ghost rows of `out` are left as they were."""
+    width = f.shape[1]
+    s = width if axis == 0 else 1
+    lo, hi = 2 * width, f.size - 2 * width
+    src = f.reshape(-1)
+    fm2, fm1, fp1, fp2 = (src[lo + k * s:hi + k * s] for k in (-2, -1, 1, 2))
+    _d4_core(fm2, fm1, fp1, fp2, h, out.reshape(-1)[lo:hi], tmp.reshape(-1)[lo:hi])
     return out
 
 
@@ -356,17 +351,19 @@ def _rhs(u, p, dx, dy, out, work, done=()):
 
     A frozen entropy (see `step`) is left out: u = (rho, vx, vy), and `out`
     gets the first three derivatives only.  `done` lists the positions in
-    (rho, vx, vy, S, p) whose derivatives `work.grad` already holds.
+    (rho, vx, vy, S, p) whose derivatives `work.grad` already holds.  The
+    arithmetic runs over the node rows, and `out` is written there only.
     """
-    rho, vx, vy = u[:3]
-    grad, tmp = work.grad, work.scratch
+    grad = work.grad
     for i, f in [*enumerate(u), (4, p)]:
         if i not in done:
-            _d4_into(f, dx, 0, grad[2 * i], work.edges[0], tmp)
-            _d4_into(f, dy, 1, grad[2 * i + 1], work.edges[1], tmp)
+            _d4_into(f, dx, 0, grad[2 * i], work.scratch)
+            _d4_into(f, dy, 1, grad[2 * i + 1], work.scratch)
     work.grad_state = None                      # the slots are overwritten below
-    rho_x, rho_y, vx_x, vx_y, vy_x, vy_y, s_x, s_y, p_x, p_y = grad
-    drho, dvx, dvy = out[:3]
+    rho, vx, vy = (f[_BAND] for f in u[:3])
+    rho_x, rho_y, vx_x, vx_y, vy_x, vy_y, s_x, s_y, p_x, p_y = (g[_BAND] for g in grad)
+    drho, dvx, dvy, *ds = (f[_BAND] for f in out)
+    tmp = work.scratch[_BAND]
     np.add(vx_x, vy_y, out=tmp)                 # the divergence
     tmp *= rho
     _advection_into(vx, vy, rho_x, rho_y, drho)
@@ -377,15 +374,18 @@ def _rhs(u, p, dx, dy, out, work, done=()):
     _advection_into(vx, vy, vy_x, vy_y, dvy)
     p_y /= rho
     dvy -= p_y
-    if len(u) == 4:
-        _advection_into(vx, vy, s_x, s_y, out[3])
+    if ds:
+        _advection_into(vx, vy, s_x, s_y, ds[0])
 
 
 def _stage_into(u0, k, h, out):
-    """out = u0 + h * k, field by field."""
+    """out = u0 + h * k, field by field, on the node rows; then the halo of
+    each field of `out`."""
     for f, kf, o in zip(u0, k, out):
-        np.multiply(kf, h, out=o)
-        o += f
+        node_rows = o[_BAND]
+        np.multiply(kf[_BAND], h, out=node_rows)
+        node_rows += f[_BAND]
+        _fill_halo(o)
 
 
 def _frozen(entropy, mask):
@@ -412,9 +412,10 @@ def step(state, dt, work):
     stage, slope, derivative and pressure buffers.  The pressure of `state`
     comes from `work.state_pressure` (computed there unless a guard or CFL
     call on this state left it), and each later stage computes its own into
-    the same buffer.  The slopes are summed as ((k1 + 2 k2) + 2 k3) + k4
-    straight into the new state's arrays, stage by stage, so one set of
-    slope buffers serves k2, k3 and k4.
+    the same buffer, from a stage whose halo is filled.  The slopes are
+    summed as ((k1 + 2 k2) + 2 k3) + k4 straight into the node rows of the
+    new state's arrays, stage by stage, so one set of slope buffers serves
+    k2, k3 and k4; the new arrays' halo is filled last.
 
     A homentropic state keeps its entropy: when S holds the bits of one
     finite value other than -0.0, its centred differences are exactly +0,
@@ -439,7 +440,7 @@ def step(state, dt, work):
     n = 4 if factor is None else 3
     u0 = (state.rho, state.vx, state.vy, state.entropy)[:n]
     u, k = work.stage[:n], work.slope[:n]
-    new = tuple(np.empty(state.shape) for _ in range(n))
+    new = tuple(np.empty(state.rho.shape) for _ in range(n))
 
     def slope_into(out):
         # A stage density below zero has no pressure: stop at it rather
@@ -460,22 +461,25 @@ def step(state, dt, work):
     # state left four of its derivatives in `work`.
     _rhs(u0, work.state_pressure(state), dx, dy, new, work,
          _GUARDED if work.grad_state is state else ())
+    new_rows, k_rows = [f[_BAND] for f in new], [f[_BAND] for f in k]
     _stage_into(u0, new, 0.5 * dt, u)
     slope_into(k)                                           # k2
     _stage_into(u0, k, 0.5 * dt, u)
-    for acc, kf in zip(new, k):
+    for acc, kf in zip(new_rows, k_rows):
         kf *= 2.0
         acc += kf
     slope_into(k)                                           # k3
     _stage_into(u0, k, dt, u)
-    for acc, kf in zip(new, k):
+    for acc, kf in zip(new_rows, k_rows):
         kf *= 2.0
         acc += kf
     slope_into(k)                                           # k4
-    for f, acc, kf in zip(u0, new, k):
+    for f, acc, kf in zip(u0, new_rows, k_rows):
         acc += kf
         acc *= dt / 6.0
-        acc += f
+        acc += f[_BAND]
+    for f in new:
+        _fill_halo(f)
 
     # The new GridState checks the density.
     for f in new[1:]:
@@ -503,22 +507,23 @@ def smoothness_guard(state, threshold, work):
 
     `threshold` is the largest max_grad that is ok (np.inf: any finite
     one).  `work` is a `_Workspace` for the state's shape, whose stage
-    inputs serve as scratch.  The state's pressure stays in its `pressure`
-    buffer and the derivatives in its `grad` slots, where the next `step`
-    from this state reads them."""
+    inputs serve as scratch.  The squares run over the node rows, and the
+    maxima over the nodes only.  The state's pressure stays in its `pressure` buffer and the derivatives in
+    its `grad` slots, where the next `step` from this state reads them."""
     work.check(state)
     dx, dy = state.spacing
     u = (state.rho, state.vx, state.vy, state.entropy, work.state_pressure(state))
-    square, tmp = work.stage[:2]
+    square, tmp = (s[_BAND] for s in work.stage[:2])
     tops = []
     for i in _GUARDED:
         gx, gy = work.grad[2 * i], work.grad[2 * i + 1]
-        _d4_into(u[i], dx, 0, gx, work.edges[0], work.scratch)
-        _d4_into(u[i], dy, 1, gy, work.edges[1], work.scratch)
+        _d4_into(u[i], dx, 0, gx, work.scratch)
+        _d4_into(u[i], dy, 1, gy, work.scratch)
+        gx, gy = gx[_BAND], gy[_BAND]
         np.multiply(gx, gx, out=square)
         np.multiply(gy, gy, out=tmp)
         square += tmp
-        tops.append(square.max())
+        tops.append(square[:, _BAND].max())
     work.grad_state = state
     worst = float(np.sqrt(np.max(tops)))        # np.max keeps a NaN
     return GuardReport(max_grad=worst, ok=bool(np.isfinite(worst)) and worst <= threshold)
@@ -561,11 +566,12 @@ def _sum_rows(rows, out):
 
 
 @functools.lru_cache(maxsize=None)
-def _patch_offsets(nx, ny):
-    """(a - 1) * ny + (b - 1) for the 4x4 patch entries (a, b), as a
-    read-only (4, 4, 1) array."""
-    offs = np.arange(-1, 3)
-    out = (offs[:, None] * ny + offs)[:, :, None].astype(np.intp)
+def _patch_offsets(width):
+    """(a + 1) * width + (b + 1) for the 4x4 patch entries (a, b) of a
+    padded array whose rows are `width` long, as a read-only (4, 4, 1)
+    array."""
+    offs = np.arange(1, 5)
+    out = (offs[:, None] * width + offs)[:, :, None].astype(np.intp)
     out.setflags(write=False)
     return out
 
@@ -573,12 +579,13 @@ def _patch_offsets(nx, ny):
 def interpolate_fields(state, pts, fields, work, out):
     """Bicubic (separable cubic Lagrange) interpolation at points (N, 2).
 
-    `fields` maps names to nodal arrays on the grid of `state`.  Periodic
-    wrap in both axes; exact at grid nodes and for polynomials up to cubic
-    per axis.  `work` is a `_Workspace` whose patch buffers are used; `out`
-    is a sequence of len(fields) arrays of N values that receive the fields,
-    in order: a (len(fields), N) array will do.  Returns a dict of those
-    arrays by name.
+    `fields` maps names to padded arrays on the grid of `state` (its
+    fields, or a time slice's), whose halo holds the nodes' periodic
+    copies, so no patch leaves the array.  Periodic wrap in both axes;
+    exact at grid nodes and for polynomials up to cubic per axis.  `work`
+    is a `_Workspace` whose patch buffers are used; `out` is a sequence of
+    len(fields) arrays of N values that receive the fields, in order: a
+    (len(fields), N) array will do.  Returns a dict of those arrays by name.
 
     The value at a point is the sum over its 4x4 patch f[a, b] of
     (wx[a] f[a, b]) wy[b], added from 0 in patch order:
@@ -601,28 +608,18 @@ def interpolate_fields(state, pts, fields, work, out):
     np.subtract(fx, ix, out=u[0])
     np.subtract(fy, iy, out=u[1])
     wx, wy = _lagrange_weights(u).transpose(1, 0, 2)        # each (4, N)
-    # Flat node index of the 4x4 patch of every point: entry (a, b) is node
-    # ((ix + a - 1) % nx) * ny + (iy + b - 1) % ny.  With ix and iy wrapped
-    # into the box that is base + (a - 1) * ny + (b - 1) wherever the
-    # stencil does not cross an edge; the points whose stencil does are
-    # redone with the modulo.  Every field is gathered into the same patch
-    # buffer.
+    # Flat index of the 4x4 patch of every point in the padded arrays: with
+    # ix and iy wrapped into the box, entry (a, b) is element
+    # (ix + 1 + a, iy + 1 + b), which the halo keeps in the array.  Every
+    # field is gathered into the same patch buffer.
     ix %= nx
     iy %= ny
+    width = ny + 4
     n = len(pts)
     flat, patch = work.patch_buffers(n)
-    base = ix * ny
+    base = ix * width
     base += iy
-    np.add(base, _patch_offsets(nx, ny), out=flat)
-    edge = np.flatnonzero((ix < 1) | (ix > nx - 3) | (iy < 1) | (iy > ny - 3))
-    if edge.size:
-        offs = np.arange(-1, 3)[:, None]
-        rows = ix[edge] + offs                              # (4, E)
-        rows %= nx
-        rows *= ny
-        cols = iy[edge] + offs
-        cols %= ny
-        flat[:, :, edge] = rows[:, None] + cols
+    np.add(base, _patch_offsets(width), out=flat)
 
     result = {}
     for i, (name, f) in enumerate(fields.items()):
@@ -677,7 +674,7 @@ class GridFlow(FlowField):
     written.  A snapshot holds rho, vx, vy and its entropy, which the
     snapshots of a homentropic flow share, and no pressure; the guard leaves
     the newest one's pressure in the workspace for the next step.  A query
-    between snapshots reads a full-grid time slice, held for one t in the
+    between snapshots reads a whole-grid time slice, held for one t in the
     workspace's stage-slope buffers, so the RK4 stages that share a time and
     the two `fields` queries of a sample share it.  The slice combines the
     density as it is built (a non-positive one raises `NonSmoothState`) and
@@ -795,8 +792,9 @@ class GridFlow(FlowField):
         return [self._held[n] for n in numbers]
 
     def _time_slice(self, t, names):
-        """The fields `names`, cubic-Lagrange-combined in time at t (full
-        nodal arrays).
+        """The fields `names`, cubic-Lagrange-combined in time at t (whole
+        padded arrays: the combination is the same at every element, so
+        the halo stays a copy of the nodes).
 
         The flow holds the slice of one t: its stencil, its weights and the
         fields combined so far, each combined the first time it is read,

@@ -44,10 +44,10 @@ def small_grid_flow():
     c = -1.0 + h * np.arange(n)
     x, y = np.meshgrid(c, c, indexing="ij")
     k = np.pi
-    st = solver.GridState(rho=1.0 + 0.2 * np.sin(k * x) * np.cos(k * y),
-                          vx=0.3 * np.cos(k * y), vy=-0.2 * np.sin(k * x),
-                          entropy=0.1 * np.cos(k * (x + y)), gamma=1.4,
-                          origin=(-1.0, -1.0), spacing=(h, h), time=0.0)
+    st = solver.GridState.from_nodes(
+        rho=1.0 + 0.2 * np.sin(k * x) * np.cos(k * y), vx=0.3 * np.cos(k * y),
+        vy=-0.2 * np.sin(k * x), entropy=0.1 * np.cos(k * (x + y)), gamma=1.4,
+        origin=(-1.0, -1.0), spacing=(h, h), time=0.0)
     flow = GridFlow(st, step_dt=2e-3, guard_threshold=np.inf)
     flow.advance_to(0.01)
     return flow
@@ -82,14 +82,21 @@ def advect_unchecked(vol, flow, t_to, dt):
                    time=float(t_to))
 
 
+def nodes(f):
+    """The node values of a padded grid array (a state's field, a
+    workspace buffer or a time slice): the solver's arrays carry two ghost
+    lines on each side."""
+    return f[2:-2, 2:-2]
+
+
 def grid_mass(state):
-    """Whole-box mass integral of a grid state (fixed-order pairwise
-    summation)."""
-    return float(np.sum(state.rho)) * state.spacing[0] * state.spacing[1]
+    """Whole-box mass integral of a grid state, summed over its nodes in a
+    fixed order."""
+    return float(np.sum(nodes(state.rho))) * state.spacing[0] * state.spacing[1]
 
 
 def state_fields(state):
-    """The nodal fields of a grid state by name, as `interpolate_fields`
+    """The padded fields of a grid state by name, as `interpolate_fields`
     takes them."""
     return {"rho": state.rho, "vx": state.vx, "vy": state.vy, "entropy": state.entropy}
 
@@ -119,10 +126,9 @@ def record_snapshots_held(monkeypatch):
 
 
 def d4(f, h, axis):
-    """The solver's 4th-order centred first derivative of f along `axis`,
-    in fresh arrays."""
-    return solver._d4_into(f, h, axis, np.empty(f.shape),
-                           solver._edge_buffers(f.shape, axis), np.empty(f.shape))
+    """The solver's 4th-order centred first derivative of the padded field f
+    along `axis`, at the nodes, in fresh arrays."""
+    return nodes(solver._d4_into(f, h, axis, np.empty(f.shape), np.empty(f.shape)))
 
 
 def lagrange_weights(u):

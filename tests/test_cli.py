@@ -255,6 +255,15 @@ def test_bad_polygon_vertices_name_the_key(tmp_path, capsys, vertices, message):
         assert _single_error(capsys) == f"config error: key 'volume.vertices': {message}"
 
 
+@pytest.mark.parametrize("refine, code", [("-1", 2), ("0", 0)])
+def test_negative_refine_names_the_key(tmp_path, capsys, refine, code):
+    # range(-1) is empty, so -1 used to run as 0, silently.
+    path = _shipped_with(tmp_path, "arc_live", f"volume.refine = {refine}")
+    assert main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        assert "key 'volume.refine'" in _single_error(capsys)
+
+
 # -- subcommands ------------------------------------------------------------------
 
 def test_criteria_subcommand(mini_cfg, tmp_path, capsys):

@@ -518,10 +518,11 @@ def _grid_flow(n=64):
     h = 2.0 / n
     c = -1.0 + h * np.arange(n)
     x, y = np.meshgrid(c, c, indexing="ij")
-    state = GridState(rho=1.0 + 0.2 * np.sin(np.pi * x) * np.cos(np.pi * y),
-                      vx=0.4 * np.sin(np.pi * y), vy=-0.3 * np.cos(np.pi * x),
-                      entropy=0.1 * np.cos(np.pi * (x + y)), gamma=1.4,
-                      origin=(-1.0, -1.0), spacing=(h, h), time=0.0)
+    state = GridState.from_nodes(
+        rho=1.0 + 0.2 * np.sin(np.pi * x) * np.cos(np.pi * y),
+        vx=0.4 * np.sin(np.pi * y), vy=-0.3 * np.cos(np.pi * x),
+        entropy=0.1 * np.cos(np.pi * (x + y)), gamma=1.4,
+        origin=(-1.0, -1.0), spacing=(h, h), time=0.0)
     flow = GridFlow(state, step_dt=0.005, guard_threshold=np.inf)
     flow.advance_to(0.1)
     return flow

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import d4, grid_mass, lagrange_weights, state_fields
+from helpers import d4, grid_mass, lagrange_weights, nodes, state_fields
 
 from volflow import solver
 from volflow.flowfield import ExpansionFlow
@@ -14,10 +14,10 @@ from volflow.solver import (GridFlow, GridState, NonSmoothState, SmoothnessLost,
 
 def uniform_state(n=32, rho=1.0, vx=0.3, vy=-0.2, s=0.0, gamma=1.4):
     shape = (n, n)
-    return GridState(rho=np.full(shape, rho), vx=np.full(shape, vx),
-                     vy=np.full(shape, vy), entropy=np.full(shape, s),
-                     gamma=gamma, origin=(0.0, 0.0), spacing=(1.0 / n, 1.0 / n),
-                     time=0.0)
+    return GridState.from_nodes(rho=np.full(shape, rho), vx=np.full(shape, vx),
+                                vy=np.full(shape, vy), entropy=np.full(shape, s),
+                                gamma=gamma, origin=(0.0, 0.0),
+                                spacing=(1.0 / n, 1.0 / n), time=0.0)
 
 
 def gaussian_pressure_matched(n, amp=0.3, width=0.07, vx=1.0, gamma=1.4):
@@ -32,9 +32,9 @@ def gaussian_pressure_matched(n, amp=0.3, width=0.07, vx=1.0, gamma=1.4):
     x, y = np.meshgrid(c, c, indexing="ij")
     rho = 1.0 + amp * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / (2.0 * width ** 2))
     entropy = -gamma * np.log(rho)
-    return GridState(rho=rho, vx=np.full((n, n), vx), vy=np.zeros((n, n)),
-                     entropy=entropy, gamma=gamma, origin=(0.0, 0.0),
-                     spacing=(h, h), time=0.0)
+    return GridState.from_nodes(rho=rho, vx=np.full((n, n), vx), vy=np.zeros((n, n)),
+                                entropy=entropy, gamma=gamma, origin=(0.0, 0.0),
+                                spacing=(h, h), time=0.0)
 
 
 def rho_at(flow, t, pts):
@@ -95,9 +95,9 @@ def test_positive_density_enforced():
     rho = np.ones((n, n))
     rho[3, 4] = -0.1
     with pytest.raises(NonSmoothState):
-        GridState(rho=rho, vx=np.zeros((n, n)), vy=np.zeros((n, n)),
-                  entropy=np.zeros((n, n)), gamma=1.4, origin=(0.0, 0.0),
-                  spacing=(1.0 / n, 1.0 / n), time=0.0)
+        GridState.from_nodes(rho=rho, vx=np.zeros((n, n)), vy=np.zeros((n, n)),
+                             entropy=np.zeros((n, n)), gamma=1.4, origin=(0.0, 0.0),
+                             spacing=(1.0 / n, 1.0 / n), time=0.0)
 
 
 def test_pressure_cache_consistent():
@@ -119,11 +119,11 @@ def test_gaussian_advection_order():
     errs = []
     for n in (48, 96):
         st = gaussian_pressure_matched(n)
-        rho0 = st.rho.copy()
+        rho0 = nodes(st.rho).copy()
         t_final = 0.25
         st, _ = run_to(st, t_final)
         oracle = np.roll(rho0, int(round(t_final * n)), axis=0)
-        errs.append(np.abs(st.rho - oracle).max())
+        errs.append(np.abs(nodes(st.rho) - oracle).max())
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
 
@@ -147,9 +147,10 @@ def test_expansion_window_convergence():
         taper = smoothstep_down((np.hypot(x, y) - 1.8) / 1.8)
         f = flow.fields(0.0, pts, ("velocity", "rho", "entropy"))
         vel = f["velocity"]
-        st = GridState(rho=f["rho"], vx=vel[..., 0] * taper,
-                       vy=vel[..., 1] * taper, entropy=f["entropy"],
-                       gamma=1.4, origin=(-4.0, -4.0), spacing=(h, h), time=0.0)
+        st = GridState.from_nodes(rho=f["rho"], vx=vel[..., 0] * taper,
+                                  vy=vel[..., 1] * taper, entropy=f["entropy"],
+                                  gamma=1.4, origin=(-4.0, -4.0), spacing=(h, h),
+                                  time=0.0)
         steps = int(round(t_final / (0.12 * h)))
         dt = t_final / steps
         work = solver._Workspace(st.shape)
@@ -157,8 +158,8 @@ def test_expansion_window_convergence():
             st = step(st, dt, work)
         window = (np.abs(x) <= 0.4) & (np.abs(y) <= 0.4)
         f = flow.fields(t_final, pts, ("velocity", "rho"))
-        err = max(np.abs(st.rho - f["rho"])[window].max(),
-                  np.abs(st.vx - f["velocity"][..., 0])[window].max())
+        err = max(np.abs(nodes(st.rho) - f["rho"])[window].max(),
+                  np.abs(nodes(st.vx) - f["velocity"][..., 0])[window].max())
         errs.append(err)
     assert np.log2(errs[0] / errs[1]) >= 1.9
     assert np.log2(errs[1] / errs[2]) >= 1.9
@@ -191,14 +192,15 @@ def test_isentropic_vortex_order(u_inf, node_err, query_err):
     # scaled by 0.9 the node error stalls near 3e-2.
     t_final, t_query = 2.0, 1.913
     pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(200, 2))
-    nodes, queries = [], []
+    at_nodes, queries = [], []
     for n in (32, 64, 128):
         h = 20.0 / n
         c = -10.0 + h * np.arange(n)
         grid = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
         rho, vx, vy = isentropic_vortex(grid, 0.0, u_inf)
-        st = GridState(rho=rho, vx=vx, vy=vy, entropy=np.zeros((n, n)), gamma=1.4,
-                       origin=(-10.0, -10.0), spacing=(h, h), time=0.0)
+        st = GridState.from_nodes(rho=rho, vx=vx, vy=vy, entropy=np.zeros((n, n)),
+                                  gamma=1.4, origin=(-10.0, -10.0), spacing=(h, h),
+                                  time=0.0)
         flow = GridFlow(st, step_dt=t_final / np.ceil(
             t_final / (0.5 * st.cfl_limit(solver._Workspace(st.shape)))),
             guard_threshold=np.inf)
@@ -206,13 +208,13 @@ def test_isentropic_vortex_order(u_inf, node_err, query_err):
         flow.advance_to(t_final)
         (last,) = [s for s in flow.states if abs(s.time - t_final) <= 1e-12]
         want = isentropic_vortex(grid, t_final, u_inf)
-        nodes.append(max(np.abs(getattr(last, f) - w).max()
-                         for f, w in zip(("rho", "vx", "vy"), want)))
+        at_nodes.append(max(np.abs(nodes(getattr(last, f)) - w).max()
+                            for f, w in zip(("rho", "vx", "vy"), want)))
         got = flow.fields(t_query, pts, ("rho", "velocity"))
         want = isentropic_vortex(pts, t_query, u_inf)
         queries.append(max(np.abs(g - w).max() for g, w in zip(
             (got["rho"], got["velocity"][:, 0], got["velocity"][:, 1]), want)))
-    for errs, bound in ((nodes, node_err), (queries, query_err)):
+    for errs, bound in ((at_nodes, node_err), (queries, query_err)):
         assert min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])) >= 3.0
         assert errs[2] <= bound
 
@@ -231,9 +233,9 @@ def test_smoothness_guard_gaussian_peak():
     c = np.arange(n) * h
     x, y = np.meshgrid(c, c, indexing="ij")
     rho = 2.0 + amp * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / (2.0 * width ** 2))
-    st = GridState(rho=rho, vx=np.zeros((n, n)), vy=np.zeros((n, n)),
-                   entropy=np.zeros((n, n)), gamma=1.4, origin=(0.0, 0.0),
-                   spacing=(h, h), time=0.0)
+    st = GridState.from_nodes(rho=rho, vx=np.zeros((n, n)), vy=np.zeros((n, n)),
+                              entropy=np.zeros((n, n)), gamma=1.4, origin=(0.0, 0.0),
+                              spacing=(h, h), time=0.0)
     analytic = amp * np.exp(-0.5) / width
     report = smoothness_guard(st, np.inf, solver._Workspace(st.shape))
     # pressure gradient is steeper than the density one; compare density only
@@ -257,7 +259,7 @@ def test_interpolation_identity_at_nodes():
     fields = state_fields(st)
     vals = interpolate_fields(st, pts, fields, solver._Workspace(st.shape),
                               np.empty((len(fields), len(pts))))["rho"].reshape(st.shape)
-    assert np.array_equal(vals, st.rho)
+    assert np.array_equal(vals, nodes(st.rho))
 
 
 def test_interpolation_reproduces_cubics():
@@ -267,8 +269,8 @@ def test_interpolation_reproduces_cubics():
     c = np.arange(n) * h
     x, y = np.meshgrid(c, c, indexing="ij")
     f = 1.0 + 0.3 * (x - 0.4) ** 3 + 0.1 * (y - 0.6) ** 2
-    st = GridState(rho=2.0 + 0 * f, vx=f, vy=0 * f, entropy=0 * f, gamma=1.4,
-                   origin=(0.0, 0.0), spacing=(h, h), time=0.0)
+    st = GridState.from_nodes(rho=2.0 + 0 * f, vx=f, vy=0 * f, entropy=0 * f, gamma=1.4,
+                              origin=(0.0, 0.0), spacing=(h, h), time=0.0)
     pts = np.array([[0.412, 0.333], [0.5, 0.51], [0.1234, 0.789]])
     fields = state_fields(st)
     got = interpolate_fields(st, pts, fields, solver._Workspace(st.shape),
@@ -301,9 +303,9 @@ def test_grid_flow_breakdown_is_lost_smoothness():
     # flow answers up to the next-to-last snapshot, whose stencil it holds.
     n = 32
     x = np.arange(n)[:, None] / n + np.zeros((1, n))
-    st = GridState(rho=np.ones((n, n)), vx=2.0 * np.sin(2.0 * np.pi * x),
-                   vy=np.zeros((n, n)), entropy=np.zeros((n, n)), gamma=1.4,
-                   origin=(0.0, 0.0), spacing=(1.0 / n, 1.0 / n), time=0.0)
+    st = GridState.from_nodes(rho=np.ones((n, n)), vx=2.0 * np.sin(2.0 * np.pi * x),
+                              vy=np.zeros((n, n)), entropy=np.zeros((n, n)), gamma=1.4,
+                              origin=(0.0, 0.0), spacing=(1.0 / n, 1.0 / n), time=0.0)
     flow = GridFlow(st, step_dt=1e-3, guard_threshold=np.inf)
     with pytest.raises(SmoothnessLost) as exc:
         flow.advance_to(1.0)
@@ -347,10 +349,11 @@ def test_overflowing_speed_admits_no_step():
 
 
 # -- bitwise references --------------------------------------------------------
-# Plain NumPy versions of the stepper and the interpolation: np.roll
-# stencils, fresh arrays for every stage, one fancy-index gather per field.
-# The buffered code performs the same operations in the same order, so it
-# must agree bit for bit.
+# Plain NumPy versions of the stepper and the interpolation on the nodes
+# alone (`nodes`): np.roll stencils, fresh arrays for every stage, one
+# fancy-index gather per field with the modulo.  The buffered code performs
+# the same operations in the same order on the padded arrays, so it must
+# agree bit for bit at the nodes.
 
 def _reference_d4(f, h, axis):
     return (8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
@@ -373,10 +376,10 @@ def _reference_rhs(rho, vx, vy, entropy, gamma, dx, dy):
 
 
 def _reference_step(state, dt):
-    """Fields (rho, vx, vy, S, P) after one RK4 step."""
+    """Nodal fields (rho, vx, vy, S, P) after one RK4 step."""
     dx, dy = state.spacing
     gamma = state.gamma
-    u0 = (state.rho, state.vx, state.vy, state.entropy)
+    u0 = tuple(nodes(f) for f in (state.rho, state.vx, state.vy, state.entropy))
     k1 = _reference_rhs(*u0, gamma, dx, dy)
     u1 = tuple(f + 0.5 * dt * k for f, k in zip(u0, k1))
     k2 = _reference_rhs(*u1, gamma, dx, dy)
@@ -390,8 +393,9 @@ def _reference_step(state, dt):
 
 
 def _reference_cfl_limit(state):
-    c = np.sqrt(state.gamma * state.pressure / state.rho)
-    speed = np.sqrt(state.vx * state.vx + state.vy * state.vy)
+    rho, vx, vy, p = (nodes(f) for f in (state.rho, state.vx, state.vy, state.pressure))
+    c = np.sqrt(state.gamma * p / rho)
+    speed = np.sqrt(vx * vx + vy * vy)
     return 0.4 * min(state.spacing) / float((speed + c).max())
 
 
@@ -399,7 +403,7 @@ def _reference_interpolate(state, pts, names, fields=None):
     """The einsum interpolation `interpolate_fields` must match bit for bit;
     `fields` maps names to nodal arrays (default: the state's own)."""
     if fields is None:
-        fields = {name: getattr(state, name) for name in names}
+        fields = {name: nodes(getattr(state, name)) for name in names}
     nx, ny = state.shape
     dx, dy = state.spacing
     fx = (pts[:, 0] - state.origin[0]) / dx
@@ -419,8 +423,8 @@ def _reference_interpolate(state, pts, names, fields=None):
 
 
 def with_entropy(state, entropy):
-    """The state with another entropy field."""
-    return dataclasses.replace(state, entropy=entropy)
+    """The state with another nodal entropy field."""
+    return dataclasses.replace(state, entropy=np.pad(entropy, 2, mode="wrap"))
 
 
 def random_smooth_state(shape, gamma, seed, spacing=None):
@@ -438,9 +442,9 @@ def random_smooth_state(shape, gamma, seed, spacing=None):
 
     if spacing is None:
         spacing = (1.0 / nx, 1.0 / ny)
-    return GridState(rho=1.0 + np.abs(field(0.1)), vx=field(0.3), vy=field(0.3),
-                     entropy=field(0.2), gamma=gamma, origin=(-0.3, 0.7),
-                     spacing=spacing, time=0.0)
+    return GridState.from_nodes(rho=1.0 + np.abs(field(0.1)), vx=field(0.3),
+                                vy=field(0.3), entropy=field(0.2), gamma=gamma,
+                                origin=(-0.3, 0.7), spacing=spacing, time=0.0)
 
 
 BITWISE_CASES = [((16, 16), None), ((32, 32), None), ((32, 48), (0.03, 0.0175))]
@@ -452,8 +456,8 @@ def test_step_matches_reference_bitwise(shape, spacing, gamma):
     st = random_smooth_state(shape, gamma, seed=sum(shape), spacing=spacing)
     dx, dy = st.spacing
     for f in (st.rho, st.vx, st.pressure):
-        assert np.array_equal(d4(f, dx, 0), _reference_d4(f, dx, 0))
-        assert np.array_equal(d4(f, dy, 1), _reference_d4(f, dy, 1))
+        assert np.array_equal(d4(f, dx, 0), _reference_d4(nodes(f), dx, 0))
+        assert np.array_equal(d4(f, dy, 1), _reference_d4(nodes(f), dy, 1))
     assert st.cfl_limit(solver._Workspace(st.shape)) == _reference_cfl_limit(st)
     dt = 0.5 * st.cfl_limit(solver._Workspace(st.shape))
     # Three steps through one workspace, then one through a fresh one:
@@ -464,18 +468,19 @@ def test_step_matches_reference_bitwise(shape, spacing, gamma):
         want = _reference_step(ref, dt)
         st = step(st, dt, work=work)
         for name, w in zip(("rho", "vx", "vy", "entropy", "pressure"), want):
-            assert np.array_equal(getattr(st, name), w), name
-        ref = GridState(rho=want[0], vx=want[1], vy=want[2], entropy=want[3],
-                        gamma=gamma, origin=st.origin, spacing=st.spacing, time=st.time)
+            assert np.array_equal(nodes(getattr(st, name)), w), name
+        ref = GridState.from_nodes(rho=want[0], vx=want[1], vy=want[2], entropy=want[3],
+                                   gamma=gamma, origin=st.origin, spacing=st.spacing,
+                                   time=st.time)
         assert st.cfl_limit(work=work) == _reference_cfl_limit(ref)
     fresh = step(st, dt, solver._Workspace(st.shape))
     want = _reference_step(st, dt)
-    assert all(np.array_equal(getattr(fresh, n), w)
+    assert all(np.array_equal(nodes(getattr(fresh, n)), w)
                for n, w in zip(("rho", "vx", "vy", "entropy", "pressure"), want))
     guard = smoothness_guard(st, np.inf, work=work)
     assert guard.max_grad == max(
         float(np.sqrt(gx * gx + gy * gy).max())
-        for gx, gy in ((_reference_d4(f, dx, 0), _reference_d4(f, dy, 1))
+        for gx, gy in ((_reference_d4(nodes(f), dx, 0), _reference_d4(nodes(f), dy, 1))
                        for f in (st.rho, st.vx, st.vy, st.pressure)))
 
 
@@ -566,15 +571,15 @@ def test_guard_matches_the_largest_max_hypot(monkeypatch, name, pairs):
     # field whose squares overflow makes it inf, and one that is not finite
     # is never ok, whatever the threshold.
     shape = pairs[0][0].shape
-    st = GridState(rho=np.ones(shape), vx=np.zeros(shape), vy=np.zeros(shape),
-                   entropy=np.zeros(shape), gamma=1.4, origin=(0.0, 0.0),
-                   spacing=(0.1, 0.1), time=0.0)
+    st = GridState.from_nodes(rho=np.ones(shape), vx=np.zeros(shape), vy=np.zeros(shape),
+                              entropy=np.zeros(shape), gamma=1.4, origin=(0.0, 0.0),
+                              spacing=(0.1, 0.1), time=0.0)
     work = solver._Workspace(shape)
     fields = [st.rho, st.vx, st.vy, work.pressure]
 
-    def injected(f, h, axis, out, edges, tmp):
+    def injected(f, h, axis, out, tmp):
         (i,) = [i for i, g in enumerate(fields) if g is f]
-        out[...] = pairs[i][axis]
+        nodes(out)[...] = pairs[i][axis]
         return out
 
     monkeypatch.setattr(solver, "_d4_into", injected)
@@ -611,8 +616,8 @@ def test_homentropic_step_matches_reference_bitwise(s, gamma):
         want = _reference_step(st, dt)
         new = step(st, dt, work=work)
         for name, w in zip(names, want):
-            assert np.array_equal(getattr(new, name), w), name
-        assert np.array_equal(np.signbit(new.entropy), np.signbit(want[3]))
+            assert np.array_equal(nodes(getattr(new, name)), w), name
+        assert np.array_equal(np.signbit(nodes(new.entropy)), np.signbit(want[3]))
         assert (new.entropy is st.entropy) == frozen
         st = new
 
@@ -640,9 +645,10 @@ def test_interpolation_matches_reference_bitwise(shape, spacing):
         got = interpolate_fields(st, pts[:m], fields, work=work, out=np.empty((4, m)))
         assert all(np.array_equal(got[n], want[n][:m]) for n in names)
     # Fields of signed zeros: the sum starts from +0.0, as einsum's does.
-    zeros = {"pos": np.zeros(st.shape), "neg": np.full(st.shape, -0.0)}
+    zeros = {"pos": np.zeros(st.rho.shape), "neg": np.full(st.rho.shape, -0.0)}
     for m in (500, 2, 1):
-        want = _reference_interpolate(st, pts[:m], tuple(zeros), zeros)
+        want = _reference_interpolate(st, pts[:m], tuple(zeros),
+                                      {n: nodes(f) for n, f in zeros.items()})
         got = interpolate_fields(st, pts[:m], zeros, work=work, out=np.empty((2, m)))
         for n in zeros:
             assert np.array_equal(np.signbit(got[n]), np.signbit(want[n])), n
@@ -655,7 +661,7 @@ def test_interpolation_matches_reference_bitwise(shape, spacing):
         assert got[n] is out[i] or np.shares_memory(got[n], out[i])
         assert np.array_equal(out[i], want[n])
     # An integer-valued field is gathered as floats.
-    ints = np.arange(nx * ny).reshape(nx, ny) % 7
+    ints = np.pad(np.arange(nx * ny).reshape(nx, ny) % 7, 2, mode="wrap")
     got = interpolate_fields(st, pts, {"k": ints}, work=work, out=np.empty((1, 500)))["k"]
     assert np.array_equal(got, interpolate_fields(
         st, pts, {"k": ints.astype(float)}, solver._Workspace(st.shape),
@@ -664,9 +670,10 @@ def test_interpolation_matches_reference_bitwise(shape, spacing):
 
 @pytest.mark.parametrize("shape", [(16, 16), (20, 17)])
 def test_patch_indices_match_the_modulo_formula(shape):
-    # The in-box shortcut base + offset, and the modulo redo of the points
-    # whose stencil crosses an edge: node cells in every edge and corner
-    # band, and in the interior, inside the box and whole periods outside.
+    # Entry (a, b) of a point's patch is padded element
+    # (ix % nx + 1 + a, iy % ny + 1 + b): node cells in every edge and
+    # corner band, and in the interior, inside the box and whole periods
+    # outside.
     st = random_smooth_state(shape, 1.4, seed=3, spacing=(0.05, 0.03))
     nx, ny = shape
     bx, by = ([0, 1, 2, m // 2, m - 4, m - 3, m - 2, m - 1] for m in shape)
@@ -681,14 +688,47 @@ def test_patch_indices_match_the_modulo_formula(shape):
     flat = work.patch_buffers(len(pts))[0]
     ix = np.floor((pts[:, 0] - st.origin[0]) / st.spacing[0]).astype(int)
     iy = np.floor((pts[:, 1] - st.origin[1]) / st.spacing[1]).astype(int)
-    offs = np.arange(-1, 3)
-    gx = (ix[:, None] + offs) % nx
-    gy = (iy[:, None] + offs) % ny
-    want = (gx[:, :, None] * ny + gy[:, None, :]).transpose(1, 2, 0)
+    offs = np.arange(4)
+    gx = (ix % nx + 1)[:, None] + offs
+    gy = (iy % ny + 1)[:, None] + offs
+    want = (gx[:, :, None] * (ny + 4) + gy[:, None, :]).transpose(1, 2, 0)
     assert np.array_equal(flat, want)
     names = ("rho", "vx", "vy", "entropy")
     ref = _reference_interpolate(st, pts, names)
     assert all(np.array_equal(got[n], ref[n]) for n in names)
+
+
+def assert_halo(f):
+    """The ghost lines of a padded array hold the periodic copies of its
+    nodes, bit for bit."""
+    assert f.tobytes() == np.pad(nodes(f), 2, mode="wrap").tobytes()
+
+
+@pytest.mark.parametrize("homentropic", [False, True])
+def test_halo_holds_the_periodic_copies(homentropic):
+    # Every field of every held snapshot after advance_to, of the snapshots
+    # a query re-steps in a dropped gap, and of a held time slice.
+    st = random_smooth_state((32, 48), 1.4, seed=3, spacing=(0.03, 0.0175))
+    if homentropic:
+        st = with_entropy(st, np.full(st.shape, 0.7))
+    names = ("rho", "vx", "vy", "entropy")
+    flow = GridFlow(st, step_dt=1e-3, guard_threshold=1e6)
+    flow.keep_from(0.0105)
+    flow.advance_to(0.02)
+    held = len(flow.states)
+    for state in flow.states:
+        for n in names:
+            assert_halo(getattr(state, n))
+    flow.keep_from(0.0)
+    read_all(flow, 0.0055, np.array([[0.1, 0.9]]))
+    assert len(flow.states) == held + 9     # the initial state and 1 .. 8, re-stepped
+    for state in flow.states:
+        for n in names:
+            assert_halo(getattr(state, n))
+    sliced = flow._time_slice(0.0055, names)
+    assert sliced["rho"] is flow._work.slope[0]
+    for f in sliced.values():
+        assert_halo(f)
 
 
 def test_grid_flow_snapshots_own_their_memory():
@@ -704,7 +744,6 @@ def test_grid_flow_snapshots_own_their_memory():
         work = flow._work
         buffers = [buf for group in (work.stage, work.slope, work.grad)
                    for buf in group] + [work.pressure, work.scratch]
-        buffers += [buf for edges in work.edges for buf in edges]
         names = ("rho", "vx", "vy", "entropy")
         assert [f.name for f in dataclasses.fields(b)
                 if isinstance(getattr(b, f.name), np.ndarray)] == list(names)
@@ -814,11 +853,12 @@ def test_time_slice_combines_only_the_fields_read():
 
 
 def _reference_slice(flow, t, names):
-    """sum(w_i f_i) over the time stencil of t, in fresh arrays."""
+    """sum(w_i f_i) over the time stencil of t at the nodes, in fresh arrays."""
     k = flow._stencil_start(t)
     stencil = flow.states[k:k + 4]            # a flow that kept everything
     w = lagrange_weights(np.asarray((t - stencil[1].time) / flow.step_dt))
-    return {n: sum(wi * getattr(s, n) for wi, s in zip(w, stencil)) for n in names}
+    return {n: sum(wi * nodes(getattr(s, n)) for wi, s in zip(w, stencil))
+            for n in names}
 
 
 def test_off_snapshot_velocity_matches_reference():
@@ -853,7 +893,7 @@ def test_time_slice_sign_of_zero_matches_the_sum():
         s.vx[...] = -0.0 if wi > 0.0 else 0.0
         s.vy[...] = -0.0
     want = _reference_slice(flow, t, ("vx", "vy"))
-    got = flow._time_slice(t, ("vx", "vy"))
+    got = {n: nodes(f) for n, f in flow._time_slice(t, ("vx", "vy")).items()}
     for n in ("vx", "vy"):
         assert np.array_equal(np.signbit(got[n]), np.signbit(want[n])), n
         assert np.array_equal(got[n], want[n]), n
@@ -938,7 +978,7 @@ def test_step_with_workspace_allocates_only_the_new_state():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert new.rho.shape == (64, 64)
+    assert new.shape == (64, 64)
     assert peak < 8 * st.rho.nbytes
 
 

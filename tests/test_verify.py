@@ -12,7 +12,7 @@ from volflow.config import build_scenario, load_config
 from volflow.criteria import CriteriaInputs, classify_and_delta, constants, threshold_q
 from volflow.flowfield import ConstantFlow, ExpansionFlow
 from volflow.functionals import FunctionalSample, NonSmoothSample
-from volflow.matvol import advect, boundary_distance
+from volflow.matvol import _successors, advect, boundary_distance
 from volflow.solver import GridFlow, GridState
 from volflow.verify import (blowup_oracle, bounds_chain, check_inequality17,
                             check_lemma_suite, random_oracle_cases,
@@ -334,6 +334,47 @@ def test_constant_inflow_hits(shipped_runs):
     assert not report.bounds_failures
 
 
+def exact_hit(vol, flow, x0, epsilon, dt):
+    """The first time the boundary of `vol` comes within epsilon of x0 under
+    a `ConstantFlow`: there the boundary at time t is the initial marker
+    polygon translated by V0 t, so its distance to x0 is exact.  The first
+    multiple of dt at which that distance is at most epsilon brackets the
+    time, and 200 bisections close the bracket."""
+    a = vol.markers
+    ab = a.take(_successors(a, vol.loop_ends), axis=0) - a
+    x0 = np.asarray(x0, dtype=float)
+
+    def dist(t):
+        rel = x0 - (a + flow.vel0 * t)
+        s = np.clip(np.einsum("ij,ij->i", rel, ab) / np.einsum("ij,ij->i", ab, ab),
+                    0.0, 1.0)
+        return float(np.hypot(*(rel - s[:, None] * ab).T).min())
+
+    k = 1
+    while dist(k * dt) > epsilon:
+        k += 1
+    lo, hi = (k - 1) * dt, k * dt
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if dist(mid) <= epsilon else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("name", ["arc_live", "constant_inflow"])
+def test_closed_form_hit_matches_the_exact_time(shipped_runs, name):
+    # The marker polygon is the material boundary here (arc_live is a
+    # polygon, and constant_inflow's disk has a marker on the axis through
+    # x0), so the run's hit is the exact one to within its bisection
+    # tolerance dt / 100.  Measured: arc_live 0.00972216796875 against
+    # 0.0097220541, constant_inflow 1.5000030517578125 against 1.5.
+    scenario = build_scenario(load_config(CONFIG_DIR / f"{name}.cfg"))
+    cfg = scenario.cfg
+    exact = exact_hit(scenario.vol, scenario.flow, cfg.x0, cfg.epsilon, cfg.dt)
+    report = (shipped_runs[name] if name in shipped_runs
+              else run_theorem_scenario(scenario))
+    assert abs(report.hit_time - exact) <= cfg.dt / 100
+
+
 def test_constant_receding_no_claim(shipped_runs):
     report = shipped_runs["constant_receding"]
     assert report.verdict == "consistent_no_claim"
@@ -395,10 +436,10 @@ def _refine_hit_all_points(vol_prev, flow, t_lo, t_hi, epsilon, dt):
 def _wavy_grid_flow(n=32):
     """A smooth periodic stream on the unit box, mostly along +x."""
     x, y = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
-    st = GridState(rho=np.ones((n, n)), vx=0.5 + 0.1 * np.sin(2 * np.pi * y),
-                   vy=0.1 * np.cos(2 * np.pi * x), entropy=np.zeros((n, n)),
-                   gamma=1.4, origin=(0.0, 0.0), spacing=(1.0 / n, 1.0 / n),
-                   time=0.0)
+    st = GridState.from_nodes(rho=np.ones((n, n)), vx=0.5 + 0.1 * np.sin(2 * np.pi * y),
+                              vy=0.1 * np.cos(2 * np.pi * x), entropy=np.zeros((n, n)),
+                              gamma=1.4, origin=(0.0, 0.0), spacing=(1.0 / n, 1.0 / n),
+                              time=0.0)
     return GridFlow(st, step_dt=5e-3, guard_threshold=np.inf)
 
 
