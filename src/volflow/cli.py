@@ -18,8 +18,9 @@ configuration, precondition or output errors -- among them a config file
 that cannot be read, a command-line argument argparse rejects (such as a
 negative `--seed`), an output directory that cannot be created or an output
 file that cannot be written (one `output error:` line on stderr), a config
-key the loader does not read, a negative `volume.refine`, a
-`flow.grid.dt` above the grid solver's CFL limit at some step,
+key the loader does not read, a `volume.refine` below 0 or past the
+polygon node cap, a `flow.grid.dt` above the grid solver's CFL limit at
+some step,
 `verify.times` whose lemma differences (step h) reach outside the flow's
 time window, past the time at which a grid solver loses smoothness, or to
 a flow that is not smooth where they read it (`run` instead ends its

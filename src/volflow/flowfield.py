@@ -14,10 +14,10 @@ Every flow answers `velocity(t, pts)`, the advection right-hand side, and
 at a point set.  Both are pure and vectorized over leading point axes, and
 analytic flows are safe to share across threads.  A `ConstantFlow` holds one
 read-only velocity array per query shape and returns it on every query of
-that shape; every other array returned is fresh.  A flow whose velocity at
-each time is the same at every point says so with `uniform_velocity`, which
-only `ConstantFlow` sets: RK4 advection then computes one point's increment
-and adds it to every point.
+that shape; every other array returned is fresh.  A flow whose velocity is
+the same at every point and for all time says so with `constant_velocity`,
+which only `ConstantFlow` sets: RK4 advection then computes one point's
+increment once per step size and adds it to every point at every step.
 """
 
 from __future__ import annotations
@@ -41,17 +41,18 @@ class FlowField:
     sample points lives in `functionals`, which takes the pressure from the
     density and entropy of one `fields` read.  `pts` always has shape
     (..., 2): every flow is planar, and `dimension` is the one statement of
-    the program's dimension.  A subclass whose velocity at each time is the
-    same at every point sets `uniform_velocity`: a query at one point then
-    gives the velocity of every point.
+    the program's dimension.  A subclass whose velocity is the same at every
+    point and for all time sets `constant_velocity`: a query at one point
+    and one time then gives the velocity of every point at every time.  A
+    velocity uniform in space that changes with time must not set it.
     """
 
     dimension = 2
     # The last time the flow is known smooth; a closed-form flow is smooth
     # for all time, and a flow that is stepped overrides it.
     t_last = math.inf
-    # The velocity at each time is the same at every point.
-    uniform_velocity = False
+    # The velocity is the same at every point and for all time.
+    constant_velocity = False
 
     def __init__(self, gamma, entropy_floor):
         if not gamma > 1.0:
@@ -98,10 +99,11 @@ class FlowField:
 class ConstantFlow(FlowField):
     """Uniform state everywhere and for all time; trivially exact.
 
-    It is the one flow with `uniform_velocity` set, so an RK4 step queries
-    it at one point per stage (`matvol._rk4_points`)."""
+    It is the one flow with `constant_velocity` set, so an RK4 call queries
+    it at one point per stage, once per step size, and every step of one
+    size adds the same increment bits (`matvol._rk4_points`)."""
 
-    uniform_velocity = True
+    constant_velocity = True
 
     def __init__(self, gamma, rho0, vel0, p0):
         rho0 = float(rho0)

@@ -457,41 +457,49 @@ def _rk4_points(flow, pts, t_from, t_to, dt):
     k4 at `sa` again once k2 is spent, and `x` is updated only after k4 is
     summed.
 
-    On a flow with `uniform_velocity` every point has the same slopes, so
-    the stages run on the first point alone (`y = x[:1]`; otherwise `y` is
-    all of `x`), `acc`, `sa` and `sb` have one row, and the one-row
-    increment is added to every point: the same IEEE additions as at every
-    point, so the same bits.  Each step repeats the increment into a fresh
-    contiguous array of all the points before the add, since a broadcast add
-    of one row loops over rows of d values and costs as much as the stages
-    it saves.
+    On a flow with `constant_velocity` every point has the same slopes at
+    every time, so the increment depends on the step size h alone: it is
+    computed once per distinct h (a call has at most two, the full step and
+    a shorter last one), with the stages run on the first point alone
+    (`y = x[:1]`; otherwise `y` is all of `x`, and `acc`, `sa` and `sb` have
+    one row), and repeated into one contiguous array of all the points.
+    Each step then adds that array: the same IEEE additions of the same
+    increment bits as a step that runs the stages at every point, so the
+    same bits.  The repeat is made once, since a broadcast add of one row
+    loops over rows of d values.
     """
     t = t_from
     x = np.array(pts, dtype=float)
-    y = x[:1] if flow.uniform_velocity else x
+    constant = flow.constant_velocity
+    y = x[:1] if constant else x
     acc, sa, sb = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    inc_h = None                        # the step size `inc` is held for
     direction = 1.0 if t_to >= t_from else -1.0
     h_mag = abs(dt)
     while abs(t_to - t) > 1e-14:
         h = direction * min(h_mag, abs(t_to - t))
         flow.advance_to(t + h)
-        k1 = flow.velocity(t, y)
-        np.multiply(k1, 0.5 * h, out=sa)
-        sa += y
-        k2 = flow.velocity(t + 0.5 * h, sa)
-        np.multiply(k2, 2.0, out=acc)
-        acc += k1
-        np.multiply(k2, 0.5 * h, out=sb)
-        sb += y
-        k3 = flow.velocity(t + 0.5 * h, sb)
-        np.multiply(k3, 2.0, out=sa)
-        acc += sa
-        np.multiply(k3, h, out=sa)
-        sa += y
-        k4 = flow.velocity(t + h, sa)
-        acc += k4
-        acc *= h / 6.0
-        x += acc if y is x else np.repeat(acc, len(x), axis=0)
+        if h != inc_h:
+            k1 = flow.velocity(t, y)
+            np.multiply(k1, 0.5 * h, out=sa)
+            sa += y
+            k2 = flow.velocity(t + 0.5 * h, sa)
+            np.multiply(k2, 2.0, out=acc)
+            acc += k1
+            np.multiply(k2, 0.5 * h, out=sb)
+            sb += y
+            k3 = flow.velocity(t + 0.5 * h, sb)
+            np.multiply(k3, 2.0, out=sa)
+            acc += sa
+            np.multiply(k3, h, out=sa)
+            sa += y
+            k4 = flow.velocity(t + h, sa)
+            acc += k4
+            acc *= h / 6.0
+            inc = acc
+            if constant:
+                inc, inc_h = np.repeat(acc, len(x), axis=0), h
+        x += inc
         t = t + h
     return x
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -262,6 +263,20 @@ def test_negative_refine_names_the_key(tmp_path, capsys, refine, code):
     assert main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")]) == code
     if code == 2:
         assert "key 'volume.refine'" in _single_error(capsys)
+
+
+@pytest.mark.parametrize("refine, code", [
+    ("3", 0), ("40", 2), ("1000", 2), (str(10 ** 9), 2)])
+def test_refine_beyond_the_node_cap_names_the_key(tmp_path, capsys, refine, code):
+    # These levels used to build until memory ran out; the refusal must come
+    # at load, before any power of 4 as large as the level is formed.
+    path = _shipped_with(tmp_path, "arc_live", f"volume.refine = {refine}")
+    start = time.perf_counter()
+    assert main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    assert time.perf_counter() - start < 1.0
+    if code == 2:
+        assert _single_error(capsys).startswith(
+            "config error: key 'volume.refine' must be from 0 to 6 for 50 vertices")
 
 
 # -- subcommands ------------------------------------------------------------------

@@ -538,6 +538,9 @@ RK4_CASES = {
                            0.0, 0.37, 0.05),
     "constant_no_points": (lambda: ConstantFlow(1.4, rho0=1.0, vel0=(-1.3, 0.7), p0=1.0),
                            0.0, 0.37, 0.05),
+    # 38 steps of two sizes: 8 queries where a query per stage would make 152.
+    "constant_many_steps": (lambda: ConstantFlow(1.4, rho0=1.0, vel0=(0.6, -1.1), p0=1.0),
+                            0.0, 0.3705, 0.01),
     "expansion_forward": (expansion, 0.0, 0.37, 0.05),
     "expansion_backward": (expansion, 0.5, 0.1, 0.05),
     "expansion_partial": (expansion, 0.2, 0.2 + 0.013, 0.005),
@@ -567,18 +570,27 @@ def test_rk4_matches_allocating_reference_bitwise(case):
 
     flow.velocity = counting
     got = matvol._rk4_points(flow, pts, t_from, t_to, dt)
-    steps = len(calls) // 4
     flow.velocity = velocity
     want = rk4_points_reference(flow, pts, t_from, t_to, dt)
     assert np.array_equal(pts, before)
     assert got.shape == pts.shape and not np.shares_memory(got, pts)
     assert np.array_equal(got, want)
-    assert len(calls) == 4 * steps and steps == math.ceil(abs(t_to - t_from) / dt - 1e-9)
-    # A uniform flow is queried at one point per stage, every other at all.
-    assert set(calls) == {min(n, 1) if isinstance(flow, ConstantFlow) else n}
+    # The step sizes of the loop rule h = min(|dt|, |t_to - t|).
+    sizes, t = [], t_from
+    while abs(t_to - t) > 1e-14:
+        sizes.append(min(abs(dt), abs(t_to - t)))
+        t += math.copysign(sizes[-1], t_to - t_from)
+    assert len(sizes) == math.ceil(abs(t_to - t_from) / dt - 1e-9)
+    # A constant flow is queried 4 times per step size at one point; every
+    # other flow, even one uniform in space (read_only_broadcast), 4 times
+    # per step at every point.
+    if isinstance(flow, ConstantFlow):
+        assert calls == [min(n, 1)] * (4 * len(set(sizes)))
+    else:
+        assert calls == [n] * (4 * len(sizes))
 
 
-def test_only_a_constant_flow_has_uniform_velocity():
-    assert ConstantFlow.uniform_velocity is True
+def test_only_a_constant_flow_has_constant_velocity():
+    assert ConstantFlow.constant_velocity is True
     for cls in (FlowField, ExpansionFlow, GridFlow, SyntheticFlow):
-        assert cls.uniform_velocity is False
+        assert cls.constant_velocity is False
