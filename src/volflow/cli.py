@@ -27,8 +27,9 @@ a flow that is not smooth where they read it (`run` instead ends its
 horizon there and reports it), or that put the boundary within epsilon of
 x0, or x0 inside the volume, at a lemma time, a `q` and an `epsilon` that
 put a power of epsilon in the threshold algebra out of float range
-(`sweep.q` and `sweep.epsilon` for `sweep`), a `sweep.q` whose time-zero
-sample is not finite, an `x0` so far from `volume.center` (or
+(`sweep.q` and `sweep.epsilon` for `sweep`), a time-zero sample that is
+not finite (naming the keys its failed functionals read; `sweep.q` for the
+exponents of `sweep`), an `x0` so far from `volume.center` (or
 `volume.vertices`) that their distance overflows, `volume.vertices` that do
 not make a simple polygon of nonzero area, and a boundary loop that crosses
 itself or another loop after an advection (`volume.markers` too few to

@@ -33,7 +33,9 @@ x0 around a loop curved about it.
 
 `build_scenario` is the one way to build a scenario from a config: it builds
 the flow and the volume and takes the time-zero data the threshold algebra
-reads, once, for every subcommand.
+reads, once, for every subcommand.  A time-zero sample that is not smooth
+(a functional not finite, or a density not positive) is a config error
+naming the keys that the failed functionals read.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
 from .flowfield import ConstantFlow, ExpansionFlow, FlowField
-from .functionals import FunctionalSample, sample
+from .functionals import FunctionalSample, NonSmoothSample, sample
 from .matvol import MaterialVolume, ShapeError, VolumeShapeSpec, init_volume
 from .solver import GridFlow, GridState
 
@@ -242,7 +244,7 @@ def load_config(path):
 
 
 def _flow_params(raw, kind):
-    """The keyword arguments of the constructor `_FLOWS[kind]`, after gamma."""
+    """The keyword arguments of the constructor `_FLOWS[kind][0]`, after gamma."""
     if kind == "constant":
         return {
             "rho0": _positive(raw, "flow.rho0"),
@@ -360,14 +362,21 @@ def _grid_flow(gamma, n, box, dt, max_grad, **exprs):
     return GridFlow(state, step_dt=dt, guard_threshold=max_grad)
 
 
-# The constructor of each `flow.kind`, called with gamma and the keyword
-# arguments that `_flow_params` reads.
-_FLOWS = {"constant": ConstantFlow, "expansion": ExpansionFlow, "grid": _grid_flow}
+# Each `flow.kind`: its constructor, called with gamma and the keyword
+# arguments that `_flow_params` reads, and the keys that set the density,
+# velocity and pressure (or entropy) a sample reads.
+_FLOWS = {
+    "constant": (ConstantFlow, ("flow.rho0", "flow.V0", "flow.P0")),
+    "expansion": (ExpansionFlow, ("flow.rho0", "flow.S0", "flow.t_c")),
+    "grid": (_grid_flow, ("flow.grid.rho", "flow.grid.vx", "flow.grid.vy",
+                          "flow.grid.S")),
+}
 
 
 def build_flow(cfg):
     """Instantiate the configured flow (grid flows are not yet advanced)."""
-    return _FLOWS[cfg.flow_kind](cfg.gamma, **cfg.flow_params)
+    constructor, _ = _FLOWS[cfg.flow_kind]
+    return constructor(cfg.gamma, **cfg.flow_params)
 
 
 def build_volume(cfg, flow):
@@ -408,12 +417,30 @@ class Scenario:
     inp: CriteriaInputs
 
 
+def _sample0(cfg, flow, vol):
+    """The time-zero sample, refused (`ConfigError`) when it is not smooth,
+    naming the keys that its failed functionals read: every functional reads
+    the flow's fields (and gamma, through the pressure) over the volume; all
+    but m and E read x0, and G, F and the I's read q."""
+    try:
+        return sample(flow, vol, cfg.q)
+    except NonSmoothSample as exc:
+        keys = [*_FLOWS[cfg.flow_kind][1], "gamma", "volume.*"]
+        failed = set(exc.functionals)
+        if failed - {"m", "E"}:
+            keys.append("x0")
+        if failed - {"m", "E", "reg", "reg_abs"}:
+            keys.append("q")
+        names = ", ".join(map(repr, keys[:-1])) + f" or {keys[-1]!r}"
+        raise ConfigError(f"key {names}: {exc}") from exc
+
+
 def build_scenario(cfg):
     """Build the flow (grid flows are not yet advanced), the volume and the
     time-zero data of a config."""
     flow = build_flow(cfg)
     vol, d_init = build_volume(cfg, flow)
-    sample0 = sample(flow, vol, cfg.q)
+    sample0 = _sample0(cfg, flow, vol)
     inp = CriteriaInputs(
         q=cfg.q, gamma=cfg.gamma, n=flow.dimension, s0=flow.entropy_floor, m=sample0.m,
         E=sample0.E, M=cfg.M, epsilon=cfg.epsilon, T=cfg.T, G0=sample0.G,

@@ -50,6 +50,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .matvol import _dot, _norm, _offset
+
 __all__ = [
     "CriteriaInputs",
     "CriteriaReport",
@@ -241,12 +243,12 @@ def condition10(vol, flow, q):
     The attainment condition asks for this value to undershoot delta; the
     comparison with delta is left to the caller.
     """
-    z = vol.nodes - vol.x0
-    r = np.linalg.norm(z, axis=1)
+    z = _offset(vol.nodes, vol.x0)
+    r = _norm(z)
     if np.any(r <= 0.0):
         raise ValueError("x0 touches a quadrature node")
     vel = np.asarray(flow.velocity(vol.time, vol.nodes), dtype=float)
-    vz = np.einsum("ij,ij->i", vel, z)
+    vz = _dot(vel, z)
     return float(np.sum(r ** (q - 2.0) * vz * vol.mass_w))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matvol import _boundary_elements
+from .matvol import _boundary_elements, _dot, _norm, _offset
 
 __all__ = [
     "TargetReached",
@@ -44,7 +44,12 @@ class NonSmoothSample(ValueError):
     """The flow is not smooth where a sample reads it: the density is not
     positive at a quadrature node or a boundary midpoint, or a functional is
     not finite.  A ValueError, so a bad sample of the initial data is a
-    precondition error."""
+    precondition error.  `functionals` names the functionals that are not
+    finite, in sample order; it is empty when the density is at fault."""
+
+    def __init__(self, message, functionals):
+        super().__init__(message)
+        self.functionals = functionals
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,8 @@ def sigma_norm2(vel, x):
 
 
 def _radii(pts, x0):
-    z = pts - x0
-    r = np.linalg.norm(z, axis=-1)
+    z = _offset(pts, x0)
+    r = _norm(z)
     if np.any(r < RADIUS_FLOOR):
         raise TargetReached(f"a node came within {RADIUS_FLOOR} of x0")
     return z, r
@@ -98,7 +103,7 @@ def _read(flow, t, pts, names, where):
     (or is NaN) there makes the sample not smooth."""
     read = flow.fields(t, pts, names)
     if not np.all(read["rho"] > 0.0):
-        raise NonSmoothSample(f"flow density not positive at {where} at t={t}")
+        raise NonSmoothSample(f"flow density not positive at {where} at t={t}", ())
     return read
 
 
@@ -142,8 +147,8 @@ def sample(flow, vol, q):
         vol_w = w / rho                     # plain volume measure via rho0/rho
 
         p_val, p_d1, p_d2 = _profile(r, q)
-        vz = np.einsum("ij,ij->i", vel, z)
-        speed2 = np.einsum("ij,ij->i", vel, vel)
+        vz = _dot(vel, z)
+        speed2 = _dot(vel, vel)
 
         m = float(np.sum(w))
         energy = float(np.sum(0.5 * speed2 * w) + np.sum(pres / (gamma - 1.0) * vol_w))
@@ -154,7 +159,7 @@ def sample(flow, vol, q):
         i3 = float(np.sum((p_d2 + (n - 1.0) * p_d1 / r) * pres * vol_w))
 
         pres_b = _pressure(gamma, at_mids)
-        zb_dot_n = np.einsum("ij,ij->i", zb, normals)
+        zb_dot_n = _dot(zb, normals)
         _, pb_d1, _ = _profile(rb, q)
         i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))
         flux = zb_dot_n / rb * pres_b * measures
@@ -165,5 +170,6 @@ def sample(flow, vol, q):
                   reg=reg, reg_abs=reg_abs)
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
-        raise NonSmoothSample(f"functional {', '.join(bad)} not finite at t={t}")
+        raise NonSmoothSample(f"functional {', '.join(bad)} not finite at t={t}",
+                              tuple(bad))
     return FunctionalSample(t=float(t), **values)

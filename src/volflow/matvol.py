@@ -23,6 +23,15 @@ vectorized: it lists the candidate pairs of an x-sorted interval sweep and
 tests them in fixed-size blocks, so its extra memory is bounded by the block
 size, not by the square of the marker count.
 
+Point arithmetic goes one coordinate at a time.  NumPy runs a reduction or
+a broadcast over the trailing length-2 axis of an (N, 2) array row by row,
+several times slower than the same operation on its two columns; so no
+per-sample path (the sweep, the boundary distance and elements, and the
+functionals) reduces or broadcasts over that axis.  `_norm`, `_dot` and
+`_offset` do the column arithmetic of `np.linalg.norm(axis=1)`,
+`np.einsum("ij,ij->i")` and an (N, 2) - (2,) broadcast, with the same IEEE
+operations in the same order, so the same bits.
+
 This module builds and moves volumes: `init_volume` builds one at time zero
 and reports its boundary's distance to x0, and `advect` carries it to
 another time, forward or back.  Whether a volume may start a scenario is
@@ -31,6 +40,7 @@ decided by `config`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -73,14 +83,46 @@ def loop_signed_area(loop):
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
-def _successors(markers, loop_ends=None):
-    """Index of each marker's next vertex in its loop.
+def _norm(a):
+    """sqrt(a0*a0 + a1*a1) per row of an (N, 2) array: the bits of
+    np.linalg.norm(a, axis=1)."""
+    x, y = a[:, 0], a[:, 1]
+    s = x * x
+    s += y * y
+    return np.sqrt(s, out=s)
 
-    The loops lie one after another in `markers`, loop k ending before index
-    loop_ends[k]; by default all the markers make one loop."""
-    ends = np.array((len(markers),) if loop_ends is None else loop_ends)
-    nxt = np.arange(1, len(markers) + 1)
+
+def _dot(a, b):
+    """(a0*b0 + a1*b1) + 0.0 per row of two (N, 2) arrays: the bits of
+    np.einsum("ij,ij->i", a, b).  einsum adds from 0, so a row whose two
+    products are -0.0 sums to +0.0; the + 0.0 does the same."""
+    s = a[:, 0] * b[:, 0]
+    s += a[:, 1] * b[:, 1]
+    s += 0.0
+    return s
+
+
+def _offset(u, v):
+    """u - v, one column at a time, for an (N, 2) array and one point (2,),
+    in either order: the bits of the broadcast subtraction."""
+    out = np.empty(u.shape if u.ndim == 2 else v.shape)
+    np.subtract(u[..., 0], v[..., 0], out=out[:, 0])
+    np.subtract(u[..., 1], v[..., 1], out=out[:, 1])
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _successors(count, loop_ends):
+    """Index of each of `count` markers' next vertex in its loop, as a
+    read-only array, held per layout: a run queries one layout at every
+    sample instant, and a process meets few.
+
+    The loops lie one after another, loop k ending before index
+    loop_ends[k] (a tuple); None makes all the markers one loop."""
+    ends = np.array((count,) if loop_ends is None else loop_ends)
+    nxt = np.arange(1, count + 1)
     nxt[ends - 1] = np.concatenate(([0], ends[:-1]))
+    nxt.setflags(write=False)
     return nxt
 
 
@@ -89,7 +131,7 @@ def point_in_loops(point, markers, loop_ends=None):
     `polygon_is_simple` takes them."""
     px, py = float(point[0]), float(point[1])
     a = markers
-    b = markers.take(_successors(markers, loop_ends), axis=0)
+    b = markers.take(_successors(len(markers), loop_ends), axis=0)
     cond = (a[:, 1] > py) != (b[:, 1] > py)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (py - a[:, 1]) / (b[:, 1] - a[:, 1])
@@ -98,7 +140,8 @@ def point_in_loops(point, markers, loop_ends=None):
 
 
 def _segments_cross(a0, a1, b0, b1):
-    """Vectorized proper/improper intersection test, a-segment vs b-segments."""
+    """Vectorized proper/improper intersection test of row i of the
+    a-segments a0->a1 against row i of the b-segments b0->b1."""
     def orient(p, q, r):
         return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) \
              - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
@@ -117,7 +160,8 @@ def _bbox_overlap(a0, a1, b0, b1):
     amax = np.maximum(a0, a1)
     bmin = np.minimum(b0, b1)
     bmax = np.maximum(b0, b1)
-    return np.all(amin <= bmax, axis=-1) & np.all(bmin <= amax, axis=-1)
+    return ((amin[:, 0] <= bmax[:, 0]) & (amin[:, 1] <= bmax[:, 1])
+            & (bmin[:, 0] <= amax[:, 0]) & (bmin[:, 1] <= amax[:, 1]))
 
 
 # Candidate pairs tested per vectorized call of `polygon_is_simple`; this
@@ -130,7 +174,7 @@ def polygon_is_simple(markers, loop_ends=None):
     one x-interval sweep over the segments of all of them.
 
     The loops lie one after another in `markers`, loop k ending before index
-    loop_ends[k]; by default all the markers make one loop.
+    loop_ends[k] (a tuple); by default all the markers make one loop.
 
     Segments are sorted by their left end; each one's candidates are the
     segments after it in that order whose left end does not pass its right
@@ -143,9 +187,9 @@ def polygon_is_simple(markers, loop_ends=None):
     """
     m = len(markers)
     loop_ends = (m,) if loop_ends is None else loop_ends
-    if np.min(np.diff(loop_ends, prepend=0)) < 3:
+    if any(end - start < 3 for start, end in zip((0, *loop_ends), loop_ends)):
         return False
-    nxt = _successors(markers, loop_ends)
+    nxt = _successors(m, loop_ends)
     a = markers
     b = markers.take(nxt, axis=0)
     xmin = np.minimum(a[:, 0], b[:, 0])
@@ -171,13 +215,18 @@ def polygon_is_simple(markers, loop_ends=None):
 
 
 def _point_segment_distance(p, a, b):
-    """Distances from point p to segments a->b (vectorized over segments)."""
+    """Distances from point p to segments a->b (vectorized over segments).
+
+    The offsets are taken from p, p - a and p - closest: -(a - p) would
+    differ from p - a in the sign of a zero."""
     ab = b - a
-    ap = p - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return np.linalg.norm(p - closest, axis=1)
+    denom = _dot(ab, ab)
+    t = np.clip(_dot(_offset(p, a), ab) / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
+    closest = ab                        # a + t*ab, built in place
+    closest[:, 0] *= t
+    closest[:, 1] *= t
+    np.add(a, closest, out=closest)
+    return _norm(_offset(p, closest))
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +571,18 @@ def advect(vol, flow, t_to, dt):
 def _boundary_elements(vol):
     """Midpoints, outward unit normals and measures of all boundary elements."""
     a = vol.markers
-    b = a.take(_successors(a, vol.loop_ends), axis=0)
+    b = a.take(_successors(len(a), vol.loop_ends), axis=0)
     seg = b - a
-    length = np.linalg.norm(seg, axis=1)
+    length = _norm(seg)
     if np.any(length == 0.0):
         raise ValueError("degenerate boundary segment (zero length)")
-    tangent = seg / length[:, None]
-    # Outward for CCW loops; hole loops are stored CW so the same formula
-    # points out of the material region.
-    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    # The unit tangent turned clockwise, (t1, -t0): outward for CCW loops;
+    # hole loops are stored CW so the same formula points out of the
+    # material region.
+    normal = np.empty_like(seg)
+    np.divide(seg[:, 1], length, out=normal[:, 0])
+    np.divide(seg[:, 0], length, out=normal[:, 1])
+    np.negative(normal[:, 1], out=normal[:, 1])
     return 0.5 * (a + b), normal, length
 
 
@@ -538,6 +590,6 @@ def boundary_distance(vol, markers=None):
     """Distance from the boundary to the target point x0, with the markers
     moved to `markers` when given (the loops of `vol` at another time)."""
     a = vol.markers if markers is None else markers
-    b = a.take(_successors(a, vol.loop_ends), axis=0)
+    b = a.take(_successors(len(a), vol.loop_ends), axis=0)
     return float(_point_segment_distance(vol.x0, a, b).min())
 

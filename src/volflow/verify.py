@@ -32,7 +32,8 @@ from .criteria import CriteriaInputs, threshold_q
 from .functionals import NonSmoothSample, TargetReached, sample
 # advect is bound as _advect_any, the name the benchmark's tracer
 # (perfbench/spans.py) wraps in this module.
-from .matvol import _rk4_points, advect as _advect_any, boundary_distance, point_in_loops
+from .matvol import (_norm, _offset, _rk4_points, advect as _advect_any,
+                     boundary_distance, point_in_loops)
 from .solver import NonSmoothState, SmoothnessLost
 
 __all__ = [
@@ -116,7 +117,7 @@ def _identity_report(name, measured, expected, t):
 
 def _moment_value(vol, q, nodes):
     """The moment G of `vol` with its nodes moved to `nodes`."""
-    r = np.linalg.norm(nodes - vol.x0, axis=1)
+    r = _norm(_offset(nodes, vol.x0))
     return float(np.sum(r ** q * vol.mass_w))
 
 
@@ -161,7 +162,7 @@ def check_lemma_suite(flow, vol, q, epsilon):
     gamma = flow.gamma
     # The sample above has refused a density that is not positive here.
     rho = flow.fields(t, vol.nodes, ("rho",))["rho"]
-    r = np.linalg.norm(vol.nodes - vol.x0, axis=1)
+    r = _norm(_offset(vol.nodes, vol.x0))
     lhs_int = float(np.sum(r ** (q - 2.0) * rho ** gamma * vol.mass_w / rho))
     expo = -((q + flow.dimension) * (gamma - 1.0) + 2.0)
     bound = consts.C1 * s.G ** gamma * epsilon ** expo

@@ -14,9 +14,10 @@ import pytest
 from helpers import CONFIG_DIR, record_snapshots_held
 
 import volflow
-from volflow import matvol, solver, verify
+from volflow import config as config_mod, matvol, solver, verify
 from volflow.cli import CSV_HEADER, main
 from volflow.config import ConfigError, build_scenario, load_config, parse_kv_text
+from volflow.functionals import NonSmoothSample
 from volflow.solver import GridFlow
 
 
@@ -714,19 +715,48 @@ def test_module_entry_point(tmp_path):
 
 
 # A time-zero sample whose pressure overflows printed numpy RuntimeWarnings
-# before its exit-2 line: the sample refuses the functionals by name, so the
-# arithmetic that makes them not finite warns of nothing.
-@pytest.mark.parametrize("base, line", [
-    ("expansion_outflow", "flow.S0 = 800"),
-    ("arc_live", "flow.rho0 = 1e300"),
+# before an exit-2 line that named no key: the sample refuses the
+# functionals by name, so the arithmetic that makes them not finite warns of
+# nothing, and the line names the keys those functionals read.
+@pytest.mark.parametrize("base, line, flow_keys", [
+    pytest.param("expansion_outflow", "flow.S0 = 800",
+                 "'flow.rho0', 'flow.S0', 'flow.t_c'", id="expansion_outflow-flow.S0 = 800"),
+    pytest.param("arc_live", "flow.rho0 = 1e300",
+                 "'flow.rho0', 'flow.V0', 'flow.P0'", id="arc_live-flow.rho0 = 1e300"),
 ])
-def test_overflowing_time_zero_sample_prints_one_line(tmp_path, base, line):
+def test_overflowing_time_zero_sample_prints_one_line(tmp_path, base, line, flow_keys):
     text = (CONFIG_DIR / f"{base}.cfg").read_text()
     path = _write(tmp_path, f"{text}\n{line}\n")
     proc = _volflow_criteria(path, tmp_path / "o")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [
-        "config error: functional E, I3, I4, reg, reg_abs not finite at t=0.0"]
+        f"config error: key {flow_keys}, 'gamma', 'volume.*', 'x0' or 'q': "
+        f"functional E, I3, I4, reg, reg_abs not finite at t=0.0"]
+
+
+# The keys a failed time-zero sample names: the flow kind's field keys,
+# gamma and the volume's keys always; x0 for every functional but m and E;
+# q for G, F and the I's.
+@pytest.mark.parametrize("base, failed, keys", [
+    ("constant_inflow", (), "'flow.rho0', 'flow.V0', 'flow.P0', 'gamma' or 'volume.*'"),
+    ("constant_inflow", ("m", "E"),
+     "'flow.rho0', 'flow.V0', 'flow.P0', 'gamma' or 'volume.*'"),
+    ("constant_inflow", ("E", "reg"),
+     "'flow.rho0', 'flow.V0', 'flow.P0', 'gamma', 'volume.*' or 'x0'"),
+    ("lemmas_expansion", ("G",),
+     "'flow.rho0', 'flow.S0', 'flow.t_c', 'gamma', 'volume.*', 'x0' or 'q'"),
+    ("radial_inflow", ("E", "I2"), "'flow.grid.rho', 'flow.grid.vx', 'flow.grid.vy', "
+                                   "'flow.grid.S', 'gamma', 'volume.*', 'x0' or 'q'"),
+])
+def test_failed_time_zero_sample_names_the_keys_it_read(tmp_path, capsys, monkeypatch,
+                                                        base, failed, keys):
+    def failing(flow, vol, q):
+        raise NonSmoothSample("not smooth", failed)
+
+    monkeypatch.setattr(config_mod, "sample", failing)
+    assert main(["criteria", "--config", str(CONFIG_DIR / f"{base}.cfg"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert _single_error(capsys) == f"config error: key {keys}: not smooth"
 
 
 # An x0 or a shape position near the float limit overflowed the closed-form

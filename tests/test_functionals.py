@@ -301,7 +301,9 @@ def test_sample_rejects_a_functional_that_is_not_finite():
     vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (1.4, 0.0), 0.5,
                       markers=64, order=10)
     with pytest.raises(NonSmoothSample,
-                       match="functional G, F, I1, I2, I3, I4 not finite at t=0.0"):
+                       match="functional G, F, I1, I2, I3, I4 not finite at t=0.0") as exc:
         sample(still_flow(), vol, -3000.0)
-    with pytest.raises(NonSmoothSample, match="functional I4 not finite at t=0.0"):
+    assert exc.value.functionals == ("G", "F", "I1", "I2", "I3", "I4")
+    with pytest.raises(NonSmoothSample, match="functional I4 not finite at t=0.0") as exc:
         sample(still_flow(), vol, -1500.0)
+    assert exc.value.functionals == ("I4",)

@@ -314,6 +314,82 @@ def test_distance_lipschitz_along_advection():
         d_prev, t_prev = d, t
 
 
+# -- per-coordinate point arithmetic ------------------------------------------
+
+# Signed zeros, subnormals, infinities, NaN, values whose squares overflow or
+# underflow, and ordinary numbers.
+_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf,
+                      np.nan, 1e300, -1e300, 1e-160, 1.0, -2.5])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _special_rows():
+    """(a, b): every pair of rows of special values against every other, then
+    random rows; each an (N, 2) array."""
+    x, y = np.meshgrid(_SPECIALS, _SPECIALS, indexing="ij")
+    rows = np.column_stack([x.ravel(), y.ravel()])
+    rng = np.random.default_rng(3)
+    a = np.vstack([np.repeat(rows, len(rows), axis=0), rng.standard_normal((500, 2))])
+    b = np.vstack([np.tile(rows, (len(rows), 1)), rng.standard_normal((500, 2))])
+    return a, b
+
+
+def test_norm_dot_and_offset_match_numpy_bitwise():
+    a, b = _special_rows()
+    with np.errstate(all="ignore"):
+        assert _bits(matvol._norm(a)) == _bits(np.linalg.norm(a, axis=1))
+        assert _bits(matvol._dot(a, b)) == _bits(np.einsum("ij,ij->i", a, b))
+        assert _bits(matvol._dot(a, a)) == _bits(np.einsum("ij,ij->i", a, a))
+        for p in (np.array([-0.0, 0.0]), np.array([0.0, -0.0]),
+                  np.array([np.nan, np.inf]), np.array([1e300, -5e-324]),
+                  np.array([0.3, -1.7])):
+            assert _bits(matvol._offset(a, p)) == _bits(a - p)
+            assert _bits(matvol._offset(p, a)) == _bits(p - a)
+
+
+def test_dot_sums_from_zero_like_einsum():
+    # Two products of -0.0 add to -0.0, and einsum, which adds them to 0,
+    # returns +0.0.
+    v = np.array([[-0.0, 0.0], [-0.0, 0.0]])
+    z = np.array([[1.0, 1.0], [1.0, -1.0]])
+    assert _bits(v[:, 0] * z[:, 0] + v[:, 1] * z[:, 1]) == _bits([0.0, -0.0])
+    assert _bits(matvol._dot(v, z)) == _bits(np.einsum("ij,ij->i", v, z)) \
+        == _bits([0.0, 0.0])
+
+
+def _point_segment_distance_broadcast(p, a, b):
+    """The broadcast form that `_point_segment_distance` replaced."""
+    ab = b - a
+    ap = p - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    return np.linalg.norm(p - closest, axis=1)
+
+
+def test_point_segment_distance_matches_broadcast_form_bitwise():
+    # A unit square with signed zeros in its corners, a zero-length segment
+    # and a circle of markers; p on every segment end, and elsewhere.
+    square = np.array([[0.0, -0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0],
+                       [-0.0, 1.0]])
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    circle = np.column_stack([np.cos(theta), np.sin(theta)])
+    for a in (square, circle):
+        b = np.roll(a, -1, axis=0)
+        for p in [*a, np.array([-0.0, -0.0]), np.array([0.5, 2.0])]:
+            assert _bits(matvol._point_segment_distance(p, a, b)) == \
+                _bits(_point_segment_distance_broadcast(p, a, b))
+
+
+def test_successors_are_one_read_only_array_per_layout():
+    nxt = matvol._successors(5, (3, 5))
+    assert nxt.tolist() == [1, 2, 0, 4, 3] and not nxt.flags.writeable
+    assert matvol._successors(5, (3, 5)) is nxt
+
+
 # -- invariants (property style) --------------------------------------------
 
 @settings(max_examples=15, deadline=None)
@@ -437,6 +513,9 @@ def test_sweep_triangles_and_short_loops():
         _check_against_reference(tri, matvol._PAIR_BLOCK)
         assert polygon_is_simple(np.asarray(tri, dtype=float))
     assert not polygon_is_simple(np.zeros((2, 2)))
+    # A square and a loop of two markers after it.
+    loops = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [3, 3], [4, 4]], dtype=float)
+    assert polygon_is_simple(loops[:4], (4,)) and not polygon_is_simple(loops, (4, 6))
 
 
 def _zigzag(n):

@@ -341,7 +341,7 @@ def exact_hit(vol, flow, x0, epsilon, dt):
     multiple of dt at which that distance is at most epsilon brackets the
     time, and 200 bisections close the bracket."""
     a = vol.markers
-    ab = a.take(_successors(a, vol.loop_ends), axis=0) - a
+    ab = a.take(_successors(len(a), vol.loop_ends), axis=0) - a
     x0 = np.asarray(x0, dtype=float)
 
     def dist(t):
@@ -373,6 +373,28 @@ def test_closed_form_hit_matches_the_exact_time(shipped_runs, name):
     report = (shipped_runs[name] if name in shipped_runs
               else run_theorem_scenario(scenario))
     assert abs(report.hit_time - exact) <= cfg.dt / 100
+
+
+def test_expansion_hit_matches_the_chord_time(tmp_path):
+    # A disk of radius 0.5 at the origin grows as 0.5 (1 + t); x0 sits 4 from
+    # the centre, halfway between two of the 512 markers.  The chord between
+    # them reaches epsilon = 0.5 at 7 / cos(pi/512) - 1 = 6.0001318, the
+    # material circle at 6.0.  Measured: the run hits at 6.00013184, 6e-8
+    # after the chord time.  The chord lag, more than dt / 100, is the error
+    # of a marker polygon curved about x0.
+    angle = math.pi / 512
+    path = tmp_path / "expansion_hit.cfg"
+    path.write_text(
+        "gamma = 1.4\nflow.kind = expansion\nflow.rho0 = 1.0\nflow.t_c = 1.0\n"
+        "volume.shape = disk\nvolume.center = 0.0, 0.0\nvolume.radius = 0.5\n"
+        "volume.markers = 512\nvolume.quad_order = 8\n"
+        f"x0 = {4.0 * math.cos(angle)!r}, {4.0 * math.sin(angle)!r}\n"
+        "epsilon = 0.5\nq = -8.0\nT = 7.0\nM = 10.0\ndt = 1e-3\n")
+    scenario = build_scenario(load_config(path))
+    report = run_theorem_scenario(scenario)
+    dt = scenario.cfg.dt
+    assert abs(report.hit_time - (7.0 / math.cos(angle) - 1.0)) <= dt / 100
+    assert report.hit_time - 6.0 > dt / 100
 
 
 def test_constant_receding_no_claim(shipped_runs):
@@ -515,7 +537,7 @@ def test_non_smooth_sample_ends_the_horizon_at_the_sample_before(monkeypatch):
         times.append(vol.time)
         if len(times) == 3:
             raise NonSmoothSample(f"flow density not positive at a boundary "
-                                  f"midpoint at t={vol.time}")
+                                  f"midpoint at t={vol.time}", ())
         return real(flow, vol, q)
 
     monkeypatch.setattr(verify_mod, "sample", third_fails)
