@@ -2,12 +2,16 @@
 
     python3 scripts/exit_codes.py [--root CHECKOUT]
 
-For each config in `CHECKOUT/scripts/configs` and each key of it whose value
-is numeric (one number, comma-separated numbers, or a `;`-separated list of
-number pairs), sets every number of that value to each of `VALUES` in turn
-and calls `volflow.cli.main(["criteria", ...])` in this process, with
-`CHECKOUT/src` first on the import path.  The names, kinds, shapes, output
-formats and grid field expressions are not numbers here and are not set.
+For each config in `CHECKOUT/scripts/configs` and each key that
+`volflow.config.load_config` reads of it, set or absent (a defaulted key
+that the config leaves out gets rows too), sets every number of the key's
+value to each of `VALUES` in turn, and to `HUGE` as well for the keys that
+the loader parses as integers, and calls `volflow.cli.main(["criteria",
+...])` in this process, with `CHECKOUT/src` first on the import path.  A
+value is one number, comma-separated numbers, or a `;`-separated list of
+number pairs; an absent key's value is one number.  The names, kinds,
+shapes, output formats and grid field expressions are not numbers here and
+are not set.
 
 Prints the number of calls, the calls by exit code, the exit-2 calls whose
 stderr names no config key (no `key '`), grouped by their stderr, and the
@@ -29,8 +33,11 @@ import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 VALUES = ("0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf", "1e20", "abc")
+# A valid integer too large to build: the loader must refuse it by its size.
+HUGE = str(10 ** 9)
 
 SKIPPED = {"name", "flow.kind", "volume.shape", "out.format", "flow.grid.rho",
            "flow.grid.vx", "flow.grid.vy", "flow.grid.S"}
@@ -51,17 +58,48 @@ def _groups(text):
             for group in text.split(";") if group.strip()]
 
 
-def overrides(text):
-    """(key, value) of every numeric key of config `text`, each number of its
-    value set to each of `VALUES`."""
+def read_keys(path):
+    """The keys that `load_config` asks for on the config `path`, set or
+    not, in the order it asks, and those of them it parses as integers.
+
+    Hooks two private names of `volflow.config` for the one call: the
+    parsed-key dict `_ReadKeys` (subclassed to record the loader's `in`
+    tests) and the integer reader `_int` (wrapped to record its keys).  A
+    renamed one fails the patch, and one that stops seeing the keys fails
+    `tests/test_scripts.py::test_exit_codes_keys_come_from_the_loader`."""
+    from volflow import config
+
+    asked, integers = {}, set()
+
+    class Asking(config._ReadKeys):
+        def __contains__(self, key):
+            asked[key] = None
+            return super().__contains__(key)
+
+    def integer(raw, key, default=None):
+        integers.add(key)
+        return parse_int(raw, key, default)
+
+    parse_int = config._int
+    with mock.patch.multiple(config, _ReadKeys=Asking, _int=integer):
+        config.load_config(path)
+    return list(asked), integers
+
+
+def overrides(path):
+    """(key, value) of every numeric key that `load_config` reads of the
+    config `path`, each number of its value set to each of `VALUES` (and
+    `HUGE` for an integer key)."""
     from volflow.config import parse_kv_text
 
-    for key, value in parse_kv_text(text).items():
-        groups = _groups(value)
+    raw = parse_kv_text(path.read_text())
+    keys, integers = read_keys(path)
+    for key in keys:
+        groups = _groups(raw.get(key, "0"))
         parts = [part for group in groups for part in group]
         if key in SKIPPED or not parts or not all(map(_is_number, parts)):
             continue
-        for bad in VALUES:
+        for bad in VALUES + ((HUGE,) if key in integers else ()):
             yield key, "; ".join(", ".join(bad for _ in group) for group in groups)
 
 
@@ -85,7 +123,7 @@ def table(configs, work):
     crashed = []
     for config in configs:
         text = config.read_text()
-        for key, value in overrides(text):
+        for key, value in overrides(config):
             label = f"{config.stem}: {key} = {value}"
             path = work / "edited.cfg"
             path.write_text(f"{text}\n{key} = {value}\n")

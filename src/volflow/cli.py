@@ -18,9 +18,9 @@ configuration, precondition or output errors -- among them a config file
 that cannot be read, a command-line argument argparse rejects (such as a
 negative `--seed`), an output directory that cannot be created or an output
 file that cannot be written (one `output error:` line on stderr), a config
-key the loader does not read, a `volume.refine` below 0 or past the
-polygon node cap, a `flow.grid.dt` above the grid solver's CFL limit at
-some step,
+key the loader does not read, a size key (`volume.markers`,
+`volume.quad_order`, `volume.refine`, `flow.grid.n`) out of its range, a
+`flow.grid.dt` above the grid solver's CFL limit at some step,
 `verify.times` whose lemma differences (step h) reach outside the flow's
 time window, past the time at which a grid solver loses smoothness, or to
 a flow that is not smooth where they read it (`run` instead ends its
@@ -236,16 +236,13 @@ def _cmd_sweep(scenario, out_dir):
             raise ConfigError(
                 f"key 'sweep.epsilon': {ev} must satisfy 0 < epsilon < {d_init}")
 
-    per_q = {}
     rows = []
     for qv in cfg.sweep_q:
-        if qv not in per_q:
-            try:
-                s = sample(flow, vol, qv)
-            except NonSmoothSample as exc:
-                raise ConfigError(f"key 'sweep.q': {qv}: {exc}") from exc
-            per_q[qv] = (s.G, crit_mod.condition10(vol, flow, qv))
-        g0, c10 = per_q[qv]
+        try:
+            g0 = sample(flow, vol, qv).G
+        except NonSmoothSample as exc:
+            raise ConfigError(f"key 'sweep.q': {qv}: {exc}") from exc
+        c10 = crit_mod.condition10(vol, flow, qv)
         for ev in cfg.sweep_epsilon:
             # Mass, energy and d_init do not depend on q or epsilon.
             report = crit_mod.evaluate(

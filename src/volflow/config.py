@@ -19,14 +19,18 @@ only an absent `flow.grid.max_grad` means inf (no gradient guard).
 `_positive` also rejects zero and negative values of the keys that must be
 positive (epsilon, T, dt, flow.rho0, flow.P0, flow.t_c, flow.grid.dt).  `_int`
 rejects anything but an integer literal (2.0, 2.5, inf, nan, true) naming
-the key.  The entropy floor s0 is not a setting: it comes from the flow
+the key.  The size keys are bounded at load, so a huge one is refused before
+anything is allocated: `volume.markers`, `volume.quad_order` and
+`volume.refine` by the shape specs of `matvol`, against one cap on a
+volume's markers and nodes together, and `flow.grid.n` by `_MAX_GRID_N`.
+The entropy floor s0 is not a setting: it comes from the flow
 (`FlowField.entropy_floor`).
 
 All attainment preconditions (admissible q, epsilon below the initial
 boundary distance, nonnegative M) are validated at load time so a bad
 scenario fails before any computation starts.  The theorem's initial
 boundary distance is checked against epsilon twice, both times here: at load
-in the closed form of `VolumeShapeSpec.distance` (which must be finite: an
+in the closed form of the shape spec's `distance` (which must be finite: an
 x0 or a shape position near the float limit overflows it), and at build on
 the markers that `matvol.init_volume` reports, whose chords lie closer to
 x0 around a loop curved about it.
@@ -49,7 +53,8 @@ import numpy as np
 from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
 from .flowfield import ConstantFlow, ExpansionFlow, FlowField
 from .functionals import FunctionalSample, NonSmoothSample, sample
-from .matvol import MaterialVolume, ShapeError, VolumeShapeSpec, init_volume
+from .matvol import (AnnulusSpec, DiskSpec, MaterialVolume, PolygonSpec, ShapeError,
+                     init_volume)
 from .solver import GridFlow, GridState
 
 __all__ = [
@@ -68,6 +73,8 @@ class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
 
 
+# `scripts/exit_codes.py` hooks `_ReadKeys` and `_int` to list the keys that
+# `load_config` asks for and those it parses as integers.
 class _ReadKeys(dict):
     """Parsed keys that remember which of them were read."""
 
@@ -106,7 +113,7 @@ class ScenarioConfig:
     gamma: float
     flow_kind: str
     flow_params: dict
-    volume: VolumeShapeSpec
+    volume: DiskSpec | AnnulusSpec | PolygonSpec
     x0: tuple
     epsilon: float
     q: float
@@ -214,9 +221,8 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"key 'x0': {exc}") from exc
     if not math.isfinite(d0):
-        where = "vertices" if volume.shape == "polygon" else "center"
-        raise ConfigError(f"key 'x0' or 'volume.{where}': dist(boundary, x0) = "
-                          f"{d0} is not finite")
+        raise ConfigError(f"key 'x0' or 'volume.{volume.position_field}': "
+                          f"dist(boundary, x0) = {d0} is not finite")
     if epsilon >= d0:
         raise ConfigError(
             f"key 'epsilon': must be smaller than the initial boundary distance {d0}")
@@ -241,6 +247,12 @@ def load_config(path):
     if unread:
         raise ConfigError(f"key {unread[0]!r} is not a setting of this scenario")
     return cfg
+
+
+# The largest flow.grid.n.  A grid flow holds at least 40 padded (n + 4)^2
+# fields: the 20 of its step workspace and 4 per snapshot of its time stencil
+# and its newest state, 340 MB at n = 1024.
+_MAX_GRID_N = 1024
 
 
 def _flow_params(raw, kind):
@@ -269,53 +281,32 @@ def _flow_params(raw, kind):
         "max_grad": _float(raw, "flow.grid.max_grad")
         if "flow.grid.max_grad" in raw else math.inf,
     }
-    if params["n"] < 16:
-        raise ConfigError("key 'flow.grid.n' must be at least 16")
+    if not 16 <= params["n"] <= _MAX_GRID_N:
+        raise ConfigError(f"key 'flow.grid.n' must be from 16 to {_MAX_GRID_N}")
     if params["box"][1] <= params["box"][0]:
         raise ConfigError("key 'flow.grid.box' must be (min, max) with min < max")
     return params
 
 
-# The most quadrature nodes a polygon volume may have.  Building one costs
-# about 180 B per node (974 MB for arc_live's 5.5M nodes at volume.refine = 7),
-# so the cap holds a build near 270 MB.
-_MAX_POLYGON_NODES = 1_500_000
-
-
 def _volume_spec(raw):
+    """The volume's shape spec: the one reader of `volume.shape` and of the
+    volume keys, and the one statement of their defaults."""
     shape = _text(raw, "volume.shape")
-    if shape == "polygon":
-        text = _text(raw, "volume.vertices")
-        spec = dict(vertices=tuple(_numbers(part, "volume.vertices", 2)
-                                   for part in text.split(";") if part.strip()),
-                    refine=_int(raw, "volume.refine", "3"))
-        # Each level quadruples the 7·(vertices − 2) quadrature nodes; the
-        # level is compared with the deepest one under the cap, so a huge
-        # level costs no huge power.
-        count, top = len(spec["vertices"]), -1
-        while 7 * 4 ** (top + 1) * max(count - 2, 1) <= _MAX_POLYGON_NODES:
-            top += 1
-        if not 0 <= spec["refine"] <= top:
-            raise ConfigError(f"key 'volume.refine' must be from 0 to {top} for "
-                              f"{count} vertices (at most {_MAX_POLYGON_NODES} "
-                              f"quadrature nodes)")
-    elif shape in ("disk", "annulus"):
-        spec = dict(center=_floats(raw, "volume.center", FlowField.dimension,
-                                   default="0, 0"),
-                    quad_order=_int(raw, "volume.quad_order", "40"))
-        if spec["quad_order"] < 1:
-            raise ConfigError("key 'volume.quad_order' must be at least 1")
-        if shape == "disk":
-            spec["radius"] = _float(raw, "volume.radius")
-        else:
-            spec["radii"] = _floats(raw, "volume.radii", 2)
-    else:
-        raise ConfigError(f"key 'volume.shape': unknown shape {shape!r}")
+    markers = _int(raw, "volume.markers", "256")
     try:
-        return VolumeShapeSpec(shape=shape, markers=_int(raw, "volume.markers", "256"),
-                               **spec)
+        if shape == "polygon":
+            vertices = tuple(_numbers(part, "volume.vertices", 2) for part
+                             in _text(raw, "volume.vertices").split(";") if part.strip())
+            return PolygonSpec(markers, vertices, _int(raw, "volume.refine", "3"))
+        if shape in ("disk", "annulus"):
+            center = _floats(raw, "volume.center", FlowField.dimension, default="0, 0")
+            order = _int(raw, "volume.quad_order", "40")
+            if shape == "disk":
+                return DiskSpec(markers, center, _float(raw, "volume.radius"), order)
+            return AnnulusSpec(markers, center, _floats(raw, "volume.radii", 2), order)
     except ShapeError as exc:
         raise ConfigError(f"key 'volume.{exc.field}': {exc}") from exc
+    raise ConfigError(f"key 'volume.shape': unknown shape {shape!r}")
 
 
 _EXPR_NAMES = {

@@ -107,9 +107,14 @@ def _read(flow, t, pts, names, where):
     return read
 
 
+def _profile_d1(r, q):
+    """The profile's first derivative q r^(q-1) at radii r."""
+    return q * r ** (q - 1.0)
+
+
 def _profile(r, q):
     """The profile r^q and its first two derivatives at radii r."""
-    return r ** q, q * r ** (q - 1.0), q * (q - 1.0) * r ** (q - 2.0)
+    return r ** q, _profile_d1(r, q), q * (q - 1.0) * r ** (q - 2.0)
 
 
 def _pressure(gamma, read):
@@ -160,7 +165,7 @@ def sample(flow, vol, q):
 
         pres_b = _pressure(gamma, at_mids)
         zb_dot_n = _dot(zb, normals)
-        _, pb_d1, _ = _profile(rb, q)
+        pb_d1 = _profile_d1(rb, q)
         i4 = -float(np.sum(pb_d1 / rb * zb_dot_n * pres_b * measures))
         flux = zb_dot_n / rb * pres_b * measures
         reg = float(np.sum(flux))

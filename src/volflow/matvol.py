@@ -33,9 +33,14 @@ functionals) reduces or broadcasts over that axis.  `_norm`, `_dot` and
 operations in the same order, so the same bits.
 
 This module builds and moves volumes: `init_volume` builds one at time zero
-and reports its boundary's distance to x0, and `advect` carries it to
-another time, forward or back.  Whether a volume may start a scenario is
-decided by `config`.
+from a shape spec and reports its boundary's distance to x0, and `advect`
+carries it to another time, forward or back.  Each shape has one frozen
+spec (`DiskSpec`, `AnnulusSpec`, `PolygonSpec`) that holds every rule of
+the shape: its field checks, size caps included, its closed-form distance,
+its build, and the fields that a failure names (`size_field` when its
+markers cannot resolve it, `position_field` when its distance to x0
+overflows).  Which spec a config makes, and with which defaults, and
+whether a volume may start a scenario, is decided by `config`.
 """
 
 from __future__ import annotations
@@ -50,7 +55,9 @@ import numpy as np
 __all__ = [
     "SelfIntersection",
     "ShapeError",
-    "VolumeShapeSpec",
+    "DiskSpec",
+    "AnnulusSpec",
+    "PolygonSpec",
     "MaterialVolume",
     "init_volume",
     "advect",
@@ -64,8 +71,8 @@ class SelfIntersection(RuntimeError):
 
 
 class ShapeError(ValueError):
-    """A `VolumeShapeSpec` that makes no volume; `field` names the setting
-    at fault."""
+    """A shape spec that makes no volume; `field` names the setting at
+    fault."""
 
     def __init__(self, field, message):
         super().__init__(message)
@@ -344,62 +351,44 @@ def _polygon_nodes(vertices, refine):
     return np.vstack(nodes), np.concatenate(weights)
 
 
-@dataclass(frozen=True)
-class VolumeShapeSpec:
-    """Initial shape and discretization of a material volume.
+# The most points a volume may have, its boundary markers and its quadrature
+# nodes together.  At the cap's edges (all markers, all nodes, or half each,
+# on a disk, an annulus or arc_live's polygon) `criteria` peaks at 238 to 273
+# MB, and a `run` of ten steps at about 300 MB.
+_MAX_POINTS = 1_500_000
+_POINT_CAP = f"(at most {_MAX_POINTS} markers and quadrature nodes)"
 
-    shape is one of 'disk', 'annulus' or 'polygon'.  quad_order controls the
-    tensor-Gauss rule for radial shapes; refine controls triangulation depth
-    for polygons.  A polygon's vertices must make a simple loop of nonzero
-    area.  A spec that makes no volume raises `ShapeError`.
-    """
 
-    shape: str
-    center: tuple = (0.0, 0.0)
-    radius: float = None
-    radii: tuple = None
-    vertices: tuple = None
-    markers: int = 256
-    quad_order: int = 40
-    refine: int = 3
+def _check_range(field, value, low, high, unit):
+    """Refuse (`ShapeError`) a size field outside low..high, naming the cap."""
+    if not low <= value <= high:
+        raise ShapeError(field, f"must be from {low} to {high} {unit} {_POINT_CAP}")
 
-    def __post_init__(self):
-        if self.shape not in ("disk", "annulus", "polygon"):
-            raise ShapeError("shape", f"unknown shape {self.shape!r}")
-        if self.markers < 64:
-            raise ShapeError("markers", "need at least 64 boundary markers")
-        if self.shape == "disk":
-            if self.radius is None or self.radius <= 0:
-                raise ShapeError("radius", "disk needs a positive radius")
-        elif self.shape == "annulus":
-            if self.radii is None or len(self.radii) != 2:
-                raise ShapeError("radii", "annulus needs radii = (inner, outer)")
-            r1, r2 = self.radii
-            if not 0 < r1 < r2:
-                raise ShapeError("radii", "annulus radii must satisfy 0 < inner < outer")
-        else:
-            if self.vertices is None or len(self.vertices) < 3:
-                raise ShapeError("vertices", "polygon needs at least 3 vertices")
-            verts = np.asarray(self.vertices, dtype=float)
-            if not polygon_is_simple(verts):
-                raise ShapeError("vertices", "polygon boundary is self-intersecting")
-            if loop_signed_area(verts) == 0.0:
-                raise ShapeError("vertices", "polygon has zero area")
+
+class _RoundShape:
+    """The rules that the disk and the annulus share: boundary circles of
+    `markers` markers each about `center`, and the tensor rule of
+    2·quad_order² nodes between the inner and outer `radii` (a disk's inner
+    radius is 0, and it has no hole loop)."""
+
+    position_field = "center"
+
+    def _check(self, loops, radii_ok, message):
+        # The markers of `loops` loops leave room for the 2 nodes of
+        # quad_order 1, and the nodes fill what the markers leave.
+        _check_range("markers", self.markers, 64, (_MAX_POINTS - 2) // loops, "per loop")
+        if len(self.center) != 2:
+            raise ShapeError("center", "center must have dimension 2")
+        _check_range("quad_order", self.quad_order, 1, math.isqrt(
+            (_MAX_POINTS - loops * self.markers) // 2), f"for {loops * self.markers} markers")
+        if not radii_ok:
+            raise ShapeError(self.size_field, message)
 
     def distance(self, x0):
-        """Closed-form dist(boundary, x0) of the shape.
-
-        Raises ValueError when x0 lies inside (or on) the shape.
-        """
-        x0 = np.asarray(x0, dtype=float)
-        if self.shape == "polygon":
-            verts = np.asarray(self.vertices, dtype=float)
-            if point_in_loops(x0, verts):
-                raise ValueError("lies inside the initial volume")
-            return float(_point_segment_distance(
-                x0, verts, np.roll(verts, -1, axis=0)).min())
-        d = float(np.linalg.norm(x0 - np.asarray(self.center, dtype=float)))
-        r1, r2 = (0.0, self.radius) if self.shape == "disk" else self.radii
+        """Closed-form dist(boundary, x0); ValueError when x0 lies inside
+        (or on) the shape."""
+        d = float(np.linalg.norm(np.subtract(x0, self.center, dtype=float)))
+        r1, r2 = self.radii
         if r1 <= d <= r2:
             raise ValueError("lies inside (or on) the initial volume")
         return r1 - d if d < r1 else d - r2
@@ -408,21 +397,93 @@ class VolumeShapeSpec:
         """Boundary loops (a list of marker arrays) and (nodes, weights)
         quadrature of the shape."""
         center = np.asarray(self.center, dtype=float)
-        if self.shape == "disk":
-            boundary = [_circle_markers(center, self.radius, self.markers)]
-            nodes, w = _radial_nodes(center, 0.0, self.radius, self.quad_order)
-        elif self.shape == "annulus":
-            r1, r2 = self.radii
-            boundary = [_circle_markers(center, r2, self.markers),
-                        _circle_markers(center, r1, self.markers, clockwise=True)]
-            nodes, w = _radial_nodes(center, r1, r2, self.quad_order)
-        else:
-            verts = np.asarray(self.vertices, dtype=float)
-            if loop_signed_area(verts) < 0:
-                verts = verts[::-1]
-            boundary = [_polygon_markers(verts, self.markers)]
-            nodes, w = _polygon_nodes(verts, self.refine)
-        return boundary, nodes, w
+        r1, r2 = self.radii
+        loops = [_circle_markers(center, r2, self.markers)]
+        if r1 > 0.0:
+            loops.append(_circle_markers(center, r1, self.markers, clockwise=True))
+        return (loops, *_radial_nodes(center, r1, r2, self.quad_order))
+
+
+@dataclass(frozen=True)
+class DiskSpec(_RoundShape):
+    """A disk of positive `radius` about `center`."""
+
+    markers: int
+    center: tuple
+    radius: float
+    quad_order: int
+    size_field = "radius"
+    radii = property(lambda self: (0.0, self.radius))
+
+    def __post_init__(self):
+        self._check(1, self.radius > 0, "disk needs a positive radius")
+
+
+@dataclass(frozen=True)
+class AnnulusSpec(_RoundShape):
+    """An annulus of `radii` (inner, outer) about `center`, its hole loop
+    stored clockwise."""
+
+    markers: int
+    center: tuple
+    radii: tuple
+    quad_order: int
+    size_field = "radii"
+
+    def __post_init__(self):
+        self._check(2, len(self.radii) == 2 and 0 < self.radii[0] < self.radii[1],
+                    "annulus radii must satisfy 0 < inner < outer")
+
+
+@dataclass(frozen=True)
+class PolygonSpec:
+    """A polygon whose `vertices` make a simple loop of nonzero area, with
+    about `markers` boundary markers spread over its edges by length and the
+    7·4^refine·(vertices − 2) nodes of its triangulation refined `refine`
+    times."""
+
+    markers: int
+    vertices: tuple
+    refine: int
+    position_field = size_field = "vertices"
+
+    def __post_init__(self):
+        count = len(self.vertices)
+        if count < 3:
+            raise ShapeError("vertices", "polygon needs at least 3 vertices")
+        # Rounding per edge builds at most `markers` + `count` markers.  They
+        # leave room for the nodes of level 0, and the level is compared with
+        # the deepest one under the cap, so a huge level costs no huge power.
+        _check_range("markers", self.markers, 64, _MAX_POINTS - count - 7 * (count - 2),
+                     f"for {count} vertices")
+        top = -1
+        while self.markers + count + 7 * 4 ** (top + 1) * (count - 2) <= _MAX_POINTS:
+            top += 1
+        _check_range("refine", self.refine, 0, top,
+                     f"for {count} vertices and {self.markers} markers")
+        verts = np.asarray(self.vertices, dtype=float)
+        if not polygon_is_simple(verts):
+            raise ShapeError("vertices", "polygon boundary is self-intersecting")
+        if loop_signed_area(verts) == 0.0:
+            raise ShapeError("vertices", "polygon has zero area")
+
+    def distance(self, x0):
+        """Closed-form dist(boundary, x0); ValueError when x0 lies inside
+        the shape."""
+        x0 = np.asarray(x0, dtype=float)
+        verts = np.asarray(self.vertices, dtype=float)
+        if point_in_loops(x0, verts):
+            raise ValueError("lies inside the initial volume")
+        return float(_point_segment_distance(x0, verts, np.roll(verts, -1, axis=0)).min())
+
+    def build(self):
+        """The boundary loop (counterclockwise) and (nodes, weights)
+        quadrature of the shape."""
+        verts = np.asarray(self.vertices, dtype=float)
+        if loop_signed_area(verts) < 0:
+            verts = verts[::-1]
+        return ([_polygon_markers(verts, self.markers)],
+                *_polygon_nodes(verts, self.refine))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +518,8 @@ class MaterialVolume:
 
 
 def init_volume(spec, flow, x0):
-    """Build (volume, dist(boundary, x0)) from a shape spec and a flow at
-    time zero.
+    """Build (volume, dist(boundary, x0)) from a shape spec (`DiskSpec`,
+    `AnnulusSpec` or `PolygonSpec`) and a flow at time zero.
 
     Checks the geometry only: the target x0 must lie strictly outside the
     volume (ValueError), and the built markers must make simple loops
@@ -466,19 +527,16 @@ def init_volume(spec, flow, x0):
     the shape is too small for the float spacing at its position.  Whether
     the distance is large enough for a scenario is the caller's decision.
     """
-    dim = flow.dimension
     x0 = np.asarray(x0, dtype=float)
-    for name, point in (("x0", x0), ("center", np.asarray(spec.center))):
-        if point.shape != (dim,):
-            raise ValueError(f"{name} must have dimension {dim}")
+    if x0.shape != (flow.dimension,):
+        raise ValueError(f"x0 must have dimension {flow.dimension}")
     loops, nodes, w = spec.build()
     points = np.vstack([*loops, nodes])
     loop_ends = tuple(accumulate(len(loop) for loop in loops))
     if not polygon_is_simple(points[:loop_ends[-1]], loop_ends):
-        raise ShapeError(
-            {"disk": "radius", "annulus": "radii", "polygon": "vertices"}[spec.shape],
-            "the boundary markers do not make simple loops: the shape is too "
-            "small for the float spacing at its position")
+        raise ShapeError(spec.size_field,
+                         "the boundary markers do not make simple loops: the shape "
+                         "is too small for the float spacing at its position")
 
     spec.distance(x0)                   # raises when x0 lies inside
 

@@ -54,14 +54,9 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # solve_ivp is not called here; the benchmark's tracer
-    # (perfbench/spans.py) wraps this module's binding of it.  It is resolved
-    # on each access and never cached, so importing volflow loads no scipy.
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-        return solve_ivp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Not called here: the benchmark's tracer (perfbench/spans.py) wraps this
+# binding.  A plain None keeps scipy out of the import.
+solve_ivp = None
 
 
 # Time step of the centered differences in the lemma suite, the number of

@@ -9,7 +9,8 @@ import numpy as np
 
 from volflow import solver
 from volflow.flowfield import FlowField, uniform_fields
-from volflow.matvol import VolumeShapeSpec, _boundary_elements, _rk4_points, init_volume
+from volflow.matvol import (AnnulusSpec, DiskSpec, _boundary_elements, _rk4_points,
+                            init_volume)
 from volflow.solver import GridFlow
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -64,14 +65,14 @@ def _gated_volume(spec, flow, x0, epsilon):
 
 
 def disk_volume(flow, center, radius, x0, epsilon, markers=256, order=40):
-    spec = VolumeShapeSpec(shape="disk", center=tuple(center), radius=radius,
-                           markers=markers, quad_order=order)
+    spec = DiskSpec(markers=markers, center=tuple(center), radius=radius,
+                    quad_order=order)
     return _gated_volume(spec, flow, x0, epsilon)
 
 
 def annulus_volume(flow, center, radii, x0, epsilon, markers=256, order=40):
-    spec = VolumeShapeSpec(shape="annulus", center=tuple(center), radii=tuple(radii),
-                           markers=markers, quad_order=order)
+    spec = AnnulusSpec(markers=markers, center=tuple(center), radii=tuple(radii),
+                       quad_order=order)
     return _gated_volume(spec, flow, x0, epsilon)
 
 

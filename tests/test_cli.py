@@ -18,6 +18,7 @@ from volflow import config as config_mod, matvol, solver, verify
 from volflow.cli import CSV_HEADER, main
 from volflow.config import ConfigError, build_scenario, load_config, parse_kv_text
 from volflow.functionals import NonSmoothSample
+from volflow.matvol import PolygonSpec
 from volflow.solver import GridFlow
 
 
@@ -277,7 +278,32 @@ def test_refine_beyond_the_node_cap_names_the_key(tmp_path, capsys, refine, code
     assert time.perf_counter() - start < 1.0
     if code == 2:
         assert _single_error(capsys).startswith(
-            "config error: key 'volume.refine' must be from 0 to 6 for 50 vertices")
+            "config error: key 'volume.refine': must be from 0 to 6 for 50 vertices")
+
+
+# The other size keys: a huge value used to parse and then be built until
+# memory ran out (2·quad_order² nodes, markers per loop, (n + 4)^2 cells per
+# grid field).  Each is refused at load, naming its key; the largest sizes
+# the tests and the shipped configs use stay valid.
+@pytest.mark.parametrize("name, key, value, code", [
+    ("constant_inflow", "volume.markers", "8192", 0),
+    ("constant_inflow", "volume.markers", "1500001", 2),
+    ("constant_inflow", "volume.markers", str(10 ** 9), 2),
+    ("constant_inflow", "volume.quad_order", "70", 0),
+    ("constant_inflow", "volume.quad_order", "867", 2),
+    ("constant_inflow", "volume.quad_order", str(10 ** 9), 2),
+    ("arc_live", "volume.markers", str(10 ** 9), 2),
+    ("radial_inflow", "flow.grid.n", "1025", 2),
+    ("radial_inflow", "flow.grid.n", str(10 ** 9), 2),
+])
+def test_size_keys_beyond_their_caps_name_the_key(tmp_path, capsys, name, key, value,
+                                                   code):
+    path = _shipped_with(tmp_path, name, f"{key} = {value}")
+    start = time.perf_counter()
+    assert main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    assert time.perf_counter() - start < 1.0
+    if code == 2:
+        assert _single_error(capsys).startswith(f"config error: key '{key}'")
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -404,6 +430,15 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert out[0] == "q,epsilon,Q0,R0,case,delta,cond10,nec_ok"
     assert len(out) == 1 + 4    # 2 q values x 2 epsilons
     assert (tmp_path / "o" / "mini_sweep.csv").exists()
+
+
+def test_sweep_repeated_q_gives_identical_rows(tmp_path, capsys):
+    # Each q is sampled afresh; a repeated one reproduces its rows bit for bit.
+    path = _write(tmp_path, MINI_CSV.replace("sweep.q = -8.0, -9.0",
+                                             "sweep.q = -8.0, -9.0, -8.0"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 6 and rows[4:] == rows[:2] and rows[2:4] != rows[:2]
 
 
 def test_sweep_report_format_matches_csv(mini_cfg, tmp_path, capsys):
@@ -609,7 +644,7 @@ volume.refine = 3
 def test_polygon_config_runs_criteria(tmp_path, capsys):
     path = _write(tmp_path, POLYGON_CONFIG)
     cfg = load_config(path)
-    assert cfg.volume.shape == "polygon"
+    assert isinstance(cfg.volume, PolygonSpec)
     assert cfg.volume.vertices == ((2.0, -1.0), (4.0, -1.0), (4.0, 1.0), (2.0, 1.0))
     rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -628,7 +663,11 @@ def test_trailing_separators_load(tmp_path):
 
 
 # Each key is read only by the shapes that use it; the other shapes reject it.
+# Only the loader reads `volume.shape`, and it refuses a shape it does not know.
 @pytest.mark.parametrize("base, line, message", [
+    ("constant_inflow", "volume.shape = blob", "key 'volume.shape': unknown shape 'blob'"),
+    ("sweep_annulus", "volume.shape = blob", "key 'volume.shape': unknown shape 'blob'"),
+    ("polygon", "volume.shape = blob", "key 'volume.shape': unknown shape 'blob'"),
     ("constant_inflow", "volume.refine = 7",
      "key 'volume.refine' is not a setting of this scenario"),
     ("polygon", "volume.quad_order = 40",

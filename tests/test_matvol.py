@@ -13,7 +13,8 @@ from helpers import (CONFIG_DIR, SyntheticFlow, advect_unchecked, annulus_volume
 from volflow import matvol
 from volflow.config import ConfigError, build_flow, build_volume, load_config
 from volflow.flowfield import ConstantFlow, ExpansionFlow, FlowField
-from volflow.matvol import (SelfIntersection, ShapeError, VolumeShapeSpec, advect,
+from volflow.matvol import (AnnulusSpec, DiskSpec, PolygonSpec, SelfIntersection,
+                            ShapeError, advect,
                             boundary_distance, init_volume, loop_signed_area,
                             point_in_loops, polygon_is_simple)
 from volflow.solver import GridFlow, GridState
@@ -41,7 +42,7 @@ def test_disk_mass_weight():
 
 def test_square_polygon_mass():
     verts = ((4.5, 4.5), (5.5, 4.5), (5.5, 5.5), (4.5, 5.5))
-    spec = VolumeShapeSpec(shape="polygon", vertices=verts, markers=64, refine=2)
+    spec = PolygonSpec(markers=64, vertices=verts, refine=2)
     vol, d = init_volume(spec, still_flow(), np.zeros(2))
     assert volume_integral_mass(vol, ones) == pytest.approx(1.0, rel=1e-10)
     # The volume comes back with its boundary's distance to x0, the one the
@@ -64,11 +65,11 @@ def test_annulus_epsilon_gate(tmp_path):
 
 
 @pytest.mark.parametrize("spec, field", [
-    (VolumeShapeSpec(shape="disk", center=(1e20, 0.0), radius=1.0), "radius"),
-    (VolumeShapeSpec(shape="disk", center=(3.0, 0.0), radius=1e-300), "radius"),
-    (VolumeShapeSpec(shape="annulus", center=(1e20, 0.0), radii=(1.0, 2.0)), "radii"),
-    (VolumeShapeSpec(shape="polygon", markers=64,
-                     vertices=((1e20, 0.0), (1e20 + 1e5, 0.0), (1e20, 1e5))), "vertices"),
+    (DiskSpec(256, center=(1e20, 0.0), radius=1.0, quad_order=40), "radius"),
+    (DiskSpec(256, center=(3.0, 0.0), radius=1e-300, quad_order=40), "radius"),
+    (AnnulusSpec(256, center=(1e20, 0.0), radii=(1.0, 2.0), quad_order=40), "radii"),
+    (PolygonSpec(64, vertices=((1e20, 0.0), (1e20 + 1e5, 0.0), (1e20, 1e5)), refine=3),
+     "vertices"),
 ], ids=["far_disk", "tiny_disk", "far_annulus", "far_polygon"])
 def test_markers_not_simple_at_time_zero_name_the_size_field(spec, field):
     # The float spacing at the shape's position exceeds its marker spacing.
@@ -85,15 +86,47 @@ def test_x0_inside_rejected():
         annulus_volume(flow, (0.0, 0.0), (1.0, 2.0), (1.5, 0.0), 0.1)
 
 
+TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+
+
 def test_shape_spec_validation():
-    with pytest.raises(ValueError):
-        VolumeShapeSpec(shape="blob")
-    with pytest.raises(ValueError):
-        VolumeShapeSpec(shape="disk", radius=1.0, markers=32)
-    with pytest.raises(ValueError):
-        VolumeShapeSpec(shape="annulus", radii=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        VolumeShapeSpec(shape="polygon", vertices=((0, 0), (1, 0)))
+    # Each spec refuses its own fields, naming the one at fault.  The cap is
+    # 1.5M markers and nodes together: 2·866² nodes beside a disk's 64
+    # markers, 7·4^8 nodes for a triangle.
+    for make, field in [
+        (lambda: DiskSpec(32, (0.0, 0.0), 1.0, 40), "markers"),
+        (lambda: DiskSpec(1_499_999, (0.0, 0.0), 1.0, 1), "markers"),
+        (lambda: AnnulusSpec(750_000, (0.0, 0.0), (1.0, 2.0), 1), "markers"),
+        (lambda: DiskSpec(64, (0.0, 0.0), 1.0, 867), "quad_order"),
+        (lambda: DiskSpec(750_000, (0.0, 0.0), 1.0, 613), "quad_order"),
+        (lambda: AnnulusSpec(375_000, (0.0, 0.0), (1.0, 2.0), 613), "quad_order"),
+        (lambda: PolygonSpec(1_499_991, TRIANGLE, 0), "markers"),
+        (lambda: PolygonSpec(1_041_246, TRIANGLE, 8), "refine"),
+        (lambda: DiskSpec(256, (0.0, 0.0), 0.0, 40), "radius"),
+        (lambda: DiskSpec(256, (0.0, 0.0), 1.0, 0), "quad_order"),
+        (lambda: DiskSpec(256, (0.0, 0.0), 1.0, 867), "quad_order"),
+        (lambda: AnnulusSpec(256, (0.0, 0.0), (2.0, 1.0), 40), "radii"),
+        (lambda: AnnulusSpec(256, (0.0, 0.0), (1.0, 2.0), 10 ** 9), "quad_order"),
+        (lambda: PolygonSpec(64, ((0, 0), (1, 0)), 3), "vertices"),
+        (lambda: PolygonSpec(10 ** 9, TRIANGLE, 3), "markers"),
+        (lambda: PolygonSpec(64, TRIANGLE, -1), "refine"),
+        (lambda: PolygonSpec(64, TRIANGLE, 9), "refine"),
+    ]:
+        with pytest.raises(ShapeError) as err:
+            make()
+        assert err.value.field == field
+
+
+def test_size_caps_admit_their_edges():
+    # Each spec's largest markers and nodes together, one past each of which
+    # `test_shape_spec_validation` refuses.
+    DiskSpec(1_499_998, (0.0, 0.0), 1.0, 1)
+    AnnulusSpec(749_999, (0.0, 0.0), (1.0, 2.0), 1)
+    DiskSpec(64, (0.0, 0.0), 1.0, 866)
+    DiskSpec(750_000, (0.0, 0.0), 1.0, 612)
+    AnnulusSpec(375_000, (0.0, 0.0), (1.0, 2.0), 612)
+    PolygonSpec(1_499_990, TRIANGLE, 0)
+    PolygonSpec(1_041_245, TRIANGLE, 8)
 
 
 def test_points_off_the_plane_rejected():
@@ -105,9 +138,8 @@ def test_points_off_the_plane_rejected():
 
 def test_bowtie_polygon_rejected():
     with pytest.raises(ValueError, match="self-intersect"):
-        VolumeShapeSpec(shape="polygon",
-                        vertices=((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)),
-                        markers=64)
+        PolygonSpec(64, vertices=((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)),
+                    refine=3)
 
 
 # -- advection ---------------------------------------------------------------
@@ -232,7 +264,7 @@ def test_plain_integral_tracks_area():
 
 def test_plain_integral_constant_pressure_square():
     verts = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
-    spec = VolumeShapeSpec(shape="polygon", vertices=verts, markers=64, refine=2)
+    spec = PolygonSpec(markers=64, vertices=verts, refine=2)
     flow = still_flow()
     vol, _ = init_volume(spec, flow, np.array([3.0, 3.0]))
     got = volume_integral_plain(vol, lambda p: np.ones(len(p)), flow)
@@ -567,13 +599,13 @@ def test_sweep_large_circle_is_fast():
 
 
 def test_shape_distance_closed_form():
-    disk = VolumeShapeSpec(shape="disk", center=(3.0, 0.0), radius=1.0)
+    disk = DiskSpec(256, center=(3.0, 0.0), radius=1.0, quad_order=40)
     assert disk.distance((0.0, 0.0)) == 2.0
-    annulus = VolumeShapeSpec(shape="annulus", center=(0.0, 0.0), radii=(1.0, 2.0))
+    annulus = AnnulusSpec(256, center=(0.0, 0.0), radii=(1.0, 2.0), quad_order=40)
     assert annulus.distance((0.0, 0.0)) == 1.0
     assert annulus.distance((3.0, 0.0)) == 1.0
-    square = VolumeShapeSpec(shape="polygon",
-                             vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+    square = PolygonSpec(256, vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+                         refine=3)
     assert square.distance((2.0, 0.5)) == 1.0
     assert square.distance((2.0, 2.0)) == pytest.approx(np.sqrt(2.0))
     for spec, inside in ((disk, (3.0, 1.0)), (annulus, (1.5, 0.0)),

@@ -103,8 +103,27 @@ def test_exit_codes_table_on_one_config(tmp_path):
     exit_codes = _load("exit_codes")
     counts, crashed = exit_codes.table([SCRIPTS / "configs" / "constant_inflow.cfg"],
                                        tmp_path)
-    # 15 numeric keys, each with every bad value.
-    assert (counts["calls"], crashed, counts["warned"]) == (150, [], 0)
-    assert sum(counts["exit"].values()) == 150 and set(counts["exit"]) == {0, 2}
+    # The 18 numeric keys the loader reads (15 set, and verify.times, sweep.q
+    # and sweep.epsilon absent), each with every bad value, and 10**9 for
+    # the 3 integer keys (volume.markers, volume.quad_order, sample.stride).
+    assert (counts["calls"], crashed, counts["warned"]) == (183, [], 0)
+    assert sum(counts["exit"].values()) == 183 and set(counts["exit"]) == {0, 2}
     # Every refused value is named, the time-zero sample's too.
     assert counts["no_key"] == {}
+
+
+def test_exit_codes_keys_come_from_the_loader(tmp_path):
+    # Keys that a config leaves out still get rows: volume.refine (read with
+    # its default) and flow.grid.max_grad (read only when set).
+    exit_codes = _load("exit_codes")
+    keys, integers = exit_codes.read_keys(SCRIPTS / "configs" / "arc_live.cfg")
+    assert "volume.refine" in keys and "volume.refine" in integers
+    assert "volume.quad_order" not in keys          # not a polygon's key
+    text = (SCRIPTS / "configs" / "radial_inflow.cfg").read_text()
+    path = tmp_path / "unguarded.cfg"
+    path.write_text("\n".join(line for line in text.splitlines()
+                              if not line.startswith("flow.grid.max_grad")))
+    rows = list(exit_codes.overrides(path))
+    assert ("flow.grid.max_grad", "abc") in rows
+    assert ("flow.grid.n", exit_codes.HUGE) in rows
+    assert ("flow.grid.box", exit_codes.HUGE) not in rows

@@ -7,7 +7,7 @@ import pytest
 from helpers import (CONFIG_DIR, SyntheticFlow, advect_unchecked, annulus_volume,
                      disk_volume, record_snapshots_held)
 
-from volflow import verify as verify_mod
+from volflow import config as config_mod, verify as verify_mod
 from volflow.config import build_scenario, load_config
 from volflow.criteria import CriteriaInputs, classify_and_delta, constants, threshold_q
 from volflow.flowfield import ConstantFlow, ExpansionFlow
@@ -334,18 +334,19 @@ def test_constant_inflow_hits(shipped_runs):
     assert not report.bounds_failures
 
 
-def exact_hit(vol, flow, x0, epsilon, dt):
+def exact_hit(vol, shift, x0, epsilon, dt):
     """The first time the boundary of `vol` comes within epsilon of x0 under
-    a `ConstantFlow`: there the boundary at time t is the initial marker
-    polygon translated by V0 t, so its distance to x0 is exact.  The first
-    multiple of dt at which that distance is at most epsilon brackets the
-    time, and 200 bisections close the bracket."""
+    a flow uniform in space, whose particles move by `shift(t)` by time t
+    (V0 t under a `ConstantFlow`): the boundary at time t is the initial
+    marker polygon translated by it, so its distance to x0 is exact.  The
+    first multiple of dt at which that distance is at most epsilon brackets
+    the time, and 200 bisections close the bracket."""
     a = vol.markers
     ab = a.take(_successors(len(a), vol.loop_ends), axis=0) - a
     x0 = np.asarray(x0, dtype=float)
 
     def dist(t):
-        rel = x0 - (a + flow.vel0 * t)
+        rel = x0 - (a + shift(t))
         s = np.clip(np.einsum("ij,ij->i", rel, ab) / np.einsum("ij,ij->i", ab, ab),
                     0.0, 1.0)
         return float(np.hypot(*(rel - s[:, None] * ab).T).min())
@@ -369,10 +370,50 @@ def test_closed_form_hit_matches_the_exact_time(shipped_runs, name):
     # 0.0097220541, constant_inflow 1.5000030517578125 against 1.5.
     scenario = build_scenario(load_config(CONFIG_DIR / f"{name}.cfg"))
     cfg = scenario.cfg
-    exact = exact_hit(scenario.vol, scenario.flow, cfg.x0, cfg.epsilon, cfg.dt)
+    exact = exact_hit(scenario.vol, lambda t: scenario.flow.vel0 * t, cfg.x0,
+                      cfg.epsilon, cfg.dt)
     report = (shipped_runs[name] if name in shipped_runs
               else run_theorem_scenario(scenario))
     assert abs(report.hit_time - exact) <= cfg.dt / 100
+
+
+# Item 2's oscillating flow: V = (-5 cos(omega t), 0) carries constant_inflow's
+# disk toward x0 and back; its boundary first dips within epsilon = 0.5 of x0
+# at 0.35463988 and comes back out before t = 1.
+OMEGA = 5.0 / 1.8
+
+
+def oscillating_run(tmp_path, monkeypatch, stride):
+    def velocity(t, p):
+        return np.stack([np.full(p.shape[:-1], -5.0 * math.cos(OMEGA * t)),
+                         np.zeros(p.shape[:-1])], axis=-1)
+
+    flow = SyntheticFlow(velocity)
+    monkeypatch.setattr(config_mod, "build_flow", lambda cfg: flow)
+    path = tmp_path / "oscillating.cfg"
+    path.write_text((CONFIG_DIR / "constant_inflow.cfg").read_text()
+                    + f"\nsample.stride = {stride}\n")
+    scenario = build_scenario(load_config(path))
+    cfg = scenario.cfg
+    def shift(t):
+        return np.array([-5.0 / OMEGA * math.sin(OMEGA * t), 0.0])
+
+    exact = exact_hit(scenario.vol, shift, cfg.x0, cfg.epsilon, cfg.dt)
+    return run_theorem_scenario(scenario), exact, cfg.dt
+
+
+def test_oscillating_hit_matches_the_exact_time(tmp_path, monkeypatch):
+    # Measured: the run hits 3.7e-6 after the exact 0.35463988.
+    report, exact, dt = oscillating_run(tmp_path, monkeypatch, 10)
+    assert exact == pytest.approx(0.35463988, abs=1e-8)
+    assert abs(report.hit_time - exact) <= dt / 100
+
+
+@pytest.mark.xfail(strict=True, reason="item 2: a transient hit between two samples "
+                   "is missed; the run reports the next oscillation's, at 2.6166")
+def test_oscillating_hit_between_samples_is_found(tmp_path, monkeypatch):
+    report, exact, dt = oscillating_run(tmp_path, monkeypatch, 1000)
+    assert abs(report.hit_time - exact) <= dt / 100
 
 
 def test_expansion_hit_matches_the_chord_time(tmp_path):
