@@ -1,4 +1,4 @@
-"""Tabulate the exit codes of `criteria` on bad values of every numeric key.
+"""Tabulate the exit codes of the CLI on bad values of every numeric key.
 
     python3 scripts/exit_codes.py [--root CHECKOUT]
 
@@ -6,12 +6,13 @@ For each config in `CHECKOUT/scripts/configs` and each key that
 `volflow.config.load_config` reads of it, set or absent (a defaulted key
 that the config leaves out gets rows too), sets every number of the key's
 value to each of `VALUES` in turn, and to `HUGE` as well for the keys that
-the loader parses as integers, and calls `volflow.cli.main(["criteria",
-...])` in this process, with `CHECKOUT/src` first on the import path.  A
-value is one number, comma-separated numbers, or a `;`-separated list of
-number pairs; an absent key's value is one number.  The names, kinds,
-shapes, output formats and grid field expressions are not numbers here and
-are not set.
+the loader parses as integers, and calls `volflow.cli.main` in this
+process, with `CHECKOUT/src` first on the import path: `sweep` on the
+`sweep.q` and `sweep.epsilon` rows, which only it reads, and `criteria` on
+the others.  A value is one number, comma-separated numbers, or a
+`;`-separated list of number pairs; an absent key's value is one number.
+The names, kinds, shapes, output formats and grid field expressions are
+not numbers here and are not set.
 
 Prints the number of calls, the calls by exit code, the exit-2 calls whose
 stderr names no config key (no `key '`), grouped by their stderr, and the
@@ -103,15 +104,15 @@ def overrides(path):
             yield key, "; ".join(", ".join(bad for _ in group) for group in groups)
 
 
-def criteria(path, out_dir):
-    """(exit code, stderr, RuntimeWarning raised) of `criteria` on `path`."""
+def call(command, path, out_dir):
+    """(exit code, stderr, RuntimeWarning raised) of `command` on `path`."""
     from volflow.cli import main
 
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        rc = main(["criteria", "--config", str(path), "--out", str(out_dir)])
+        rc = main([command, "--config", str(path), "--out", str(out_dir)])
     return rc, err.getvalue(), any(issubclass(w.category, RuntimeWarning)
                                    for w in caught)
 
@@ -128,8 +129,9 @@ def table(configs, work):
             path = work / "edited.cfg"
             path.write_text(f"{text}\n{key} = {value}\n")
             counts["calls"] += 1
+            command = "sweep" if key.startswith("sweep.") else "criteria"
             try:
-                rc, err, warned = criteria(path, work / "out")
+                rc, err, warned = call(command, path, work / "out")
             except Exception as exc:                    # noqa: BLE001 - a traceback
                 crashed.append(f"{label} ({type(exc).__name__}: {exc})")
                 continue

@@ -14,26 +14,41 @@ configurations and seeds produce byte-identical files and stdout.
 
 Exit codes: 0 when everything passed, 1 when some check failed (a VIOLATION
 verdict, a failed lemma/oracle check, a bounds-chain failure), 2 for
-configuration, precondition or output errors -- among them a config file
-that cannot be read, a command-line argument argparse rejects (such as a
-negative `--seed`), an output directory that cannot be created or an output
-file that cannot be written (one `output error:` line on stderr), a config
-key the loader does not read, a size key (`volume.markers`,
+configuration, precondition or output errors, each as one line on stderr.
+
+The rule of the exit-2 lines: a ValueError is always the config's fault,
+and its message names the key at fault.  `main` prints every ValueError
+that reaches it as a `config error:` line: a `config.ConfigError`, a
+horizon cap of `verify`, and a not-smooth flow (`flowfield.NotSmooth`) or
+a node at the target (`functionals.TargetReached`), which the subcommand
+that read them re-raises naming its key (`verify.times`, `sweep.q`; `run`
+instead ends its horizon there and reports it).  The errors of a run
+that are not ValueErrors name no key, and `main` names it for the three
+that reach it: `solver.CFLViolation` (`flow.grid.dt`),
+`matvol.SelfIntersection` (`volume.markers`) and `OverflowError` (`q` or
+`epsilon`; `sweep.q` or `sweep.epsilon` for `sweep`).  An output
+directory or file that cannot be created or written is one `output
+error:` line.
+
+Among the config errors: a config file that cannot be read, a
+command-line argument argparse rejects (such as a negative `--seed`), a
+config key the loader does not read, a size key (`volume.markers`,
 `volume.quad_order`, `volume.refine`, `flow.grid.n`) out of its range, a
-`flow.grid.dt` above the grid solver's CFL limit at some step,
-`verify.times` whose lemma differences (step h) reach outside the flow's
-time window, past the time at which a grid solver loses smoothness, or to
-a flow that is not smooth where they read it (`run` instead ends its
-horizon there and reports it), or that put the boundary within epsilon of
-x0, or x0 inside the volume, at a lemma time, a `q` and an `epsilon` that
-put a power of epsilon in the threshold algebra out of float range
-(`sweep.q` and `sweep.epsilon` for `sweep`), a time-zero sample that is
-not finite (naming the keys its failed functionals read; `sweep.q` for the
-exponents of `sweep`), an `x0` so far from `volume.center` (or
-`volume.vertices`) that their distance overflows, `volume.vertices` that do
-not make a simple polygon of nonzero area, and a boundary loop that crosses
-itself or another loop after an advection (`volume.markers` too few to
-resolve it).
+`flow.grid.dt` above the grid solver's CFL limit at some step, a `run` or
+`verify` horizon (`T`, `dt`, `sample.stride`, `verify.times`) of more RK
+steps or sample instants than `verify` caps, `verify.times` whose lemma
+differences (step h) reach outside the flow's time window, past the time
+at which a grid solver loses smoothness, or to a flow that is not smooth
+where they read it, or that put the boundary within epsilon of x0, or x0
+inside the volume, at a lemma time, a `q` and an `epsilon` that put a
+power of epsilon in the threshold algebra out of float range, a
+time-zero sample that is not finite (naming the keys its failed
+functionals read; `sweep.q` for the exponents of `sweep`), a `sweep`
+without `sweep.q` or `sweep.epsilon`, an `x0` so far from `volume.center`
+(or `volume.vertices`) that their distance overflows, `volume.vertices`
+that do not make a simple polygon of nonzero area, and a boundary loop
+that crosses itself or another loop after an advection (`volume.markers`
+too few to resolve it).
 """
 
 from __future__ import annotations
@@ -48,11 +63,11 @@ import numpy as np
 from . import criteria as crit_mod
 from . import verify as verify_mod
 from .config import ConfigError, build_scenario, load_config
-from .functionals import NonSmoothSample, TargetReached, sample
+from .functionals import sample
 # boundary_distance is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps this module's binding of it.
 from .matvol import SelfIntersection, advect, boundary_distance  # noqa: F401
-from .solver import CFLViolation, NonSmoothState, SmoothnessLost
+from .solver import CFLViolation, SmoothnessLost
 
 __all__ = ["main", "entry", "CSV_HEADER"]
 
@@ -140,6 +155,7 @@ def _cmd_criteria(scenario, out_dir):
 
 def _cmd_run(scenario, out_dir):
     cfg = scenario.cfg
+    verify_mod.check_run_horizon(cfg)
     report = verify_mod.run_theorem_scenario(scenario)
     pairs = [
         ("report", "run"), ("name", cfg.name), ("verdict", report.verdict),
@@ -175,6 +191,8 @@ def _cmd_verify(scenario, out_dir, seed):
 
     times = sorted(cfg.verify_times)
     h = verify_mod.LEMMA_H
+    verify_mod.check_steps(times[-1], cfg.dt, "verify.times")
+    verify_mod.check_run_horizon(cfg)
     try:
         # The lemma differences reach t - h, which must lie in the flow's
         # time window, and t + h, up to which the flow must stay smooth.
@@ -192,12 +210,10 @@ def _cmd_verify(scenario, out_dir, seed):
         raise ConfigError(
             f"key 'verify.times': the grid solver lost smoothness at "
             f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
-    except CFLViolation:
-        raise                                   # main names flow.grid.dt
-    except (ValueError, NonSmoothState, TargetReached) as exc:
-        # NonSmoothSample is a ValueError; so are x0 inside the volume and a
-        # boundary within epsilon of x0 at a lemma time, which the lemmas
-        # refuse.
+    except ValueError as exc:
+        # Among them a flow that is not smooth where the lemmas read it, a
+        # node at the target, x0 inside the volume and a boundary within
+        # epsilon of x0 at a lemma time, which the lemmas refuse.
         raise ConfigError(f"key 'verify.times': {exc}") from exc
 
     run_report = verify_mod.run_theorem_scenario(scenario)
@@ -225,7 +241,8 @@ def _cmd_verify(scenario, out_dir, seed):
 def _cmd_sweep(scenario, out_dir):
     cfg, flow, vol = scenario.cfg, scenario.flow, scenario.vol
     if not cfg.sweep_q or not cfg.sweep_epsilon:
-        raise ConfigError("sweep needs both 'sweep.q' and 'sweep.epsilon'")
+        key = "sweep.epsilon" if cfg.sweep_q else "sweep.q"
+        raise ConfigError(f"key {key!r}: sweep needs both 'sweep.q' and 'sweep.epsilon'")
     for qv in cfg.sweep_q:
         if not crit_mod.q_admissible(qv, cfg.gamma, flow.dimension):
             bound = crit_mod.q_admissible_bound(cfg.gamma, flow.dimension)
@@ -240,7 +257,7 @@ def _cmd_sweep(scenario, out_dir):
     for qv in cfg.sweep_q:
         try:
             g0 = sample(flow, vol, qv).G
-        except NonSmoothSample as exc:
+        except ValueError as exc:
             raise ConfigError(f"key 'sweep.q': {qv}: {exc}") from exc
         c10 = crit_mod.condition10(vol, flow, qv)
         for ev in cfg.sweep_epsilon:
@@ -312,7 +329,7 @@ def main(argv=None):
                 else "'q' or 'epsilon'")
         print(f"config error: key {keys}: a power of epsilon overflows", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _OutputError as exc:

@@ -51,8 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import CriteriaInputs, condition10, q_admissible, q_admissible_bound
-from .flowfield import ConstantFlow, ExpansionFlow, FlowField
-from .functionals import FunctionalSample, NonSmoothSample, sample
+from .flowfield import ConstantFlow, ExpansionFlow, FlowField, NotSmooth
+from .functionals import FunctionalSample, sample
 from .matvol import (AnnulusSpec, DiskSpec, MaterialVolume, PolygonSpec, ShapeError,
                      init_volume)
 from .solver import GridFlow, GridState
@@ -415,7 +415,7 @@ def _sample0(cfg, flow, vol):
     but m and E read x0, and G, F and the I's read q."""
     try:
         return sample(flow, vol, cfg.q)
-    except NonSmoothSample as exc:
+    except NotSmooth as exc:
         keys = [*_FLOWS[cfg.flow_kind][1], "gamma", "volume.*"]
         failed = set(exc.functionals)
         if failed - {"m", "E"}:

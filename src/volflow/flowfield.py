@@ -27,11 +27,26 @@ import math
 import numpy as np
 
 __all__ = [
+    "NotSmooth",
     "FlowField",
     "ConstantFlow",
     "ExpansionFlow",
     "uniform_fields",
 ]
+
+
+class NotSmooth(ValueError):
+    """The flow is not smooth where it is read: a density that is not
+    positive, or a field that is not finite, in a grid step or time slice or
+    at a sample's quadrature nodes or boundary midpoints, or a sampled
+    functional that is not finite.  A ValueError: a flow that is not smooth
+    where the scenario reads it fails the paper's hypotheses, so the keys
+    that set it up are at fault.  `functionals` names the functionals that
+    are not finite, in sample order; it is empty when a field is at fault."""
+
+    def __init__(self, message, functionals):
+        super().__init__(message)
+        self.functionals = functionals
 
 
 class FlowField:

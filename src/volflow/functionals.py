@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flowfield import NotSmooth
 from .matvol import _boundary_elements, _dot, _norm, _offset
 
 __all__ = [
     "TargetReached",
-    "NonSmoothSample",
     "FunctionalSample",
     "sigma_norm2",
     "sample",
@@ -36,20 +36,10 @@ __all__ = [
 RADIUS_FLOOR = 1e-9
 
 
-class TargetReached(RuntimeError):
-    """The volume has effectively reached x0 (a node hit the radius floor)."""
-
-
-class NonSmoothSample(ValueError):
-    """The flow is not smooth where a sample reads it: the density is not
-    positive at a quadrature node or a boundary midpoint, or a functional is
-    not finite.  A ValueError, so a bad sample of the initial data is a
-    precondition error.  `functionals` names the functionals that are not
-    finite, in sample order; it is empty when the density is at fault."""
-
-    def __init__(self, message, functionals):
-        super().__init__(message)
-        self.functionals = functionals
+class TargetReached(ValueError):
+    """The volume has effectively reached x0 (a node hit the radius floor).
+    A ValueError: where a run does not end at it, the times or exponents
+    that asked for the sample are at fault."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,7 @@ def _read(flow, t, pts, names, where):
     (or is NaN) there makes the sample not smooth."""
     read = flow.fields(t, pts, names)
     if not np.all(read["rho"] > 0.0):
-        raise NonSmoothSample(f"flow density not positive at {where} at t={t}", ())
+        raise NotSmooth(f"flow density not positive at {where} at t={t}", ())
     return read
 
 
@@ -128,7 +118,7 @@ def sample(flow, vol, q):
     for the moment profile phi = r^q.
 
     Raises `TargetReached` within `RADIUS_FLOOR` of x0, and
-    `NonSmoothSample` rather than return a functional that is not finite.
+    `NotSmooth` rather than return a functional that is not finite.
     The flow is read and checked first (each flow's `fields` refuses a time
     outside its window); the arithmetic after it warns of no
     overflow or invalid value, since a functional it makes not finite is
@@ -175,6 +165,6 @@ def sample(flow, vol, q):
                   reg=reg, reg_abs=reg_abs)
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
-        raise NonSmoothSample(f"functional {', '.join(bad)} not finite at t={t}",
-                              tuple(bad))
+        raise NotSmooth(f"functional {', '.join(bad)} not finite at t={t}",
+                        tuple(bad))
     return FunctionalSample(t=float(t), **values)

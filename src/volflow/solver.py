@@ -52,13 +52,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flowfield import FlowField
+from .flowfield import FlowField, NotSmooth
 
 __all__ = [
     "CFLViolation",
     "GridState",
     "GridFlow",
-    "NonSmoothState",
     "SmoothnessLost",
     "SnapshotDropped",
     "step",
@@ -67,18 +66,14 @@ __all__ = [
 ]
 
 
-class CFLViolation(ValueError):
+class CFLViolation(RuntimeError):
     """Raised when a step's dt exceeds the state's CFL limit."""
-
-
-class NonSmoothState(RuntimeError):
-    """Raised when a step produces non-positive density or non-finite values."""
 
 
 class SmoothnessLost(RuntimeError):
     """Raised when advancing a grid flow leaves the smooth regime: the
     gradient guard trips, or a step yields a non-finite field or non-positive
-    density (`NonSmoothState`, reported with max_grad = nan)."""
+    density (`NotSmooth`, reported with max_grad = nan)."""
 
     def __init__(self, time, max_grad):
         super().__init__(f"smoothness lost at t={time} (max_grad={max_grad})")
@@ -137,7 +132,7 @@ class GridState:
         if min(self.shape) < 16:
             raise ValueError(f"need at least 16 cells per axis, got {self.shape}")
         if not np.all(np.isfinite(self.rho)) or np.any(self.rho <= 0.0):
-            raise NonSmoothState("non-positive or non-finite density")
+            raise NotSmooth("non-positive or non-finite density", ())
 
     @classmethod
     def from_nodes(cls, rho, vx, vy, entropy, gamma, origin, spacing, time):
@@ -169,7 +164,7 @@ class GridState:
         stage inputs serve as scratch (the derivatives a guard left in its
         `grad` slots stay).  A top speed that is not finite (an overflowing
         pressure, or a speed whose square overflows) raises
-        `NonSmoothState`: the state admits no step.  It reads the whole
+        `NotSmooth`: the state admits no step.  It reads the whole
         padded arrays: the halo holds copies, so their maximum is the
         nodes'."""
         c, speed, tmp = work.stage[:3]
@@ -184,7 +179,7 @@ class GridState:
         speed += c
         top = float(speed.max())
         if not np.isfinite(top):
-            raise NonSmoothState(f"top wave speed {top} at t={self.time}")
+            raise NotSmooth(f"top wave speed {top} at t={self.time}", ())
         return 0.4 * min(self.spacing) / top
 
 
@@ -405,7 +400,7 @@ def step(state, dt, work):
     dt must respect the CFL bound `state.cfl_limit`, 0.4*min(dx)/max(|V|+c)
     with its fixed CFL number 0.4; the step refuses to run otherwise
     (`CFLViolation`) instead of silently producing garbage.  A stage density
-    that goes negative, or a non-finite new field, raises `NonSmoothState`.
+    that goes negative, or a non-finite new field, raises `NotSmooth`.
 
     `work` is a `_Workspace` for the state's shape; the step allocates only
     the arrays of the state it returns.  It overwrites the workspace's
@@ -451,8 +446,8 @@ def step(state, dt, work):
                 exp_s = factor if n == 3 else np.exp(u[3], out=work.scratch)
                 p = _pressure_into(u[0], exp_s, gamma, work.pressure)
         except FloatingPointError as exc:
-            raise NonSmoothState(
-                f"stage pressure not defined in the step from t={state.time}") from exc
+            raise NotSmooth(f"stage pressure not defined in the step from t={state.time}",
+                            ()) from exc
         _rhs(u, p, dx, dy, out, work)
 
     # k1 goes straight into the new arrays; the state's pressure, which
@@ -484,7 +479,7 @@ def step(state, dt, work):
     # The new GridState checks the density.
     for f in new[1:]:
         if not np.isfinite(f, out=work.mask).all():
-            raise NonSmoothState(f"non-finite field after step at t={state.time + dt}")
+            raise NotSmooth(f"non-finite field after step at t={state.time + dt}", ())
     entropy = new[3] if n == 4 else state.entropy
     return GridState(rho=new[0], vx=new[1], vy=new[2], entropy=entropy,
                      gamma=gamma, origin=state.origin, spacing=state.spacing,
@@ -653,7 +648,7 @@ class GridFlow(FlowField):
     time the consumer will still query; the first snapshot of t's stencil
     is the anchor.  The flow drops the snapshots before both the anchor and
     the stencil of the latest query, except the last two and the one the
-    anchor would be re-stepped from; until `keep_from` it keeps everything.
+    anchor would be re-stepped from.
     A consumer that advances it one RK step ahead of its queries (as
     `matvol._rk4_points` does) and calls `keep_from` at each sample so
     holds about one RK step's stencil, whatever the horizon and stride.
@@ -677,7 +672,7 @@ class GridFlow(FlowField):
     between snapshots reads a whole-grid time slice, held for one t in the
     workspace's stage-slope buffers, so the RK4 stages that share a time and
     the two `fields` queries of a sample share it.  The slice combines the
-    density as it is built (a non-positive one raises `NonSmoothState`) and
+    density as it is built (a non-positive one raises `NotSmooth`) and
     another field when it is first read, and is let go before a step or
     re-step and when its stencil loses a snapshot.  A `fields` query
     interpolates all the fields it names in one `interpolate_fields` call
@@ -696,11 +691,9 @@ class GridFlow(FlowField):
         # The held snapshots by step number (number 0 is the initial state)
         # and the newest number; _keep is the number of the first snapshot
         # the consumer will still query, the anchor, and _query the first
-        # number of the latest query's stencil, None until the first
-        # keep_from.
+        # number of the latest query's stencil.
         self._held = {0: initial}
-        self._newest = self._keep = 0
-        self._query = None
+        self._newest = self._keep = self._query = 0
         self._work = _Workspace(initial.shape)
         # The held time slice: its t, the number of its stencil's first
         # snapshot, the stencil, its weights and the fields combined so far.
@@ -733,7 +726,7 @@ class GridFlow(FlowField):
         """Drop the snapshots before both the anchor and the stencil of the
         latest query, except the last two and the one the anchor would be
         re-stepped from; let the time slice go once its stencil loses one."""
-        lo = self._keep if self._query is None else max(self._keep, self._query)
+        lo = max(self._keep, self._query)
         source = max((n for n in self._held if n <= self._keep), default=None)
         for n in [n for n in self._held
                   if n < min(lo, self._newest - 1) and n != source]:
@@ -756,7 +749,7 @@ class GridFlow(FlowField):
             last = self._held[self._newest]
             try:
                 nxt = step(last, self.step_dt, self._work)
-            except NonSmoothState as exc:
+            except NotSmooth as exc:
                 raise SmoothnessLost(last.time + self.step_dt, np.nan) from exc
             if np.isfinite(self.guard_threshold):
                 report = smoothness_guard(nxt, self.guard_threshold, self._work)
@@ -820,8 +813,8 @@ class GridFlow(FlowField):
             w = _lagrange_weights((t - stencil[1].time) / self.step_dt)
             rho = combined("rho")
             if not np.all(np.isfinite(rho)) or np.any(rho <= 0.0):
-                raise NonSmoothState(
-                    f"non-positive or non-finite density in the time slice at t={t}")
+                raise NotSmooth(
+                    f"non-positive or non-finite density in the time slice at t={t}", ())
             self._slice = (t, k, stencil, w, {"rho": rho})
         _, _, stencil, w, fields = self._slice
         for n in names:
@@ -856,8 +849,7 @@ class GridFlow(FlowField):
         else:
             grid = {g: getattr(state, g) for g, _ in read}
             first = max(k - 1, 0)       # the stencil start of any later time
-        if self._query is not None:
-            self._query = first
+        self._query = first
         got = interpolate_fields(state, flat, grid, self._work, [o for _, o in read])
         got["velocity"] = vel
         return {n: got[n].reshape(pts.shape if n == "velocity" else pts.shape[:-1])

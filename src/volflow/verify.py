@@ -29,12 +29,13 @@ import numpy as np
 
 from . import criteria as crit_mod
 from .criteria import CriteriaInputs, threshold_q
-from .functionals import NonSmoothSample, TargetReached, sample
+from .flowfield import NotSmooth
+from .functionals import TargetReached, sample
 # advect is bound as _advect_any, the name the benchmark's tracer
 # (perfbench/spans.py) wraps in this module.
 from .matvol import (_norm, _offset, _rk4_points, advect as _advect_any,
                      boundary_distance, point_in_loops)
-from .solver import NonSmoothState, SmoothnessLost
+from .solver import SmoothnessLost
 
 __all__ = [
     "CheckReport",
@@ -44,6 +45,10 @@ __all__ = [
     "LEMMA_H",
     "ORACLE_CASES",
     "ORACLE_REL_GAP",
+    "MAX_RK_STEPS",
+    "MAX_SAMPLES",
+    "check_steps",
+    "check_run_horizon",
     "check_lemma_suite",
     "check_inequality17",
     "bounds_chain",
@@ -65,6 +70,16 @@ solve_ivp = None
 LEMMA_H = 1e-4
 ORACLE_CASES = 200
 ORACLE_REL_GAP = 1e-6
+
+# The caps on the horizons that `run` and `verify` step to, which they
+# refuse past the caps before they step.  MAX_RK_STEPS RK4 steps of dt take
+# about an hour at the 0.33 ms per step of the 10^4 markers and nodes of
+# lemmas_expansion (one core of a shared x86 host); a run's MAX_SAMPLES
+# sample instants hold about 190 MB of series rows and bound reports, at
+# 1.9 KB each.  The shipped configs take at most 10^4 steps (sweep_annulus)
+# and 500 instants (arc_live).
+MAX_RK_STEPS = 10**7
+MAX_SAMPLES = 10**5
 
 # Documented per check: relative for the finite-difference identities,
 # fraction-of-scale slack floors for the inequality checks.
@@ -457,6 +472,25 @@ def _refine_hit(vol_prev, flow, t_hi, epsilon, dt):
     return 0.5 * (t_lo + t_hi)
 
 
+def check_steps(horizon, dt, key):
+    """The RK steps of dt up to `horizon`, the value of `key`, refused (a
+    ValueError naming both keys) above MAX_RK_STEPS."""
+    steps = horizon / dt
+    if steps > MAX_RK_STEPS:
+        raise ValueError(f"key {key!r} or 'dt': {horizon} / {dt} = {steps} RK steps, "
+                         f"more than {MAX_RK_STEPS}")
+    return steps
+
+
+def check_run_horizon(cfg):
+    """Refuse (a ValueError naming the keys) a run to T of more than
+    MAX_RK_STEPS RK steps or MAX_SAMPLES sample instants."""
+    instants = check_steps(cfg.T, cfg.dt, "T") / cfg.sample_stride
+    if instants > MAX_SAMPLES:
+        raise ValueError(f"key 'T', 'dt' or 'sample.stride': {instants} sample "
+                         f"instants, more than {MAX_SAMPLES}")
+
+
 def verdict_rule(hit, cond10_holds, reg_max, horizon, e_drift, inp):
     """The verdict of a run against the attainment prediction, and the
     detail it adds: a hit is consistent; without one, the run is a
@@ -499,12 +533,12 @@ def run_theorem_scenario(scenario):
     sample stride; a hit's bisection re-steps the stride it let go once.
     Where the flow loses smoothness the horizon ends at its last smooth
     time, and the advection is retried from the same sample to it; where a
-    sample finds it not smooth (`NonSmoothSample`), or an advection or a
-    sample reads a grid time slice whose density is not positive
-    (`NonSmoothState`), at the sample before.  A hit, or a node at the
-    target floor, ends the run; its horizon is then the last time up to
-    which the run knows the flow to be smooth (`FlowField.t_last`, at most
-    T): T on a closed-form flow, the last stepped time on a grid flow.
+    sample finds it not smooth, or an advection or a sample reads a grid
+    time slice whose density is not positive (`NotSmooth`), at the sample
+    before.  A hit, or a node at the target floor, ends the run; its
+    horizon is then the last time up to which the run knows the flow to be
+    smooth (`FlowField.t_last`, at most T): T on a closed-form flow, the
+    last stepped time on a grid flow.
     """
     cfg, flow, vol = scenario.cfg, scenario.flow, scenario.vol
     sample0, inp = scenario.sample0, scenario.inp
@@ -546,7 +580,7 @@ def run_theorem_scenario(scenario):
             horizon = flow.t_last
             detail = f"smoothness lost at t={exc.time}; "
             continue
-        except (NonSmoothSample, NonSmoothState) as exc:
+        except NotSmooth as exc:
             horizon = prev.time
             detail += f"{exc}; "
             break

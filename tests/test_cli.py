@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import math
 import os
@@ -14,12 +15,13 @@ import pytest
 from helpers import CONFIG_DIR, record_snapshots_held
 
 import volflow
-from volflow import config as config_mod, matvol, solver, verify
+from volflow import cli, config as config_mod, functionals, matvol, solver, verify
 from volflow.cli import CSV_HEADER, main
 from volflow.config import ConfigError, build_scenario, load_config, parse_kv_text
-from volflow.functionals import NonSmoothSample
-from volflow.matvol import PolygonSpec
-from volflow.solver import GridFlow
+from volflow.flowfield import NotSmooth
+from volflow.functionals import TargetReached
+from volflow.matvol import PolygonSpec, SelfIntersection, ShapeError
+from volflow.solver import CFLViolation, GridFlow, SmoothnessLost, SnapshotDropped
 
 
 MINI_CONFIG = """
@@ -231,6 +233,50 @@ def test_overflowing_power_of_a_small_epsilon_names_epsilon_too(tmp_path, capsys
     assert rc == 2
     assert _single_error(capsys) == (
         f"config error: key {keys}: a power of epsilon overflows")
+
+
+# A horizon that ran until it was killed is refused before anything is
+# stepped, naming its keys.
+_ANALYTIC = ["arc_live", "constant_inflow", "constant_receding", "expansion_outflow",
+             "lemmas_expansion", "sweep_annulus"]
+
+
+@pytest.mark.parametrize("command, name, extra, message", [
+    pytest.param("run", "lemmas_expansion", "T = 1e20",
+                 "key 'T' or 'dt': 1e+20 / 0.001 = 1e+23 RK steps, more than 10000000",
+                 id="run-T"),
+    pytest.param("run", "constant_receding", "dt = 1e-300",
+                 "key 'T' or 'dt': 2.0 / 1e-300 = 1.9999999999999998e+300 RK steps, "
+                 "more than 10000000", id="run-dt"),
+    pytest.param("run", "constant_receding", "T = 200.0\nsample.stride = 1",
+                 "key 'T', 'dt' or 'sample.stride': 200000.0 sample instants, "
+                 "more than 100000", id="run-sample.stride"),
+    pytest.param("verify", "lemmas_expansion", "T = 1e20",
+                 "key 'T' or 'dt': 1e+20 / 0.001 = 1e+23 RK steps, more than 10000000",
+                 id="verify-T"),
+] + [pytest.param("verify", name, "verify.times = 1e20",
+                  "key 'verify.times' or 'dt': 1e+20 / {dt} = {steps} RK steps, "
+                  "more than 10000000", id=f"verify-verify.times-{name}")
+     for name in _ANALYTIC])
+def test_horizon_beyond_its_cap_names_the_keys(tmp_path, capsys, monkeypatch, command,
+                                               name, extra, message):
+    def stepped(*args):
+        raise AssertionError("stepped before the horizon was checked")
+
+    monkeypatch.setattr(cli, "advect", stepped)
+    monkeypatch.setattr(verify, "_advect_any", stepped)
+    path = _shipped_with(tmp_path, name, extra + "\n")
+    dt = load_config(path).dt
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == "config error: " + message.format(dt=dt,
+                                                                      steps=1e20 / dt)
+
+
+@pytest.mark.parametrize("command", ["criteria", "sweep"])
+def test_criteria_and_sweep_take_any_finite_horizon(tmp_path, capsys, command):
+    path = _shipped_with(tmp_path, "sweep_annulus", "T = 1e300\ndt = 1e-300\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_sweep_exponent_whose_sample_is_not_finite_names_sweep_q(tmp_path, capsys):
@@ -710,8 +756,8 @@ def test_where_and_hypot_velocity_runs(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-# A negative density escaped as a NonSmoothState traceback, a NaN velocity
-# failed naming no key, and a failing expression named no key.
+# A negative density escaped as a traceback, a NaN velocity failed
+# naming no key, and a failing expression named no key.
 @pytest.mark.parametrize("line, message", [
     ("flow.grid.rho = -1.0", "key 'flow.grid.rho': expression '-1.0' is not positive"),
     ("flow.grid.vx = x / (x - x)",
@@ -790,7 +836,7 @@ def test_overflowing_time_zero_sample_prints_one_line(tmp_path, base, line, flow
 def test_failed_time_zero_sample_names_the_keys_it_read(tmp_path, capsys, monkeypatch,
                                                         base, failed, keys):
     def failing(flow, vol, q):
-        raise NonSmoothSample("not smooth", failed)
+        raise NotSmooth("not smooth", failed)
 
     monkeypatch.setattr(config_mod, "sample", failing)
     assert main(["criteria", "--config", str(CONFIG_DIR / f"{base}.cfg"),
@@ -1084,7 +1130,7 @@ def _spoil_mid_step_slices(monkeypatch):
 
 
 def test_time_slice_not_smooth_ends_run_horizon(tmp_path, capsys, monkeypatch):
-    # A time slice raised NonSmoothState from inside a query, and it escaped
+    # A time slice's not-smooth error, raised from inside a query, escaped
     # `main` as a traceback.
     _spoil_mid_step_slices(monkeypatch)
     rc = main(["run", "--config", str(_grid_config(tmp_path, "")),
@@ -1162,8 +1208,9 @@ def _cli_bytes(argv, out_dir, capsys):
 _RADIAL = (CONFIG_DIR / "radial_inflow.cfg").read_text()
 
 # (command, config text, exit code, lines the report must hold, most extra
-# solver steps).  A grid flow that keeps every snapshot (keep_from a no-op)
-# is the reference; the windowed run may re-step what its window let go.
+# solver steps).  A grid flow that keeps every snapshot (a `_trim` that
+# drops nothing) is the reference; the windowed run may re-step what its
+# window let go.
 WINDOW_CASES = {
     "radial_inflow_run": ("run", _RADIAL, 0, ["verdict: consistent_no_claim"], 0),
     # Smoothness is lost inside the sampling loop, and the sample at the
@@ -1203,7 +1250,7 @@ def test_snapshot_window_changes_no_output(case, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver, "step", counting)
     windowed = _cli_bytes(argv, tmp_path / "windowed", capsys)
     windowed_steps = len(steps)
-    monkeypatch.setattr(GridFlow, "keep_from", lambda self, t: None)
+    monkeypatch.setattr(GridFlow, "_trim", lambda self: None)
     assert _cli_bytes(argv, tmp_path / "kept", capsys) == windowed
     assert 0 <= windowed_steps - (len(steps) - windowed_steps) <= extra_steps
     rc, out, _, _ = windowed
@@ -1237,3 +1284,29 @@ def test_a_re_step_runs_no_guard(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert len(guards) == len(set(steps)) == 62
     assert len(steps) == 120
+
+
+# -- the failure contract ---------------------------------------------------------
+
+def test_a_value_error_is_the_configs_fault():
+    # A ValueError names its key and is the config's fault; main names the
+    # key of each failure of a run that is not one.
+    assert all(issubclass(exc, ValueError)
+               for exc in (NotSmooth, TargetReached, ShapeError, ConfigError))
+    assert not any(issubclass(exc, ValueError) for exc in (
+        CFLViolation, SelfIntersection, SmoothnessLost, SnapshotDropped))
+    # One not-smooth error, defined in flowfield, for fields and samples.
+    assert NotSmooth.__module__ == "volflow.flowfield"
+    assert functionals.NotSmooth is solver.NotSmooth is NotSmooth
+
+
+def test_cli_handlers_catch_one_type_and_never_re_raise():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert handlers and not any(isinstance(h.type, ast.Tuple) for h in handlers)
+    assert not any(isinstance(node, ast.Raise) and node.exc is None
+                   for h in handlers for node in ast.walk(h))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functionals"
+                for alias in node.names]
+    assert imported == ["sample"]

@@ -10,9 +10,8 @@ from helpers import (SyntheticFlow, advect_unchecked, annulus_volume, disk_volum
                      profile_moments, small_grid_flow)
 
 from volflow import solver
-from volflow.flowfield import ConstantFlow, ExpansionFlow
-from volflow.functionals import (NonSmoothSample, TargetReached, _profile, sample,
-                                 sigma_norm2)
+from volflow.flowfield import ConstantFlow, ExpansionFlow, NotSmooth
+from volflow.functionals import TargetReached, _profile, sample, sigma_norm2
 from volflow.matvol import advect
 
 
@@ -249,9 +248,9 @@ def test_sample_rejects_a_bad_density_at_a_boundary_midpoint(value):
     # the outermost Gauss node of order 10 at ~0.987.
     vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (0.0, 0.0), 0.5,
                       markers=64, order=10)
-    with pytest.raises(NonSmoothSample, match="boundary midpoint at t=0.0"):
+    with pytest.raises(NotSmooth, match="boundary midpoint at t=0.0"):
         sample(_DensityFlow(_dip(0.995, value)), vol, -8.0)
-    with pytest.raises(NonSmoothSample, match="quadrature node at t=0.0"):
+    with pytest.raises(NotSmooth, match="quadrature node at t=0.0"):
         sample(_DensityFlow(_dip(0.5, value)), vol, -8.0)
     sample(_DensityFlow(_dip(1.5, value)), vol, -8.0)
 
@@ -300,10 +299,10 @@ def test_sample_rejects_a_functional_that_is_not_finite():
     # midpoint for q = -3000, and only in the boundary term I4 for q = -1500.
     vol = disk_volume(still_flow(), (3.0, 0.0), 1.0, (1.4, 0.0), 0.5,
                       markers=64, order=10)
-    with pytest.raises(NonSmoothSample,
+    with pytest.raises(NotSmooth,
                        match="functional G, F, I1, I2, I3, I4 not finite at t=0.0") as exc:
         sample(still_flow(), vol, -3000.0)
     assert exc.value.functionals == ("G", "F", "I1", "I2", "I3", "I4")
-    with pytest.raises(NonSmoothSample, match="functional I4 not finite at t=0.0") as exc:
+    with pytest.raises(NotSmooth, match="functional I4 not finite at t=0.0") as exc:
         sample(still_flow(), vol, -1500.0)
     assert exc.value.functionals == ("I4",)

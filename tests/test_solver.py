@@ -6,8 +6,8 @@ import pytest
 from helpers import d4, grid_mass, lagrange_weights, nodes, state_fields
 
 from volflow import solver
-from volflow.flowfield import ExpansionFlow
-from volflow.solver import (GridFlow, GridState, NonSmoothState, SmoothnessLost,
+from volflow.flowfield import ExpansionFlow, NotSmooth
+from volflow.solver import (CFLViolation, GridFlow, GridState, SmoothnessLost,
                             SnapshotDropped, interpolate_fields, smoothness_guard,
                             step)
 
@@ -79,7 +79,7 @@ def test_step_is_deterministic():
 def test_cfl_violation_rejected():
     st = uniform_state()
     work = solver._Workspace(st.shape)
-    with pytest.raises(ValueError, match="CFL"):
+    with pytest.raises(CFLViolation, match="CFL"):
         step(st, 10.0 * st.cfl_limit(work), work)
     with pytest.raises(ValueError):
         step(st, -1e-3, work)
@@ -94,7 +94,7 @@ def test_positive_density_enforced():
     n = 32
     rho = np.ones((n, n))
     rho[3, 4] = -0.1
-    with pytest.raises(NonSmoothState):
+    with pytest.raises(NotSmooth):
         GridState.from_nodes(rho=rho, vx=np.zeros((n, n)), vy=np.zeros((n, n)),
                              entropy=np.zeros((n, n)), gamma=1.4, origin=(0.0, 0.0),
                              spacing=(1.0 / n, 1.0 / n), time=0.0)
@@ -309,7 +309,7 @@ def test_grid_flow_breakdown_is_lost_smoothness():
     flow = GridFlow(st, step_dt=1e-3, guard_threshold=np.inf)
     with pytest.raises(SmoothnessLost) as exc:
         flow.advance_to(1.0)
-    assert isinstance(exc.value.__cause__, NonSmoothState)
+    assert isinstance(exc.value.__cause__, NotSmooth)
     assert exc.value.time == pytest.approx(0.145)
     assert np.isnan(exc.value.max_grad)
     assert flow.t_last == pytest.approx(0.143)
@@ -329,12 +329,12 @@ def test_overflowing_pressure_is_lost_smoothness():
     with np.errstate(over="ignore", invalid="ignore"):
         report = smoothness_guard(st, threshold=50.0, work=solver._Workspace(st.shape))
         assert np.isnan(report.max_grad) and not report.ok
-        with pytest.raises(NonSmoothState, match="top wave speed inf"):
+        with pytest.raises(NotSmooth, match="top wave speed inf"):
             st.cfl_limit(solver._Workspace(st.shape))
         flow = GridFlow(st, step_dt=1e-3, guard_threshold=50.0)
         with pytest.raises(SmoothnessLost) as exc:
             flow.advance_to(0.01)
-    assert isinstance(exc.value.__cause__, NonSmoothState)
+    assert isinstance(exc.value.__cause__, NotSmooth)
     assert exc.value.time == pytest.approx(1e-3)
     assert flow.t_last == 0.0
 
@@ -344,7 +344,7 @@ def test_overflowing_speed_admits_no_step():
     # admits no step, as with an overflowing pressure, and no overflow
     # warning escapes.
     st = uniform_state(32, vx=1e155, vy=0.0)
-    with pytest.raises(NonSmoothState, match="top wave speed inf"):
+    with pytest.raises(NotSmooth, match="top wave speed inf"):
         st.cfl_limit(solver._Workspace(st.shape))
 
 
@@ -960,9 +960,9 @@ def test_time_slice_with_bad_density_is_not_smooth():
     flow.states[5].rho[...] = -100.0          # in the stencil of t = 0.0111
     pts = np.array([[0.1, 0.9]])
     for names in (("velocity",), ("rho",), ("velocity", "rho", "entropy")):
-        with pytest.raises(NonSmoothState, match="density"):
+        with pytest.raises(NotSmooth, match="density"):
             flow.fields(0.0111, pts, names)
-    with pytest.raises(NonSmoothState, match="density"):
+    with pytest.raises(NotSmooth, match="density"):
         flow.velocity(0.0111, pts)
     assert flow._slice is None
 
@@ -1170,5 +1170,5 @@ def test_step_rejects_a_density_that_is_not_positive(monkeypatch):
             out[0][3, 4] = -1e9
 
     monkeypatch.setattr(solver, "_rhs", draining)
-    with pytest.raises(NonSmoothState, match="density"):
+    with pytest.raises(NotSmooth, match="density"):
         step(st, dt, solver._Workspace(st.shape))

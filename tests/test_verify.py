@@ -10,8 +10,8 @@ from helpers import (CONFIG_DIR, SyntheticFlow, advect_unchecked, annulus_volume
 from volflow import config as config_mod, verify as verify_mod
 from volflow.config import build_scenario, load_config
 from volflow.criteria import CriteriaInputs, classify_and_delta, constants, threshold_q
-from volflow.flowfield import ConstantFlow, ExpansionFlow
-from volflow.functionals import FunctionalSample, NonSmoothSample
+from volflow.flowfield import ConstantFlow, ExpansionFlow, NotSmooth
+from volflow.functionals import RADIUS_FLOOR, FunctionalSample, TargetReached
 from volflow.matvol import _successors, advect, boundary_distance
 from volflow.solver import GridFlow, GridState
 from volflow.verify import (blowup_oracle, bounds_chain, check_inequality17,
@@ -577,8 +577,8 @@ def test_non_smooth_sample_ends_the_horizon_at_the_sample_before(monkeypatch):
     def third_fails(flow, vol, q):
         times.append(vol.time)
         if len(times) == 3:
-            raise NonSmoothSample(f"flow density not positive at a boundary "
-                                  f"midpoint at t={vol.time}", ())
+            raise NotSmooth(f"flow density not positive at a boundary "
+                            f"midpoint at t={vol.time}", ())
         return real(flow, vol, q)
 
     monkeypatch.setattr(verify_mod, "sample", third_fails)
@@ -590,4 +590,27 @@ def test_non_smooth_sample_ends_the_horizon_at_the_sample_before(monkeypatch):
     assert report.bounds_checked == 3 * len(bounds_chain(scenario.sample0, scenario.inp))
     assert report.verdict == "consistent_no_claim"
     assert report.hit_time is None
+
+
+def test_a_node_at_the_target_ends_the_run_as_a_hit(monkeypatch):
+    # No shipped config brings a node within the radius floor of x0, so the
+    # third sample is made to.
+    scenario = build_scenario(load_config(CONFIG_DIR / "constant_receding.cfg"))
+    times = []
+    real = verify_mod.sample
+
+    def third_at_target(flow, vol, q):
+        times.append(vol.time)
+        if len(times) == 3:
+            raise TargetReached(f"a node came within {RADIUS_FLOOR} of x0")
+        return real(flow, vol, q)
+
+    monkeypatch.setattr(verify_mod, "sample", third_at_target)
+    report = run_theorem_scenario(scenario)
+    assert report.verdict == "consistent_hit"
+    assert report.hit_time == times[2] < scenario.inp.T
+    # A closed-form flow is smooth for all time: the horizon stays T.
+    assert report.horizon == scenario.inp.T
+    assert report.detail == "a quadrature node reached the target radius floor;"
+    assert [row.t for row in report.series] == [0.0] + times[:2]
 
