@@ -9,8 +9,11 @@ value to each of `VALUES` in turn, and to `HUGE` as well for the keys that
 the loader parses as integers, and calls `volflow.cli.main` in this
 process, with `CHECKOUT/src` first on the import path: `sweep` on the
 `sweep.q` and `sweep.epsilon` rows, which only it reads, and `criteria` on
-the others.  A value is one number, comma-separated numbers, or a
-`;`-separated list of number pairs; an absent key's value is one number.
+the others.  A sweep needs both keys, so a row of one of them on a config
+that lacks the other sets the other too, to the config's own `q` or
+`epsilon`, and reaches its bad value.  A value is one number,
+comma-separated numbers, or a `;`-separated list of number pairs; an
+absent key's value is one number.
 The names, kinds, shapes, output formats and grid field expressions are
 not numbers here and are not set.
 
@@ -39,6 +42,10 @@ from unittest import mock
 VALUES = ("0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf", "1e20", "abc")
 # A valid integer too large to build: the loader must refuse it by its size.
 HUGE = str(10 ** 9)
+
+# The other key of a sweep key, and the key whose value it takes.
+SWEEP_PARTNERS = {"sweep.q": ("sweep.epsilon", "epsilon"),
+                  "sweep.epsilon": ("sweep.q", "q")}
 
 SKIPPED = {"name", "flow.kind", "volume.shape", "out.format", "flow.grid.rho",
            "flow.grid.vx", "flow.grid.vy", "flow.grid.S"}
@@ -118,16 +125,24 @@ def call(command, path, out_dir):
 
 
 def table(configs, work):
-    """The counts of every call on `configs`, and the labels of the calls
-    that crashed."""
-    counts = {"calls": 0, "exit": Counter(), "no_key": Counter(), "warned": 0}
+    """The counts of every call on `configs` (by exit code, the exit-2
+    lines and those of them that name no key, and the calls that warned),
+    and the labels of the calls that crashed."""
+    from volflow.config import parse_kv_text
+
+    counts = {"calls": 0, "exit": Counter(), "exit2": Counter(), "warned": 0}
     crashed = []
     for config in configs:
         text = config.read_text()
+        raw = parse_kv_text(text)
         for key, value in overrides(config):
             label = f"{config.stem}: {key} = {value}"
+            lines = f"{key} = {value}\n"
+            other, source = SWEEP_PARTNERS.get(key, (None, None))
+            if other is not None and other not in raw:
+                lines += f"{other} = {raw[source]}\n"
             path = work / "edited.cfg"
-            path.write_text(f"{text}\n{key} = {value}\n")
+            path.write_text(f"{text}\n{lines}")
             counts["calls"] += 1
             command = "sweep" if key.startswith("sweep.") else "criteria"
             try:
@@ -139,8 +154,10 @@ def table(configs, work):
                 crashed.append(f"{label} (exit={rc})")
             counts["exit"][rc] += 1
             counts["warned"] += warned
-            if rc == 2 and "key '" not in err:
-                counts["no_key"][err.strip()] += 1
+            if rc == 2:
+                counts["exit2"][err.strip()] += 1
+    counts["no_key"] = Counter({line: n for line, n in counts["exit2"].items()
+                                if "key '" not in line})
     return counts, crashed
 
 

@@ -35,8 +35,9 @@ command-line argument argparse rejects (such as a negative `--seed`), a
 config key the loader does not read, a size key (`volume.markers`,
 `volume.quad_order`, `volume.refine`, `flow.grid.n`) out of its range, a
 `flow.grid.dt` above the grid solver's CFL limit at some step, a `run` or
-`verify` horizon (`T`, `dt`, `sample.stride`, `verify.times`) of more RK
-steps or sample instants than `verify` caps, `verify.times` whose lemma
+`verify` horizon (`T`, `dt`, `sample.stride`, `verify.times`, and
+`flow.grid.dt` for the grid solver's own steps) of more RK steps or sample
+instants than `verify` caps, `verify.times` whose lemma
 differences (step h) reach outside the flow's time window, past the time
 at which a grid solver loses smoothness, or to a flow that is not smooth
 where they read it, or that put the boundary within epsilon of x0, or x0
@@ -185,38 +186,61 @@ def _check_pairs(idx, rep):
             (f"{tag}.slack", rep.slack), (f"{tag}.passed", rep.passed)]
 
 
-def _cmd_verify(scenario, out_dir, seed):
-    cfg, flow, vol = scenario.cfg, scenario.flow, scenario.vol
-    checks = []
-
-    times = sorted(cfg.verify_times)
-    h = verify_mod.LEMMA_H
-    verify_mod.check_steps(times[-1], cfg.dt, "verify.times")
-    verify_mod.check_run_horizon(cfg)
+def _lemma_checks(flow, vol, t, cfg):
+    """The lemma checks at time t, on `vol` advected there unless it is at
+    t, and the volume at t; a ValueError is the fault of 'verify.times'."""
     try:
-        # The lemma differences reach t - h, which must lie in the flow's
-        # time window, and t + h, up to which the flow must stay smooth.
-        # The check holds only the last few snapshots; once it passes, the
-        # lemma phase re-steps the rest once from time zero, and the theorem
-        # run (which drops them as it goes) reads the same snapshots.
-        flow.keep_from(times[-1] + 2.0 * h)
-        flow.advance_to(times[-1] + 2.0 * h)
-        flow.check_time(times[0] - h)
-        flow.keep_from(vol.time)
-        for t in times:
+        if vol.time != t:
             vol = advect(vol, flow, t, cfg.dt)
-            checks += verify_mod.check_lemma_suite(flow, vol, cfg.q, cfg.epsilon)
-    except SmoothnessLost as exc:
-        raise ConfigError(
-            f"key 'verify.times': the grid solver lost smoothness at "
-            f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
+        return vol, verify_mod.check_lemma_suite(flow, vol, cfg.q, cfg.epsilon)
     except ValueError as exc:
         # Among them a flow that is not smooth where the lemmas read it, a
         # node at the target, x0 inside the volume and a boundary within
         # epsilon of x0 at a lemma time, which the lemmas refuse.
         raise ConfigError(f"key 'verify.times': {exc}") from exc
 
-    run_report = verify_mod.run_theorem_scenario(scenario)
+
+def _cmd_verify(scenario, out_dir, seed):
+    cfg, flow = scenario.cfg, scenario.flow
+    checks = []
+
+    times = sorted(cfg.verify_times)
+    h = verify_mod.LEMMA_H
+    verify_mod.check_steps(times[-1], cfg.dt, "verify.times")
+    verify_mod.check_solver_steps(cfg, times[-1] + 2.0 * h, "verify.times")
+    verify_mod.check_run_horizon(cfg)
+    try:
+        # The lemma differences reach t - h, which must lie in the flow's
+        # time window, and t + h, up to which the flow must stay smooth.
+        # The check holds only the last few snapshots; the theorem run
+        # re-steps the rest once from time zero.
+        flow.keep_from(times[-1] + 2.0 * h)
+        flow.advance_to(times[-1] + 2.0 * h)
+        flow.check_time(times[0] - h)
+    except SmoothnessLost as exc:
+        raise ConfigError(
+            f"key 'verify.times': the grid solver lost smoothness at "
+            f"t={exc.time}, before the lemma times {cfg.verify_times}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"key 'verify.times': {exc}") from exc
+
+    # One pass advects the volume: the lemmas are checked as the theorem run
+    # passes each lemma time, on the run's own volume at a sample instant,
+    # else on the sampled volume before it, advected there.  The lemma times
+    # past the run's end (T, a hit, a flow that is not smooth) advect on
+    # from its last sampled volume, each from the one before.
+    steps = verify_mod._SampleSteps(scenario, times)
+    pending, samples = list(times), []
+    for prev, vol, s, dist in steps:
+        while pending and pending[0] <= vol.time:
+            t = pending.pop(0)
+            checks += _lemma_checks(flow, vol if t == vol.time else prev, t, cfg)[1]
+        samples.append((s, dist))
+    for t in pending:
+        vol, found = _lemma_checks(flow, vol, t, cfg)
+        checks += found
+
+    run_report = verify_mod._theorem_report(steps, samples)
     checks += verify_mod.check_inequality17(run_report.series, scenario.inp,
                                             run_report.criteria.C)
     checks += run_report.bounds_failures

@@ -48,6 +48,7 @@ __all__ = [
     "MAX_RK_STEPS",
     "MAX_SAMPLES",
     "check_steps",
+    "check_solver_steps",
     "check_run_horizon",
     "check_lemma_suite",
     "check_inequality17",
@@ -73,11 +74,14 @@ ORACLE_REL_GAP = 1e-6
 
 # The caps on the horizons that `run` and `verify` step to, which they
 # refuse past the caps before they step.  MAX_RK_STEPS RK4 steps of dt take
-# about an hour at the 0.33 ms per step of the 10^4 markers and nodes of
-# lemmas_expansion (one core of a shared x86 host); a run's MAX_SAMPLES
-# sample instants hold about 190 MB of series rows and bound reports, at
-# 1.9 KB each.  The shipped configs take at most 10^4 steps (sweep_annulus)
-# and 500 instants (arc_live).
+# about 20 minutes at the about 125 us per step of the 10312 markers and
+# nodes of lemmas_expansion, an ExpansionFlow (one core of a shared x86
+# host).  The same cap bounds the grid solver's own steps of flow.grid.dt,
+# which cost far more per step: it stops a step so small that the solver
+# never reaches the horizon, not a long run.  A run's MAX_SAMPLES sample
+# instants hold about 190 MB of series rows and bound reports, at 1.9 KB
+# each.  The shipped configs take at most 10^4 steps (sweep_annulus) and
+# 500 instants (arc_live).
 MAX_RK_STEPS = 10**7
 MAX_SAMPLES = 10**5
 
@@ -472,23 +476,39 @@ def _refine_hit(vol_prev, flow, t_hi, epsilon, dt):
     return 0.5 * (t_lo + t_hi)
 
 
+def _capped_steps(horizon, dt, key, dt_key):
+    """The RK steps of dt, the value of `dt_key`, up to `horizon`, the value
+    of `key`, refused (a ValueError naming both keys) above MAX_RK_STEPS."""
+    steps = horizon / dt
+    if steps > MAX_RK_STEPS:
+        raise ValueError(f"key {key!r} or {dt_key!r}: {horizon} / {dt} = {steps} "
+                         f"RK steps, more than {MAX_RK_STEPS}")
+    return steps
+
+
 def check_steps(horizon, dt, key):
     """The RK steps of dt up to `horizon`, the value of `key`, refused (a
     ValueError naming both keys) above MAX_RK_STEPS."""
-    steps = horizon / dt
-    if steps > MAX_RK_STEPS:
-        raise ValueError(f"key {key!r} or 'dt': {horizon} / {dt} = {steps} RK steps, "
-                         f"more than {MAX_RK_STEPS}")
-    return steps
+    return _capped_steps(horizon, dt, key, "dt")
+
+
+def check_solver_steps(cfg, horizon, key):
+    """On a grid flow, refuse (a ValueError naming `key` and 'flow.grid.dt')
+    a `horizon`, the value of `key`, of more than MAX_RK_STEPS solver
+    steps; a closed-form flow takes none."""
+    if cfg.flow_kind == "grid":
+        _capped_steps(horizon, cfg.flow_params["dt"], key, "flow.grid.dt")
 
 
 def check_run_horizon(cfg):
     """Refuse (a ValueError naming the keys) a run to T of more than
-    MAX_RK_STEPS RK steps or MAX_SAMPLES sample instants."""
+    MAX_RK_STEPS RK steps of dt or of the grid solver, or of more than
+    MAX_SAMPLES sample instants."""
     instants = check_steps(cfg.T, cfg.dt, "T") / cfg.sample_stride
     if instants > MAX_SAMPLES:
         raise ValueError(f"key 'T', 'dt' or 'sample.stride': {instants} sample "
                          f"instants, more than {MAX_SAMPLES}")
+    check_solver_steps(cfg, cfg.T, "T")
 
 
 def verdict_rule(hit, cond10_holds, reg_max, horizon, e_drift, inp):
@@ -509,28 +529,30 @@ def verdict_rule(hit, cond10_holds, reg_max, horizon, e_drift, inp):
     return "VIOLATION", ""
 
 
-def run_theorem_scenario(scenario):
-    """Advance a built `config.Scenario` to min(horizon, hit time) and report.
+class _SampleSteps:
+    """The sample loop of a theorem run, as a stepper.
 
-    The comparison against the threshold uses time-zero data only (the
-    scenario's `inp`); the run itself monitors the bounds chain, the
-    regularity flux and the energy drift, and refines any boundary attainment
-    by bisection.
+    Iterating it advances the scenario's volume to min(horizon, hit time),
+    one advection call (stride steps of dt) per sample instant, up to the
+    first instant at or past the horizon, ceil(horizon/dt - 1e-9) steps;
+    the boundary self-intersection detector runs per call.  At time zero
+    and at each sample instant after it, it yields (the previous sampled
+    volume, the volume, its sample, its boundary distance); the previous
+    volume is None at time zero.  A hit, a sample that is not smooth and a
+    node at the target yield nothing and end the loop, and `hit_time`,
+    `horizon` and `detail` then say how the run ended.
 
-    Why a hit must come: at fixed energy E, `threshold_q` decreases in the
-    moment G (its bracket loses |q+n-2| C G^gamma eps^-(q gamma + n(gamma-1))
-    / (2E)), so G(t) >= G0 gives Q(t) <= Q0.  While dist >= epsilon and the
-    regularity flux stays at most M, the master inequality then gives
-    F' >= a (F^2 - k Q(t)) >= a (F^2 - k Q0) (`_comparison_coefficients`),
-    and F stays above the comparison solution from F(0), which escapes at
-    t* = `_closed_form_blowup`(F(0), Q0, a, sqrt(k |Q0|)).  G(t) >= G0 is
-    not yet checked on the samples.
+    The stepper owns the flow's window.  The advection advances the flow
+    one RK step ahead of the volume (`matvol._rk4_points`).  When the
+    consumer resumes the stepper after a sample, the flow is told that no
+    time before the sample's will be queried again (`keep_from`), nor
+    before t - LEMMA_H for the next of `lemma_times` after it: a consumer
+    that checks the lemmas at each lemma time the run has passed reads that
+    time's stencil, and advects there from the sample before it.  So a grid
+    flow holds the sample's anchor snapshot and one RK step's time stencil,
+    whatever the sample stride; a hit's bisection, and such a lemma
+    advection, re-step once the stride that the flow let go.
 
-    The advection advances the flow one RK step ahead of the volume
-    (`matvol._rk4_points`), and the flow is told after each sample that no
-    earlier time will be queried (`keep_from`), so a grid flow holds the
-    sample's anchor snapshot and one RK step's time stencil, whatever the
-    sample stride; a hit's bisection re-steps the stride it let go once.
     Where the flow loses smoothness the horizon ends at its last smooth
     time, and the advection is retried from the same sample to it; where a
     sample finds it not smooth, or an advection or a sample reads a grid
@@ -540,69 +562,94 @@ def run_theorem_scenario(scenario):
     smooth (`FlowField.t_last`, at most T): T on a closed-form flow, the
     last stepped time on a grid flow.
     """
-    cfg, flow, vol = scenario.cfg, scenario.flow, scenario.vol
-    sample0, inp = scenario.sample0, scenario.inp
-    detail = ""
-    horizon = inp.T
-    flow.keep_from(vol.time)
 
-    report_c = crit_mod.evaluate(inp)
+    def __init__(self, scenario, lemma_times):
+        self.scenario = scenario
+        self.lemma_times = lemma_times
+        self.hit_time = None
+        self.horizon = scenario.inp.T
+        self.detail = ""
 
-    def record(s, dist):
-        return SeriesRow(t=s.t, m=s.m, E=s.E, G=s.G, F=s.F, I1=s.I1, I2=s.I2,
-                         I3=s.I3, I4=s.I4, reg=s.reg, dist=dist,
-                         Qq=threshold_q(inp, report_c.C, s.G))
+    def _keep_from(self, t):
+        later = [u - LEMMA_H for u in self.lemma_times if u > t]
+        self.scenario.flow.keep_from(min([t, *later]))
 
-    series = [record(sample0, inp.d_init)]
-    bounds = bounds_chain(sample0, inp)
-
-    reg_max = sample0.reg_abs
-    hit_time = None
-    dt = cfg.dt
-    stride = cfg.sample_stride
-
-    # One advection call per sample instant (stride steps of dt inside), up
-    # to the first one at or past the horizon, ceil(horizon/dt - 1e-9) steps;
-    # the boundary self-intersection detector runs per call.
-    k = stride
-    while k - stride < horizon / dt - 1e-9:
-        t_k = min(k * dt, horizon)
-        prev = vol
-        try:
-            vol = _advect_any(vol, flow, t_k, dt)
-            dist = boundary_distance(vol)
-            if dist <= inp.epsilon:
-                hit_time = _refine_hit(prev, flow, t_k, inp.epsilon, dt)
+    def __iter__(self):
+        cfg, flow, vol = self.scenario.cfg, self.scenario.flow, self.scenario.vol
+        inp = self.scenario.inp
+        dt, stride = cfg.dt, cfg.sample_stride
+        yield None, vol, self.scenario.sample0, inp.d_init
+        self._keep_from(vol.time)
+        k = stride
+        while k - stride < self.horizon / dt - 1e-9:
+            t_k = min(k * dt, self.horizon)
+            prev = vol
+            try:
+                vol = _advect_any(vol, flow, t_k, dt)
+                dist = boundary_distance(vol)
+                if dist <= inp.epsilon:
+                    self.hit_time = _refine_hit(prev, flow, t_k, inp.epsilon, dt)
+                    break
+                s = sample(flow, vol, inp.q)
+            except SmoothnessLost as exc:
+                # Only the advection steps the flow, so vol is still prev.
+                self.horizon = flow.t_last
+                self.detail = f"smoothness lost at t={exc.time}; "
+                continue
+            except NotSmooth as exc:
+                self.horizon = prev.time
+                self.detail += f"{exc}; "
                 break
-            s = sample(flow, vol, inp.q)
-        except SmoothnessLost as exc:
-            # Only the advection steps the flow, so vol is still prev.
-            horizon = flow.t_last
-            detail = f"smoothness lost at t={exc.time}; "
-            continue
-        except NotSmooth as exc:
-            horizon = prev.time
-            detail += f"{exc}; "
-            break
-        except TargetReached:
-            hit_time = vol.time
-            detail += "a quadrature node reached the target radius floor; "
-            break
-        series.append(record(s, dist))
-        reg_max = max(reg_max, s.reg_abs)
-        bounds += bounds_chain(s, inp)
-        flow.keep_from(t_k)
-        k += stride
+            except TargetReached:
+                self.hit_time = vol.time
+                self.detail += "a quadrature node reached the target radius floor; "
+                break
+            yield prev, vol, s, dist
+            self._keep_from(t_k)
+            k += stride
+        if self.hit_time is not None:
+            self.horizon = min(self.horizon, flow.t_last)
 
-    e_drift = max(abs(row.E - sample0.E) for row in series) / sample0.E
-    if hit_time is not None:
-        horizon = min(horizon, flow.t_last)
-    verdict, why = verdict_rule(hit_time is not None, report_c.cond10_holds,
-                                reg_max, horizon, e_drift, inp)
-    detail += why
 
-    return TheoremReport(criteria=report_c, hit_time=hit_time,
-                         horizon=horizon, E_drift=e_drift, reg_max=reg_max,
-                         verdict=verdict, detail=detail.strip(),
+def _theorem_report(steps, samples):
+    """The report of a run whose stepper `steps` has stopped, from the
+    (sample, distance) pairs it yielded, in order: the series, the bounds
+    chain at every sample, `reg_max`, the energy drift and the verdict."""
+    inp = steps.scenario.inp
+    report_c = crit_mod.evaluate(inp)
+    series = tuple(SeriesRow(t=s.t, m=s.m, E=s.E, G=s.G, F=s.F, I1=s.I1, I2=s.I2,
+                             I3=s.I3, I4=s.I4, reg=s.reg, dist=dist,
+                             Qq=threshold_q(inp, report_c.C, s.G))
+                   for s, dist in samples)
+    bounds = [r for s, _ in samples for r in bounds_chain(s, inp)]
+    reg_max = max(s.reg_abs for s, _ in samples)
+    e_drift = max(abs(row.E - series[0].E) for row in series) / series[0].E
+    verdict, why = verdict_rule(steps.hit_time is not None, report_c.cond10_holds,
+                                reg_max, steps.horizon, e_drift, inp)
+    return TheoremReport(criteria=report_c, hit_time=steps.hit_time,
+                         horizon=steps.horizon, E_drift=e_drift, reg_max=reg_max,
+                         verdict=verdict, detail=(steps.detail + why).strip(),
                          bounds_failures=tuple(r for r in bounds if not r.passed),
-                         bounds_checked=len(bounds), series=tuple(series))
+                         bounds_checked=len(bounds), series=series)
+
+
+def run_theorem_scenario(scenario):
+    """Advance a built `config.Scenario` to min(horizon, hit time) and report.
+
+    The comparison against the threshold uses time-zero data only (the
+    scenario's `inp`); the run itself monitors the bounds chain, the
+    regularity flux and the energy drift, and refines any boundary attainment
+    by bisection.  It folds the samples of one `_SampleSteps` pass, which
+    owns the advection and the flow's window.
+
+    Why a hit must come: at fixed energy E, `threshold_q` decreases in the
+    moment G (its bracket loses |q+n-2| C G^gamma eps^-(q gamma + n(gamma-1))
+    / (2E)), so G(t) >= G0 gives Q(t) <= Q0.  While dist >= epsilon and the
+    regularity flux stays at most M, the master inequality then gives
+    F' >= a (F^2 - k Q(t)) >= a (F^2 - k Q0) (`_comparison_coefficients`),
+    and F stays above the comparison solution from F(0), which escapes at
+    t* = `_closed_form_blowup`(F(0), Q0, a, sqrt(k |Q0|)).  G(t) >= G0 is
+    not yet checked on the samples.
+    """
+    steps = _SampleSteps(scenario, ())
+    return _theorem_report(steps, [(s, dist) for _, _, s, dist in steps])

@@ -18,7 +18,7 @@ import volflow
 from volflow import cli, config as config_mod, functionals, matvol, solver, verify
 from volflow.cli import CSV_HEADER, main
 from volflow.config import ConfigError, build_scenario, load_config, parse_kv_text
-from volflow.flowfield import NotSmooth
+from volflow.flowfield import ExpansionFlow, NotSmooth
 from volflow.functionals import TargetReached
 from volflow.matvol import PolygonSpec, SelfIntersection, ShapeError
 from volflow.solver import CFLViolation, GridFlow, SmoothnessLost, SnapshotDropped
@@ -160,15 +160,26 @@ def test_cfl_violation_names_flow_grid_dt(tmp_path, capsys, command):
         "config error: key 'flow.grid.dt': CFL violated: dt=0.5 exceeds limit ")
 
 
-def test_lemma_time_with_boundary_near_x0_names_verify_times(tmp_path, capsys):
+def test_lemma_time_with_boundary_near_x0_names_verify_times(tmp_path, capsys,
+                                                            monkeypatch):
     # At t = 1.8 the inflowing boundary is within epsilon of x0, which the
-    # density-moment bound of the lemma suite refuses.
+    # density-moment bound of the lemma suite refuses.  The run hits first,
+    # at about 1.5, so the lemma volume is advected on from the run's last
+    # sample before the hit: the one lemma advection, as 0.5 is a sample
+    # instant.
     path = _shipped_with(tmp_path, "constant_inflow", "verify.times = 0.5, 1.8\n")
+    advected = []
+    advect = cli.advect
+    monkeypatch.setattr(cli, "advect", lambda vol, flow, t, dt: advected.append(
+        (vol.time, t)) or advect(vol, flow, t, dt))
     rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert _single_error(capsys).startswith(
         "config error: key 'verify.times': density-moment bound needs "
         "dist(boundary, x0) >= epsilon (have ")
+    run = verify.run_theorem_scenario(build_scenario(load_config(path)))
+    assert run.series[-1].t < run.hit_time < 1.8
+    assert advected == [(run.series[-1].t, 1.8)]
 
 
 # A triangle that the leftward stream carries over x0: at t = 3.0 its
@@ -254,6 +265,13 @@ _ANALYTIC = ["arc_live", "constant_inflow", "constant_receding", "expansion_outf
     pytest.param("verify", "lemmas_expansion", "T = 1e20",
                  "key 'T' or 'dt': 1e+20 / 0.001 = 1e+23 RK steps, more than 10000000",
                  id="verify-T"),
+    # The grid solver's own steps: at 1e-300 per step it never reaches T.
+    pytest.param("run", "radial_inflow", "flow.grid.dt = 1e-300",
+                 "key 'T' or 'flow.grid.dt': 0.1 / 1e-300 = 1e+299 RK steps, "
+                 "more than 10000000", id="run-flow.grid.dt"),
+    pytest.param("verify", "radial_inflow", "flow.grid.dt = 1e-300",
+                 "key 'verify.times' or 'flow.grid.dt': 0.8002 / 1e-300 = 8.002e+299 "
+                 "RK steps, more than 10000000", id="verify-flow.grid.dt"),
 ] + [pytest.param("verify", name, "verify.times = 1e20",
                   "key 'verify.times' or 'dt': 1e+20 / {dt} = {steps} RK steps, "
                   "more than 10000000", id=f"verify-verify.times-{name}")
@@ -265,6 +283,7 @@ def test_horizon_beyond_its_cap_names_the_keys(tmp_path, capsys, monkeypatch, co
 
     monkeypatch.setattr(cli, "advect", stepped)
     monkeypatch.setattr(verify, "_advect_any", stepped)
+    monkeypatch.setattr(GridFlow, "advance_to", stepped)
     path = _shipped_with(tmp_path, name, extra + "\n")
     dt = load_config(path).dt
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
@@ -466,6 +485,79 @@ def test_verify_precondition_holds_few_snapshots(tmp_path, capsys, monkeypatch,
     err = _single_error(capsys)
     assert "verify.times" in err and lost_at in err
     assert max(held) <= 4
+
+
+# -- the co-stepped lemma phase ----------------------------------------------------
+
+def _reference_lemma_checks(path):
+    """The lemma checks of the config `path` on the volumes of a separate
+    run, and the lemma times that are sample instants of it: at such a time
+    the run's own volume, else its latest sampled volume before, advected
+    there."""
+    scenario = build_scenario(load_config(path))
+    cfg, flow = scenario.cfg, scenario.flow
+    sampled = [vol for _, vol, _, _ in verify._SampleSteps(scenario, ())]
+    reports, on_samples = [], set()
+    for t in sorted(cfg.verify_times):
+        base = [vol for vol in sampled if vol.time <= t][-1]
+        if base.time == t:
+            on_samples.add(t)
+        vol = base if base.time == t else matvol.advect(base, flow, t, cfg.dt)
+        reports += verify.check_lemma_suite(flow, vol, cfg.q, cfg.epsilon)
+    return reports, on_samples
+
+
+@pytest.mark.parametrize("times, on_samples", [
+    # As shipped: 0.35 is not a sample instant, as 350 * 1e-3 is
+    # 0.35000000000000003.
+    ("0.2, 0.35, 0.5", {0.2, 0.5}),
+    ("0.0, 0.2", {0.0, 0.2}),
+    # Past T = 0.5: advected on from the run's last sample.
+    ("0.35, 0.6", set()),
+], ids=["shipped", "time_zero", "past_T"])
+def test_lemma_checks_ride_the_theorem_run(tmp_path, capsys, times, on_samples):
+    # verify lemmas_expansion checks the lemmas on the theorem run's own
+    # volumes, bit for bit.
+    path = _shipped_with(tmp_path, "lemmas_expansion", f"verify.times = {times}\n")
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0 and "result: pass" in out
+    reports, sampled = _reference_lemma_checks(path)
+    assert sampled == on_samples
+    lines = cli._kv_lines(pair for i, rep in enumerate(reports)
+                          for pair in cli._check_pairs(i, rep))
+    first = out.index("check[0].name: dG_dt_identity")
+    assert out[first:first + len(lines)] == lines
+
+
+def test_verify_advects_its_volume_once(tmp_path, capsys, monkeypatch):
+    # The velocity points that verify lemmas_expansion queries are its run's
+    # and, at each of the three lemma times, those of the lemmas' sample and
+    # of their +-h RK4 steps of the nodes, plus the 25 steps of dt that take
+    # the run's volume at 0.325 to the lemma time 0.35.  A second advection
+    # over 0 -> 0.5 would double the run's share.
+    points = []
+    velocity = ExpansionFlow.velocity
+
+    def counting(self, t, pts):
+        points.append(int(np.prod(np.shape(pts)[:-1])))
+        return velocity(self, t, pts)
+
+    monkeypatch.setattr(ExpansionFlow, "velocity", counting)
+    path = str(CONFIG_DIR / "lemmas_expansion.cfg")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    run_points = sum(points)
+    scenario = build_scenario(load_config(path))
+    points.clear()
+    functionals.sample(scenario.flow, scenario.vol, scenario.cfg.q)
+    sample_points = sum(points)
+    points.clear()
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    nodes, every_point = len(scenario.vol.nodes), len(scenario.vol.points)
+    assert sum(points) == (run_points + 3 * (sample_points + 2 * 4 * nodes)
+                           + 25 * 4 * every_point)
+    assert sum(points) < 1.5 * run_points
 
 
 def test_sweep_subcommand(tmp_path, capsys):
@@ -1228,11 +1320,16 @@ WINDOW_CASES = {
         "verdict: consistent_hit", "hit_time: 0.19993164062500002",
         "horizon: 0.2000000000000001", "detail: none"], 4),
     # A passing grid verify: its precondition pass holds the last few of
-    # the flow's 62 steps, and the lemma phase re-steps the 58 before them
+    # the flow's 62 steps, and the theorem run re-steps the 58 before them
     # once, which the reference, keeping everything, skips.
     "radial_inflow_verify": ("verify",
                              _RADIAL + "\nverify.times = 0.1, 0.2, 0.3\n", 0,
                              ["result: pass"], 58),
+    # A lemma time within LEMMA_H after the sample instant 0.04: the window
+    # keeps its t - h stencil, which starts a snapshot before the sample's.
+    # The theorem run re-steps the 9 steps of the precondition pass.
+    "radial_inflow_verify_after_a_sample": (
+        "verify", _RADIAL + "\nverify.times = 0.04005\n", 0, ["result: pass"], 9),
 }
 
 

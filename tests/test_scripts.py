@@ -111,6 +111,8 @@ def test_exit_codes_table_on_every_config(tmp_path):
     # Every refused value is named: the time-zero sample's, and a sweep
     # key that is missing.
     assert counts["no_key"] == {}
+    # A sweep row sets the other sweep key too, so it reaches its bad value.
+    assert not any("sweep needs both" in line for line in counts["exit2"])
 
 
 def test_exit_codes_keys_come_from_the_loader(tmp_path):
