@@ -8,8 +8,9 @@ that the config leaves out gets rows too), sets every number of the key's
 value to each of `VALUES` in turn, and to `HUGE` as well for the keys that
 the loader parses as integers, and calls `volflow.cli.main` in this
 process, with `CHECKOUT/src` first on the import path: `sweep` on the
-`sweep.q` and `sweep.epsilon` rows, which only it reads, and `criteria` on
-the others.  A sweep needs both keys, so a row of one of them on a config
+`sweep.q` and `sweep.epsilon` rows, which only it reads, `run` on the rows
+of the keys that bound a run's work (`RUN_KEYS`), and `criteria` on the
+others.  A sweep needs both keys, so a row of one of them on a config
 that lacks the other sets the other too, to the config's own `q` or
 `epsilon`, and reaches its bad value.  A value is one number,
 comma-separated numbers, or a `;`-separated list of number pairs; an
@@ -46,6 +47,10 @@ HUGE = str(10 ** 9)
 # The other key of a sweep key, and the key whose value it takes.
 SWEEP_PARTNERS = {"sweep.q": ("sweep.epsilon", "epsilon"),
                   "sweep.epsilon": ("sweep.q", "q")}
+
+# The keys that only `run` and `verify` step by: `run` refuses their bad
+# values, or runs them to a verdict, instead of `criteria`'s exit 0.
+RUN_KEYS = {"T", "dt", "sample.stride", "flow.grid.dt"}
 
 SKIPPED = {"name", "flow.kind", "volume.shape", "out.format", "flow.grid.rho",
            "flow.grid.vx", "flow.grid.vy", "flow.grid.S"}
@@ -144,7 +149,8 @@ def table(configs, work):
             path = work / "edited.cfg"
             path.write_text(f"{text}\n{lines}")
             counts["calls"] += 1
-            command = "sweep" if key.startswith("sweep.") else "criteria"
+            command = ("sweep" if key.startswith("sweep.")
+                       else "run" if key in RUN_KEYS else "criteria")
             try:
                 rc, err, warned = call(command, path, work / "out")
             except Exception as exc:                    # noqa: BLE001 - a traceback

@@ -19,10 +19,11 @@ configuration, precondition or output errors, each as one line on stderr.
 The rule of the exit-2 lines: a ValueError is always the config's fault,
 and its message names the key at fault.  `main` prints every ValueError
 that reaches it as a `config error:` line: a `config.ConfigError`, a
-horizon cap of `verify`, and a not-smooth flow (`flowfield.NotSmooth`) or
-a node at the target (`functionals.TargetReached`), which the subcommand
-that read them re-raises naming its key (`verify.times`, `sweep.q`; `run`
-instead ends its horizon there and reports it).  The errors of a run
+run that `verify` refuses over its work budget, and a not-smooth flow
+(`flowfield.NotSmooth`) or a node at the target
+(`functionals.TargetReached`), which the subcommand that read them
+re-raises naming its key (`verify.times`, `sweep.q`; `run` instead ends
+its horizon there and reports it).  The errors of a run
 that are not ValueErrors name no key, and `main` names it for the three
 that reach it: `solver.CFLViolation` (`flow.grid.dt`),
 `matvol.SelfIntersection` (`volume.markers`) and `OverflowError` (`q` or
@@ -35,10 +36,12 @@ command-line argument argparse rejects (such as a negative `--seed`), a
 config key the loader does not read, a size key (`volume.markers`,
 `volume.quad_order`, `volume.refine`, `flow.grid.n`) out of its range, a
 `flow.grid.dt` above the grid solver's CFL limit at some step, a `run` or
-`verify` horizon (`T`, `dt`, `sample.stride`, `verify.times`, and
-`flow.grid.dt` for the grid solver's own steps) of more RK steps or sample
-instants than `verify` caps, `verify.times` whose lemma
-differences (step h) reach outside the flow's time window, past the time
+`verify` whose `dt` is longer than `T`, or whose work (the RK steps of
+its markers and nodes, and the grid solver's steps of its cells, up to
+`T` and `verify.times`) `verify` estimates over its budget of
+`verify.MAX_WORK_S` seconds, or that takes more than `verify.MAX_SAMPLES`
+sample instants, `verify.times` whose lemma differences (step h) reach
+outside the flow's time window, past the time
 at which a grid solver loses smoothness, or to a flow that is not smooth
 where they read it, or that put the boundary within epsilon of x0, or x0
 inside the volume, at a lemma time, a `q` and an `epsilon` that put a
@@ -156,7 +159,6 @@ def _cmd_criteria(scenario, out_dir):
 
 def _cmd_run(scenario, out_dir):
     cfg = scenario.cfg
-    verify_mod.check_run_horizon(cfg)
     report = verify_mod.run_theorem_scenario(scenario)
     pairs = [
         ("report", "run"), ("name", cfg.name), ("verdict", report.verdict),
@@ -175,8 +177,7 @@ def _cmd_run(scenario, out_dir):
     # The series first, so that an output error leaves stdout empty.
     _write(out_dir / f"{cfg.name}_series.csv", _csv_lines(CSV_HEADER, report.series))
     _emit_report(cfg, pairs, out_dir, "report")
-    failed = report.verdict == "VIOLATION" or report.bounds_failures
-    return 1 if failed else 0
+    return 1 if report.verdict == "VIOLATION" or report.bounds_failures else 0
 
 
 def _check_pairs(idx, rep):
@@ -202,13 +203,11 @@ def _lemma_checks(flow, vol, t, cfg):
 
 def _cmd_verify(scenario, out_dir, seed):
     cfg, flow = scenario.cfg, scenario.flow
-    checks = []
-
     times = sorted(cfg.verify_times)
     h = verify_mod.LEMMA_H
-    verify_mod.check_steps(times[-1], cfg.dt, "verify.times")
-    verify_mod.check_solver_steps(cfg, times[-1] + 2.0 * h, "verify.times")
-    verify_mod.check_run_horizon(cfg)
+    # Built first, the stepper refuses a run over the work budget before
+    # the precondition pass steps the flow.
+    steps = verify_mod._SampleSteps(scenario, times)
     try:
         # The lemma differences reach t - h, which must lie in the flow's
         # time window, and t + h, up to which the flow must stay smooth.
@@ -229,8 +228,7 @@ def _cmd_verify(scenario, out_dir, seed):
     # else on the sampled volume before it, advected there.  The lemma times
     # past the run's end (T, a hit, a flow that is not smooth) advect on
     # from its last sampled volume, each from the one before.
-    steps = verify_mod._SampleSteps(scenario, times)
-    pending, samples = list(times), []
+    pending, samples, checks = list(times), [], []
     for prev, vol, s, dist in steps:
         while pending and pending[0] <= vol.time:
             t = pending.pop(0)
@@ -251,14 +249,12 @@ def _cmd_verify(scenario, out_dir, seed):
         ("report", "verify"), ("name", cfg.name), ("seed", seed),
         ("checks_total", len(checks)), ("checks_failed", len(failed)),
         ("oracle_cases", oracle_cases), ("oracle_failed", oracle_failed),
-        ("oracle_max_rel_gap", max_gap),
-        ("run_verdict", run_report.verdict),
+        ("oracle_max_rel_gap", max_gap), ("run_verdict", run_report.verdict),
         ("result", "pass" if not failed and not oracle_failed else "fail"),
     ]
     for idx, rep in enumerate(checks):
         pairs += _check_pairs(idx, rep)
-    lines = _kv_lines(pairs)
-    _emit(lines, out_dir / f"{cfg.name}_verify.txt")
+    _emit(_kv_lines(pairs), out_dir / f"{cfg.name}_verify.txt")
     return 1 if failed or oracle_failed else 0
 
 

@@ -45,11 +45,8 @@ __all__ = [
     "LEMMA_H",
     "ORACLE_CASES",
     "ORACLE_REL_GAP",
-    "MAX_RK_STEPS",
+    "MAX_WORK_S",
     "MAX_SAMPLES",
-    "check_steps",
-    "check_solver_steps",
-    "check_run_horizon",
     "check_lemma_suite",
     "check_inequality17",
     "bounds_chain",
@@ -72,18 +69,21 @@ LEMMA_H = 1e-4
 ORACLE_CASES = 200
 ORACLE_REL_GAP = 1e-6
 
-# The caps on the horizons that `run` and `verify` step to, which they
-# refuse past the caps before they step.  MAX_RK_STEPS RK4 steps of dt take
-# about 20 minutes at the about 125 us per step of the 10312 markers and
-# nodes of lemmas_expansion, an ExpansionFlow (one core of a shared x86
-# host).  The same cap bounds the grid solver's own steps of flow.grid.dt,
-# which cost far more per step: it stops a step so small that the solver
-# never reaches the horizon, not a long run.  A run's MAX_SAMPLES sample
-# instants hold about 190 MB of series rows and bound reports, at 1.9 KB
-# each.  The shipped configs take at most 10^4 steps (sweep_annulus) and
-# 500 instants (arc_live).
-MAX_RK_STEPS = 10**7
+# The work budget of `run` and `verify`, in seconds: building their stepper
+# (`_SampleSteps`) refuses a scenario whose estimated work (`_work_s`) is
+# over it, before anything steps.  The estimate counts RK point-steps and
+# solver cell-steps (`_work_counts`) at these costs, measured on a shared
+# 2-core x86 host: 22 ns per point-step on a closed-form flow
+# (lemmas_expansion, an ExpansionFlow), 660 ns per point-step on a grid flow
+# (radial_inflow, whose velocity is interpolated), and 225 ns per solver
+# cell-step, the smoothness guard included (radial_inflow at 128^2).  The
+# shipped configs' largest estimate is about 2.5 s (arc_live).  A run's
+# MAX_SAMPLES sample instants hold about 190 MB of series rows and bound
+# reports, at 1.9 KB each; the shipped configs take at most 500 (arc_live).
+MAX_WORK_S = 3600
 MAX_SAMPLES = 10**5
+_POINT_STEP_S = {"constant": 22e-9, "expansion": 22e-9, "grid": 660e-9}
+_CELL_STEP_S = 225e-9
 
 # Documented per check: relative for the finite-difference identities,
 # fraction-of-scale slack floors for the inequality checks.
@@ -476,39 +476,32 @@ def _refine_hit(vol_prev, flow, t_hi, epsilon, dt):
     return 0.5 * (t_lo + t_hi)
 
 
-def _capped_steps(horizon, dt, key, dt_key):
-    """The RK steps of dt, the value of `dt_key`, up to `horizon`, the value
-    of `key`, refused (a ValueError naming both keys) above MAX_RK_STEPS."""
-    steps = horizon / dt
-    if steps > MAX_RK_STEPS:
-        raise ValueError(f"key {key!r} or {dt_key!r}: {horizon} / {dt} = {steps} "
-                         f"RK steps, more than {MAX_RK_STEPS}")
-    return steps
+def _work_counts(cfg, points, lemma_times):
+    """At most how many RK point-steps and solver cell-steps a run of `cfg`
+    on `points` markers and nodes takes, with the lemma checks of `verify`
+    at `lemma_times` (none for `run`); dt is at most T.
+
+    Up to the last of T and the lemma times, the points take one step of dt
+    at a time, and s = min(stride, T/dt) steps more for each lemma
+    advection off a sample instant, for each of the hit bisection's
+    ceil(log2(100 s)) halvings of a stride, and for the step past the
+    horizon.  A grid flow's solver steps of flow.grid.dt run to that time
+    plus the lemmas' 2 LEMMA_H twice over: `verify`'s precondition pass,
+    then the run's re-steps of what the flow let go."""
+    horizon = max([cfg.T, *lemma_times])
+    s = min(cfg.sample_stride, cfg.T / cfg.dt)
+    point_steps = points * (horizon / cfg.dt + s * (
+        len(lemma_times) + math.ceil(math.log2(100.0 * s)) + 1))
+    if cfg.flow_kind != "grid":
+        return point_steps, 0.0
+    grid = cfg.flow_params
+    return point_steps, 2.0 * grid["n"] ** 2 * (horizon + 2.0 * LEMMA_H) / grid["dt"]
 
 
-def check_steps(horizon, dt, key):
-    """The RK steps of dt up to `horizon`, the value of `key`, refused (a
-    ValueError naming both keys) above MAX_RK_STEPS."""
-    return _capped_steps(horizon, dt, key, "dt")
-
-
-def check_solver_steps(cfg, horizon, key):
-    """On a grid flow, refuse (a ValueError naming `key` and 'flow.grid.dt')
-    a `horizon`, the value of `key`, of more than MAX_RK_STEPS solver
-    steps; a closed-form flow takes none."""
-    if cfg.flow_kind == "grid":
-        _capped_steps(horizon, cfg.flow_params["dt"], key, "flow.grid.dt")
-
-
-def check_run_horizon(cfg):
-    """Refuse (a ValueError naming the keys) a run to T of more than
-    MAX_RK_STEPS RK steps of dt or of the grid solver, or of more than
-    MAX_SAMPLES sample instants."""
-    instants = check_steps(cfg.T, cfg.dt, "T") / cfg.sample_stride
-    if instants > MAX_SAMPLES:
-        raise ValueError(f"key 'T', 'dt' or 'sample.stride': {instants} sample "
-                         f"instants, more than {MAX_SAMPLES}")
-    check_solver_steps(cfg, cfg.T, "T")
+def _work_s(cfg, points, lemma_times):
+    """The seconds of `_work_counts`, at the costs beside MAX_WORK_S."""
+    point_steps, cell_steps = _work_counts(cfg, points, lemma_times)
+    return point_steps * _POINT_STEP_S[cfg.flow_kind] + cell_steps * _CELL_STEP_S
 
 
 def verdict_rule(hit, cond10_holds, reg_max, horizon, e_drift, inp):
@@ -540,7 +533,8 @@ class _SampleSteps:
     volume, the volume, its sample, its boundary distance); the previous
     volume is None at time zero.  A hit, a sample that is not smooth and a
     node at the target yield nothing and end the loop, and `hit_time`,
-    `horizon` and `detail` then say how the run ended.
+    `horizon` and `detail` then say how the run ended.  Building it refuses
+    a run over the work budget, before anything steps.
 
     The stepper owns the flow's window.  The advection advances the flow
     one RK step ahead of the volume (`matvol._rk4_points`).  When the
@@ -564,6 +558,21 @@ class _SampleSteps:
     """
 
     def __init__(self, scenario, lemma_times):
+        cfg = scenario.cfg
+        if cfg.dt > cfg.T:
+            raise ValueError(f"key 'dt' or 'T': dt = {cfg.dt} is longer than T = {cfg.T}")
+        work = _work_s(cfg, len(scenario.vol.points), lemma_times)
+        if work > MAX_WORK_S:
+            grid = ["flow.grid.n", "flow.grid.dt"] if cfg.flow_kind == "grid" else []
+            keys = ["T", "dt", "sample.stride", "volume.*", *grid,
+                    *(["verify.times"] if lemma_times else [])]
+            names = ", ".join(map(repr, keys[:-1])) + f" or {keys[-1]!r}"
+            raise ValueError(f"key {names}: about {work:.2g} s of work, "
+                             f"more than {MAX_WORK_S} s")
+        instants = cfg.T / cfg.dt / cfg.sample_stride
+        if instants > MAX_SAMPLES:
+            raise ValueError(f"key 'T', 'dt' or 'sample.stride': {instants} sample "
+                             f"instants, more than {MAX_SAMPLES}")
         self.scenario = scenario
         self.lemma_times = lemma_times
         self.hit_time = None
@@ -575,9 +584,8 @@ class _SampleSteps:
         self.scenario.flow.keep_from(min([t, *later]))
 
     def __iter__(self):
-        cfg, flow, vol = self.scenario.cfg, self.scenario.flow, self.scenario.vol
-        inp = self.scenario.inp
-        dt, stride = cfg.dt, cfg.sample_stride
+        flow, vol, inp = self.scenario.flow, self.scenario.vol, self.scenario.inp
+        dt, stride = self.scenario.cfg.dt, self.scenario.cfg.sample_stride
         yield None, vol, self.scenario.sample0, inp.d_init
         self._keep_from(vol.time)
         k = stride

@@ -246,50 +246,110 @@ def test_overflowing_power_of_a_small_epsilon_names_epsilon_too(tmp_path, capsys
         f"config error: key {keys}: a power of epsilon overflows")
 
 
-# A horizon that ran until it was killed is refused before anything is
-# stepped, naming its keys.
+# A run whose work is over the budget, or whose dt is longer than T, is
+# refused before anything is stepped, naming its keys.
 _ANALYTIC = ["arc_live", "constant_inflow", "constant_receding", "expansion_outflow",
              "lemmas_expansion", "sweep_annulus"]
+_KEYS = "key 'T', 'dt', 'sample.stride' or 'volume.*'"
+_LEMMA_KEYS = "key 'T', 'dt', 'sample.stride', 'volume.*' or 'verify.times'"
+_GRID_KEYS = "key 'T', 'dt', 'sample.stride', 'volume.*', 'flow.grid.n'"
+_WORK = "s of work, more than 3600 s"
+# The work of verify.times = 1e20 on each analytic config.
+_LEMMA_WORK = {"arc_live": "4.9e+20", "constant_inflow": "8.2e+18",
+               "constant_receding": "8.2e+18", "expansion_outflow": "4.1e+18",
+               "lemmas_expansion": "2.3e+19", "sweep_annulus": "8.2e+18"}
 
 
 @pytest.mark.parametrize("command, name, extra, message", [
     pytest.param("run", "lemmas_expansion", "T = 1e20",
-                 "key 'T' or 'dt': 1e+20 / 0.001 = 1e+23 RK steps, more than 10000000",
-                 id="run-T"),
+                 f"{_KEYS}: about 2.3e+19 {_WORK}", id="run-T"),
     pytest.param("run", "constant_receding", "dt = 1e-300",
-                 "key 'T' or 'dt': 2.0 / 1e-300 = 1.9999999999999998e+300 RK steps, "
-                 "more than 10000000", id="run-dt"),
+                 f"{_KEYS}: about 1.6e+296 {_WORK}", id="run-dt"),
     pytest.param("run", "constant_receding", "T = 200.0\nsample.stride = 1",
                  "key 'T', 'dt' or 'sample.stride': 200000.0 sample instants, "
                  "more than 100000", id="run-sample.stride"),
     pytest.param("verify", "lemmas_expansion", "T = 1e20",
-                 "key 'T' or 'dt': 1e+20 / 0.001 = 1e+23 RK steps, more than 10000000",
-                 id="verify-T"),
+                 f"{_LEMMA_KEYS}: about 2.3e+19 {_WORK}", id="verify-T"),
     # The grid solver's own steps: at 1e-300 per step it never reaches T.
     pytest.param("run", "radial_inflow", "flow.grid.dt = 1e-300",
-                 "key 'T' or 'flow.grid.dt': 0.1 / 1e-300 = 1e+299 RK steps, "
-                 "more than 10000000", id="run-flow.grid.dt"),
+                 f"{_GRID_KEYS} or 'flow.grid.dt': about 7.4e+296 {_WORK}",
+                 id="run-flow.grid.dt"),
     pytest.param("verify", "radial_inflow", "flow.grid.dt = 1e-300",
-                 "key 'verify.times' or 'flow.grid.dt': 0.8002 / 1e-300 = 8.002e+299 "
-                 "RK steps, more than 10000000", id="verify-flow.grid.dt"),
+                 f"{_GRID_KEYS}, 'flow.grid.dt' or 'verify.times': about 5.9e+297 "
+                 f"{_WORK}", id="verify-flow.grid.dt"),
+    # Under the old step caps: 80512 points for 10^7 steps, about 5 hours,
+    # and 5 * 10^6 solver steps at 256^2, about 20 hours.
+    pytest.param("verify", "lemmas_expansion", "volume.quad_order = 200\nT = 9999",
+                 f"{_LEMMA_KEYS}: about 1.8e+04 {_WORK}", id="verify-points"),
+    pytest.param("run", "radial_inflow", "flow.grid.n = 256\nflow.grid.dt = 2e-8",
+                 f"{_GRID_KEYS} or 'flow.grid.dt': about 1.5e+05 {_WORK}",
+                 id="run-cells"),
 ] + [pytest.param("verify", name, "verify.times = 1e20",
-                  "key 'verify.times' or 'dt': 1e+20 / {dt} = {steps} RK steps, "
-                  "more than 10000000", id=f"verify-verify.times-{name}")
-     for name in _ANALYTIC])
+                  f"{_LEMMA_KEYS}: about {work} {_WORK}", id=f"verify-verify.times-{name}")
+     for name, work in _LEMMA_WORK.items()]
+  + [pytest.param(command, "arc_live", f"dt = {dt}",
+                  f"key 'dt' or 'T': dt = {float(dt)} is longer than T = 0.5",
+                  id=f"{command}-dt-{dt}")
+     # A step this far past T used to take no step at all, and the verdict
+     # of the time-zero sample alone was a VIOLATION.
+     for command in ("run", "verify") for dt in ("1e20", "1e300")])
 def test_horizon_beyond_its_cap_names_the_keys(tmp_path, capsys, monkeypatch, command,
                                                name, extra, message):
     def stepped(*args):
-        raise AssertionError("stepped before the horizon was checked")
+        raise AssertionError("stepped before the work was checked")
 
     monkeypatch.setattr(cli, "advect", stepped)
     monkeypatch.setattr(verify, "_advect_any", stepped)
     monkeypatch.setattr(GridFlow, "advance_to", stepped)
     path = _shipped_with(tmp_path, name, extra + "\n")
-    dt = load_config(path).dt
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert _single_error(capsys) == "config error: " + message.format(dt=dt,
-                                                                      steps=1e20 / dt)
+    assert _single_error(capsys) == "config error: " + message
+
+
+def _rk4_steps(t_from, t_to, dt):
+    """The steps of `matvol._rk4_points` from t_from to t_to."""
+    t, steps = t_from, 0
+    while abs(t_to - t) > 1e-14:
+        t += math.copysign(min(abs(dt), abs(t_to - t)), t_to - t)
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("name, extra", [
+    *((p.stem, "") for p in sorted(CONFIG_DIR.glob("*.cfg"))),
+    # The shipped grid verify loses smoothness before its lemma times; this
+    # one passes, and its 120 solver steps come within 0.1% of the count.
+    ("radial_inflow", "verify.times = 0.1, 0.2, 0.3"),
+], ids=[*(p.stem for p in sorted(CONFIG_DIR.glob("*.cfg"))), "radial_inflow_lemmas"])
+def test_work_estimate_bounds_the_steps_taken(tmp_path, capsys, monkeypatch, command,
+                                              name, extra):
+    # The counts that the work budget is estimated from bound the RK
+    # point-steps and solver cell-steps that a shipped config takes.
+    taken = {"points": 0, "cells": 0}
+    rk4, solver_step = matvol._rk4_points, solver.step
+
+    def rk4_counted(flow, pts, t_from, t_to, dt):
+        taken["points"] += len(pts) * _rk4_steps(t_from, t_to, dt)
+        return rk4(flow, pts, t_from, t_to, dt)
+
+    def step_counted(state, dt, work):
+        taken["cells"] += math.prod(state.shape)
+        return solver_step(state, dt, work)
+
+    for module in (matvol, verify):
+        monkeypatch.setattr(module, "_rk4_points", rk4_counted)
+    monkeypatch.setattr(solver, "step", step_counted)
+    monkeypatch.setattr(verify, "score_oracle", lambda seed: (0, 0, 0.0))
+    path = _shipped_with(tmp_path, name, extra)
+    cfg = load_config(path)
+    points = len(build_scenario(cfg).vol.points)
+    lemma_times = sorted(cfg.verify_times) if command == "verify" else []
+    point_steps, cell_steps = verify._work_counts(cfg, points, lemma_times)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 1, 2)
+    assert taken["points"] <= point_steps
+    assert taken["cells"] <= cell_steps
 
 
 @pytest.mark.parametrize("command", ["criteria", "sweep"])

@@ -1,14 +1,16 @@
 """Relations between scenarios that need no oracle: a rigid shift keeps a run
-and its threshold algebra, and Remark 1's second route (large velocity and
+and its threshold algebra, Remark 1's second route (large velocity and
 density) scales condition (10) and its threshold together on a uniform
-flow."""
+flow, and a uniform grid state runs as the constant flow it samples."""
 
 import math
 
+import numpy as np
 import pytest
 
 from helpers import CONFIG_DIR
 
+from volflow import solver
 from volflow.config import build_scenario, load_config
 from volflow.criteria import CASE_QPOS, evaluate
 from volflow.verify import run_theorem_scenario
@@ -88,3 +90,64 @@ def test_rotation_and_mirror_keep_the_run_and_the_algebra(tmp_path, name,
             getattr(base_run.criteria, key), rel=rel), key
     assert base_run.hit_time == moved_run.hit_time == 0.00972216796875
     assert moved_run.verdict == base_run.verdict == "consistent_hit"
+
+
+def _grid_twin(tmp_path, base, lines):
+    """The scenario of shipped config `base`, a ConstantFlow, on the grid
+    solver instead: a uniform state of its density, velocity and entropy on
+    a 16^2 periodic box, with `lines` appended."""
+    cfg = load_config(CONFIG_DIR / f"{base}.cfg")
+    flow = cfg.flow_params
+    entropy = math.log(flow["p0"]) - cfg.gamma * math.log(flow["rho0"])
+    kept = [line for line in (CONFIG_DIR / f"{base}.cfg").read_text().splitlines()
+            if not line.startswith("flow.")]
+    path = tmp_path / f"{base}_grid.cfg"
+    path.write_text("\n".join([
+        *kept, "flow.kind = grid", "flow.grid.n = 16", "flow.grid.box = -8.0, 8.0",
+        "flow.grid.dt = 0.1", f"flow.grid.rho = {flow['rho0']!r}",
+        "flow.grid.vx = {!r} + 0*x".format(flow["vel0"][0]),
+        "flow.grid.vy = {!r} + 0*x".format(flow["vel0"][1]),
+        f"flow.grid.S = {entropy!r}", *lines, ""]))
+    return build_scenario(load_config(path))
+
+
+_TWIN = ["volume.markers = 128", "volume.quad_order = 8", "T = 1.6"]
+
+
+@pytest.mark.parametrize("base, verdict, hit_time", [
+    ("constant_inflow", "consistent_hit", 1.5000030517578125),
+    ("constant_receding", "consistent_no_claim", None),
+], ids=["constant_inflow", "constant_receding"])
+def test_uniform_grid_state_runs_as_its_constant_flow(tmp_path, base, verdict, hit_time):
+    # A uniform state is a steady solution of the solver, and the exact
+    # answer is the ConstantFlow's: the disk rides the stream at unit
+    # speed, and on constant_inflow reaches epsilon at t = 1.5.
+    exact = run_theorem_scenario(_scenario(tmp_path, base, _TWIN))
+    grid = run_theorem_scenario(_grid_twin(tmp_path, base, _TWIN))
+    assert (grid.verdict, grid.hit_time) == (exact.verdict, exact.hit_time) == (
+        verdict, hit_time)
+    assert len(grid.bounds_failures) == len(exact.bounds_failures) == 0
+    assert len(grid.series) == len(exact.series)
+    np.testing.assert_allclose(np.array(grid.series), np.array(exact.series),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_hit_bisection_re_steps_what_the_window_released(tmp_path, monkeypatch):
+    # Samples 0.4 apart: the hit comes at the sample at T = 1.6, and the
+    # window keeps only the snapshot at 1.2 and the last ones, so the
+    # bisection back into (1.2, 1.6) re-steps the snapshots between.
+    steps = [0]
+    step = solver.step
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(solver, "step", counted)
+    lines = [*_TWIN, "dt = 1e-2", "sample.stride = 40"]
+    grid = run_theorem_scenario(_grid_twin(tmp_path, "constant_inflow", lines))
+    exact = run_theorem_scenario(_scenario(tmp_path, "constant_inflow", lines))
+    # Straight through, the solver steps to T + dt in ceil(16.1) steps.
+    assert steps[0] > math.ceil((1.6 + 1e-2) / 0.1)
+    assert grid.hit_time == exact.hit_time
+    assert grid.verdict == exact.verdict == "consistent_hit"
