@@ -2,21 +2,25 @@
 
     python3 scripts/exit_codes.py [--root CHECKOUT]
 
-For each config in `CHECKOUT/scripts/configs` and each key that
-`volflow.config.load_config` reads of it, set or absent (a defaulted key
+For each config in `CHECKOUT/scripts/configs` and each numeric key whose
+row of `volflow.config._KEYS` applies to it, set or absent (a defaulted key
 that the config leaves out gets rows too), sets every number of the key's
-value to each of `VALUES` in turn, and to `HUGE` as well for the keys that
-the loader parses as integers, and calls `volflow.cli.main` in this
-process, with `CHECKOUT/src` first on the import path: `sweep` on the
+value to each of `VALUES` in turn, to `HUGE` as well for an integer key, and
+to each static bound of the row and the nearest value on the other side of
+it (1.0000000000000002 and 1.0 for gamma's > 1, 5e-324 and 0.0 for a
+positive key, 0.0 and -5e-324 for M and verify.times, 1 and 0 for
+sample.stride, 16, 15, 1024 and 1025 for flow.grid.n).  An interval (min,
+max) is also set to each finite number v of `VALUES` and the float after
+it, just inside its bound min < max.  Then it calls `volflow.cli.main` in
+this process, with `CHECKOUT/src` first on the import path: `sweep` on the
 `sweep.q` and `sweep.epsilon` rows, which only it reads, `run` on the rows
 of the keys that bound a run's work (`RUN_KEYS`), and `criteria` on the
 others.  A sweep needs both keys, so a row of one of them on a config
 that lacks the other sets the other too, to the config's own `q` or
 `epsilon`, and reaches its bad value.  A value is one number,
 comma-separated numbers, or a `;`-separated list of number pairs; an
-absent key's value is one number.
-The names, kinds, shapes, output formats and grid field expressions are
-not numbers here and are not set.
+absent key's value is one number.  Keys read as text (names, kinds,
+shapes, output formats and grid field expressions) are not set.
 
 Prints the number of calls, the calls by exit code, the exit-2 calls whose
 stderr names no config key (no `key '`), grouped by their stderr, and the
@@ -33,12 +37,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
 import sys
 import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
-from unittest import mock
 
 VALUES = ("0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf", "1e20", "abc")
 # A valid integer too large to build: the loader must refuse it by its size.
@@ -52,17 +56,6 @@ SWEEP_PARTNERS = {"sweep.q": ("sweep.epsilon", "epsilon"),
 # values, or runs them to a verdict, instead of `criteria`'s exit 0.
 RUN_KEYS = {"T", "dt", "sample.stride", "flow.grid.dt"}
 
-SKIPPED = {"name", "flow.kind", "volume.shape", "out.format", "flow.grid.rho",
-           "flow.grid.vx", "flow.grid.vy", "flow.grid.S"}
-
-
-def _is_number(text):
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
 
 def _groups(text):
     """The numbers of a value as text: its `;`-separated groups of non-blank
@@ -71,49 +64,38 @@ def _groups(text):
             for group in text.split(";") if group.strip()]
 
 
-def read_keys(path):
-    """The keys that `load_config` asks for on the config `path`, set or
-    not, in the order it asks, and those of them it parses as integers.
-
-    Hooks two private names of `volflow.config` for the one call: the
-    parsed-key dict `_ReadKeys` (subclassed to record the loader's `in`
-    tests) and the integer reader `_int` (wrapped to record its keys).  A
-    renamed one fails the patch, and one that stops seeing the keys fails
-    `tests/test_scripts.py::test_exit_codes_keys_come_from_the_loader`."""
-    from volflow import config
-
-    asked, integers = {}, set()
-
-    class Asking(config._ReadKeys):
-        def __contains__(self, key):
-            asked[key] = None
-            return super().__contains__(key)
-
-    def integer(raw, key, default=None):
-        integers.add(key)
-        return parse_int(raw, key, default)
-
-    parse_int = config._int
-    with mock.patch.multiple(config, _ReadKeys=Asking, _int=integer):
-        config.load_config(path)
-    return list(asked), integers
+def _bound_values(reader, bounds):
+    """Each static bound of a `_KEYS` row and the nearest value on the other
+    side of it, as texts."""
+    if reader == "text" or not isinstance(bounds, tuple):
+        return ()
+    out = []
+    for bound, away in zip(bounds[0], (-1, 1)):     # below low, above high
+        if math.isfinite(bound):
+            out += [bound, bound + away if reader == "integer"
+                    else math.nextafter(bound, away * math.inf)]
+    return tuple(map(repr, out))
 
 
 def overrides(path):
-    """(key, value) of every numeric key that `load_config` reads of the
+    """(key, value) of every numeric key whose `_KEYS` row applies to the
     config `path`, each number of its value set to each of `VALUES` (and
-    `HUGE` for an integer key)."""
-    from volflow.config import parse_kv_text
+    `HUGE` for an integer key) and each bound value of its row, and an
+    interval to each finite number of `VALUES` and the float after it."""
+    from volflow.config import _KEYS, parse_kv_text
 
     raw = parse_kv_text(path.read_text())
-    keys, integers = read_keys(path)
-    for key in keys:
+    for key, reader, _, scope, bounds in _KEYS:
         groups = _groups(raw.get(key, "0"))
-        parts = [part for group in groups for part in group]
-        if key in SKIPPED or not parts or not all(map(_is_number, parts)):
+        if reader == "text" or not groups or scope is not None and not (
+                raw.get("flow.kind") in scope or raw.get("volume.shape") in scope):
             continue
-        for bad in VALUES + ((HUGE,) if key in integers else ()):
+        for bad in dict.fromkeys(VALUES + ((HUGE,) if reader == "integer" else ())
+                                 + _bound_values(reader, bounds)):
             yield key, "; ".join(", ".join(bad for _ in group) for group in groups)
+        if reader == "interval":
+            yield from ((key, f"{v}, {math.nextafter(float(v), math.inf)!r}")
+                        for v in VALUES if v != "abc" and math.isfinite(float(v)))
 
 
 def call(command, path, out_dir):

@@ -26,27 +26,29 @@ re-raises naming its key (`verify.times`, `sweep.q`; `run` instead ends
 its horizon there and reports it).  The errors of a run
 that are not ValueErrors name no key, and `main` names it for the three
 that reach it: `solver.CFLViolation` (`flow.grid.dt`),
-`matvol.SelfIntersection` (`volume.markers`) and `OverflowError` (`q` or
-`epsilon`; `sweep.q` or `sweep.epsilon` for `sweep`).  An output
-directory or file that cannot be created or written is one `output
-error:` line.
+`matvol.SelfIntersection` (`volume.markers`) and an `ArithmeticError` of
+the threshold algebra, a power of epsilon that overflows or an epsilon * m
+that underflows to 0 (`q` or `epsilon`; `sweep.q` or `sweep.epsilon` for
+`sweep`).  An output directory or file that cannot be created or written
+is one `output error:` line.
 
 Among the config errors: a config file that cannot be read, a
 command-line argument argparse rejects (such as a negative `--seed`), a
-config key the loader does not read, a size key (`volume.markers`,
-`volume.quad_order`, `volume.refine`, `flow.grid.n`) out of its range, a
-`flow.grid.dt` above the grid solver's CFL limit at some step, a `run` or
-`verify` whose `dt` is longer than `T`, or whose work (the RK steps of
-its markers and nodes, and the grid solver's steps of its cells, up to
-`T` and `verify.times`) `verify` estimates over its budget of
-`verify.MAX_WORK_S` seconds, or that takes more than `verify.MAX_SAMPLES`
-sample instants, `verify.times` whose lemma differences (step h) reach
-outside the flow's time window, past the time
+config key that is not a setting of its scenario, a value out of its
+key's bounds (each key's reader, scope and bounds are its row of
+`config._KEYS`), a volume point too far from a grid's origin for its cell
+index, a `flow.grid.dt` above the grid solver's CFL limit at some step, a
+`run` or `verify` whose `dt` is longer than `T`, or whose work (the RK
+steps of its markers and nodes, its flow queries and the grid solver's
+steps of its cells, up to `T` and `verify.times`) `verify` estimates over
+its budget of `verify.MAX_WORK_S` seconds, or that takes more than
+`verify.MAX_SAMPLES` sample instants, `verify.times` whose lemma
+differences (step h) reach outside the flow's time window, past the time
 at which a grid solver loses smoothness, or to a flow that is not smooth
 where they read it, or that put the boundary within epsilon of x0, or x0
-inside the volume, at a lemma time, a `q` and an `epsilon` that put a
-power of epsilon in the threshold algebra out of float range, a
-time-zero sample that is not finite (naming the keys its failed
+inside the volume, at a lemma time, a `q` and an `epsilon` that put the
+threshold algebra out of float range, a time-zero sample that is not
+finite or has no positive mass or energy (naming the keys its failed
 functionals read; `sweep.q` for the exponents of `sweep`), a `sweep`
 without `sweep.q` or `sweep.epsilon`, an `x0` so far from `volume.center`
 (or `volume.vertices`) that their distance overflows, `volume.vertices`
@@ -342,12 +344,15 @@ def main(argv=None):
     except CFLViolation as exc:
         print(f"config error: key 'flow.grid.dt': {exc}", file=sys.stderr)
         return 2
-    except OverflowError:
-        # Python float powers raise it: in the threshold algebra and its
-        # checks, the powers of epsilon whose exponents are made of q.
+    except ArithmeticError as exc:
+        # Python floats raise it in the threshold algebra and its checks: an
+        # OverflowError for a power of epsilon whose exponent is made of q,
+        # a ZeroDivisionError for an epsilon * m that underflows to 0.
         keys = ("'sweep.q' or 'sweep.epsilon'" if args.command == "sweep"
                 else "'q' or 'epsilon'")
-        print(f"config error: key {keys}: a power of epsilon overflows", file=sys.stderr)
+        what = ("a power of epsilon overflows" if isinstance(exc, OverflowError)
+                else "epsilon * m underflows to 0")
+        print(f"config error: key {keys}: {what}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

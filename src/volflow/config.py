@@ -1,39 +1,31 @@
 """Scenario configuration: flat dotted-key text files and builders.
 
 The format is one `key = value` pair per line with `#` comments.  Each value
-is kept as its stripped text and parsed once, by the reader of its key (an
-absent key reads as its default text): `_float` takes one number, `_floats`
-comma-separated numbers (blank parts after a trailing comma are skipped),
-`_int` an integer literal, and `volume.vertices` is split on semicolons into
-number pairs.  Names, kinds, `out.format` and grid initial fields are read
-verbatim.  The grid fields are numpy expressions over the node coordinates
-x, y and the radius r, evaluated in a restricted namespace; an expression
-that fails or whose values are not finite real numbers (positive, for the
-density) is a config error naming its `flow.grid.<field>` key.
+is kept as its stripped text and parsed once, by the reader of its key.
+`_KEYS` states each key's facts once: its reader, its default, its scope
+(the flow kinds or volume shapes that read it) and its static bounds.
+`load_config` reads the rows of a config's flow kind and shape, in the
+table's order, and fails naming the first key of the config that none of
+them reads (a typo, a key of another flow or shape kind, or a removed
+setting), so no line of a config silently means nothing.  The size keys
+are bounded at load, so a huge one is refused before anything is
+allocated: `flow.grid.n` by its row, and the markers and nodes of a volume
+by its shape spec in `matvol`.  The grid fields are numpy expressions over
+the node coordinates x, y and the radius r, evaluated in a restricted
+namespace; an expression that fails or whose values are not finite real
+numbers (positive, for the density) is a config error naming its
+`flow.grid.<field>` key.  The entropy floor s0 is not a setting: it comes
+from the flow (`FlowField.entropy_floor`).
 
-Every parsed key is read or rejected: `load_config` fails naming the first
-key it did not read (a typo, a key of another flow or shape kind, or a
-removed setting), so no line of a config silently means nothing.  Every
-number goes through `_number`, which rejects NaN and +-inf naming the key;
-only an absent `flow.grid.max_grad` means inf (no gradient guard).
-`_positive` also rejects zero and negative values of the keys that must be
-positive (epsilon, T, dt, flow.rho0, flow.P0, flow.t_c, flow.grid.dt).  `_int`
-rejects anything but an integer literal (2.0, 2.5, inf, nan, true) naming
-the key.  The size keys are bounded at load, so a huge one is refused before
-anything is allocated: `volume.markers`, `volume.quad_order` and
-`volume.refine` by the shape specs of `matvol`, against one cap on a
-volume's markers and nodes together, and `flow.grid.n` by `_MAX_GRID_N`.
-The entropy floor s0 is not a setting: it comes from the flow
-(`FlowField.entropy_floor`).
-
-All attainment preconditions (admissible q, epsilon below the initial
-boundary distance, nonnegative M) are validated at load time so a bad
-scenario fails before any computation starts.  The theorem's initial
-boundary distance is checked against epsilon twice, both times here: at load
-in the closed form of the shape spec's `distance` (which must be finite: an
-x0 or a shape position near the float limit overflows it), and at build on
-the markers that `matvol.init_volume` reports, whose chords lie closer to
-x0 around a loop curved about it.
+The checks between keys follow the table's reads: q admissible for gamma,
+and epsilon below the initial boundary distance.  That distance is checked
+against epsilon twice, both times here: at load in the closed form of the
+shape spec's `distance` (which must be finite: an x0 or a shape position
+near the float limit overflows it), and at build on the markers that
+`matvol.init_volume` reports, whose chords lie closer to x0 around a loop
+curved about it.  At build a grid flow also refuses a volume point 2**52 or
+more cells from its grid's origin, where a cell index no longer resolves
+the point (`GridFlow.check_points`).
 
 `build_scenario` is the one way to build a scenario from a config: it builds
 the flow and the volume and takes the time-zero data the threshold algebra
@@ -45,7 +37,7 @@ naming the keys that the failed functionals read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,20 +63,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
-
-
-# `scripts/exit_codes.py` hooks `_ReadKeys` and `_int` to list the keys that
-# `load_config` asks for and those it parses as integers.
-class _ReadKeys(dict):
-    """Parsed keys that remember which of them were read."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
 
 
 def parse_kv_text(text):
@@ -127,15 +105,6 @@ class ScenarioConfig:
     out_format: str
 
 
-def _text(raw, key, default=None):
-    """The text under `key`; an absent key reads as `default` when given."""
-    if key in raw:
-        return raw[key]
-    if default is None:
-        raise ConfigError(f"missing required key {key!r}")
-    return default
-
-
 def _number(text, key):
     """The finite number `text` of `key`; the one reader of numbers."""
     try:
@@ -155,27 +124,51 @@ def _numbers(text, key, length=None):
     return out
 
 
-def _float(raw, key, default=None):
-    return _number(_text(raw, key, default), key)
-
-
-def _floats(raw, key, length=None, default=None):
-    return _numbers(_text(raw, key, default), key, length)
-
-
-def _positive(raw, key, default=None):
-    value = _float(raw, key, default)
-    if value <= 0.0:
-        raise ConfigError(f"key {key!r} must be positive, got {value}")
-    return value
-
-
-def _int(raw, key, default=None):
-    text = _text(raw, key, default)
+def _integer(text, key):
     try:
         return int(text)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected an integer, got {text!r}") from None
+
+
+def _interval(text, key):
+    """Two numbers (min, max) with min < max a finite distance apart."""
+    low, high = _numbers(text, key, 2)
+    if not low < high:
+        raise ConfigError(f"key {key!r} must be (min, max) with min < max")
+    if not math.isfinite(high - low):
+        raise ConfigError(f"key {key!r}: max - min = {high - low} is not finite")
+    return low, high
+
+
+_READERS = {
+    "text": lambda text, key: text,
+    "number": _number,
+    "numbers": _numbers,
+    "integer": _integer,
+    "interval": _interval,
+    "pairs": lambda text, key: tuple(_numbers(part, key, 2) for part in text.split(";")
+                                     if part.strip()),
+}
+
+
+def _read(raw, name, reader, default, scope, bounds):
+    """The value of the `_KEYS` row (name, reader, default, scope, bounds)
+    in the parsed keys `raw`, checked against its bounds."""
+    text = raw.get(name, default)
+    if text is None:
+        raise ConfigError(f"missing required key {name!r}")
+    if not isinstance(text, str):          # a default that is not text is the value
+        return text
+    value = (_numbers(text, name, reader) if isinstance(reader, int)
+             else _READERS[reader](text, name))
+    if isinstance(bounds, tuple):
+        allowed, message = bounds
+        numbers = value if isinstance(value, tuple) else (value,)
+        if not (value in allowed if reader == "text" else
+                numbers and allowed[0] <= min(numbers) and max(numbers) <= allowed[1]):
+            raise ConfigError(f"key {name!r}{message.format(value)}")
+    return value
 
 
 def load_config(path):
@@ -186,34 +179,24 @@ def load_config(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file '{path}': "
                           f"{getattr(exc, 'strerror', None) or exc}") from exc
-    raw = _ReadKeys(parse_kv_text(text))
-    name = _text(raw, "name", path.stem)
+    raw = {"name": path.stem, **parse_kv_text(text)}
+    values = {}
+    for row in _KEYS:
+        scope = row[3]
+        if (scope is None or values.get("flow.kind") in scope
+                or values.get("volume.shape") in scope):
+            values[row[0]] = _read(raw, *row)
 
-    gamma = _float(raw, "gamma")
-    if gamma <= 1.0:
-        raise ConfigError("key 'gamma' must exceed 1")
-
-    kind = _text(raw, "flow.kind")
-    if kind not in _FLOWS:
-        raise ConfigError(f"key 'flow.kind' must be {'|'.join(_FLOWS)}, got {kind!r}")
-    flow_params = _flow_params(raw, kind)
-
-    volume = _volume_spec(raw)
-    x0 = _floats(raw, "x0", FlowField.dimension)
-    epsilon = _positive(raw, "epsilon")
-    qexp = _float(raw, "q")
+    kind, shape = values["flow.kind"], _SHAPES[values["volume.shape"]]
+    flow_params = _flow_params(values, kind)
+    try:
+        volume = shape(**{f.name: values[f"volume.{f.name}"] for f in fields(shape)})
+    except ShapeError as exc:
+        raise ConfigError(f"key 'volume.{exc.field}': {exc}") from exc
+    gamma, x0, epsilon, qexp = (values[key] for key in ("gamma", "x0", "epsilon", "q"))
     if not q_admissible(qexp, gamma, FlowField.dimension):
         raise ConfigError(f"key 'q' must lie strictly below "
                           f"{q_admissible_bound(gamma, FlowField.dimension)}, got {qexp}")
-    horizon = _positive(raw, "T")
-    reg_const = _float(raw, "M")
-    if reg_const < 0.0:
-        raise ConfigError("key 'M' must be nonnegative")
-    dt = _positive(raw, "dt", "1e-3")
-    stride = _int(raw, "sample.stride", "10")
-    if stride < 1:
-        raise ConfigError("key 'sample.stride' must be at least 1")
-
     try:
         # A distance that overflows is refused below, naming its keys.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -226,87 +209,25 @@ def load_config(path):
     if epsilon >= d0:
         raise ConfigError(
             f"key 'epsilon': must be smaller than the initial boundary distance {d0}")
-
-    verify_times = _floats(raw, "verify.times", default="0.2, 0.5, 0.8")
-    if not verify_times or min(verify_times) < 0.0:
-        raise ConfigError(f"key 'verify.times' must be one or more nonnegative "
-                          f"times, got {verify_times}")
-
-    cfg = ScenarioConfig(
-        name=name, gamma=gamma, flow_kind=kind,
-        flow_params=flow_params, volume=volume, x0=x0, epsilon=epsilon, q=qexp,
-        T=horizon, M=reg_const, dt=dt, sample_stride=stride,
-        verify_times=verify_times,
-        sweep_q=_floats(raw, "sweep.q", default=""),
-        sweep_epsilon=_floats(raw, "sweep.epsilon", default=""),
-        out_format=_text(raw, "out.format", "report"),
-    )
-    if cfg.out_format not in ("report", "csv"):
-        raise ConfigError("key 'out.format' must be report|csv")
-    unread = [key for key in raw if key not in raw.read]
+    unread = [key for key in raw if key not in values]
     if unread:
         raise ConfigError(f"key {unread[0]!r} is not a setting of this scenario")
-    return cfg
+    # The keys outside flow.* and volume.* are the fields of their names.
+    return ScenarioConfig(flow_kind=kind, flow_params=flow_params, volume=volume, **{
+        key.replace(".", "_"): value for key, value in values.items()
+        if not key.startswith(("flow.", "volume."))})
 
 
-# The largest flow.grid.n.  A grid flow holds at least 40 padded (n + 4)^2
-# fields: the 20 of its step workspace and 4 per snapshot of its time stencil
-# and its newest state, 340 MB at n = 1024.
-_MAX_GRID_N = 1024
-
-
-def _flow_params(raw, kind):
+def _flow_params(values, kind):
     """The keyword arguments of the constructor `_FLOWS[kind][0]`, after gamma."""
     if kind == "constant":
-        return {
-            "rho0": _positive(raw, "flow.rho0"),
-            "vel0": _floats(raw, "flow.V0", FlowField.dimension),
-            "p0": _positive(raw, "flow.P0"),
-        }
+        return {"rho0": values["flow.rho0"], "vel0": values["flow.V0"],
+                "p0": values["flow.P0"]}
     if kind == "expansion":
-        return {
-            "rho0": _positive(raw, "flow.rho0"),
-            "s0": _float(raw, "flow.S0", "0.0"),
-            "t_c": _positive(raw, "flow.t_c"),
-        }
-    params = {
-        "n": _int(raw, "flow.grid.n"),
-        "box": _floats(raw, "flow.grid.box", 2),
-        "dt": _positive(raw, "flow.grid.dt"),
-        "rho": _text(raw, "flow.grid.rho"),
-        "vx": _text(raw, "flow.grid.vx"),
-        "vy": _text(raw, "flow.grid.vy"),
-        "S": _text(raw, "flow.grid.S", "0.0"),
-        # No gradient guard unless one is set.
-        "max_grad": _float(raw, "flow.grid.max_grad")
-        if "flow.grid.max_grad" in raw else math.inf,
-    }
-    if not 16 <= params["n"] <= _MAX_GRID_N:
-        raise ConfigError(f"key 'flow.grid.n' must be from 16 to {_MAX_GRID_N}")
-    if params["box"][1] <= params["box"][0]:
-        raise ConfigError("key 'flow.grid.box' must be (min, max) with min < max")
-    return params
-
-
-def _volume_spec(raw):
-    """The volume's shape spec: the one reader of `volume.shape` and of the
-    volume keys, and the one statement of their defaults."""
-    shape = _text(raw, "volume.shape")
-    markers = _int(raw, "volume.markers", "256")
-    try:
-        if shape == "polygon":
-            vertices = tuple(_numbers(part, "volume.vertices", 2) for part
-                             in _text(raw, "volume.vertices").split(";") if part.strip())
-            return PolygonSpec(markers, vertices, _int(raw, "volume.refine", "3"))
-        if shape in ("disk", "annulus"):
-            center = _floats(raw, "volume.center", FlowField.dimension, default="0, 0")
-            order = _int(raw, "volume.quad_order", "40")
-            if shape == "disk":
-                return DiskSpec(markers, center, _float(raw, "volume.radius"), order)
-            return AnnulusSpec(markers, center, _floats(raw, "volume.radii", 2), order)
-    except ShapeError as exc:
-        raise ConfigError(f"key 'volume.{exc.field}': {exc}") from exc
-    raise ConfigError(f"key 'volume.shape': unknown shape {shape!r}")
+        return {"rho0": values["flow.rho0"], "s0": values["flow.S0"],
+                "t_c": values["flow.t_c"]}
+    return {key.removeprefix("flow.grid."): value for key, value in values.items()
+            if key.startswith("flow.grid.")}
 
 
 _EXPR_NAMES = {
@@ -364,6 +285,77 @@ _FLOWS = {
 }
 
 
+# Each `volume.shape`: its spec, built from the `volume.<field>` keys of
+# its fields.
+_SHAPES = {"disk": DiskSpec, "annulus": AnnulusSpec, "polygon": PolygonSpec}
+
+# The largest flow.grid.n.  A grid flow holds at least 40 padded (n + 4)^2
+# fields: the 20 of its step workspace and 4 per snapshot of its time stencil
+# and its newest state, 340 MB at n = 1024.
+_MAX_GRID_N = 1024
+# The bounds of a number that must be positive: 5e-324 is the least float
+# above 0.
+_POSITIVE = ((5e-324, math.inf), " must be positive, got {}")
+
+# Every config key, one row each, in the order `load_config` reads them:
+# (name, reader, default, scope, bounds).
+# - reader: "text" (kept verbatim), "number", "integer", k (k comma-separated
+#   numbers), "numbers" (any count), "pairs" (`;`-separated number pairs) or
+#   "interval" (two numbers min < max a finite distance apart).  Every
+#   number is finite.
+# - default: the text an absent key reads as; None when the key is required
+#   (`load_config` sets an absent `name` to the file's stem); a value that
+#   is not text is the absent key's value (inf: no gradient guard).
+# - scope: None when every config reads the key, else the flow kinds or
+#   volume shapes that read it.
+# - bounds: ((low, high), message) for the numbers of the value, each from
+#   low to high (and at least one), or (choices, message) for a text; a
+#   value out of bounds is refused as "key '<name>'" + message.format(value).
+#   A string names the field of the shape spec (`matvol`) that checks the
+#   key: the caps on markers and nodes depend on the other fields.
+_KEYS = (
+    ("name", "text", None, None, None),
+    ("gamma", "number", None, None, ((math.nextafter(1.0, 2.0), math.inf),
+                                     " must exceed 1")),
+    ("flow.kind", "text", None, None, (tuple(_FLOWS),
+                                       f" must be {'|'.join(_FLOWS)}, got {{!r}}")),
+    ("flow.rho0", "number", None, ("constant", "expansion"), _POSITIVE),
+    ("flow.V0", FlowField.dimension, None, ("constant",), None),
+    ("flow.P0", "number", None, ("constant",), _POSITIVE),
+    ("flow.S0", "number", "0.0", ("expansion",), None),
+    ("flow.t_c", "number", None, ("expansion",), _POSITIVE),
+    ("flow.grid.n", "integer", None, ("grid",), ((16, _MAX_GRID_N),
+                                                 f" must be from 16 to {_MAX_GRID_N}")),
+    ("flow.grid.box", "interval", None, ("grid",), None),
+    ("flow.grid.dt", "number", None, ("grid",), _POSITIVE),
+    ("flow.grid.rho", "text", None, ("grid",), None),
+    ("flow.grid.vx", "text", None, ("grid",), None),
+    ("flow.grid.vy", "text", None, ("grid",), None),
+    ("flow.grid.S", "text", "0.0", ("grid",), None),
+    ("flow.grid.max_grad", "number", math.inf, ("grid",), None),
+    ("volume.shape", "text", None, None, (tuple(_SHAPES), ": unknown shape {!r}")),
+    ("volume.markers", "integer", "256", None, "markers"),
+    ("volume.vertices", "pairs", None, ("polygon",), "vertices"),
+    ("volume.refine", "integer", "3", ("polygon",), "refine"),
+    ("volume.center", FlowField.dimension, "0, 0", ("disk", "annulus"), None),
+    ("volume.quad_order", "integer", "40", ("disk", "annulus"), "quad_order"),
+    ("volume.radius", "number", None, ("disk",), "radius"),
+    ("volume.radii", 2, None, ("annulus",), "radii"),
+    ("x0", FlowField.dimension, None, None, None),
+    ("epsilon", "number", None, None, _POSITIVE),
+    ("q", "number", None, None, None),
+    ("T", "number", None, None, _POSITIVE),
+    ("M", "number", None, None, ((0.0, math.inf), " must be nonnegative")),
+    ("dt", "number", "1e-3", None, _POSITIVE),
+    ("sample.stride", "integer", "10", None, ((1, math.inf), " must be at least 1")),
+    ("verify.times", "numbers", "0.2, 0.5, 0.8", None, (
+        (0.0, math.inf), " must be one or more nonnegative times, got {}")),
+    ("sweep.q", "numbers", "", None, None),
+    ("sweep.epsilon", "numbers", "", None, None),
+    ("out.format", "text", "report", None, (("report", "csv"), " must be report|csv")),
+)
+
+
 def build_flow(cfg):
     """Instantiate the configured flow (grid flows are not yet advanced)."""
     constructor, _ = _FLOWS[cfg.flow_kind]
@@ -380,6 +372,8 @@ def build_volume(cfg, flow):
         vol, dist = init_volume(cfg.volume, flow, np.asarray(cfg.x0))
     except ShapeError as exc:
         raise ConfigError(f"key 'volume.{exc.field}': {exc}") from exc
+    except ValueError as exc:               # a grid's `check_points`
+        raise ConfigError(f"key 'flow.grid.box': {exc}") from exc
     if dist <= cfg.epsilon:
         raise ConfigError(f"key 'epsilon': dist(boundary, x0) = {dist} is not "
                           f"larger than epsilon = {cfg.epsilon}")
@@ -409,12 +403,16 @@ class Scenario:
 
 
 def _sample0(cfg, flow, vol):
-    """The time-zero sample, refused (`ConfigError`) when it is not smooth,
-    naming the keys that its failed functionals read: every functional reads
-    the flow's fields (and gamma, through the pressure) over the volume; all
-    but m and E read x0, and G, F and the I's read q."""
+    """The time-zero sample, refused (`ConfigError`) when it is not smooth or
+    its mass or energy is not positive (a density that underflows), naming
+    the keys that its failed functionals read: every functional reads the
+    flow's fields (and gamma, through the pressure) over the volume; all but
+    m and E read x0, and G, F and the I's read q."""
     try:
-        return sample(flow, vol, cfg.q)
+        s0 = sample(flow, vol, cfg.q)
+        if not (s0.m > 0.0 and s0.E > 0.0):
+            raise NotSmooth("mass and energy must be positive", ("m", "E"))
+        return s0
     except NotSmooth as exc:
         keys = [*_FLOWS[cfg.flow_kind][1], "gamma", "volume.*"]
         failed = set(exc.functionals)

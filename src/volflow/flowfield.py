@@ -103,6 +103,10 @@ class FlowField:
     def check_time(self, t):
         """Raise ValueError if t lies outside the declared time window."""
 
+    def check_points(self, pts):
+        """Raise ValueError if the flow cannot be read at the points `pts`
+        (N, 2); a closed-form flow can be read anywhere."""
+
     def _pts(self, pts):
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1] != self.dimension:

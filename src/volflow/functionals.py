@@ -90,8 +90,11 @@ def _radii(pts, x0):
 
 def _read(flow, t, pts, names, where):
     """One `fields` read of `names` at pts; a density that is not positive
-    (or is NaN) there makes the sample not smooth."""
-    read = flow.fields(t, pts, names)
+    (or is NaN) there makes the sample not smooth.  A field that overflows
+    (a closed-form velocity x / (t + t_c) at a tiny t_c) is not warned of:
+    the functionals it makes not finite are refused by name."""
+    with np.errstate(over="ignore"):
+        read = flow.fields(t, pts, names)
     if not np.all(read["rho"] > 0.0):
         raise NotSmooth(f"flow density not positive at {where} at t={t}", ())
     return read

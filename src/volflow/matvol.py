@@ -521,11 +521,13 @@ def init_volume(spec, flow, x0):
     """Build (volume, dist(boundary, x0)) from a shape spec (`DiskSpec`,
     `AnnulusSpec` or `PolygonSpec`) and a flow at time zero.
 
-    Checks the geometry only: the target x0 must lie strictly outside the
-    volume (ValueError), and the built markers must make simple loops
-    (`ShapeError`, naming the shape's size field), which they do not when
-    the shape is too small for the float spacing at its position.  Whether
-    the distance is large enough for a scenario is the caller's decision.
+    Checks only that the volume can be built and read: the target x0 must
+    lie strictly outside the volume (ValueError), the built markers must
+    make simple loops (`ShapeError`, naming the shape's size field), which
+    they do not when the shape is too small for the float spacing at its
+    position, and the flow must be readable at every point
+    (`FlowField.check_points`).  Whether the distance is large enough for a
+    scenario is the caller's decision.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (flow.dimension,):
@@ -540,6 +542,7 @@ def init_volume(spec, flow, x0):
 
     spec.distance(x0)                   # raises when x0 lies inside
 
+    flow.check_points(points)
     rho0 = flow.fields(0.0, nodes, ("rho",))["rho"]
     vol = MaterialVolume(points=points, loop_ends=loop_ends,
                          mass_w=rho0 * w, x0=x0, time=0.0)

@@ -759,6 +759,17 @@ class GridFlow(FlowField):
             self._held[self._newest] = nxt
             self._trim()
 
+    def check_points(self, pts):
+        # At 2**52 cells from the origin a cell index no longer resolves a
+        # point.  The CFL limit keeps a point within one cell per step.
+        state = self._initial
+        with np.errstate(all="ignore"):
+            cells = np.abs((pts - state.origin) / state.spacing)
+            far = np.fmax.reduce(cells, axis=None, initial=0.0)     # nan: 0 / 0
+        if not far < 2.0 ** 52:
+            raise ValueError(f"a point lies {far:.3g} cells from the grid's origin, "
+                             f"2**52 or more")
+
     def check_time(self, t):
         if t < self.t0 - 1e-12 or t > self.t_last + 1e-12:
             raise ValueError(

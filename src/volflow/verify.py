@@ -71,18 +71,24 @@ ORACLE_REL_GAP = 1e-6
 
 # The work budget of `run` and `verify`, in seconds: building their stepper
 # (`_SampleSteps`) refuses a scenario whose estimated work (`_work_s`) is
-# over it, before anything steps.  The estimate counts RK point-steps and
-# solver cell-steps (`_work_counts`) at these costs, measured on a shared
-# 2-core x86 host: 22 ns per point-step on a closed-form flow
+# over it, before anything steps.  The estimate counts RK point-steps, flow
+# queries and solver cell-steps (`_work_counts`) at these costs, measured on
+# a shared 2-core x86 host: 22 ns per point-step on a closed-form flow
 # (lemmas_expansion, an ExpansionFlow), 660 ns per point-step on a grid flow
 # (radial_inflow, whose velocity is interpolated), and 225 ns per solver
-# cell-step, the smoothness guard included (radial_inflow at 128^2).  The
-# shipped configs' largest estimate is about 2.5 s (arc_live).  A run's
+# cell-step, the smoothness guard included (radial_inflow at 128^2).  A
+# query (a `velocity` or `fields` call) has a fixed cost besides its
+# points: 0.25 us on a ConstantFlow, 2.5 us on an ExpansionFlow, and on a
+# grid flow 75 us plus 4 ns per cell for its share of the whole-grid time
+# slices (16 points of radial_inflow at 16^2 to 256^2: 71 to 287 us).
+# The shipped configs' largest estimate is about 2.5 s (arc_live).  A run's
 # MAX_SAMPLES sample instants hold about 190 MB of series rows and bound
 # reports, at 1.9 KB each; the shipped configs take at most 500 (arc_live).
 MAX_WORK_S = 3600
 MAX_SAMPLES = 10**5
 _POINT_STEP_S = {"constant": 22e-9, "expansion": 22e-9, "grid": 660e-9}
+_CALL_S = {"constant": 0.25e-6, "expansion": 2.5e-6, "grid": 75e-6}
+_CALL_CELL_S = 4e-9
 _CELL_STEP_S = 225e-9
 
 # Documented per check: relative for the finite-difference identities,
@@ -477,31 +483,39 @@ def _refine_hit(vol_prev, flow, t_hi, epsilon, dt):
 
 
 def _work_counts(cfg, points, lemma_times):
-    """At most how many RK point-steps and solver cell-steps a run of `cfg`
-    on `points` markers and nodes takes, with the lemma checks of `verify`
-    at `lemma_times` (none for `run`); dt is at most T.
+    """At most how many RK point-steps, flow queries and solver cell-steps a
+    run of `cfg` on `points` markers and nodes takes, with the lemma checks
+    of `verify` at `lemma_times` (none for `run`); dt is at most T.
 
     Up to the last of T and the lemma times, the points take one step of dt
     at a time, and s = min(stride, T/dt) steps more for each lemma
     advection off a sample instant, for each of the hit bisection's
     ceil(log2(100 s)) halvings of a stride, and for the step past the
-    horizon.  A grid flow's solver steps of flow.grid.dt run to that time
-    plus the lemmas' 2 LEMMA_H twice over: `verify`'s precondition pass,
-    then the run's re-steps of what the flow let go."""
+    horizon.  Each RK step queries the flow 4 times, and each sample twice:
+    at time zero, at each of the horizon/(s dt) + 1 sample instants and at
+    each lemma time, whose checks add a density read and the 8 queries of
+    their two steps of LEMMA_H.  A grid flow's solver steps of flow.grid.dt
+    run to the horizon plus the lemmas' 2 LEMMA_H twice over: `verify`'s
+    precondition pass, then the run's re-steps of what the flow let go."""
     horizon = max([cfg.T, *lemma_times])
     s = min(cfg.sample_stride, cfg.T / cfg.dt)
-    point_steps = points * (horizon / cfg.dt + s * (
-        len(lemma_times) + math.ceil(math.log2(100.0 * s)) + 1))
+    steps = horizon / cfg.dt + s * (len(lemma_times) + math.ceil(math.log2(100.0 * s)) + 1)
+    calls = 4.0 * steps + 2.0 * (horizon / (s * cfg.dt) + 2.0) + 11.0 * len(lemma_times)
     if cfg.flow_kind != "grid":
-        return point_steps, 0.0
+        return points * steps, calls, 0.0
     grid = cfg.flow_params
-    return point_steps, 2.0 * grid["n"] ** 2 * (horizon + 2.0 * LEMMA_H) / grid["dt"]
+    return (points * steps, calls,
+            2.0 * grid["n"] ** 2 * (horizon + 2.0 * LEMMA_H) / grid["dt"])
 
 
 def _work_s(cfg, points, lemma_times):
     """The seconds of `_work_counts`, at the costs beside MAX_WORK_S."""
-    point_steps, cell_steps = _work_counts(cfg, points, lemma_times)
-    return point_steps * _POINT_STEP_S[cfg.flow_kind] + cell_steps * _CELL_STEP_S
+    point_steps, calls, cell_steps = _work_counts(cfg, points, lemma_times)
+    call_s = _CALL_S[cfg.flow_kind]
+    if cfg.flow_kind == "grid":
+        call_s += cfg.flow_params["n"] ** 2 * _CALL_CELL_S
+    return (point_steps * _POINT_STEP_S[cfg.flow_kind] + calls * call_s
+            + cell_steps * _CELL_STEP_S)
 
 
 def verdict_rule(hit, cond10_holds, reg_max, horizon, e_drift, inp):

@@ -18,7 +18,7 @@ import volflow
 from volflow import cli, config as config_mod, functionals, matvol, solver, verify
 from volflow.cli import CSV_HEADER, main
 from volflow.config import ConfigError, build_scenario, load_config, parse_kv_text
-from volflow.flowfield import ExpansionFlow, NotSmooth
+from volflow.flowfield import ConstantFlow, ExpansionFlow, NotSmooth
 from volflow.functionals import TargetReached
 from volflow.matvol import PolygonSpec, SelfIntersection, ShapeError
 from volflow.solver import CFLViolation, GridFlow, SmoothnessLost, SnapshotDropped
@@ -255,21 +255,21 @@ _LEMMA_KEYS = "key 'T', 'dt', 'sample.stride', 'volume.*' or 'verify.times'"
 _GRID_KEYS = "key 'T', 'dt', 'sample.stride', 'volume.*', 'flow.grid.n'"
 _WORK = "s of work, more than 3600 s"
 # The work of verify.times = 1e20 on each analytic config.
-_LEMMA_WORK = {"arc_live": "4.9e+20", "constant_inflow": "8.2e+18",
-               "constant_receding": "8.2e+18", "expansion_outflow": "4.1e+18",
-               "lemmas_expansion": "2.3e+19", "sweep_annulus": "8.2e+18"}
+_LEMMA_WORK = {"arc_live": "4.9e+20", "constant_inflow": "8.3e+18",
+               "constant_receding": "8.3e+18", "expansion_outflow": "4.6e+18",
+               "lemmas_expansion": "2.4e+19", "sweep_annulus": "8.3e+18"}
 
 
 @pytest.mark.parametrize("command, name, extra, message", [
     pytest.param("run", "lemmas_expansion", "T = 1e20",
-                 f"{_KEYS}: about 2.3e+19 {_WORK}", id="run-T"),
+                 f"{_KEYS}: about 2.4e+19 {_WORK}", id="run-T"),
     pytest.param("run", "constant_receding", "dt = 1e-300",
-                 f"{_KEYS}: about 1.6e+296 {_WORK}", id="run-dt"),
+                 f"{_KEYS}: about 1.7e+296 {_WORK}", id="run-dt"),
     pytest.param("run", "constant_receding", "T = 200.0\nsample.stride = 1",
                  "key 'T', 'dt' or 'sample.stride': 200000.0 sample instants, "
                  "more than 100000", id="run-sample.stride"),
     pytest.param("verify", "lemmas_expansion", "T = 1e20",
-                 f"{_LEMMA_KEYS}: about 2.3e+19 {_WORK}", id="verify-T"),
+                 f"{_LEMMA_KEYS}: about 2.4e+19 {_WORK}", id="verify-T"),
     # The grid solver's own steps: at 1e-300 per step it never reaches T.
     pytest.param("run", "radial_inflow", "flow.grid.dt = 1e-300",
                  f"{_GRID_KEYS} or 'flow.grid.dt': about 7.4e+296 {_WORK}",
@@ -326,9 +326,22 @@ def _rk4_steps(t_from, t_to, dt):
 def test_work_estimate_bounds_the_steps_taken(tmp_path, capsys, monkeypatch, command,
                                               name, extra):
     # The counts that the work budget is estimated from bound the RK
-    # point-steps and solver cell-steps that a shipped config takes.
-    taken = {"points": 0, "cells": 0}
+    # point-steps, flow queries and solver cell-steps that a shipped config
+    # takes.
+    taken = {"points": 0, "calls": 0, "cells": 0}
     rk4, solver_step = matvol._rk4_points, solver.step
+    depth = [0]
+
+    def query_counted(query):
+        # A query that another query of the flow makes is not counted.
+        def counted(self, *args):
+            taken["calls"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return query(self, *args)
+            finally:
+                depth[0] -= 1
+        return counted
 
     def rk4_counted(flow, pts, t_from, t_to, dt):
         taken["points"] += len(pts) * _rk4_steps(t_from, t_to, dt)
@@ -346,9 +359,14 @@ def test_work_estimate_bounds_the_steps_taken(tmp_path, capsys, monkeypatch, com
     cfg = load_config(path)
     points = len(build_scenario(cfg).vol.points)
     lemma_times = sorted(cfg.verify_times) if command == "verify" else []
-    point_steps, cell_steps = verify._work_counts(cfg, points, lemma_times)
+    point_steps, calls, cell_steps = verify._work_counts(cfg, points, lemma_times)
+    for flow_class in (ConstantFlow, ExpansionFlow, GridFlow):
+        for query in ("velocity", "fields"):
+            monkeypatch.setattr(flow_class, query,
+                                query_counted(getattr(flow_class, query)))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 1, 2)
     assert taken["points"] <= point_steps
+    assert 0 < taken["calls"] <= calls
     assert taken["cells"] <= cell_steps
 
 
@@ -949,6 +967,41 @@ def test_module_entry_point(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [
         "config error: key 'sample.strid' is not a setting of this scenario"]
+
+
+# Values at the float limits that printed RuntimeWarnings, a traceback or an
+# exit-2 line naming the wrong key or none.  A box so wide that max - min
+# overflows made its grid not finite; one so narrow that the volume lies
+# 2**52 or more cells from its origin overflowed the cell index, and one a
+# float wide made no grid at all.  epsilon * m underflowed to 0 in the
+# threshold algebra, a density of 5e-324 made no mass, and a velocity
+# x / t_c overflowed in the time-zero read.
+@pytest.mark.parametrize("base, line, message", [
+    pytest.param("radial_inflow", "flow.grid.box = -1e308, 1e308",
+                 "key 'flow.grid.box': max - min = inf is not finite", id="box-wide"),
+    pytest.param("radial_inflow", "flow.grid.box = -1e-300, 1e-300",
+                 "key 'flow.grid.box': a point lies 1.28e+302 cells from the grid's "
+                 "origin, 2**52 or more", id="box-narrow"),
+    pytest.param("radial_inflow", "flow.grid.box = 0, 5e-324",
+                 "key 'flow.grid.box': a point lies inf cells from the grid's "
+                 "origin, 2**52 or more", id="box-one-float"),
+    pytest.param("arc_live", "epsilon = 5e-324",
+                 "key 'q' or 'epsilon': epsilon * m underflows to 0", id="epsilon"),
+    pytest.param("expansion_outflow", "flow.rho0 = 5e-324",
+                 "key 'flow.rho0', 'flow.S0', 'flow.t_c', 'gamma' or 'volume.*': "
+                 "mass and energy must be positive", id="rho0"),
+    pytest.param("expansion_outflow", "flow.t_c = 5e-324",
+                 "key 'flow.rho0', 'flow.S0', 'flow.t_c', 'gamma', 'volume.*', 'x0' or "
+                 "'q': functional E, F, I1, I2 not finite at t=0.0", id="t_c"),
+])
+def test_value_at_the_float_limit_prints_one_named_line(tmp_path, capsys, base, line,
+                                                         message):
+    path = _shipped_with(tmp_path, base, line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["criteria", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _single_error(capsys) == "config error: " + message
 
 
 # A time-zero sample whose pressure overflows printed numpy RuntimeWarnings

@@ -151,3 +151,35 @@ def test_hit_bisection_re_steps_what_the_window_released(tmp_path, monkeypatch):
     assert steps[0] > math.ceil((1.6 + 1e-2) / 0.1)
     assert grid.hit_time == exact.hit_time
     assert grid.verdict == exact.verdict == "consistent_hit"
+
+
+@pytest.mark.parametrize("grid_dt, stride, straight", [
+    ("0.1", "10", None),
+    # Samples 80 steps of dt apart: the hit comes at the sample at 0.016,
+    # and the bisection back into (0.008, 0.016) re-steps the snapshots the
+    # window let go; straight through, the solver steps to 0.016 + dt.
+    ("5e-4", "80", math.ceil((0.016 + 1e-4) / 5e-4)),
+], ids=["grid_dt_0.1", "re_stepped"])
+def test_uniform_grid_twin_of_arc_live_hits_as_its_constant_flow(tmp_path, monkeypatch,
+                                                                 grid_dt, stride, straight):
+    # The polygon's inner arc rides the uniform stream into epsilon of x0.
+    steps = [0]
+    step = solver.step
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(solver, "step", counted)
+    lines = ["T = 0.02", "volume.refine = 1", f"sample.stride = {stride}"]
+    grid = run_theorem_scenario(
+        _grid_twin(tmp_path, "arc_live", [*lines, f"flow.grid.dt = {grid_dt}"]))
+    exact = run_theorem_scenario(_scenario(tmp_path, "arc_live", lines))
+    assert (grid.verdict, grid.hit_time) == (exact.verdict, exact.hit_time) == (
+        "consistent_hit", 0.00972216796875)
+    assert len(grid.bounds_failures) == len(exact.bounds_failures) == 0
+    assert len(grid.series) == len(exact.series)
+    np.testing.assert_allclose(np.array(grid.series), np.array(exact.series),
+                               rtol=1e-14, atol=0.0)
+    if straight is not None:
+        assert steps[0] > straight

@@ -1,6 +1,9 @@
 import importlib.util
 from pathlib import Path
 
+from volflow.cli import main
+from volflow.config import _KEYS, load_config, parse_kv_text
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -100,13 +103,14 @@ def test_output_digest_names_a_crashing_call_and_exits_1(tmp_path, capsys):
 
 
 def test_exit_codes_table_on_every_config(tmp_path):
-    # Every numeric key the loader reads of each shipped config, with every
-    # bad value (and 10**9 for an integer key): `sweep` on the sweep keys,
-    # `run` on the keys of a run's work, `criteria` on the others.
+    # Every numeric key whose row applies to each shipped config, with every
+    # bad value (and 10**9 for an integer key) and each bound of its row and
+    # the value across it: `sweep` on the sweep keys, `run` on the keys of a
+    # run's work, `criteria` on the others.
     exit_codes = _load("exit_codes")
     counts, crashed = exit_codes.table(sorted((SCRIPTS / "configs").glob("*.cfg")),
                                        tmp_path)
-    assert (counts["calls"], crashed, counts["warned"]) == (1282, [], 0)
+    assert (counts["calls"], crashed, counts["warned"]) == (1409, [], 0)
     # A bad value is refused or makes no claim: it never fails a check.
     assert set(counts["exit"]) <= {0, 2}
     # Every refused value is named: the time-zero sample's, and a sweep
@@ -116,18 +120,46 @@ def test_exit_codes_table_on_every_config(tmp_path):
     assert not any("sweep needs both" in line for line in counts["exit2"])
 
 
-def test_exit_codes_keys_come_from_the_loader(tmp_path):
+def test_exit_codes_rows_come_from_the_table(tmp_path):
     # Keys that a config leaves out still get rows: volume.refine (read with
     # its default) and flow.grid.max_grad (read only when set).
     exit_codes = _load("exit_codes")
-    keys, integers = exit_codes.read_keys(SCRIPTS / "configs" / "arc_live.cfg")
-    assert "volume.refine" in keys and "volume.refine" in integers
-    assert "volume.quad_order" not in keys          # not a polygon's key
+    rows = list(exit_codes.overrides(SCRIPTS / "configs" / "arc_live.cfg"))
+    assert ("volume.refine", exit_codes.HUGE) in rows
+    assert not any(key == "volume.quad_order" for key, _ in rows)    # a round key
+    # A bound and the value across it: gamma > 1, a positive T.
+    assert {("gamma", "1.0000000000000002"), ("gamma", "1.0"), ("T", "5e-324"),
+            ("T", "0.0")} <= set(rows)
     text = (SCRIPTS / "configs" / "radial_inflow.cfg").read_text()
     path = tmp_path / "unguarded.cfg"
     path.write_text("\n".join(line for line in text.splitlines()
                               if not line.startswith("flow.grid.max_grad")))
     rows = list(exit_codes.overrides(path))
     assert ("flow.grid.max_grad", "abc") in rows
-    assert ("flow.grid.n", exit_codes.HUGE) in rows
+    assert {("flow.grid.n", exit_codes.HUGE), ("flow.grid.n", "15"),
+            ("flow.grid.n", "1025")} <= set(rows)
     assert ("flow.grid.box", exit_codes.HUGE) not in rows
+    # Just inside min < max: a box one float wide.
+    assert ("flow.grid.box", "1e-300, 1.0000000000000002e-300") in rows
+    assert len(rows) == len(set(rows))
+
+
+def test_config_table_rows_are_the_keys_the_loader_accepts(tmp_path, capsys):
+    # On every shipped config the rows of `_KEYS` whose scope holds its flow
+    # kind and shape are the keys the loader accepts: setting one of them to
+    # the config's value (or its default) loads the same config, and setting
+    # a key of any other row exits 2, naming it.
+    for path in sorted((SCRIPTS / "configs").glob("*.cfg")):
+        text, cfg = path.read_text(), load_config(path)
+        raw = parse_kv_text(text)
+        edited = tmp_path / path.name
+        for name, _, default, scope, _ in _KEYS:
+            value = raw.get(name, default if isinstance(default, str) else "1.0")
+            edited.write_text(f"{text}\n{name} = {value}\n")
+            if scope is None or raw["flow.kind"] in scope or raw["volume.shape"] in scope:
+                assert load_config(edited) == cfg, (path.stem, name)
+                continue
+            assert main(["criteria", "--config", str(edited), "--out",
+                         str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: key {name!r} is not a setting of this scenario\n")
